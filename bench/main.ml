@@ -9,33 +9,31 @@
    unknown flag prints the usage of exactly the target it occurred under.
 
    Usage:
-     bench/main.exe                 # everything (same as "all")
+     bench/main.exe                 # everything (same as "all"); writes the
+                                    # run record to BENCH_sim.new.json
      bench/main.exe table3|table4|fig8|fig9|table6|fig10|memshare|tables-qual
-     bench/main.exe smoke           # table3+table4 only (the @ci quick gate)
      bench/main.exe density         # per-backend overhead + 1->256 tenants/CVM
-                                    # (--smoke for the @ci cut; --backend /
-                                    #  --tenants narrow the matrix)
+                                    # (--backend / --tenants narrow the matrix)
+     bench/main.exe slo             # live SLO telemetry: seeded stall report
      bench/main.exe attrib          # per-domain/per-phase cycle attribution
-                                    # (--smoke: first program only, the @ci cut)
      bench/main.exe icode           # decoded-instruction cache microbenchmark
-     bench/main.exe check           # regression gate vs committed BENCH_sim.json
-                                    # (--from-journal FILE: verify a recording)
-     bench/main.exe journal         # flight-recorder gate (--smoke: @ci cut)
-     bench/main.exe agg             # fleet-telemetry gate (--smoke: @ci cut)
+     bench/main.exe check           # THE gate (@ci): anchors vs BENCH_sim.json,
+                                    # sink-transparency law, journal, agg,
+                                    # density must-deny, SLO, attribution
+                                    # (--full: full scale and every Fig. 9 row;
+                                    #  --from-journal FILE: verify a recording)
      bench/main.exe bechamel        # wall-clock microbenchmarks
    Common flags:
      --jobs N         domain-pool width for machine fan-out
                       (default: Domain.recommended_domain_count)
      --scale F        multiply simulated workload durations by F (default 1.0)
-     --baseline PATH  baseline file for check/journal (default BENCH_sim.json)
-     --full           "check" also compares every Fig. 9 row  *)
+     --baseline PATH  baseline file for check (default BENCH_sim.json)  *)
 
 module C = Workloads.Cli
 
 (* Parsed flags; set once in the driver before any experiment runs. *)
 let jobs_arg : int option ref = ref None
 let scale_arg = ref 1.0
-let smoke_arg = ref false
 let backend_arg : Erebor.Isolation.kind option ref = ref None
 let tenants_arg : int option ref = ref None
 
@@ -295,15 +293,13 @@ let print_density () =
       Printf.printf "%-10s %-8s %14d %14d %8.2f%%\n" r.bprogram
         (Erebor.Isolation.kind_name r.bbackend)
         r.native_cycles r.backend_cycles r.boverhead_pct)
-    (Workloads.Density.backend_overhead ?jobs:!jobs_arg ~smoke:!smoke_arg
-       ~backends ());
+    (Workloads.Density.backend_overhead ?jobs:!jobs_arg ~backends ());
   header "Sandboxes-per-CVM scaling (memory, EMC interference, tenant p99)";
   Printf.printf "%-8s %7s %9s %7s %7s %10s %8s %9s %12s %5s\n" "Backend"
     "Tenants" "Conf.fr" "PTP.fr" "Com.fr" "Fr/tenant" "EMC/req" "Interf."
     "Worst p99" "Viol.";
   let rows =
-    Workloads.Density.scaling ?jobs:!jobs_arg ~smoke:!smoke_arg ~backends
-      ?tenant_counts ()
+    Workloads.Density.scaling ?jobs:!jobs_arg ~backends ?tenant_counts ()
   in
   List.iter
     (fun (r : Workloads.Density.scale_row) ->
@@ -321,11 +317,7 @@ let print_density () =
   Printf.printf
     "(adversarial probe per machine: cross-tenant confined map, TME-MK key-id\n\
     \ forgery, sealed-common writable map — %d attempts not denied)\n"
-    total_violations;
-  if total_violations > 0 then begin
-    Printf.eprintf "density: %d isolation violations\n" total_violations;
-    exit 1
-  end
+    total_violations
 
 (* ------------------------------------------------------------------ *)
 (* Live SLO telemetry: seeded degradation + clean-workload silence      *)
@@ -335,9 +327,7 @@ let print_slo () =
   header "Live SLO telemetry: seeded mid-run stall, per-tenant attribution";
   let backend = Option.value !backend_arg ~default:Erebor.Isolation.Pks in
   let tenants = Option.value !tenants_arg ~default:4 in
-  let rounds = if !smoke_arg then 16 else 40 in
-  let stall_rounds = if !smoke_arg then 3 else 4 in
-  let r = Workloads.Slo_bench.run ~backend ~tenants ~rounds ~stall_rounds () in
+  let r = Workloads.Slo_bench.run ~backend ~tenants () in
   Printf.printf "%-10s %-8s %6s %7s %-10s %-10s %s\n" "Tenant" "Seeded"
     "Reqs" "Alert" "Worst" "Final" "Transitions";
   List.iter
@@ -361,22 +351,13 @@ let print_slo () =
     r.Workloads.Slo_bench.health_events r.Workloads.Slo_bench.audit_records
     (if r.Workloads.Slo_bench.audit_intact then "intact" else "BROKEN");
   header "Clean Fig. 9 workloads: SLOs must stay silent";
-  let clean = Workloads.Slo_bench.clean_fig9 ?jobs:!jobs_arg ~smoke:!smoke_arg () in
-  let clean_failures =
-    List.concat_map
-      (fun (program, fired) ->
-        Printf.printf "%-10s %s\n" program
-          (if fired = [] then "silent" else "FIRED " ^ String.concat "," fired);
-        List.map (fun o -> program ^ ": clean run fired " ^ o) fired)
-      clean
-  in
-  let failures = r.Workloads.Slo_bench.failures @ clean_failures in
-  if failures <> [] then begin
-    List.iter (fun f -> Printf.eprintf "slo: %s\n" f) failures;
-    exit 1
-  end;
-  Printf.printf
-    "PASS: alert + demotion on the seeded tenant only; clean runs silent\n"
+  List.iter
+    (fun (program, fired) ->
+      Printf.printf "%-10s %s\n" program
+        (if fired = [] then "silent" else "FIRED " ^ String.concat "," fired))
+    (Workloads.Slo_bench.clean_fig9 ?jobs:!jobs_arg ());
+  List.iter (Printf.printf "attribution failure: %s\n")
+    r.Workloads.Slo_bench.failures
 
 (* ------------------------------------------------------------------ *)
 (* Qualitative tables (1, 2, 7)                                        *)
@@ -544,34 +525,25 @@ let print_emchist () =
 
 let print_attrib () =
   header
-    (if !smoke_arg then
-       "Cycle attribution: domain x phase decomposition (smoke: first program x every setting)"
-     else
-       "Cycle attribution: domain x phase decomposition (every Fig. 9 program x setting)");
-  let rows = Workloads.Eval.attrib ?jobs:!jobs_arg ~smoke:!smoke_arg () in
+    "Cycle attribution: domain x phase decomposition (every Fig. 9 program x setting)";
+  let rows = Workloads.Eval.attrib ?jobs:!jobs_arg () in
   List.iter
     (fun (r : Workloads.Eval.attrib_row) ->
       let total = float_of_int r.total_cycles in
       Printf.printf "\n%s @ %s  (%d cycles)\n" r.aprogram
         (Sim.Config.name r.asetting) r.total_cycles;
-      let attributed = ref 0 in
       List.iter
         (fun (domain, phase, cycles) ->
-          attributed := !attributed + cycles;
           Printf.printf "  %-8s %-10s %14d  %6.2f%%\n" domain phase cycles
             (100.0 *. float_of_int cycles /. total))
         r.contexts;
       Printf.printf "  %-8s %-10s %14d  %6.2f%%\n" "-" "(outside)"
         r.unattributed_cycles
-        (100.0 *. float_of_int r.unattributed_cycles /. total);
-      if !attributed + r.unattributed_cycles <> r.total_cycles then begin
-        Printf.printf "  CONSERVATION VIOLATED: %d attributed + %d outside <> %d total\n"
-          !attributed r.unattributed_cycles r.total_cycles;
-        exit 1
-      end)
+        (100.0 *. float_of_int r.unattributed_cycles /. total))
     rows;
   Printf.printf
-    "\n(every row's contexts + (outside) sum exactly to its total — checked)\n"
+    "\n(every row's contexts + (outside) sum exactly to its total — gated by \
+     the attrib/* checks of bench check)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Decoded-instruction cache microbenchmark                            *)
@@ -633,73 +605,45 @@ let print_icode () =
 (* Regression gate against the committed BENCH_sim.json                *)
 (* ------------------------------------------------------------------ *)
 
-let report_verdict ~baseline ~pass_detail verdict =
-  let fails = Workloads.Bench_gate.failures verdict in
-  if fails = [] then
-    Printf.printf "PASS: %d checks (%s)\n" (List.length verdict) pass_detail
-  else begin
-    (* All mismatches in one old/new table — one run is enough to see
-       the full extent of a regression. *)
-    Format.printf "%a" Workloads.Bench_gate.pp_mismatch_table verdict;
-    Printf.printf "FAIL: %d of %d checks failed against %s\n"
-      (List.length fails) (List.length verdict) baseline;
-    exit 1
-  end
-
+(* One verdict, one report: every check's line, then — if anything failed —
+   one old/new table of all the failures and the command that reproduces
+   the run. *)
 let run_check ~baseline ~full ~from_journal () =
-  let result =
+  let module G = Workloads.Bench_gate in
+  let section name v =
+    Printf.printf "%s\n" name;
+    Format.printf "%a" G.pp_verdict v;
+    v
+  in
+  let verdict =
     match from_journal with
-    | None ->
-        header (Printf.sprintf "Regression gate: current build vs %s" baseline);
-        Workloads.Bench_gate.check_file ~fig9:full ?jobs:!jobs_arg
-          ~path:baseline ()
     | Some journal ->
         header
           (Printf.sprintf "Regression gate: recording %s vs %s" journal
              baseline);
-        Workloads.Bench_gate.check_journal_file ~journal ~path:baseline ()
+        section "journal"
+          (match G.check_journal_file ~journal ~path:baseline () with
+          | Ok v -> v
+          | Error e -> [ G.chk "baseline" false e ])
+    | None ->
+        header
+          (Printf.sprintf "Regression gate: current build vs %s%s" baseline
+             (if full then " (full scale)" else ""));
+        List.concat_map
+          (fun (name, gate) -> section name (gate ~smoke:(not full)))
+          (G.gates ~baseline ~jobs:!jobs_arg)
   in
-  match result with
-  | Error e ->
-      Printf.eprintf "bench check: %s\n" e;
+  match G.failures verdict with
+  | [] -> Printf.printf "PASS: %d checks\n" (List.length verdict)
+  | fails ->
+      Format.printf "%a" G.pp_mismatch_table verdict;
+      Printf.printf "FAIL: %d of %d checks failed against %s\n"
+        (List.length fails) (List.length verdict) baseline;
+      Printf.printf "repro: dune exec bench/main.exe -- check%s%s --baseline %s\n"
+        (if full then " --full" else "")
+        (match from_journal with Some j -> " --from-journal " ^ j | None -> "")
+        baseline;
       exit 1
-  | Ok verdict ->
-      report_verdict ~baseline
-        ~pass_detail:
-          (match from_journal with
-          | None -> "anchors exact, wall/GC within tolerance"
-          | Some _ -> "recording reproduces the baseline Fig. 9 row")
-        verdict
-
-(* ------------------------------------------------------------------ *)
-(* Flight-recorder gate (observability subsystem)                      *)
-(* ------------------------------------------------------------------ *)
-
-let run_journal ~baseline () =
-  header
-    "Flight-recorder gate: invisible, lossless, allocation-free, diffable";
-  let verdict = Workloads.Journal_bench.run ~smoke:!smoke_arg ~baseline () in
-  Format.printf "%a" Workloads.Bench_gate.pp_verdict verdict;
-  report_verdict ~baseline
-    ~pass_detail:
-      "anchors byte-identical under recording, replay exact, 0 words/event"
-    verdict
-
-(* ------------------------------------------------------------------ *)
-(* Fleet-telemetry gate (mergeable sketches / heavy hitters / exemplars) *)
-(* ------------------------------------------------------------------ *)
-
-let run_agg () =
-  header
-    "Fleet-telemetry gate: invisible, order-invariant, allocation-free, \
-     attributable";
-  let verdict = Workloads.Agg_bench.run ~smoke:!smoke_arg () in
-  Format.printf "%a" Workloads.Bench_gate.pp_verdict verdict;
-  report_verdict ~baseline:"Obs.Agg determinism contract"
-    ~pass_detail:
-      "anchors identical, quantiles within bound, merge order-invariant, \
-       0 words/record, spike attributable"
-    verdict
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_sim.json — machine-readable run record for regression diffing *)
@@ -729,19 +673,6 @@ let peak_rss_kb () =
     scan ()
   with Sys_error _ -> None
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_bench_json ~path ~timings ~total_wall_s =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -760,7 +691,7 @@ let write_bench_json ~path ~timings ~total_wall_s =
   add "  \"targets\": [\n";
   List.iteri
     (fun i (name, wall) ->
-      add "    { \"name\": \"%s\", \"wall_s\": %.6f }%s\n" (json_escape name) wall
+      add "    { \"name\": \"%s\", \"wall_s\": %.6f }%s\n" (Obs.Metrics.escape_json name) wall
         (if i = List.length timings - 1 then "" else ","))
     timings;
   add "  ],\n";
@@ -771,7 +702,7 @@ let write_bench_json ~path ~timings ~total_wall_s =
   List.iteri
     (fun i (r : Workloads.Eval.transition_row) ->
       add "    { \"transition\": \"%s\", \"cycles\": %d, \"paper_cycles\": %d }%s\n"
-        (json_escape r.transition) r.cycles r.paper_cycles
+        (Obs.Metrics.escape_json r.transition) r.cycles r.paper_cycles
         (if i = List.length t3 - 1 then "" else ","))
     t3;
   add "  ],\n";
@@ -781,7 +712,7 @@ let write_bench_json ~path ~timings ~total_wall_s =
     (fun i (r : Workloads.Eval.privop_row) ->
       add
         "    { \"op\": \"%s\", \"native_cycles\": %d, \"erebor_cycles\": %d }%s\n"
-        (json_escape r.op) r.native_cycles r.erebor_cycles
+        (Obs.Metrics.escape_json r.op) r.native_cycles r.erebor_cycles
         (if i = List.length t4 - 1 then "" else ","))
     t4;
   add "  ],\n";
@@ -792,8 +723,8 @@ let write_bench_json ~path ~timings ~total_wall_s =
       add
         "    { \"program\": \"%s\", \"setting\": \"%s\", \"overhead_pct\": %.4f, \
          \"pf_rate\": %.2f, \"timer_rate\": %.2f, \"ve_rate\": %.2f, \"emc_rate\": %.2f }%s\n"
-        (json_escape r.program)
-        (json_escape (Sim.Config.name r.setting))
+        (Obs.Metrics.escape_json r.program)
+        (Obs.Metrics.escape_json (Sim.Config.name r.setting))
         r.overhead_pct r.pf_rate r.timer_rate r.ve_rate r.emc_rate
         (if i = List.length rows - 1 then "" else ","))
     rows;
@@ -827,12 +758,11 @@ let all () =
   timed "tables-qual" print_tables_qual;
   timed "emchist" print_emchist;
   let total_wall_s = Unix.gettimeofday () -. t_start in
-  write_bench_json ~path:"BENCH_sim.json" ~timings:(List.rev !timings) ~total_wall_s
-
-(* The @ci quick gate: just the calibration tables, no workload machines. *)
-let smoke () =
-  print_table3 ();
-  print_table4 ()
+  (* The committed BENCH_sim.json is the gate's baseline and never changes
+     under a measurement run; re-baselining is an explicit
+     [mv BENCH_sim.new.json BENCH_sim.json]. *)
+  write_bench_json ~path:"BENCH_sim.new.json" ~timings:(List.rev !timings)
+    ~total_wall_s
 
 (* Shared flags; each target lists only the ones it reads, so an unknown
    flag fails with the usage of exactly that target. *)
@@ -844,8 +774,6 @@ let jobs_flag =
 let scale_flag =
   C.flag ~docv:"F" [ "--scale" ]
     "Multiply simulated workload durations by F (default 1.0)."
-
-let smoke_flag = C.flag [ "--smoke" ] "Restrict to the quick @ci cut."
 
 let backend_flag =
   C.flag ~docv:"KIND" [ "--backend" ]
@@ -859,7 +787,8 @@ let baseline_flag =
   C.flag ~docv:"PATH" [ "--baseline" ]
     "Baseline suite record to gate against (default BENCH_sim.json)."
 
-let full_flag = C.flag [ "--full" ] "Also compare every Fig. 9 row."
+let full_flag =
+  C.flag [ "--full" ] "Full scale: every Fig. 9 row and every gate at size."
 
 let from_journal_flag =
   C.flag ~docv:"FILE" [ "--from-journal" ]
@@ -881,7 +810,6 @@ let setup p =
         scale_arg := f;
         Workloads.Workload.set_scale f
       end);
-  smoke_arg := C.has p smoke_flag;
   (match C.str p backend_flag with
   | None -> backend_arg := None
   | Some s -> (
@@ -906,9 +834,8 @@ let () =
   C.run ~prog:"bench" ~default:"all"
     ~doc:"Regenerate the paper's evaluation (§9) from the simulator"
     [
-      target "all" "Every table and figure, then write BENCH_sim.json"
+      target "all" "Every table and figure, then write BENCH_sim.new.json"
         (fun _ -> all ());
-      target "smoke" "Tables 3+4 only (the @ci quick gate)" (fun _ -> smoke ());
       target "table3" "Privilege-transition round-trip costs" (fun _ ->
           print_table3 ());
       target "table4" "Privileged-operation costs" (fun _ -> print_table4 ());
@@ -919,11 +846,11 @@ let () =
       target "memshare" "Common-memory sharing (§9.2)" (fun _ ->
           print_memshare ());
       target "density"
-        ~flags:(exp_flags @ [ smoke_flag; backend_flag; tenants_flag ])
+        ~flags:(exp_flags @ [ backend_flag; tenants_flag ])
         "Per-backend overhead + sandboxes-per-CVM scaling" (fun _ ->
           print_density ());
       target "slo"
-        ~flags:(exp_flags @ [ smoke_flag; backend_flag; tenants_flag ])
+        ~flags:(exp_flags @ [ backend_flag; tenants_flag ])
         "Live SLO telemetry: seeded degradation + clean-run silence" (fun _ ->
           print_slo ());
       target "ablations" "Design-choice ablations (DESIGN.md)" (fun _ ->
@@ -931,22 +858,16 @@ let () =
       target "tables-qual" "Qualitative tables (1, 2, 7)" (fun _ ->
           print_tables_qual ());
       target "emchist" "EMC latency histograms" (fun _ -> print_emchist ());
-      target "attrib" ~flags:(exp_flags @ [ smoke_flag ])
-        "Domain x phase cycle attribution (conservation-checked)" (fun _ ->
+      target "attrib" "Domain x phase cycle attribution" (fun _ ->
           print_attrib ());
       target "icode" "Decoded-instruction cache microbenchmark" (fun _ ->
           print_icode ());
       target "check"
         ~flags:[ jobs_flag; baseline_flag; full_flag; from_journal_flag ]
-        "Regression gate vs the committed BENCH_sim.json" (fun p ->
+        "The gate: every bench contract vs the committed BENCH_sim.json"
+        (fun p ->
           run_check ~baseline:(baseline_of p) ~full:(C.has p full_flag)
             ~from_journal:(C.str p from_journal_flag) ());
-      target "journal" ~flags:[ smoke_flag; baseline_flag ]
-        "Flight-recorder gate: invisible, lossless, allocation-free, \
-         diffable" (fun p -> run_journal ~baseline:(baseline_of p) ());
-      target "agg" ~flags:[ smoke_flag ]
-        "Fleet-telemetry gate: mergeable sketches, heavy hitters, \
-         exemplars" (fun _ -> run_agg ());
       target "bechamel" "Wall-clock microbenchmarks of the simulator"
         (fun _ -> run_bechamel ());
     ]

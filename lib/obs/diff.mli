@@ -5,7 +5,7 @@
     span counts; the two attributions are then compared entry by entry.
     Because replay reuses the live profiler, a journal diffed against the
     recording of an identical run reports exactly zero deltas — the
-    regression gate in [bench journal] depends on that. *)
+    regression gate in [bench check] ([journal/diff-*]) depends on that. *)
 
 type entry = {
   edomain : Trace.domain;

@@ -1,5 +1,6 @@
 (* The bench regression gate: re-run the calibrated anchors and diff them
-   against a committed BENCH_sim.json baseline.
+   against a committed BENCH_sim.json baseline, then hold every other
+   bench contract as a named check in the same verdict.
 
    The gate's contract mirrors how the numbers are produced. Anchor numbers
    (Table 3 transition costs, Table 4 privop costs, and — in full mode —
@@ -72,7 +73,18 @@ module Json = struct
           | 'f' -> Buffer.add_char buf '\012'
           | 'u' ->
               if !pos + 4 > n then fail "truncated \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+              let code = ref 0 in
+              for i = !pos to !pos + 3 do
+                let digit =
+                  match s.[i] with
+                  | '0' .. '9' as c -> Char.code c - Char.code '0'
+                  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+                  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+                  | _ -> fail "\\u escape needs 4 hex digits"
+                in
+                code := (!code * 16) + digit
+              done;
+              let code = !code in
               pos := !pos + 4;
               (* Latin-1 subset is enough for our own files. *)
               Buffer.add_char buf
@@ -101,7 +113,9 @@ module Json = struct
       | Some f -> Num f
       | None -> fail "bad number"
     in
-    let rec parse_value () =
+    (* Nesting is bounded so a hostile document cannot exhaust the stack. *)
+    let rec parse_value depth =
+      if depth > 256 then fail "nesting too deep";
       skip_ws ();
       match peek () with
       | None -> fail "unexpected end of input"
@@ -119,7 +133,7 @@ module Json = struct
               let key = parse_string () in
               skip_ws ();
               expect ':';
-              let v = parse_value () in
+              let v = parse_value (depth + 1) in
               skip_ws ();
               match peek () with
               | Some ',' ->
@@ -141,7 +155,7 @@ module Json = struct
           end
           else begin
             let rec elements acc =
-              let v = parse_value () in
+              let v = parse_value (depth + 1) in
               skip_ws ();
               match peek () with
               | Some ',' ->
@@ -159,7 +173,7 @@ module Json = struct
       | Some 'n' -> literal "null" Null
       | Some _ -> parse_number ()
     in
-    match parse_value () with
+    match parse_value 0 with
     | v ->
         skip_ws ();
         if !pos <> n then Result.Error "trailing garbage after JSON value"
@@ -288,45 +302,42 @@ let anchor_checks ~family ~baseline_rows ~key_field ~current ~fields =
   in
   row_checks @ [ coverage ]
 
+(* One float column of a baseline row, compared at the precision it is
+   reported at: both sides are rendered with [fmt] and must be equal. *)
+let rendered_check name ~(fmt : (float -> string, unit, string) format) row
+    field value =
+  let cur = Printf.sprintf fmt value in
+  match Json.to_float (Json.member field row) with
+  | None -> chk ~new_value:cur name false "missing in baseline"
+  | Some base ->
+      let base = Printf.sprintf fmt base in
+      chk ~old_value:base ~new_value:cur name (base = cur)
+        (if base = cur then cur
+         else Printf.sprintf "baseline %s, regenerated %s" base cur)
+
 let fig9_checks ~baseline ~jobs =
   let rows = Eval.fig9 ?jobs () in
-  let current =
-    List.map
-      (fun (r : Eval.program_row) ->
-        ( (r.Eval.program, Sim.Config.name r.Eval.setting),
-          [
-            ("overhead_pct", Printf.sprintf "%.4f" r.Eval.overhead_pct);
-            ("pf_rate", Printf.sprintf "%.2f" r.Eval.pf_rate);
-            ("timer_rate", Printf.sprintf "%.2f" r.Eval.timer_rate);
-            ("ve_rate", Printf.sprintf "%.2f" r.Eval.ve_rate);
-            ("emc_rate", Printf.sprintf "%.2f" r.Eval.emc_rate);
-          ] ))
-      rows
-  in
-  let fmt_of field = if field = "overhead_pct" then format_of_string "%.4f" else format_of_string "%.2f" in
   List.concat_map
     (fun row ->
-      let key =
-        ( Option.value ~default:"?" (Json.to_str (Json.member "program" row)),
-          Option.value ~default:"?" (Json.to_str (Json.member "setting" row)) )
-      in
-      let label = Printf.sprintf "fig9/%s:%s" (fst key) (snd key) in
-      match List.assoc_opt key current with
+      let str k = Option.value ~default:"?" (Json.to_str (Json.member k row)) in
+      let program = str "program" and setting = str "setting" in
+      let label = Printf.sprintf "fig9/%s:%s" program setting in
+      match
+        List.find_opt
+          (fun (r : Eval.program_row) ->
+            r.Eval.program = program && Sim.Config.name r.Eval.setting = setting)
+          rows
+      with
       | None -> [ chk label false "row not regenerated" ]
-      | Some fields ->
-          List.map
-            (fun (field, cur) ->
-              let name = Printf.sprintf "%s.%s" label field in
-              match Json.to_float (Json.member field row) with
-              | None -> chk ~new_value:cur name false "missing in baseline"
-              | Some base ->
-                  let base = Printf.sprintf (fmt_of field) base in
-                  if base = cur then
-                    chk ~old_value:base ~new_value:cur name true cur
-                  else
-                    chk ~old_value:base ~new_value:cur name false
-                      (Printf.sprintf "baseline %s, regenerated %s" base cur))
-            fields)
+      | Some r ->
+          let col field fmt v = rendered_check (label ^ "." ^ field) ~fmt row field v in
+          [
+            col "overhead_pct" "%.4f" r.Eval.overhead_pct;
+            col "pf_rate" "%.2f" r.Eval.pf_rate;
+            col "timer_rate" "%.2f" r.Eval.timer_rate;
+            col "ve_rate" "%.2f" r.Eval.ve_rate;
+            col "emc_rate" "%.2f" r.Eval.emc_rate;
+          ])
     (Json.to_arr (Json.member "fig9" baseline))
 
 let check_json ?(fig9 = false) ?jobs ?(wall_tolerance = 1.5)
@@ -346,6 +357,7 @@ let check_json ?(fig9 = false) ?jobs ?(wall_tolerance = 1.5)
         chk ~new_value:"erebor-bench-sim/1" "schema" false
           "missing schema field"
   in
+  let table3 = Eval.table3 () and table4 = Eval.table4 () in
   let t3 =
     anchor_checks ~family:"table3"
       ~baseline_rows:(Json.to_arr (Json.member "table3" baseline))
@@ -354,7 +366,7 @@ let check_json ?(fig9 = false) ?jobs ?(wall_tolerance = 1.5)
         (List.map
            (fun (r : Eval.transition_row) ->
              (r.Eval.transition, [ ("cycles", r.Eval.cycles) ]))
-           (Eval.table3 ()))
+           table3)
       ~fields:[ "cycles" ]
   in
   let t4 =
@@ -369,7 +381,7 @@ let check_json ?(fig9 = false) ?jobs ?(wall_tolerance = 1.5)
                  ("native_cycles", r.Eval.native_cycles);
                  ("erebor_cycles", r.Eval.erebor_cycles);
                ] ))
-           (Eval.table4 ()))
+           table4)
       ~fields:[ "native_cycles"; "erebor_cycles" ]
   in
   (* Backend pinning: the committed anchors were calibrated under the PKS
@@ -396,39 +408,32 @@ let check_json ?(fig9 = false) ?jobs ?(wall_tolerance = 1.5)
         (if default_kind = "pks" then "default install is pks"
          else "default isolation backend is no longer pks")
     in
-    let pks_t3 =
+    let pinned family default pks =
       List.map2
-        (fun (d : Eval.transition_row) (p : Eval.transition_row) ->
-          let name = Printf.sprintf "backend/table3-pks/%s" d.Eval.transition in
-          chk
-            ~old_value:(string_of_int d.Eval.cycles)
-            ~new_value:(string_of_int p.Eval.cycles)
-            name
-            (d.Eval.cycles = p.Eval.cycles)
-            (Printf.sprintf "default %d, explicit pks %d" d.Eval.cycles
-               p.Eval.cycles))
-        (Eval.table3 ())
-        (Eval.table3 ~backend:Erebor.Isolation.Pks ())
+        (fun (key, d) (_, p) ->
+          chk ~old_value:(string_of_int d) ~new_value:(string_of_int p)
+            (Printf.sprintf "backend/%s-pks/%s" family key)
+            (d = p)
+            (Printf.sprintf "default %d, explicit pks %d" d p))
+        default pks
     in
-    let pks_t4 =
-      List.map2
-        (fun (d : Eval.privop_row) (p : Eval.privop_row) ->
-          let name = Printf.sprintf "backend/table4-pks/%s" d.Eval.op in
-          chk
-            ~old_value:(string_of_int d.Eval.erebor_cycles)
-            ~new_value:(string_of_int p.Eval.erebor_cycles)
-            name
-            (d.Eval.erebor_cycles = p.Eval.erebor_cycles)
-            (Printf.sprintf "default %d, explicit pks %d" d.Eval.erebor_cycles
-               p.Eval.erebor_cycles))
-        (Eval.table4 ())
-        (Eval.table4 ~backend:Erebor.Isolation.Pks ())
+    let t3_cycles rows =
+      List.map (fun (r : Eval.transition_row) -> (r.Eval.transition, r.Eval.cycles)) rows
     in
-    (default_check :: pks_t3) @ pks_t4
+    let t4_cycles rows =
+      List.map (fun (r : Eval.privop_row) -> (r.Eval.op, r.Eval.erebor_cycles)) rows
+    in
+    let pks = Erebor.Isolation.Pks in
+    (default_check
+    :: pinned "table3" (t3_cycles table3) (t3_cycles (Eval.table3 ~backend:pks ())))
+    @ pinned "table4" (t4_cycles table4) (t4_cycles (Eval.table4 ~backend:pks ()))
   in
-  let f9 = if fig9 then fig9_checks ~baseline ~jobs else [] in
   let cpu = Sys.time () -. cpu0 in
   let minor = Gc.minor_words () -. minor0 in
+  let major = (Gc.quick_stat ()).Gc.major_words -. major0 in
+  (* The Fig. 9 rows run after the budget window closes: they cost a large
+     share of a whole suite, while the budgets bound anchor regeneration. *)
+  let f9 = if fig9 then fig9_checks ~baseline ~jobs else [] in
   let wall =
     match Json.to_float (Json.member "total_wall_s" baseline) with
     | None -> [ chk "wall" true "no baseline wall time" ]
@@ -448,7 +453,6 @@ let check_json ?(fig9 = false) ?jobs ?(wall_tolerance = 1.5)
      totals: the anchor regeneration allocates a small fraction of either,
      so a pass leaves generous slack while still catching an accidental
      order-of-magnitude allocation regression on the hot paths. *)
-  let major = (Gc.quick_stat ()).Gc.major_words -. major0 in
   let gc_bound label words =
     match Json.to_float (Json.mem_of (label ^ "_words") (Json.member "gc" baseline)) with
     | None -> [ chk ("gc-" ^ label) true "no baseline GC stats" ]
@@ -467,16 +471,23 @@ let check_json ?(fig9 = false) ?jobs ?(wall_tolerance = 1.5)
   (schema :: t3) @ t4 @ backend_pin @ f9 @ wall
   @ gc_bound "minor" minor @ gc_bound "major" major
 
+let parse_baseline json =
+  Result.map_error (fun e -> "baseline JSON: " ^ e) (Json.parse json)
+
+let read_baseline path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | json -> parse_baseline json
+  | exception Sys_error e -> Result.Error e
+
 let check_string ?fig9 ?jobs ?wall_tolerance ?gc_tolerance json =
-  match Json.parse json with
-  | Result.Error e -> Result.Error ("baseline JSON: " ^ e)
-  | Result.Ok baseline ->
-      Result.Ok (check_json ?fig9 ?jobs ?wall_tolerance ?gc_tolerance baseline)
+  Result.map
+    (check_json ?fig9 ?jobs ?wall_tolerance ?gc_tolerance)
+    (parse_baseline json)
 
 let check_file ?fig9 ?jobs ?wall_tolerance ?gc_tolerance ~path () =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | json -> check_string ?fig9 ?jobs ?wall_tolerance ?gc_tolerance json
-  | exception Sys_error e -> Result.Error e
+  Result.map
+    (check_json ?fig9 ?jobs ?wall_tolerance ?gc_tolerance)
+    (read_baseline path)
 
 (* Anchor verification against a flight recording: the journal's Run-span
    slice must reproduce the baseline's Fig. 9 rate row for the (workload,
@@ -576,21 +587,8 @@ let check_journal ~journal baseline =
                   | Some row ->
                       List.map
                         (fun (field, n) ->
-                          let name = Printf.sprintf "journal/%s" field in
-                          let cur = Printf.sprintf "%.2f" (rate n) in
-                          match Json.to_float (Json.member field row) with
-                          | None ->
-                              chk ~new_value:cur name false
-                                "missing in baseline"
-                          | Some base ->
-                              let base = Printf.sprintf "%.2f" base in
-                              if base = cur then
-                                chk ~old_value:base ~new_value:cur name true
-                                  cur
-                              else
-                                chk ~old_value:base ~new_value:cur name false
-                                  (Printf.sprintf
-                                     "baseline %s/s, recording %s/s" base cur))
+                          rendered_check ("journal/" ^ field) ~fmt:"%.2f" row
+                            field (rate n))
                         [
                           ("pf_rate", !pf);
                           ("timer_rate", !ti);
@@ -601,12 +599,7 @@ let check_journal ~journal baseline =
                 complete :: span :: rates))
 
 let check_journal_file ~journal ~path () =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | json -> (
-      match Json.parse json with
-      | Result.Error e -> Result.Error ("baseline JSON: " ^ e)
-      | Result.Ok baseline -> Result.Ok (check_journal ~journal baseline))
-  | exception Sys_error e -> Result.Error e
+  Result.map (check_journal ~journal) (read_baseline path)
 
 (* A minimal baseline covering just the exact anchors, regenerated from the
    current build — lets tests exercise the gate (and seed mismatches into
@@ -632,3 +625,651 @@ let render_anchors ?instrument () =
     t4;
   Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
+(* Shared check helpers                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* [Gc.minor_words] boxes its own result, so two back-to-back calls differ
+   by a small constant; calibrate it out so the check can demand an exact
+   zero. *)
+let zero_alloc name ~per ~n f =
+  let probe =
+    let a = Gc.minor_words () in
+    Gc.minor_words () -. a
+  in
+  let m0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  let dw = Gc.minor_words () -. m0 -. probe in
+  chk ~old_value:("0.0 words/" ^ per)
+    ~new_value:(Printf.sprintf "%.4f words/%s" (dw /. float_of_int n) per)
+    name (dw = 0.0)
+    (Printf.sprintf "%.0f minor words across %d steady-state %ss" dw n per)
+
+(* Scratch journals live in the system temp directory and are removed on
+   the way out, whatever the checks did. *)
+let with_scratch f =
+  let path = Filename.temp_file "erebor-gate" ".ejrn" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+module J = Obs.Journal
+module A = Obs.Agg
+
+(* ------------------------------------------------------------------ *)
+(* The sink-transparency law                                           *)
+(* ------------------------------------------------------------------ *)
+
+let audit_key = Crypto.Sha256.digest_string "bench gate audit key"
+
+let sinks =
+  [
+    ("counter", fun obs -> ignore (Obs.Counter.attach obs (Obs.Counter.create ())));
+    ("ring", fun obs -> ignore (Obs.Ring.attach obs (Obs.Ring.create ~capacity:64)));
+    ("attrib", fun obs -> ignore (Obs.Attrib.attach obs (Obs.Attrib.create ())));
+    ("chrome", fun obs -> ignore (Obs.Chrome.attach obs (Obs.Chrome.create ())));
+    ( "histogram",
+      fun obs -> ignore (Obs.Histogram.attach obs (Obs.Histogram.create ())) );
+    ( "live",
+      fun obs ->
+        let window = Obs.Window.attach obs (Obs.Window.create ~width:1_000_000 ~buckets:64 ()) in
+        let slo =
+          Obs.Slo.create ~emit:obs ~window
+            ~objectives:Slo_bench.clean_objectives ()
+        in
+        let health = Obs.Health.create ~emit:obs () in
+        Obs.Health.watch health (Obs.Health.register health ~name:"law" ~now:0) obs;
+        ignore
+          (Obs.Dash.attach obs
+             (Obs.Dash.create ~slo ~health ~refresh_cycles:500_000 ~window ())) );
+    ( "journal",
+      fun obs ->
+        (* The writer keeps its descriptor; the name is unlinked at once so
+           no scratch file outlives the run. *)
+        let path = Filename.temp_file "erebor-law" ".ejrn" in
+        let w = J.Writer.create ~path () in
+        Sys.remove path;
+        J.Writer.attach w obs );
+    ( "sketches",
+      fun obs -> ignore (Obs.Sketch.Family.attach obs (Obs.Sketch.Family.create ())) );
+    ("agg", fun obs -> ignore (A.attach obs (A.part ~machine:"law" ())));
+    ("audit", fun obs -> Obs.Emitter.set_audit obs (Some (Obs.Audit.create ~key:audit_key)));
+  ]
+
+(* One Fig. 9 cell, drugbank under full Erebor, on a machine built over
+   [obs] when given. *)
+let law_cell obs =
+  let m = Sim.Machine.create ?obs ~setting:Sim.Config.Erebor_full () in
+  let r = Sim.Machine.run m ((List.assoc "drugbank" Eval.all_programs) ()) in
+  Obs.Emitter.finalize (Sim.Machine.obs m)
+    ~now:(Hw.Cycles.now (Sim.Machine.clock m));
+  (r.Sim.Machine.init_cycles, r.Sim.Machine.run_cycles, Sim.Machine.snapshot m)
+
+let transparent instrument =
+  let plain = render_anchors () in
+  let observed = render_anchors ~instrument () in
+  let bare_init, bare_run, bare_stats = law_cell None in
+  let obs = Obs.Emitter.create () in
+  instrument obs;
+  let init, run, stats = law_cell (Some obs) in
+  let same name show bare seen =
+    chk ~old_value:(show bare) ~new_value:(show seen) ("law/" ^ name)
+      (bare = seen)
+      (if bare = seen then "drugbank under full Erebor: identical with sinks attached"
+       else "drugbank under full Erebor: CHANGED with sinks attached")
+  in
+  let show_stats (s : Sim.Stats.snapshot) =
+    Printf.sprintf "%d cycles, %d emc, %d pf" s.Sim.Stats.cycles
+      s.Sim.Stats.emc_total s.Sim.Stats.page_faults
+  in
+  [
+    chk "law/anchors-identical" (plain = observed)
+      (if plain = observed then
+         "Table 3/4 anchor document byte-identical with sinks attached"
+       else "Table 3/4 anchor document CHANGED with sinks attached");
+    same "fig9-init-cycles" string_of_int bare_init init;
+    same "fig9-run-cycles" string_of_int bare_run run;
+    same "fig9-stats" show_stats bare_stats stats;
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Flight recorder: lossless, allocation-free, diffable                *)
+(* ------------------------------------------------------------------ *)
+
+(* One drugbank session under full Erebor journaled to [path]; [extra]
+   cycles of compute appended to the body seed a user-phase slowdown.
+   Returns the live counter sink. *)
+let record_drugbank ~path ~extra =
+  let spec = (List.assoc "drugbank" Eval.all_programs) () in
+  let spec =
+    if extra = 0 then spec
+    else
+      {
+        spec with
+        Sim.Machine.body =
+          (fun ops ->
+            spec.Sim.Machine.body ops;
+            ops.Sim.Machine.compute extra);
+      }
+  in
+  let obs = Obs.Emitter.create () in
+  let w =
+    J.Writer.create
+      ~meta:
+        [
+          ("workload", if extra = 0 then "drugbank" else "drugbank+seeded-slowdown");
+          ("setting", Sim.Config.name Sim.Config.Erebor_full);
+        ]
+      ~path ()
+  in
+  J.Writer.attach ~machine:"sim" w obs;
+  let m = Sim.Machine.create ~obs ~setting:Sim.Config.Erebor_full () in
+  ignore (Sim.Machine.run m spec);
+  Obs.Emitter.finalize obs ~now:(Hw.Cycles.now (Sim.Machine.clock m));
+  Sim.Machine.counters m
+
+let replay_check ~path live =
+  let robs = Obs.Emitter.create () in
+  let replayed = Obs.Counter.attach robs (Obs.Counter.create ()) in
+  match
+    J.fold ~path ~init:0 (fun n (e : J.event) ->
+        Obs.Emitter.emit robs e.J.kind ~ts:e.J.ts ~arg:e.J.arg;
+        n + 1)
+  with
+  | Result.Error e -> chk "journal/replay-counters" false e
+  | Result.Ok (n, _) ->
+      let mismatches =
+        List.filter
+          (fun k ->
+            Obs.Counter.count live k <> Obs.Counter.count replayed k
+            || Obs.Counter.arg_sum live k <> Obs.Counter.arg_sum replayed k)
+          Obs.Trace.all
+      in
+      chk
+        ~old_value:(Printf.sprintf "%d live events" (Obs.Counter.total live))
+        ~new_value:(Printf.sprintf "%d replayed events" (Obs.Counter.total replayed))
+        "journal/replay-counters" (mismatches = [])
+        (if mismatches = [] then
+           Printf.sprintf
+             "replayed %d events: count and arg-sum equal for all %d kinds"
+             n (List.length Obs.Trace.all)
+         else
+           "live/replay disagree on: "
+           ^ String.concat ", " (List.map Obs.Trace.name mismatches))
+
+(* A segment large enough that no seal (and thus no I/O or framing) falls
+   inside the measured window — the property is the per-event record path. *)
+let journal_zero_alloc ~smoke =
+  with_scratch @@ fun path ->
+  let n = if smoke then 50_000 else 200_000 in
+  let w = J.Writer.create ~segment_bytes:(1 lsl 22) ~path () in
+  let s = J.Writer.stream w ~machine:"alloc" in
+  for i = 1 to 1024 do
+    J.Writer.record w ~stream:s Obs.Trace.Page_fault ~ts:i ~arg:(i * 64)
+  done;
+  let check =
+    zero_alloc "journal/zero-alloc" ~per:"event" ~n (fun i ->
+        J.Writer.record w ~stream:s Obs.Trace.Page_fault ~ts:(1024 + i)
+          ~arg:(i land 4095 * 64))
+  in
+  J.Writer.close w ~now:(1024 + n);
+  check
+
+let diff_checks ~rec_path ~slow_path =
+  let self =
+    match Obs.Diff.compare_files ~a:rec_path ~b:rec_path with
+    | Result.Error e -> chk "journal/diff-self" false e
+    | Result.Ok d ->
+        let zero =
+          List.for_all (fun (e : Obs.Diff.entry) -> e.Obs.Diff.delta = 0)
+            d.Obs.Diff.entries
+          && Obs.Diff.regressions d = []
+        in
+        chk ~old_value:(string_of_int d.Obs.Diff.total_a)
+          ~new_value:(string_of_int d.Obs.Diff.total_b)
+          "journal/diff-self" zero
+          (if zero then
+             Printf.sprintf "self-diff silent across %d phases"
+               (List.length d.Obs.Diff.entries)
+           else "self-diff reported nonzero deltas")
+  in
+  let seeded =
+    match Obs.Diff.compare_files ~a:rec_path ~b:slow_path with
+    | Result.Error e -> chk "journal/diff-regression" false e
+    | Result.Ok d ->
+        let regs = Obs.Diff.regressions ~threshold:5.0 ~min_cycles:1000 d in
+        let hits_run =
+          List.exists
+            (fun (e : Obs.Diff.entry) -> e.Obs.Diff.ephase = Obs.Trace.Run)
+            regs
+        in
+        chk
+          ~old_value:(string_of_int d.Obs.Diff.total_a)
+          ~new_value:(string_of_int d.Obs.Diff.total_b)
+          "journal/diff-regression"
+          (regs <> [] && hits_run)
+          (if regs = [] then "seeded slowdown NOT flagged"
+           else if not hits_run then
+             "regression flagged, but not on the seeded user/run phase"
+           else
+             Printf.sprintf "seeded slowdown flagged (%d regressing phase(s))"
+               (List.length regs))
+  in
+  [ self; seeded ]
+
+(* The seeded slowdown is sized off the recording's own Run-phase self
+   cycles, so the percentage is workload-independent. *)
+let seeded_extra ~rec_path =
+  match Obs.Diff.attribution ~path:rec_path with
+  | Result.Ok (arr, _) ->
+      let run_self, _ = arr.(Obs.Trace.phase_index Obs.Trace.Run) in
+      max 1_000_000 (run_self / 4)
+  | Result.Error _ -> 100_000_000
+
+let journal_checks ~baseline ~smoke =
+  with_scratch @@ fun rec_path ->
+  with_scratch @@ fun slow_path ->
+  let live = record_drugbank ~path:rec_path ~extra:0 in
+  let replay = replay_check ~path:rec_path live in
+  let alloc = journal_zero_alloc ~smoke in
+  ignore (record_drugbank ~path:slow_path ~extra:(seeded_extra ~rec_path));
+  let from_journal =
+    match check_journal_file ~journal:rec_path ~path:baseline () with
+    | Result.Error e -> [ chk "journal/from-journal" false e ]
+    | Result.Ok verdict -> verdict
+  in
+  (replay :: alloc :: diff_checks ~rec_path ~slow_path) @ from_journal
+
+(* ------------------------------------------------------------------ *)
+(* Fleet telemetry: honest quantiles, order-invariant, attributable    *)
+(* ------------------------------------------------------------------ *)
+
+(* Deterministic LCG so every check is reproducible run to run. *)
+let lcg seed =
+  let s = ref seed in
+  fun m ->
+    s := ((!s * 1103515245) + 12345) land 0x3FFFFFFF;
+    !s mod m
+
+(* rank ceil(p * n), 1-based over the sorted stream — the order statistic
+   Sketch.quantile targets. *)
+let oracle sorted ~p =
+  let n = Array.length sorted in
+  let idx = int_of_float (Float.ceil (p *. float_of_int n)) in
+  sorted.(max 0 (min (n - 1) (idx - 1)))
+
+let quantile_errors ~alpha ~ps merged values =
+  let sorted = Array.copy values in
+  Array.sort compare sorted;
+  let worst = ref 0.0 in
+  let ok =
+    List.for_all
+      (fun p ->
+        let exact = oracle sorted ~p in
+        let est = A.quantile merged ~p in
+        let err = float_of_int (abs (est - exact)) in
+        let bound = (alpha *. float_of_int exact) +. 1.0 in
+        let rel = if exact = 0 then 0.0 else err /. float_of_int exact in
+        if rel > !worst then worst := rel;
+        err <= bound)
+      ps
+  in
+  (ok, !worst)
+
+let accuracy_check ~smoke =
+  let n = if smoke then 20_000 else 100_000 in
+  let rand = lcg 0x5EED in
+  (* Heavy-tailed: exponents span 8 decades, the distribution DDSketch's
+     relative (not absolute) error bound exists for. *)
+  let values =
+    Array.init n (fun _ ->
+        let base = int_of_float (10.0 ** float_of_int (rand 8)) in
+        base + rand (max 1 base))
+  in
+  let parts =
+    Array.init 5 (fun i -> A.part ~machine:(Printf.sprintf "acc%d" i) ())
+  in
+  let tens = Array.map (fun p -> A.tenant p "oracle") parts in
+  Array.iteri
+    (fun i v ->
+      A.record parts.(i mod 5) tens.(i mod 5) Obs.Trace.Req_end ~latency:v
+        ~trace_id:i ~offset:(-1) ~ts:i)
+    values;
+  let merged = A.merge_all (Array.to_list (Array.map A.seal parts)) in
+  let ps = [ 0.50; 0.90; 0.95; 0.99; 0.999 ] in
+  let ok, worst = quantile_errors ~alpha:(A.alpha merged) ~ps merged values in
+  chk
+    ~old_value:(Printf.sprintf "bound %.2f%%" (100.0 *. A.alpha merged))
+    ~new_value:(Printf.sprintf "worst %.3f%%" (100.0 *. worst))
+    "agg/accuracy-oracle" ok
+    (Printf.sprintf
+       "%d heavy-tailed samples over 5 merged parts: p50/p90/p95/p99/p999 \
+        within the relative-error bound of the exact sort oracle"
+       n)
+
+type req = {
+  q_trace : int;
+  q_latency : int;
+  q_tenant : string;
+  q_offset : int;
+  q_ts0 : int;  (* clock before the session ran *)
+  q_ts1 : int;  (* clock after *)
+}
+
+let tenant_names = [| "acme"; "globex"; "initech" |]
+
+(* One short sandboxed session; compute varies per (machine, session) so
+   the fleet latency distribution is non-trivial. *)
+let session_spec ~name ~compute () =
+  {
+    Sim.Machine.name;
+    sandboxed = true;
+    timer_hz = 0;
+    init_compute = 0;
+    confined_bytes = 16 * 4096;
+    nominal_confined_mb = 1;
+    common = None;
+    threads = 1;
+    contention = 0.0;
+    input = Bytes.make 64 'q';
+    output_bucket = 64;
+    body =
+      (fun ops ->
+        ops.Sim.Machine.compute compute;
+        ops.Sim.Machine.touch_confined ~page:1;
+        ops.Sim.Machine.service ());
+  }
+
+(* One fleet machine: boot under full Erebor, serve [sessions] sandboxed
+   sessions (tenant "acme" takes every even slot, so it dominates the
+   heavy hitters by construction), record each completed request into the
+   machine's aggregator part. Machine 0 also journals its event stream
+   and seeds one tail-latency spike for acme; its requests carry real
+   journal frame offsets. Self-contained, so Sim.Runner may run machines
+   on any domain in any order. *)
+let run_machine ~sessions ~journal (idx, mname) =
+  let obs = Obs.Emitter.create () in
+  let part = A.part ~machine:mname () in
+  ignore (A.attach obs part);
+  let w =
+    if idx = 0 then begin
+      let w = J.Writer.create ~segment_bytes:8192 ~path:journal () in
+      J.Writer.attach ~machine:mname w obs;
+      Some w
+    end
+    else None
+  in
+  let m = Sim.Machine.create ~obs ~setting:Sim.Config.Erebor_full () in
+  let clock = Sim.Machine.clock m in
+  let rand = lcg (0xF1EE7 + (idx * 7919)) in
+  let reqs = ref [] in
+  for s = 0 to sessions - 1 do
+    let tenant_name =
+      if s mod 2 = 0 then tenant_names.(0)
+      else tenant_names.(1 + (s / 2 mod 2))
+    in
+    let spike = idx = 0 && s = sessions - 2 in
+    (* the seeded spike: two orders of magnitude more compute *)
+    let compute = if spike then 40_000_000 else 200_000 + rand 200_000 in
+    let tn = A.tenant part tenant_name in
+    (* Frame offset of the request about to run — read BEFORE recording,
+       the request's own events may seal the open segment. *)
+    let off = match w with Some w -> J.Writer.offset w | None -> -1 in
+    let ts0 = Hw.Cycles.now clock in
+    let r =
+      Sim.Machine.run m
+        (session_spec ~name:(Printf.sprintf "fleet-%d-%d" idx s) ~compute ())
+    in
+    let ts1 = Hw.Cycles.now clock in
+    let trace_id = (idx * 10_000) + s in
+    A.record part tn Obs.Trace.Req_end ~latency:r.Sim.Machine.run_cycles
+      ~trace_id ~offset:off ~ts:ts1;
+    reqs :=
+      {
+        q_trace = trace_id;
+        q_latency = r.Sim.Machine.run_cycles;
+        q_tenant = tenant_name;
+        q_offset = off;
+        q_ts0 = ts0;
+        q_ts1 = ts1;
+      }
+      :: !reqs
+  done;
+  Obs.Emitter.finalize obs ~now:(Hw.Cycles.now clock);
+  (match w with
+  | Some w when not (J.Writer.closed w) ->
+      J.Writer.close w ~now:(Hw.Cycles.now clock)
+  | _ -> ());
+  (A.seal part, List.rev !reqs)
+
+let fleet_pass ~smoke ~jobs ~journal () =
+  let n_machines = if smoke then 3 else 4 in
+  let sessions = if smoke then 6 else 10 in
+  let tasks = Array.init n_machines (fun i -> (i, Printf.sprintf "m%d" i)) in
+  let out = Sim.Runner.map ~jobs (run_machine ~sessions ~journal) tasks in
+  let seals = Array.map fst out in
+  let reqs = Array.to_list out |> List.concat_map snd in
+  (seals, reqs)
+
+let rotate l = match l with [] -> [] | x :: xs -> xs @ [ x ]
+
+let invariance_checks ~seals1 ~seals2 =
+  let bytes seals order =
+    A.serialize (A.merge_all (order (Array.to_list seals)))
+  in
+  let reference = bytes seals2 Fun.id in
+  let jobs_ok = bytes seals1 Fun.id = reference in
+  let orders_ok =
+    bytes seals2 List.rev = reference
+    && bytes seals2 rotate = reference
+    && A.render (A.merge_all (List.rev (Array.to_list seals2)))
+       = A.render (A.merge_all (Array.to_list seals2))
+  in
+  [
+    chk "agg/jobs-invariance" jobs_ok
+      (if jobs_ok then
+         Printf.sprintf
+           "merged snapshot byte-identical for --jobs 1 and parallel \
+            Sim.Runner schedules (%d bytes)"
+           (String.length reference)
+       else "merged snapshot DIFFERS across --jobs widths");
+    chk "agg/merge-invariance" orders_ok
+      (if orders_ok then
+         "serialize and render byte-identical for reversed and rotated \
+          merge orders"
+       else "merge order CHANGED the merged snapshot");
+  ]
+
+let fleet_accuracy_check merged reqs =
+  let values = Array.of_list (List.map (fun q -> q.q_latency) reqs) in
+  let ps = [ 0.50; 0.95; 0.99 ] in
+  let ok, worst = quantile_errors ~alpha:(A.alpha merged) ~ps merged values in
+  chk
+    ~old_value:(Printf.sprintf "bound %.2f%%" (100.0 *. A.alpha merged))
+    ~new_value:(Printf.sprintf "worst %.3f%%" (100.0 *. worst))
+    "agg/fleet-accuracy" ok
+    (Printf.sprintf
+       "fleet p50/p95/p99 over %d simulated requests within the \
+        relative-error bound of the exact sort oracle"
+       (Array.length values))
+
+let spike_checks ~journal merged reqs =
+  let exact_of tenant =
+    List.length (List.filter (fun q -> q.q_tenant = tenant) reqs)
+  in
+  let topk =
+    match A.top ~n:1 merged with
+    | [ r ] ->
+        let key = tenant_names.(0) ^ "/" ^ Obs.Trace.name Obs.Trace.Req_end in
+        let exact = exact_of tenant_names.(0) in
+        let ok =
+          r.Obs.Topk.rkey = key
+          && r.Obs.Topk.lower <= exact
+          && exact <= r.Obs.Topk.upper
+        in
+        chk
+          ~old_value:(Printf.sprintf "%d exact" exact)
+          ~new_value:
+            (Printf.sprintf "[%d, %d] bounds" r.Obs.Topk.lower r.Obs.Topk.upper)
+          "agg/topk-spike" ok
+          (if ok then
+             Printf.sprintf
+               "heavy hitters rank the spiked tenant first (%s, count %d)"
+               r.Obs.Topk.rkey r.Obs.Topk.rcount
+           else
+             Printf.sprintf "top heavy hitter is %s, bounds [%d, %d]"
+               r.Obs.Topk.rkey r.Obs.Topk.lower r.Obs.Topk.upper)
+    | _ -> chk "agg/topk-spike" false "merged summary has no heavy hitter"
+  in
+  let exemplar =
+    match A.exemplar_for merged ~p:0.99 with
+    | None -> chk "agg/exemplar-resolves" false "no p99 exemplar in the fleet"
+    | Some e -> (
+        match
+          List.find_opt (fun q -> q.q_trace = e.Obs.Exemplar.i_trace_id) reqs
+        with
+        | None ->
+            chk "agg/exemplar-resolves" false
+              (Printf.sprintf "p99 exemplar trace %#x matches no recorded \
+                               request" e.Obs.Exemplar.i_trace_id)
+        | Some q -> (
+            let slowest =
+              List.fold_left (fun acc r -> max acc r.q_latency) 0 reqs
+            in
+            let identity_ok =
+              q.q_latency = slowest
+              && e.Obs.Exemplar.i_machine = "m0"
+              && e.Obs.Exemplar.i_offset = q.q_offset
+              && e.Obs.Exemplar.i_offset >= 0
+            in
+            match
+              J.fold ~path:journal ~init:(0, 0) (fun (in_frame, in_window) ev ->
+                  if ev.J.off = e.Obs.Exemplar.i_offset then
+                    ( in_frame + 1,
+                      if ev.J.ts >= q.q_ts0 && ev.J.ts <= q.q_ts1 then
+                        in_window + 1
+                      else in_window )
+                  else (in_frame, in_window))
+            with
+            | Result.Error err -> chk "agg/exemplar-resolves" false err
+            | Result.Ok ((in_frame, in_window), _) ->
+                let ok = identity_ok && in_frame > 0 && in_window > 0 in
+                chk
+                  ~old_value:
+                    (Printf.sprintf "trace %#x offset %d" q.q_trace q.q_offset)
+                  ~new_value:
+                    (Printf.sprintf "trace %#x offset %d"
+                       e.Obs.Exemplar.i_trace_id e.Obs.Exemplar.i_offset)
+                  "agg/exemplar-resolves" ok
+                  (if ok then
+                     Printf.sprintf
+                       "p99 exemplar is the seeded spike; its journal frame \
+                        holds %d events, %d inside the request window"
+                       in_frame in_window
+                   else if not identity_ok then
+                     "p99 exemplar does not identify the seeded spike"
+                   else "exemplar offset resolved to no in-window events")))
+  in
+  [ topk; exemplar ]
+
+let agg_zero_alloc ~smoke =
+  let n = if smoke then 50_000 else 200_000 in
+  let p = A.part ~machine:"alloc" () in
+  let t = A.tenant p "tenant-0" in
+  for i = 1 to 4096 do
+    A.record p t Obs.Trace.Req_end
+      ~latency:(1 + (i land 4095))
+      ~trace_id:i ~offset:(i * 64) ~ts:i
+  done;
+  zero_alloc "agg/zero-alloc" ~per:"record" ~n (fun i ->
+      A.record p t Obs.Trace.Req_end
+        ~latency:(1 + (i land 4095))
+        ~trace_id:i ~offset:(i land 0xFFFF) ~ts:i)
+
+let agg_checks ~smoke =
+  with_scratch @@ fun j1 ->
+  with_scratch @@ fun j2 ->
+  let accuracy = accuracy_check ~smoke in
+  let alloc = agg_zero_alloc ~smoke in
+  let seals1, _ = fleet_pass ~smoke ~jobs:1 ~journal:j1 () in
+  let njobs = max 2 (min 4 (Sim.Runner.default_jobs ())) in
+  let seals2, reqs = fleet_pass ~smoke ~jobs:njobs ~journal:j2 () in
+  let merged = A.merge_all (Array.to_list seals2) in
+  let invariance = invariance_checks ~seals1 ~seals2 in
+  let fleet_acc = fleet_accuracy_check merged reqs in
+  let spikes = spike_checks ~journal:j2 merged reqs in
+  (accuracy :: fleet_acc :: invariance) @ spikes @ [ alloc ]
+
+(* ------------------------------------------------------------------ *)
+(* Isolation, live SLOs, attribution                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Cabin-style confinement: every adversarial probe attempt on every
+   (backend, density) machine must be denied. *)
+let density_checks ~jobs ~smoke =
+  List.map
+    (fun (r : Density.scale_row) ->
+      chk
+        (Printf.sprintf "density/must-deny/%s@%d"
+           (Erebor.Isolation.kind_name r.Density.sbackend)
+           r.Density.tenants)
+        (r.Density.violations = 0)
+        (Printf.sprintf "%d probe attempts not denied with %d tenants"
+           r.Density.violations r.Density.tenants))
+    (Density.scaling ?jobs ~smoke ())
+
+let slo_checks ~jobs ~smoke =
+  let r =
+    Slo_bench.run
+      ~rounds:(if smoke then 16 else 40)
+      ~stall_rounds:(if smoke then 3 else 4)
+      ()
+  in
+  chk "slo/attribution" (r.Slo_bench.failures = [])
+    (match r.Slo_bench.failures with
+    | [] -> "alert + demotion on the seeded tenant only; audit chain intact"
+    | fs -> String.concat "; " fs)
+  :: List.map
+       (fun (program, fired) ->
+         chk ("slo/clean/" ^ program) (fired = [])
+           (if fired = [] then "clean Fig. 9 run: every objective silent"
+            else "clean run fired " ^ String.concat "," fired))
+       (Slo_bench.clean_fig9 ?jobs ~smoke ())
+
+let attrib_checks ~jobs ~smoke =
+  List.map
+    (fun (r : Eval.attrib_row) ->
+      let attributed =
+        List.fold_left (fun acc (_, _, c) -> acc + c) 0 r.Eval.contexts
+      in
+      chk
+        (Printf.sprintf "attrib/%s@%s" r.Eval.aprogram
+           (Sim.Config.name r.Eval.asetting))
+        (attributed + r.Eval.unattributed_cycles = r.Eval.total_cycles)
+        (Printf.sprintf "%d attributed + %d outside, %d total" attributed
+           r.Eval.unattributed_cycles r.Eval.total_cycles))
+    (Eval.attrib ?jobs ~smoke ())
+
+(* ------------------------------------------------------------------ *)
+(* The gate                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let gates ~baseline ~jobs =
+  [
+    ( "anchors",
+      fun ~smoke ->
+        match check_file ~fig9:(not smoke) ?jobs ~path:baseline () with
+        | Result.Ok v -> v
+        | Result.Error e -> [ chk "baseline" false e ] );
+    ( "law",
+      fun ~smoke:_ ->
+        transparent (fun obs -> List.iter (fun (_, attach) -> attach obs) sinks) );
+    ("journal", journal_checks ~baseline);
+    ("agg", agg_checks);
+    ("density", density_checks ~jobs);
+    ("slo", slo_checks ~jobs);
+    ("attrib", attrib_checks ~jobs);
+  ]

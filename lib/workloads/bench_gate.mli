@@ -1,18 +1,24 @@
-(** Regression gate against a committed [BENCH_sim.json] baseline.
+(** The bench gate: one verdict over every bench contract.
 
-    The gate regenerates the calibrated anchors from the current build and
-    diffs them against the baseline: Table 3 transition cycles and Table 4
-    privop cycles must match {e exactly} (they are deterministic functions
-    of simulator mechanics), while wall time and GC pressure are only
-    bounded within a generous tolerance so the gate never flakes on a slow
-    CI host. With [~fig9:true] the Fig. 9 overhead/rate columns are also
-    compared at their reported precision (%.4f / %.2f).
+    The anchor block regenerates the calibrated anchors from the current
+    build and diffs them against a committed [BENCH_sim.json] baseline:
+    Table 3 transition cycles and Table 4 privop cycles must match
+    {e exactly} (they are deterministic functions of simulator mechanics),
+    while wall time and GC pressure are only bounded within a generous
+    tolerance so the gate never flakes on a slow CI host. With
+    [~fig9:true] the Fig. 9 overhead/rate columns are also compared at
+    their reported precision (%.4f / %.2f).
 
     The gate also pins the isolation backend the anchors were calibrated
     under: the default {!Erebor.Isolation} install must still be PKS, and a
     machine with the backend forced to PKS must reproduce the default
     Table 3/4 anchors exactly (checks [backend/default],
-    [backend/table3-pks/*], [backend/table4-pks/*]). *)
+    [backend/table3-pks/*], [backend/table4-pks/*]).
+
+    {!gates} lists every other contract as a named entry: the
+    sink-transparency law ({!transparent}), the flight recorder, fleet
+    telemetry, isolation must-deny probes, live-SLO attribution and cycle
+    attribution. [bench check] evaluates the whole list. *)
 
 (** Dependency-free JSON subset used to read the baseline. *)
 module Json : sig
@@ -46,6 +52,10 @@ type check = {
     compares two values — the old/new pair for tabular rendering. *)
 
 type verdict = check list
+
+val chk :
+  ?old_value:string -> ?new_value:string -> string -> bool -> string -> check
+(** [chk name ok detail] builds a check; the old/new pair is optional. *)
 
 val pass : verdict -> bool
 val failures : verdict -> check list
@@ -111,3 +121,43 @@ val render_anchors : ?instrument:(Obs.Emitter.t -> unit) -> unit -> string
     fail. [?instrument] is threaded to {!Eval.table3}/{!Eval.table4}; the
     rendered document must be byte-identical with or without sinks
     attached (observability never advances the virtual clock). *)
+
+(** {2 Shared contracts} *)
+
+val zero_alloc : string -> per:string -> n:int -> (int -> unit) -> check
+(** [zero_alloc name ~per ~n f] runs [f 0] .. [f (n - 1)] and passes iff
+    they allocate exactly 0 minor words; the boxing cost of
+    [Gc.minor_words] itself is calibrated out. Warm [f]'s state up first:
+    the check is about the steady state. [per] names one call in the
+    report ("event", "record"). *)
+
+val sinks : (string * (Obs.Emitter.t -> unit)) list
+(** Every passive sink lib/obs offers, by name, each attaching a fresh
+    instance to the emitter it is given: counter, ring, attrib, chrome,
+    histogram, live (window + SLO + health watchdog + dashboard), journal
+    (an unlinked temp file), sketches, agg (an aggregator part) and audit
+    (a chain on the emitter's audit rail). *)
+
+val transparent : (Obs.Emitter.t -> unit) -> check list
+(** The sink-transparency law: with [instrument] applied to every machine's
+    emitter before it boots, the Table 3/4 anchor document must be
+    byte-identical, and a Fig. 9 cell (drugbank under full Erebor) must
+    report the same [init_cycles], [run_cycles] and {!Sim.Stats.snapshot}
+    as the bare run. Checks [law/anchors-identical],
+    [law/fig9-init-cycles], [law/fig9-run-cycles], [law/fig9-stats]. *)
+
+(** {2 The gate} *)
+
+val gates :
+  baseline:string ->
+  jobs:int option ->
+  (string * (smoke:bool -> check list)) list
+(** Every gate entry, in report order: [anchors] (vs the baseline at
+    [baseline]; Fig. 9 rows too unless [smoke]), [law] ({!transparent}
+    over all {!sinks}), [journal] (replay, zero-alloc record path,
+    self-diff and seeded-regression diff, [--from-journal] rates),
+    [agg] (quantile accuracy, merge/jobs invariance, spike attribution,
+    zero-alloc record path), [density] (must-deny probes), [slo]
+    (seeded-stall attribution, clean runs silent) and [attrib] (cycle
+    conservation). [smoke] picks the quick cut @ci runs; [smoke:false]
+    is full scale. [jobs] is the domain-pool width for machine fan-out. *)

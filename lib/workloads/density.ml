@@ -29,13 +29,7 @@ type backend_row = {
 
 let default_backends = [ Erebor.Isolation.Pks; Erebor.Isolation.Tme_mk ]
 
-let backend_overhead ?jobs ?(smoke = false)
-    ?(backends = default_backends) () =
-  let programs =
-    if smoke then
-      List.filter (fun (p, _) -> p = "drugbank") Eval.all_programs
-    else Eval.all_programs
-  in
+let backend_overhead ?jobs ?(backends = default_backends) () =
   (* One native baseline plus one full-Erebor run per backend, every
      machine independent — flatten and fan out like Eval.fig9. *)
   let tasks =
@@ -43,7 +37,7 @@ let backend_overhead ?jobs ?(smoke = false)
       (fun (program, spec_fn) ->
         (program, spec_fn, None)
         :: List.map (fun b -> (program, spec_fn, Some b)) backends)
-      programs
+      Eval.all_programs
   in
   let results =
     Sim.Runner.map_list ?jobs
@@ -216,90 +210,102 @@ let adversarial_probe m mgr backend_kind =
   Kernel.exit_task kern attacker ~code:0;
   !violations
 
+type tenant = { sb : Erebor.Sandbox.t; base : int; common_base : int }
+
+(* Provision and seal tenant [i]: a sandbox with a pinned confined heap,
+   the shared common instance attached, and its own client data loaded. *)
+let provision mgr i =
+  let name = Printf.sprintf "tenant-%d" (i + 1) in
+  let sb =
+    Result.get_ok
+      (Erebor.Sandbox.create_sandbox mgr ~name
+         ~confined_budget:(confined_pages_per_tenant * page_size))
+  in
+  let base =
+    Result.get_ok
+      (Erebor.Sandbox.declare_confined mgr sb
+         ~len:(confined_pages_per_tenant * page_size))
+  in
+  let common_base =
+    Result.get_ok
+      (Erebor.Sandbox.attach_common mgr sb ~name:common_instance
+         ~size:(common_pages * page_size))
+  in
+  let input = Bytes.make 256 (Char.chr (Char.code 'a' + (i mod 26))) in
+  (match Erebor.Sandbox.load_client_data mgr sb input with
+  | Ok _ -> ()
+  | Error e -> failwith e);
+  { sb; base; common_base }
+
+(* One request through the monitored skeleton of §6: a CR3 switch into the
+   tenant, confined + common touches (the TLB-fill path is where TME-MK
+   charges its key loads), the channel ioctls, and a timer tick. *)
+let serve m t ~round ~index =
+  let mgr = Option.get (Sim.Machine.manager m) in
+  let kern = Sim.Machine.kern m in
+  let cpu = kern.Kernel.cpu in
+  let user_touch addr =
+    cpu.Hw.Cpu.mode <- Hw.Cpu.User;
+    ignore (Hw.Cpu.read_u8 cpu addr);
+    cpu.Hw.Cpu.mode <- Hw.Cpu.Supervisor
+  in
+  let task = Erebor.Sandbox.main_task t.sb in
+  kern.Kernel.privops.Kernel.Privops.write_cr3
+    ~root_pfn:task.Kernel.Task.root_pfn;
+  for p = 0 to 3 do
+    user_touch
+      (t.base + (((round + p) mod confined_pages_per_tenant) * page_size))
+  done;
+  (* One demand-paged common page plus a warm re-read. *)
+  let caddr = t.common_base + (((round + index) mod common_pages) * page_size) in
+  (match Kernel.resolve_pfn kern task ~addr:caddr with
+  | Some _ -> ()
+  | None -> (
+      match Erebor.Sandbox.page_fault mgr t.sb ~addr:caddr ~kind:Hw.Fault.Read with
+      | Ok () -> ()
+      | Error e -> failwith e));
+  user_touch caddr;
+  (match
+     Erebor.Sandbox.handle_syscall mgr t.sb
+       (Kernel.Syscall.Ioctl
+          { fd = Erebor.Sandbox.channel_fd t.sb; request = 1; arg = Bytes.empty })
+   with
+  | Kernel.Syscall.Rbytes _ -> ()
+  | _ -> failwith "density: input fetch failed");
+  (match
+     Erebor.Sandbox.handle_syscall mgr t.sb
+       (Kernel.Syscall.Ioctl
+          { fd = Erebor.Sandbox.channel_fd t.sb; request = 2;
+            arg = Bytes.make 32 'r' })
+   with
+  | Kernel.Syscall.Rok -> ()
+  | _ -> failwith "density: output emit failed");
+  Erebor.Sandbox.timer_tick mgr t.sb
+
 let scale_point ~backend ~tenants ~requests_per_tenant =
   let m =
     Sim.Machine.create ~backend ~frames:65536 ~cma_frames:16384
       ~setting:Sim.Config.Erebor_full ()
   in
   let mgr = Option.get (Sim.Machine.manager m) in
-  let kern = Sim.Machine.kern m in
-  let cpu = kern.Kernel.cpu in
   let requests = Sim.Machine.requests m in
   (* Provision and seal every tenant up front — the steady multi-tenant
      state the curve measures. *)
-  let tenant_setup = Array.init tenants (fun i ->
-      let name = Printf.sprintf "tenant-%d" (i + 1) in
-      let sb =
-        Result.get_ok
-          (Erebor.Sandbox.create_sandbox mgr ~name
-             ~confined_budget:(confined_pages_per_tenant * page_size))
-      in
-      let base =
-        Result.get_ok
-          (Erebor.Sandbox.declare_confined mgr sb
-             ~len:(confined_pages_per_tenant * page_size))
-      in
-      let common_base =
-        Result.get_ok
-          (Erebor.Sandbox.attach_common mgr sb ~name:common_instance
-             ~size:(common_pages * page_size))
-      in
-      let input = Bytes.make 256 (Char.chr (Char.code 'a' + (i mod 26))) in
-      (match Erebor.Sandbox.load_client_data mgr sb input with
-      | Ok _ -> ()
-      | Error e -> failwith e);
-      (sb, base, common_base))
-  in
+  let tenant_setup = Array.init tenants (provision mgr) in
   let before = Sim.Machine.snapshot m in
-  (* Round-robin request traffic: each request is one root window over a
-     CR3 switch into the tenant, confined + common touches (the TLB-fill
-     path is where TME-MK charges its key loads), the channel ioctls, and
-     a timer tick — the monitored request skeleton of §6. *)
+  (* Round-robin request traffic: each request is one root window over the
+     monitored request skeleton. *)
   let trace_owner = Hashtbl.create 64 in
-  let user_touch addr =
-    cpu.Hw.Cpu.mode <- Hw.Cpu.User;
-    ignore (Hw.Cpu.read_u8 cpu addr);
-    cpu.Hw.Cpu.mode <- Hw.Cpu.Supervisor
-  in
   for round = 0 to requests_per_tenant - 1 do
     Array.iteri
-      (fun i (sb, base, common_base) ->
-        if Erebor.Sandbox.kill_reason sb = None then begin
-          let task = Erebor.Sandbox.main_task sb in
+      (fun i t ->
+        if Erebor.Sandbox.kill_reason t.sb = None then begin
           let cx = Obs.Request.mint requests in
           Hashtbl.replace trace_owner cx.Obs.Request.trace_id i;
           Obs.Emitter.emit (Sim.Machine.obs m) Obs.Trace.Req_begin
             ~ts:(Hw.Cycles.now (Sim.Machine.clock m))
             ~arg:(Obs.Request.pack cx ~root:true);
-          kern.Kernel.privops.Kernel.Privops.write_cr3
-            ~root_pfn:task.Kernel.Task.root_pfn;
-          for p = 0 to 3 do
-            user_touch (base + (((round + p) mod confined_pages_per_tenant) * page_size))
-          done;
-          (* One demand-paged common page plus a warm re-read. *)
-          let caddr = common_base + (((round + i) mod common_pages) * page_size) in
-          (match Kernel.resolve_pfn kern task ~addr:caddr with
-          | Some _ -> ()
-          | None -> (
-              match Erebor.Sandbox.page_fault mgr sb ~addr:caddr ~kind:Hw.Fault.Read with
-              | Ok () -> ()
-              | Error e -> failwith e));
-          user_touch caddr;
-          (match
-             Erebor.Sandbox.handle_syscall mgr sb
-               (Kernel.Syscall.Ioctl { fd = Erebor.Sandbox.channel_fd sb; request = 1; arg = Bytes.empty })
-           with
-          | Kernel.Syscall.Rbytes _ -> ()
-          | _ -> failwith "density: input fetch failed");
-          (match
-             Erebor.Sandbox.handle_syscall mgr sb
-               (Kernel.Syscall.Ioctl
-                  { fd = Erebor.Sandbox.channel_fd sb; request = 2;
-                    arg = Bytes.make 32 'r' })
-           with
-          | Kernel.Syscall.Rok -> ()
-          | _ -> failwith "density: output emit failed");
-          Erebor.Sandbox.timer_tick mgr sb;
+          serve m t ~round ~index:i;
           Obs.Emitter.emit (Sim.Machine.obs m) Obs.Trace.Req_end
             ~ts:(Hw.Cycles.now (Sim.Machine.clock m))
             ~arg:(Obs.Request.pack cx ~root:true)
@@ -320,7 +326,7 @@ let scale_point ~backend ~tenants ~requests_per_tenant =
     trace_owner;
   let tenant_rows =
     List.mapi
-      (fun i (sb, _, _) ->
+      (fun i { sb; _ } ->
         let sorted =
           let a = Array.of_list per_tenant.(i) in
           Array.sort compare a;

@@ -22,12 +22,11 @@ type backend_row = {
 }
 
 val backend_overhead :
-  ?jobs:int -> ?smoke:bool -> ?backends:Erebor.Isolation.kind list ->
+  ?jobs:int -> ?backends:Erebor.Isolation.kind list ->
   unit -> backend_row list
 (** Each Fig. 9 program under full Erebor with each backend, against one
-    native baseline per program. [smoke] restricts to drugbank (the @ci
-    gate); backends default to [[Pks; Tme_mk]]. Fanned over [jobs]
-    domains; rows independent of [jobs]. *)
+    native baseline per program. Backends default to [[Pks; Tme_mk]].
+    Fanned over [jobs] domains; rows independent of [jobs]. *)
 
 (** {2 1→256 tenants-per-CVM scaling} *)
 
@@ -66,4 +65,27 @@ val scaling :
     round-robin request traffic is driven through the monitored paths
     (CR3 switch, confined/common touches, channel ioctls, timer ticks)
     with one {!Obs.Request} root window per request. [tenant_counts]
-    defaults to powers of two 1→256 (smoke: [[1; 2; 4]]). *)
+    defaults to powers of two 1→256 (smoke: [[1; 2; 4]], the cut
+    [bench check] runs). *)
+
+(** {2 Tenant skeleton}
+
+    The provisioning and per-request path every multi-tenant driver
+    shares ({!Slo_bench} serves its tenants through it too). *)
+
+type tenant = {
+  sb : Erebor.Sandbox.t;
+  base : int;         (** Confined heap base. *)
+  common_base : int;  (** Where the shared common instance is mapped. *)
+}
+
+val provision : Erebor.Sandbox.manager -> int -> tenant
+(** [provision mgr i] creates and seals tenant [i] (named
+    ["tenant-<i+1>"]): 16 pinned confined pages, the shared 64-page common
+    instance attached, and 256 bytes of its own client data loaded. *)
+
+val serve : Sim.Machine.t -> tenant -> round:int -> index:int -> unit
+(** One request of the monitored skeleton of §6: CR3 switch into the
+    tenant, four confined touches and one common touch (demand-faulted on
+    first use) picked by [round] and [index], the input and output channel
+    ioctls, and a timer tick. *)

@@ -307,13 +307,12 @@ type memshare_row = {
   saving_pct : float;
 }
 
-(* Grow a fleet to [upto] sandboxes over a single model instance on a fresh
-   machine (llama.cpp's deployment story in §9.2), producing one accounting
-   row per fleet size. Frame counts are fully determined by the fleet size,
-   so running the loop to [n] on a fresh machine reproduces row [n] of the
-   cumulative run exactly — which is what lets the parallel mode below fan
-   one fleet size per domain without changing any number. *)
-let memshare_rows_upto upto =
+(* Grow a fleet to [max_sandboxes] sandboxes over a single model instance
+   on a fresh machine (llama.cpp's deployment story in §9.2), producing one
+   accounting row per fleet size. One cumulative run serves every row, so
+   the work is inherently serial; [?jobs] is accepted (perf/ passes it) and
+   ignored. *)
+let memshare ?jobs:_ ?(max_sandboxes = 8) () =
   let m = Sim.Machine.create ~setting:Sim.Config.Erebor_full () in
   let mgr = Option.get (Sim.Machine.manager m) in
   let kern = Sim.Machine.kern m in
@@ -323,7 +322,7 @@ let memshare_rows_upto upto =
   let page = Hw.Phys_mem.page_size in
   let confined_frames = confined_bytes / page in
   let rows = ref [] in
-  for n = 1 to upto do
+  for n = 1 to max_sandboxes do
     let sb =
       match
         Erebor.Sandbox.create_sandbox mgr ~name:(Printf.sprintf "llama-%d" n)
@@ -355,18 +354,3 @@ let memshare_rows_upto upto =
       :: !rows
   done;
   List.rev !rows
-
-let memshare ?jobs ?(max_sandboxes = 8) () =
-  let parallel =
-    match jobs with Some j -> j > 1 | None -> Sim.Runner.default_jobs () > 1
-  in
-  if not parallel then memshare_rows_upto max_sandboxes
-  else
-    (* One fleet size per task, each on its own machine; keep only the
-       final row of each cumulative run. *)
-    Sim.Runner.map_list ?jobs
-      (fun n ->
-        match List.rev (memshare_rows_upto n) with
-        | last :: _ -> last
-        | [] -> assert false)
-      (List.init max_sandboxes (fun i -> i + 1))

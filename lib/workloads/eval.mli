@@ -123,6 +123,6 @@ type memshare_row = {
 
 val memshare : ?jobs:int -> ?max_sandboxes:int -> unit -> memshare_row list
 (** Grow a fleet of sandboxes over one shared model instance and account
-    real backing frames against the no-sharing replica count. With more
-    than one job, each fleet size runs on its own fresh machine in its own
-    domain; rows are identical either way. *)
+    real backing frames against the no-sharing replica count, one row per
+    fleet size from a single cumulative run. [jobs] is ignored; it stays
+    in the signature because the host-cost benchmark passes it. *)

@@ -1,9 +1,9 @@
 (* Live-SLO bench driver (see slo_bench.mli).
 
    One Erebor_full machine hosts N sealed tenants served round-robin
-   through the real monitored request paths (the Density skeleton). Each
-   tenant gets its own sliding window and a latency SLO over it; one shared
-   health watchdog tracks every tenant. Mid-run, ONE tenant is seeded with
+   through the real monitored request paths ([Density.provision] and
+   [Density.serve]). Each tenant gets its own sliding window and a latency
+   SLO over it; one shared health watchdog tracks every tenant. Mid-run, ONE tenant is seeded with
    a degradation: its requests go silent — the virtual clock advances with
    no monitor calls — long past the EMC-stall and deadline watchdogs, then
    complete with a huge latency that lands in its window.
@@ -12,8 +12,6 @@
    health demotions must fire for the stalled tenant and ONLY for it, while
    its neighbours' objectives stay silent — and every transition must land
    on the telemetry emitter's tamper-evident audit chain. *)
-
-let page_size = Hw.Phys_mem.page_size
 
 (* Virtual-time telemetry geometry: 1M-cycle buckets, a 64-bucket ring;
    fast = 5 buckets, slow = 30 — the 5-min/1-hour pair scaled down to
@@ -63,7 +61,6 @@ type report = {
   audit_records : int;
   audit_intact : bool;
   failures : string list;
-  snapshot : string;
 }
 
 let worst a b =
@@ -83,8 +80,6 @@ let run ?(backend = Erebor.Isolation.Pks) ?(tenants = 4) ?(rounds = 40)
       ~setting:Sim.Config.Erebor_full ()
   in
   let mgr = Option.get (Sim.Machine.manager m) in
-  let kern = Sim.Machine.kern m in
-  let cpu = kern.Kernel.cpu in
   let clock = Sim.Machine.clock m in
   let counters = Sim.Machine.counters m in
   let now () = Hw.Cycles.now clock in
@@ -99,31 +94,10 @@ let run ?(backend = Erebor.Isolation.Pks) ?(tenants = 4) ?(rounds = 40)
   Obs.Emitter.set_audit tel (Some chain);
 
   let health = Obs.Health.create ~emit:tel ~rules:watchdog_rules () in
-  let confined_pages = 16 and common_pages = 64 in
   let tenant_setup =
     Array.init tenants (fun i ->
-        let name = Printf.sprintf "tenant-%d" (i + 1) in
-        let sb =
-          Result.get_ok
-            (Erebor.Sandbox.create_sandbox mgr ~name
-               ~confined_budget:(confined_pages * page_size))
-        in
-        let base =
-          Result.get_ok
-            (Erebor.Sandbox.declare_confined mgr sb
-               ~len:(confined_pages * page_size))
-        in
-        let common_base =
-          Result.get_ok
-            (Erebor.Sandbox.attach_common mgr sb ~name:"slo-corpus"
-               ~size:(common_pages * page_size))
-        in
-        (match
-           Erebor.Sandbox.load_client_data mgr sb
-             (Bytes.make 256 (Char.chr (Char.code 'a' + (i mod 26))))
-         with
-        | Ok _ -> ()
-        | Error e -> failwith e);
+        let t = Density.provision mgr i in
+        let name = Erebor.Sandbox.name t.Density.sb in
         let window =
           Obs.Window.create
             ~hist_kinds:[ Obs.Trace.Req_end ]
@@ -143,7 +117,7 @@ let run ?(backend = Erebor.Isolation.Pks) ?(tenants = 4) ?(rounds = 40)
             ()
         in
         let subject = Obs.Health.register health ~name ~now:(now ()) in
-        (sb, base, common_base, window, slo, subject))
+        (t, window, slo, subject))
   in
 
   (* The steady evaluation tick: every tenant's SLO plus the shared
@@ -153,24 +127,18 @@ let run ?(backend = Erebor.Isolation.Pks) ?(tenants = 4) ?(rounds = 40)
   let tick () =
     incr evals;
     let t = now () in
-    Array.iter (fun (_, _, _, _, slo, _) -> Obs.Slo.evaluate slo ~now:t) tenant_setup;
+    Array.iter (fun (_, _, slo, _) -> Obs.Slo.evaluate slo ~now:t) tenant_setup;
     Obs.Health.check health ~now:t
   in
 
-  let user_touch addr =
-    cpu.Hw.Cpu.mode <- Hw.Cpu.User;
-    ignore (Hw.Cpu.read_u8 cpu addr);
-    cpu.Hw.Cpu.mode <- Hw.Cpu.Supervisor
-  in
   let served = Array.make tenants 0 in
   let stall_from = rounds / 2 in
   let stall_until = min rounds (stall_from + stall_rounds) in
 
   for round = 0 to rounds - 1 do
     Array.iteri
-      (fun i (sb, base, common_base, window, _, subject) ->
-        if Erebor.Sandbox.kill_reason sb = None then begin
-          let task = Erebor.Sandbox.main_task sb in
+      (fun i (t, window, _, subject) ->
+        if Erebor.Sandbox.kill_reason t.Density.sb = None then begin
           let t0 = now () in
           let emc0 = Obs.Counter.count counters Obs.Trace.Emc_entry in
           let deny0 = Obs.Counter.count counters Obs.Trace.Mmu_deny in
@@ -184,39 +152,7 @@ let run ?(backend = Erebor.Isolation.Pks) ?(tenants = 4) ?(rounds = 40)
               Hw.Cycles.advance clock stall_slice_cycles;
               tick ()
             done;
-          kern.Kernel.privops.Kernel.Privops.write_cr3
-            ~root_pfn:task.Kernel.Task.root_pfn;
-          for p = 0 to 3 do
-            user_touch (base + (((round + p) mod confined_pages) * page_size))
-          done;
-          let caddr =
-            common_base + (((round + i) mod common_pages) * page_size)
-          in
-          (match Kernel.resolve_pfn kern task ~addr:caddr with
-          | Some _ -> ()
-          | None -> (
-              match
-                Erebor.Sandbox.page_fault mgr sb ~addr:caddr ~kind:Hw.Fault.Read
-              with
-              | Ok () -> ()
-              | Error e -> failwith e));
-          user_touch caddr;
-          (match
-             Erebor.Sandbox.handle_syscall mgr sb
-               (Kernel.Syscall.Ioctl
-                  { fd = Erebor.Sandbox.channel_fd sb; request = 1; arg = Bytes.empty })
-           with
-          | Kernel.Syscall.Rbytes _ -> ()
-          | _ -> failwith "slo bench: input fetch failed");
-          (match
-             Erebor.Sandbox.handle_syscall mgr sb
-               (Kernel.Syscall.Ioctl
-                  { fd = Erebor.Sandbox.channel_fd sb; request = 2;
-                    arg = Bytes.make 32 'r' })
-           with
-          | Kernel.Syscall.Rok -> ()
-          | _ -> failwith "slo bench: output emit failed");
-          Erebor.Sandbox.timer_tick mgr sb;
+          Density.serve m t ~round ~index:i;
           let t1 = now () in
           (* Per-tenant attribution: the machine counter deltas over this
              request belong to this tenant — the driver serves one request
@@ -244,7 +180,7 @@ let run ?(backend = Erebor.Isolation.Pks) ?(tenants = 4) ?(rounds = 40)
 
   let outcomes =
     List.mapi
-      (fun i (_, _, _, _, slo, subject) ->
+      (fun i (_, _, slo, subject) ->
         let name = Obs.Health.name subject in
         let transitions = Obs.Health.transitions_of health subject in
         {
@@ -299,25 +235,6 @@ let run ?(backend = Erebor.Isolation.Pks) ?(tenants = 4) ?(rounds = 40)
     fail "no Health_transition events reached the telemetry bus";
   if not audit_intact then fail "telemetry audit chain failed verification";
 
-  let snapshot =
-    let buf = Buffer.create 4096 in
-    Printf.bprintf buf
-      "{\"schema\":\"erebor-slo-bench/1\",\"ts\":%d,\"rounds\":%d,\"evals\":%d,\"tenants\":["
-      (now ()) rounds !evals;
-    Array.iteri
-      (fun i (_, _, _, window, slo, subject) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Printf.bprintf buf
-          "{\"name\":\"%s\",\"stalled\":%b,\"served\":%d,\"window\":%s,\"slo\":%s}"
-          (Obs.Metrics.escape_json (Obs.Health.name subject))
-          (i = stall_tenant) served.(i)
-          (Obs.Window.to_json window ~now:(now ()) ())
-          (Obs.Slo.to_json slo))
-      tenant_setup;
-    Printf.bprintf buf "],\"health\":%s,\"audit_records\":%d}\n"
-      (Obs.Health.to_json health) (Obs.Audit.length chain);
-    Buffer.contents buf
-  in
   {
     outcomes;
     evals = !evals;
@@ -326,7 +243,6 @@ let run ?(backend = Erebor.Isolation.Pks) ?(tenants = 4) ?(rounds = 40)
     audit_records = Obs.Audit.length chain;
     audit_intact;
     failures = List.rev !failures;
-    snapshot;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -29,7 +29,6 @@ type report = {
   audit_records : int;
   audit_intact : bool;  (** The telemetry audit chain verified offline. *)
   failures : string list;  (** Empty iff the attribution verdict holds. *)
-  snapshot : string;  (** JSON telemetry snapshot of the whole run. *)
 }
 
 val run :
@@ -43,6 +42,11 @@ val run :
 (** Defaults: 4 tenants, 40 rounds, tenant index 1 stalled for 4 rounds
     starting at the halfway point. Raises [Invalid_argument] when
     [stall_tenant] is out of range. *)
+
+val clean_objectives : Obs.Slo.objective list
+(** The machine-level objectives [erebor-sim run --dash] attaches, with
+    generous ceilings: EMC latency, EMC rate and the MMU-denial ratio. A
+    healthy calibrated run never gets near them. *)
 
 val clean_fig9 :
   ?jobs:int -> ?smoke:bool -> unit -> (string * string list) list

@@ -523,32 +523,6 @@ let test_attrib_conservation () =
         (Sim.Machine.snapshot m).Sim.Stats.cycles total)
     Sim.Config.all
 
-(* Attaching the full sink complement must not move the clock: the run is
-   cycle-identical to a bare run of the same spec. *)
-let test_attrib_sinks_free () =
-  let bare =
-    let m =
-      Sim.Machine.create ~frames:32768 ~cma_frames:4096
-        ~setting:Sim.Config.Erebor_full ()
-    in
-    ignore (Sim.Machine.run m (small_spec ~body:rich_body ()));
-    Hw.Cycles.now (Sim.Machine.clock m)
-  in
-  let observed =
-    let obs = Obs.Emitter.create () in
-    ignore (Obs.Attrib.attach obs (Obs.Attrib.create ()));
-    ignore (Obs.Chrome.attach obs (Obs.Chrome.create ()));
-    ignore (Obs.Histogram.attach obs (Obs.Histogram.create ()));
-    ignore (Obs.Ring.attach obs (Obs.Ring.create ~capacity:64));
-    let m =
-      Sim.Machine.create ~frames:32768 ~cma_frames:4096 ~obs
-        ~setting:Sim.Config.Erebor_full ()
-    in
-    ignore (Sim.Machine.run m (small_spec ~body:rich_body ()));
-    Hw.Cycles.now (Sim.Machine.clock m)
-  in
-  Alcotest.(check int) "sinks never advance the clock" bare observed
-
 (* ------------------------------------------------------------------ *)
 (* Flame and metrics exporters                                         *)
 (* ------------------------------------------------------------------ *)
@@ -1419,70 +1393,36 @@ let test_health_overrun_and_spike () =
 (* Live telemetry end to end: clock identity, anchors, kill-mid-run    *)
 (* ------------------------------------------------------------------ *)
 
-let live_objectives () =
-  [
-    Obs.Slo.objective ~name:"emc-latency"
-      ~condition:
-        (Obs.Slo.Latency_above { kind = Obs.Trace.Emc_entry; threshold = 65536 })
-      ~budget:0.02 ();
-    Obs.Slo.objective ~name:"audit-denials"
-      ~condition:
-        (Obs.Slo.Ratio { bad = Obs.Trace.Mmu_deny; total = Obs.Trace.Emc_entry })
-      ~budget:0.02 ();
-  ]
+(* The sink-transparency law, stated once: whatever subset of lib/obs's
+   sinks is attached, a run is cycle- and statistics-identical to the bare
+   run of the same spec — observability never advances the virtual clock.
+   (bench check holds the same law over the Table 3/4 anchors and a
+   Fig. 9 cell through Bench_gate.transparent.) *)
+let law_run attach =
+  let obs = Obs.Emitter.create () in
+  attach obs;
+  let m =
+    Sim.Machine.create ~frames:32768 ~cma_frames:4096 ~obs
+      ~setting:Sim.Config.Erebor_full ()
+  in
+  let r = Sim.Machine.run m (small_spec ~body:rich_body ()) in
+  ( r.Sim.Machine.init_cycles,
+    r.Sim.Machine.run_cycles,
+    Hw.Cycles.now (Sim.Machine.clock m),
+    Sim.Machine.snapshot m )
 
-(* Attaching the whole live-telemetry complement (window, SLO evaluator,
-   health watchdog, dashboard) must leave the run cycle-identical to a
-   bare one: observability never advances the virtual clock. *)
-let test_live_sinks_clock_free () =
-  let bare =
-    let m =
-      Sim.Machine.create ~frames:32768 ~cma_frames:4096
-        ~setting:Sim.Config.Erebor_full ()
-    in
-    ignore (Sim.Machine.run m (small_spec ~body:rich_body ()));
-    Hw.Cycles.now (Sim.Machine.clock m)
-  in
-  let live =
-    let obs = Obs.Emitter.create () in
-    let window = Obs.Window.create ~width:1_000_000 ~buckets:64 () in
-    let slo =
-      Obs.Slo.create ~emit:obs ~window ~objectives:(live_objectives ()) ()
-    in
-    let health = Obs.Health.create ~emit:obs () in
-    let m =
-      Sim.Machine.create ~frames:32768 ~cma_frames:4096 ~obs ~window
-        ~setting:Sim.Config.Erebor_full ()
-    in
-    let subject =
-      Obs.Health.register health ~name:"obs-test"
-        ~now:(Hw.Cycles.now (Sim.Machine.clock m))
-    in
-    Obs.Health.watch health subject obs;
-    ignore
-      (Obs.Dash.attach obs
-         (Obs.Dash.create ~slo ~health ~refresh_cycles:500_000 ~window ()));
-    ignore (Sim.Machine.run m (small_spec ~body:rich_body ()));
-    Hw.Cycles.now (Sim.Machine.clock m)
-  in
-  Alcotest.(check int) "live sinks never advance the clock" bare live
-
-(* The regression-gate anchors (Tables 3/4) must render byte-identically
-   whether or not live telemetry is attached to the bench machines. *)
-let test_anchors_identical_under_telemetry () =
-  let base = Workloads.Bench_gate.render_anchors () in
-  let instrumented =
-    Workloads.Bench_gate.render_anchors
-      ~instrument:(fun obs ->
-        let window = Obs.Window.create ~width:1_000_000 ~buckets:32 () in
-        ignore (Obs.Window.attach obs window);
-        ignore
-          (Obs.Dash.attach obs
-             (Obs.Dash.create ~refresh_cycles:1_000_000 ~window ())))
-      ()
-  in
-  Alcotest.(check string) "anchors byte-identical under live telemetry" base
-    instrumented
+let prop_sink_law =
+  let sinks = Workloads.Bench_gate.sinks in
+  let subset mask = List.filteri (fun i _ -> mask land (1 lsl i) <> 0) sinks in
+  let bare = lazy (law_run ignore) in
+  QCheck.Test.make ~name:"any sink subset leaves cycles + stats unchanged"
+    ~count:12
+    (QCheck.make
+       ~print:(fun mask -> String.concat "+" (List.map fst (subset mask)))
+       QCheck.Gen.(int_bound ((1 lsl List.length sinks) - 1)))
+    (fun mask ->
+      law_run (fun obs -> List.iter (fun (_, attach) -> attach obs) (subset mask))
+      = Lazy.force bare)
 
 (* Kill-mid-run coverage for the dashboard snapshot: the emitter finalizer
    must leave a complete, parseable snapshot even when the body raises. *)
@@ -1490,7 +1430,7 @@ let test_dash_snapshot_abnormal_exit () =
   let obs = Obs.Emitter.create () in
   let window = Obs.Window.create ~width:100_000 ~buckets:64 () in
   let slo =
-    Obs.Slo.create ~emit:obs ~window ~objectives:(live_objectives ()) ()
+    Obs.Slo.create ~emit:obs ~window ~objectives:Workloads.Slo_bench.clean_objectives ()
   in
   let health = Obs.Health.create ~emit:obs () in
   let m =
@@ -2367,8 +2307,6 @@ let () =
           Alcotest.test_case "span semantics" `Quick test_attrib_semantics;
           Alcotest.test_case "conservation on every setting" `Quick
             test_attrib_conservation;
-          Alcotest.test_case "sinks never move the clock" `Quick
-            test_attrib_sinks_free;
         ] );
       ( "export",
         [
@@ -2436,10 +2374,7 @@ let () =
         ] );
       ( "live",
         [
-          Alcotest.test_case "live sinks never move the clock" `Quick
-            test_live_sinks_clock_free;
-          Alcotest.test_case "anchors byte-identical under telemetry" `Quick
-            test_anchors_identical_under_telemetry;
+          QCheck_alcotest.to_alcotest prop_sink_law;
           Alcotest.test_case "abnormal exit snapshots the dash" `Quick
             test_dash_snapshot_abnormal_exit;
         ] );

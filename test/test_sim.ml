@@ -241,18 +241,6 @@ let test_parallel_matches_sequential () =
         (String.equal s_trace p_trace))
     settings
 
-let test_memshare_parallel_rows () =
-  let seq = Workloads.Eval.memshare ~jobs:1 ~max_sandboxes:3 () in
-  let par = Workloads.Eval.memshare ~jobs:4 ~max_sandboxes:3 () in
-  Alcotest.(check int) "row count" (List.length seq) (List.length par);
-  List.iter2
-    (fun (s : Workloads.Eval.memshare_row) (p : Workloads.Eval.memshare_row) ->
-      Alcotest.(check int) "sandboxes" s.Workloads.Eval.sandboxes p.Workloads.Eval.sandboxes;
-      Alcotest.(check int) "shared" s.Workloads.Eval.shared_frames p.Workloads.Eval.shared_frames;
-      Alcotest.(check int) "replicated" s.Workloads.Eval.replicated_frames
-        p.Workloads.Eval.replicated_frames)
-    seq par
-
 let () =
   Alcotest.run "sim"
     [
@@ -275,6 +263,5 @@ let () =
           Alcotest.test_case "map preserves order" `Quick test_runner_map_order;
           Alcotest.test_case "errors propagate" `Quick test_runner_error_propagates;
           Alcotest.test_case "parallel == sequential" `Slow test_parallel_matches_sequential;
-          Alcotest.test_case "memshare rows jobs-independent" `Slow test_memshare_parallel_rows;
         ] );
     ]

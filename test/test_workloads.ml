@@ -299,9 +299,55 @@ let test_bench_gate_json () =
   (match J.parse "{\"unterminated\": " with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted truncated JSON");
-  match J.parse "{} trailing" with
+  (match J.parse "{} trailing" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted trailing garbage"
+  | Ok _ -> Alcotest.fail "accepted trailing garbage");
+  (match J.parse {|"\u0041"|} with
+  | Ok (J.Str "A") -> ()
+  | _ -> Alcotest.fail "\\u0041 should decode to A");
+  List.iter
+    (fun bad ->
+      match J.parse bad with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted bad escape %s" bad)
+    [ {|"\uZZZZ"|}; {|"\u-123"|}; {|"\u12"|}; {|"\u+0041"|} ];
+  match J.parse (String.make 300 '[' ^ String.make 300 ']') with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted nesting deeper than the bound"
+
+(* The baseline decoder reads bytes a stale or hostile file controls: it
+   must answer Ok or Error for any input and never raise. *)
+let json_total s =
+  match Workloads.Bench_gate.Json.parse s with Ok _ | Error _ -> true
+
+(* Token soup over JSON's own alphabet, bare or quoted, reaches escapes,
+   nesting and number edges far more often than uniform bytes do. *)
+let json_soup =
+  QCheck.Gen.(
+    map (String.concat "")
+      (list_size (0 -- 24)
+         (oneofl
+            [ "\""; "\\"; "\\u"; "u"; "0"; "F"; "z"; "-"; "+"; "_"; "{"; "}";
+              "["; "]"; ","; ":"; "1e9"; "."; "true"; "null"; " "; "\000";
+              "\255" ])))
+
+let prop_bench_gate_json_arbitrary =
+  QCheck.Test.make ~name:"json parser total on arbitrary strings" ~count:1000
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(
+         oneof [ json_soup; map (fun s -> "\"" ^ s ^ "\"") json_soup; string ]))
+    json_total
+
+let prop_bench_gate_json_mutated =
+  let doc = lazy (Workloads.Bench_gate.render_anchors ()) in
+  QCheck.Test.make ~name:"json parser total on mutated anchor documents"
+    ~count:1000
+    QCheck.(pair (small_list (pair (int_bound 65535) char)) (int_bound 65535))
+    (fun (edits, cut) ->
+      let b = Bytes.of_string (Lazy.force doc) in
+      let n = Bytes.length b in
+      List.iter (fun (i, c) -> Bytes.set b (i mod n) c) edits;
+      json_total (Bytes.sub_string b 0 (n - (cut mod n))))
 
 let test_bench_gate_pass () =
   (* A baseline regenerated from the current build must pass the gate. *)
@@ -363,6 +409,27 @@ let test_bench_gate_seeded_failure () =
       Alcotest.(check bool) "empty anchor tables fail coverage" false
         (Workloads.Bench_gate.pass missing_row)
 
+(* A sink that is NOT transparent must fail the law. This one stretches
+   simulated time: when a workload's Run span opens it rescales every
+   workload's duration, so the instrumented machine's clock runs further
+   than the bare one's. *)
+let test_bench_gate_law_catches_clock_sink () =
+  let stretch obs =
+    Obs.Emitter.attach obs (fun kind ~ts:_ ~arg:_ ->
+        if kind = Obs.Trace.Span_begin Obs.Trace.Run then
+          Workloads.Workload.set_scale 1.5)
+  in
+  let verdict =
+    Fun.protect
+      ~finally:(fun () -> Workloads.Workload.set_scale 1.0)
+      (fun () -> Workloads.Bench_gate.transparent stretch)
+  in
+  Alcotest.(check bool) "law fails" false (Workloads.Bench_gate.pass verdict);
+  Alcotest.(check bool) "run cycles flagged" true
+    (List.exists
+       (fun (c : Workloads.Bench_gate.check) -> c.name = "law/fig9-run-cycles")
+       (Workloads.Bench_gate.failures verdict))
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -417,8 +484,12 @@ let () =
       ( "bench-gate",
         [
           Alcotest.test_case "json parser" `Quick test_bench_gate_json;
+          qt prop_bench_gate_json_arbitrary;
+          qt prop_bench_gate_json_mutated;
           Alcotest.test_case "current anchors pass" `Quick test_bench_gate_pass;
           Alcotest.test_case "seeded mismatch fails" `Quick
             test_bench_gate_seeded_failure;
+          Alcotest.test_case "clock-advancing sink fails the law" `Quick
+            test_bench_gate_law_catches_clock_sink;
         ] );
     ]
