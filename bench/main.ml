@@ -691,7 +691,7 @@ let write_bench_json ~path ~timings ~total_wall_s =
   add "  \"targets\": [\n";
   List.iteri
     (fun i (name, wall) ->
-      add "    { \"name\": \"%s\", \"wall_s\": %.6f }%s\n" (Obs.Metrics.escape_json name) wall
+      add "    { \"name\": \"%s\", \"wall_s\": %.6f }%s\n" (Obs.Audit.escape_json name) wall
         (if i = List.length timings - 1 then "" else ","))
     timings;
   add "  ],\n";
@@ -702,7 +702,7 @@ let write_bench_json ~path ~timings ~total_wall_s =
   List.iteri
     (fun i (r : Workloads.Eval.transition_row) ->
       add "    { \"transition\": \"%s\", \"cycles\": %d, \"paper_cycles\": %d }%s\n"
-        (Obs.Metrics.escape_json r.transition) r.cycles r.paper_cycles
+        (Obs.Audit.escape_json r.transition) r.cycles r.paper_cycles
         (if i = List.length t3 - 1 then "" else ","))
     t3;
   add "  ],\n";
@@ -712,7 +712,7 @@ let write_bench_json ~path ~timings ~total_wall_s =
     (fun i (r : Workloads.Eval.privop_row) ->
       add
         "    { \"op\": \"%s\", \"native_cycles\": %d, \"erebor_cycles\": %d }%s\n"
-        (Obs.Metrics.escape_json r.op) r.native_cycles r.erebor_cycles
+        (Obs.Audit.escape_json r.op) r.native_cycles r.erebor_cycles
         (if i = List.length t4 - 1 then "" else ","))
     t4;
   add "  ],\n";
@@ -723,8 +723,8 @@ let write_bench_json ~path ~timings ~total_wall_s =
       add
         "    { \"program\": \"%s\", \"setting\": \"%s\", \"overhead_pct\": %.4f, \
          \"pf_rate\": %.2f, \"timer_rate\": %.2f, \"ve_rate\": %.2f, \"emc_rate\": %.2f }%s\n"
-        (Obs.Metrics.escape_json r.program)
-        (Obs.Metrics.escape_json (Sim.Config.name r.setting))
+        (Obs.Audit.escape_json r.program)
+        (Obs.Audit.escape_json (Sim.Config.name r.setting))
         r.overhead_pct r.pf_rate r.timer_rate r.ve_rate r.emc_rate
         (if i = List.length rows - 1 then "" else ","))
     rows;

@@ -594,7 +594,7 @@ let audit_cmd =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* journal query | critical | diff | export                            *)
+(* journal query | critical | diff | export | topk                     *)
 (* ------------------------------------------------------------------ *)
 
 let journal_file p =
@@ -756,50 +756,43 @@ let export_cmd =
       let path = journal_file p in
       if C.str p chrome_flag = None && C.str p export_flame_flag = None then
         C.fail p "nothing to export (pass --chrome and/or --flame)";
-      (match C.str p chrome_flag with
-      | None -> ()
-      | Some out -> (
-          (* Replay through the live Chrome sink: streams merge into one
-             timeline (virtual timestamps are shared). *)
-          let obs = Obs.Emitter.create () in
-          let rec_ = Obs.Chrome.attach obs (Obs.Chrome.create ()) in
-          match
-            Obs.Journal.fold ~path ~init:() (fun () (e : Obs.Journal.event) ->
-                Obs.Emitter.emit obs e.kind ~ts:e.ts ~arg:e.arg)
-          with
-          | Error e ->
-              Printf.eprintf "journal export: %s\n" e;
-              exit 1
-          | Ok ((), _) ->
+      (* One replay: every stream feeds the live Chrome sink (streams merge
+         into one timeline, virtual timestamps are shared); the flamegraph
+         needs the full context tree, so with --flame the first stream also
+         feeds a dedicated Attrib instance, closed by its finalizer. *)
+      let chrome = Obs.Chrome.create () in
+      let att = Obs.Attrib.create () in
+      let first = ref (C.str p export_flame_flag <> None) in
+      let stream ~machine:_ =
+        let em = Obs.Emitter.create () in
+        if C.str p chrome_flag <> None then ignore (Obs.Chrome.attach em chrome);
+        if !first then begin
+          first := false;
+          ignore (Obs.Attrib.attach em att);
+          Obs.Emitter.add_finalizer em (fun ~now -> Obs.Attrib.close att ~now)
+        end;
+        em
+      in
+      match Obs.Journal.replay ~path stream with
+      | Error e ->
+          Printf.eprintf "journal export: %s\n" e;
+          exit 1
+      | Ok _ ->
+          (match C.str p chrome_flag with
+          | None -> ()
+          | Some out ->
               let oc = open_out out in
-              output_string oc (Obs.Chrome.to_chrome_json rec_);
+              output_string oc (Obs.Chrome.to_chrome_json chrome);
               close_out oc;
               Printf.printf "chrome   : %d events -> %s\n"
-                (Obs.Chrome.length rec_) out));
-      match C.str p export_flame_flag with
-      | None -> ()
-      | Some out -> (
-          (* The flamegraph needs the full context tree, not just per-phase
-             totals — replay stream 0 through a dedicated Attrib instance. *)
-          let att = Obs.Attrib.create () in
-          let sink = Obs.Attrib.sink att in
-          let last = ref 0 in
-          match
-            Obs.Journal.fold ~path ~init:() (fun () (e : Obs.Journal.event) ->
-                if e.stream = 0 then begin
-                  sink e.kind ~ts:e.ts ~arg:e.arg;
-                  if e.ts > !last then last := e.ts
-                end)
-          with
-          | Error e ->
-              Printf.eprintf "journal export: %s\n" e;
-              exit 1
-          | Ok ((), _) ->
-              Obs.Attrib.close att ~now:!last;
+                (Obs.Chrome.length chrome) out);
+          match C.str p export_flame_flag with
+          | None -> ()
+          | Some out ->
               let oc = open_out out in
               output_string oc (Obs.Flame.collapsed att);
               close_out oc;
-              Printf.printf "flame    : collapsed stacks -> %s\n" out))
+              Printf.printf "flame    : collapsed stacks -> %s\n" out)
 
 let key_flag =
   C.flag ~docv:"BY" [ "--key" ]
@@ -844,7 +837,7 @@ let topk_cmd =
               List.iter
                 (fun (e : Obs.Journal.event) ->
                   Printf.printf "  %-10s %-14s ts %-14d arg %d\n"
-                    (Obs.Journal.machine_name info e.stream)
+                    (List.assoc e.stream info.Obs.Journal.machines)
                     (Obs.Trace.name e.kind) e.ts e.arg)
                 evs;
               if evs = [] then begin
@@ -868,60 +861,40 @@ let topk_cmd =
                      "unknown key %S (expected machine-kind, kind or machine)"
                      g)
           in
-          (* Machine names are interned in the stream itself, so resolve
-             them first (one metadata pass), then fold the events through a
-             space-saving table with one interned key string per
-             (stream, kind) class. *)
-          match Obs.Journal.read_info ~path with
+          (* One replay through a space-saving table; each stream builds
+             its key strings (one per kind) when it is defined. *)
+          let tk = Obs.Topk.create ~capacity () in
+          let stream ~machine =
+            let keys =
+              Array.init Obs.Trace.n_kinds (fun i ->
+                  let k = Obs.Trace.name (Obs.Trace.kind_of_index i) in
+                  match mode with
+                  | `Machine_kind -> machine ^ "/" ^ k
+                  | `Kind -> k
+                  | `Machine -> machine)
+            in
+            let em = Obs.Emitter.create () in
+            Obs.Emitter.attach em (fun kind ~ts:_ ~arg:_ ->
+                Obs.Topk.observe tk ~key:keys.(Obs.Trace.index kind) ~weight:1);
+            em
+          in
+          match Obs.Journal.replay ~path stream with
           | Error e ->
               Printf.eprintf "journal topk: %s\n" e;
               exit 1
-          | Ok info -> (
-              let tk = Obs.Topk.create ~capacity () in
-              let cache : (int, string) Hashtbl.t = Hashtbl.create 64 in
-              let key (e : Obs.Journal.event) =
-                let ki = Obs.Trace.index e.kind in
-                let ck =
-                  match mode with
-                  | `Machine_kind -> (e.stream * Obs.Trace.n_kinds) + ki
-                  | `Kind -> ki
-                  | `Machine -> -1 - e.stream
-                in
-                match Hashtbl.find_opt cache ck with
-                | Some s -> s
-                | None ->
-                    let s =
-                      match mode with
-                      | `Machine_kind ->
-                          Obs.Journal.machine_name info e.stream
-                          ^ "/" ^ Obs.Trace.name e.kind
-                      | `Kind -> Obs.Trace.name e.kind
-                      | `Machine -> Obs.Journal.machine_name info e.stream
-                    in
-                    Hashtbl.add cache ck s;
-                    s
-              in
-              match
-                Obs.Journal.fold ~path ~init:()
-                  (fun () (e : Obs.Journal.event) ->
-                    Obs.Topk.observe tk ~key:(key e) ~weight:1)
-              with
-              | Error e ->
-                  Printf.eprintf "journal topk: %s\n" e;
-                  exit 1
-              | Ok ((), info) ->
-                  print_info info;
-                  let s = Obs.Topk.seal tk in
-                  Printf.printf
-                    "heavy hitters: %d key(s) tracked, capacity %d, absent \
-                     keys <= %d\n"
-                    (Obs.Topk.n_keys s) capacity (Obs.Topk.floor_total s);
-                  List.iter
-                    (fun (r : Obs.Topk.ranked) ->
-                      Printf.printf "  %10d  %-28s true in [%d, %d]\n"
-                        r.Obs.Topk.rcount r.Obs.Topk.rkey r.Obs.Topk.lower
-                        r.Obs.Topk.upper)
-                    (Obs.Topk.top ~n:top s))))
+          | Ok info ->
+              print_info info;
+              let s = Obs.Topk.seal tk in
+              Printf.printf
+                "heavy hitters: %d key(s) tracked, capacity %d, absent \
+                 keys <= %d\n"
+                (Obs.Topk.n_keys s) capacity (Obs.Topk.floor_total s);
+              List.iter
+                (fun (r : Obs.Topk.ranked) ->
+                  Printf.printf "  %10d  %-28s true in [%d, %d]\n"
+                    r.Obs.Topk.rcount r.Obs.Topk.rkey r.Obs.Topk.lower
+                    r.Obs.Topk.upper)
+                (Obs.Topk.top ~n:top s)))
 
 let journal_cmd =
   C.group ~name:"journal"

@@ -90,9 +90,10 @@ let finalized t = t.finalized
 let length t = if t.finalized then t.count - 1 else t.count
 let records t = List.rev t.records
 
-(* JSON string escaping for [detail]/[category]; mirrors Chrome.escape_json
-   but kept local so the verifier's unescape stays next to it. *)
-let escape s =
+(* The library's one JSON string escaper (every exporter's names and
+   labels go through it); [unescape] below is its inverse for the
+   verifier. *)
+let escape_json s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter
     (fun c ->
@@ -135,7 +136,8 @@ let unescape s =
 let record_line r =
   Printf.sprintf
     {|{"seq":%d,"ts":%d,"category":"%s","verdict":"%s","detail":"%s","mac":"%s"}|}
-    r.seq r.ts (escape r.category) (verdict_name r.verdict) (escape r.detail)
+    r.seq r.ts (escape_json r.category) (verdict_name r.verdict)
+    (escape_json r.detail)
     r.mac
 
 let to_string t =

@@ -51,6 +51,10 @@ val records : t -> record list
 val to_string : t -> string
 (** JSONL rendering, one record per line. *)
 
+val escape_json : string -> string
+(** JSON string-body escaping (quote, backslash, control characters): the
+    library's one escaper, used by every JSON exporter. *)
+
 val verify_string : key:bytes -> string -> (int, string) result
 (** [verify_string ~key s] re-walks the chain over a {!to_string} rendering.
     [Ok n] is the number of decision records in an intact, finalized chain;

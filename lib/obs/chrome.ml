@@ -60,33 +60,10 @@ let iter t f =
    valid even if the taxonomy grows names with JSON-significant characters
    — and the exporter must not hand the viewer a malformed trace when a
    recording stops mid-span (aborted run, post-mortem dump). *)
-let escape_json s =
-  let plain = ref true in
-  String.iter
-    (fun c -> if c = '"' || c = '\\' || Char.code c < 0x20 then plain := false)
-    s;
-  if !plain then s
-  else begin
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-  end
-
 let span_json buf ph name ts =
   Printf.bprintf buf
     {|{"name":"%s","cat":"span","ph":"%c","ts":%d,"pid":0,"tid":0}|}
-    (escape_json name) ph ts
+    (Audit.escape_json name) ph ts
 
 let event_json buf e =
   let kind = e.Trace.kind in
@@ -96,7 +73,7 @@ let event_json buf e =
   | _ ->
       Printf.bprintf buf
         {|{"name":"%s","cat":"event","ph":"i","ts":%d,"pid":0,"tid":0,"s":"t","args":{"v":%d}}|}
-        (escape_json (Trace.name kind))
+        (Audit.escape_json (Trace.name kind))
         e.Trace.ts e.Trace.arg)
 
 let to_chrome_json t =
@@ -140,7 +117,7 @@ let to_jsonl t =
   let buf = Buffer.create (t.len * 64) in
   iter t (fun e ->
       Printf.bprintf buf {|{"ts":%d,"kind":"%s","arg":%d}|} e.Trace.ts
-        (escape_json (Trace.name e.Trace.kind))
+        (Audit.escape_json (Trace.name e.Trace.kind))
         e.Trace.arg;
       Buffer.add_char buf '\n');
   Buffer.contents buf

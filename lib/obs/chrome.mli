@@ -17,9 +17,6 @@ val length : t -> int
 val events : t -> Trace.event list
 val iter : t -> (Trace.event -> unit) -> unit
 
-val escape_json : string -> string
-(** JSON string-body escaping (quote, backslash, control characters). *)
-
 val to_chrome_json : t -> string
 (** Always a well-formed trace: names are JSON-escaped, an unmatched
     [Span_end] is dropped, and spans still open at end-of-recording are

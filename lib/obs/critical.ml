@@ -1,12 +1,11 @@
-(* Offline critical-path analysis: replay request windows + span stream
-   from a journal, splitting each window's latency into queueing vs service
-   and blaming service onto the (domain x phase) taxonomy. *)
+(* Offline critical-path analysis: one {!Journal.replay} of the request
+   windows + span stream, splitting each window's latency into queueing vs
+   service and blaming service onto the (domain x phase) taxonomy. *)
 
 type blame = { bdomain : Trace.domain; bphase : Trace.phase; bcycles : int }
 
 type request = {
   trace_id : int;
-  stream : int;
   root : bool;
   rt0 : int;
   rt1 : int;
@@ -39,46 +38,34 @@ type open_req = {
   oblame : int array; (* per phase index *)
 }
 
-type stream_state = {
-  mutable stack : open_span list;
-  mutable open_reqs : (int * open_req) list; (* trace_id -> window *)
-}
-
 let analyze ?(top = 10) ~path () =
-  let streams : (int, stream_state) Hashtbl.t = Hashtbl.create 4 in
-  let state s =
-    match Hashtbl.find_opt streams s with
-    | Some st -> st
-    | None ->
-        let st = { stack = []; open_reqs = [] } in
-        Hashtbl.add streams s st;
-        st
-  in
   let completed = ref [] in
-  let result =
-    Journal.fold ~path ~init:() (fun () (e : Journal.event) ->
-        match e.kind with
+  (* Per-stream state lives in the stream's sink closure: its open-span
+     stack and its open request windows (trace_id -> window). *)
+  let stream ~machine:_ =
+    let stack = ref [] and open_reqs = ref [] in
+    let em = Emitter.create () in
+    Emitter.attach em (fun kind ~ts ~arg ->
+        match kind with
         | Trace.Req_begin ->
-            let st = state e.stream in
-            let trace_id = e.arg lsr 2 in
-            let root = (e.arg lsr 1) land 1 = 1 in
-            st.open_reqs <-
-              ( trace_id,
+            let cx, root = Request.unpack arg in
+            open_reqs :=
+              ( cx.Request.trace_id,
                 {
-                  ot0 = e.ts;
+                  ot0 = ts;
                   oroot = root;
                   oservice = 0;
                   oblame = Array.make Trace.n_phases 0;
                 } )
-              :: st.open_reqs
+              :: !open_reqs
         | Trace.Req_end -> (
-            let st = state e.stream in
-            let trace_id = e.arg lsr 2 in
-            match List.assoc_opt trace_id st.open_reqs with
+            let cx, _ = Request.unpack arg in
+            let trace_id = cx.Request.trace_id in
+            match List.assoc_opt trace_id !open_reqs with
             | None -> ()
             | Some r ->
-                st.open_reqs <- List.remove_assoc trace_id st.open_reqs;
-                let total = e.ts - r.ot0 in
+                open_reqs := List.remove_assoc trace_id !open_reqs;
+                let total = ts - r.ot0 in
                 let service = Stdlib.min r.oservice total in
                 let path =
                   Trace.all_phases
@@ -97,10 +84,9 @@ let analyze ?(top = 10) ~path () =
                 completed :=
                   {
                     trace_id;
-                    stream = e.stream;
                     root = r.oroot;
                     rt0 = r.ot0;
-                    rt1 = e.ts;
+                    rt1 = ts;
                     total;
                     service;
                     queueing = Stdlib.max 0 (total - service);
@@ -108,14 +94,12 @@ let analyze ?(top = 10) ~path () =
                   }
                   :: !completed)
         | Trace.Span_begin p ->
-            let st = state e.stream in
-            st.stack <- { phase = p; t0 = e.ts; child = 0 } :: st.stack
+            stack := { phase = p; t0 = ts; child = 0 } :: !stack
         | Trace.Span_end p -> (
-            let st = state e.stream in
-            match st.stack with
+            match !stack with
             | { phase; t0; child } :: rest when phase = p ->
-                st.stack <- rest;
-                let dur = e.ts - t0 in
+                stack := rest;
+                let dur = ts - t0 in
                 let self = Stdlib.max 0 (dur - child) in
                 (match rest with
                 | parent :: _ -> parent.child <- parent.child + dur
@@ -124,19 +108,20 @@ let analyze ?(top = 10) ~path () =
                        service time for every request open on the stream. *)
                     List.iter
                       (fun (_, r) ->
-                        let covered = e.ts - Stdlib.max t0 r.ot0 in
+                        let covered = ts - Stdlib.max t0 r.ot0 in
                         if covered > 0 then r.oservice <- r.oservice + covered)
-                      st.open_reqs);
+                      !open_reqs);
                 let i = Trace.phase_index p in
                 List.iter
                   (fun (_, r) -> r.oblame.(i) <- r.oblame.(i) + self)
-                  st.open_reqs
+                  !open_reqs
             | _ -> (* unbalanced end: ignore *) ())
-        | _ -> ())
+        | _ -> ());
+    em
   in
-  match result with
+  match Journal.replay ~path stream with
   | Error _ as e -> e
-  | Ok ((), info) ->
+  | Ok info ->
       let reqs = !completed in
       let n = List.length reqs in
       let latencies =

@@ -13,13 +13,14 @@
       where the service time actually went. The blame vector sorted by
       cycles is the request's critical path.
 
-    One streaming pass; nothing is materialized beyond open windows. *)
+    One {!Journal.replay} pass, with each stream's span stack and open
+    windows held by that stream's sink; nothing is materialized beyond
+    open windows. *)
 
 type blame = { bdomain : Trace.domain; bphase : Trace.phase; bcycles : int }
 
 type request = {
   trace_id : int;
-  stream : int;          (** Journal stream the window closed on. *)
   root : bool;           (** Root bit of the packed context. *)
   rt0 : int;
   rt1 : int;

@@ -128,7 +128,7 @@ let snapshot_json t ~now =
   let buf = Buffer.create 2048 in
   Printf.bprintf buf
     "{\"schema\":\"erebor-dash/1\",\"label\":\"%s\",\"ts\":%d,\"virtual_s\":%.6f,\"refreshes\":%d,\"window\":%s"
-    (Metrics.escape_json t.label)
+    (Audit.escape_json t.label)
     now (virtual_seconds t now) t.refreshes
     (Window.to_json t.window ~now ());
   (match t.slo with

@@ -1,5 +1,6 @@
-(* Run-diffing: replay two journals through the live Attrib profiler and
-   compare the resulting (domain x phase) attributions. *)
+(* Run-diffing: replay two journals through the live Attrib profiler (one
+   {!Journal.replay} each) and compare the resulting (domain x phase)
+   attributions. *)
 
 type entry = {
   edomain : Trace.domain;
@@ -20,45 +21,32 @@ type t = {
   total_b : int;
 }
 
-(* Per-stream replay state: an Attrib instance fed through its bus sink,
-   plus the stream's last timestamp for the close. *)
-type replay = { att : Attrib.t; sink : Emitter.sink; mutable last : int }
-
+(* One Attrib per stream; the stream's finalizer closes it and adds its
+   self-cycles to the totals. One Counter shared by every stream counts the
+   spans entered. *)
 let attribution ~path =
-  let streams : (int, replay) Hashtbl.t = Hashtbl.create 4 in
-  let counts = Array.make Trace.n_phases 0 in
-  let result =
-    Journal.fold ~path ~init:() (fun () (e : Journal.event) ->
-        let r =
-          match Hashtbl.find_opt streams e.stream with
-          | Some r -> r
-          | None ->
-              let att = Attrib.create () in
-              let r = { att; sink = Attrib.sink att; last = 0 } in
-              Hashtbl.add streams e.stream r;
-              r
-        in
-        (match e.kind with
-        | Trace.Span_begin p ->
-            counts.(Trace.phase_index p) <- counts.(Trace.phase_index p) + 1
-        | _ -> ());
-        r.sink e.kind ~ts:e.ts ~arg:e.arg;
-        if e.ts > r.last then r.last <- e.ts)
+  let cycles = Array.make Trace.n_phases 0 in
+  let counter = Counter.create () in
+  let stream ~machine:_ =
+    let em = Emitter.create () in
+    let att = Attrib.attach em (Attrib.create ()) in
+    ignore (Counter.attach em counter);
+    Emitter.add_finalizer em (fun ~now ->
+        Attrib.close att ~now;
+        List.iter
+          (fun (_, p, c) ->
+            let i = Trace.phase_index p in
+            cycles.(i) <- cycles.(i) + c)
+          (Attrib.breakdown att));
+    em
   in
-  match result with
-  | Error _ as e -> e
-  | Ok ((), info) ->
-      let cycles = Array.make Trace.n_phases 0 in
-      Hashtbl.iter
-        (fun _ r ->
-          Attrib.close r.att ~now:r.last;
-          List.iter
-            (fun (_, p, c) ->
-              let i = Trace.phase_index p in
-              cycles.(i) <- cycles.(i) + c)
-            (Attrib.breakdown r.att))
-        streams;
-      Ok (Array.init Trace.n_phases (fun i -> (cycles.(i), counts.(i))), info)
+  Result.map
+    (fun info ->
+      let spans i =
+        Counter.count counter (Trace.span_begin (Trace.phase_of_index i))
+      in
+      (Array.init Trace.n_phases (fun i -> (cycles.(i), spans i)), info))
+    (Journal.replay ~path stream)
 
 let compare_files ~a ~b =
   match attribution ~path:a with

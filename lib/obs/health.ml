@@ -194,7 +194,7 @@ let to_json t =
       if i > 0 then Buffer.add_char buf ',';
       Printf.bprintf buf
         "{\"name\":\"%s\",\"id\":%d,\"state\":\"%s\",\"requests\":%d,\"overruns\":%d,\"denials\":%d}"
-        (Metrics.escape_json s.sname) s.id (state_name s.state) s.requests
+        (Audit.escape_json s.sname) s.id (state_name s.state) s.requests
         s.total_overruns s.total_denials)
     (subjects t);
   Buffer.add_string buf "],\"transitions\":[";
@@ -202,7 +202,7 @@ let to_json t =
     (fun i (ts, s, st) ->
       if i > 0 then Buffer.add_char buf ',';
       Printf.bprintf buf "{\"ts\":%d,\"subject\":\"%s\",\"state\":\"%s\"}" ts
-        (Metrics.escape_json s.sname) (state_name st))
+        (Audit.escape_json s.sname) (state_name st))
     (transitions t);
   Buffer.add_string buf "]}";
   Buffer.contents buf

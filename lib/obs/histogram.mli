@@ -1,7 +1,12 @@
 (** Latency-histogram sink: per event kind, a log2-bucketed distribution of
     the event argument. Bucket [b] covers [[2^(b-1), 2^b - 1]] (bucket 0 is
     exactly 0, bucket 1 exactly 1), so EMC/tdcall round-trip latencies land
-    in a handful of readable rows. *)
+    in a handful of readable rows.
+
+    A {!dist} is one such distribution on its own; the per-kind sink is an
+    array of them. {!row_percentile} is the single rank-interpolation walk
+    every log2 percentile in the library goes through ({!Query} cells,
+    {!Request} latency, {!Window}'s merged view). *)
 
 type t
 
@@ -17,6 +22,30 @@ val bucket_of : int -> int
 val bucket_lo : int -> int
 val bucket_hi : int -> int
 (** Inclusive value range covered by a bucket index. *)
+
+val row_percentile : int array -> n:int -> vmin:int -> vmax:int -> p:float -> int
+(** Percentile over one bucket row ([n_buckets] counts summing to [n], with
+    observed extrema [vmin]/[vmax]); semantics as {!percentile}. *)
+
+(** {2 One distribution} *)
+
+type dist = private {
+  mutable count : int;
+  mutable sum : int;
+  mutable vmin : int;  (** [max_int] while empty; see {!dist_min}. *)
+  mutable vmax : int;
+  row : int array;     (** Bucket index -> count. *)
+}
+
+val dist : unit -> dist
+val observe : dist -> int -> unit
+val dist_min : dist -> int
+(** Smallest observed value; 0 for an empty distribution. *)
+
+val dist_mean : dist -> float
+val dist_percentile : dist -> p:float -> int
+
+(** {2 Per-kind sink} *)
 
 val count : t -> Trace.kind -> int
 val sum : t -> Trace.kind -> int

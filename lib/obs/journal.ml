@@ -305,7 +305,9 @@ let cbyte c =
   c.cpos <- c.cpos + 1;
   b
 
-let cuvarint c =
+(* Raw 63-bit LEB128: a 9-byte encoding may set the sign bit, which the
+   zigzag layer needs (full-range argument deltas). *)
+let cvarint c =
   let v = ref 0 and shift = ref 0 and cont = ref true in
   while !cont do
     let b = cbyte c in
@@ -316,11 +318,17 @@ let cuvarint c =
   done;
   !v
 
-let csvarint c = unzigzag (cuvarint c)
+(* Lengths, counts and ids are never negative. *)
+let cuvarint c =
+  let v = cvarint c in
+  if v < 0 then corrupt "%s: varint overflow" c.cwhat;
+  v
+
+let csvarint c = unzigzag (cvarint c)
 
 let cstring c =
   let len = cuvarint c in
-  if c.cpos + len > c.clen then corrupt "%s: string runs past payload" c.cwhat;
+  if len > c.clen - c.cpos then corrupt "%s: string runs past payload" c.cwhat;
   let s = Bytes.sub_string c.cbuf c.cpos len in
   c.cpos <- c.cpos + len;
   s
@@ -336,7 +344,7 @@ type decode_state = {
   mutable d_segments : int;
 }
 
-let decode_segment st c ~off acc f =
+let decode_segment st c ~off ~on_stream acc f =
   let base_ts = cuvarint c in
   let declared = cuvarint c in
   st.d_last_ts <- base_ts;
@@ -347,11 +355,20 @@ let decode_segment st c ~off acc f =
     if op = op_def_stream then begin
       let id = cuvarint c in
       let name = cstring c in
-      st.d_machines <- (id, name) :: List.remove_assoc id st.d_machines
+      if List.mem_assoc id st.d_machines then
+        corrupt "%s: stream %d defined twice" c.cwhat id;
+      st.d_machines <- (id, name) :: st.d_machines;
+      on_stream id name
     end
-    else if op = op_set_stream then st.d_stream <- cuvarint c
+    else if op = op_set_stream then begin
+      let id = cuvarint c in
+      if not (List.mem_assoc id st.d_machines) then
+        corrupt "%s: stream %d used before its definition" c.cwhat id;
+      st.d_stream <- id
+    end
     else begin
       if op >= Trace.n_kinds then corrupt "%s: unknown opcode %d" c.cwhat op;
+      if st.d_stream < 0 then corrupt "%s: event before any stream" c.cwhat;
       let ts = st.d_last_ts + csvarint c in
       st.d_last_ts <- ts;
       let arg = st.d_last_arg.(op) + csvarint c in
@@ -368,7 +385,7 @@ let decode_segment st c ~off acc f =
   st.d_segments <- st.d_segments + 1;
   !acc
 
-let fold ?(strict = false) ~path ~init f =
+let decode ?(strict = false) ~on_stream ~path ~init f =
   match open_in_bin path with
   | exception Sys_error e -> Error e
   | ic -> (
@@ -381,7 +398,7 @@ let fold ?(strict = false) ~path ~init f =
             {
               d_last_ts = 0;
               d_last_arg = Array.make Trace.n_kinds 0;
-              d_stream = 0;
+              d_stream = -1;
               d_machines = [];
               d_events = 0;
               d_segments = 0;
@@ -450,7 +467,7 @@ let fold ?(strict = false) ~path ~init f =
                     else if !frame_no = 0 then
                       corrupt "%s: first frame must be HEAD" what
                     else if tag = tag_segm then
-                      acc := decode_segment st c ~off:offset !acc f
+                      acc := decode_segment st c ~off:offset ~on_stream !acc f
                     else begin
                       let segs = cuvarint c in
                       let evs = cuvarint c in
@@ -485,17 +502,32 @@ let fold ?(strict = false) ~path ~init f =
       cleanup ();
       result)
 
+let fold ?strict ~path ~init f =
+  decode ?strict ~on_stream:(fun _ _ -> ()) ~path ~init f
+
 let read ?strict ~path () =
   match fold ?strict ~path ~init:[] (fun acc e -> e :: acc) with
   | Error _ as e -> e
   | Ok (rev, info) -> Ok (List.rev rev, info)
 
-let read_info ~path =
-  match fold ~path ~init:() (fun () _ -> ()) with
-  | Error _ as e -> e
-  | Ok ((), info) -> Ok info
+(* One replay target: the emitter the consumer built for a stream and the
+   stream's last timestamp, which its finalizer closes at. *)
+type target = { emitter : Emitter.t; mutable last : int }
 
-let machine_name info id =
-  match List.assoc_opt id info.machines with
-  | Some n -> n
-  | None -> Printf.sprintf "m%d" id
+let replay ~path make =
+  let targets = Hashtbl.create 4 and order = ref [] in
+  let define id machine =
+    let t = { emitter = make ~machine; last = 0 } in
+    Hashtbl.add targets id t;
+    order := t :: !order
+  in
+  (* The reader guarantees every event's stream was defined before it. *)
+  decode ~on_stream:define ~path ~init:() (fun () e ->
+      let t = Hashtbl.find targets e.stream in
+      Emitter.emit t.emitter e.kind ~ts:e.ts ~arg:e.arg;
+      if e.ts > t.last then t.last <- e.ts)
+  |> Result.map (fun ((), info) ->
+         List.iter
+           (fun t -> Emitter.finalize t.emitter ~now:t.last)
+           (List.rev !order);
+         info)

@@ -2,8 +2,10 @@
 
     A journal persists a machine's complete {!Trace} event stream so runs
     can be analyzed (queried, critical-pathed, diffed, re-exported) after
-    the process that produced them is gone — the storage substrate under
-    {!Query}, {!Critical} and {!Diff}.
+    the process that produced them is gone. The offline engines ({!Query},
+    {!Critical}, {!Diff}, the CLI's export and heavy-hitter commands) are
+    all {!replay}s: one decode pass that re-emits each stream into an
+    emitter carrying the same live sinks a running machine would use.
 
     {2 On-disk format (DESIGN.md §16)}
 
@@ -99,18 +101,24 @@ val fold :
   ('a * info, string) result
 (** Stream every event of a journal through [f] without materializing the
     file. Corruption — a bad magic/tag, a CRC mismatch, an undecodable
-    payload, data after END — is always an [Error] naming the frame and
-    offset. A file that simply stops mid-frame (the writer was killed) is
-    readable up to the last sealed segment with [complete = false] by
-    default; [strict] (default false) turns that truncated tail into an
-    [Error] too. *)
+    payload (an overlong varint, a string past the payload, a stream used
+    before its definition), data after END — is always an [Error] naming
+    the frame and offset; file contents never make the reader raise. A
+    file that simply stops mid-frame (the writer was killed) is readable
+    up to the last sealed segment with [complete = false] by default;
+    [strict] (default false) turns that truncated tail into an [Error]
+    too. *)
 
 val read :
   ?strict:bool -> path:string -> unit -> (event list * info, string) result
 (** Materializing convenience over {!fold} (tests, small files). *)
 
-val read_info : path:string -> (info, string) result
-(** Decode the whole file for its summary, discarding events. *)
-
-val machine_name : info -> int -> string
-(** Stream id -> name (["m<id>"] fallback for an unknown id). *)
+val replay :
+  path:string -> (machine:string -> Emitter.t) -> (info, string) result
+(** One decode pass that re-emits every stream's events, in file order,
+    into the emitter returned for that stream. The function is called once
+    per stream, when the stream is first defined, so the machine name is
+    known before its first event. On success each stream's emitter is then
+    finalized ({!Emitter.finalize}) at that stream's last timestamp, in
+    stream-definition order — the same close a live run performs. Errors
+    as {!fold}. *)

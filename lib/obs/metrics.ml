@@ -291,31 +291,16 @@ let to_prometheus t =
 
 (* JSON rendering of the same data, one object per source. *)
 
-let escape_json s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
   let buf = Buffer.create 4096 in
   let comma first = if !first then first := false else Buffer.add_char buf ',' in
-  Printf.bprintf buf "{\"namespace\":\"%s\",\"sources\":[" (escape_json t.namespace);
+  Printf.bprintf buf "{\"namespace\":\"%s\",\"sources\":["
+    (Audit.escape_json t.namespace);
   let first_src = ref true in
   List.iter
     (fun s ->
       comma first_src;
-      Printf.bprintf buf "{\"label\":\"%s\"" (escape_json s.label);
+      Printf.bprintf buf "{\"label\":\"%s\"" (Audit.escape_json s.label);
       (match s.counter with
       | None -> ()
       | Some c ->
@@ -328,7 +313,7 @@ let to_json t =
                 comma first;
                 Printf.bprintf buf
                   "{\"kind\":\"%s\",\"count\":%d,\"arg_sum\":%d}"
-                  (escape_json (Trace.name kind))
+                  (Audit.escape_json (Trace.name kind))
                   n (Counter.arg_sum c kind)
               end)
             Trace.all;
@@ -345,7 +330,7 @@ let to_json t =
                 comma first;
                 Printf.bprintf buf
                   "{\"kind\":\"%s\",\"count\":%d,\"sum\":%d,\"max\":%d,\"p50\":%d,\"p95\":%d,\"p99\":%d,\"buckets\":["
-                  (escape_json (Trace.name kind))
+                  (Audit.escape_json (Trace.name kind))
                   n (Histogram.sum h kind)
                   (Histogram.max_value h kind)
                   (Histogram.percentile h kind ~p:0.50)
@@ -375,7 +360,7 @@ let to_json t =
               Printf.bprintf buf
                 "{\"domain\":\"%s\",\"phase\":\"%s\",\"cycles\":%d}"
                 (Trace.domain_name d)
-                (escape_json (Trace.phase_name p))
+                (Audit.escape_json (Trace.phase_name p))
                 cycles)
             (Attrib.breakdown a);
           Buffer.add_string buf "]}");
@@ -405,7 +390,7 @@ let to_json t =
                 "{\"band_lo\":%d,\"band_hi\":%d,\"latency\":%d,\"trace_id\":%d,\"machine\":\"%s\",\"offset\":%d,\"ts\":%d}"
                 (Exemplar.band_lo b) (Exemplar.band_hi b) e.Exemplar.i_latency
                 e.Exemplar.i_trace_id
-                (escape_json e.Exemplar.i_machine)
+                (Audit.escape_json e.Exemplar.i_machine)
                 e.Exemplar.i_offset e.Exemplar.i_ts)
             (Exemplar.items ex);
           Buffer.add_string buf "]");

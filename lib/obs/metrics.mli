@@ -40,9 +40,6 @@ val add :
 val escape_label : string -> string
 (** Prometheus label-value escaping (backslash, quote, newline). *)
 
-val escape_json : string -> string
-(** JSON string escaping (quotes, backslash, control characters). *)
-
 val to_prometheus : t -> string
 (** Text exposition format 0.0.4; zero-count series are omitted. *)
 

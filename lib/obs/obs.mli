@@ -9,8 +9,9 @@
     ({!Window}), error-budget burn-rate alerts ({!Slo}), per-sandbox health
     watchdogs ({!Health}) and an ASCII dashboard driver ({!Dash}) — plus an
     offline flight-recorder stack: a crash-safe binary journal ({!Journal})
+    whose {!Journal.replay} feeds recorded streams back through live sinks,
     with query ({!Query}), critical-path ({!Critical}) and run-diff
-    ({!Diff}) engines over recorded runs — and fleet telemetry: mergeable
+    ({!Diff}) engines built on it — and fleet telemetry: mergeable
     relative-error quantile sketches ({!Sketch}), heavy-hitter summaries
     ({!Topk}), tail-latency exemplars ({!Exemplar}) and the
     order-invariant fleet aggregator ({!Agg}).

@@ -1,6 +1,6 @@
-(* Offline journal queries: one streaming pass of filter -> group -> row
-   aggregation. Distributions reuse the live histogram's log2 bucketing so
-   online and offline percentiles agree. *)
+(* Offline journal queries: one replay of filter -> group -> row
+   aggregation. Every cell is a {!Histogram.dist}, so offline percentiles
+   are the live histogram's, bit for bit. *)
 
 type filter = {
   kinds : Trace.kind list;
@@ -25,189 +25,98 @@ type row = {
   p99 : int;
 }
 
-(* A standalone log2 distribution (the Histogram sink is keyed by kind and
-   bus-attached; queries need one per group cell). *)
-type dist = {
-  mutable count : int;
-  mutable sum : int;
-  mutable dmin : int;
-  mutable dmax : int;
-  buckets : int array;
-}
-
-let dist () =
-  { count = 0; sum = 0; dmin = max_int; dmax = 0;
-    buckets = Array.make Histogram.n_buckets 0 }
-
-let observe d v =
-  d.count <- d.count + 1;
-  d.sum <- d.sum + v;
-  if v < d.dmin then d.dmin <- v;
-  if v > d.dmax then d.dmax <- v;
-  let b = Histogram.bucket_of v in
-  d.buckets.(b) <- d.buckets.(b) + 1
-
-(* Same rank-in-bucket linear interpolation as Histogram.percentile. *)
-let percentile d ~p =
-  if d.count = 0 then 0
-  else if p <= 0.0 then d.dmin
-  else if p >= 1.0 then d.dmax
-  else begin
-    let rank = p *. float_of_int d.count in
-    let seen = ref 0. in
-    let result = ref d.dmax in
-    (try
-       for b = 0 to Histogram.n_buckets - 1 do
-         let c = d.buckets.(b) in
-         if c > 0 then begin
-           let next = !seen +. float_of_int c in
-           if rank <= next then begin
-             let lo = Histogram.bucket_lo b and hi = Histogram.bucket_hi b in
-             let frac = (rank -. !seen) /. float_of_int c in
-             result := lo + int_of_float (frac *. float_of_int (hi - lo));
-             raise Exit
-           end;
-           seen := next
-         end
-       done
-     with Exit -> ());
-    Stdlib.min d.dmax (Stdlib.max d.dmin !result)
-  end
-
-let row_of label d =
+let row_of label (d : Histogram.dist) =
   {
     label;
     count = d.count;
     sum = d.sum;
-    min = (if d.count = 0 then 0 else d.dmin);
-    max = d.dmax;
-    p50 = percentile d ~p:0.5;
-    p95 = percentile d ~p:0.95;
-    p99 = percentile d ~p:0.99;
+    min = Histogram.dist_min d;
+    max = d.vmax;
+    p50 = Histogram.dist_percentile d ~p:0.5;
+    p95 = Histogram.dist_percentile d ~p:0.95;
+    p99 = Histogram.dist_percentile d ~p:0.99;
   }
 
-let max_streams = 256
-
-let run_pass ~filter ~group ~stream_sel ~path =
-  let kind_mask =
-    match filter.kinds with
-    | [] -> None
-    | ks ->
-        let m = Array.make Trace.n_kinds false in
-        List.iter (fun k -> m.(Trace.index k) <- true) ks;
-        Some m
-  in
-  let sandbox_open = Array.make max_streams false in
-  (* [span_open.(stream).(phase)]: stack of open-span begin timestamps. *)
-  let span_open = Array.make max_streams [||] in
-  let span_stack stream =
-    if Array.length span_open.(stream) = 0 then
-      span_open.(stream) <- Array.make Trace.n_phases [];
-    span_open.(stream)
-  in
-  let cells : (string, dist) Hashtbl.t = Hashtbl.create 64 in
-  let cell label =
-    match Hashtbl.find_opt cells label with
-    | Some d -> d
-    | None ->
-        let d = dist () in
-        Hashtbl.add cells label d;
-        d
-  in
-  let result =
-    Journal.fold ~path ~init:() (fun () (e : Journal.event) ->
-        let s = e.stream land (max_streams - 1) in
-        (* Sandbox lifetime windows are tracked pre-filter so the window
-           state doesn't depend on which kinds are selected. *)
-        (match filter.sandbox, e.kind with
-        | Some id, Trace.Sandbox_create when e.arg = id -> sandbox_open.(s) <- true
-        | Some id, (Trace.Sandbox_exit | Trace.Sandbox_kill) when e.arg = id ->
-            sandbox_open.(s) <- false
-        | _ -> ());
-        let selected =
-          (match stream_sel with None -> true | Some sel -> sel.(s))
-          && (match filter.sandbox with
-             | None -> true
-             | Some id -> (
-                 sandbox_open.(s)
-                 ||
-                 match e.kind with
-                 | Trace.Sandbox_create | Trace.Sandbox_exit | Trace.Sandbox_kill
-                   ->
-                     e.arg = id
-                 | _ -> false))
-          && (match filter.t0 with None -> true | Some t -> e.ts >= t)
-          && (match filter.t1 with None -> true | Some t -> e.ts <= t)
-          && match kind_mask with
-             | None -> true
-             | Some m -> m.(Trace.index e.kind)
-        in
-        if selected then
-          match group with
-          | By_kind -> observe (cell (Trace.name e.kind)) e.arg
-          | By_machine -> observe (cell (Printf.sprintf "#%d" s)) e.arg
-          | By_none -> observe (cell "all") e.arg
-          | By_phase -> (
-              match e.kind with
-              | Trace.Span_begin p ->
-                  let st = span_stack s in
-                  let i = Trace.phase_index p in
-                  st.(i) <- e.ts :: st.(i)
-              | Trace.Span_end p -> (
-                  let st = span_stack s in
-                  let i = Trace.phase_index p in
-                  match st.(i) with
-                  | [] -> ()
-                  | t0 :: rest ->
-                      st.(i) <- rest;
-                      observe (cell (Trace.phase_name p)) (e.ts - t0))
-              | _ -> ()))
-  in
-  match result with
-  | Error _ as e -> e
-  | Ok ((), info) ->
-      let rows =
-        Hashtbl.fold (fun label d acc -> row_of label d :: acc) cells []
-      in
-      (* By_machine cells are keyed by stream id during the pass (names may
-         not be interned yet when a stream first appears); resolve now. *)
-      let rows =
-        match group with
-        | By_machine ->
-            List.map
-              (fun r ->
-                let id =
-                  int_of_string (String.sub r.label 1 (String.length r.label - 1))
-                in
-                { r with label = Journal.machine_name info id })
-              rows
-        | _ -> rows
-      in
-      let rows =
-        List.sort
-          (fun (a : row) (b : row) ->
-            match Stdlib.compare b.count a.count with
-            | 0 -> Stdlib.compare a.label b.label
-            | c -> c)
-          rows
-      in
-      Ok (rows, info)
-
 let run ?(filter = no_filter) ?(group = By_kind) ~path () =
-  if filter.machines = [] then run_pass ~filter ~group ~stream_sel:None ~path
-  else
-    (* Machine filtering is by name, and names live in the journal's intern
-       table — a cheap summary pass resolves them to a stream mask first. *)
-    match Journal.read_info ~path with
-    | Error _ as e -> e
-    | Ok info ->
-        let sel = Array.make max_streams false in
-        List.iter
-          (fun (id, name) ->
-            if List.mem name filter.machines && id < max_streams then
-              sel.(id) <- true)
-          info.Journal.machines;
-        run_pass ~filter ~group ~stream_sel:(Some sel) ~path
+  let kind_mask = Array.make Trace.n_kinds (filter.kinds = []) in
+  List.iter (fun k -> kind_mask.(Trace.index k) <- true) filter.kinds;
+  let in_time ts =
+    (match filter.t0 with None -> true | Some t -> ts >= t)
+    && match filter.t1 with None -> true | Some t -> ts <= t
+  in
+  (* Cells: fixed per kind / per phase / one overall, or one per stream. *)
+  let by_kind = Array.init Trace.n_kinds (fun _ -> Histogram.dist ()) in
+  let by_phase = Array.init Trace.n_phases (fun _ -> Histogram.dist ()) in
+  let all = Histogram.dist () in
+  let by_machine = ref [] in
+  let stream ~machine =
+    let em = Emitter.create () in
+    if filter.machines = [] || List.mem machine filter.machines then begin
+      let mine = Histogram.dist () in
+      by_machine := (machine, mine) :: !by_machine;
+      let in_sandbox = ref false in
+      (* [spans.(phase)]: stack of open-span begin timestamps. *)
+      let spans = Array.make Trace.n_phases [] in
+      Emitter.attach em (fun kind ~ts ~arg ->
+          (* The sandbox's lifetime window is tracked before the other
+             filters, so it doesn't depend on which kinds are selected. *)
+          let boundary =
+            match (filter.sandbox, kind) with
+            | ( Some id,
+                (Trace.Sandbox_create | Trace.Sandbox_exit | Trace.Sandbox_kill) )
+              when arg = id ->
+                in_sandbox := kind = Trace.Sandbox_create;
+                true
+            | _ -> false
+          in
+          if (filter.sandbox = None || !in_sandbox || boundary)
+             && in_time ts && kind_mask.(Trace.index kind)
+          then
+            match group with
+            | By_kind -> Histogram.observe by_kind.(Trace.index kind) arg
+            | By_machine -> Histogram.observe mine arg
+            | By_none -> Histogram.observe all arg
+            | By_phase -> (
+                match kind with
+                | Trace.Span_begin p ->
+                    let i = Trace.phase_index p in
+                    spans.(i) <- ts :: spans.(i)
+                | Trace.Span_end p -> (
+                    let i = Trace.phase_index p in
+                    match spans.(i) with
+                    | [] -> ()
+                    | t0 :: rest ->
+                        spans.(i) <- rest;
+                        Histogram.observe by_phase.(i) (ts - t0))
+                | _ -> ()))
+    end;
+    em
+  in
+  Result.map
+    (fun info ->
+      let cells =
+        match group with
+        | By_kind ->
+            List.map (fun k -> (Trace.name k, by_kind.(Trace.index k))) Trace.all
+        | By_phase ->
+            List.map
+              (fun p -> (Trace.phase_name p, by_phase.(Trace.phase_index p)))
+              Trace.all_phases
+        | By_machine -> !by_machine
+        | By_none -> [ ("all", all) ]
+      in
+      let rows =
+        List.filter_map
+          (fun (label, (d : Histogram.dist)) ->
+            if d.count = 0 then None else Some (row_of label d))
+          cells
+        |> List.sort (fun (a : row) (b : row) ->
+               match Stdlib.compare b.count a.count with
+               | 0 -> Stdlib.compare a.label b.label
+               | c -> c)
+      in
+      (rows, info))
+    (Journal.replay ~path stream)
 
 let render rows =
   let b = Buffer.create 256 in

@@ -1,11 +1,12 @@
 (** Offline journal queries: filter + group-by over a recorded event stream.
 
-    The first of the three analysis engines layered on {!Journal}: select
-    events by kind, machine, sandbox lifetime or time range, then aggregate
-    into rows — counts, argument sums and log2-bucketed percentiles (same
-    bucketing as the live {!Histogram} sink) — grouped by kind, machine or
-    span phase. Runs in one streaming pass; the journal is never
-    materialized. *)
+    One of the analysis engines layered on {!Journal.replay}: select
+    events by kind, machine (by name, any number of streams), sandbox
+    lifetime or time range, then aggregate into rows — counts, argument
+    sums and percentiles — grouped by kind, machine or span phase. Each
+    cell is a {!Histogram.dist}, so a kind row's percentiles equal the
+    live {!Histogram} sink's for the same run. Runs in one replay; the
+    journal is never materialized. *)
 
 type filter = {
   kinds : Trace.kind list;  (** Keep these kinds ([[]] = all). *)

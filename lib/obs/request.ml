@@ -63,16 +63,13 @@ type t = {
   mutable next_id : int;
   mutable completed : int;
   by_trace : (int, segment list ref) Hashtbl.t; (* reversed arrival order *)
-  hist_emitter : Emitter.t;
-  hist : Histogram.t;
+  latency : Histogram.dist; (* root-window cycles *)
 }
 
 let create ?(sample_every = 1) ?(collect_spans = true) () =
   if sample_every < 1 then invalid_arg "Request.create: sample_every < 1";
-  let hist_emitter = Emitter.create () in
-  let hist = Histogram.attach hist_emitter (Histogram.create ()) in
   { sample_every; collect_spans; next_id = 0; completed = 0;
-    by_trace = Hashtbl.create 64; hist_emitter; hist }
+    by_trace = Hashtbl.create 64; latency = Histogram.dist () }
 
 let mint t =
   let id = t.next_id in
@@ -135,8 +132,7 @@ let attach t ~machine emitter =
                 add_segment t (freeze_seg seg ~t1:ts) ~trace_id:seg.btrace;
               if seg.broot then begin
                 t.completed <- t.completed + 1;
-                Emitter.emit t.hist_emitter Trace.Req_end ~ts
-                  ~arg:(ts - seg.bseg_t0)
+                Histogram.observe t.latency (ts - seg.bseg_t0)
               end;
               current := None
             end
@@ -176,9 +172,9 @@ let root_cycles t ~trace_id =
   | None -> None
   | Some s -> Some (s.seg_t1 - s.seg_t0)
 
-let latency_count t = Histogram.count t.hist Trace.Req_end
-let latency_percentile t ~p = Histogram.percentile t.hist Trace.Req_end ~p
-let latency_mean t = Histogram.mean t.hist Trace.Req_end
+let latency_count t = t.latency.Histogram.count
+let latency_percentile t ~p = Histogram.dist_percentile t.latency ~p
+let latency_mean t = Histogram.dist_mean t.latency
 
 (* --- Exports ----------------------------------------------------------- *)
 
@@ -197,7 +193,7 @@ let rec span_json buf s =
 let seg_json buf s =
   Printf.bprintf buf
     {|{"machine":"%s","root":%b,"t0":%d,"t1":%d,"cycles":%d,"spans":[|}
-    (Chrome.escape_json s.machine)
+    (Audit.escape_json s.machine)
     s.root s.seg_t0 s.seg_t1 (s.seg_t1 - s.seg_t0);
   List.iteri
     (fun i sp ->
@@ -254,19 +250,19 @@ let to_chrome_json t ~trace_id =
   List.iteri
     (fun tid s ->
       ev {|{"name":"thread_name","ph":"M","pid":0,"tid":%d,"args":{"name":"%s"}}|}
-        tid (Chrome.escape_json s.machine);
+        tid (Audit.escape_json s.machine);
       ev {|{"name":"request %d @ %s","cat":"request","ph":"B","ts":%d,"pid":0,"tid":%d}|}
-        trace_id (Chrome.escape_json s.machine) s.seg_t0 tid;
+        trace_id (Audit.escape_json s.machine) s.seg_t0 tid;
       let rec walk sp =
         ev {|{"name":"%s","cat":"span","ph":"B","ts":%d,"pid":0,"tid":%d}|}
-          (Chrome.escape_json (Trace.phase_name sp.phase)) sp.t0 tid;
+          (Audit.escape_json (Trace.phase_name sp.phase)) sp.t0 tid;
         List.iter walk sp.children;
         ev {|{"name":"%s","cat":"span","ph":"E","ts":%d,"pid":0,"tid":%d}|}
-          (Chrome.escape_json (Trace.phase_name sp.phase)) sp.t1 tid
+          (Audit.escape_json (Trace.phase_name sp.phase)) sp.t1 tid
       in
       List.iter walk s.spans;
       ev {|{"name":"request %d @ %s","cat":"request","ph":"E","ts":%d,"pid":0,"tid":%d}|}
-        trace_id (Chrome.escape_json s.machine) s.seg_t1 tid)
+        trace_id (Audit.escape_json s.machine) s.seg_t1 tid)
     (tree t ~trace_id);
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf

@@ -243,6 +243,7 @@ let deserialize s =
       raise (Bad "sketch: alpha out of range");
     let pos = ref 12 in
     let capacity = get_varint s pos in
+    if capacity < 1 then raise (Bad "sketch: capacity must be >= 1");
     let t = create ~alpha ~capacity () in
     t.count <- get_varint s pos;
     t.sum <- get_signed s pos;
@@ -262,7 +263,7 @@ let deserialize s =
     for _ = 1 to n_live do
       let i = !prev + get_varint s pos in
       let c = get_varint s pos in
-      if i > t.hi then raise (Bad "sketch: bucket above hi");
+      if i > t.hi || i < !prev then raise (Bad "sketch: live bucket out of range");
       if c = 0 then raise (Bad "sketch: empty live bucket");
       t.buckets.(i) <- c;
       total := !total + c;

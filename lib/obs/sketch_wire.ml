@@ -27,6 +27,8 @@ let get_varint s pos =
     shift := !shift + 7;
     cont := b land 0x80 <> 0
   done;
+  (* A 9th byte can set the sign bit; no field is ever negative. *)
+  if !v < 0 then raise (Bad "varint overflow");
   !v
 
 let get_signed s pos =
@@ -39,7 +41,7 @@ let put_string buf s =
 
 let get_string s pos =
   let len = get_varint s pos in
-  if !pos + len > String.length s then raise (Bad "truncated string");
+  if len > String.length s - !pos then raise (Bad "truncated string");
   let r = String.sub s !pos len in
   pos := !pos + len;
   r

@@ -188,9 +188,9 @@ let to_json t =
       if i > 0 then Buffer.add_char buf ',';
       Printf.bprintf buf
         "{\"name\":\"%s\",%s\"condition\":%s,\"budget\":%.4f,\"fast_burn\":%.3f,\"slow_burn\":%.3f,\"budget_left\":%.3f,\"firing\":%b,\"since\":%d}"
-        (Metrics.escape_json o.name)
+        (Audit.escape_json o.name)
         (match o.tenant with
-        | Some tn -> Printf.sprintf "\"tenant\":\"%s\"," (Metrics.escape_json tn)
+        | Some tn -> Printf.sprintf "\"tenant\":\"%s\"," (Audit.escape_json tn)
         | None -> "")
         (condition_json o.condition)
         o.budget t.fast_burns.(i) t.slow_burns.(i)
@@ -202,7 +202,7 @@ let to_json t =
     (fun i (ts, o, fired) ->
       if i > 0 then Buffer.add_char buf ',';
       Printf.bprintf buf "{\"ts\":%d,\"objective\":\"%s\",\"fired\":%b}" ts
-        (Metrics.escape_json o.name)
+        (Audit.escape_json o.name)
         fired)
     (transitions t);
   Buffer.add_string buf "]}";

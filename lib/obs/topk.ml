@@ -198,7 +198,7 @@ let deserialize s =
     let entries = ref [] in
     for i = 1 to n do
       let len = Sketch_wire.get_varint s pos in
-      if !pos + len > String.length s then
+      if len > String.length s - !pos then
         raise (Sketch_wire.Bad "topk: truncated key");
       let key = String.sub s !pos len in
       pos := !pos + len;

@@ -188,6 +188,12 @@ let index = function
   | Span_begin p -> n_span_base + phase_index p
   | Span_end p -> n_span_base + n_phases + phase_index p
 
+(* Span kinds get their own wire names so [name] is injective: a begin, its
+   end and a same-named event kind (the [syscall] phase vs [Syscall]) never
+   share a label. Phase names stay as they are for span-level reports. *)
+let span_begin_names = Array.map (fun p -> phase_name p ^ ".begin") phases_arr
+let span_end_names = Array.map (fun p -> phase_name p ^ ".end") phases_arr
+
 let name = function
   | Emc_entry -> "emc"
   | Emc Mmu -> "emc.mmu"
@@ -217,8 +223,8 @@ let name = function
   | Req_end -> "req.end"
   | Slo_alert -> "slo.alert"
   | Health_transition -> "health.transition"
-  | Span_begin p -> phase_name p
-  | Span_end p -> phase_name p
+  | Span_begin p -> span_begin_names.(phase_index p)
+  | Span_end p -> span_end_names.(phase_index p)
 
 (* Preallocated constants: [Emc _] and [Span_*] carry a payload, so naming
    them once here keeps every emission site allocation-free. *)

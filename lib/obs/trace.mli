@@ -108,8 +108,8 @@ val kind_of_index : int -> kind
     readers ({!Journal}) to rehydrate events from their wire indices. *)
 
 val name : kind -> string
-(** Stable wire name ("emc.mmu", "page_fault", ...; spans use the phase
-    name). *)
+(** Stable wire name ("emc.mmu", "page_fault", ...; span kinds are
+    ["<phase>.begin"] / ["<phase>.end"]). Injective over {!all}. *)
 
 (** {2 Preallocated constants (allocation-free emission)} *)
 

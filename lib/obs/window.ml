@@ -160,10 +160,9 @@ let rate t ?windows ?now kind =
   float_of_int (count t ?windows kind)
   /. (float_of_int cycles /. (t.ghz *. 1e9))
 
-(* Merge-on-read percentile over the last N windows. Same semantics as
-   {!Histogram.percentile}: p clamped to [0, 1], result clamped to the
-   observed [min, max] of the merged span, 0 when the span holds no
-   samples. *)
+(* Merge-on-read percentile over the last N windows: the slots' bucket rows
+   merge into [scratch], then {!Histogram.row_percentile} walks it with the
+   merged span's observed [min, max]. *)
 let percentile t ?windows kind ~p =
   let i = Trace.index kind in
   let h = t.hist_slot.(i) in
@@ -189,25 +188,7 @@ let percentile t ?windows kind ~p =
         else (n + !cnt, min vmin t.hist_min.(row), max vmax t.hist_max.(row)))
       (0, max_int, 0)
   in
-  if n = 0 then 0
-  else begin
-    let p = if p < 0.0 then 0.0 else if p > 1.0 then 1.0 else p in
-    let rank = p *. float_of_int n in
-    let rec go b cum =
-      if b >= Histogram.n_buckets then vmax
-      else begin
-        let c = t.scratch.(b) in
-        if c > 0 && float_of_int (cum + c) >= rank then begin
-          let lo = Histogram.bucket_lo b and hi = Histogram.bucket_hi b in
-          let within = (rank -. float_of_int cum) /. float_of_int c in
-          let v = float_of_int lo +. (within *. float_of_int (hi - lo)) in
-          min (max (int_of_float (Float.round v)) vmin) vmax
-        end
-        else go (b + 1) (cum + c)
-      end
-    in
-    go 0 0
-  end
+  Histogram.row_percentile t.scratch ~n ~vmin ~vmax ~p
 
 (* Samples strictly above [threshold], from the log2 buckets: counts every
    bucket whose low bound already exceeds the threshold, so the answer is

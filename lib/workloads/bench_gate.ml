@@ -497,7 +497,32 @@ let check_file ?fig9 ?jobs ?wall_tolerance ?gc_tolerance ~path () =
    the same float expression [Sim.Stats.diff] produces — so a journal of an
    undisturbed run matches the committed row to the last %.2f digit. *)
 let check_journal ~journal baseline =
-  match Obs.Journal.read_info ~path:journal with
+  (* One replay: find the Run span window on whichever stream opens it
+     first and count the exit kinds inside it. *)
+  let in_run = ref false and done_run = ref false in
+  let t0 = ref 0 and t1 = ref 0 in
+  let counts = Array.make Obs.Trace.n_kinds 0 in
+  let stream ~machine:_ =
+    let owner = ref false (* this stream opened the Run window *) in
+    let em = Obs.Emitter.create () in
+    Obs.Emitter.attach em (fun kind ~ts ~arg:_ ->
+        match kind with
+        | Obs.Trace.Span_begin Obs.Trace.Run when (not !in_run) && not !done_run
+          ->
+            in_run := true;
+            owner := true;
+            t0 := ts
+        | Obs.Trace.Span_end Obs.Trace.Run when !in_run && !owner ->
+            in_run := false;
+            done_run := true;
+            t1 := ts
+        | _ when !in_run && !owner ->
+            let i = Obs.Trace.index kind in
+            counts.(i) <- counts.(i) + 1
+        | _ -> ());
+    em
+  in
+  match Obs.Journal.replay ~path:journal stream with
   | Result.Error e -> [ chk "journal/read" false e ]
   | Result.Ok info -> (
       let complete =
@@ -516,87 +541,55 @@ let check_journal ~journal baseline =
               "header lacks workload/setting metadata (record with \
                erebor-sim run --record)";
           ]
-      | Some program, Some setting -> (
-          (* One streaming pass: find the Run span window on whichever
-             stream opens it first and count the exit kinds inside it. *)
-          let in_run = ref false and done_run = ref false in
-          let run_stream = ref (-1) in
-          let t0 = ref 0 and t1 = ref 0 in
-          let pf = ref 0 and ti = ref 0 and ve = ref 0 and emc = ref 0 in
-          let scan =
-            Obs.Journal.fold ~path:journal ~init:()
-              (fun () (e : Obs.Journal.event) ->
-                match e.Obs.Journal.kind with
-                | Obs.Trace.Span_begin Obs.Trace.Run
-                  when (not !in_run) && not !done_run ->
-                    in_run := true;
-                    run_stream := e.Obs.Journal.stream;
-                    t0 := e.Obs.Journal.ts
-                | Obs.Trace.Span_end Obs.Trace.Run
-                  when !in_run && e.Obs.Journal.stream = !run_stream ->
-                    in_run := false;
-                    done_run := true;
-                    t1 := e.Obs.Journal.ts
-                | k when !in_run && e.Obs.Journal.stream = !run_stream -> (
-                    match k with
-                    | Obs.Trace.Page_fault -> incr pf
-                    | Obs.Trace.Timer_irq -> incr ti
-                    | Obs.Trace.Ve_exit -> incr ve
-                    | Obs.Trace.Emc_entry -> incr emc
-                    | _ -> ())
-                | _ -> ())
-          in
-          match scan with
-          | Result.Error e -> [ complete; chk "journal/read" false e ]
-          | Result.Ok ((), _) ->
-              if not !done_run then
-                [
-                  complete;
-                  chk "journal/run-span" false
-                    "no complete Run span in the recording";
-                ]
-              else
-                let span =
-                  chk "journal/run-span" true
-                    (Printf.sprintf "%s @ %s, run window %d..%d cycles"
-                       program setting !t0 !t1)
-                in
-                (* Reproduce Sim.Stats.diff's float math bit for bit. *)
-                let seconds =
-                  Hw.Cycles.to_seconds !t1 -. Hw.Cycles.to_seconds !t0
-                in
-                let rate n =
-                  if seconds <= 0.0 then 0.0 else float_of_int n /. seconds
-                in
-                let row =
-                  List.find_opt
-                    (fun r ->
-                      Json.to_str (Json.member "program" r) = Some program
-                      && Json.to_str (Json.member "setting" r) = Some setting)
-                    (Json.to_arr (Json.member "fig9" baseline))
-                in
-                let rates =
-                  match row with
-                  | None ->
-                      [
-                        chk "journal/fig9-row" false
-                          (Printf.sprintf
-                             "baseline has no fig9 row for %s @ %s" program
-                             setting);
-                      ]
-                  | Some row ->
-                      List.map
-                        (fun (field, n) ->
-                          rendered_check ("journal/" ^ field) ~fmt:"%.2f" row
-                            field (rate n))
-                        [
-                          ("pf_rate", !pf);
-                          ("timer_rate", !ti);
-                          ("ve_rate", !ve);
-                          ("emc_rate", !emc);
-                        ]
-                in
-                complete :: span :: rates))
+      | Some program, Some setting ->
+          if not !done_run then
+            [
+              complete;
+              chk "journal/run-span" false
+                "no complete Run span in the recording";
+            ]
+          else
+            let span =
+              chk "journal/run-span" true
+                (Printf.sprintf "%s @ %s, run window %d..%d cycles" program
+                   setting !t0 !t1)
+            in
+            (* Reproduce Sim.Stats.diff's float math bit for bit. *)
+            let seconds =
+              Hw.Cycles.to_seconds !t1 -. Hw.Cycles.to_seconds !t0
+            in
+            let rate kind =
+              let n = counts.(Obs.Trace.index kind) in
+              if seconds <= 0.0 then 0.0 else float_of_int n /. seconds
+            in
+            let row =
+              List.find_opt
+                (fun r ->
+                  Json.to_str (Json.member "program" r) = Some program
+                  && Json.to_str (Json.member "setting" r) = Some setting)
+                (Json.to_arr (Json.member "fig9" baseline))
+            in
+            let rates =
+              match row with
+              | None ->
+                  [
+                    chk "journal/fig9-row" false
+                      (Printf.sprintf "baseline has no fig9 row for %s @ %s"
+                         program setting);
+                  ]
+              | Some row ->
+                  List.map
+                    (fun (field, kind) ->
+                      rendered_check ("journal/" ^ field) ~fmt:"%.2f" row field
+                        (rate kind))
+                    [
+                      ("pf_rate", Obs.Trace.Page_fault);
+                      ("timer_rate", Obs.Trace.Timer_irq);
+                      ("ve_rate", Obs.Trace.Ve_exit);
+                      ("emc_rate", Obs.Trace.Emc_entry);
+                    ]
+            in
+            complete :: span :: rates)
 
 let check_journal_file ~journal ~path () =
   Result.map (check_journal ~journal) (read_baseline path)
@@ -774,13 +767,9 @@ let record_drugbank ~path ~extra =
 let replay_check ~path live =
   let robs = Obs.Emitter.create () in
   let replayed = Obs.Counter.attach robs (Obs.Counter.create ()) in
-  match
-    J.fold ~path ~init:0 (fun n (e : J.event) ->
-        Obs.Emitter.emit robs e.J.kind ~ts:e.J.ts ~arg:e.J.arg;
-        n + 1)
-  with
+  match J.replay ~path (fun ~machine:_ -> robs) with
   | Result.Error e -> chk "journal/replay-counters" false e
-  | Result.Ok (n, _) ->
+  | Result.Ok info ->
       let mismatches =
         List.filter
           (fun k ->
@@ -795,7 +784,7 @@ let replay_check ~path live =
         (if mismatches = [] then
            Printf.sprintf
              "replayed %d events: count and arg-sum equal for all %d kinds"
-             n (List.length Obs.Trace.all)
+             info.J.events (List.length Obs.Trace.all)
          else
            "live/replay disagree on: "
            ^ String.concat ", " (List.map Obs.Trace.name mismatches))

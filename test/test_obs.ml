@@ -396,12 +396,12 @@ let count_sub ~sub s =
 
 let test_chrome_escape () =
   Alcotest.(check string) "plain untouched" "syscall"
-    (Obs.Chrome.escape_json "syscall");
+    (Obs.Audit.escape_json "syscall");
   Alcotest.(check string) "quote and backslash" "a\\\"b\\\\c"
-    (Obs.Chrome.escape_json "a\"b\\c");
-  Alcotest.(check string) "newline" "x\\ny" (Obs.Chrome.escape_json "x\ny");
+    (Obs.Audit.escape_json "a\"b\\c");
+  Alcotest.(check string) "newline" "x\\ny" (Obs.Audit.escape_json "x\ny");
   Alcotest.(check string) "control char" "\\u0001"
-    (Obs.Chrome.escape_json "\001")
+    (Obs.Audit.escape_json "\001")
 
 let test_chrome_unbalanced () =
   let obs = Obs.Emitter.create () in
@@ -2206,7 +2206,7 @@ let prop_escape_json_roundtrip =
       string_gen
         (Gen.oneofl [ 'a'; '"'; '\\'; '\n'; '\r'; '\t'; '\001'; 'q' ]))
     (fun s ->
-      let quoted = "\"" ^ Obs.Metrics.escape_json s ^ "\"" in
+      let quoted = "\"" ^ Obs.Audit.escape_json s ^ "\"" in
       match Workloads.Bench_gate.Json.parse quoted with
       | Ok (Workloads.Bench_gate.Json.Str v) -> v = s
       | _ -> false)
@@ -2271,6 +2271,255 @@ let test_journal_frame_offsets () =
     expected evs;
   rm_journal path
 
+(* Every kind has its own wire name: span begin/end twins and the syscall
+   phase vs the Syscall kind used to share one, which merged query/topk
+   rows and duplicated OpenMetrics series. *)
+let test_trace_names_injective () =
+  let names = List.map Obs.Trace.name Obs.Trace.all in
+  Alcotest.(check int) "distinct names" (List.length names)
+    (List.length (List.sort_uniq compare names))
+
+(* Offline query percentiles are the live histogram's: the same events fed
+   to a Histogram sink and to a journal give equal p50/p95/p99 for every
+   kind (values chosen so rank interpolation lands mid-bucket, where
+   truncating and rounding disagree). *)
+let test_query_matches_histogram () =
+  let path = journal_path "query-hist" in
+  let obs = Obs.Emitter.create () in
+  let hist = Obs.Histogram.attach obs (Obs.Histogram.create ()) in
+  let w = Obs.Journal.Writer.create ~path () in
+  Obs.Journal.Writer.attach ~machine:"sim" w obs;
+  let rand = lcg 13579 in
+  let ts = ref 0 in
+  let emit kind arg =
+    ts := !ts + 1 + rand 50;
+    Obs.Emitter.emit obs kind ~ts:!ts ~arg
+  in
+  List.iter (fun v -> emit Obs.Trace.Tdcall v) [ 5000; 6000; 7000 ];
+  for _ = 1 to 400 do
+    emit Obs.Trace.Emc_entry (1024 + rand 5000);
+    emit (Obs.Trace.span_begin Obs.Trace.Syscall_dispatch) 0;
+    emit Obs.Trace.Syscall (rand 300);
+    emit (Obs.Trace.span_end Obs.Trace.Syscall_dispatch) 0;
+    emit Obs.Trace.Vmcall (rand 100_000)
+  done;
+  Obs.Emitter.finalize obs ~now:(!ts + 1);
+  (match Obs.Query.run ~path () with
+  | Error e -> Alcotest.failf "query: %s" e
+  | Ok (rows, _) ->
+      List.iter
+        (fun kind ->
+          let label = Obs.Trace.name kind in
+          match
+            List.find_opt (fun (r : Obs.Query.row) -> r.Obs.Query.label = label) rows
+          with
+          | None -> Alcotest.failf "no %s row" label
+          | Some r ->
+              Alcotest.(check int) (label ^ " count")
+                (Obs.Histogram.count hist kind) r.Obs.Query.count;
+              List.iter
+                (fun (p, got) ->
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s p%g" label (100. *. p))
+                    (Obs.Histogram.percentile hist kind ~p) got)
+                [ (0.5, r.Obs.Query.p50); (0.95, r.Obs.Query.p95);
+                  (0.99, r.Obs.Query.p99) ])
+        [ Obs.Trace.Tdcall; Obs.Trace.Emc_entry; Obs.Trace.Syscall;
+          Obs.Trace.Vmcall ]);
+  rm_journal path
+
+(* Stream ids are not bounded: with 257 machines, [--machine m0] counts m0
+   alone (stream 256 must not alias onto stream 0), and replay builds one
+   emitter per stream, named up front. *)
+let test_query_many_machines () =
+  let path = journal_path "many" in
+  let w = Obs.Journal.Writer.create ~path () in
+  let ids =
+    Array.init 257 (fun i ->
+        Obs.Journal.Writer.stream w ~machine:(Printf.sprintf "m%d" i))
+  in
+  Obs.Journal.Writer.record w ~stream:ids.(0) Obs.Trace.Syscall ~ts:1 ~arg:0;
+  for i = 1 to 5 do
+    Obs.Journal.Writer.record w ~stream:ids.(256) Obs.Trace.Syscall ~ts:(1 + i)
+      ~arg:0
+  done;
+  Obs.Journal.Writer.close w ~now:10;
+  (match
+     Obs.Query.run ~group:Obs.Query.By_none
+       ~filter:{ Obs.Query.no_filter with Obs.Query.machines = [ "m0" ] }
+       ~path ()
+   with
+  | Error e -> Alcotest.failf "query: %s" e
+  | Ok (rows, _) ->
+      Alcotest.(check (list (pair string int))) "only m0's event"
+        [ ("all", 1) ]
+        (List.map (fun (r : Obs.Query.row) -> (r.Obs.Query.label, r.Obs.Query.count)) rows));
+  let named = ref [] in
+  (match
+     Obs.Journal.replay ~path (fun ~machine ->
+         named := machine :: !named;
+         Obs.Emitter.create ())
+   with
+  | Error e -> Alcotest.failf "replay: %s" e
+  | Ok _ ->
+      Alcotest.(check (list string)) "one emitter per stream, in order"
+        (List.init 257 (Printf.sprintf "m%d"))
+        (List.rev !named));
+  rm_journal path
+
+(* A 9-byte LEB128 varint whose last byte sets the 63-bit sign bit. *)
+let negative_varint = "\xff\xff\xff\xff\xff\xff\xff\xff\x7f"
+
+(* One byte-level mutation of a blob: overwrite, splice in a sign-bit
+   varint, or truncate. *)
+let mutation_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map2 (fun pos b -> `Set (pos, b)) nat (int_bound 255);
+        map (fun pos -> `Splice pos) nat;
+        map (fun pos -> `Cut pos) nat;
+      ])
+
+let mutate s m =
+  let n = String.length s in
+  if n = 0 then s
+  else
+    match m with
+    | `Set (pos, b) ->
+        let by = Bytes.of_string s in
+        Bytes.set by (pos mod n) (Char.chr b);
+        Bytes.to_string by
+    | `Splice pos ->
+        let pos = pos mod n in
+        String.sub s 0 pos ^ negative_varint ^ String.sub s pos (n - pos)
+    | `Cut pos -> String.sub s 0 (pos mod n)
+
+let print_mutation = function
+  | `Set (p, b) -> Printf.sprintf "set %d %d" p b
+  | `Splice p -> Printf.sprintf "splice %d" p
+  | `Cut p -> Printf.sprintf "cut %d" p
+
+(* Serialized samples of every fleet wire format, each paired with its
+   decoder reduced to "did it return". *)
+let wire_samples =
+  lazy
+    (let sk = sketch_of ~capacity:8 (List.init 300 (fun i -> (i * 37) + 1)) in
+     let tk = Obs.Topk.create ~capacity:4 () in
+     List.iteri
+       (fun i k -> Obs.Topk.observe tk ~key:k ~weight:(i + 1))
+       [ "a"; "bb"; "ccc"; "a"; "dddd"; "e" ];
+     let ex = Obs.Exemplar.create () in
+     Obs.Exemplar.record ex ~latency:900 ~trace_id:7 ~machine:"m0" ~offset:64
+       ~ts:3;
+     Obs.Exemplar.record ex ~latency:90_000 ~trace_id:8 ~machine:"m1"
+       ~offset:(-1) ~ts:4;
+     let part = Obs.Agg.part ~machine:"m0" () in
+     let ten = Obs.Agg.tenant part "alice" in
+     for i = 1 to 50 do
+       Obs.Agg.record part ten Obs.Trace.Req_end ~latency:(i * 97) ~trace_id:i
+         ~offset:i ~ts:i
+     done;
+     let ok = function Ok _ -> () | Error (_ : string) -> () in
+     [|
+       (Obs.Sketch.serialize sk, fun s -> ok (Obs.Sketch.deserialize s));
+       (Obs.Topk.serialize (Obs.Topk.seal tk), fun s -> ok (Obs.Topk.deserialize s));
+       (Obs.Exemplar.serialize ex, fun s -> ok (Obs.Exemplar.deserialize s));
+       ( Obs.Agg.serialize (Obs.Agg.seal part),
+         fun s -> ok (Obs.Agg.deserialize s) );
+     |])
+
+let prop_wire_decoders_total =
+  QCheck.Test.make ~name:"fleet wire decoders: Ok or Error, never raise"
+    ~count:1000
+    QCheck.(
+      make
+        ~print:(fun (i, ms) ->
+          Printf.sprintf "blob %d: %s" i
+            (String.concat "; " (List.map print_mutation ms)))
+        Gen.(pair (int_bound 3) (list_size (1 -- 3) mutation_gen)))
+    (fun (i, ms) ->
+      let blob, decode = (Lazy.force wire_samples).(i) in
+      decode (List.fold_left mutate blob ms);
+      true)
+
+(* CRC-32 (IEEE) as the journal frames it, to re-seal mutated payloads. *)
+let crc32 s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 1 to 8 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF
+
+let le32 v = String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xFF))
+
+(* The (offset, tag, payload) chain of a journal's frames. *)
+let journal_frames raw =
+  let u32 off =
+    Char.code raw.[off]
+    lor (Char.code raw.[off + 1] lsl 8)
+    lor (Char.code raw.[off + 2] lsl 16)
+    lor (Char.code raw.[off + 3] lsl 24)
+  in
+  let rec walk off acc =
+    if off + 12 > String.length raw then List.rev acc
+    else
+      let len = u32 (off + 4) in
+      walk (off + 12 + len)
+        ((off, String.sub raw off 4, String.sub raw (off + 12) len) :: acc)
+  in
+  walk 6 []
+
+(* A mutated HEAD or SEGM payload, re-framed with a correct length and CRC
+   so the mutation reaches the decoder: [fold] must still answer Ok or
+   Error, strict or not. *)
+let prop_journal_reader_total =
+  let raw =
+    lazy
+      (let path = journal_path "mutant-src" in
+       write_journal ~meta:[ ("workload", "w"); ("setting", "s") ] ~path
+         (sample_events 120 @ scenario_a);
+       let raw = In_channel.with_open_bin path In_channel.input_all in
+       rm_journal path;
+       raw)
+  in
+  QCheck.Test.make ~name:"journal reader: Ok or Error on re-sealed mutants"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(fun (f, ms) ->
+          Printf.sprintf "frame %d: %s" f
+            (String.concat "; " (List.map print_mutation ms)))
+        Gen.(pair nat (list_size (1 -- 3) mutation_gen)))
+    (fun (f, ms) ->
+      let raw = Lazy.force raw in
+      let frames =
+        List.filter (fun (_, tag, _) -> tag = "HEAD" || tag = "SEGM")
+          (journal_frames raw)
+      in
+      let off, tag, orig = List.nth frames (f mod List.length frames) in
+      let payload = List.fold_left mutate orig ms in
+      let rest = off + 12 + String.length orig in
+      let mutant =
+        String.sub raw 0 off ^ tag
+        ^ le32 (String.length payload)
+        ^ le32 (crc32 payload) ^ payload
+        ^ String.sub raw rest (String.length raw - rest)
+      in
+      let path = journal_path "mutant" in
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc mutant);
+      let total strict =
+        match Obs.Journal.fold ~strict ~path ~init:() (fun () _ -> ()) with
+        | Ok _ | Error _ -> true
+      in
+      let r = total false && total true in
+      rm_journal path;
+      r)
+
 let () =
   Alcotest.run "obs"
     [
@@ -2294,6 +2543,8 @@ let () =
             test_golden_trace_determinism;
           Alcotest.test_case "trace counts match snapshot" `Quick
             test_trace_counts_match_snapshot;
+          Alcotest.test_case "kind names injective" `Quick
+            test_trace_names_injective;
         ] );
       ( "percentile",
         [ Alcotest.test_case "interpolated percentiles" `Quick test_percentile ] );
@@ -2395,6 +2646,11 @@ let () =
             test_journal_diff;
           Alcotest.test_case "frame offsets resolve" `Quick
             test_journal_frame_offsets;
+          Alcotest.test_case "query percentiles = live histogram" `Quick
+            test_query_matches_histogram;
+          Alcotest.test_case "query: 257 machines, no aliasing" `Quick
+            test_query_many_machines;
+          QCheck_alcotest.to_alcotest prop_journal_reader_total;
         ] );
       ( "sketch",
         [
@@ -2415,6 +2671,7 @@ let () =
             test_agg_spike_attribution;
           Alcotest.test_case "record path is allocation-free" `Quick
             test_fleet_record_allocation_free;
+          QCheck_alcotest.to_alcotest prop_wire_decoders_total;
         ] );
       ( "openmetrics",
         [
