@@ -164,25 +164,7 @@ let run_body p =
       | Some _, Some window ->
           let slo =
             Obs.Slo.create ~emit:obs ~window
-              ~objectives:
-                [
-                  Obs.Slo.objective ~name:"emc-latency"
-                    ~condition:
-                      (Obs.Slo.Latency_above
-                         { kind = Obs.Trace.Emc_entry; threshold = 65536 })
-                    ~budget:0.02 ();
-                  Obs.Slo.objective ~name:"emc-rate"
-                    ~condition:
-                      (Obs.Slo.Rate_above
-                         { kind = Obs.Trace.Emc_entry; per_second = 500_000.0 })
-                    ~budget:1.0 ();
-                  Obs.Slo.objective ~name:"audit-denials"
-                    ~condition:
-                      (Obs.Slo.Ratio
-                         { bad = Obs.Trace.Mmu_deny; total = Obs.Trace.Emc_entry })
-                    ~budget:0.02 ();
-                ]
-              ()
+              ~objectives:Workloads.Slo_bench.clean_objectives ()
           in
           (* A [run] session spans the whole body, so a per-request deadline
              is meaningless here — the watchdogs that matter for a single
@@ -576,13 +558,12 @@ let audit_cmd =
             | [ path ] -> path
             | _ -> C.fail p "exactly one FILE argument expected"
           in
-          let ic =
-            try open_in_bin path
-            with Sys_error e -> C.fail p e
+          let contents =
+            try In_channel.with_open_bin path In_channel.input_all
+            with Sys_error e ->
+              Printf.eprintf "audit verify: cannot read %s (%s)\n" path e;
+              exit 1
           in
-          let len = in_channel_length ic in
-          let contents = really_input_string ic len in
-          close_in ic;
           match Obs.Audit.verify_string ~key:audit_key contents with
           | Ok n ->
               Printf.printf

@@ -1,10 +1,10 @@
 (* Fleet aggregator: one [part] per machine collects Counter / Sketch /
    Topk / Exemplar state; [seal] freezes a part into a snapshot; [merge]
    combines snapshots. Every component is canonical (a pure function of
-   the recorded multiset), so the merged snapshot — and its [serialize]
-   bytes, and everything rendered from it — is byte-identical for any
-   merge order, grouping, or [Sim.Runner ~jobs] schedule. That is the
-   same determinism contract the eval tables carry.
+   the recorded multiset), so the merged snapshot is structurally equal,
+   and everything rendered from it byte-identical, for any merge order,
+   grouping, or [Sim.Runner ~jobs] schedule. That is the same determinism
+   contract the eval tables carry.
 
    The per-request record path is allocation-free: tenant handles
    pre-intern one (tenant x kind) key string per event kind so the
@@ -13,8 +13,6 @@
 
 type part = {
   p_machine : string;
-  p_alpha : float;
-  p_sketch_capacity : int;
   p_counters : Counter.t;
   p_latency : Sketch.t; (* fleet-wide request latency *)
   p_tenants : (string, tenant) Hashtbl.t;
@@ -30,17 +28,13 @@ and tenant = {
 
 let all_kinds = Array.of_list Trace.all
 
-let part ?(alpha = Sketch.default_alpha) ?sketch_capacity
-    ?(topk_capacity = 64) ~machine () =
-  let latency = Sketch.create ~alpha ?capacity:sketch_capacity () in
+let part ~machine () =
   {
     p_machine = machine;
-    p_alpha = alpha;
-    p_sketch_capacity = Sketch.capacity latency;
     p_counters = Counter.create ();
-    p_latency = latency;
+    p_latency = Sketch.create ();
     p_tenants = Hashtbl.create 16;
-    p_topk = Topk.create ~capacity:topk_capacity ();
+    p_topk = Topk.create ();
     p_exemplars = Exemplar.create ();
   }
 
@@ -58,8 +52,7 @@ let tenant p name =
       let t =
         {
           t_name = name;
-          t_sketch =
-            Sketch.create ~alpha:p.p_alpha ~capacity:p.p_sketch_capacity ();
+          t_sketch = Sketch.create ();
           t_keys =
             Array.init Trace.n_kinds (fun i ->
                 name ^ "/" ^ Trace.name all_kinds.(i));
@@ -78,8 +71,6 @@ let record p t kind ~latency ~trace_id ~offset ~ts =
 (* {2 Sealed snapshots} *)
 
 type t = {
-  alpha : float;
-  sketch_capacity : int;
   machines : string list; (* sorted, deduped *)
   counts : int array; (* kind index -> event count *)
   arg_sums : int array;
@@ -90,7 +81,7 @@ type t = {
 }
 
 let copy_sketch s =
-  let c = Sketch.create ~alpha:(Sketch.alpha s) ~capacity:(Sketch.capacity s) () in
+  let c = Sketch.create () in
   Sketch.merge ~into:c s;
   c
 
@@ -101,8 +92,6 @@ let seal p =
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   {
-    alpha = p.p_alpha;
-    sketch_capacity = p.p_sketch_capacity;
     machines = [ p.p_machine ];
     counts = Array.init Trace.n_kinds (fun i ->
         Counter.count p.p_counters all_kinds.(i));
@@ -127,8 +116,6 @@ let rec union_sorted xs ys =
       else x :: union_sorted xs' ys'
 
 let merge a b =
-  if a.alpha <> b.alpha || a.sketch_capacity <> b.sketch_capacity then
-    invalid_arg "Agg.merge: alpha/capacity mismatch";
   let latency = copy_sketch a.latency in
   Sketch.merge ~into:latency b.latency;
   let rec merge_tenants xs ys =
@@ -149,8 +136,6 @@ let merge a b =
   Exemplar.merge ~into:exemplars a.exemplars;
   Exemplar.merge ~into:exemplars b.exemplars;
   {
-    alpha = a.alpha;
-    sketch_capacity = a.sketch_capacity;
     machines = union_sorted a.machines b.machines;
     counts = Array.init Trace.n_kinds (fun i -> a.counts.(i) + b.counts.(i));
     arg_sums =
@@ -167,7 +152,6 @@ let merge_all = function
 
 (* {2 Reading a snapshot} *)
 
-let alpha t = t.alpha
 let machines t = t.machines
 let requests t = Sketch.count t.latency
 let quantile t ~p = Sketch.quantile t.latency ~p
@@ -175,101 +159,12 @@ let count t kind = t.counts.(Trace.index kind)
 let arg_sum t kind = t.arg_sums.(Trace.index kind)
 let tenants t = List.map fst t.tenants
 let tenant_sketch t name = List.assoc_opt name t.tenants
-let latency_sketch t = t.latency
 let top ?n t = Topk.top ?n t.topk
 let topk_summary t = t.topk
-let exemplars t = t.exemplars
 
 let exemplar_for t ~p =
   if Sketch.count t.latency = 0 then None
   else Exemplar.for_value t.exemplars (quantile t ~p)
-
-(* {2 Canonical wire format}
-
-   "EAG1" magic, then varints / length-prefixed strings: alpha (8 BE
-   IEEE bytes), sketch_capacity, machines, per-kind counts and arg
-   sums, the fleet latency sketch, tenant sketches, topk summary,
-   exemplar reservoir — each nested blob length-prefixed. All
-   components are canonical, so byte equality is snapshot equality. *)
-
-let serialize t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "EAG1";
-  Buffer.add_int64_be buf (Int64.bits_of_float t.alpha);
-  Sketch_wire.put_varint buf t.sketch_capacity;
-  Sketch_wire.put_varint buf (List.length t.machines);
-  List.iter (Sketch_wire.put_string buf) t.machines;
-  Sketch_wire.put_varint buf Trace.n_kinds;
-  Array.iter (Sketch_wire.put_varint buf) t.counts;
-  Array.iter (Sketch_wire.put_signed buf) t.arg_sums;
-  Sketch_wire.put_string buf (Sketch.serialize t.latency);
-  Sketch_wire.put_varint buf (List.length t.tenants);
-  List.iter
-    (fun (n, s) ->
-      Sketch_wire.put_string buf n;
-      Sketch_wire.put_string buf (Sketch.serialize s))
-    t.tenants;
-  Sketch_wire.put_string buf (Topk.serialize t.topk);
-  Sketch_wire.put_string buf (Exemplar.serialize t.exemplars);
-  Buffer.contents buf
-
-let deserialize s =
-  try
-    if String.length s < 12 || String.sub s 0 4 <> "EAG1" then
-      raise (Sketch_wire.Bad "agg: bad magic");
-    let alpha = Int64.float_of_bits (String.get_int64_be s 4) in
-    let pos = ref 12 in
-    let sketch_capacity = Sketch_wire.get_varint s pos in
-    let n_m = Sketch_wire.get_varint s pos in
-    let machines =
-      List.init n_m (fun _ -> Sketch_wire.get_string s pos)
-    in
-    if List.sort_uniq compare machines <> machines then
-      raise (Sketch_wire.Bad "agg: machines not sorted");
-    let nk = Sketch_wire.get_varint s pos in
-    if nk <> Trace.n_kinds then
-      raise (Sketch_wire.Bad "agg: kind-count mismatch");
-    let counts = Array.init nk (fun _ -> Sketch_wire.get_varint s pos) in
-    let arg_sums = Array.init nk (fun _ -> Sketch_wire.get_signed s pos) in
-    let sketch_of blob =
-      match Sketch.deserialize blob with
-      | Result.Ok sk -> sk
-      | Result.Error e -> raise (Sketch_wire.Bad e)
-    in
-    let latency = sketch_of (Sketch_wire.get_string s pos) in
-    let n_t = Sketch_wire.get_varint s pos in
-    let tenants =
-      List.init n_t (fun _ ->
-          let n = Sketch_wire.get_string s pos in
-          (n, sketch_of (Sketch_wire.get_string s pos)))
-    in
-    if List.sort (fun (a, _) (b, _) -> compare a b) tenants <> tenants then
-      raise (Sketch_wire.Bad "agg: tenants not sorted");
-    let topk =
-      match Topk.deserialize (Sketch_wire.get_string s pos) with
-      | Result.Ok v -> v
-      | Result.Error e -> raise (Sketch_wire.Bad e)
-    in
-    let exemplars =
-      match Exemplar.deserialize (Sketch_wire.get_string s pos) with
-      | Result.Ok v -> v
-      | Result.Error e -> raise (Sketch_wire.Bad e)
-    in
-    if !pos <> String.length s then
-      raise (Sketch_wire.Bad "agg: trailing bytes");
-    Result.Ok
-      {
-        alpha;
-        sketch_capacity;
-        machines;
-        counts;
-        arg_sums;
-        latency;
-        tenants;
-        topk;
-        exemplars;
-      }
-  with Sketch_wire.Bad e -> Result.Error e
 
 (* {2 Fleet panel} *)
 
@@ -279,7 +174,7 @@ let render ?(topn = 5) t =
   Buffer.add_string b
     (Printf.sprintf
        "fleet: %d machine(s), %d request(s), alpha %.2f%%\n"
-       (List.length t.machines) (requests t) (100.0 *. t.alpha));
+       (List.length t.machines) (requests t) (100.0 *. Sketch.alpha));
   Buffer.add_string b
     (Printf.sprintf "  latency  p50=%-8d p95=%-8d p99=%-8d max=%d\n" (q 0.50)
        (q 0.95) (q 0.99) (Sketch.max_value t.latency));

@@ -5,7 +5,7 @@
     component of a snapshot is a pure function of what was recorded, so
     merging snapshots in any order or grouping — including across
     [Sim.Runner ~jobs] schedules, where each parallel task seals one
-    part — produces byte-identical {!serialize} output and identical
+    part — produces structurally equal ([=]) snapshots and identical
     {!render} text. *)
 
 (** {2 Per-machine collection} *)
@@ -19,13 +19,9 @@ type tenant
 (** Interned tenant handle holding preallocated (tenant x kind) key
     strings, so the per-request {!record} path never allocates. *)
 
-val part :
-  ?alpha:float -> ?sketch_capacity:int -> ?topk_capacity:int ->
-  machine:string -> unit -> part
-(** [alpha] (default {!Sketch.default_alpha}) and [sketch_capacity]
-    configure every sketch this part creates; [topk_capacity] (default
-    64) bounds the heavy-hitter table; [machine] names this part in
-    exemplars and the snapshot machine list. *)
+val part : machine:string -> unit -> part
+(** [machine] names this part in exemplars and the snapshot machine
+    list. The heavy-hitter table holds 64 keys. *)
 
 val attach : Emitter.t -> part -> part
 (** Attach the part's counter sink to a machine's emitter, so the
@@ -56,14 +52,11 @@ val seal : part -> t
     may keep recording). *)
 
 val merge : t -> t -> t
-(** Functional merge; exactly associative and commutative. Raises
-    [Invalid_argument] on alpha/capacity mismatch. *)
+(** Functional merge; exactly associative and commutative. *)
 
 val merge_all : t list -> t
 (** Left fold of {!merge}; raises [Invalid_argument] on []. By the
     determinism contract the result is independent of list order. *)
-
-val alpha : t -> float
 
 val machines : t -> string list
 (** Sorted, deduped. *)
@@ -79,22 +72,14 @@ val arg_sum : t -> Trace.kind -> int
 
 val tenants : t -> string list
 val tenant_sketch : t -> string -> Sketch.t option
-val latency_sketch : t -> Sketch.t
 
 val top : ?n:int -> t -> Topk.ranked list
 val topk_summary : t -> Topk.summary
-val exemplars : t -> Exemplar.t
 
 val exemplar_for : t -> p:float -> Exemplar.item option
 (** The exemplar witnessing the fleet's [p] quantile: the reservoir
     entry for the band containing {!quantile}[ t ~p] (nearest occupied
     band if that one is empty). *)
-
-val serialize : t -> string
-(** Canonical "EAG1" binary encoding; byte equality is snapshot
-    equality, for any merge order that produced [t]. *)
-
-val deserialize : string -> (t, string) result
 
 val render : ?topn:int -> t -> string
 (** ASCII fleet panel: fleet percentiles, per-tenant quantile table,

@@ -38,7 +38,7 @@ let create ?(label = "run") ?out ?slo ?health ~refresh_cycles ~window () =
 
 let refreshes t = t.refreshes
 
-let virtual_seconds t now = float_of_int now /. (Window.ghz t.window *. 1e9)
+let virtual_seconds now = float_of_int now /. (Window.ghz *. 1e9)
 
 let panel_kinds =
   [
@@ -56,7 +56,7 @@ let render t ~now =
   let buf = Buffer.create 512 in
   Printf.bprintf buf
     "-- %s @ %.3fs virtual (refresh %d) --------------------\n" t.label
-    (virtual_seconds t now) t.refreshes;
+    (virtual_seconds now) t.refreshes;
   Buffer.add_string buf "  rates/s:";
   List.iter
     (fun kind ->
@@ -129,7 +129,7 @@ let snapshot_json t ~now =
   Printf.bprintf buf
     "{\"schema\":\"erebor-dash/1\",\"label\":\"%s\",\"ts\":%d,\"virtual_s\":%.6f,\"refreshes\":%d,\"window\":%s"
     (Audit.escape_json t.label)
-    now (virtual_seconds t now) t.refreshes
+    now (virtual_seconds now) t.refreshes
     (Window.to_json t.window ~now ());
   (match t.slo with
   | None -> ()

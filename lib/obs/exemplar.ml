@@ -16,8 +16,6 @@
 
 let n_bands = Histogram.n_buckets
 let band_of = Histogram.bucket_of
-let band_lo = Histogram.bucket_lo
-let band_hi = Histogram.bucket_hi
 
 type slot = {
   mutable occupied : bool;
@@ -118,59 +116,3 @@ let for_value t value =
         else best t ~band:b |> function Some _ as r -> r | None -> up (b + 1)
       in
       up (b0 + 1)
-
-let items t =
-  let out = ref [] in
-  for b = n_bands - 1 downto 0 do
-    if t.slots.(b).occupied then out := (b, item_of t.slots.(b)) :: !out
-  done;
-  !out
-
-(* "EXM1" magic, varint band count, then per occupied band (ascending):
-   band, latency, trace_id, machine string, offset+1 (so -1 encodes as
-   an unsigned 0), ts. Canonical because the state is. *)
-let serialize t =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf "EXM1";
-  let occ = List.length (items t) in
-  Sketch_wire.put_varint buf occ;
-  Array.iteri
-    (fun b (s : slot) ->
-      if s.occupied then begin
-        Sketch_wire.put_varint buf b;
-        Sketch_wire.put_varint buf s.latency;
-        Sketch_wire.put_varint buf s.trace_id;
-        Sketch_wire.put_string buf s.machine;
-        Sketch_wire.put_signed buf s.offset;
-        Sketch_wire.put_signed buf s.ts
-      end)
-    t.slots;
-  Buffer.contents buf
-
-let deserialize str =
-  try
-    if String.length str < 4 || String.sub str 0 4 <> "EXM1" then
-      raise (Sketch_wire.Bad "exemplar: bad magic");
-    let pos = ref 4 in
-    let n = Sketch_wire.get_varint str pos in
-    let t = create () in
-    let prev = ref (-1) in
-    for _ = 1 to n do
-      let b = Sketch_wire.get_varint str pos in
-      if b <= !prev || b >= n_bands then
-        raise (Sketch_wire.Bad "exemplar: bands not ascending");
-      prev := b;
-      let s = t.slots.(b) in
-      s.occupied <- true;
-      s.latency <- Sketch_wire.get_varint str pos;
-      s.trace_id <- Sketch_wire.get_varint str pos;
-      s.machine <- Sketch_wire.get_string str pos;
-      s.offset <- Sketch_wire.get_signed str pos;
-      s.ts <- Sketch_wire.get_signed str pos;
-      if band_of s.latency <> b then
-        raise (Sketch_wire.Bad "exemplar: latency outside its band")
-    done;
-    if !pos <> String.length str then
-      raise (Sketch_wire.Bad "exemplar: trailing bytes");
-    Result.Ok t
-  with Sketch_wire.Bad e -> Result.Error e

@@ -27,9 +27,6 @@ val n_bands : int
 val band_of : int -> int
 (** The band a latency lands in (= {!Histogram.bucket_of}). *)
 
-val band_lo : int -> int
-val band_hi : int -> int
-
 val create : unit -> t
 
 val record :
@@ -49,12 +46,3 @@ val for_value : t -> int -> item option
 (** The exemplar witnessing a latency estimate: its own band if
     occupied, else the nearest occupied band below, then above; [None]
     only if the reservoir is empty. *)
-
-val items : t -> (int * item) list
-(** Occupied bands, ascending. *)
-
-val serialize : t -> string
-(** Canonical "EXM1" binary encoding; byte equality is state
-    equality. *)
-
-val deserialize : string -> (t, string) result

@@ -498,6 +498,8 @@ let decode ?(strict = false) ~on_stream ~path ~init f =
         with
         | Corrupt msg -> Error (path ^ ": " ^ msg)
         | End_of_file -> Error (path ^ ": truncated header")
+        (* A directory or an unreadable file opens but fails on read. *)
+        | Sys_error e -> Error (path ^ ": " ^ e)
       in
       cleanup ();
       result)

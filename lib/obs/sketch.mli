@@ -1,5 +1,5 @@
 (** Mergeable relative-error quantile sketch (DDSketch-style log-gamma
-    buckets).
+    buckets) at a fixed accuracy of {!alpha} = 1%.
 
     Values land in buckets [i = ceil (ln v / ln gamma)] with
     [gamma = (1+alpha)/(1-alpha)], so every quantile estimate is within a
@@ -12,43 +12,30 @@
 
     Determinism contract: the sketch state is a pure function of the
     multiset of recorded values — record order, merge order and merge
-    grouping never change it — so {!serialize} output is byte-identical
-    for any aggregation schedule. {!merge} is exactly associative and
-    commutative, including across {!create}d, {!deserialize}d and merged
-    operands, and including the collapse-lowest path. *)
+    grouping never change it — so any two aggregation schedules over the
+    same values leave structurally equal ([=]) sketches. {!merge} is
+    exactly associative and commutative. *)
 
 type t
 
-val default_alpha : float
-(** 0.01 — 1% relative error. *)
+val alpha : float
+(** 0.01 — the relative accuracy every sketch is built for. *)
 
-val create : ?alpha:float -> ?capacity:int -> unit -> t
-(** A fresh sketch. [alpha] (default {!default_alpha}) is the relative
-    accuracy target, must be in (0, 1). [capacity] bounds the number of
-    live buckets: when a new maximum would exceed it, the lowest buckets
-    are collapsed into the floor bucket (tail accuracy is preserved; the
-    collapsed low end degrades gracefully). Default: enough buckets for
-    the full int range, so no collapse ever occurs (~2150 at 1%). The
-    bucket array is allocated once here; {!record} never allocates. *)
-
-val alpha : t -> float
-val capacity : t -> int
+val create : unit -> t
+(** A fresh sketch with enough buckets for the full int range (~2150),
+    allocated once here; {!record} never allocates. *)
 
 val record : t -> int -> unit
-(** Record one value. Allocation-free in steady state (the cold
-    collapse-lowest path runs only when a new maximum crosses
-    [capacity]). Values [<= 0] are counted in a dedicated zero bucket. *)
+(** Record one value. Allocation-free. Values [<= 0] are counted in a
+    dedicated zero bucket. *)
 
 val count : t -> int
-val sum : t -> int
 
 val min_value : t -> int
 (** Smallest recorded value; 0 for an empty sketch. *)
 
 val max_value : t -> int
 (** Largest recorded value; 0 for an empty sketch. *)
-
-val mean : t -> float
 
 val quantile : t -> p:float -> int
 (** Quantile estimate with {!Histogram.percentile}'s edge semantics:
@@ -64,30 +51,8 @@ val quantile : t -> p:float -> int
 val merge : into:t -> t -> unit
 (** Fold [src] into [into] (the source is left untouched). Exactly
     associative and commutative: any merge tree over the same sketches
-    leaves [into] in the same state. Raises [Invalid_argument] if the
-    two sketches have different [alpha]/[capacity], or on self-merge. *)
-
-val buckets : t -> (int * int) list
-(** Non-empty live buckets as [(index, count)], ascending — for tests,
-    debugging and re-bucketed expositions ({!Metrics}). *)
-
-val estimate : t -> int -> int
-(** The midpoint value estimate for a bucket index (what {!quantile}
-    reports for ranks landing in that bucket). *)
-
-val zeros : t -> int
-(** Count of recorded values [<= 0]. *)
-
-val bucket_floor : t -> int
-(** Current collapse floor (0 until a collapse occurs). *)
-
-val serialize : t -> string
-(** Canonical compact binary encoding ("ESK1" magic, varint-packed) for
-    cross-domain transport. Byte equality is state equality. *)
-
-val deserialize : string -> (t, string) result
-(** Parse {!serialize} output; [Error] describes the first malformed
-    field (bad magic, truncation, count mismatch, trailing bytes). *)
+    leaves [into] in the same state. Raises [Invalid_argument] on
+    self-merge. *)
 
 (** Per-kind sketch family attachable as an emitter sink, mirroring
     {!Histogram.attach}: every event's argument is recorded into its
@@ -96,7 +61,7 @@ module Family : sig
   type sketch = t
   type t
 
-  val create : ?alpha:float -> ?capacity:int -> unit -> t
+  val create : unit -> t
   val attach : Emitter.t -> t -> t
   val get : t -> Trace.kind -> sketch
 

@@ -43,9 +43,6 @@ type t = {
   emit : Emitter.t option;
   fast : int;
   slow : int;
-  fire_burn : float;
-  clear_burn : float;
-  clear_evals : int;
   objectives : objective array;
   firing : bool array;
   since : int array;
@@ -56,8 +53,12 @@ type t = {
   mutable evals : int;
 }
 
-let create ?emit ?(fast_windows = 5) ?(slow_windows = 60)
-    ?(fire_burn = 10.0) ?(clear_burn = 1.0) ?(clear_evals = 3) ~window
+(* Fire at 10x budget burn; clear after 3 evaluations below 1x. *)
+let fire_burn = 10.0
+let clear_burn = 1.0
+let clear_evals = 3
+
+let create ?emit ?(fast_windows = 5) ?(slow_windows = 60) ~window
     ~objectives () =
   if fast_windows <= 0 || slow_windows < fast_windows then
     invalid_arg "Slo.create: need 0 < fast_windows <= slow_windows";
@@ -68,9 +69,6 @@ let create ?emit ?(fast_windows = 5) ?(slow_windows = 60)
     emit;
     fast = fast_windows;
     slow = slow_windows;
-    fire_burn;
-    clear_burn;
-    clear_evals;
     objectives;
     firing = Array.make n false;
     since = Array.make n 0;
@@ -133,12 +131,12 @@ let evaluate t ~now =
       t.fast_burns.(i) <- fb;
       t.slow_burns.(i) <- sb;
       if not t.firing.(i) then begin
-        if fb >= t.fire_burn && sb >= t.fire_burn then
+        if fb >= fire_burn && sb >= fire_burn then
           transition t i ~now true
       end
-      else if fb < t.clear_burn && sb < t.clear_burn then begin
+      else if fb < clear_burn && sb < clear_burn then begin
         t.clear_streak.(i) <- t.clear_streak.(i) + 1;
-        if t.clear_streak.(i) >= t.clear_evals then transition t i ~now false
+        if t.clear_streak.(i) >= clear_evals then transition t i ~now false
       end
       else t.clear_streak.(i) <- 0)
     t.objectives
@@ -182,7 +180,7 @@ let to_json t =
   let buf = Buffer.create 1024 in
   Printf.bprintf buf
     "{\"fast_windows\":%d,\"slow_windows\":%d,\"fire_burn\":%.2f,\"clear_burn\":%.2f,\"evals\":%d,\"objectives\":["
-    t.fast t.slow t.fire_burn t.clear_burn t.evals;
+    t.fast t.slow fire_burn clear_burn t.evals;
   Array.iteri
     (fun i o ->
       if i > 0 then Buffer.add_char buf ',';

@@ -5,8 +5,8 @@
     exactly on budget, N would exhaust it N times over. Following the SRE
     multi-window pattern, an alert fires only when {e both} the fast window
     (recent buckets) and the slow window (long horizon) burn at or above
-    [fire_burn]; it clears with hysteresis, after both burns stay below
-    [clear_burn] for [clear_evals] consecutive {!evaluate} calls. With the
+    10x; it clears with hysteresis, after both burns stay below 1x for 3
+    consecutive {!evaluate} calls. With the
     window's bucket width set to one virtual minute, the defaults
     ([fast_windows = 5], [slow_windows = 60]) give the canonical
     5-minute/1-hour pair; shorter buckets scale both spans down together.
@@ -56,16 +56,12 @@ val create :
   ?emit:Emitter.t ->
   ?fast_windows:int ->
   ?slow_windows:int ->
-  ?fire_burn:float ->
-  ?clear_burn:float ->
-  ?clear_evals:int ->
   window:Window.t ->
   objectives:objective list ->
   unit ->
   t
 (** [emit] receives alert-transition events (and audit records when it has
-    a chain). Defaults: [fast_windows = 5], [slow_windows = 60],
-    [fire_burn = 10.0], [clear_burn = 1.0], [clear_evals = 3]. *)
+    a chain). Defaults: [fast_windows = 5], [slow_windows = 60]. *)
 
 val window : t -> Window.t
 

@@ -15,8 +15,8 @@
    where [fl_in] is the floor of the summary the key appeared in, plus a
    scalar [floor_total]. Merging summaries is a key-wise sum of all
    three fields plus the floors — pure pointwise addition over a sorted
-   key union, hence exactly associative and commutative, and the
-   serialized bytes depend only on the multiset of sealed inputs. For a
+   key union, hence exactly associative and commutative, and the merged
+   summary depends only on the multiset of sealed inputs. For a
    merged entry, true count lies within
    [count - err, count + (floor_total - fl_in)]: the slack term bounds
    the occurrences a key may have had in summaries that did not track
@@ -165,52 +165,3 @@ let top ?n s =
 
 let floor_total s = s.floor_total
 let n_keys s = List.length s.entries
-
-(* {2 Canonical wire format}
-
-   "ETK1" magic, then varints: floor_total, n_entries, and per entry
-   (ascending key order) key_len, key bytes, scount, serr, fl_in. The
-   sorted order makes byte equality state equality. *)
-
-let serialize s =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "ETK1";
-  Sketch_wire.put_varint buf s.floor_total;
-  Sketch_wire.put_varint buf (List.length s.entries);
-  List.iter
-    (fun e ->
-      Sketch_wire.put_varint buf (String.length e.skey);
-      Buffer.add_string buf e.skey;
-      Sketch_wire.put_varint buf e.scount;
-      Sketch_wire.put_varint buf e.serr;
-      Sketch_wire.put_varint buf e.fl_in)
-    s.entries;
-  Buffer.contents buf
-
-let deserialize s =
-  try
-    if String.length s < 4 || String.sub s 0 4 <> "ETK1" then
-      raise (Sketch_wire.Bad "topk: bad magic");
-    let pos = ref 4 in
-    let floor_total = Sketch_wire.get_varint s pos in
-    let n = Sketch_wire.get_varint s pos in
-    let prev = ref "" in
-    let entries = ref [] in
-    for i = 1 to n do
-      let len = Sketch_wire.get_varint s pos in
-      if len > String.length s - !pos then
-        raise (Sketch_wire.Bad "topk: truncated key");
-      let key = String.sub s !pos len in
-      pos := !pos + len;
-      if i > 1 && key <= !prev then
-        raise (Sketch_wire.Bad "topk: keys not strictly ascending");
-      prev := key;
-      let scount = Sketch_wire.get_varint s pos in
-      let serr = Sketch_wire.get_varint s pos in
-      let fl_in = Sketch_wire.get_varint s pos in
-      entries := { skey = key; scount; serr; fl_in } :: !entries
-    done;
-    if !pos <> String.length s then
-      raise (Sketch_wire.Bad "topk: trailing bytes");
-    Result.Ok { floor_total; entries = List.rev !entries }
-  with Sketch_wire.Bad e -> Result.Error e

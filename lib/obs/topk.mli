@@ -44,7 +44,7 @@ val seal : t -> summary
 val merge_summaries : summary -> summary -> summary
 (** Key-wise pointwise sum (counts, error bounds, floors) over the
     sorted key union — exactly associative and commutative, so the
-    merged summary (and its {!serialize} bytes) is identical for any
+    merged summary is structurally equal ([=]) for any
     merge order or grouping of the same sealed inputs. *)
 
 type ranked = {
@@ -65,9 +65,3 @@ val floor_total : summary -> int
     bound on any key absent from the result. *)
 
 val n_keys : summary -> int
-
-val serialize : summary -> string
-(** Canonical binary encoding ("ETK1" magic); byte equality is state
-    equality. *)
-
-val deserialize : string -> (summary, string) result

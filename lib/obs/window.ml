@@ -14,7 +14,6 @@
 type t = {
   width : int;            (* virtual cycles per bucket *)
   nbuckets : int;         (* ring size *)
-  ghz : float;            (* virtual clock rate, for per-second rates *)
   mutable cur : int;      (* ring slot of the current bucket *)
   mutable cur_start : int;(* ts at which the current bucket began *)
   counts : int array;     (* [slot * n_kinds + kind] -> events *)
@@ -32,8 +31,10 @@ type t = {
 let default_hist_kinds =
   [ Trace.Emc_entry; Trace.Req_end; Trace.Tdcall; Trace.Vmcall ]
 
-let create ?(hist_kinds = default_hist_kinds) ?(ghz = 2.1) ~width ~buckets ()
-    =
+(* Virtual clock rate for per-second rates, mirroring [Hw.Cycles.ghz]. *)
+let ghz = 2.1
+
+let create ?(hist_kinds = default_hist_kinds) ~width ~buckets () =
   if width <= 0 then invalid_arg "Window.create: width must be positive";
   if buckets <= 0 then invalid_arg "Window.create: buckets must be positive";
   let hist_kinds = Array.of_list hist_kinds in
@@ -43,7 +44,6 @@ let create ?(hist_kinds = default_hist_kinds) ?(ghz = 2.1) ~width ~buckets ()
   {
     width;
     nbuckets = buckets;
-    ghz;
     cur = 0;
     cur_start = 0;
     counts = Array.make (buckets * Trace.n_kinds) 0;
@@ -60,7 +60,6 @@ let create ?(hist_kinds = default_hist_kinds) ?(ghz = 2.1) ~width ~buckets ()
 
 let width t = t.width
 let buckets t = t.nbuckets
-let ghz t = t.ghz
 let hist_tracked t kind = t.hist_slot.(Trace.index kind) >= 0
 
 let clear_slot t s =
@@ -158,7 +157,7 @@ let span_cycles t ?windows ?now () =
 let rate t ?windows ?now kind =
   let cycles = span_cycles t ?windows ?now () in
   float_of_int (count t ?windows kind)
-  /. (float_of_int cycles /. (t.ghz *. 1e9))
+  /. (float_of_int cycles /. (ghz *. 1e9))
 
 (* Merge-on-read percentile over the last N windows: the slots' bucket rows
    merge into [scratch], then {!Histogram.row_percentile} walks it with the

@@ -17,7 +17,6 @@ type t
 
 val create :
   ?hist_kinds:Trace.kind list ->
-  ?ghz:float ->
   width:int ->
   buckets:int ->
   unit ->
@@ -25,8 +24,7 @@ val create :
 (** [width] is virtual cycles per bucket, [buckets] the ring size, so the
     window spans [width * buckets] cycles. [hist_kinds] (default
     [Emc_entry; Req_end; Tdcall; Vmcall]) selects the kinds whose arg
-    distribution is bucketed for percentiles. [ghz] (default 2.1, mirroring
-    [Hw.Cycles.ghz]) converts cycle spans to seconds for {!rate}. *)
+    distribution is bucketed for percentiles. *)
 
 val attach : Emitter.t -> t -> t
 (** Attach as a sink: every emitted event is recorded. *)
@@ -41,7 +39,9 @@ val advance : t -> now:int -> unit
 
 val width : t -> int
 val buckets : t -> int
-val ghz : t -> float
+val ghz : float
+(** 2.1, mirroring [Hw.Cycles.ghz]: converts cycle spans to seconds for
+    {!rate}. *)
 
 val hist_tracked : t -> Trace.kind -> bool
 (** Whether [kind] was in [hist_kinds] (i.e. {!percentile}/{!over} work). *)

@@ -890,7 +890,7 @@ let oracle sorted ~p =
   let idx = int_of_float (Float.ceil (p *. float_of_int n)) in
   sorted.(max 0 (min (n - 1) (idx - 1)))
 
-let quantile_errors ~alpha ~ps merged values =
+let quantile_errors ~ps merged values =
   let sorted = Array.copy values in
   Array.sort compare sorted;
   let worst = ref 0.0 in
@@ -900,7 +900,7 @@ let quantile_errors ~alpha ~ps merged values =
         let exact = oracle sorted ~p in
         let est = A.quantile merged ~p in
         let err = float_of_int (abs (est - exact)) in
-        let bound = (alpha *. float_of_int exact) +. 1.0 in
+        let bound = (Obs.Sketch.alpha *. float_of_int exact) +. 1.0 in
         let rel = if exact = 0 then 0.0 else err /. float_of_int exact in
         if rel > !worst then worst := rel;
         err <= bound)
@@ -929,9 +929,9 @@ let accuracy_check ~smoke =
     values;
   let merged = A.merge_all (Array.to_list (Array.map A.seal parts)) in
   let ps = [ 0.50; 0.90; 0.95; 0.99; 0.999 ] in
-  let ok, worst = quantile_errors ~alpha:(A.alpha merged) ~ps merged values in
+  let ok, worst = quantile_errors ~ps merged values in
   chk
-    ~old_value:(Printf.sprintf "bound %.2f%%" (100.0 *. A.alpha merged))
+    ~old_value:(Printf.sprintf "bound %.2f%%" (100.0 *. Obs.Sketch.alpha))
     ~new_value:(Printf.sprintf "worst %.3f%%" (100.0 *. worst))
     "agg/accuracy-oracle" ok
     (Printf.sprintf
@@ -1045,39 +1045,38 @@ let fleet_pass ~smoke ~jobs ~journal () =
 
 let rotate l = match l with [] -> [] | x :: xs -> xs @ [ x ]
 
+(* Sealed state is canonical, so structural equality is snapshot
+   equality; the rendered panel must agree too. *)
 let invariance_checks ~seals1 ~seals2 =
-  let bytes seals order =
-    A.serialize (A.merge_all (order (Array.to_list seals)))
-  in
-  let reference = bytes seals2 Fun.id in
-  let jobs_ok = bytes seals1 Fun.id = reference in
+  let merged seals order = A.merge_all (order (Array.to_list seals)) in
+  let reference = merged seals2 Fun.id in
+  let jobs_ok = merged seals1 Fun.id = reference in
   let orders_ok =
-    bytes seals2 List.rev = reference
-    && bytes seals2 rotate = reference
-    && A.render (A.merge_all (List.rev (Array.to_list seals2)))
-       = A.render (A.merge_all (Array.to_list seals2))
+    merged seals2 List.rev = reference
+    && merged seals2 rotate = reference
+    && A.render (merged seals2 List.rev) = A.render reference
   in
   [
     chk "agg/jobs-invariance" jobs_ok
       (if jobs_ok then
          Printf.sprintf
-           "merged snapshot byte-identical for --jobs 1 and parallel \
-            Sim.Runner schedules (%d bytes)"
-           (String.length reference)
+           "merged snapshot equal for --jobs 1 and parallel Sim.Runner \
+            schedules (%d requests)"
+           (A.requests reference)
        else "merged snapshot DIFFERS across --jobs widths");
     chk "agg/merge-invariance" orders_ok
       (if orders_ok then
-         "serialize and render byte-identical for reversed and rotated \
-          merge orders"
+         "merged snapshot and render equal for reversed and rotated merge \
+          orders"
        else "merge order CHANGED the merged snapshot");
   ]
 
 let fleet_accuracy_check merged reqs =
   let values = Array.of_list (List.map (fun q -> q.q_latency) reqs) in
   let ps = [ 0.50; 0.95; 0.99 ] in
-  let ok, worst = quantile_errors ~alpha:(A.alpha merged) ~ps merged values in
+  let ok, worst = quantile_errors ~ps merged values in
   chk
-    ~old_value:(Printf.sprintf "bound %.2f%%" (100.0 *. A.alpha merged))
+    ~old_value:(Printf.sprintf "bound %.2f%%" (100.0 *. Obs.Sketch.alpha))
     ~new_value:(Printf.sprintf "worst %.3f%%" (100.0 *. worst))
     "agg/fleet-accuracy" ok
     (Printf.sprintf

@@ -577,6 +577,9 @@ let test_metrics_export () =
     (contains ~sub:{|domain="none",phase="(outside)"} 20|} prom);
   Alcotest.(check bool) "histogram +Inf bucket" true
     (contains ~sub:{|le="+Inf"|} prom);
+  Alcotest.(check bool) "ends with # EOF" true
+    (let n = String.length prom in
+     n >= 6 && String.sub prom (n - 6) 6 = "# EOF\n");
   (* Every sample line is "name{labels} value" with a parseable value. *)
   List.iter
     (fun line ->
@@ -1833,8 +1836,8 @@ let oracle_quantile sorted ~p =
   let idx = int_of_float (Float.ceil (p *. float_of_int n)) in
   sorted.(max 0 (min (n - 1) (idx - 1)))
 
-let sketch_of ?alpha ?capacity vs =
-  let s = Obs.Sketch.create ?alpha ?capacity () in
+let sketch_of vs =
+  let s = Obs.Sketch.create () in
   List.iter (Obs.Sketch.record s) vs;
   s
 
@@ -1846,7 +1849,7 @@ let check_sketch_accuracy name values =
       let est = Obs.Sketch.quantile sk ~p in
       let exact = oracle_quantile sorted ~p in
       let bound =
-        (Obs.Sketch.alpha sk *. float_of_int (abs exact)) +. 1.0
+        (Obs.Sketch.alpha *. float_of_int (abs exact)) +. 1.0
       in
       if float_of_int (abs (est - exact)) > bound then
         Alcotest.failf "%s: p=%.3f est %d vs exact %d (bound %.1f)" name p est
@@ -1919,64 +1922,23 @@ let test_sketch_histogram_crosscheck () =
         [ -0.5; 0.0; 0.25; 0.50; 0.95; 0.99; 1.0; 1.5 ])
     streams
 
-let test_sketch_collapse_and_edges () =
-  (* Collapse-lowest: a tiny capacity keeps the tail accurate while the
-     collapsed low end stays within [min, max]. *)
-  let sk = Obs.Sketch.create ~capacity:8 () in
-  List.iter (Obs.Sketch.record sk) (List.init 1000 (fun i -> i + 1));
-  Alcotest.(check bool) "collapse engaged" true (Obs.Sketch.bucket_floor sk > 0);
-  let p99 = Obs.Sketch.quantile sk ~p:0.99 in
-  Alcotest.(check bool)
-    (Printf.sprintf "tail accuracy survives collapse (p99=%d)" p99)
-    true
-    (abs (p99 - 990) <= 11);
-  let p01 = Obs.Sketch.quantile sk ~p:0.01 in
-  Alcotest.(check bool) "collapsed head stays in [min,max]" true
-    (p01 >= 1 && p01 <= 1000);
-  (* Same multiset through a different record order: byte-identical. *)
-  let sk2 = Obs.Sketch.create ~capacity:8 () in
-  List.iter (Obs.Sketch.record sk2) (List.init 1000 (fun i -> 1000 - i));
-  Alcotest.(check string) "record order never changes state"
-    (Obs.Sketch.serialize sk) (Obs.Sketch.serialize sk2);
-  (* Deserialize rejects corruption with a named cause. *)
-  let blob = Obs.Sketch.serialize sk in
-  (match Obs.Sketch.deserialize (blob ^ "x") with
-  | Ok _ -> Alcotest.fail "trailing bytes accepted"
-  | Error e -> Alcotest.(check bool) "trailing named" true
-      (contains ~sub:"trailing" e));
-  (match Obs.Sketch.deserialize "not a sketch" with
-  | Ok _ -> Alcotest.fail "bad magic accepted"
-  | Error e ->
-      Alcotest.(check bool) "magic named" true (contains ~sub:"magic" e))
-
 (* qcheck: merging per-chunk sketches — in any order or grouping — leaves
-   byte-identical state, equal to recording the whole stream into one
-   sketch. Small capacities exercise the collapse path. *)
+   structurally equal state, equal to recording the whole stream into one
+   sketch. *)
 let prop_sketch_merge_canonical =
-  QCheck.Test.make ~name:"sketch merge assoc/comm: canonical bytes" ~count:60
+  QCheck.Test.make ~name:"sketch merge assoc/comm: canonical state" ~count:60
     QCheck.(
-      pair (int_range 4 64)
-        (list_of_size
-           Gen.(0 -- 6)
-           (list_of_size Gen.(0 -- 60) (int_bound (1 lsl 30)))))
-    (fun (cap, chunks) ->
-      let mk () = Obs.Sketch.create ~capacity:cap () in
-      let parts =
-        List.map
-          (fun vs ->
-            let s = mk () in
-            List.iter (Obs.Sketch.record s) vs;
-            s)
-          chunks
-      in
+      list_of_size
+        Gen.(0 -- 6)
+        (list_of_size Gen.(0 -- 60) (int_bound (1 lsl 30))))
+    (fun chunks ->
+      let parts = List.map sketch_of chunks in
       let merged l =
-        let acc = mk () in
+        let acc = Obs.Sketch.create () in
         List.iter (fun s -> Obs.Sketch.merge ~into:acc s) l;
-        Obs.Sketch.serialize acc
+        acc
       in
-      let all = mk () in
-      List.iter (fun vs -> List.iter (Obs.Sketch.record all) vs) chunks;
-      let reference = Obs.Sketch.serialize all in
+      let reference = sketch_of (List.concat chunks) in
       let halves l =
         let rec go i acc = function
           | rest when i = 0 -> (List.rev acc, rest)
@@ -1986,28 +1948,14 @@ let prop_sketch_merge_canonical =
         go (List.length l / 2) [] l
       in
       let a, b = halves parts in
-      let regrouped =
-        let acc = mk () in
-        (match Obs.Sketch.deserialize (merged a) with
-        | Ok s -> Obs.Sketch.merge ~into:acc s
-        | Error e -> Alcotest.failf "half deserialize: %s" e);
-        (match Obs.Sketch.deserialize (merged b) with
-        | Ok s -> Obs.Sketch.merge ~into:acc s
-        | Error e -> Alcotest.failf "half deserialize: %s" e);
-        Obs.Sketch.serialize acc
-      in
       merged parts = reference
       && merged (List.rev parts) = reference
-      && regrouped = reference
-      &&
-      match Obs.Sketch.deserialize reference with
-      | Ok s -> Obs.Sketch.serialize s = reference
-      | Error _ -> false)
+      && merged [ merged a; merged b ] = reference)
 
 (* qcheck: space-saving guarantees. For any stream and a deliberately
    tiny table: tracked keys obey lower <= exact <= upper, untracked keys
-   have exact <= floor_total, and merged summaries are byte-identical
-   for any merge order. *)
+   have exact <= floor_total, and merged summaries are equal for any
+   merge order. *)
 let prop_topk_bounds =
   QCheck.Test.make ~name:"topk error bounds + merge invariance" ~count:80
     QCheck.(list_of_size Gen.(0 -- 240) (int_bound 11))
@@ -2051,12 +1999,7 @@ let prop_topk_bounds =
             ok && (List.mem k tracked || c <= Obs.Topk.floor_total merged))
           exact true
       in
-      bounds_ok && absent_ok
-      && Obs.Topk.serialize merged = Obs.Topk.serialize merged_rev
-      &&
-      match Obs.Topk.deserialize (Obs.Topk.serialize merged) with
-      | Ok s -> Obs.Topk.serialize s = Obs.Topk.serialize merged
-      | Error _ -> false)
+      bounds_ok && absent_ok && merged = merged_rev)
 
 let test_exemplar_reservoir () =
   let mk l =
@@ -2077,22 +2020,16 @@ let test_exemplar_reservoir () =
   let m2 = Obs.Exemplar.create () in
   Obs.Exemplar.merge ~into:m2 b;
   Obs.Exemplar.merge ~into:m2 a;
-  Alcotest.(check string) "merge order invariant"
-    (Obs.Exemplar.serialize m1) (Obs.Exemplar.serialize m2);
+  Alcotest.(check bool) "merge order invariant" true (m1 = m2);
   (match Obs.Exemplar.best m1 ~band:(Obs.Exemplar.band_of 1000) with
   | Some e ->
       Alcotest.(check int) "slowest wins the band" 3 e.Obs.Exemplar.i_trace_id;
       Alcotest.(check string) "machine travels" "m1" e.Obs.Exemplar.i_machine
   | None -> Alcotest.fail "band empty after merge");
   (* for_value falls back to the nearest occupied band. *)
-  (match Obs.Exemplar.for_value m1 500 with
+  match Obs.Exemplar.for_value m1 500 with
   | Some e -> Alcotest.(check int) "nearest band below" 100 e.Obs.Exemplar.i_latency
-  | None -> Alcotest.fail "for_value found nothing");
-  match Obs.Exemplar.deserialize (Obs.Exemplar.serialize m1) with
-  | Ok r ->
-      Alcotest.(check string) "roundtrip" (Obs.Exemplar.serialize m1)
-        (Obs.Exemplar.serialize r)
-  | Error e -> Alcotest.failf "roundtrip: %s" e
+  | None -> Alcotest.fail "for_value found nothing"
 
 (* A seeded tail spike in one tenant must be attributable from the merged
    snapshot alone: Topk ranks it first and the p99 exemplar carries the
@@ -2124,8 +2061,7 @@ let test_agg_spike_attribution () =
   let sealed = Array.to_list (Array.map Obs.Agg.seal parts) in
   let snap = Obs.Agg.merge_all sealed in
   let perm = Obs.Agg.merge_all (List.rev sealed) in
-  Alcotest.(check string) "merge order byte-identical"
-    (Obs.Agg.serialize snap) (Obs.Agg.serialize perm);
+  Alcotest.(check bool) "merge order invariant" true (snap = perm);
   Alcotest.(check string) "render deterministic" (Obs.Agg.render snap)
     (Obs.Agg.render perm);
   (match Obs.Agg.top ~n:1 snap with
@@ -2144,16 +2080,34 @@ let test_agg_spike_attribution () =
   Alcotest.(check (list string)) "machines sorted" [ "m0"; "m1"; "m2" ]
     (Obs.Agg.machines snap);
   Alcotest.(check int) "request total" 3300 (Obs.Agg.requests snap);
-  (match Obs.Agg.deserialize (Obs.Agg.serialize snap) with
-  | Ok r ->
-      Alcotest.(check string) "snapshot roundtrip" (Obs.Agg.serialize snap)
-        (Obs.Agg.serialize r)
-  | Error e -> Alcotest.failf "agg roundtrip: %s" e);
   let panel = Obs.Agg.render snap in
   Alcotest.(check bool) "panel lists tenants" true
     (contains ~sub:"alice" panel && contains ~sub:"bob" panel);
   Alcotest.(check bool) "panel shows exemplar offset" true
     (contains ~sub:"offset 4242" panel)
+
+(* Structural equality is not vacuous: one extra request, or one exemplar
+   carrying a different journal offset, makes two sealed snapshots
+   unequal. *)
+let test_agg_equality_discriminates () =
+  let sealed ?(extra = false) ~offset () =
+    let p = Obs.Agg.part ~machine:"m0" () in
+    let ten = Obs.Agg.tenant p "alice" in
+    for i = 1 to 100 do
+      Obs.Agg.record p ten Obs.Trace.Req_end ~latency:(i * 13) ~trace_id:i
+        ~offset:(if i = 100 then offset else -1) ~ts:i
+    done;
+    if extra then
+      Obs.Agg.record p ten Obs.Trace.Req_end ~latency:7 ~trace_id:101
+        ~offset:(-1) ~ts:101;
+    Obs.Agg.seal p
+  in
+  let base = sealed ~offset:64 () in
+  Alcotest.(check bool) "same recording, equal" true (base = sealed ~offset:64 ());
+  Alcotest.(check bool) "one more request, unequal" false
+    (base = sealed ~extra:true ~offset:64 ());
+  Alcotest.(check bool) "other exemplar offset, unequal" false
+    (base = sealed ~offset:128 ())
 
 (* The whole fleet record path — sketch + topk hit + exemplar challenge —
    in steady state allocates nothing. *)
@@ -2175,9 +2129,7 @@ let test_fleet_record_allocation_free () =
     (Printf.sprintf "fleet record allocates nothing (%.0f words)" delta)
     true (delta <= 32.0)
 
-(* Satellite: escape_label / escape_json round-trips, plus the new
-   OpenMetrics surface (# EOF terminator, # UNIT metadata, exemplar
-   syntax on sketch bucket lines). *)
+(* escape_label / escape_json round-trips. *)
 let unescape_label s =
   let buf = Buffer.create (String.length s) in
   let i = ref 0 in
@@ -2210,40 +2162,6 @@ let prop_escape_json_roundtrip =
       match Workloads.Bench_gate.Json.parse quoted with
       | Ok (Workloads.Bench_gate.Json.Str v) -> v = s
       | _ -> false)
-
-let test_metrics_openmetrics_sketch () =
-  let sk = sketch_of (List.init 500 (fun i -> i + 1)) in
-  let ex = Obs.Exemplar.create () in
-  Obs.Exemplar.record ex ~latency:499 ~trace_id:0xBEEF ~machine:"m0"
-    ~offset:777 ~ts:123;
-  let reg = Obs.Metrics.create () in
-  Obs.Metrics.add reg ~label:"fleet" ~sketch:sk ~exemplar:ex ();
-  let prom = Obs.Metrics.to_prometheus reg in
-  Alcotest.(check bool) "ends with # EOF" true
-    (let n = String.length prom in
-     n >= 6 && String.sub prom (n - 6) 6 = "# EOF\n");
-  Alcotest.(check bool) "UNIT metadata" true
-    (contains ~sub:"# UNIT erebor_sketch_latency_cycles cycles" prom
-    && contains ~sub:"# UNIT erebor_sketch_quantile_cycles cycles" prom);
-  Alcotest.(check bool) "TYPE metadata" true
-    (contains ~sub:"# TYPE erebor_sketch_latency_cycles histogram" prom
-    && contains ~sub:"# TYPE erebor_sketch_quantile_cycles summary" prom);
-  Alcotest.(check bool) "quantile series" true
-    (contains ~sub:{|erebor_sketch_quantile_cycles{source="fleet",quantile="0.99"}|}
-       prom);
-  Alcotest.(check bool) "exemplar on the 499 bucket line" true
-    (contains ~sub:{|# {trace_id="0xbeef",machine="m0",offset="777"} 499 123|}
-       prom);
-  Alcotest.(check bool) "+Inf closes the histogram" true
-    (contains ~sub:{|erebor_sketch_latency_cycles_bucket{source="fleet",le="+Inf"} 500|}
-       prom);
-  let json = Obs.Metrics.to_json reg in
-  match Workloads.Bench_gate.Json.parse json with
-  | Error e -> Alcotest.failf "metrics JSON does not parse: %s" e
-  | Ok _ ->
-      Alcotest.(check bool) "json carries sketch + exemplars" true
-        (contains ~sub:{|"sketch":{"alpha":0.01|} json
-        && contains ~sub:{|"trace_id":48879|} json)
 
 (* Journal frame offsets: what Writer.offset reported at record time is
    what the reader hands back in event.off, and it points at a SEGM
@@ -2367,6 +2285,20 @@ let test_query_many_machines () =
         (List.rev !named));
   rm_journal path
 
+(* A directory opens like a file but fails on the first read: every
+   reader must turn that into [Error], never raise. *)
+let test_journal_directory_is_error () =
+  let dir = Filename.temp_dir "erebor-journal" "" in
+  Fun.protect
+    ~finally:(fun () -> Sys.rmdir dir)
+    (fun () ->
+      (match Obs.Journal.fold ~path:dir ~init:() (fun () _ -> ()) with
+      | Ok _ -> Alcotest.fail "fold accepted a directory"
+      | Error _ -> ());
+      match Obs.Journal.replay ~path:dir (fun ~machine:_ -> Obs.Emitter.create ()) with
+      | Ok _ -> Alcotest.fail "replay accepted a directory"
+      | Error _ -> ())
+
 (* A 9-byte LEB128 varint whose last byte sets the 63-bit sign bit. *)
 let negative_varint = "\xff\xff\xff\xff\xff\xff\xff\xff\x7f"
 
@@ -2399,49 +2331,6 @@ let print_mutation = function
   | `Set (p, b) -> Printf.sprintf "set %d %d" p b
   | `Splice p -> Printf.sprintf "splice %d" p
   | `Cut p -> Printf.sprintf "cut %d" p
-
-(* Serialized samples of every fleet wire format, each paired with its
-   decoder reduced to "did it return". *)
-let wire_samples =
-  lazy
-    (let sk = sketch_of ~capacity:8 (List.init 300 (fun i -> (i * 37) + 1)) in
-     let tk = Obs.Topk.create ~capacity:4 () in
-     List.iteri
-       (fun i k -> Obs.Topk.observe tk ~key:k ~weight:(i + 1))
-       [ "a"; "bb"; "ccc"; "a"; "dddd"; "e" ];
-     let ex = Obs.Exemplar.create () in
-     Obs.Exemplar.record ex ~latency:900 ~trace_id:7 ~machine:"m0" ~offset:64
-       ~ts:3;
-     Obs.Exemplar.record ex ~latency:90_000 ~trace_id:8 ~machine:"m1"
-       ~offset:(-1) ~ts:4;
-     let part = Obs.Agg.part ~machine:"m0" () in
-     let ten = Obs.Agg.tenant part "alice" in
-     for i = 1 to 50 do
-       Obs.Agg.record part ten Obs.Trace.Req_end ~latency:(i * 97) ~trace_id:i
-         ~offset:i ~ts:i
-     done;
-     let ok = function Ok _ -> () | Error (_ : string) -> () in
-     [|
-       (Obs.Sketch.serialize sk, fun s -> ok (Obs.Sketch.deserialize s));
-       (Obs.Topk.serialize (Obs.Topk.seal tk), fun s -> ok (Obs.Topk.deserialize s));
-       (Obs.Exemplar.serialize ex, fun s -> ok (Obs.Exemplar.deserialize s));
-       ( Obs.Agg.serialize (Obs.Agg.seal part),
-         fun s -> ok (Obs.Agg.deserialize s) );
-     |])
-
-let prop_wire_decoders_total =
-  QCheck.Test.make ~name:"fleet wire decoders: Ok or Error, never raise"
-    ~count:1000
-    QCheck.(
-      make
-        ~print:(fun (i, ms) ->
-          Printf.sprintf "blob %d: %s" i
-            (String.concat "; " (List.map print_mutation ms)))
-        Gen.(pair (int_bound 3) (list_size (1 -- 3) mutation_gen)))
-    (fun (i, ms) ->
-      let blob, decode = (Lazy.force wire_samples).(i) in
-      decode (List.fold_left mutate blob ms);
-      true)
 
 (* CRC-32 (IEEE) as the journal frames it, to re-seal mutated payloads. *)
 let crc32 s =
@@ -2650,6 +2539,8 @@ let () =
             test_query_matches_histogram;
           Alcotest.test_case "query: 257 machines, no aliasing" `Quick
             test_query_many_machines;
+          Alcotest.test_case "directory path is an Error" `Quick
+            test_journal_directory_is_error;
           QCheck_alcotest.to_alcotest prop_journal_reader_total;
         ] );
       ( "sketch",
@@ -2658,8 +2549,6 @@ let () =
             test_sketch_accuracy_adversarial;
           Alcotest.test_case "histogram cross-check" `Quick
             test_sketch_histogram_crosscheck;
-          Alcotest.test_case "collapse + wire edges" `Quick
-            test_sketch_collapse_and_edges;
           QCheck_alcotest.to_alcotest prop_sketch_merge_canonical;
         ] );
       ( "topk", [ QCheck_alcotest.to_alcotest prop_topk_bounds ] );
@@ -2669,14 +2558,13 @@ let () =
             test_exemplar_reservoir;
           Alcotest.test_case "seeded spike attributable end-to-end" `Quick
             test_agg_spike_attribution;
+          Alcotest.test_case "sealed equality discriminates" `Quick
+            test_agg_equality_discriminates;
           Alcotest.test_case "record path is allocation-free" `Quick
             test_fleet_record_allocation_free;
-          QCheck_alcotest.to_alcotest prop_wire_decoders_total;
         ] );
       ( "openmetrics",
         [
-          Alcotest.test_case "sketch families + EOF + exemplars" `Quick
-            test_metrics_openmetrics_sketch;
           QCheck_alcotest.to_alcotest prop_escape_label_roundtrip;
           QCheck_alcotest.to_alcotest prop_escape_json_roundtrip;
         ] );
