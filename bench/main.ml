@@ -473,25 +473,32 @@ let bechamel_tests () =
 
 let run_bechamel () =
   let open Bechamel in
-  header "Bechamel: simulator wall-clock per experiment regeneration";
+  header "Bechamel: simulator wall-clock and minor allocation per run";
   let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 1.0) ~kde:None () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] (bechamel_tests ()) in
+  let raw =
+    Benchmark.all cfg
+      Toolkit.Instance.[ monotonic_clock; minor_allocated ]
+      (bechamel_tests ())
+  in
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
   in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with Some (v :: _) -> v | _ -> nan
-        in
-        (name, ns) :: acc)
-      results []
+  let per_run instance =
+    let results = Analyze.all ols instance raw in
+    fun name ->
+      match Hashtbl.find_opt results name with
+      | Some ols -> (
+          match Analyze.OLS.estimates ols with Some (v :: _) -> v | _ -> nan)
+      | None -> nan
   in
+  let ns = per_run Toolkit.Instance.monotonic_clock in
+  let words = per_run Toolkit.Instance.minor_allocated in
+  let names = List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) raw []) in
   List.iter
-    (fun (name, ns) -> Printf.printf "%-40s %12.3f ms/run\n" name (ns /. 1e6))
-    (List.sort compare rows)
+    (fun name ->
+      Printf.printf "%-40s %12.3f ms/run %14.0f minor words/run\n" name
+        (ns name /. 1e6) (words name))
+    names
 
 (* ------------------------------------------------------------------ *)
 (* EMC latency histogram (observability subsystem)                     *)

@@ -1,10 +1,19 @@
+(* One record per common-memory instance name. A frame's class points at
+   it, so a leaf store reaches the seal state and the mapping list without
+   hashing the name. *)
+type common = {
+  instance : string;
+  mutable sealed : bool;
+  mutable mappings : int list; (* leaf PTE addresses that mapped the instance *)
+}
+
 type frame_class =
   | Free
   | Ptp of { level : int; root : int }
   | Monitor
   | Kernel_text
   | Confined of { owner : int }
-  | Common of { instance : string }
+  | Common of common
 
 type t = {
   mem : Hw.Phys_mem.t;
@@ -17,9 +26,8 @@ type t = {
      [Free], exactly like a never-classified frame. *)
   classes : frame_class array;
   confined_mapped : Bytes.t;               (* confined pfns with a live mapping *)
-  sandbox_roots : (int, int) Hashtbl.t;    (* root pfn -> sandbox id *)
-  common_mappings : (string, int list ref) Hashtbl.t; (* instance -> pte addrs *)
-  sealed : (string, unit) Hashtbl.t;
+  sandbox_roots : int Int_table.t;         (* root pfn -> sandbox id *)
+  commons : (string, common) Hashtbl.t;
   mutable kernel_root : int option;
   mutable denied : int;
 }
@@ -31,9 +39,8 @@ let create ~mem ~cpu ~backend =
     backend;
     classes = Array.make (Hw.Phys_mem.frames mem) Free;
     confined_mapped = Bytes.make (Hw.Phys_mem.frames mem) '\000';
-    sandbox_roots = Hashtbl.create 8;
-    common_mappings = Hashtbl.create 8;
-    sealed = Hashtbl.create 8;
+    sandbox_roots = Int_table.create 8;
+    commons = Hashtbl.create 8;
     kernel_root = None;
     denied = 0;
   }
@@ -47,6 +54,21 @@ let mark_confined_mapped t pfn v =
 
 let set_kernel_root t pfn = t.kernel_root <- Some pfn
 
+let common t ~instance =
+  match Hashtbl.find_opt t.commons instance with
+  | Some c -> c
+  | None ->
+      let c = { instance; sealed = false; mappings = [] } in
+      Hashtbl.replace t.commons instance c;
+      c
+
+let common_name c = c.instance
+
+(* Instances compare by identity: there is one record per name, and
+   structural equality would walk its mapping list. *)
+let same_class a b =
+  match (a, b) with Common x, Common y -> x == y | _ -> a = b
+
 let register_root t ~root_pfn =
   match class_of t root_pfn with
   | Free ->
@@ -59,9 +81,16 @@ let register_root t ~root_pfn =
   | Confined _ | Common _ -> Error "CR3 target is sandbox memory"
 
 let register_sandbox_root t ~root_pfn ~sandbox =
-  Hashtbl.replace t.sandbox_roots root_pfn sandbox
+  Int_table.replace t.sandbox_roots root_pfn sandbox
 
-let sandbox_of_root t ~root_pfn = Hashtbl.find_opt t.sandbox_roots root_pfn
+let sandbox_of_root t ~root_pfn = Int_table.find_opt t.sandbox_roots root_pfn
+
+(* Sandbox owning [root], or -1 (sandbox ids start at 1): the leaf check
+   asks this on every store, so it answers without an option. *)
+let sandbox_id_of_root t root =
+  match Int_table.find t.sandbox_roots root with
+  | sid -> sid
+  | exception Not_found -> -1
 
 let classify t ~pfn cls =
   match class_of t pfn with
@@ -77,7 +106,7 @@ let classify t ~pfn cls =
   | Monitor -> Error "cannot reclassify monitor memory"
   | Kernel_text | Confined _ | Common _ -> (
       (* Idempotent re-classification to the same class is fine. *)
-      if class_of t pfn = cls then Ok () else Error "frame already classified")
+      if same_class (class_of t pfn) cls then Ok () else Error "frame already classified")
 
 let is_confined_mapped t ~pfn =
   in_range t pfn && Bytes.unsafe_get t.confined_mapped pfn = '\001'
@@ -105,10 +134,7 @@ let deny_incr t msg =
     ~verdict:Obs.Audit.Deny (fun () -> msg);
   Error msg
 
-let record_common_mapping t instance pte_addr =
-  match Hashtbl.find_opt t.common_mappings instance with
-  | Some l -> l := pte_addr :: !l
-  | None -> Hashtbl.replace t.common_mappings instance (ref [ pte_addr ])
+let record_common_mapping c pte_addr = c.mappings <- pte_addr :: c.mappings
 
 (* Forget bookkeeping tied to the entry currently stored at [pte_addr]. *)
 let release_old_leaf t pte_addr =
@@ -131,7 +157,7 @@ let check_leaf t ~root pte =
   | Error _ as e -> e
   | Ok () -> (
       let target = Hw.Pte.pfn pte in
-      let sandbox = Hashtbl.find_opt t.sandbox_roots root in
+      let sandbox = sandbox_id_of_root t root in
       match class_of t target with
       | Monitor -> Error "mapping monitor memory is forbidden"
       | Ptp _ ->
@@ -147,135 +173,136 @@ let check_leaf t ~root pte =
                (Hw.Pte.set_user (Hw.Pte.set_writable pte false) false)
                Policy.key_kernel_text)
       | Confined { owner } -> (
-          match sandbox with
-          | Some sid when sid = owner ->
-              if is_confined_mapped t ~pfn:target then
-                Error "confined frame already mapped (single-mapping rule)"
-              else begin
-                mark_confined_mapped t target true;
-                Ok (Isolation.seal_confined_leaf t.backend ~owner pte)
-              end
-          | Some _ -> Error "confined frame belongs to another sandbox"
-          | None -> Error "confined frame cannot map outside its sandbox")
-      | Common { instance } ->
-          if Hashtbl.mem t.sealed instance then
+          if sandbox = owner then
+            if is_confined_mapped t ~pfn:target then
+              Error "confined frame already mapped (single-mapping rule)"
+            else begin
+              mark_confined_mapped t target true;
+              Ok (Isolation.seal_confined_leaf t.backend ~owner pte)
+            end
+          else if sandbox >= 0 then Error "confined frame belongs to another sandbox"
+          else Error "confined frame cannot map outside its sandbox")
+      | Common c ->
+          if c.sealed then
             (* Sandbox mappings of a sealed instance silently downgrade to
                read-only (demand paging continues after seal); a writable
                mapping requested from outside any sandbox is an attack. *)
-            if sandbox = None && Hw.Pte.writable pte then
+            if sandbox < 0 && Hw.Pte.writable pte then
               Error "sealed common frame cannot be mapped writable outside a sandbox"
             else Ok (Hw.Pte.set_writable pte false)
           else Ok pte
-      | Free -> (
-          match sandbox with
-          | Some _ when Hw.Pte.user pte ->
-              Error "sandbox user mappings must target declared confined/common frames"
-          | Some _ | None -> Ok pte))
+      | Free ->
+          if sandbox >= 0 && Hw.Pte.user pte then
+            Error "sandbox user mappings must target declared confined/common frames"
+          else Ok pte)
+
+(* A PTE slot is 8-byte aligned. Any other address would read and write
+   across two neighbouring entries (or, at page offset 4092, across two
+   pages), so it is denied before anything is read or stored. *)
+let misaligned pte_addr = pte_addr land 7 <> 0
 
 let write_pte t ~trusted ~pte_addr pte =
-  let container = Hw.Phys_mem.pfn_of_addr pte_addr in
-  match class_of t container with
-  | Ptp { level; root } ->
-      let deny msg = deny_incr t msg in
-      if level = 2 && Hw.Pte.present pte && Hw.Pte.huge pte then begin
-        (* A 2 MiB leaf install. Sandboxes must declare memory at 4 KiB
-           granularity, and classified frames never hide inside a huge
-           mapping. *)
-        if Hashtbl.mem t.sandbox_roots root then
-          deny_incr t "huge mappings are not allowed in sandbox address spaces"
-        else begin
-          let base = Hw.Pte.pfn pte in
-          let rec all_free i =
-            i = 512
-            || (class_of t (base + i) = Free && all_free (i + 1))
-          in
-          if base land 0x1ff <> 0 then deny_incr t "huge leaf frame not 2MiB-aligned"
-          else if not (all_free 0) then
-            deny_incr t "huge leaf covers classified frames"
+  if misaligned pte_addr then deny_incr t "misaligned PTE store"
+  else
+    match class_of t (Hw.Phys_mem.pfn_of_addr pte_addr) with
+    | Ptp { level; root } ->
+        if level = 2 && Hw.Pte.present pte && Hw.Pte.huge pte then begin
+          (* A 2 MiB leaf install. Sandboxes must declare memory at 4 KiB
+             granularity, and classified frames never hide inside a huge
+             mapping. *)
+          if Int_table.mem t.sandbox_roots root then
+            deny_incr t "huge mappings are not allowed in sandbox address spaces"
           else begin
+            let base = Hw.Pte.pfn pte in
+            let rec all_free i =
+              i = 512
+              || (class_of t (base + i) = Free && all_free (i + 1))
+            in
+            if base land 0x1ff <> 0 then deny_incr t "huge leaf frame not 2MiB-aligned"
+            else if not (all_free 0) then
+              deny_incr t "huge leaf covers classified frames"
+            else begin
+              do_store t pte_addr pte;
+              Ok ()
+            end
+          end
+        end
+        else if level < 3 then begin
+          (* Intermediate entry: the child becomes (or stops being) a PTP. *)
+          let old = Hw.Phys_mem.read_u64 t.mem pte_addr in
+          if Hw.Pte.present old && Hw.Pte.present pte && Hw.Pte.pfn old <> Hw.Pte.pfn pte
+          then deny_incr t "re-pointing a live interior entry is forbidden"
+          else if Hw.Pte.present pte then begin
+            let child = Hw.Pte.pfn pte in
+            match class_of t child with
+            | Free ->
+                set_class t child (Ptp { level = level + 1; root });
+                do_store t pte_addr pte;
+                Ok ()
+            | Ptp { level = l; _ } when l = level + 1 ->
+                (* Sharing an existing subtree (kernel half of a new task). *)
+                do_store t pte_addr pte;
+                Ok ()
+            | Ptp _ -> deny_incr t "child frame already a PTP at another level"
+            | Monitor -> deny_incr t "monitor frame cannot become a page-table page"
+            | Kernel_text | Confined _ | Common _ ->
+                deny_incr t "classified frame cannot become a page-table page"
+          end
+          else begin
+            (* Clearing an interior slot: deregister the child (shallow). *)
+            (if Hw.Pte.present old then
+               match class_of t (Hw.Pte.pfn old) with
+               | Ptp { level = l; _ } when l = level + 1 ->
+                   clear_class t (Hw.Pte.pfn old)
+               | _ -> ());
             do_store t pte_addr pte;
             Ok ()
           end
         end
-      end
-      else if level < 3 then begin
-        (* Intermediate entry: the child becomes (or stops being) a PTP. *)
-        let old = Hw.Phys_mem.read_u64 t.mem pte_addr in
-        if Hw.Pte.present old && Hw.Pte.present pte && Hw.Pte.pfn old <> Hw.Pte.pfn pte
-        then deny "re-pointing a live interior entry is forbidden"
-        else if Hw.Pte.present pte then begin
-          let child = Hw.Pte.pfn pte in
-          match class_of t child with
-          | Free ->
-              set_class t child (Ptp { level = level + 1; root });
-              do_store t pte_addr pte;
-              Ok ()
-          | Ptp { level = l; _ } when l = level + 1 ->
-              (* Sharing an existing subtree (kernel half of a new task). *)
-              do_store t pte_addr pte;
-              Ok ()
-          | Ptp _ -> deny "child frame already a PTP at another level"
-          | Monitor -> deny "monitor frame cannot become a page-table page"
-          | Kernel_text | Confined _ | Common _ ->
-              deny "classified frame cannot become a page-table page"
-        end
         else begin
-          (* Clearing an interior slot: deregister the child (shallow). *)
-          (if Hw.Pte.present old then
-             match class_of t (Hw.Pte.pfn old) with
-             | Ptp { level = l; _ } when l = level + 1 ->
-                 clear_class t (Hw.Pte.pfn old)
-             | _ -> ());
-          do_store t pte_addr pte;
-          Ok ()
+          (* Leaf entry. *)
+          release_old_leaf t pte_addr;
+          if not (Hw.Pte.present pte) then begin
+            do_store t pte_addr pte;
+            Ok ()
+          end
+          else if trusted then begin
+            (match class_of t (Hw.Pte.pfn pte) with
+            | Common c -> record_common_mapping c pte_addr
+            | _ -> ());
+            do_store t pte_addr pte;
+            Ok ()
+          end
+          else
+            match check_leaf t ~root pte with
+            | Ok pte' ->
+                (match class_of t (Hw.Pte.pfn pte') with
+                | Common c -> record_common_mapping c pte_addr
+                | _ -> ());
+                do_store t pte_addr pte';
+                Ok ()
+            | Error e -> deny_incr t e
         end
-      end
-      else begin
-        (* Leaf entry. *)
-        release_old_leaf t pte_addr;
-        if not (Hw.Pte.present pte) then begin
-          do_store t pte_addr pte;
-          Ok ()
-        end
-        else if trusted then begin
-          (match class_of t (Hw.Pte.pfn pte) with
-          | Common { instance } -> record_common_mapping t instance pte_addr
-          | _ -> ());
-          do_store t pte_addr pte;
-          Ok ()
-        end
-        else
-          match check_leaf t ~root pte with
-          | Ok pte' ->
-              (match class_of t (Hw.Pte.pfn pte') with
-              | Common { instance } -> record_common_mapping t instance pte_addr
-              | _ -> ());
-              do_store t pte_addr pte';
-              Ok ()
-          | Error e -> deny e
-      end
-  | Free | Monitor | Kernel_text | Confined _ | Common _ ->
-      deny_incr t "PTE store outside a registered page-table page"
+    | Free | Monitor | Kernel_text | Confined _ | Common _ ->
+        deny_incr t "PTE store outside a registered page-table page"
 
 let seal_common t ~instance =
-  Hashtbl.replace t.sealed instance ();
-  match Hashtbl.find_opt t.common_mappings instance with
-  | None -> 0
-  | Some addrs ->
-      let rewritten = ref 0 in
-      List.iter
-        (fun pte_addr ->
-          let pte = Hw.Phys_mem.read_u64 t.mem pte_addr in
-          (* Tolerate stale records: only rewrite entries still pointing at
-             this instance's frames. *)
-          if Hw.Pte.present pte then
-            match class_of t (Hw.Pte.pfn pte) with
-            | Common { instance = i } when i = instance && Hw.Pte.writable pte ->
-                do_store t pte_addr (Hw.Pte.set_writable pte false);
-                incr rewritten
-            | _ -> ())
-        !addrs;
-      !rewritten
+  let c = common t ~instance in
+  c.sealed <- true;
+  let rewritten = ref 0 in
+  List.iter
+    (fun pte_addr ->
+      let pte = Hw.Phys_mem.read_u64 t.mem pte_addr in
+      (* Tolerate stale records: only rewrite entries still pointing at
+         this instance's frames. *)
+      if Hw.Pte.present pte then
+        match class_of t (Hw.Pte.pfn pte) with
+        | Common c' when c' == c && Hw.Pte.writable pte ->
+            do_store t pte_addr (Hw.Pte.set_writable pte false);
+            incr rewritten
+        | _ -> ())
+    c.mappings;
+  !rewritten
 
 let protect_direct_map_inplace t ~pfn ~key ~writable =
   match t.kernel_root with
@@ -298,37 +325,38 @@ let protect_direct_map_inplace t ~pfn ~key ~writable =
 (* ------------------------------------------------------------------ *)
 
 let split_huge_leaf t ~pte_addr ~alloc_ptp =
-  let container = Hw.Phys_mem.pfn_of_addr pte_addr in
-  match class_of t container with
-  | Ptp { level = 2; root } ->
-      let old = Hw.Phys_mem.read_u64 t.mem pte_addr in
-      if not (Hw.Pte.present old && Hw.Pte.huge old) then
-        Error "split: entry is not a huge leaf"
-      else begin
-        let base = Hw.Pte.pfn old in
-        let pt = alloc_ptp () in
-        (match class_of t pt with
-        | Free -> set_class t pt (Ptp { level = 3; root })
-        | Ptp _ | Monitor | Kernel_text | Confined _ | Common _ ->
-            failwith "split: allocator returned a classified frame");
-        (* Fill the new table with 512 equivalent 4 KiB entries. *)
-        let small = Hw.Pte.set_huge old false in
-        for i = 0 to 511 do
-          Hw.Phys_mem.write_u64 t.mem
-            (Hw.Phys_mem.addr_of_pfn pt + (8 * i))
-            (Hw.Pte.with_pfn small (base + i))
-        done;
-        (* Swing the directory entry from the huge leaf to the new table. *)
-        let interior =
-          Hw.Pte.make ~pfn:pt
-            { Hw.Pte.default_flags with user = Hw.Pte.user old }
-        in
-        do_store t pte_addr interior;
-        Ok ()
-      end
-  | Ptp _ -> Error "split: entry is not at the page-directory level"
-  | Free | Monitor | Kernel_text | Confined _ | Common _ ->
-      Error "split: address is not inside a registered page-table page"
+  if misaligned pte_addr then deny_incr t "split: misaligned PTE address"
+  else
+    match class_of t (Hw.Phys_mem.pfn_of_addr pte_addr) with
+    | Ptp { level = 2; root } ->
+        let old = Hw.Phys_mem.read_u64 t.mem pte_addr in
+        if not (Hw.Pte.present old && Hw.Pte.huge old) then
+          Error "split: entry is not a huge leaf"
+        else begin
+          let base = Hw.Pte.pfn old in
+          let pt = alloc_ptp () in
+          (match class_of t pt with
+          | Free -> set_class t pt (Ptp { level = 3; root })
+          | Ptp _ | Monitor | Kernel_text | Confined _ | Common _ ->
+              failwith "split: allocator returned a classified frame");
+          (* Fill the new table with 512 equivalent 4 KiB entries. *)
+          let small = Hw.Pte.set_huge old false in
+          for i = 0 to 511 do
+            Hw.Phys_mem.write_u64 t.mem
+              (Hw.Phys_mem.addr_of_pfn pt + (8 * i))
+              (Hw.Pte.with_pfn small (base + i))
+          done;
+          (* Swing the directory entry from the huge leaf to the new table. *)
+          let interior =
+            Hw.Pte.make ~pfn:pt
+              { Hw.Pte.default_flags with user = Hw.Pte.user old }
+          in
+          do_store t pte_addr interior;
+          Ok ()
+        end
+    | Ptp _ -> Error "split: entry is not at the page-directory level"
+    | Free | Monitor | Kernel_text | Confined _ | Common _ ->
+        Error "split: address is not inside a registered page-table page"
 
 let protect_page_splitting t ~root_pfn ~vaddr ~key ~writable ~alloc_ptp =
   match Hw.Page_table.walk t.mem ~root_pfn vaddr with

@@ -30,13 +30,19 @@
     [Confined] tags it with its owner's key (TME-MK) and [declassify]
     untags it; PKS/WP tag nothing. *)
 
+type common
+(** A named common-memory instance as the guard tracks it: its seal state
+    and the leaf slots that have mapped its frames. There is one per name
+    ({!common}); a [Common] frame carries it, so a leaf store finds both
+    without looking the name up. *)
+
 type frame_class =
   | Free
   | Ptp of { level : int; root : int }
   | Monitor
   | Kernel_text
   | Confined of { owner : int }   (** Sandbox id. *)
-  | Common of { instance : string }
+  | Common of common
 
 type t
 
@@ -47,6 +53,11 @@ val create : mem:Hw.Phys_mem.t -> cpu:Hw.Cpu.t -> backend:Isolation.t -> t
 
 val set_kernel_root : t -> int -> unit
 (** Identify the master kernel root whose tree carries the direct map. *)
+
+val common : t -> instance:string -> common
+(** The guard's record for the named instance, created on first use. *)
+
+val common_name : common -> string
 
 val register_root : t -> root_pfn:int -> (unit, string) result
 (** Accept a CR3 target: the frame must not already hold another class. *)

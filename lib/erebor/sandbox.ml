@@ -2,6 +2,13 @@ type phase = Initializing | Data_loaded | Terminated
 
 type confined_region = { start : int; len : int; base_pfn : int }
 
+type common_instance = {
+  shared : Mmu_guard.common; (* the guard's record for the instance name *)
+  size : int;
+  frames : int array; (* page index -> pfn, -1 until first faulted in *)
+  mutable populated : int; (* frames currently >= 0 *)
+}
+
 type t = {
   id : int;
   sb_name : string;
@@ -11,7 +18,7 @@ type t = {
   mutable threads : Kernel.Task.t list;
   confined_budget : int;
   mutable confined : confined_region list;
-  mutable commons : (int * string) list; (* region start -> instance name *)
+  mutable commons : (int * common_instance) list; (* region start -> instance *)
   channel_fd : int;
   mutable input_addr : int;
   mutable input_len : int;
@@ -22,18 +29,12 @@ type t = {
   mutable ve_count : int;
 }
 
-type common_instance = {
-  cname : string;
-  size : int;
-  frames : (int, int) Hashtbl.t; (* page index -> pfn *)
-}
-
 type manager = {
   monitor : Monitor.t;
   kern : Kernel.t;
   mutable next_id : int;
-  sandboxes : (int, t) Hashtbl.t;
-  by_root : (int, t) Hashtbl.t;
+  sandboxes : t Int_table.t;
+  by_root : t Int_table.t;
   commons : (string, common_instance) Hashtbl.t;
   mutable mitigations : Mitigations.t option;
 }
@@ -71,52 +72,55 @@ let interpose_charge mgr cycles =
 let page_size = Hw.Phys_mem.page_size
 
 (* Fault-frame provider: serve confined pages from the pinned contiguous
-   range, common pages from the shared instance. *)
+   range, common pages from the shared instance. Every miss is -1, the
+   kernel's "no frame here". *)
+let rec confined_frame regions addr =
+  match regions with
+  | [] -> -1
+  | r :: rest ->
+      if addr >= r.start && addr < r.start + r.len then
+        r.base_pfn + ((addr - r.start) / page_size)
+      else confined_frame rest addr
+
+let instance_frame mgr inst index =
+  let pfn = inst.frames.(index) in
+  if pfn >= 0 then pfn
+  else
+    match Kernel.Alloc.alloc mgr.kern.Kernel.frame_alloc with
+    | None -> -1
+    | Some pfn ->
+        (match Mmu_guard.classify (guard mgr) ~pfn (Mmu_guard.Common inst.shared) with
+        | Ok () -> ()
+        | Error e -> failwith ("frame_source: " ^ e));
+        inst.frames.(index) <- pfn;
+        inst.populated <- inst.populated + 1;
+        pfn
+
+let rec common_frame mgr commons ~region_start ~index =
+  match commons with
+  | [] -> -1
+  | (start, inst) :: rest ->
+      if start = region_start then instance_frame mgr inst index
+      else common_frame mgr rest ~region_start ~index
+
 let frame_source mgr task region ~addr =
-  match Kernel.Task.sandbox_id task with
-  | None -> None
-  | Some sid -> (
-      match Hashtbl.find_opt mgr.sandboxes sid with
-      | None -> None
-      | Some sb -> (
+  match task.Kernel.Task.kind with
+  | Kernel.Task.Normal -> -1
+  | Kernel.Task.Sandboxed sid -> (
+      match Int_table.find mgr.sandboxes sid with
+      | exception Not_found -> -1
+      | sb -> (
           match region.Kernel.Vma.kind with
-          | Kernel.Vma.Confined ->
-              List.find_map
-                (fun r ->
-                  if addr >= r.start && addr < r.start + r.len then
-                    Some (r.base_pfn + ((addr - r.start) / page_size))
-                  else None)
-                sb.confined
-          | Kernel.Vma.Common -> (
-              let index = (addr - region.Kernel.Vma.start) / page_size in
-              match
-                List.find_map
-                  (fun (start, cname) ->
-                    if start = region.Kernel.Vma.start then Hashtbl.find_opt mgr.commons cname
-                    else None)
-                  sb.commons
-              with
-              | None -> None
-              | Some inst -> (
-                  match Hashtbl.find_opt inst.frames index with
-                  | Some pfn -> Some pfn
-                  | None -> (
-                      match Kernel.Alloc.alloc mgr.kern.Kernel.frame_alloc with
-                      | None -> None
-                      | Some pfn ->
-                          (match
-                             Mmu_guard.classify (guard mgr) ~pfn
-                               (Mmu_guard.Common { instance = inst.cname })
-                           with
-                          | Ok () -> ()
-                          | Error e -> failwith ("frame_source: " ^ e));
-                          Hashtbl.replace inst.frames index pfn;
-                          Some pfn)))
-          | Kernel.Vma.Anon | Kernel.Vma.Stack | Kernel.Vma.File _ -> None))
+          | Kernel.Vma.Confined -> confined_frame sb.confined addr
+          | Kernel.Vma.Common ->
+              let region_start = region.Kernel.Vma.start in
+              common_frame mgr sb.commons ~region_start
+                ~index:((addr - region_start) / page_size)
+          | Kernel.Vma.Anon | Kernel.Vma.Stack | Kernel.Vma.File _ -> -1))
 
 let usercopy_veto mgr () =
   let root = Hw.Cr.root_pfn mgr.kern.Kernel.cpu.Hw.Cpu.cr in
-  match Hashtbl.find_opt mgr.by_root root with
+  match Int_table.find_opt mgr.by_root root with
   | Some sb when sb.phase = Data_loaded ->
       Some (Printf.sprintf "sandbox %d is sealed" sb.id)
   | Some _ | None -> None
@@ -127,8 +131,8 @@ let create_manager ~monitor ~kern =
       monitor;
       kern;
       next_id = 1;
-      sandboxes = Hashtbl.create 8;
-      by_root = Hashtbl.create 8;
+      sandboxes = Int_table.create 8;
+      by_root = Int_table.create 8;
       commons = Hashtbl.create 8;
       mitigations = None;
     }
@@ -170,8 +174,8 @@ let create_sandbox ?policy mgr ~name ~confined_budget =
         ve_count = 0;
       }
     in
-    Hashtbl.replace mgr.sandboxes sid sb;
-    Hashtbl.replace mgr.by_root task.Kernel.Task.root_pfn sb;
+    Int_table.replace mgr.sandboxes sid sb;
+    Int_table.replace mgr.by_root task.Kernel.Task.root_pfn sb;
     emit mgr Obs.Trace.Sandbox_create ~arg:sid;
     audit mgr Obs.Audit.Info (fun () ->
         Printf.sprintf "create id=%d name=%s" sid sb.sb_name);
@@ -232,30 +236,40 @@ let attach_common mgr sb ~name ~size =
           sb.id sb.policy.Policy.label);
     Error "tenant policy forbids common memory"
   end
-  else begin
+  else
     let inst =
       match Hashtbl.find_opt mgr.commons name with
-      | Some inst ->
-          if inst.size <> size then invalid_arg "attach_common: size mismatch" else inst
+      | Some inst -> inst
       | None ->
-          let inst = { cname = name; size; frames = Hashtbl.create 1024 } in
+          (* The frame table is sized once, here: a later attach must name
+             the same size, so every fault indexes inside it. *)
+          let pages = max 0 (Kernel.Layout.page_align_up size / page_size) in
+          let inst =
+            { shared = Mmu_guard.common (guard mgr) ~instance:name; size;
+              frames = Array.make pages (-1); populated = 0 }
+          in
           Hashtbl.replace mgr.commons name inst;
           inst
     in
-    ignore inst;
-    match
-      Kernel.mmap mgr.kern sb.main_task ~len:(Kernel.Layout.page_align_up size)
-        ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Common
-    with
-    | Error e -> Error e
-    | Ok start ->
-        sb.commons <- sb.commons @ [ (start, name) ];
-        Ok start
-  end
+    if inst.size <> size then begin
+      audit mgr Obs.Audit.Deny (fun () ->
+          Printf.sprintf "attach_common id=%d %s: instance %s has size %d, not %d"
+            sb.id sb.policy.Policy.label name inst.size size);
+      Error "common instance size mismatch"
+    end
+    else
+      match
+        Kernel.mmap mgr.kern sb.main_task ~len:(Kernel.Layout.page_align_up size)
+          ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Common
+      with
+      | Error e -> Error e
+      | Ok start ->
+          sb.commons <- sb.commons @ [ (start, inst) ];
+          Ok start
 
 let common_instance_frames mgr ~name =
   match Hashtbl.find_opt mgr.commons name with
-  | Some inst -> Hashtbl.length inst.frames
+  | Some inst -> inst.populated
   | None -> 0
 
 let read_sandbox_bytes mgr sb ~addr ~len =
@@ -325,7 +339,7 @@ let load_client_data mgr sb data =
           (* Seal every attached common instance (revoke write). *)
           List.iter
             (fun cname -> ignore (Mmu_guard.seal_common (guard mgr) ~instance:cname))
-            (List.sort_uniq compare (List.map snd sb.commons));
+            (List.sort_uniq compare (List.map (fun (_, inst) -> Mmu_guard.common_name inst.shared) sb.commons));
           Monitor.prepare_sandbox_entry mgr.monitor;
           sb.phase <- Data_loaded;
           emit mgr Obs.Trace.Sandbox_seal ~arg:sb.id;
@@ -447,20 +461,20 @@ let terminate mgr sb =
 let find_by_task mgr task =
   match Kernel.Task.sandbox_id task with
   | None -> None
-  | Some sid -> Hashtbl.find_opt mgr.sandboxes sid
+  | Some sid -> Int_table.find_opt mgr.sandboxes sid
 
-let find_by_id mgr sid = Hashtbl.find_opt mgr.sandboxes sid
+let find_by_id mgr sid = Int_table.find_opt mgr.sandboxes sid
 
 let sandboxes mgr =
   List.sort
     (fun a b -> compare a.id b.id)
-    (Hashtbl.fold (fun _ sb acc -> sb :: acc) mgr.sandboxes [])
+    (Int_table.fold (fun _ sb acc -> sb :: acc) mgr.sandboxes [])
 
 let exit_stats_all mgr =
   List.map
     (fun sb -> (sb.id, sb.sb_name, (sb.pf_count, sb.timer_count, sb.ve_count)))
     (sandboxes mgr)
 
-let sandbox_count mgr = Hashtbl.length mgr.sandboxes
+let sandbox_count mgr = Int_table.length mgr.sandboxes
 let manager_kernel mgr = mgr.kern
 let manager_monitor mgr = mgr.monitor

@@ -59,7 +59,9 @@ val declare_confined : manager -> t -> len:int -> (int, string) result
 val attach_common : manager -> t -> name:string -> size:int -> (int, string) result
 (** Map a (possibly pre-existing) named common instance read-write; frames
     materialize on first touch and are shared across every sandbox that
-    attaches the same name. *)
+    attaches the same name. The first attach fixes the instance's size:
+    attaching it with another size is refused ([Error] plus an audited
+    Deny), like the phase and policy refusals. *)
 
 val common_instance_frames : manager -> name:string -> int
 (** Frames currently backing an instance (memory-saving accounting). *)

@@ -8,90 +8,95 @@ type walk_result = {
   pfn : int; (* resolved for the exact vaddr (huge pages span 512 frames) *)
 }
 
-let split vaddr =
-  let idx n = (vaddr lsr (12 + (9 * n))) land 0x1ff in
-  (idx 3, idx 2, idx 1, idx 0)
+(* Index of [vaddr] in the table at [level]: 3 = PML4, 2 = PDPT, 1 = PD,
+   0 = PT. *)
+let[@inline] index vaddr level = (vaddr lsr (12 + (9 * level))) land 0x1ff
+
+let split vaddr = (index vaddr 3, index vaddr 2, index vaddr 1, index vaddr 0)
 
 let page_base vaddr = vaddr land lnot (Phys_mem.page_size - 1)
 
 type writer = pte_addr:int -> Pte.t -> unit
 
-let entry_addr table_pfn index = Phys_mem.addr_of_pfn table_pfn + (8 * index)
+let[@inline] entry_addr table_pfn vaddr level =
+  Phys_mem.addr_of_pfn table_pfn + (8 * index vaddr level)
+
+(* Each descent below is written out level by level, so a walk that
+   stops at a non-present slot allocates nothing. Huge entries are
+   honoured only at the PD level; a PS bit higher up is walked through
+   like any table pointer. *)
 
 let walk mem ~root_pfn vaddr =
-  let i4, i3, i2, i1 = split vaddr in
-  let rec descend pfn indices user writable nx =
-    match indices with
-    | [] -> assert false
-    | [ leaf_idx ] ->
-        let pte_addr = entry_addr pfn leaf_idx in
-        let pte = Phys_mem.read_u64 mem pte_addr in
-        if not (Pte.present pte) then None
-        else
-          Some
-            {
-              pte;
-              pte_addr;
-              user = user && Pte.user pte;
-              writable = writable && Pte.writable pte;
-              nx = nx || Pte.nx pte;
-              huge = false;
-              pfn = Pte.pfn pte;
-            }
-    | idx :: rest ->
-        let pte_addr = entry_addr pfn idx in
-        let e = Phys_mem.read_u64 mem pte_addr in
-        if not (Pte.present e) then None
-        else if Pte.huge e && List.length rest = 1 then
+  let a4 = entry_addr root_pfn vaddr 3 in
+  let e4 = Phys_mem.read_u64 mem a4 in
+  if not (Pte.present e4) then None
+  else
+    let a3 = entry_addr (Pte.pfn e4) vaddr 2 in
+    let e3 = Phys_mem.read_u64 mem a3 in
+    if not (Pte.present e3) then None
+    else
+      let a2 = entry_addr (Pte.pfn e3) vaddr 1 in
+      let e2 = Phys_mem.read_u64 mem a2 in
+      if not (Pte.present e2) then None
+      else
+        let user = Pte.user e4 && Pte.user e3 && Pte.user e2 in
+        let writable = Pte.writable e4 && Pte.writable e3 && Pte.writable e2 in
+        let nx = Pte.nx e4 || Pte.nx e3 || Pte.nx e2 in
+        if Pte.huge e2 then
           (* 2 MiB leaf at the page-directory level. *)
           Some
-            {
-              pte = e;
-              pte_addr;
-              user = user && Pte.user e;
-              writable = writable && Pte.writable e;
-              nx = nx || Pte.nx e;
-              huge = true;
-              pfn = Pte.pfn e + i1;
-            }
+            { pte = e2; pte_addr = a2; user; writable; nx; huge = true;
+              pfn = Pte.pfn e2 + index vaddr 0 }
         else
-          descend (Pte.pfn e) rest (user && Pte.user e) (writable && Pte.writable e)
-            (nx || Pte.nx e)
-  in
-  descend root_pfn [ i4; i3; i2; i1 ] true true false
+          let a1 = entry_addr (Pte.pfn e2) vaddr 0 in
+          let e1 = Phys_mem.read_u64 mem a1 in
+          if not (Pte.present e1) then None
+          else
+            Some
+              { pte = e1; pte_addr = a1;
+                user = user && Pte.user e1;
+                writable = writable && Pte.writable e1;
+                nx = nx || Pte.nx e1;
+                huge = false;
+                pfn = Pte.pfn e1 }
+
+(* Frame of the table an interior entry points to, or -1 when the entry is
+   non-present. *)
+let[@inline] child mem addr =
+  let e = Phys_mem.read_u64 mem addr in
+  if Pte.present e then Pte.pfn e else -1
 
 let leaf_addr mem ~root_pfn vaddr =
-  let i4, i3, i2, i1 = split vaddr in
-  let rec descend pfn = function
-    | [] -> assert false
-    | [ leaf_idx ] -> Some (entry_addr pfn leaf_idx)
-    | idx :: rest ->
-        let e = Phys_mem.read_u64 mem (entry_addr pfn idx) in
-        if not (Pte.present e) then None else descend (Pte.pfn e) rest
-  in
-  descend root_pfn [ i4; i3; i2; i1 ]
+  let l3 = child mem (entry_addr root_pfn vaddr 3) in
+  if l3 < 0 then None
+  else
+    let l2 = child mem (entry_addr l3 vaddr 2) in
+    if l2 < 0 then None
+    else
+      let l1 = child mem (entry_addr l2 vaddr 1) in
+      if l1 < 0 then None else Some (entry_addr l1 vaddr 0)
 
 let intermediate_flags = { Pte.default_flags with user = true }
 
+(* Follow the interior entry at [slot], installing a fresh zeroed table
+   there first when it is non-present. *)
+let next_table mem ~write_pte ~alloc_ptp slot =
+  let pfn = child mem slot in
+  if pfn >= 0 then pfn
+  else begin
+    let fresh = alloc_ptp () in
+    write_pte ~pte_addr:slot (Pte.make ~pfn:fresh intermediate_flags);
+    fresh
+  end
+
+let prepare_leaf mem ~write_pte ~alloc_ptp ~root_pfn ~vaddr =
+  let l3 = next_table mem ~write_pte ~alloc_ptp (entry_addr root_pfn vaddr 3) in
+  let l2 = next_table mem ~write_pte ~alloc_ptp (entry_addr l3 vaddr 2) in
+  let l1 = next_table mem ~write_pte ~alloc_ptp (entry_addr l2 vaddr 1) in
+  entry_addr l1 vaddr 0
+
 let map mem ~write_pte ~alloc_ptp ~root_pfn ~vaddr pte =
-  let i4, i3, i2, i1 = split vaddr in
-  let rec descend pfn = function
-    | [] -> assert false
-    | [ leaf_idx ] -> write_pte ~pte_addr:(entry_addr pfn leaf_idx) pte
-    | idx :: rest ->
-        let slot = entry_addr pfn idx in
-        let e = Phys_mem.read_u64 mem slot in
-        let next_pfn =
-          if Pte.present e then Pte.pfn e
-          else begin
-            let fresh = alloc_ptp () in
-            write_pte ~pte_addr:slot (Pte.make ~pfn:fresh intermediate_flags);
-            fresh
-          end
-        in
-        descend next_pfn rest
-  in
-  descend root_pfn [ i4; i3; i2; i1 ]
+  write_pte ~pte_addr:(prepare_leaf mem ~write_pte ~alloc_ptp ~root_pfn ~vaddr) pte
 
 let huge_page_size = 512 * Phys_mem.page_size
 
@@ -100,44 +105,9 @@ let map_huge mem ~write_pte ~alloc_ptp ~root_pfn ~vaddr pte =
     invalid_arg "Page_table.map_huge: vaddr must be 2MiB-aligned";
   if Pte.pfn pte land 0x1ff <> 0 then
     invalid_arg "Page_table.map_huge: frame must be 2MiB-aligned";
-  let i4, i3, i2, _ = split vaddr in
-  let rec descend pfn = function
-    | [] -> assert false
-    | [ pd_idx ] -> write_pte ~pte_addr:(entry_addr pfn pd_idx) (Pte.set_huge pte true)
-    | idx :: rest ->
-        let slot = entry_addr pfn idx in
-        let e = Phys_mem.read_u64 mem slot in
-        let next_pfn =
-          if Pte.present e then Pte.pfn e
-          else begin
-            let fresh = alloc_ptp () in
-            write_pte ~pte_addr:slot (Pte.make ~pfn:fresh intermediate_flags);
-            fresh
-          end
-        in
-        descend next_pfn rest
-  in
-  descend root_pfn [ i4; i3; i2 ]
-
-let prepare_leaf mem ~write_pte ~alloc_ptp ~root_pfn ~vaddr =
-  let i4, i3, i2, i1 = split vaddr in
-  let rec descend pfn = function
-    | [] -> assert false
-    | [ leaf_idx ] -> entry_addr pfn leaf_idx
-    | idx :: rest ->
-        let slot = entry_addr pfn idx in
-        let e = Phys_mem.read_u64 mem slot in
-        let next_pfn =
-          if Pte.present e then Pte.pfn e
-          else begin
-            let fresh = alloc_ptp () in
-            write_pte ~pte_addr:slot (Pte.make ~pfn:fresh intermediate_flags);
-            fresh
-          end
-        in
-        descend next_pfn rest
-  in
-  descend root_pfn [ i4; i3; i2; i1 ]
+  let l3 = next_table mem ~write_pte ~alloc_ptp (entry_addr root_pfn vaddr 3) in
+  let l2 = next_table mem ~write_pte ~alloc_ptp (entry_addr l3 vaddr 2) in
+  write_pte ~pte_addr:(entry_addr l2 vaddr 1) (Pte.set_huge pte true)
 
 let unmap mem ~write_pte ~root_pfn ~vaddr =
   match leaf_addr mem ~root_pfn vaddr with

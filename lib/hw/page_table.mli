@@ -2,9 +2,13 @@
     write-protecting page-table pages (the Nested Kernel discipline Erebor
     follows, §5.2) is enforced by the same access checks as any other store.
 
-    Only 4 KiB leaf mappings exist: the paper's prototype disables huge pages
-    to keep PKS granularity simple, and so do we. Virtual addresses are
-    48-bit (9+9+9+12). *)
+    Leaves are 4 KiB entries, plus 2 MiB entries at the page-directory
+    level ({!map_huge}; a PS bit at any other level is walked through like a
+    table pointer). Virtual addresses are 48-bit (9+9+9+12).
+
+    Every operation is one straight-line four-level descent: no index
+    tuple, list or closure is built per call, and probing a non-present
+    slot allocates nothing. *)
 
 type walk_result = {
   pte : Pte.t;           (** Leaf entry. *)

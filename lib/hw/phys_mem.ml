@@ -47,18 +47,31 @@ let write_u8 t addr v =
   check_addr t addr;
   Bytes.set (backing t (pfn_of_addr addr)) (page_offset addr) (Char.chr (v land 0xff))
 
-let read_u64 t addr =
+(* The two checks below keep every access inside one backed page, so the
+   64-bit load and store use the unchecked bytes primitives: no second
+   bounds check, and the value stays unboxed wherever the call is inlined.
+   A stored zero reads back as the static [0L], so probing an empty PTE
+   slot allocates nothing even where it is not. *)
+external get_int64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set_int64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] read_u64 t addr =
   check_addr t addr;
   if page_offset addr > page_size - 8 then
     invalid_arg "Phys_mem.read_u64: crosses page boundary";
   let b = Array.unsafe_get t.pages (pfn_of_addr addr) in
-  if Bytes.length b = 0 then 0L else Bytes.get_int64_le b (page_offset addr)
+  if Bytes.length b = 0 then 0L
+  else
+    let v = get_int64u b (page_offset addr) in
+    if Int64.equal v 0L then 0L else if Sys.big_endian then bswap64 v else v
 
-let write_u64 t addr v =
+let[@inline] write_u64 t addr v =
   check_addr t addr;
   if page_offset addr > page_size - 8 then
     invalid_arg "Phys_mem.write_u64: crosses page boundary";
-  Bytes.set_int64_le (backing t (pfn_of_addr addr)) (page_offset addr) v
+  set_int64u (backing t (pfn_of_addr addr)) (page_offset addr)
+    (if Sys.big_endian then bswap64 v else v)
 
 (* Bulk transfers: one blit per touched frame, no intermediate buffers. *)
 

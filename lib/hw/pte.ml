@@ -29,9 +29,9 @@ let default_flags =
   { present = true; writable = true; user = false; nx = false; pkey = 0;
     accessed = false; dirty = false }
 
-let get_bit t i = Int64.logand (Int64.shift_right_logical t i) 1L = 1L
+let[@inline] get_bit t i = Int64.logand (Int64.shift_right_logical t i) 1L = 1L
 
-let set_bit t i v =
+let[@inline] set_bit t i v =
   if v then Int64.logor t (Int64.shift_left 1L i)
   else Int64.logand t (Int64.lognot (Int64.shift_left 1L i))
 
@@ -49,14 +49,14 @@ let make ~pfn flags =
   let t = set_bit t bit_nx flags.nx in
   Int64.logor t (Int64.shift_left (Int64.of_int flags.pkey) pkey_shift)
 
-let pfn t = Int64.to_int (Int64.shift_right_logical (Int64.logand t pfn_mask) pfn_shift)
-let present t = get_bit t bit_present
-let writable t = get_bit t bit_writable
-let user t = get_bit t bit_user
-let nx t = get_bit t bit_nx
-let pkey t = Int64.to_int (Int64.logand (Int64.shift_right_logical t pkey_shift) 0xfL)
-let dirty t = get_bit t bit_dirty
-let accessed t = get_bit t bit_accessed
+let[@inline] pfn t = Int64.to_int (Int64.shift_right_logical (Int64.logand t pfn_mask) pfn_shift)
+let[@inline] present t = get_bit t bit_present
+let[@inline] writable t = get_bit t bit_writable
+let[@inline] user t = get_bit t bit_user
+let[@inline] nx t = get_bit t bit_nx
+let[@inline] pkey t = Int64.to_int (Int64.logand (Int64.shift_right_logical t pkey_shift) 0xfL)
+let[@inline] dirty t = get_bit t bit_dirty
+let[@inline] accessed t = get_bit t bit_accessed
 
 let flags t =
   { present = present t; writable = writable t; user = user t; nx = nx t;
@@ -68,15 +68,15 @@ let with_pfn t pfn' =
     (Int64.logand t (Int64.lognot pfn_mask))
     (Int64.shift_left (Int64.of_int pfn') pfn_shift)
 
-let set_present t v = set_bit t bit_present v
-let set_writable t v = set_bit t bit_writable v
-let set_user t v = set_bit t bit_user v
-let set_nx t v = set_bit t bit_nx v
-let set_dirty t v = set_bit t bit_dirty v
-let set_accessed t v = set_bit t bit_accessed v
+let[@inline] set_present t v = set_bit t bit_present v
+let[@inline] set_writable t v = set_bit t bit_writable v
+let[@inline] set_user t v = set_bit t bit_user v
+let[@inline] set_nx t v = set_bit t bit_nx v
+let[@inline] set_dirty t v = set_bit t bit_dirty v
+let[@inline] set_accessed t v = set_bit t bit_accessed v
 
-let huge t = get_bit t bit_huge
-let set_huge t v = set_bit t bit_huge v
+let[@inline] huge t = get_bit t bit_huge
+let[@inline] set_huge t v = set_bit t bit_huge v
 
 let keyid_mask = Int64.shift_left (Int64.sub (Int64.shift_left 1L keyid_bits) 1L) keyid_shift
 

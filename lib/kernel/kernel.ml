@@ -24,6 +24,7 @@ type t = {
   td : Tdx.Td_module.t;
   privops : Privops.t;
   frame_alloc : Alloc.t;
+  alloc_ptp : unit -> int;
   cma : Alloc.t;
   fs : Fs.t;
   sched : Sched.t;
@@ -31,8 +32,7 @@ type t = {
   tasks : (int, Task.t) Hashtbl.t;
   mutable next_tid : int;
   stats : stats;
-  mutable frame_source :
-    (Task.t -> Vma.region -> addr:int -> int option) option;
+  mutable frame_source : (Task.t -> Vma.region -> addr:int -> int) option;
   futex_waiters : Task.t Queue.t;
   mutable mmu_batching : bool;
   mutable io_scratch : bytes;
@@ -58,11 +58,6 @@ let span t phase f =
       emit t (Obs.Trace.span_end phase) ~arg:0;
       raise e
 
-let alloc_ptp t () =
-  match Alloc.alloc_zeroed t.frame_alloc t.mem with
-  | Some pfn -> pfn
-  | None -> failwith "Kernel: out of frames for page tables"
-
 (* Demand-populate the kernel direct map for one frame. Intermediate levels
    below the shared boot-time PDPT are shared by every address space. *)
 let ensure_direct_map t ~pfn =
@@ -70,7 +65,7 @@ let ensure_direct_map t ~pfn =
   match Hw.Page_table.walk t.mem ~root_pfn:t.kernel_root vaddr with
   | Some _ -> ()
   | None ->
-      Hw.Page_table.map t.mem ~write_pte:t.privops.Privops.write_pte ~alloc_ptp:(alloc_ptp t)
+      Hw.Page_table.map t.mem ~write_pte:t.privops.Privops.write_pte ~alloc_ptp:t.alloc_ptp
         ~root_pfn:t.kernel_root ~vaddr
         (Hw.Pte.make ~pfn { Hw.Pte.default_flags with nx = true })
 
@@ -81,7 +76,7 @@ let preplant_shared_slot t root vaddr =
   let slot_addr = Hw.Phys_mem.addr_of_pfn root + (8 * slot_index) in
   let existing = Hw.Phys_mem.read_u64 t.mem slot_addr in
   if not (Hw.Pte.present existing) then begin
-    let pdpt = alloc_ptp t () in
+    let pdpt = t.alloc_ptp () in
     t.privops.Privops.write_pte ~pte_addr:slot_addr
       (Hw.Pte.make ~pfn:pdpt { Hw.Pte.default_flags with user = true })
   end
@@ -91,6 +86,12 @@ let boot ~mem ~cpu ~td ~privops ~reserved_frames ~cma_frames =
   if reserved_frames + cma_frames >= frames then
     invalid_arg "Kernel.boot: reservations exceed physical memory";
   let general = frames - reserved_frames - cma_frames in
+  let frame_alloc = Alloc.create ~first_pfn:reserved_frames ~frames:general in
+  let alloc_ptp () =
+    match Alloc.alloc_zeroed frame_alloc mem with
+    | Some pfn -> pfn
+    | None -> failwith "Kernel: out of frames for page tables"
+  in
   let t =
     {
       mem;
@@ -98,7 +99,8 @@ let boot ~mem ~cpu ~td ~privops ~reserved_frames ~cma_frames =
       cpu;
       td;
       privops;
-      frame_alloc = Alloc.create ~first_pfn:reserved_frames ~frames:general;
+      frame_alloc;
+      alloc_ptp;
       cma = Alloc.create ~first_pfn:(reserved_frames + general) ~frames:cma_frames;
       fs = Fs.create ();
       sched =
@@ -188,8 +190,43 @@ let mmap _t task ~len ~prot ~kind =
 let allocator_for t kind =
   match kind with Vma.Confined -> t.cma | Vma.Anon | Vma.Stack | Vma.File _ | Vma.Common -> t.frame_alloc
 
-let handle_page_fault t task ~addr ~kind =
-  span t Obs.Trace.Pf_handler @@ fun () ->
+(* Frame for a faulting page: the Erebor frame source first, then the
+   region's allocator; -1 when both come up empty. *)
+let fault_frame t task region ~page =
+  let provided =
+    match t.frame_source with Some f -> f task region ~addr:page | None -> -1
+  in
+  if provided >= 0 then provided
+  else
+    match Alloc.alloc (allocator_for t region.Vma.kind) with
+    | Some pfn -> pfn
+    | None -> -1
+
+(* Leaf flags of a demand fault, indexed by user*4 + writable*2 + nx, so
+   building a fault's PTE allocates no flags record. *)
+let fault_flags =
+  Array.init 8 (fun i ->
+      { Hw.Pte.default_flags with
+        user = i land 4 <> 0; writable = i land 2 <> 0; nx = i land 1 <> 0 })
+
+let fault_pte region ~page ~pfn =
+  (* Common regions may be writable in the VMA until the monitor seals
+     them; the PTE mirrors the VMA protection. *)
+  let bit b v = if b then v else 0 in
+  Hw.Pte.make ~pfn
+    fault_flags.(bit (Layout.is_user_addr page) 4
+                 lor bit region.Vma.prot.Vma.write 2
+                 lor bit (not region.Vma.prot.Vma.exec) 1)
+
+(* Sandbox-declared memory is deliberately absent from the kernel direct
+   map: the monitor's single-mapping rule forbids a second (kernel-visible)
+   mapping of confined frames. *)
+let direct_map_fault_frame t region ~pfn =
+  match region.Vma.kind with
+  | Vma.Confined | Vma.Common -> ()
+  | Vma.Anon | Vma.Stack | Vma.File _ -> ensure_direct_map t ~pfn
+
+let fault_in t task ~addr ~kind =
   cost t Hw.Cycles.Cost.page_fault_base;
   t.stats.page_faults <- t.stats.page_faults + 1;
   emit t Obs.Trace.Page_fault ~arg:addr;
@@ -212,41 +249,27 @@ let handle_page_fault t task ~addr ~kind =
       end
       else begin
         let page = Layout.page_align_down addr in
-        let provided =
-          match t.frame_source with
-          | Some f -> f task region ~addr:page
-          | None -> None
-        in
-        let pfn =
-          match provided with
-          | Some pfn -> Some pfn
-          | None -> Alloc.alloc (allocator_for t region.Vma.kind)
-        in
-        match pfn with
-        | None -> Error "out of memory"
-        | Some pfn ->
-            (* Sandbox-declared memory is deliberately absent from the
-               kernel direct map: the monitor's single-mapping rule forbids
-               a second (kernel-visible) mapping of confined frames. *)
-            (match region.Vma.kind with
-            | Vma.Confined | Vma.Common -> ()
-            | Vma.Anon | Vma.Stack | Vma.File _ -> ensure_direct_map t ~pfn);
-            let writable =
-              (* Common regions may be writable in the VMA until the monitor
-                 seals them; the PTE mirrors the VMA protection. *)
-              region.Vma.prot.Vma.write
-            in
-            let pte =
-              Hw.Pte.make ~pfn
-                { Hw.Pte.default_flags with
-                  user = Layout.is_user_addr page;
-                  writable;
-                  nx = not region.Vma.prot.Vma.exec }
-            in
-            Hw.Page_table.map t.mem ~write_pte:t.privops.Privops.write_pte
-              ~alloc_ptp:(alloc_ptp t) ~root_pfn:task.Task.root_pfn ~vaddr:page pte;
-            Ok ()
+        let pfn = fault_frame t task region ~page in
+        if pfn < 0 then Error "out of memory"
+        else begin
+          direct_map_fault_frame t region ~pfn;
+          Hw.Page_table.map t.mem ~write_pte:t.privops.Privops.write_pte
+            ~alloc_ptp:t.alloc_ptp ~root_pfn:task.Task.root_pfn ~vaddr:page
+            (fault_pte region ~page ~pfn);
+          Ok ()
+        end
       end
+
+(* [span t Pf_handler] written out: a fault allocates no closure. *)
+let handle_page_fault t task ~addr ~kind =
+  emit t (Obs.Trace.span_begin Obs.Trace.Pf_handler) ~arg:0;
+  match fault_in t task ~addr ~kind with
+  | r ->
+      emit t (Obs.Trace.span_end Obs.Trace.Pf_handler) ~arg:0;
+      r
+  | exception e ->
+      emit t (Obs.Trace.span_end Obs.Trace.Pf_handler) ~arg:0;
+      raise e
 
 (* Batched population: the demand-zero faults still occur page by page,
    but the leaf PTE stores are submitted to the monitor in batches of 64,
@@ -274,39 +297,21 @@ let populate_batched t task ~first ~last =
           emit t Obs.Trace.Page_fault ~arg:page;
           match Vma.find task.Task.vmas page with
           | None -> Error (Printf.sprintf "segfault: no mapping at 0x%x" page)
-          | Some region -> (
-              let provided =
-                match t.frame_source with
-                | Some f -> f task region ~addr:page
-                | None -> None
-              in
-              let pfn =
-                match provided with
-                | Some pfn -> Some pfn
-                | None -> Alloc.alloc (allocator_for t region.Vma.kind)
-              in
-              match pfn with
-              | None -> Error "out of memory"
-              | Some pfn ->
-                  (match region.Vma.kind with
-                  | Vma.Confined | Vma.Common -> ()
-                  | Vma.Anon | Vma.Stack | Vma.File _ -> ensure_direct_map t ~pfn);
-                  let slot =
-                    Hw.Page_table.prepare_leaf t.mem
-                      ~write_pte:t.privops.Privops.write_pte ~alloc_ptp:(alloc_ptp t)
-                      ~root_pfn:task.Task.root_pfn ~vaddr:page
-                  in
-                  let pte =
-                    Hw.Pte.make ~pfn
-                      { Hw.Pte.default_flags with
-                        user = Layout.is_user_addr page;
-                        writable = region.Vma.prot.Vma.write;
-                        nx = not region.Vma.prot.Vma.exec }
-                  in
-                  batch := (slot, pte) :: !batch;
-                  incr count;
-                  if !count >= 64 then flush ();
-                  go (page + Hw.Phys_mem.page_size)))
+          | Some region ->
+              let pfn = fault_frame t task region ~page in
+              if pfn < 0 then Error "out of memory"
+              else begin
+                direct_map_fault_frame t region ~pfn;
+                let slot =
+                  Hw.Page_table.prepare_leaf t.mem
+                    ~write_pte:t.privops.Privops.write_pte ~alloc_ptp:t.alloc_ptp
+                    ~root_pfn:task.Task.root_pfn ~vaddr:page
+                in
+                batch := (slot, fault_pte region ~page ~pfn) :: !batch;
+                incr count;
+                if !count >= 64 then flush ();
+                go (page + Hw.Phys_mem.page_size)
+              end)
   in
   go first
 
@@ -362,7 +367,7 @@ let load_module t ~name ~code =
                   ~len:chunk;
               (* Map read-only + executable: W^X for dynamic code too. *)
               Hw.Page_table.map t.mem ~write_pte:t.privops.Privops.write_pte
-                ~alloc_ptp:(alloc_ptp t) ~root_pfn:t.kernel_root ~vaddr:(base + off)
+                ~alloc_ptp:t.alloc_ptp ~root_pfn:t.kernel_root ~vaddr:(base + off)
                 (Hw.Pte.make ~pfn { Hw.Pte.default_flags with writable = false }))
             frames;
           Ok base)
@@ -382,9 +387,9 @@ let poke_text t ~vaddr ~code =
           Ok ())
 
 let resolve_pfn t task ~addr =
-  Option.map
-    (fun w -> w.Hw.Page_table.pfn)
-    (Hw.Page_table.walk t.mem ~root_pfn:task.Task.root_pfn addr)
+  match Hw.Page_table.walk t.mem ~root_pfn:task.Task.root_pfn addr with
+  | Some w -> Some w.Hw.Page_table.pfn
+  | None -> None
 
 let fork_process t parent ~name =
   let child = create_task t ~name ~kind:parent.Task.kind in
@@ -411,7 +416,7 @@ let fork_process t parent ~name =
                 t.stats.page_faults <- t.stats.page_faults + 1;
                 emit t Obs.Trace.Page_fault ~arg:!page;
                 Hw.Page_table.map t.mem ~write_pte:t.privops.Privops.write_pte
-                  ~alloc_ptp:(alloc_ptp t) ~root_pfn:child.Task.root_pfn ~vaddr:!page
+                  ~alloc_ptp:t.alloc_ptp ~root_pfn:child.Task.root_pfn ~vaddr:!page
                   (Hw.Pte.with_pfn w.Hw.Page_table.pte pfn)));
         page := !page + Hw.Phys_mem.page_size
       done)

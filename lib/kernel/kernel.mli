@@ -30,6 +30,10 @@ type t = {
   td : Tdx.Td_module.t;
   privops : Privops.t;
   frame_alloc : Alloc.t;   (** General-purpose frames. *)
+  alloc_ptp : unit -> int;
+      (** A zeroed [frame_alloc] frame for a new page-table page. Built
+          once at boot, so a fault hands it to {!Hw.Page_table} without
+          allocating a closure. *)
   cma : Alloc.t;           (** Reserved contiguous region for confined memory. *)
   fs : Fs.t;
   sched : Sched.t;
@@ -37,10 +41,11 @@ type t = {
   tasks : (int, Task.t) Hashtbl.t;
   mutable next_tid : int;
   stats : stats;
-  mutable frame_source :
-    (Task.t -> Vma.region -> addr:int -> int option) option;
+  mutable frame_source : (Task.t -> Vma.region -> addr:int -> int) option;
       (** Erebor hook: serve fault frames from common-memory instances or
-          pinned confined pools instead of the general allocator. *)
+          pinned confined pools instead of the general allocator. A
+          negative result means "no frame here": the fault falls back to
+          the region's allocator. *)
   futex_waiters : Task.t Queue.t;
   mutable mmu_batching : bool;
       (** When set, bulk operations ({!populate}) submit leaf PTEs through
@@ -119,7 +124,7 @@ val exit_task : t -> Task.t -> code:int -> unit
 val brk : t -> Task.t -> new_brk:int -> (int, string) result
 (** Grow the program break (shrinking is accepted but ignored). *)
 
-val set_frame_source : t -> (Task.t -> Vma.region -> addr:int -> int option) -> unit
+val set_frame_source : t -> (Task.t -> Vma.region -> addr:int -> int) -> unit
 (** Install the Erebor fault-frame provider (see {!field-frame_source}). *)
 
 val set_mmu_batching : t -> bool -> unit

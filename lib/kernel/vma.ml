@@ -28,7 +28,10 @@ let add t r =
 
 let remove t ~start = List.filter (fun r -> r.start <> start) t
 
-let find t addr = List.find_opt (fun r -> addr >= r.start && addr < region_end r) t
+let rec find t addr =
+  match t with
+  | [] -> None
+  | r :: rest -> if addr >= r.start && addr < region_end r then Some r else find rest addr
 
 let iter = List.iter
 let to_list t = t

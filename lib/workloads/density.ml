@@ -196,7 +196,8 @@ let adversarial_probe m mgr backend_kind =
       if pfn >= frames then None
       else
         match Erebor.Mmu_guard.class_of guard pfn with
-        | Erebor.Mmu_guard.Common { instance } when instance = common_instance ->
+        | Erebor.Mmu_guard.Common c
+          when Erebor.Mmu_guard.common_name c = common_instance ->
             Some pfn
         | _ -> scan (pfn + 1)
     in

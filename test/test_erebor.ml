@@ -28,7 +28,7 @@ type stack = {
   kern : Kernel.t;
 }
 
-let make_stack ?(frames = 16384) ?(cma_frames = 4096) () =
+let make_stack ?backend ?(frames = 16384) ?(cma_frames = 4096) () =
   let mem = Hw.Phys_mem.create ~frames in
   let clock = Hw.Cycles.clock () in
   let cpu = Hw.Cpu.create ~id:0 ~mem ~clock ~timer_period:200_000 () in
@@ -36,7 +36,7 @@ let make_stack ?(frames = 16384) ?(cma_frames = 4096) () =
   let host = Vmm.Host.create () in
   Tdx.Td_module.set_vmm td (Vmm.Host.handler host);
   let monitor =
-    Erebor.Monitor.install ~cpu ~mem ~td ~firmware ~monitor_frames:32
+    Erebor.Monitor.install ?backend ~cpu ~mem ~td ~firmware ~monitor_frames:32
       ~device_shared_frames:32 ()
   in
   match
@@ -584,6 +584,91 @@ let test_sandbox_terminate_scrubs () =
   Alcotest.(check bool) "frame freed" false
     (Kernel.Alloc.is_allocated st.kern.Kernel.cma pfn)
 
+(* A PTE store must name an 8-byte slot. At [slot + 4] a store whose bit 0
+   is clear looks like a non-present leaf, yet its high half lands in the
+   next entry; at page offset 4092 it would straddle two pages. Both are
+   refused as policy denials before anything is read or written. *)
+let test_misaligned_pte_store_denied backend () =
+  let st = make_stack ~backend () in
+  let audit = Obs.Audit.create ~key:hw_key in
+  Obs.Emitter.set_audit st.cpu.Hw.Cpu.obs (Some audit);
+  let denies = Obs.Counter.attach st.cpu.Hw.Cpu.obs (Obs.Counter.create ()) in
+  let guard = Erebor.Monitor.guard st.monitor in
+  let atk = Kernel.create_task st.kern ~name:"atk" ~kind:Kernel.Task.Normal in
+  let addr =
+    Result.get_ok
+      (Kernel.mmap st.kern atk ~len:4096 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon)
+  in
+  Result.get_ok (Kernel.handle_page_fault st.kern atk ~addr ~kind:Hw.Fault.Write);
+  let slot =
+    Option.get (Hw.Page_table.leaf_addr st.mem ~root_pfn:atk.Kernel.Task.root_pfn addr)
+  in
+  let neighbour = slot + 8 in
+  let page_end = (slot land lnot 4095) + 4092 in
+  let image () =
+    List.map (Hw.Phys_mem.read_u64 st.mem) [ slot; neighbour; page_end - 4; page_end + 4 ]
+  in
+  let before = image () in
+  let denied_before = Erebor.Mmu_guard.denied_count guard in
+  (* Bits 32-63 forge a user mapping of monitor frame 5; bit 0 is clear. *)
+  let forged = Hw.Pte.make ~pfn:5 { Hw.Pte.default_flags with user = true } in
+  let v = Int64.shift_left forged 32 in
+  let write_pte = st.kern.Kernel.privops.Kernel.Privops.write_pte in
+  expect_violation "store at slot + 4" (fun () -> write_pte ~pte_addr:(slot + 4) v);
+  expect_violation "store at page offset 4092" (fun () -> write_pte ~pte_addr:page_end v);
+  Alcotest.(check (list int64)) "entries unchanged" before (image ());
+  Alcotest.(check int) "two guard denials" (denied_before + 2)
+    (Erebor.Mmu_guard.denied_count guard);
+  Alcotest.(check int) "two Mmu_deny events" 2 (Obs.Counter.count denies Obs.Trace.Mmu_deny);
+  Alcotest.(check int) "two audited denials" 2
+    (List.length
+       (List.filter
+          (fun r -> r.Obs.Audit.category = "mmu" && r.Obs.Audit.verdict = Obs.Audit.Deny)
+          (Obs.Audit.records audit)));
+  (* The monitor-internal split refuses the same addresses the same way. *)
+  (match
+     Erebor.Mmu_guard.split_huge_leaf guard ~pte_addr:(slot + 4)
+       ~alloc_ptp:(fun () -> Alcotest.fail "split allocated a table")
+   with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "misaligned split accepted");
+  Alcotest.(check int) "split denial counted" (denied_before + 3)
+    (Erebor.Mmu_guard.denied_count guard);
+  Alcotest.(check (list int64)) "entries still unchanged" before (image ())
+
+(* Re-attaching an instance with another size is a refusal like the
+   others: an [Error] and an audited Deny, with no region mapped. *)
+let test_common_size_mismatch_refused () =
+  let st = make_stack () in
+  let audit = Obs.Audit.create ~key:hw_key in
+  Obs.Emitter.set_audit st.cpu.Hw.Cpu.obs (Some audit);
+  let mgr = make_manager st in
+  let sb1, _ = make_sandbox st mgr "sb1" in
+  let sb2, _ = make_sandbox st mgr "sb2" in
+  let size = 8 * 4096 in
+  ignore (Result.get_ok (Erebor.Sandbox.attach_common mgr sb1 ~name:"model" ~size));
+  let task2 = Erebor.Sandbox.main_task sb2 in
+  let regions () = Kernel.Vma.count task2.Kernel.Task.vmas in
+  let regions_before = regions () in
+  let sandbox_denies () =
+    List.length
+      (List.filter
+         (fun r -> r.Obs.Audit.category = "sandbox" && r.Obs.Audit.verdict = Obs.Audit.Deny)
+         (Obs.Audit.records audit))
+  in
+  (match Erebor.Sandbox.attach_common mgr sb2 ~name:"model" ~size:(4 * 4096) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "size mismatch accepted");
+  Alcotest.(check int) "refusal audited" 1 (sandbox_denies ());
+  Alcotest.(check int) "no region mapped" regions_before (regions ());
+  (* The right size still attaches, to the same instance. *)
+  let a2 = Result.get_ok (Erebor.Sandbox.attach_common mgr sb2 ~name:"model" ~size) in
+  (match Kernel.populate st.kern task2 ~start:a2 ~len:size with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "one set of frames" 8
+    (Erebor.Sandbox.common_instance_frames mgr ~name:"model")
+
 (* Fuzz the EMC MMU interface: random stores must either be applied under
    policy or rejected — and the monitor's own memory must stay intact and
    unmappable throughout. *)
@@ -787,6 +872,12 @@ let () =
           Alcotest.test_case "lstar interposed" `Quick test_kernel_lstar_interposed;
           Alcotest.test_case "ghci policy" `Quick test_ghci_policy;
           Alcotest.test_case "erebor privop costs" `Quick test_erebor_privop_costs;
+          Alcotest.test_case "misaligned pte store (pks)" `Quick
+            (test_misaligned_pte_store_denied Erebor.Isolation.Pks);
+          Alcotest.test_case "misaligned pte store (wp)" `Quick
+            (test_misaligned_pte_store_denied Erebor.Isolation.Write_protect);
+          Alcotest.test_case "misaligned pte store (tmemk)" `Quick
+            (test_misaligned_pte_store_denied Erebor.Isolation.Tme_mk);
         ] );
       ( "sandbox (C6-C8)",
         [
@@ -796,6 +887,7 @@ let () =
           Alcotest.test_case "undeclared memory refused" `Quick test_sandbox_anon_mapping_refused;
           Alcotest.test_case "common sharing" `Quick test_common_sharing;
           Alcotest.test_case "common sealed" `Quick test_common_sealed_after_data;
+          Alcotest.test_case "common size mismatch" `Quick test_common_size_mismatch_refused;
           Alcotest.test_case "syscall kill" `Quick test_sandbox_kills_on_syscall_after_data;
           Alcotest.test_case "channel ioctl" `Quick test_sandbox_channel_ioctl;
           Alcotest.test_case "#VE kill" `Quick test_sandbox_ve_kill;

@@ -242,6 +242,268 @@ let prop_pt_model =
           | _ -> false)
         (List.init 16 Fun.id))
 
+(* A list-driven reference walker: each descent builds the index list and
+   recurses over it. It is the oracle the straight-line [Page_table] must
+   agree with, result for result and store for store. *)
+module Ref_walker = struct
+  let split vaddr =
+    let idx n = (vaddr lsr (12 + (9 * n))) land 0x1ff in
+    (idx 3, idx 2, idx 1, idx 0)
+
+  let entry_addr table_pfn index = Phys_mem.addr_of_pfn table_pfn + (8 * index)
+
+  let walk mem ~root_pfn vaddr =
+    let i4, i3, i2, i1 = split vaddr in
+    let rec descend pfn indices user writable nx =
+      match indices with
+      | [] -> assert false
+      | [ leaf_idx ] ->
+          let pte_addr = entry_addr pfn leaf_idx in
+          let pte = Phys_mem.read_u64 mem pte_addr in
+          if not (Pte.present pte) then None
+          else
+            Some
+              { Page_table.pte; pte_addr; user = user && Pte.user pte;
+                writable = writable && Pte.writable pte; nx = nx || Pte.nx pte;
+                huge = false; pfn = Pte.pfn pte }
+      | idx :: rest ->
+          let pte_addr = entry_addr pfn idx in
+          let e = Phys_mem.read_u64 mem pte_addr in
+          if not (Pte.present e) then None
+          else if Pte.huge e && List.length rest = 1 then
+            Some
+              { Page_table.pte = e; pte_addr; user = user && Pte.user e;
+                writable = writable && Pte.writable e; nx = nx || Pte.nx e;
+                huge = true; pfn = Pte.pfn e + i1 }
+          else
+            descend (Pte.pfn e) rest (user && Pte.user e) (writable && Pte.writable e)
+              (nx || Pte.nx e)
+    in
+    descend root_pfn [ i4; i3; i2; i1 ] true true false
+
+  let leaf_addr mem ~root_pfn vaddr =
+    let i4, i3, i2, i1 = split vaddr in
+    let rec descend pfn = function
+      | [] -> assert false
+      | [ leaf_idx ] -> Some (entry_addr pfn leaf_idx)
+      | idx :: rest ->
+          let e = Phys_mem.read_u64 mem (entry_addr pfn idx) in
+          if not (Pte.present e) then None else descend (Pte.pfn e) rest
+    in
+    descend root_pfn [ i4; i3; i2; i1 ]
+
+  let intermediate_flags = { Pte.default_flags with user = true }
+
+  let rec descend_alloc mem ~write_pte ~alloc_ptp pfn = function
+    | [] -> assert false
+    | [ last ] -> entry_addr pfn last
+    | idx :: rest ->
+        let slot = entry_addr pfn idx in
+        let e = Phys_mem.read_u64 mem slot in
+        let next_pfn =
+          if Pte.present e then Pte.pfn e
+          else begin
+            let fresh = alloc_ptp () in
+            write_pte ~pte_addr:slot (Pte.make ~pfn:fresh intermediate_flags);
+            fresh
+          end
+        in
+        descend_alloc mem ~write_pte ~alloc_ptp next_pfn rest
+
+  let prepare_leaf mem ~write_pte ~alloc_ptp ~root_pfn ~vaddr =
+    let i4, i3, i2, i1 = split vaddr in
+    descend_alloc mem ~write_pte ~alloc_ptp root_pfn [ i4; i3; i2; i1 ]
+
+  let map mem ~write_pte ~alloc_ptp ~root_pfn ~vaddr pte =
+    write_pte ~pte_addr:(prepare_leaf mem ~write_pte ~alloc_ptp ~root_pfn ~vaddr) pte
+
+  let map_huge mem ~write_pte ~alloc_ptp ~root_pfn ~vaddr pte =
+    if vaddr land (Page_table.huge_page_size - 1) <> 0 then
+      invalid_arg "Page_table.map_huge: vaddr must be 2MiB-aligned";
+    if Pte.pfn pte land 0x1ff <> 0 then
+      invalid_arg "Page_table.map_huge: frame must be 2MiB-aligned";
+    let i4, i3, i2, _ = split vaddr in
+    write_pte
+      ~pte_addr:(descend_alloc mem ~write_pte ~alloc_ptp root_pfn [ i4; i3; i2 ])
+      (Pte.set_huge pte true)
+
+  let unmap mem ~write_pte ~root_pfn ~vaddr =
+    match leaf_addr mem ~root_pfn vaddr with
+    | None -> ()
+    | Some pte_addr -> write_pte ~pte_addr Pte.empty
+
+  let update mem ~write_pte ~root_pfn ~vaddr f =
+    match leaf_addr mem ~root_pfn vaddr with
+    | None -> false
+    | Some pte_addr ->
+        let pte = Phys_mem.read_u64 mem pte_addr in
+        if not (Pte.present pte) then false
+        else begin
+          write_pte ~pte_addr (f pte);
+          true
+        end
+end
+
+(* A random four-level tree grown from [seed]: each table fills the slots
+   at indices 0, 1, 2 and 511 with an empty slot, a non-present entry with
+   junk bits, a pointer to a fresh table, a leaf, a huge entry (honoured
+   only at the PD level), or a pointer past the end of memory. Every entry
+   draws its own user/writable/nx bits. *)
+let pt_frames = 512
+let pt_indices = [| 0; 1; 2; 511 |]
+
+let random_tree seed =
+  let rng = Random.State.make [| seed |] in
+  let mem = Phys_mem.create ~frames:pt_frames in
+  let next = ref 1 in
+  let fresh () =
+    let pfn = !next in
+    incr next;
+    pfn
+  in
+  let bit () = Random.State.bool rng in
+  let entry pfn =
+    Pte.make ~pfn { Pte.default_flags with user = bit (); writable = bit (); nx = bit () }
+  in
+  let rec fill table level =
+    Array.iter
+      (fun idx ->
+        let slot = Phys_mem.addr_of_pfn table + (8 * idx) in
+        let v =
+          match Random.State.int rng 10 with
+          | 0 | 1 -> Pte.empty
+          | 2 -> Int64.logand (Random.State.bits64 rng) (Int64.lognot 1L)
+          | 3 -> Pte.set_huge (entry (512 * Random.State.int rng 8)) true
+          | 4 -> entry (pt_frames + Random.State.int rng 64)
+          | _ when level = 0 -> entry (Random.State.int rng 4096)
+          | _ ->
+              let child = fresh () in
+              fill child (level - 1);
+              (* A PS bit above the PD level must be walked through. *)
+              if Random.State.int rng 8 = 0 then Pte.set_huge (entry child) true
+              else entry child
+        in
+        Phys_mem.write_u64 mem slot v)
+      pt_indices
+  in
+  let root = fresh () in
+  fill root 3;
+  (mem, root, !next)
+
+type pt_op =
+  | Walk of int
+  | Leaf_addr of int
+  | Map of int * int
+  | Prepare_leaf of int
+  | Update of int
+  | Unmap of int
+  | Map_huge of int * int
+
+let pt_op_gen =
+  let open QCheck.Gen in
+  let idx = oneofa (Array.append pt_indices [| 3 |]) in
+  let vaddr =
+    map (fun (((a, b), (c, d)), off) ->
+        (a lsl 39) lor (b lsl 30) lor (c lsl 21) lor (d lsl 12) lor off)
+      (pair (pair (pair idx idx) (pair idx idx)) (int_bound 4095))
+  in
+  oneof
+    [ map (fun v -> Walk v) vaddr; map (fun v -> Leaf_addr v) vaddr;
+      map2 (fun v pfn -> Map (v, pfn)) vaddr (int_bound 4095);
+      map (fun v -> Prepare_leaf v) vaddr; map (fun v -> Update v) vaddr;
+      map (fun v -> Unmap v) vaddr;
+      map2 (fun v k -> Map_huge (v land lnot (Page_table.huge_page_size - 1), 512 * k))
+        vaddr (int_bound 7) ]
+
+(* Run [ops] on a fresh copy of the tree with one implementation; return
+   every result (exceptions included), every store, and the final image. *)
+let pt_trace ~walk ~leaf_addr ~map ~prepare_leaf ~update ~unmap ~map_huge seed ops =
+  let mem, root_pfn, first_free = random_tree seed in
+  let stores = ref [] in
+  let write_pte ~pte_addr pte =
+    stores := (pte_addr, pte) :: !stores;
+    Phys_mem.write_u64 mem pte_addr pte
+  in
+  let next = ref first_free in
+  let alloc_ptp () =
+    let pfn = !next in
+    incr next;
+    pfn
+  in
+  let leaf pfn = Pte.make ~pfn { Pte.default_flags with user = true } in
+  let run op =
+    match op with
+    | Walk v -> `Walk (walk mem ~root_pfn v)
+    | Leaf_addr v -> `Addr (leaf_addr mem ~root_pfn v)
+    | Map (v, pfn) -> `Unit (map mem ~write_pte ~alloc_ptp ~root_pfn ~vaddr:v (leaf pfn))
+    | Prepare_leaf v -> `Int (prepare_leaf mem ~write_pte ~alloc_ptp ~root_pfn ~vaddr:v)
+    | Update v ->
+        `Bool
+          (update mem ~write_pte ~root_pfn ~vaddr:v (fun pte ->
+               Pte.set_writable pte (not (Pte.writable pte))))
+    | Unmap v -> `Unit (unmap mem ~write_pte ~root_pfn ~vaddr:v)
+    | Map_huge (v, pfn) ->
+        `Unit (map_huge mem ~write_pte ~alloc_ptp ~root_pfn ~vaddr:v (leaf pfn))
+  in
+  let results =
+    List.map
+      (fun op -> match run op with r -> Ok r | exception e -> Error (Printexc.to_string e))
+      ops
+  in
+  let image =
+    List.init pt_frames (fun pfn ->
+        Phys_mem.read_bytes mem (Phys_mem.addr_of_pfn pfn) Phys_mem.page_size)
+  in
+  (results, List.rev !stores, image)
+
+let prop_pt_matches_reference =
+  QCheck.Test.make ~name:"straight-line walker = list-based reference" ~count:200
+    QCheck.(pair small_nat (make (QCheck.Gen.list_size (QCheck.Gen.int_range 1 40) pt_op_gen)))
+    (fun (seed, ops) ->
+      let straight =
+        pt_trace ~walk:Page_table.walk ~leaf_addr:Page_table.leaf_addr
+          ~map:Page_table.map ~prepare_leaf:Page_table.prepare_leaf
+          ~update:Page_table.update ~unmap:Page_table.unmap
+          ~map_huge:Page_table.map_huge seed ops
+      in
+      let reference =
+        pt_trace ~walk:Ref_walker.walk ~leaf_addr:Ref_walker.leaf_addr
+          ~map:Ref_walker.map ~prepare_leaf:Ref_walker.prepare_leaf
+          ~update:Ref_walker.update ~unmap:Ref_walker.unmap
+          ~map_huge:Ref_walker.map_huge seed ops
+      in
+      straight = reference)
+
+(* The probe side of the paging path allocates nothing: a walk that stops
+   at a non-present slot and a [read_u64] -> [Pte.present]/[Pte.pfn]
+   decode of an empty slot in a backed table page. (A present entry read
+   across the module boundary still boxes its [int64] unless the call is
+   inlined, which dune's default dev profile prevents with [-opaque]; the
+   demand-fault path only pays that on levels that exist.) *)
+let test_pt_probe_no_alloc () =
+  let mem, alloc_ptp, write_pte = make_env () in
+  let root = alloc_ptp () in
+  Page_table.map mem ~write_pte ~alloc_ptp ~root_pfn:root ~vaddr:0x1000
+    (Pte.make ~pfn:9 Pte.default_flags);
+  (* PML4 slot 1 of the backed root is empty. *)
+  let unmapped = 0x80_0000_0000 in
+  let empty_slot = Phys_mem.addr_of_pfn root + 8 in
+  let hits = ref 0 in
+  ignore (Page_table.walk mem ~root_pfn:root unmapped);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    match Page_table.walk mem ~root_pfn:root unmapped with
+    | None -> ()
+    | Some _ -> incr hits
+  done;
+  for _ = 1 to 10_000 do
+    let e = Phys_mem.read_u64 mem empty_slot in
+    if Pte.present e then hits := !hits + Pte.pfn e
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check int) "nothing mapped" 0 !hits;
+  Alcotest.(check (float 0.0)) "zero minor words" 0.0 (w1 -. w0)
+
 (* ------------------------------------------------------------------ *)
 (* Access checks                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -876,6 +1138,8 @@ let () =
           Alcotest.test_case "update" `Quick test_pt_update;
           Alcotest.test_case "distinct vaddrs" `Quick test_pt_distinct_vaddrs;
           qt prop_pt_model;
+          qt prop_pt_matches_reference;
+          Alcotest.test_case "probes allocation-free" `Quick test_pt_probe_no_alloc;
         ] );
       ( "access",
         [

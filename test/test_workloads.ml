@@ -280,6 +280,42 @@ let test_attrib_determinism () =
     a1
 
 (* ------------------------------------------------------------------ *)
+(* Common-memory accounting (§9.2)                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The demand-fault path behind [Eval.memshare] (page-table descent, frame
+   source, MMU guard) must keep every accounting row: the first three
+   match the committed host-benchmark reference exactly, which stores each
+   value with every digit [%.17g] prints. *)
+let test_memshare_rows_match_reference () =
+  let module J = Workloads.Bench_gate.Json in
+  let doc =
+    match J.parse (In_channel.with_open_bin "../perf/reference.json" In_channel.input_all) with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "perf/reference.json: %s" e
+  in
+  let expected field =
+    match Option.bind (J.member "items" doc) (J.member "eval.memshare") with
+    | None -> Alcotest.fail "no eval.memshare item in perf/reference.json"
+    | Some item -> (
+        match J.member field item with
+        | Some (J.Num v) -> v
+        | _ -> Alcotest.failf "eval.memshare has no %s" field)
+  in
+  let rows = Workloads.Eval.memshare ~max_sandboxes:3 () in
+  Alcotest.(check int) "three rows" 3 (List.length rows);
+  List.iter
+    (fun (r : Workloads.Eval.memshare_row) ->
+      let key field = Printf.sprintf "%d.%s" r.sandboxes field in
+      let check field v =
+        Alcotest.(check (float 0.0)) (key field) (expected (key field)) v
+      in
+      check "shared_frames" (float_of_int r.shared_frames);
+      check "replicated_frames" (float_of_int r.replicated_frames);
+      check "saving_pct" r.saving_pct)
+    rows
+
+(* ------------------------------------------------------------------ *)
 (* Bench regression gate                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -480,6 +516,11 @@ let () =
         [
           Alcotest.test_case "fig9 grid: jobs-independent + conserving" `Quick
             test_attrib_determinism;
+        ] );
+      ( "memshare",
+        [
+          Alcotest.test_case "rows match perf/reference.json" `Quick
+            test_memshare_rows_match_reference;
         ] );
       ( "bench-gate",
         [
