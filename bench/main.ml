@@ -467,9 +467,20 @@ let bechamel_tests () =
                ~latency:(i land 0xFFFF) ~trace_id:i ~offset:(i * 64) ~ts:i
            done))
   in
+  (* The bus layer alone: 1000 emissions on a fresh erebor machine's
+     emitter. *)
+  let bare_obs = Workloads.Bench_gate.bare_emitter () in
+  let mix = Workloads.Bench_gate.emit_mix in
+  let emit_test =
+    Test.make ~name:"obs-emit-bare-1k"
+      (Staged.stage (fun () ->
+           for i = 0 to 999 do
+             Obs.Emitter.emit bare_obs mix.(i mod Array.length mix) ~ts:i ~arg:i
+           done))
+  in
   Test.make_grouped ~name:"erebor-eval"
     [ table3_test; table4_test; fig8_test; fig9_test; table6_test; fig10_test;
-      memshare_test; hist_test; sketch_test; agg_test ]
+      memshare_test; hist_test; sketch_test; agg_test; emit_test ]
 
 let run_bechamel () =
   let open Bechamel in
@@ -496,8 +507,14 @@ let run_bechamel () =
   let names = List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) raw []) in
   List.iter
     (fun name ->
-      Printf.printf "%-40s %12.3f ms/run %14.0f minor words/run\n" name
-        (ns name /. 1e6) (words name))
+      (* Sub-millisecond rows (the obs record and emit paths) read in ns. *)
+      let t = ns name in
+      if t < 1e6 then
+        Printf.printf "%-40s %12.0f ns/run %14.0f minor words/run\n" name t
+          (words name)
+      else
+        Printf.printf "%-40s %12.3f ms/run %14.0f minor words/run\n" name
+          (t /. 1e6) (words name))
     names
 
 (* ------------------------------------------------------------------ *)

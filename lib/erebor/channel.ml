@@ -39,7 +39,9 @@ let unpad data =
   if Bytes.length data < 8 then Error "unpad: short buffer"
   else begin
     let len = read_le64 data 0 in
-    if len < 0 || len + 8 > Bytes.length data then Error "unpad: bad length"
+    (* Compare against the room left rather than [len + 8]: a hostile
+       length near [max_int] would wrap the sum negative and pass. *)
+    if len < 0 || len > Bytes.length data - 8 then Error "unpad: bad length"
     else Ok (Bytes.sub data 8 len)
   end
 
@@ -52,7 +54,7 @@ let decode_sealed b =
     let nonce = Bytes.sub b 0 12 in
     let tag = Bytes.sub b 12 32 in
     let len = read_le64 b 44 in
-    if len < 0 || 52 + len <> Bytes.length b then Error "decode_sealed: bad length"
+    if len < 0 || len <> Bytes.length b - 52 then Error "decode_sealed: bad length"
     else Ok { Crypto.Aead.nonce; ciphertext = Bytes.sub b 52 len; tag }
   end
 

@@ -26,6 +26,7 @@ type t = {
   istate : Hw.Icode.state;
   gate_retires : int;           (* instructions one round trip retires *)
   backend : Isolation.t;
+  granted : int;                (* the backend's constant grant, read once *)
   shadow : Hw.Cet.shadow_stack;
   mutable depth : int;          (* nested monitor-context calls *)
   mutable saved_grants : int list; (* secure-stack slots for the #INT gate *)
@@ -59,6 +60,7 @@ let create ~cpu ~code_base ~backend () =
     istate;
     gate_retires;
     backend;
+    granted = Isolation.granted_value backend;
     shadow = Hw.Cet.create_stack ~base:(code_base + 0x10000);
     depth = 0;
     saved_grants = [];
@@ -79,7 +81,6 @@ let endbr_at t addr = addr = t.code_base
    Isolation dispatch (existential match + indirect call) keeps that. *)
 let read_grant t = Isolation.read_grant t.backend
 let load_grant t v = Isolation.load_grant t.backend v
-let granted_value t = Isolation.granted_value t.backend
 let revoked_value t = Isolation.revoked_value t.backend
 
 let gate_span_begin = Obs.Trace.span_begin Obs.Trace.Emc_gate
@@ -113,7 +114,7 @@ let enter t ~target f =
     t.emc_count <- t.emc_count + 1;
     retire_gate t;
     let caller_grant = read_grant t in
-    load_grant t (granted_value t);
+    load_grant t t.granted;
     t.depth <- 1;
     (* The exit sequence is written out in both arms rather than shared
        through a [finish] closure: the closure would capture [caller_grant]
@@ -156,7 +157,7 @@ let call1 t f a =
     t.emc_count <- t.emc_count + 1;
     retire_gate t;
     let caller_grant = read_grant t in
-    load_grant t (granted_value t);
+    load_grant t t.granted;
     t.depth <- 1;
     match f a with
     | v ->
@@ -186,7 +187,7 @@ let call2 t f a b =
     t.emc_count <- t.emc_count + 1;
     retire_gate t;
     let caller_grant = read_grant t in
-    load_grant t (granted_value t);
+    load_grant t t.granted;
     t.depth <- 1;
     match f a b with
     | v ->

@@ -9,7 +9,7 @@ type common = {
 
 type frame_class =
   | Free
-  | Ptp of { level : int; root : int }
+  | Ptp of { level : int; root : int; sandbox : int }
   | Monitor
   | Kernel_text
   | Confined of { owner : int }
@@ -26,7 +26,6 @@ type t = {
      [Free], exactly like a never-classified frame. *)
   classes : frame_class array;
   confined_mapped : Bytes.t;               (* confined pfns with a live mapping *)
-  sandbox_roots : int Int_table.t;         (* root pfn -> sandbox id *)
   commons : (string, common) Hashtbl.t;
   mutable kernel_root : int option;
   mutable denied : int;
@@ -39,7 +38,6 @@ let create ~mem ~cpu ~backend =
     backend;
     classes = Array.make (Hw.Phys_mem.frames mem) Free;
     confined_mapped = Bytes.make (Hw.Phys_mem.frames mem) '\000';
-    sandbox_roots = Int_table.create 8;
     commons = Hashtbl.create 8;
     kernel_root = None;
     denied = 0;
@@ -72,7 +70,7 @@ let same_class a b =
 let register_root t ~root_pfn =
   match class_of t root_pfn with
   | Free ->
-      set_class t root_pfn (Ptp { level = 0; root = root_pfn });
+      set_class t root_pfn (Ptp { level = 0; root = root_pfn; sandbox = -1 });
       Ok ()
   | Ptp { level = 0; _ } -> Ok () (* re-loading an existing root (context switch) *)
   | Ptp _ -> Error "CR3 target is an interior page-table page"
@@ -80,17 +78,25 @@ let register_root t ~root_pfn =
   | Kernel_text -> Error "CR3 target is kernel text"
   | Confined _ | Common _ -> Error "CR3 target is sandbox memory"
 
+(* The owning sandbox lives in the root frame's own class entry. A frame
+   the guard never registered as a root (the kernel's page-table stores do
+   not pass through the monitor) has no leaves for it to check, so there is
+   nothing to record. *)
 let register_sandbox_root t ~root_pfn ~sandbox =
-  Int_table.replace t.sandbox_roots root_pfn sandbox
-
-let sandbox_of_root t ~root_pfn = Int_table.find_opt t.sandbox_roots root_pfn
+  match class_of t root_pfn with
+  | Ptp { level = 0; root; _ } -> set_class t root_pfn (Ptp { level = 0; root; sandbox })
+  | Free | Ptp _ | Monitor | Kernel_text | Confined _ | Common _ -> ()
 
 (* Sandbox owning [root], or -1 (sandbox ids start at 1): the leaf check
-   asks this on every store, so it answers without an option. *)
+   asks this on every store, so it answers with one array probe and
+   without an option. *)
 let sandbox_id_of_root t root =
-  match Int_table.find t.sandbox_roots root with
-  | sid -> sid
-  | exception Not_found -> -1
+  match class_of t root with
+  | Ptp { level = 0; sandbox; _ } -> sandbox
+  | Free | Ptp _ | Monitor | Kernel_text | Confined _ | Common _ -> -1
+
+let sandbox_of_root t ~root_pfn =
+  match sandbox_id_of_root t root_pfn with -1 -> None | sid -> Some sid
 
 let classify t ~pfn cls =
   match class_of t pfn with
@@ -205,12 +211,12 @@ let write_pte t ~trusted ~pte_addr pte =
   if misaligned pte_addr then deny_incr t "misaligned PTE store"
   else
     match class_of t (Hw.Phys_mem.pfn_of_addr pte_addr) with
-    | Ptp { level; root } ->
+    | Ptp { level; root; _ } ->
         if level = 2 && Hw.Pte.present pte && Hw.Pte.huge pte then begin
           (* A 2 MiB leaf install. Sandboxes must declare memory at 4 KiB
              granularity, and classified frames never hide inside a huge
              mapping. *)
-          if Int_table.mem t.sandbox_roots root then
+          if sandbox_id_of_root t root >= 0 then
             deny_incr t "huge mappings are not allowed in sandbox address spaces"
           else begin
             let base = Hw.Pte.pfn pte in
@@ -236,7 +242,7 @@ let write_pte t ~trusted ~pte_addr pte =
             let child = Hw.Pte.pfn pte in
             match class_of t child with
             | Free ->
-                set_class t child (Ptp { level = level + 1; root });
+                set_class t child (Ptp { level = level + 1; root; sandbox = -1 });
                 do_store t pte_addr pte;
                 Ok ()
             | Ptp { level = l; _ } when l = level + 1 ->
@@ -328,7 +334,7 @@ let split_huge_leaf t ~pte_addr ~alloc_ptp =
   if misaligned pte_addr then deny_incr t "split: misaligned PTE address"
   else
     match class_of t (Hw.Phys_mem.pfn_of_addr pte_addr) with
-    | Ptp { level = 2; root } ->
+    | Ptp { level = 2; root; _ } ->
         let old = Hw.Phys_mem.read_u64 t.mem pte_addr in
         if not (Hw.Pte.present old && Hw.Pte.huge old) then
           Error "split: entry is not a huge leaf"
@@ -336,7 +342,7 @@ let split_huge_leaf t ~pte_addr ~alloc_ptp =
           let base = Hw.Pte.pfn old in
           let pt = alloc_ptp () in
           (match class_of t pt with
-          | Free -> set_class t pt (Ptp { level = 3; root })
+          | Free -> set_class t pt (Ptp { level = 3; root; sandbox = -1 })
           | Ptp _ | Monitor | Kernel_text | Confined _ | Common _ ->
               failwith "split: allocator returned a classified frame");
           (* Fill the new table with 512 equivalent 4 KiB entries. *)

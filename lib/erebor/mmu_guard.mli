@@ -38,7 +38,11 @@ type common
 
 type frame_class =
   | Free
-  | Ptp of { level : int; root : int }
+  | Ptp of { level : int; root : int; sandbox : int }
+      (** A page-table page of the tree rooted at [root]. [sandbox] is the
+          owning sandbox id on the root's own entry (level 0) once
+          {!register_sandbox_root} ran, and -1 everywhere else: lower levels
+          reach it through [root]. *)
   | Monitor
   | Kernel_text
   | Confined of { owner : int }   (** Sandbox id. *)
@@ -63,10 +67,12 @@ val register_root : t -> root_pfn:int -> (unit, string) result
 (** Accept a CR3 target: the frame must not already hold another class. *)
 
 val register_sandbox_root : t -> root_pfn:int -> sandbox:int -> unit
-(** Mark an address-space root as belonging to a sandbox; its leaves are
-    then restricted to that sandbox's confined/common frames. With N
-    sandboxes per CVM each root maps to its own tenant, and the owner
-    checks below keep tenants' confined frames mutually unmappable. *)
+(** Mark a registered address-space root as belonging to a sandbox; its
+    leaves are then restricted to that sandbox's confined/common frames.
+    With N sandboxes per CVM each root maps to its own tenant, and the
+    owner checks below keep tenants' confined frames mutually unmappable.
+    A frame that is not a registered root is left alone: the guard checks
+    no stores into its tree. *)
 
 val sandbox_of_root : t -> root_pfn:int -> int option
 (** The sandbox owning an address-space root, if any — the monitor feeds

@@ -27,9 +27,9 @@ type t = {
   mutable cache_hits : int;
   mutable usercopy_veto : unit -> string option;
   counters : Obs.Counter.t;
-      (* Monitor-local counter sink on the CPU's emitter: the per-kind EMC
-         statistics are *derived* from the event stream, never mutated
-         directly. *)
+      (* Monitor-local counter view of the CPU's emitter, based at install:
+         the per-kind EMC statistics are *derived* from the event stream,
+         never mutated directly. *)
 }
 
 let gate t = t.gate

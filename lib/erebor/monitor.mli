@@ -85,7 +85,7 @@ type emc_stats = {
   ghci : int;
 }
 (** Per-kind EMC service counts, derived on demand from the monitor's
-    counter sink on the event bus — there is no mutable statistics record. *)
+    counter view of the event bus — there is no mutable statistics record. *)
 
 val emc_stats : t -> emc_stats
 val emc_total : t -> int

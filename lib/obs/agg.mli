@@ -24,7 +24,7 @@ val part : machine:string -> unit -> part
     list. The heavy-hitter table holds 64 keys. *)
 
 val attach : Emitter.t -> part -> part
-(** Attach the part's counter sink to a machine's emitter, so the
+(** Attach the part's counter view to a machine's emitter, so the
     snapshot carries per-kind event counts/arg-sums. *)
 
 val machine : part -> string

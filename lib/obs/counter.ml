@@ -1,22 +1,49 @@
-type t = { counts : int array; arg_sums : int array }
+(* A view over emitters' built-in tallies. Each source remembers its
+   emitter's counts at attach (or the last reset); reads subtract that
+   base, so a counter counts from the moment it attaches. *)
+type source = {
+  emitter : Emitter.t;
+  base_counts : int array;
+  base_sums : int array;
+}
 
-let create () =
-  { counts = Array.make Trace.n_kinds 0; arg_sums = Array.make Trace.n_kinds 0 }
+type t = { mutable sources : source list }
 
-let sink t kind ~ts:_ ~arg =
-  let i = Trace.index kind in
-  t.counts.(i) <- t.counts.(i) + 1;
-  t.arg_sums.(i) <- t.arg_sums.(i) + arg
+let kinds = Array.of_list Trace.all
+
+let create () = { sources = [] }
+
+let rebase s =
+  Array.iteri
+    (fun i k ->
+      s.base_counts.(i) <- Emitter.count s.emitter k;
+      s.base_sums.(i) <- Emitter.arg_sum s.emitter k)
+    kinds
 
 let attach emitter t =
-  Emitter.attach emitter (sink t);
+  let s =
+    {
+      emitter;
+      base_counts = Array.make Trace.n_kinds 0;
+      base_sums = Array.make Trace.n_kinds 0;
+    }
+  in
+  rebase s;
+  t.sources <- s :: t.sources;
   t
 
-let count t kind = t.counts.(Trace.index kind)
-let arg_sum t kind = t.arg_sums.(Trace.index kind)
+let count t kind =
+  let i = Trace.index kind in
+  List.fold_left
+    (fun acc s -> acc + Emitter.count s.emitter kind - s.base_counts.(i))
+    0 t.sources
 
-let total t = Array.fold_left ( + ) 0 t.counts
+let arg_sum t kind =
+  let i = Trace.index kind in
+  List.fold_left
+    (fun acc s -> acc + Emitter.arg_sum s.emitter kind - s.base_sums.(i))
+    0 t.sources
 
-let reset t =
-  Array.fill t.counts 0 Trace.n_kinds 0;
-  Array.fill t.arg_sums 0 Trace.n_kinds 0
+let total t = Array.fold_left (fun acc k -> acc + count t k) 0 kinds
+
+let reset t = List.iter rebase t.sources

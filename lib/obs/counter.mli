@@ -1,15 +1,21 @@
-(** The counter sink: per-kind event counts and argument sums.
+(** Per-kind event counts and argument sums: a view over the emitter's
+    built-in tallies, not a sink.
 
     This is the single source of truth for every statistic the simulator
-    reports — [Sim.Stats.snapshot] is derived from one of these, replacing
-    the per-layer ad-hoc counters it used to stitch together. *)
+    reports — [Sim.Stats.snapshot] is derived from one of these. Attaching
+    a counter costs the emitter nothing per event: the emitter counts every
+    emission itself ({!Emitter.count}), and the counter keeps a base
+    snapshot taken at {!attach} and at {!reset}, so it reports exactly the
+    events emitted since then. A counter attached to several emitters
+    reports their sum. *)
 
 type t
 
 val create : unit -> t
+(** A counter attached to nothing: every read is 0. *)
 
 val attach : Emitter.t -> t -> t
-(** Subscribe to the emitter; returns [t] for chaining. *)
+(** Start counting [emitter]'s events from now; returns [t] for chaining. *)
 
 val count : t -> Trace.kind -> int
 val arg_sum : t -> Trace.kind -> int
@@ -18,4 +24,7 @@ val arg_sum : t -> Trace.kind -> int
     cycles; for channel kinds it is total payload bytes. *)
 
 val total : t -> int
+
 val reset : t -> unit
+(** Count from zero again: re-take the base snapshot of every attached
+    emitter. Other counters over the same emitters are unaffected. *)

@@ -1,10 +1,14 @@
-(** The event bus: fans each emitted event out to every attached sink.
+(** The event bus: counts every emitted event and routes it to the sinks
+    subscribed to its kind.
 
-    Sinks are plain callbacks stored in an array; [emit] with no sinks is a
-    bounds check and a loop over zero elements, so instrumented code paths
-    stay cheap when nobody is listening. Emission NEVER advances the virtual
-    clock — observability is free in simulated time, which is what keeps the
-    calibrated tables byte-identical with tracing on or off.
+    The emitter keeps per-kind event counts and argument sums itself, so
+    {!Counter} is a view over them rather than a sink: one {!emit} computes
+    [Trace.index] once, bumps two array slots, and calls only the sinks
+    that subscribed to that kind ({!attach}'s [?kinds]). With no sink
+    listening to a kind, emitting it is the index computation and the two
+    bumps. Emission NEVER advances the virtual clock — observability is
+    free in simulated time, which is what keeps the calibrated tables
+    byte-identical with tracing on or off.
 
     Two side rails ride along with the int-arg bus: an optional {!Audit}
     chain for structured security decisions ({!audit_event}), and a
@@ -16,9 +20,19 @@ type sink = Trace.kind -> ts:int -> arg:int -> unit
 type t
 
 val create : unit -> t
-val attach : t -> sink -> unit
-val sink_count : t -> int
+
+val attach : ?kinds:Trace.kind list -> t -> sink -> unit
+(** Subscribe [sink] to the kinds in [kinds] (default: every kind). A sink
+    receives exactly the events of its kinds, once each, in emission order;
+    sinks subscribed to one kind are called in attach order. *)
+
 val emit : t -> Trace.kind -> ts:int -> arg:int -> unit
+
+val count : t -> Trace.kind -> int
+(** Events of this kind emitted since {!create}. *)
+
+val arg_sum : t -> Trace.kind -> int
+(** Sum of those events' arguments. *)
 
 (** {2 Audit rail} *)
 

@@ -150,7 +150,16 @@ let attach t ~machine emitter =
                 | [] -> seg.btop <- b :: seg.btop))
         | _ -> ())
   in
-  Emitter.attach emitter sink
+  (* Subscribe only to what the window logic reads: the markers, plus the
+     span kinds when span trees are collected at all. *)
+  let spans =
+    if t.collect_spans then
+      List.concat_map
+        (fun p -> [ Trace.span_begin p; Trace.span_end p ])
+        Trace.all_phases
+    else []
+  in
+  Emitter.attach ~kinds:(Trace.Req_begin :: Trace.Req_end :: spans) emitter sink
 
 (* --- Queries ----------------------------------------------------------- *)
 

@@ -53,7 +53,9 @@ val mint : t -> ctx
 
 val attach : t -> machine:string -> Emitter.t -> unit
 (** Start collecting request windows from [emitter], labelling segments
-    with [machine]. One collector may watch several emitters. *)
+    with [machine]. One collector may watch several emitters. The
+    collector subscribes to [Req_begin]/[Req_end], plus the span kinds only
+    when [collect_spans] is set, so other events never reach it. *)
 
 val completed : t -> int
 (** Root windows closed (sampled or not). *)

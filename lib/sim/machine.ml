@@ -43,7 +43,7 @@ type t = {
   scratch_slots : int array; (* leaf PTE addresses for packet-buffer churn *)
   copy_scratch : bytes; (* reusable landing page for proxy packet drains *)
   counters : Obs.Counter.t;
-      (* Machine-wide counter sink, attached before any component boots:
+      (* Machine-wide counter view, based before any component boots:
          {!snapshot} is derived entirely from this event stream. *)
   requests : Obs.Request.t;
       (* Request-trace collector watching this machine's emitter; the
@@ -80,8 +80,9 @@ let create ?obs ?journal ?window ?sketches ?(backend = Erebor.Isolation.Pks)
   (match journal with
   | Some w -> Obs.Journal.Writer.attach ~machine:"sim" w obs
   | None -> ());
-  (* Attach the machine's counter sink before anything boots so every event
-     from assembly onward is counted. *)
+  (* Take the machine's counter view before anything boots so every event
+     from assembly onward is counted (a view, not a sink: the emitter
+     counts on its own, the view remembers where this machine began). *)
   let counters = Obs.Counter.attach obs (Obs.Counter.create ()) in
   (match window with
   | Some w -> ignore (Obs.Window.attach obs w)
@@ -163,7 +164,7 @@ let create ?obs ?journal ?window ?sketches ?(backend = Erebor.Isolation.Pks)
     requests; window; sketches;
   }
 
-(* Every field below is a per-kind count from the machine's counter sink;
+(* Every field below is a per-kind count from the machine's counter view;
    the modules' own mirrors (kernel stats, gate count, guard denials) are
    kept only for cross-checking, never read here. *)
 let snapshot t =

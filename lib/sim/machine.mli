@@ -44,7 +44,7 @@ val obs : t -> Obs.Emitter.t
 (** The machine's event emitter (the one carried by its CPU). *)
 
 val counters : t -> Obs.Counter.t
-(** The machine-wide counter sink {!snapshot} is derived from. *)
+(** The machine-wide counter view {!snapshot} is derived from. *)
 
 val requests : t -> Obs.Request.t
 (** The request-trace collector watching this machine's emitter. Under

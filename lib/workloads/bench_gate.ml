@@ -690,6 +690,17 @@ let sinks =
       fun obs -> ignore (Obs.Sketch.Family.attach obs (Obs.Sketch.Family.create ())) );
     ("agg", fun obs -> ignore (A.attach obs (A.part ~machine:"law" ())));
     ("audit", fun obs -> Obs.Emitter.set_audit obs (Some (Obs.Audit.create ~key:audit_key)));
+    ( "routed",
+      fun obs ->
+        (* Subscribed to a kind subset only: the EMC round trip and the
+           demand-fault path. *)
+        let seen = ref 0 in
+        Obs.Emitter.attach obs
+          ~kinds:
+            Obs.Trace.
+              [ Emc_entry; emc_mmu; Page_fault; span_begin Emc_gate;
+                span_end Emc_gate ]
+          (fun _ ~ts:_ ~arg -> seen := !seen + arg) );
   ]
 
 (* One Fig. 9 cell, drugbank under full Erebor, on a machine built over
@@ -728,13 +739,29 @@ let transparent instrument =
     same "fig9-stats" show_stats bare_stats stats;
   ]
 
+let emit_mix =
+  Obs.Trace.all
+  |> List.filter (fun k -> k <> Obs.Trace.Req_begin && k <> Obs.Trace.Req_end)
+  |> Array.of_list
+
+let bare_emitter () =
+  Sim.Machine.obs
+    (Sim.Machine.create ~frames:32768 ~cma_frames:4096
+       ~setting:Sim.Config.Erebor_full ())
+
+let emit_zero_alloc () =
+  let obs = bare_emitter () in
+  let n = Array.length emit_mix in
+  zero_alloc "law/emit-zero-alloc" ~per:"event" ~n:10_000 (fun i ->
+      Obs.Emitter.emit obs emit_mix.(i mod n) ~ts:i ~arg:i)
+
 (* ------------------------------------------------------------------ *)
 (* Flight recorder: lossless, allocation-free, diffable                *)
 (* ------------------------------------------------------------------ *)
 
 (* One drugbank session under full Erebor journaled to [path]; [extra]
    cycles of compute appended to the body seed a user-phase slowdown.
-   Returns the live counter sink. *)
+   Returns the live counter view. *)
 let record_drugbank ~path ~extra =
   let spec = (List.assoc "drugbank" Eval.all_programs) () in
   let spec =
@@ -1254,7 +1281,8 @@ let gates ~baseline ~jobs =
         | Result.Error e -> [ chk "baseline" false e ] );
     ( "law",
       fun ~smoke:_ ->
-        transparent (fun obs -> List.iter (fun (_, attach) -> attach obs) sinks) );
+        transparent (fun obs -> List.iter (fun (_, attach) -> attach obs) sinks)
+        @ [ emit_zero_alloc () ] );
     ("journal", journal_checks ~baseline);
     ("agg", agg_checks);
     ("density", density_checks ~jobs);

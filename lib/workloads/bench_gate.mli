@@ -135,8 +135,18 @@ val sinks : (string * (Obs.Emitter.t -> unit)) list
 (** Every passive sink lib/obs offers, by name, each attaching a fresh
     instance to the emitter it is given: counter, ring, attrib, chrome,
     histogram, live (window + SLO + health watchdog + dashboard), journal
-    (an unlinked temp file), sketches, agg (an aggregator part) and audit
-    (a chain on the emitter's audit rail). *)
+    (an unlinked temp file), sketches, agg (an aggregator part), audit
+    (a chain on the emitter's audit rail) and routed (a callback
+    subscribed to a kind subset through [Emitter.attach ~kinds]). *)
+
+val emit_mix : Obs.Trace.kind array
+(** Every kind but the request markers (which open a collector window by
+    design): the mix [law/emit-zero-alloc] and [bench bechamel]'s
+    [obs-emit-bare-1k] row emit. *)
+
+val bare_emitter : unit -> Obs.Emitter.t
+(** A fresh erebor machine's emitter: built-in counts plus the machine's
+    request collector, which {!emit_mix} never reaches. *)
 
 val transparent : (Obs.Emitter.t -> unit) -> check list
 (** The sink-transparency law: with [instrument] applied to every machine's
@@ -154,8 +164,10 @@ val gates :
   (string * (smoke:bool -> check list)) list
 (** Every gate entry, in report order: [anchors] (vs the baseline at
     [baseline]; Fig. 9 rows too unless [smoke]), [law] ({!transparent}
-    over all {!sinks}), [journal] (replay, zero-alloc record path,
-    self-diff and seeded-regression diff, [--from-journal] rates),
+    over all {!sinks}, plus [law/emit-zero-alloc]: 10k mixed emissions on
+    a fresh erebor machine's emitter allocate nothing), [journal]
+    (replay, zero-alloc record path, self-diff and seeded-regression
+    diff, [--from-journal] rates),
     [agg] (quantile accuracy, merge/jobs invariance, spike attribution,
     zero-alloc record path), [density] (must-deny probes), [slo]
     (seeded-stall attribution, clean runs silent) and [attrib] (cycle

@@ -839,6 +839,27 @@ let test_pad_unpad_roundtrip () =
       Alcotest.(check bytes) "roundtrip" data (Result.get_ok (Erebor.Channel.unpad padded)))
     [ 0; 1; 55; 56; 64; 100; 1000 ]
 
+(* A length word near [max_int] used to wrap [len + 8] negative, pass the
+   bounds check, and raise out of [Bytes.sub]. Both decoders must answer
+   such a word with [Error]. *)
+let test_hostile_length_words () =
+  let with_len size ~off len =
+    let b = Bytes.make size '\000' in
+    Bytes.set_int64_le b off (Int64.of_int len);
+    b
+  in
+  List.iter
+    (fun len ->
+      (match Erebor.Channel.unpad (with_len 16 ~off:0 len) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "unpad accepted length %d" len);
+      match Erebor.Channel.decode_sealed (with_len 64 ~off:44 len) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "decode_sealed accepted length %d" len)
+    [ max_int; max_int - 3; max_int - 7; max_int - 51; 9; -1 ];
+  Alcotest.(check bytes) "in-range length still decodes" (Bytes.make 8 '\000')
+    (Result.get_ok (Erebor.Channel.unpad (with_len 16 ~off:0 8)))
+
 let () =
   Alcotest.run "erebor"
     [
@@ -908,5 +929,7 @@ let () =
           Alcotest.test_case "padding" `Quick test_channel_padding_hides_size;
           Alcotest.test_case "tamper" `Quick test_channel_tamper_rejected;
           Alcotest.test_case "pad/unpad" `Quick test_pad_unpad_roundtrip;
+          Alcotest.test_case "hostile length words" `Quick
+            test_hostile_length_words;
         ] );
     ]

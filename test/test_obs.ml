@@ -1,4 +1,4 @@
-(* Tests for the lib/obs event subsystem: sinks in isolation, counter-sink
+(* Tests for the lib/obs event subsystem: sinks in isolation, counter-view
    equivalence against the legacy per-layer mirrors on every setting,
    MMU-guard denial accounting, and golden-trace determinism. *)
 
@@ -45,7 +45,6 @@ let test_emitter_fanout () =
   let obs = Obs.Emitter.create () in
   let a = Obs.Counter.attach obs (Obs.Counter.create ()) in
   let b = Obs.Counter.attach obs (Obs.Counter.create ()) in
-  Alcotest.(check int) "two sinks" 2 (Obs.Emitter.sink_count obs);
   Obs.Emitter.emit obs Obs.Trace.Syscall ~ts:1 ~arg:0;
   Obs.Emitter.emit obs Obs.Trace.Syscall ~ts:2 ~arg:1;
   Obs.Emitter.emit obs Obs.Trace.Page_fault ~ts:3 ~arg:0x1000;
@@ -59,6 +58,144 @@ let test_emitter_fanout () =
   Obs.Counter.reset a;
   Alcotest.(check int) "reset" 0 (Obs.Counter.total a);
   Alcotest.(check int) "other sink untouched" 3 (Obs.Counter.total b)
+
+(* qcheck: the emitter's built-in tallies and per-kind routing against
+   list-based references. Random programs interleave emissions with
+   counter attaches, counter resets and sink attaches (routed to a random
+   [~kinds] subset, or to every kind). Every counter view must equal a
+   reference sink attached at the same point (and cleared at the same
+   resets); every routed sink must receive exactly its kinds' subsequence
+   of the events emitted after it attached; unrouted sinks every event;
+   and each event must reach its receivers in attach order. *)
+type route_op =
+  | Emit of int * int
+  | Attach_counter
+  | Reset_counter of int
+  | Attach_sink of int list option
+
+let prop_emitter_routing =
+  let kinds = Array.of_list Obs.Trace.all in
+  let n = Array.length kinds in
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (8, map2 (fun k a -> Emit (k, a)) (int_bound (n - 1)) (int_range (-100) 100));
+          (1, return Attach_counter);
+          (1, map (fun j -> Reset_counter j) (int_bound 4));
+          (1, return (Attach_sink None));
+          ( 2,
+            map
+              (fun ks -> Attach_sink (Some ks))
+              (list_size (int_bound 6) (int_bound (n - 1))) );
+        ])
+  in
+  let show = function
+    | Emit (k, a) -> Printf.sprintf "emit %s %d" (Obs.Trace.name kinds.(k)) a
+    | Attach_counter -> "counter"
+    | Reset_counter j -> Printf.sprintf "reset %d" j
+    | Attach_sink None -> "sink *"
+    | Attach_sink (Some ks) ->
+        "sink "
+        ^ String.concat "," (List.map (fun k -> Obs.Trace.name kinds.(k)) ks)
+  in
+  QCheck.Test.make ~name:"counter views + kind routing = list references"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show ops))
+       QCheck.Gen.(list_size (int_bound 120) gen_op))
+    (fun ops ->
+      let obs = Obs.Emitter.create () in
+      let counters = ref [] (* (view, reference), newest first *) in
+      let sinks = ref [] (* (id, kind indices or None), newest first *) in
+      let delivered = ref [] (* (event seq, sink id), newest first *) in
+      let expected = ref [] in
+      let seq = ref 0 in
+      List.iter
+        (function
+          | Emit (k, arg) ->
+              let receivers =
+                List.filter_map
+                  (fun (id, ks) ->
+                    match ks with
+                    | Some ks when not (List.mem k ks) -> None
+                    | Some _ | None -> Some (!seq, id))
+                  (List.rev !sinks)
+              in
+              expected := List.rev_append receivers !expected;
+              Obs.Emitter.emit obs kinds.(k) ~ts:!seq ~arg;
+              incr seq
+          | Attach_counter ->
+              let view = Obs.Counter.attach obs (Obs.Counter.create ()) in
+              let reference = ref [] in
+              Obs.Emitter.attach obs (fun kind ~ts:_ ~arg ->
+                  reference := (kind, arg) :: !reference);
+              counters := (view, reference) :: !counters
+          | Reset_counter j -> (
+              match List.nth_opt !counters j with
+              | Some (view, reference) ->
+                  Obs.Counter.reset view;
+                  reference := []
+              | None -> ())
+          | Attach_sink ks ->
+              let id = List.length !sinks in
+              let kinds = Option.map (List.map (fun k -> kinds.(k))) ks in
+              Obs.Emitter.attach ?kinds obs (fun _ ~ts ~arg:_ ->
+                  delivered := (ts, id) :: !delivered);
+              sinks := (id, ks) :: !sinks)
+        ops;
+      let view_matches (view, reference) =
+        Obs.Counter.total view = List.length !reference
+        && Array.for_all
+             (fun kind ->
+               let mine = List.filter (fun (k, _) -> k = kind) !reference in
+               Obs.Counter.count view kind = List.length mine
+               && Obs.Counter.arg_sum view kind
+                  = List.fold_left (fun acc (_, a) -> acc + a) 0 mine)
+             kinds
+      in
+      List.for_all view_matches !counters && !delivered = !expected)
+
+(* Two machines over one shared emitter: each machine's counter (and its
+   monitor's) is a view that counts from the moment it attached, so the
+   first machine also counts every event of the second, and the second
+   counts only its own. The figures pin that base-offset semantics. *)
+let test_shared_emitter_views () =
+  let obs = Obs.Emitter.create () in
+  let run () =
+    let m =
+      Sim.Machine.create ~obs ~frames:32768 ~cma_frames:4096
+        ~setting:Sim.Config.Erebor_full ()
+    in
+    ignore (Sim.Machine.run m (small_spec ~body:rich_body ()));
+    m
+  in
+  let a = run () in
+  let b = run () in
+  let figures m =
+    let s = Sim.Machine.snapshot m in
+    let es =
+      Erebor.Monitor.emc_stats
+        (Erebor.Sandbox.manager_monitor (Option.get (Sim.Machine.manager m)))
+    in
+    Sim.Stats.
+      [ s.cycles; s.page_faults; s.timer_irqs; s.ve_exits; s.syscalls;
+        s.emc_total; s.emc_mmu; s.emc_cr; s.emc_msr; s.emc_idt; s.emc_smap;
+        s.emc_ghci; s.context_switches; s.mmu_denies ]
+    @ Erebor.Monitor.[ es.mmu; es.cr; es.msr; es.idt; es.smap; es.ghci ]
+  in
+  Alcotest.(check (list int)) "first machine counts both runs"
+    [ 10657619; 132; 8; 2; 4; 334; 306; 16; 0; 0; 2; 2; 2; 0;
+      306; 16; 0; 0; 2; 2 ]
+    (figures a);
+  Alcotest.(check (list int)) "second machine counts its own run"
+    [ 10657619; 66; 4; 1; 2; 167; 153; 8; 0; 0; 1; 1; 1; 0;
+      153; 8; 0; 0; 1; 1 ]
+    (figures b);
+  Alcotest.(check int) "event totals" 2598
+    (Obs.Counter.total (Sim.Machine.counters a));
+  Alcotest.(check int) "second total" 1299
+    (Obs.Counter.total (Sim.Machine.counters b))
 
 let test_ring_wraparound () =
   let obs = Obs.Emitter.create () in
@@ -140,7 +277,7 @@ let test_with_span () =
 (* Counter-sink equivalence with the legacy per-layer mirrors          *)
 (* ------------------------------------------------------------------ *)
 
-(* The machine snapshot is derived exclusively from the counter sink on the
+(* The machine snapshot is derived exclusively from the counter view on the
    event bus; the refactor kept the original per-layer counters (kernel
    stats record, scheduler switch count, gate/guard counts) as mirrors.
    They must agree exactly, on every setting, over a body that exercises
@@ -195,7 +332,7 @@ let test_counter_equivalence () =
             snap.Sim.Stats.emc_total;
           Alcotest.(check int) (name "no monitor: denies") 0
             snap.Sim.Stats.mmu_denies);
-      (* The counter sink exposed by the machine is the snapshot's source. *)
+      (* The counter view exposed by the machine is the snapshot's source. *)
       let c = Sim.Machine.counters m in
       Alcotest.(check int) (name "counter is source")
         (Obs.Counter.count c Obs.Trace.Page_fault)
@@ -2415,6 +2552,9 @@ let () =
       ( "sinks",
         [
           Alcotest.test_case "emitter fanout" `Quick test_emitter_fanout;
+          QCheck_alcotest.to_alcotest prop_emitter_routing;
+          Alcotest.test_case "shared emitter: counter views" `Quick
+            test_shared_emitter_views;
           Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
           Alcotest.test_case "histogram bucketing" `Quick test_histogram_bucketing;
           Alcotest.test_case "with_span" `Quick test_with_span;
