@@ -651,7 +651,8 @@ let run_check ~baseline ~full ~from_journal () =
           | Error e -> [ G.chk "baseline" false e ])
     | None ->
         header
-          (Printf.sprintf "Regression gate: current build vs %s%s" baseline
+          (Printf.sprintf "Regression gate: current %s build vs %s%s"
+             Build_profile.name baseline
              (if full then " (full scale)" else ""));
         List.concat_map
           (fun (name, gate) -> section name (gate ~smoke:(not full)))
@@ -697,13 +698,16 @@ let peak_rss_kb () =
     scan ()
   with Sys_error _ -> None
 
+let effective_jobs () =
+  match !jobs_arg with Some j -> j | None -> Sim.Runner.default_jobs ()
+
 let write_bench_json ~path ~timings ~total_wall_s =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
   add "  \"schema\": \"erebor-bench-sim/1\",\n";
-  add "  \"jobs\": %d,\n"
-    (match !jobs_arg with Some j -> j | None -> Sim.Runner.default_jobs ());
+  add "  \"profile\": \"%s\",\n" Build_profile.name;
+  add "  \"jobs\": %d,\n" (effective_jobs ());
   add "  \"scale\": %.6f,\n" !scale_arg;
   add "  \"total_wall_s\": %.6f,\n" total_wall_s;
   (match peak_rss_kb () with
@@ -714,8 +718,12 @@ let write_bench_json ~path ~timings ~total_wall_s =
     gc.Gc.minor_words gc.Gc.major_words gc.Gc.major_collections;
   add "  \"targets\": [\n";
   List.iteri
-    (fun i (name, wall) ->
-      add "    { \"name\": \"%s\", \"wall_s\": %.6f }%s\n" (Obs.Audit.escape_json name) wall
+    (fun i (name, wall, words) ->
+      add "    { \"name\": \"%s\", \"wall_s\": %.6f%s }%s\n" (Obs.Audit.escape_json name) wall
+        (match words with
+        | Some (minor, major) ->
+            Printf.sprintf ", \"minor_words\": %.0f, \"major_words\": %.0f" minor major
+        | None -> "")
         (if i = List.length timings - 1 then "" else ","))
     timings;
   add "  ],\n";
@@ -764,11 +772,24 @@ let write_bench_json ~path ~timings ~total_wall_s =
 (* ------------------------------------------------------------------ *)
 
 let all () =
+  (* Per-target words only when the run is serial: with a domain pool,
+     other domains allocate on a target's behalf. *)
+  let serial = effective_jobs () = 1 in
   let timings = ref [] in
   let timed name f =
+    let g0 = Gc.quick_stat () in
     let t0 = Unix.gettimeofday () in
     f ();
-    timings := (name, Unix.gettimeofday () -. t0) :: !timings
+    let wall = Unix.gettimeofday () -. t0 in
+    let words =
+      if serial then
+        let g1 = Gc.quick_stat () in
+        Some
+          ( g1.Gc.minor_words -. g0.Gc.minor_words,
+            g1.Gc.major_words -. g0.Gc.major_words )
+      else None
+    in
+    timings := (name, wall, words) :: !timings
   in
   let t_start = Unix.gettimeofday () in
   timed "table3" print_table3;

@@ -68,9 +68,14 @@ let encode_imm v =
   let u = v land 0x3fff in
   (u land 0x7f, (u lsr 7) land 0x7f)
 
+(* [None] unless both bytes are base-128 digits: [encode_imm] never writes
+   a byte >= 0x80, and reading one would give an immediate outside the
+   14-bit range that {!Icode} packs. *)
 let decode_imm lo hi =
-  let u = lo lor (hi lsl 7) in
-  if u >= imm_range then u - (2 * imm_range) else u
+  if lo >= 0x80 || hi >= 0x80 then None
+  else
+    let u = lo lor (hi lsl 7) in
+    Some (if u >= imm_range then u - (2 * imm_range) else u)
 
 let encode instr =
   let b = Bytes.make instr_size '\000' in
@@ -136,15 +141,17 @@ let decode b off =
     if op = op_nop then Some Nop
     else if op = op_endbr then Some Endbr
     else if op = op_mov_imm then
-      Option.map (fun r -> Mov_imm (r, decode_imm (byte 2) (byte 3))) (reg 1)
+      match (reg 1, decode_imm (byte 2) (byte 3)) with
+      | Some r, Some v -> Some (Mov_imm (r, v))
+      | _ -> None
     else if op = op_load then
       match (reg 1, reg 2) with Some a, Some b -> Some (Load (a, b)) | _ -> None
     else if op = op_store then
       match (reg 1, reg 2) with Some a, Some b -> Some (Store (a, b)) | _ -> None
     else if op = op_add then
       match (reg 1, reg 2) with Some a, Some b -> Some (Add (a, b)) | _ -> None
-    else if op = op_jmp then Some (Jmp (decode_imm (byte 1) (byte 2)))
-    else if op = op_call then Some (Call (decode_imm (byte 1) (byte 2)))
+    else if op = op_jmp then Option.map (fun v -> Jmp v) (decode_imm (byte 1) (byte 2))
+    else if op = op_call then Option.map (fun v -> Call v) (decode_imm (byte 1) (byte 2))
     else if op = op_ret then Some Ret
     else if op = op_syscall then Some Syscall
     else if op = op_iret then Some Iret

@@ -61,7 +61,8 @@ val encode : instr -> bytes
 val assemble : instr list -> bytes
 val decode : bytes -> int -> instr option
 (** [decode b off] decodes the 4-byte instruction at [off]; [None] on an
-    unknown opcode or truncated tail. *)
+    unknown opcode, a bad register or CR operand, an immediate byte
+    >= 0x80 (not base-128), or a truncated tail. *)
 
 val disassemble : bytes -> instr list option
 (** [None] if any aligned slot fails to decode. *)

@@ -109,29 +109,44 @@ let escape_json s =
     s;
   Buffer.contents buf
 
+(* [None] on a [\u] escape without four hex digits: a line [escape_json]
+   cannot have written reads as malformed rather than raising. *)
 let unescape s =
   let buf = Buffer.create (String.length s) in
   let n = String.length s in
   let i = ref 0 in
-  while !i < n do
-    (match s.[!i] with
-    | '\\' when !i + 1 < n -> (
-        incr i;
-        match s.[!i] with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' when !i + 4 < n ->
-            let code = int_of_string ("0x" ^ String.sub s (!i + 1) 4) in
-            Buffer.add_char buf (Char.chr (code land 0xff));
-            i := !i + 4
-        | c -> Buffer.add_char buf c)
-    | c -> Buffer.add_char buf c);
-    incr i
-  done;
-  Buffer.contents buf
+  let hex c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+    | _ -> raise Exit
+  in
+  try
+    while !i < n do
+      (match s.[!i] with
+      | '\\' when !i + 1 < n -> (
+          incr i;
+          match s.[!i] with
+          | '"' -> Buffer.add_char buf '"'
+          | '\\' -> Buffer.add_char buf '\\'
+          | 'n' -> Buffer.add_char buf '\n'
+          | 'r' -> Buffer.add_char buf '\r'
+          | 't' -> Buffer.add_char buf '\t'
+          | 'u' ->
+              if !i + 4 >= n then raise Exit;
+              let code =
+                (hex s.[!i + 1] lsl 12) lor (hex s.[!i + 2] lsl 8)
+                lor (hex s.[!i + 3] lsl 4) lor hex s.[!i + 4]
+              in
+              Buffer.add_char buf (Char.chr (code land 0xff));
+              i := !i + 4
+          | c -> Buffer.add_char buf c)
+      | c -> Buffer.add_char buf c);
+      incr i
+    done;
+    Some (Buffer.contents buf)
+  with Exit -> None
 
 let record_line r =
   Printf.sprintf
@@ -215,18 +230,10 @@ let parse_line ln =
       field_string "mac" )
   with
   | Some seq, Some ts, Some category, Some verdict, Some detail, Some mac -> (
-      match verdict_of_name verdict with
-      | Some v ->
-          Some
-            {
-              seq;
-              ts;
-              category = unescape category;
-              verdict = v;
-              detail = unescape detail;
-              mac;
-            }
-      | None -> None)
+      match (verdict_of_name verdict, unescape category, unescape detail) with
+      | Some v, Some category, Some detail ->
+          Some { seq; ts; category; verdict = v; detail; mac }
+      | _ -> None)
   | _ -> None
 
 let verify_string ~key s =

@@ -412,6 +412,34 @@ let test_drbg_deterministic () =
   Alcotest.(check bool) "different seed, different stream" false
     (Bytes.equal (Drbg.bytes (Drbg.create ~seed:"seed") 100) (Drbg.bytes c 100))
 
+(* Known-answer test: the stream is pinned, not just repeatable, because
+   every Fig. 9 contention draw and every sampled token comes from it. The
+   byte offsets in the comments count keystream consumed: the int64 at 58
+   and the bytes at 113 straddle a 64-byte pool refill, and the reseed
+   discards the rest of the pool. *)
+let test_drbg_known_answer () =
+  let d = Drbg.create ~seed:"erebor drbg kat" in
+  let bytes n = hex_of (Drbg.bytes d n) in
+  let float () = Printf.sprintf "%h" (Drbg.float d) in
+  let int () = string_of_int (Drbg.int d 1000) in
+  let int64 () = Printf.sprintf "%Lx" (Drbg.int64 d) in
+  let before =
+    [ bytes 5; bytes 13; float () (* 18 *); int (); int (); int ();
+      int64 () (* 50 *); int64 () (* 58 *); bytes 31 (* 66 *);
+      float () (* 97 *); int () (* 105 *); bytes 17 (* 113 *);
+      float () (* 130 *) ]
+  in
+  Drbg.reseed d "kat entropy";
+  let after = [ bytes 7; int64 (); float (); int () ] in
+  Alcotest.(check (list string)) "pinned stream"
+    [ "198508583f"; "75692f217974499c45a6d57baa"; "0x1.0924b66bd2c9cp-1";
+      "307"; "590"; "364"; "4b6d2910875e8cfb"; "4e1aa9caa2d21928";
+      "a98a7b138c7d6d055aa58d0f9edd537ead8c2eb13d4a006612d86cc6cc1bdc";
+      "0x1.5b844e90c8bebp-2"; "498"; "3845ea5a87a87af6ecfa9af50a0d14b269";
+      "0x1.28db63b79955bp-3"; "cb15da8e339ecc"; "2b1ff0ff6d350d13";
+      "0x1.42fe29fc0b394p-3"; "461" ]
+    (before @ after)
+
 let test_drbg_int_bounds () =
   let rng = Drbg.create ~seed:"bounds" in
   for _ = 1 to 1000 do
@@ -506,6 +534,7 @@ let () =
       ( "drbg",
         [
           Alcotest.test_case "deterministic" `Quick test_drbg_deterministic;
+          Alcotest.test_case "known answer" `Quick test_drbg_known_answer;
           Alcotest.test_case "int bounds" `Quick test_drbg_int_bounds;
           Alcotest.test_case "float range" `Quick test_drbg_float_range;
           Alcotest.test_case "reseed" `Quick test_drbg_reseed;

@@ -475,11 +475,12 @@ let prop_pt_matches_reference =
       straight = reference)
 
 (* The probe side of the paging path allocates nothing: a walk that stops
-   at a non-present slot and a [read_u64] -> [Pte.present]/[Pte.pfn]
-   decode of an empty slot in a backed table page. (A present entry read
-   across the module boundary still boxes its [int64] unless the call is
-   inlined, which dune's default dev profile prevents with [-opaque]; the
-   demand-fault path only pays that on levels that exist.) *)
+   at a non-present slot, and [read_u64] -> [Pte.present]/[Pte.pfn]
+   decodes of both an empty slot and a present entry in a backed table
+   page. The present read holds only because the build inlines across
+   modules (the release profile in dune-workspace): compiled with
+   [-opaque], as under [--profile dev], each present read boxes its
+   [int64] and this test fails. *)
 let test_pt_probe_no_alloc () =
   let mem, alloc_ptp, write_pte = make_env () in
   let root = alloc_ptp () in
@@ -502,7 +503,22 @@ let test_pt_probe_no_alloc () =
   done;
   let w1 = Gc.minor_words () in
   Alcotest.(check int) "nothing mapped" 0 !hits;
-  Alcotest.(check (float 0.0)) "zero minor words" 0.0 (w1 -. w0)
+  Alcotest.(check (float 0.0)) "zero minor words" 0.0 (w1 -. w0);
+  (* PML4 slot 0 is present: it points at the PDPT [map] allocated. *)
+  let present_slot = Phys_mem.addr_of_pfn root in
+  Alcotest.(check bool) "slot present" true
+    (Pte.present (Phys_mem.read_u64 mem present_slot));
+  let pdpt = Pte.pfn (Phys_mem.read_u64 mem present_slot) in
+  let sum = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    let e = Phys_mem.read_u64 mem present_slot in
+    if Pte.present e then sum := !sum + Pte.pfn e
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check int) "present entry decoded" (10_000 * pdpt) !sum;
+  Alcotest.(check (float 0.0)) "present decodes: zero minor words" 0.0
+    (w1 -. w0)
 
 (* ------------------------------------------------------------------ *)
 (* Access checks                                                       *)
@@ -847,6 +863,11 @@ let test_isa_decode_rejects () =
   Alcotest.(check bool) "bad reg (mov_imm)" true (Isa.decode (slot [0x02;9;0;0]) 0 = None);
   (* CR index outside {0,3,4}. *)
   Alcotest.(check bool) "bad cr index" true (Isa.decode (slot [0xc0;2;0;0]) 0 = None);
+  (* Immediate bytes with the top bit set are not base-128 digits. *)
+  Alcotest.(check bool) "non-canonical imm (mov_imm)" true
+    (Isa.decode (slot [0x02;0;0;0xc8]) 0 = None);
+  Alcotest.(check bool) "non-canonical imm (call)" true
+    (Isa.decode (slot [0x07;2;0xf8;0]) 0 = None);
   (* Truncated tail and out-of-range offsets. *)
   let one = Isa.encode Isa.Nop in
   Alcotest.(check bool) "truncated" true (Isa.decode one 1 = None);
@@ -950,6 +971,113 @@ let test_icode_fuel_bounds_runaway () =
   let p = match Icode.decode code with Ok p -> p | Error _ -> assert false in
   let st = Icode.make_state () in
   Alcotest.(check int) "fuel cap" 1000 (Icode.run p st ~entry:0 ~fuel:1000)
+
+(* The Fig. 5 gate listing as the monitor assembles it. *)
+let gate_code =
+  lazy
+    (let cpu, _, _, _ = make_cpu () in
+     Erebor.Gate.code_bytes
+       (Erebor.Gate.create ~cpu ~code_base:0x1000
+          ~backend:(Erebor.Isolation.create Erebor.Isolation.Pks ~cpu)
+          ()))
+
+(* Decoder inputs: random bytes, or the gate listing with a few bytes
+   overwritten, inserted or cut. Most random slots start with a real
+   opcode and most operand bytes are register-sized, so whole programs
+   decode often enough to run; almost a third of operand bytes have the
+   top bit set, which no assembler emits. *)
+let decoder_input_gen =
+  let open QCheck.Gen in
+  let opcodes = [ 0x00; 0x01; 0x08; 0x09; 0x0a; 0x0b; 0x0c; 0xc1; 0xc2; 0xc4; 0xc5 ] in
+  (* Opcodes that carry operands, where decoding can go wrong. *)
+  let operand_opcodes = [ 0x02; 0x03; 0x04; 0x05; 0x06; 0x07; 0x0d; 0xc0 ] in
+  let operand =
+    map Char.chr
+      (frequency [ (3, int_bound 7); (1, int_bound 255); (1, int_range 0x80 0xff) ])
+  in
+  let slot =
+    frequency
+      [ (1, string_size ~gen:char (return 4));
+        (5, map2 (fun op operands -> String.make 1 (Char.chr op) ^ operands)
+              (frequency [ (1, oneofl opcodes); (2, oneofl operand_opcodes) ])
+              (string_size ~gen:operand (return 3))) ]
+  in
+  let random_bytes =
+    map2 (fun slots tail -> String.concat "" slots ^ tail)
+      (list_size (0 -- 6) slot)
+      (frequency [ (5, return ""); (1, string_size ~gen:char (1 -- 3)) ])
+  in
+  let edit =
+    oneof
+      [ map2 (fun pos b -> `Set (pos, b)) nat (int_bound 255);
+        map2 (fun pos b -> `Insert (pos, b)) nat (int_bound 255);
+        map (fun pos -> `Cut pos) nat ]
+  in
+  let apply s = function
+    | `Set (pos, b) when s <> "" ->
+        String.mapi (fun i c -> if i = pos mod String.length s then Char.chr b else c) s
+    | `Insert (pos, b) ->
+        let pos = pos mod (String.length s + 1) in
+        String.sub s 0 pos ^ String.make 1 (Char.chr b)
+        ^ String.sub s pos (String.length s - pos)
+    | `Cut pos when s <> "" -> String.sub s 0 (pos mod String.length s)
+    | _ -> s
+  in
+  let gate_mutant =
+    map
+      (fun edits ->
+        List.fold_left apply (Bytes.to_string (Lazy.force gate_code)) edits)
+      (list_size (1 -- 4) edit)
+  in
+  oneof [ random_bytes; gate_mutant ]
+
+(* qcheck: the decoders are total on arbitrary bytes; the cache decodes a
+   blob exactly when every slot decodes (reporting the first bad slot) and
+   then re-materializes every slot as [Isa.decode] reads it; and the
+   threaded interpreter and the per-step reference agree on retired
+   count, sensitive retires and registers from any entry under any
+   fuel. *)
+let prop_decoders_total_and_agree =
+  QCheck.Test.make ~name:"Isa/Icode decoders total, run = run_undecoded"
+    ~count:1000
+    QCheck.(
+      triple
+        (make ~print:(fun s -> Printf.sprintf "%S" s) decoder_input_gen)
+        (int_range (-1) 8) (int_bound 200))
+    (fun (s, entry, fuel) ->
+      let b = Bytes.of_string s in
+      let len = Bytes.length b in
+      for off = -4 to len + 4 do
+        ignore (Isa.decode b off)
+      done;
+      let n = len / Isa.instr_size in
+      let rec first_bad i =
+        if i = n then
+          if n * Isa.instr_size = len then None else Some (n * Isa.instr_size)
+        else if Isa.decode b (i * Isa.instr_size) = None then
+          Some (i * Isa.instr_size)
+        else first_bad (i + 1)
+      in
+      match (Icode.decode b, first_bad 0) with
+      | Error off, Some off' -> off = off'
+      | Error _, None | Ok _, Some _ -> false
+      | Ok p, None ->
+          List.for_all
+            (fun i -> Isa.decode b (i * Isa.instr_size) = Some (Icode.instr p i))
+            (List.init n Fun.id)
+          &&
+          let run_with runner =
+            let st = Icode.make_state () in
+            let sensitive = ref [] in
+            Icode.set_sensitive_hook st (fun op -> sensitive := op :: !sensitive);
+            let retired = runner st in
+            (retired, !sensitive, List.init 8 (Icode.reg st))
+          in
+          let ((retired, _, _) as fast) =
+            run_with (fun st -> Icode.run p st ~entry ~fuel)
+          in
+          let slow = run_with (fun st -> Icode.run_undecoded b st ~entry ~fuel) in
+          retired <= fuel && fast = slow)
 
 let prop_isa_benign_scan_clean =
   (* Any program assembled from benign instructions scans clean. *)
@@ -1190,6 +1318,7 @@ let () =
             test_icode_steady_state_no_alloc;
           Alcotest.test_case "fuel bounds runaway" `Quick
             test_icode_fuel_bounds_runaway;
+          qt prop_decoders_total_and_agree;
         ] );
       ( "image",
         [

@@ -882,6 +882,94 @@ let test_audit_emitter_rail () =
   | Ok n -> Alcotest.failf "expected 1 record, got %d" n
   | Error e -> Alcotest.failf "chain rejected: %s" e
 
+(* A [\u] escape with non-hex digits once escaped [verify_string] as a
+   [Failure "int_of_string"]; a corrupted log must read as malformed. *)
+let test_audit_bad_unicode_escape () =
+  let line =
+    {|{"seq":0,"ts":0,"category":"x\uZZZZ","verdict":"allow","detail":"d","mac":"00"}|}
+  in
+  List.iter
+    (fun s ->
+      match Obs.Audit.verify_string ~key:audit_test_key s with
+      | Error "record 0: malformed line" -> ()
+      | Error e -> Alcotest.failf "%S: wrong error %S" s e
+      | Ok _ -> Alcotest.failf "%S verified" s)
+    [
+      line;
+      replace_once ~sub:{|x\uZZZZ|} ~by:{|x\u00|} line;
+      replace_once ~sub:{|x\uZZZZ|} ~by:{|x\u_0_1|} line;
+    ]
+
+(* A real chain: the audit log of a full-Erebor run, plus the escape-heavy
+   sample chain, each finalized. *)
+let audit_seed_logs =
+  lazy
+    (let obs = Obs.Emitter.create () in
+     let chain = Obs.Audit.create ~key:audit_test_key in
+     Obs.Emitter.set_audit obs (Some chain);
+     let m =
+       Sim.Machine.create ~frames:32768 ~cma_frames:4096 ~obs
+         ~setting:Sim.Config.Erebor_full ()
+     in
+     ignore (Sim.Machine.run m (small_spec ~body:rich_body ()));
+     Obs.Emitter.finalize obs ~now:(Hw.Cycles.now (Sim.Machine.clock m));
+     let sample = sample_chain () in
+     Obs.Audit.finalize sample ~now:999;
+     [ Obs.Audit.to_string chain; Obs.Audit.to_string sample ])
+
+let audit_mutation_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map2 (fun pos b -> `Flip (pos, b)) nat (int_bound 255);
+        map (fun pos -> `Cut pos) nat;
+        map2
+          (fun pos esc -> `Insert (pos, esc))
+          nat
+          (oneofl
+             [ {|\|}; {|\u|}; {|\u00|}; {|\uZZZZ|}; {|\u12G4|}; {|\u0041|};
+               {|\uFFFF|}; {|\"|}; {|\\|} ]);
+      ])
+
+let audit_mutate s m =
+  let n = String.length s in
+  match m with
+  | `Flip (pos, b) ->
+      let by = Bytes.of_string s in
+      Bytes.set by (pos mod n) (Char.chr b);
+      Bytes.to_string by
+  | `Cut pos -> String.sub s 0 (pos mod n)
+  | `Insert (pos, esc) ->
+      let pos = pos mod (n + 1) in
+      String.sub s 0 pos ^ esc ^ String.sub s pos (n - pos)
+
+let print_audit_mutation = function
+  | `Flip (p, b) -> Printf.sprintf "flip %d %d" p b
+  | `Cut p -> Printf.sprintf "cut %d" p
+  | `Insert (p, e) -> Printf.sprintf "insert %d %S" p e
+
+(* The verifier reads adversary-controlled files: whatever the bytes, it
+   answers Ok or Error and never raises. *)
+let prop_audit_verify_total =
+  QCheck.Test.make ~name:"verify_string is total on mutated logs" ~count:500
+    QCheck.(
+      make
+        ~print:(fun (real, ms) ->
+          Printf.sprintf "%s log: %s"
+            (if real then "run" else "sample")
+            (String.concat "; " (List.map print_audit_mutation ms)))
+        Gen.(pair bool (list_size (1 -- 4) audit_mutation_gen)))
+    (fun (real, ms) ->
+      let logs = Lazy.force audit_seed_logs in
+      let log = List.nth logs (if real then 0 else 1) in
+      let mutant =
+        List.fold_left
+          (fun s m -> if s = "" then s else audit_mutate s m)
+          log ms
+      in
+      match Obs.Audit.verify_string ~key:audit_test_key mutant with
+      | Ok _ | Error _ -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Request-scoped tracing: packing, windows, cross-machine trees       *)
 (* ------------------------------------------------------------------ *)
@@ -2602,6 +2690,9 @@ let () =
             test_audit_tamper_rejected;
           Alcotest.test_case "emitter audit rail" `Quick
             test_audit_emitter_rail;
+          Alcotest.test_case "bad \\u escape is malformed" `Quick
+            test_audit_bad_unicode_escape;
+          QCheck_alcotest.to_alcotest prop_audit_verify_total;
         ] );
       ( "request",
         [
