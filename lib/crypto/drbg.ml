@@ -1,28 +1,33 @@
+(* The generator's stream is ChaCha20 block [n] under the hashed seed, with
+   [n] spread over the block input's counter and nonce words: word 12 (the
+   ChaCha counter) stays 0, words 13–14 hold [n]'s low and high 32 bits,
+   word 15 stays 0. [state] keeps that keyed input between refills, so a
+   refill rewrites two words and runs the block straight into [pool]. *)
 type t = {
-  mutable key : bytes;
-  mutable counter : int;   (* block counter split into nonce + chacha counter *)
-  pool : bytes;            (* one keystream block, refilled in place *)
-  mutable pool_off : int;  (* consumed prefix; pool_size forces a refill *)
-  nonce : bytes;           (* scratch for the per-refill nonce *)
+  mutable key : bytes;       (* SHA-256 of the seed, rehashed by [reseed] *)
+  mutable state : int array; (* keyed 16-word ChaCha20 input, rebuilt by [reseed] *)
+  mutable counter : int;     (* next block index *)
+  pool : bytes;              (* one keystream block, refilled in place *)
+  mutable pool_off : int;    (* consumed prefix; pool_size forces a refill *)
 }
 
 let pool_size = 64
 
+(* Only read: the nonce words of [state] are rewritten per refill. *)
+let zero_nonce = Bytes.make Chacha20.nonce_size '\000'
+
+let keyed key = Chacha20.init_state ~key ~nonce:zero_nonce ~counter:0l
+
 let create ~seed =
-  {
-    key = Sha256.digest_string seed;
-    counter = 0;
-    pool = Bytes.create pool_size;
-    pool_off = pool_size;
-    nonce = Bytes.make Chacha20.nonce_size '\000';
-  }
+  let key = Sha256.digest_string seed in
+  { key; state = keyed key; counter = 0; pool = Bytes.create pool_size; pool_off = pool_size }
 
 let refill t =
-  for i = 0 to 7 do
-    Bytes.unsafe_set t.nonce i (Char.unsafe_chr ((t.counter lsr (8 * i)) land 0xff))
-  done;
-  t.counter <- t.counter + 1;
-  Chacha20.block_into ~key:t.key ~nonce:t.nonce ~counter:0l t.pool;
+  let n = t.counter in
+  Array.unsafe_set t.state 13 (n land 0xffff_ffff);
+  Array.unsafe_set t.state 14 ((n lsr 32) land 0xffff_ffff);
+  t.counter <- n + 1;
+  Chacha20.block_of_state t.state t.pool;
   t.pool_off <- 0
 
 let bytes t n =
@@ -66,20 +71,24 @@ let[@inline] draw64 t =
   in
   Int64.logor (Int64.shift_left (Int64.of_int hi) 7) (Int64.of_int (b7 lsr 1))
 
-let int64 t = draw64 t
+let[@inline] int64 t = draw64 t
 
 let int t bound =
   if bound <= 0 then invalid_arg "Drbg.int: bound must be positive";
-  (* Rejection sampling over the largest multiple of [bound] below 2^63. *)
-  let limit = Int64.mul (Int64.div Int64.max_int (Int64.of_int bound)) (Int64.of_int bound) in
-  let rec draw () =
-    let v = draw64 t in
-    if Int64.compare v limit >= 0 then draw ()
-    else Int64.to_int (Int64.rem v (Int64.of_int bound))
-  in
-  draw ()
+  (* Rejection sampling over the largest multiple of [bound] below 2^63. A
+     loop over a local, not a recursive closure, so a draw allocates
+     nothing. *)
+  let b = Int64.of_int bound in
+  let limit = Int64.mul (Int64.div Int64.max_int b) b in
+  let v = ref (draw64 t) in
+  while (!v : int64) >= limit do
+    v := draw64 t
+  done;
+  Int64.to_int (Int64.rem !v b)
 
-let float t =
+(* Inlined at the call site, so a caller comparing the draw against a
+   threshold never boxes the float. *)
+let[@inline] float t =
   (* [draw64] yields 63 uniform bits; divide by 2^63 for [0, 1). *)
   Int64.to_float (draw64 t) /. 9.223372036854775808e18
 
@@ -88,4 +97,5 @@ let reseed t entropy =
   Sha256.feed ctx t.key;
   Sha256.feed_string ctx entropy;
   t.key <- Sha256.digest ctx;
+  t.state <- keyed t.key;
   t.pool_off <- pool_size

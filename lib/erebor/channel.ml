@@ -19,12 +19,20 @@ let le64 n =
   done;
   b
 
+(* A le64 word as a non-negative int, or -1 when it needs more than 62
+   bits. Folding all eight bytes into a 63-bit int would silently drop bit
+   63, so a length word with that bit set would decode as a small length
+   that re-encodes to different bytes. Every field read here (lengths,
+   trace and span ids) is non-negative when well formed. *)
 let read_le64 b off =
-  let v = ref 0 in
-  for i = 7 downto 0 do
-    v := (!v lsl 8) lor Char.code (Bytes.get b (off + i))
-  done;
-  !v
+  if Char.code (Bytes.get b (off + 7)) land 0xc0 <> 0 then -1
+  else begin
+    let v = ref 0 in
+    for i = 7 downto 0 do
+      v := (!v lsl 8) lor Char.code (Bytes.get b (off + i))
+    done;
+    !v
+  end
 
 let pad_to_bucket ~bucket data =
   if bucket <= 0 then invalid_arg "pad_to_bucket: bucket must be positive";
@@ -74,19 +82,20 @@ let encode_ctx (cx : Obs.Request.ctx) data =
   Bytes.set h 21 (if cx.Obs.Request.sampled then '\001' else '\000');
   Bytes.cat h data
 
+(* Only canonical headers decode: ids that fit a non-negative int and a
+   flags byte of 0 or 1, so a decoded header re-encodes to the same bytes. *)
 let decode_ctx data =
   if
     Bytes.length data >= ctx_header_len
     && Bytes.sub_string data 0 (String.length ctx_magic) = ctx_magic
   then
-    let cx =
-      {
-        Obs.Request.trace_id = read_le64 data 5;
-        span_id = read_le64 data 13;
-        sampled = Bytes.get data 21 <> '\000';
-      }
-    in
-    Some (cx, Bytes.sub data ctx_header_len (Bytes.length data - ctx_header_len))
+    let trace_id = read_le64 data 5 and span_id = read_le64 data 13 in
+    match Bytes.get data 21 with
+    | ('\000' | '\001') as flags when trace_id >= 0 && span_id >= 0 ->
+        Some
+          ( { Obs.Request.trace_id; span_id; sampled = flags = '\001' },
+            Bytes.sub data ctx_header_len (Bytes.length data - ctx_header_len) )
+    | _ -> None
   else None
 
 let serialize_report (r : Tdx.Attest.report) =

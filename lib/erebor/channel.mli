@@ -25,9 +25,13 @@ val pad_to_bucket : bucket:int -> bytes -> bytes
 (** Length-prefix and zero-pad to the next multiple of [bucket]. *)
 
 val unpad : bytes -> (bytes, string) result
+(** [Error] on a short buffer or a length word that does not fit it
+    (including one with bit 63 set); never raises. *)
 
 val encode_sealed : Crypto.Aead.sealed -> bytes
 val decode_sealed : bytes -> (Crypto.Aead.sealed, string) result
+(** [Ok] only when the length word is exactly the ciphertext's length, so
+    [encode_sealed] of the result gives the input back; never raises. *)
 
 (** {2 Trace-context header}
 
@@ -39,7 +43,11 @@ val decode_sealed : bytes -> (Crypto.Aead.sealed, string) result
 
 val ctx_header_len : int
 val encode_ctx : Obs.Request.ctx -> bytes -> bytes
+(** Ids must be non-negative, as {!Obs.Request.mint} makes them. *)
+
 val decode_ctx : bytes -> (Obs.Request.ctx * bytes) option
+(** [Some] only for a canonical header — non-negative ids, a flags byte
+    of 0 or 1 — so [encode_ctx] of the result gives the input back. *)
 
 module Client : sig
   type t

@@ -54,9 +54,9 @@ module type S = sig
 
   (** {2 Monitor hooks} *)
 
-  val tenant_enter : t -> int option -> unit
-  (** The monitor observed a CR3 load: [Some sid] entering sandbox [sid]'s
-      address space, [None] for any non-sandbox root. *)
+  val tenant_enter : t -> int -> unit
+  (** The monitor observed a CR3 load: [sid >= 0] entering sandbox [sid]'s
+      address space, [-1] for any non-sandbox root. *)
 end
 
 (* --- PKS: the paper's TDX prototype (§5), the default backend. -------- *)
@@ -138,8 +138,7 @@ module Tme_backend : S = struct
   let untag_confined t ~pfn = Hw.Tme.untag t.tme ~pfn
 
   let tenant_enter t sid =
-    Hw.Tme.set_active t.tme
-      (match sid with Some owner -> keyid_of_owner owner | None -> 0)
+    Hw.Tme.set_active t.tme (if sid >= 0 then keyid_of_owner sid else 0)
 end
 
 type t = B : (module S with type t = 'a) * 'a -> t

@@ -71,10 +71,11 @@ module type S = sig
 
   (** {2 Monitor hooks} *)
 
-  val tenant_enter : t -> int option -> unit
-  (** A CR3 load was approved: [Some sid] enters sandbox [sid]'s address
-      space, [None] any non-sandbox root. TME-MK switches the active
-      tenant key here; PKS/WP need nothing. *)
+  val tenant_enter : t -> int -> unit
+  (** A CR3 load was approved: [sid >= 0] enters sandbox [sid]'s address
+      space, [-1] any non-sandbox root (a plain int, so the CR3 path
+      allocates nothing). TME-MK switches the active tenant key here;
+      PKS/WP need nothing. *)
 end
 
 type t = B : (module S with type t = 'a) * 'a -> t
@@ -95,4 +96,4 @@ val validate_untrusted : t -> Hw.Pte.t -> (unit, string) result
 val seal_confined_leaf : t -> owner:int -> Hw.Pte.t -> Hw.Pte.t
 val tag_confined : t -> pfn:int -> owner:int -> unit
 val untag_confined : t -> pfn:int -> unit
-val tenant_enter : t -> int option -> unit
+val tenant_enter : t -> int -> unit

@@ -87,16 +87,13 @@ let register_sandbox_root t ~root_pfn ~sandbox =
   | Ptp { level = 0; root; _ } -> set_class t root_pfn (Ptp { level = 0; root; sandbox })
   | Free | Ptp _ | Monitor | Kernel_text | Confined _ | Common _ -> ()
 
-(* Sandbox owning [root], or -1 (sandbox ids start at 1): the leaf check
+(* Sandbox owning [root_pfn], or -1 (sandbox ids start at 1): the leaf check
    asks this on every store, so it answers with one array probe and
    without an option. *)
-let sandbox_id_of_root t root =
-  match class_of t root with
+let sandbox_of_root t ~root_pfn =
+  match class_of t root_pfn with
   | Ptp { level = 0; sandbox; _ } -> sandbox
   | Free | Ptp _ | Monitor | Kernel_text | Confined _ | Common _ -> -1
-
-let sandbox_of_root t ~root_pfn =
-  match sandbox_id_of_root t root_pfn with -1 -> None | sid -> Some sid
 
 let classify t ~pfn cls =
   match class_of t pfn with
@@ -163,7 +160,7 @@ let check_leaf t ~root pte =
   | Error _ as e -> e
   | Ok () -> (
       let target = Hw.Pte.pfn pte in
-      let sandbox = sandbox_id_of_root t root in
+      let sandbox = sandbox_of_root t ~root_pfn:root in
       match class_of t target with
       | Monitor -> Error "mapping monitor memory is forbidden"
       | Ptp _ ->
@@ -216,7 +213,7 @@ let write_pte t ~trusted ~pte_addr pte =
           (* A 2 MiB leaf install. Sandboxes must declare memory at 4 KiB
              granularity, and classified frames never hide inside a huge
              mapping. *)
-          if sandbox_id_of_root t root >= 0 then
+          if sandbox_of_root t ~root_pfn:root >= 0 then
             deny_incr t "huge mappings are not allowed in sandbox address spaces"
           else begin
             let base = Hw.Pte.pfn pte in

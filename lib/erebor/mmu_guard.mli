@@ -74,9 +74,10 @@ val register_sandbox_root : t -> root_pfn:int -> sandbox:int -> unit
     A frame that is not a registered root is left alone: the guard checks
     no stores into its tree. *)
 
-val sandbox_of_root : t -> root_pfn:int -> int option
-(** The sandbox owning an address-space root, if any — the monitor feeds
-    this to [Isolation.tenant_enter] on every approved CR3 load. *)
+val sandbox_of_root : t -> root_pfn:int -> int
+(** The sandbox owning an address-space root, or [-1] for none — the
+    monitor feeds this to [Isolation.tenant_enter] on every approved CR3
+    load. *)
 
 val classify : t -> pfn:int -> frame_class -> (unit, string) result
 (** Monitor-side frame classification (confined/common/monitor/text).

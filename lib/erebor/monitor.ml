@@ -151,14 +151,14 @@ let spanned t phase f =
    cycles the service charged (clock delta). Emitted even when policy
    rejects the request, so counts match the pre-refactor per-kind
    statistics. *)
-let serviced t ek f =
+let serviced1 t ek f a =
   let obs = t.cpu.Hw.Cpu.obs in
   let t0 = Hw.Cycles.now (clock t) in
   Obs.Emitter.emit obs (Obs.Trace.span_begin (Obs.Trace.gate_phase ek)) ~ts:t0
     ~arg:0;
   (* Exit arms written out — a shared [finish] closure would capture [t0]
      and cost a heap block per EMC service. *)
-  match f () with
+  match f a with
   | v ->
       let now = Hw.Cycles.now (clock t) in
       Obs.Emitter.emit obs (Obs.Trace.span_end (Obs.Trace.gate_phase ek))
@@ -171,6 +171,11 @@ let serviced t ek f =
         ~ts:now ~arg:0;
       Obs.Emitter.emit obs (Obs.Trace.emc_event ek) ~ts:t0 ~arg:(now - t0);
       raise e
+
+(* [serviced1] with the operand passed through rather than captured: a
+   privop whose body is built once crosses it without a per-call
+   closure. *)
+let serviced t ek f = serviced1 t ek f ()
 
 let privops t =
   let g = t.gate in
@@ -203,6 +208,47 @@ let privops t =
     mmu_service "mmu batch: " pte_addr pte
   in
   let svc_write_pte_batch entries = Array.iter svc_batch_entry entries in
+  (* CR3 loads (every context switch) and tdcalls (every host I/O kick)
+     are the next hottest: their bodies are built here once too and their
+     operand crosses through [Gate.call1] and [serviced1]. *)
+  let write_cr3_body root_pfn =
+    cost t Hw.Cycles.Cost.emc_service_cr;
+    match Mmu_guard.register_root t.guard ~root_pfn with
+    | Ok () ->
+        if audited t then
+          audit t ~category:(cat Policy.Cr) Obs.Audit.Allow (fun () ->
+              Printf.sprintf "write_cr3 root_pfn=%d" root_pfn);
+        (* Tenant context follows the address space: the backend learns
+           which sandbox (if any) this root belongs to — TME-MK switches
+           its active key here. *)
+        Isolation.tenant_enter t.backend
+          (Mmu_guard.sandbox_of_root t.guard ~root_pfn);
+        Hw.Cpu.write_cr3 t.cpu ~root_pfn
+    | Error e -> fail t ~category:(cat Policy.Cr) ("cr3: " ^ e)
+  in
+  let svc_write_cr3 root_pfn = serviced1 t Obs.Trace.Cr write_cr3_body root_pfn in
+  let tdcall_body leaf =
+    cost t (Hw.Cycles.Cost.emc_service_ghci - Hw.Cycles.Cost.tdreport_native);
+    match leaf with
+    | Tdx.Ghci.Tdreport _ ->
+        fail t ~category:(cat Policy.Ghci)
+          "ghci: attestation digests are monitor-exclusive"
+    | Tdx.Ghci.Rtmr_extend _ ->
+        fail t ~category:(cat Policy.Ghci)
+          "ghci: measurement registers are monitor-exclusive"
+    | Tdx.Ghci.Map_gpa { pfn; shared = true }
+      when not (pfn >= t.shared_first && pfn < t.shared_first + t.shared_frames) ->
+        fail t ~category:(cat Policy.Ghci) "ghci: sharing outside the device region"
+    | Tdx.Ghci.Map_gpa _ | Tdx.Ghci.Vmcall _ ->
+        if audited t then
+          audit t ~category:(cat Policy.Ghci) Obs.Audit.Allow (fun () ->
+              match leaf with
+              | Tdx.Ghci.Map_gpa { pfn; shared } ->
+                  Printf.sprintf "map_gpa pfn=%d shared=%b" pfn shared
+              | _ -> "vmcall");
+        Tdx.Td_module.tdcall t.td t.cpu leaf
+  in
+  let svc_tdcall leaf = serviced1 t Obs.Trace.Ghci tdcall_body leaf in
   {
     Kernel.Privops.label = "erebor";
     write_pte = (fun ~pte_addr pte -> Gate.call2 g svc_write_pte pte_addr pte);
@@ -230,24 +276,7 @@ let privops t =
                           bit v);
                   Hw.Cpu.set_cr_bit t.cpu ~reg bit v
                 end)));
-    write_cr3 =
-      (fun ~root_pfn ->
-        Gate.call g (fun () ->
-            serviced t Obs.Trace.Cr (fun () ->
-                cost t Hw.Cycles.Cost.emc_service_cr;
-                match Mmu_guard.register_root t.guard ~root_pfn with
-                | Ok () ->
-                    if audited t then
-                      audit t ~category:(cat Policy.Cr) Obs.Audit.Allow
-                        (fun () ->
-                          Printf.sprintf "write_cr3 root_pfn=%d" root_pfn);
-                    (* Tenant context follows the address space: the backend
-                       learns which sandbox (if any) this root belongs to —
-                       TME-MK switches its active key here. *)
-                    Isolation.tenant_enter t.backend
-                      (Mmu_guard.sandbox_of_root t.guard ~root_pfn);
-                    Hw.Cpu.write_cr3 t.cpu ~root_pfn
-                | Error e -> fail t ~category:(cat Policy.Cr) ("cr3: " ^ e))));
+    write_cr3 = (fun ~root_pfn -> Gate.call1 g svc_write_cr3 root_pfn);
     declare_root =
       (fun ~root_pfn ->
         Gate.call g (fun () ->
@@ -292,34 +321,7 @@ let privops t =
                       "lidt: kernel table recorded, wrapped copy installed");
                 t.kernel_idt <- Some (Hw.Idt.copy idt);
                 Hw.Cpu.lidt t.cpu idt)));
-    tdcall =
-      (fun leaf ->
-        Gate.call g (fun () ->
-            serviced t Obs.Trace.Ghci (fun () ->
-                cost t
-                  (Hw.Cycles.Cost.emc_service_ghci - Hw.Cycles.Cost.tdreport_native);
-                match leaf with
-                | Tdx.Ghci.Tdreport _ ->
-                    fail t ~category:(cat Policy.Ghci)
-                      "ghci: attestation digests are monitor-exclusive"
-                | Tdx.Ghci.Rtmr_extend _ ->
-                    fail t ~category:(cat Policy.Ghci)
-                      "ghci: measurement registers are monitor-exclusive"
-                | Tdx.Ghci.Map_gpa { pfn; shared = true }
-                  when not (pfn >= t.shared_first && pfn < t.shared_first + t.shared_frames)
-                  ->
-                    fail t ~category:(cat Policy.Ghci)
-                      "ghci: sharing outside the device region"
-                | Tdx.Ghci.Map_gpa _ | Tdx.Ghci.Vmcall _ ->
-                    if audited t then
-                      audit t ~category:(cat Policy.Ghci) Obs.Audit.Allow
-                        (fun () ->
-                          match leaf with
-                          | Tdx.Ghci.Map_gpa { pfn; shared } ->
-                              Printf.sprintf "map_gpa pfn=%d shared=%b" pfn
-                                shared
-                          | _ -> "vmcall");
-                    Tdx.Td_module.tdcall t.td t.cpu leaf)));
+    tdcall = (fun leaf -> Gate.call1 g svc_tdcall leaf);
     verify_dynamic_code =
       (fun ~section code ->
         Gate.call g (fun () ->

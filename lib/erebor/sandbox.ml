@@ -37,6 +37,11 @@ type manager = {
   by_root : t Int_table.t;
   commons : (string, common_instance) Hashtbl.t;
   mutable mitigations : Mitigations.t option;
+  irq_save : Hw.Cpu.save_area;
+      (* the monitor's register slot for {!handle_interrupt} *)
+  kernel_timer : unit -> unit;
+      (* the OS timer handler, built once so {!timer_tick} builds no
+         closure *)
 }
 
 let id sb = sb.id
@@ -135,6 +140,8 @@ let create_manager ~monitor ~kern =
       by_root = Int_table.create 8;
       commons = Hashtbl.create 8;
       mitigations = None;
+      irq_save = Hw.Cpu.save_area ();
+      kernel_timer = (fun () -> Kernel.timer_interrupt kern);
     }
   in
   Kernel.set_frame_source kern (frame_source mgr);
@@ -409,9 +416,7 @@ let handle_interrupt mgr sb f =
   sb.timer_count <- sb.timer_count + 1;
   interpose_charge mgr Hw.Cycles.Cost.monitor_state_mask;
   let cpu = mgr.kern.Kernel.cpu in
-  let saved = Hw.Cpu.snapshot_regs cpu in
-  Hw.Cpu.scrub_regs cpu;
-  Fun.protect ~finally:(fun () -> Hw.Cpu.restore_regs cpu saved) f
+  Hw.Cpu.masked cpu mgr.irq_save f ()
 
 let handle_ve mgr sb ~reason =
   apply_exit_mitigations mgr;
@@ -430,8 +435,7 @@ let page_fault mgr sb ~addr ~kind =
   sb.pf_count <- sb.pf_count + 1;
   Kernel.handle_page_fault mgr.kern sb.main_task ~addr ~kind
 
-let timer_tick mgr sb =
-  handle_interrupt mgr sb (fun () -> Kernel.timer_interrupt mgr.kern)
+let timer_tick mgr sb = handle_interrupt mgr sb mgr.kernel_timer
 
 let terminate mgr sb =
   if sb.phase <> Terminated then sb.phase <- Terminated;

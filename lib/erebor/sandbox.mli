@@ -90,7 +90,9 @@ val handle_syscall : manager -> t -> Kernel.Syscall.call -> Kernel.Syscall.resul
 
 val handle_interrupt : manager -> t -> (unit -> unit) -> unit
 (** External interrupt during sandbox execution: the monitor saves and
-    masks the register state around the OS handler. *)
+    masks the register state around the OS handler, restoring it on the
+    way out (on an exception too). The save slot is the manager's own, so
+    the call allocates nothing; such interrupts do not nest (asserted). *)
 
 val handle_ve : manager -> t -> reason:int -> Kernel.Syscall.result
 (** A #VE-causing exit (hypercall attempt): kills a sealed sandbox. *)
@@ -102,6 +104,9 @@ val page_fault : manager -> t -> addr:int -> kind:Hw.Fault.access_kind -> (unit,
 (** Runtime fault path for sandbox tasks (common-memory demand paging). *)
 
 val timer_tick : manager -> t -> unit
+(** A timer IRQ during sandbox execution: the OS timer handler inside
+    {!handle_interrupt}. The handler is built once per manager, so a tick
+    builds no closure. *)
 
 val terminate : manager -> t -> unit
 (** Scrub: zero every confined frame, unmap and free them, drop outputs. *)

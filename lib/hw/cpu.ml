@@ -1,11 +1,18 @@
 type mode = User | Supervisor
 
+(* A register save slot filled and drained in place, so masking the GPRs
+   around an exit builds nothing. [busy] holds while the slot is in use:
+   the exits that use one do not nest. *)
+type save_area = { slots : int64 array; mutable busy : bool }
+
 type t = {
   id : int;
   mem : Phys_mem.t;
   clock : Cycles.clock;
   mutable mode : mode;
   regs : int64 array;
+  exit_save : save_area;
+      (* synchronous TD exits: the TDX module's TDVPS GPR slots *)
   cr : Cr.t;
   msr : Msr.t;
   mutable ac : bool;
@@ -39,6 +46,8 @@ type t = {
 
 let nregs = 16
 
+let save_area () = { slots = Array.make nregs 0L; busy = false }
+
 let create ?obs ~id ~mem ~clock ~timer_period () =
   let cr = Cr.create () in
   let msr = Msr.create () in
@@ -48,6 +57,7 @@ let create ?obs ~id ~mem ~clock ~timer_period () =
     clock;
     mode = Supervisor;
     regs = Array.make nregs 0L;
+    exit_save = save_area ();
     cr;
     msr;
     ac = false;
@@ -159,27 +169,31 @@ let tme_check t tme ~kind vaddr ~pfn ~pte =
           Printf.sprintf "inactive key pfn=%d frame_tag=%d active=%d" pfn tagd
             active)
 
-(* TLB miss: walk, set accessed/dirty as hardware does, fill. *)
+(* TLB miss: walk, set accessed/dirty as hardware does, fill. The packed
+   walk and the leaf read stay in registers, so a fill allocates nothing
+   (unless a TME engine is attached and checks the frame). *)
 let tlb_fill t ~kind vaddr =
-  match Page_table.walk t.mem ~root_pfn:(Cr.root_pfn t.cr) vaddr with
-  | None -> not_present_fault t ~kind vaddr
-  | Some w ->
-      (match t.tme with
-      | None -> ()
-      | Some tme ->
-          tme_check t tme ~kind vaddr ~pfn:w.Page_table.pfn ~pte:w.Page_table.pte);
-      let updated = Pte.set_accessed w.Page_table.pte true in
-      let updated = if kind = Fault.Write then Pte.set_dirty updated true else updated in
-      if not (Int64.equal updated w.Page_table.pte) then
-        Phys_mem.write_u64 t.mem w.Page_table.pte_addr updated;
-      let packed =
-        Tlb.pack ~pfn:w.Page_table.pfn ~user:w.Page_table.user
-          ~writable:w.Page_table.writable ~nx:w.Page_table.nx
-          ~pkey:(Pte.pkey w.Page_table.pte)
-      in
-      Tlb.insert t.tlb vaddr packed;
-      emit t Obs.Trace.Tlb_fill ~arg:vaddr;
-      packed
+  let w = Page_table.walk_packed t.mem ~root_pfn:(Cr.root_pfn t.cr) vaddr in
+  if w < 0 then not_present_fault t ~kind vaddr
+  else begin
+    let pte_addr = Page_table.packed_pte_addr w in
+    let pte = Phys_mem.read_u64 t.mem pte_addr in
+    let pfn = Page_table.leaf_pfn pte ~huge:(Page_table.packed_huge w) vaddr in
+    (match t.tme with
+    | None -> ()
+    | Some tme -> tme_check t tme ~kind vaddr ~pfn ~pte);
+    let updated = Pte.set_accessed pte true in
+    let updated = if kind = Fault.Write then Pte.set_dirty updated true else updated in
+    if not (Int64.equal updated pte) then Phys_mem.write_u64 t.mem pte_addr updated;
+    let packed =
+      Tlb.pack ~pfn ~user:(Page_table.packed_user w)
+        ~writable:(Page_table.packed_writable w) ~nx:(Page_table.packed_nx w)
+        ~pkey:(Pte.pkey pte)
+    in
+    Tlb.insert t.tlb vaddr packed;
+    emit t Obs.Trace.Tlb_fill ~arg:vaddr;
+    packed
+  end
 
 let translate t ~kind vaddr =
   let ctx = access_ctx t in
@@ -314,8 +328,30 @@ let flush_tlb t = Tlb.flush_all t.tlb
 
 let snapshot_regs t = Array.copy t.regs
 
+let save_regs t dst =
+  if Array.length dst <> nregs then invalid_arg "Cpu.save_regs: wrong size";
+  Array.blit t.regs 0 dst 0 nregs
+
 let restore_regs t saved =
   if Array.length saved <> nregs then invalid_arg "Cpu.restore_regs: wrong size";
   Array.blit saved 0 t.regs 0 nregs
 
 let scrub_regs t = Array.fill t.regs 0 nregs 0L
+
+(* The operand is passed through rather than captured, so a caller with a
+   prebuilt handler masks without building a closure. Both exit arms are
+   written out for the same reason. *)
+let masked t area f a =
+  assert (not area.busy);
+  area.busy <- true;
+  save_regs t area.slots;
+  scrub_regs t;
+  match f a with
+  | v ->
+      restore_regs t area.slots;
+      area.busy <- false;
+      v
+  | exception e ->
+      restore_regs t area.slots;
+      area.busy <- false;
+      raise e

@@ -7,12 +7,19 @@
 
 type mode = User | Supervisor
 
+type save_area = private { slots : int64 array; mutable busy : bool }
+(** A register save slot, filled and drained in place by {!masked};
+    [busy] while in use. *)
+
 type t = {
   id : int;
   mem : Phys_mem.t;
   clock : Cycles.clock;
   mutable mode : mode;
   regs : int64 array;       (** 16 GPRs. *)
+  exit_save : save_area;
+      (** Where a synchronous TD exit saves the GPRs (the TDX module's
+          per-vCPU TDVPS slots). *)
   cr : Cr.t;
   msr : Msr.t;
   mutable ac : bool;        (** EFLAGS.AC — stac/clac. *)
@@ -106,6 +113,19 @@ val flush_tlb : t -> unit
 (** {2 Register file helpers (context save / masking)} *)
 
 val snapshot_regs : t -> int64 array
+val save_regs : t -> int64 array -> unit
+(** [save_regs t dst] copies the GPRs into an existing [nregs]-word save
+    area: {!snapshot_regs} without the fresh array. *)
+
 val restore_regs : t -> int64 array -> unit
 val scrub_regs : t -> unit
 (** Zero all GPRs — the monitor masks sandbox state at interrupts (§6.2). *)
+
+val save_area : unit -> save_area
+
+val masked : t -> save_area -> ('a -> 'b) -> 'a -> 'b
+(** [masked t area f a] saves the GPRs into [area], scrubs them, runs
+    [f a] and restores them, on an exception too — as the TDX module does
+    around an exit to the host and the monitor around an interrupt. The
+    masking itself allocates nothing. The exits that use one area do not
+    nest: masking into a busy area fails an assertion. *)

@@ -7,7 +7,11 @@ type t = {
   mutable cr0 : int;
   mutable cr3 : int;
   mutable cr4 : int;
-  mutable gen : int; (* bumped on every mutation; backs Cpu's cached ctx *)
+  mutable gen : int;
+      (* bumped on every CR0/CR4 mutation; backs Cpu's cached access ctx.
+         CR3 is not part of that ctx (a CR3 load flushes the TLB, which
+         invalidates Cpu's translation memo on its own), so [set_root]
+         leaves it alone and a context switch rebuilds nothing. *)
 }
 
 let create () = { cr0 = 0; cr3 = 0; cr4 = 0; gen = 0 }
@@ -29,9 +33,7 @@ let cet t = test t.cr4 cr4_cet
 
 let gen t = t.gen
 
-let set_root t pfn =
-  t.cr3 <- pfn lsl 12;
-  t.gen <- t.gen + 1
+let set_root t pfn = t.cr3 <- pfn lsl 12
 
 let root_pfn t = t.cr3 lsr 12
 

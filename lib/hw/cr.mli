@@ -10,8 +10,9 @@ type t
 val create : unit -> t
 
 val gen : t -> int
-(** Mutation counter: any CR write bumps it. {!Cpu} compares it to decide
-    whether its cached access-check context is still valid. *)
+(** Mutation counter: any CR0/CR4 write bumps it. {!Cpu} compares it to
+    decide whether its cached access-check context is still valid. A CR3
+    load does not bump it: the context does not read CR3. *)
 
 (** {2 CR0} *)
 

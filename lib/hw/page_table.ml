@@ -26,39 +26,65 @@ let[@inline] entry_addr table_pfn vaddr level =
    honoured only at the PD level; a PS bit higher up is walked through
    like any table pointer. *)
 
-let walk mem ~root_pfn vaddr =
+(* The walk packed into one immediate int, so a hit allocates nothing:
+   the leaf slot's address in bits 4.., then huge (bit 3), nx (bit 2),
+   writable (bit 1) and user (bit 0) accumulated across the levels; -1
+   when a level is non-present. *)
+let walk_packed mem ~root_pfn vaddr =
   let a4 = entry_addr root_pfn vaddr 3 in
   let e4 = Phys_mem.read_u64 mem a4 in
-  if not (Pte.present e4) then None
+  if not (Pte.present e4) then -1
   else
     let a3 = entry_addr (Pte.pfn e4) vaddr 2 in
     let e3 = Phys_mem.read_u64 mem a3 in
-    if not (Pte.present e3) then None
+    if not (Pte.present e3) then -1
     else
       let a2 = entry_addr (Pte.pfn e3) vaddr 1 in
       let e2 = Phys_mem.read_u64 mem a2 in
-      if not (Pte.present e2) then None
+      if not (Pte.present e2) then -1
       else
         let user = Pte.user e4 && Pte.user e3 && Pte.user e2 in
         let writable = Pte.writable e4 && Pte.writable e3 && Pte.writable e2 in
         let nx = Pte.nx e4 || Pte.nx e3 || Pte.nx e2 in
+        let pack addr ~huge ~user ~writable ~nx =
+          (addr lsl 4)
+          lor (if huge then 8 else 0)
+          lor (if nx then 4 else 0)
+          lor (if writable then 2 else 0)
+          lor if user then 1 else 0
+        in
         if Pte.huge e2 then
           (* 2 MiB leaf at the page-directory level. *)
-          Some
-            { pte = e2; pte_addr = a2; user; writable; nx; huge = true;
-              pfn = Pte.pfn e2 + index vaddr 0 }
+          pack a2 ~huge:true ~user ~writable ~nx
         else
           let a1 = entry_addr (Pte.pfn e2) vaddr 0 in
           let e1 = Phys_mem.read_u64 mem a1 in
-          if not (Pte.present e1) then None
+          if not (Pte.present e1) then -1
           else
-            Some
-              { pte = e1; pte_addr = a1;
-                user = user && Pte.user e1;
-                writable = writable && Pte.writable e1;
-                nx = nx || Pte.nx e1;
-                huge = false;
-                pfn = Pte.pfn e1 }
+            pack a1 ~huge:false ~user:(user && Pte.user e1)
+              ~writable:(writable && Pte.writable e1)
+              ~nx:(nx || Pte.nx e1)
+
+let[@inline] packed_pte_addr w = w lsr 4
+let[@inline] packed_huge w = w land 8 <> 0
+let[@inline] packed_nx w = w land 4 <> 0
+let[@inline] packed_writable w = w land 2 <> 0
+let[@inline] packed_user w = w land 1 <> 0
+
+(* The frame [vaddr] resolves to under leaf [pte] (huge leaves span 512
+   frames). *)
+let[@inline] leaf_pfn pte ~huge vaddr =
+  if huge then Pte.pfn pte + index vaddr 0 else Pte.pfn pte
+
+let walk mem ~root_pfn vaddr =
+  let w = walk_packed mem ~root_pfn vaddr in
+  if w < 0 then None
+  else
+    let pte_addr = packed_pte_addr w and huge = packed_huge w in
+    let pte = Phys_mem.read_u64 mem pte_addr in
+    Some
+      { pte; pte_addr; user = packed_user w; writable = packed_writable w;
+        nx = packed_nx w; huge; pfn = leaf_pfn pte ~huge vaddr }
 
 (* Frame of the table an interior entry points to, or -1 when the entry is
    non-present. *)

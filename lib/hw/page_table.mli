@@ -30,6 +30,22 @@ val walk : Phys_mem.t -> root_pfn:int -> int -> walk_result option
 (** [walk mem ~root_pfn vaddr] follows the tree; [None] if any level is
     non-present. *)
 
+val walk_packed : Phys_mem.t -> root_pfn:int -> int -> int
+(** {!walk} without the result record: the leaf slot's address and the
+    accumulated permissions packed into one int (read them with the
+    [packed_*] accessors), or [-1] if any level is non-present. Allocates
+    nothing — the TLB-fill path. *)
+
+val packed_pte_addr : int -> int
+val packed_huge : int -> bool
+val packed_nx : int -> bool
+val packed_writable : int -> bool
+val packed_user : int -> bool
+
+val leaf_pfn : Pte.t -> huge:bool -> int -> int
+(** [leaf_pfn pte ~huge vaddr] is the frame [vaddr] resolves to under the
+    leaf entry [pte] (a huge leaf spans 512 frames). *)
+
 val leaf_addr : Phys_mem.t -> root_pfn:int -> int -> int option
 (** Physical address of the leaf PTE slot for [vaddr], if all intermediate
     levels are present (the slot itself may hold a non-present entry). *)

@@ -47,16 +47,20 @@ let emit t kind ~arg = Hw.Cpu.emit t.cpu kind ~arg
 
 (* Attribution span around one handler body: the boundary events carry the
    current clock value, so the Attrib sink charges the enclosed cycles to
-   [phase] (privops called inside nest their own monitor-side spans). *)
-let span t phase f =
+   [phase] (privops called inside nest their own monitor-side spans).
+   [span1] passes the body's operand through rather than capturing it, so
+   a toplevel body runs inside it without a closure. *)
+let span1 t phase f a =
   emit t (Obs.Trace.span_begin phase) ~arg:0;
-  match f () with
+  match f a with
   | v ->
       emit t (Obs.Trace.span_end phase) ~arg:0;
       v
   | exception e ->
       emit t (Obs.Trace.span_end phase) ~arg:0;
       raise e
+
+let span t phase f = span1 t phase f ()
 
 (* Demand-populate the kernel direct map for one frame. Intermediate levels
    below the shared boot-time PDPT are shared by every address space. *)
@@ -449,23 +453,43 @@ let munmap t task ~addr =
       task.Task.vmas <- Vma.remove task.Task.vmas ~start:addr;
       Ok ()
 
-let context_switch t ~prev ~next =
-  span t Obs.Trace.Scheduler @@ fun () ->
+(* The timer tick and the context switch run on every scheduler quantum, so
+   neither span takes a closure (the tick's body goes through [span1], the
+   switch's three operands get both exit arms written out), the scheduler
+   gets [context_switch] itself plus the kernel as its argument, and an
+   off-CPU task's register save area is reused once it exists: a tick
+   builds nothing. *)
+let sched_begin = Obs.Trace.span_begin Obs.Trace.Scheduler
+let sched_end = Obs.Trace.span_end Obs.Trace.Scheduler
+
+let switch_body t ~prev ~next =
   cost t Hw.Cycles.Cost.context_switch;
   (match prev with
-  | Some p -> p.Task.saved_regs <- Some (Hw.Cpu.snapshot_regs t.cpu)
+  | Some p -> (
+      match p.Task.saved_regs with
+      | Some saved -> Hw.Cpu.save_regs t.cpu saved
+      | None -> p.Task.saved_regs <- Some (Hw.Cpu.snapshot_regs t.cpu))
   | None -> ());
   (match next.Task.saved_regs with
   | Some regs -> Hw.Cpu.restore_regs t.cpu regs
   | None -> Hw.Cpu.scrub_regs t.cpu);
   t.privops.Privops.write_cr3 ~root_pfn:next.Task.root_pfn
 
-let timer_interrupt t =
-  span t Obs.Trace.Timer_handler @@ fun () ->
+let context_switch t ~prev ~next =
+  emit t sched_begin ~arg:0;
+  match switch_body t ~prev ~next with
+  | () -> emit t sched_end ~arg:0
+  | exception e ->
+      emit t sched_end ~arg:0;
+      raise e
+
+let timer_body t =
   cost t Hw.Cycles.Cost.interrupt_delivery;
   t.stats.timer_irqs <- t.stats.timer_irqs + 1;
   emit t Obs.Trace.Timer_irq ~arg:0;
-  ignore (Sched.on_timer t.sched ~switch:(fun ~prev ~next -> context_switch t ~prev ~next))
+  ignore (Sched.on_timer t.sched ~switch:context_switch t)
+
+let timer_interrupt t = span1 t Obs.Trace.Timer_handler timer_body t
 
 let note_ve_exit t =
   t.stats.ve_exits <- t.stats.ve_exits + 1;
@@ -568,7 +592,7 @@ let syscall_body t task call =
   | Syscall.Futex_wait ->
       Sched.block_current t.sched;
       Queue.add task t.futex_waiters;
-      ignore (Sched.yield t.sched ~switch:(fun ~prev ~next -> context_switch t ~prev ~next));
+      ignore (Sched.yield t.sched ~switch:context_switch t);
       Syscall.Rok
   | Syscall.Futex_wake ->
       (match Queue.take_opt t.futex_waiters with
@@ -590,9 +614,9 @@ let syscall_body t task call =
               ignore (Fs.write_path t.fs path arg);
               Syscall.Rok
           | _ -> Syscall.Rerr "ioctl: unknown request"))
-  | Syscall.Getpid -> Syscall.Rint task.Task.tid
+  | Syscall.Getpid -> task.Task.pid_result
   | Syscall.Sched_yield ->
-      ignore (Sched.yield t.sched ~switch:(fun ~prev ~next -> context_switch t ~prev ~next));
+      ignore (Sched.yield t.sched ~switch:context_switch t);
       Syscall.Rok
   | Syscall.Exit { code } ->
       exit_task t task ~code;

@@ -36,7 +36,7 @@ let rec next_runnable t =
           (* Blocked tasks stay parked; callers re-enqueue via [wake]. *)
           next_runnable t)
 
-let rotate t ~switch =
+let rotate t ~switch k =
   match next_runnable t with
   | None -> false
   | Some next ->
@@ -47,20 +47,20 @@ let rotate t ~switch =
       t.current <- Some next;
       t.ticks_left <- t.quantum_ticks;
       t.switches <- t.switches + 1;
-      switch ~prev ~next;
+      switch k ~prev ~next;
       t.on_switch next;
       true
 
-let on_timer t ~switch =
+let on_timer t ~switch k =
   t.ticks_left <- t.ticks_left - 1;
   if t.ticks_left <= 0 then begin
-    let switched = rotate t ~switch in
+    let switched = rotate t ~switch k in
     if not switched then t.ticks_left <- t.quantum_ticks;
     switched
   end
   else false
 
-let yield t ~switch = rotate t ~switch
+let yield t ~switch k = rotate t ~switch k
 
 let block_current t =
   match t.current with

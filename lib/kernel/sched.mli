@@ -15,11 +15,16 @@ val current : t -> Task.t option
 
 val runnable_count : t -> int
 
-val on_timer : t -> switch:(prev:Task.t option -> next:Task.t -> unit) -> bool
-(** Account one tick; when the quantum expires and another runnable task
-    waits, rotate and invoke [switch]. Returns whether a switch happened. *)
+val on_timer :
+  t -> switch:('k -> prev:Task.t option -> next:Task.t -> unit) -> 'k -> bool
+(** [on_timer t ~switch k] accounts one tick; when the quantum expires and
+    another runnable task waits, it rotates and calls [switch k]. Returns
+    whether a switch happened. [switch] takes its context [k] as an
+    argument, so a caller passes a toplevel function and the tick builds
+    no closure. *)
 
-val yield : t -> switch:(prev:Task.t option -> next:Task.t -> unit) -> bool
+val yield :
+  t -> switch:('k -> prev:Task.t option -> next:Task.t -> unit) -> 'k -> bool
 (** Voluntary rotation (sched_yield, futex wait). *)
 
 val block_current : t -> unit

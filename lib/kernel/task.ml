@@ -4,6 +4,7 @@ type kind = Normal | Sandboxed of int
 
 type t = {
   tid : int;
+  pid_result : Syscall.result;
   name : string;
   kind : kind;
   mutable state : state;
@@ -20,6 +21,7 @@ type t = {
 let make ~tid ~name ~kind ~root_pfn =
   {
     tid;
+    pid_result = Syscall.Rint tid;
     name;
     kind;
     state = Runnable;

@@ -10,6 +10,9 @@ type kind =
 
 type t = {
   tid : int;
+  pid_result : Syscall.result;
+      (** [Rint tid], built once in {!make}: what [getpid] returns, so the
+          call allocates nothing. *)
   name : string;
   kind : kind;
   mutable state : state;

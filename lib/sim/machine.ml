@@ -255,26 +255,36 @@ type session = {
   spec : spec;
 }
 
-(* Attribution span at the machine layer. Machine- and kernel-level spans
+(* Attribution spans at the machine layer. Machine- and kernel-level spans
    for the same logical handler nest; the Attrib sink collapses same-phase
    nesting, so e.g. [fault_on] plus [Kernel.handle_page_fault] read as one
-   [Pf_handler] context. *)
-(* Both exit arms are written out rather than shared through a [finish]
-   closure — this brackets every hot handler, and the closure would cost a
-   heap block per call. *)
-let span_m m phase f =
-  let obs = m.cpu.Hw.Cpu.obs in
-  Obs.Emitter.emit obs (Obs.Trace.span_begin phase)
-    ~ts:(Hw.Cycles.now m.clock) ~arg:0;
-  match f () with
+   [Pf_handler] context. Every bracket here runs per event, so none takes a
+   closure: [span1] passes its body's one operand through, a body with
+   several operands has both exit arms written out, and the end is emitted
+   on the exception path too. *)
+let[@inline] emit_now m kind =
+  Obs.Emitter.emit m.cpu.Hw.Cpu.obs kind ~ts:(Hw.Cycles.now m.clock) ~arg:0
+
+let span1 m phase f a =
+  emit_now m (Obs.Trace.span_begin phase);
+  match f a with
   | v ->
-      Obs.Emitter.emit obs (Obs.Trace.span_end phase)
-        ~ts:(Hw.Cycles.now m.clock) ~arg:0;
+      emit_now m (Obs.Trace.span_end phase);
       v
   | exception e ->
-      Obs.Emitter.emit obs (Obs.Trace.span_end phase)
-        ~ts:(Hw.Cycles.now m.clock) ~arg:0;
+      emit_now m (Obs.Trace.span_end phase);
       raise e
+
+(* A span whose whole body is one clock charge. *)
+let charged_span m phase cycles =
+  emit_now m (Obs.Trace.span_begin phase);
+  Hw.Cycles.advance m.clock cycles;
+  emit_now m (Obs.Trace.span_end phase)
+
+let pf_begin = Obs.Trace.span_begin Obs.Trace.Pf_handler
+let pf_end = Obs.Trace.span_end Obs.Trace.Pf_handler
+let sched_begin = Obs.Trace.span_begin Obs.Trace.Scheduler
+let sched_end = Obs.Trace.span_end Obs.Trace.Scheduler
 
 let tlb_tax s n =
   if Config.emc_privops s.machine.setting then
@@ -309,16 +319,16 @@ let interpose_exception s =
     Obs.Emitter.emit obs interpose_end ~ts:(Hw.Cycles.now m.clock) ~arg:0
   end
 
-let deliver_timer s =
+let timer_body s =
   let m = s.machine in
-  span_m m Obs.Trace.Timer_handler @@ fun () ->
   Hw.Apic.acknowledge m.cpu.Hw.Cpu.apic;
   interpose_exception s;
   match (s.sb, Config.interposes_exits m.setting) with
   | Some sb, true when Erebor.Sandbox.phase sb = Erebor.Sandbox.Data_loaded ->
-      let mgr = Option.get m.mgr in
-      Erebor.Sandbox.handle_interrupt mgr sb (fun () -> Kernel.timer_interrupt m.kern)
+      Erebor.Sandbox.timer_tick (Option.get m.mgr) sb
   | _ -> Kernel.timer_interrupt m.kern
+
+let deliver_timer s = span1 s.machine Obs.Trace.Timer_handler timer_body s
 
 (* Advance virtual time, delivering timer interrupts as their deadlines
    pass (interrupts arrive between instructions, not during them). *)
@@ -336,10 +346,9 @@ let rec advance s n =
 
 let zero_fill_cost = 600 (* demand-zero page clearing, same in every setting *)
 
-let fault_on s task addr kind =
+let fault_body s task addr kind =
   let m = s.machine in
-  span_m m Obs.Trace.Pf_handler @@ fun () ->
-  Hw.Cycles.advance s.machine.clock zero_fill_cost;
+  Hw.Cycles.advance m.clock zero_fill_cost;
   tlb_tax s 1;
   interpose_exception s;
   match (s.sb, m.mgr) with
@@ -351,6 +360,15 @@ let fault_on s task addr kind =
       (match Kernel.handle_page_fault m.kern task ~addr ~kind with
       | Ok () -> ()
       | Error e -> failwith ("fault: " ^ e))
+
+let fault_on s task addr kind =
+  let m = s.machine in
+  emit_now m pf_begin;
+  match fault_body s task addr kind with
+  | () -> emit_now m pf_end
+  | exception e ->
+      emit_now m pf_end;
+      raise e
 
 (* Reclaim one page (kernel page-cache behaviour): a legitimate MMU
    operation that, under Erebor, is one more EMC. The next touch of that
@@ -398,13 +416,32 @@ let fs_io s ~write ~len =
   in
   go len
 
+(* A context switch to [root_pfn]: CR3 through the privops table, inside a
+   [Scheduler] span. *)
+let switch_to m ~root_pfn =
+  emit_now m sched_begin;
+  Hw.Cycles.advance m.clock Hw.Cycles.Cost.context_switch;
+  match m.kern.Kernel.privops.Kernel.Privops.write_cr3 ~root_pfn with
+  | () -> emit_now m sched_end
+  | exception e ->
+      emit_now m sched_end;
+      raise e
+
+(* Kick the device: a synchronous VM exit (#VE is an exception). *)
+let ve_body s =
+  let m = s.machine in
+  interpose_exception s;
+  Hw.Cycles.advance m.clock Hw.Cycles.Cost.ve_handling;
+  Kernel.note_ve_exit m.kern;
+  match m.kern.Kernel.privops.Kernel.Privops.tdcall (Tdx.Ghci.Vmcall Tdx.Ghci.Hlt) with
+  | Tdx.Td_module.Ok_unit | Tdx.Td_module.Ok_int _ | Tdx.Td_module.Ok_bytes _ -> ()
+  | Tdx.Td_module.Ok_report _ -> ()
+  | Tdx.Td_module.Error_leaf e -> failwith ("host_io: " ^ e)
+
 let host_io s ~bytes =
   let m = s.machine in
   let ops = m.kern.Kernel.privops in
-  (* Switch to the proxy: CR3 through the privops table. *)
-  span_m m Obs.Trace.Scheduler (fun () ->
-      Hw.Cycles.advance m.clock Hw.Cycles.Cost.context_switch;
-      ops.Kernel.Privops.write_cr3 ~root_pfn:m.proxy.Kernel.Task.root_pfn);
+  switch_to m ~root_pfn:m.proxy.Kernel.Task.root_pfn;
   (* The proxy shuffles the payload packet by packet: one syscall and one
      user copy per ~4 KiB, plus packet-buffer PTE churn in the stack. *)
   let packets = min 16 (max 1 (bytes / page_size)) in
@@ -419,19 +456,9 @@ let host_io s ~bytes =
     ops.Kernel.Privops.write_pte ~pte_addr:slot (Hw.Phys_mem.read_u64 m.mem slot)
   done;
   tlb_tax s packets;
-  (* Kick the device: a synchronous VM exit (#VE is an exception). *)
-  span_m m Obs.Trace.Ve_handler (fun () ->
-      interpose_exception s;
-      Hw.Cycles.advance m.clock Hw.Cycles.Cost.ve_handling;
-      Kernel.note_ve_exit m.kern;
-      match ops.Kernel.Privops.tdcall (Tdx.Ghci.Vmcall Tdx.Ghci.Hlt) with
-      | Tdx.Td_module.Ok_unit | Tdx.Td_module.Ok_int _ | Tdx.Td_module.Ok_bytes _ -> ()
-      | Tdx.Td_module.Ok_report _ -> ()
-      | Tdx.Td_module.Error_leaf e -> failwith ("host_io: " ^ e));
+  span1 m Obs.Trace.Ve_handler ve_body s;
   (* Back to the service's address space. *)
-  span_m m Obs.Trace.Scheduler (fun () ->
-      Hw.Cycles.advance m.clock Hw.Cycles.Cost.context_switch;
-      ops.Kernel.Privops.write_cr3 ~root_pfn:s.task.Kernel.Task.root_pfn)
+  switch_to m ~root_pfn:s.task.Kernel.Task.root_pfn
 
 let sync_op s ~contended =
   let m = s.machine in
@@ -464,14 +491,12 @@ let mmap_cycle s ~pages =
   match Kernel.mmap m.kern s.task ~len ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon with
   | Error e -> failwith ("mmap_cycle: " ^ e)
   | Ok addr ->
-      span_m m Obs.Trace.Syscall_dispatch (fun () ->
-          Hw.Cycles.advance m.clock Hw.Cycles.Cost.syscall_roundtrip);
+      charged_span m Obs.Trace.Syscall_dispatch Hw.Cycles.Cost.syscall_roundtrip;
       for i = 0 to pages - 1 do
         fault_on s s.task (addr + (i * page_size)) Hw.Fault.Write
       done;
       interpose_syscall s;
-      span_m m Obs.Trace.Syscall_dispatch (fun () ->
-          Hw.Cycles.advance m.clock Hw.Cycles.Cost.syscall_roundtrip);
+      charged_span m Obs.Trace.Syscall_dispatch Hw.Cycles.Cost.syscall_roundtrip;
       tlb_tax s pages;
       (match Kernel.munmap m.kern s.task ~addr with
       | Ok () -> ()
@@ -480,8 +505,7 @@ let mmap_cycle s ~pages =
 let fork_exit s =
   let m = s.machine in
   interpose_syscall s;
-  span_m m Obs.Trace.Syscall_dispatch (fun () ->
-      Hw.Cycles.advance m.clock Hw.Cycles.Cost.syscall_roundtrip);
+  charged_span m Obs.Trace.Syscall_dispatch Hw.Cycles.Cost.syscall_roundtrip;
   let child = Kernel.fork_process m.kern s.task ~name:"forked" in
   interpose_syscall s;
   Kernel.exit_task m.kern child ~code:0;
@@ -693,9 +717,8 @@ let init_sandboxed m spec =
           | Ok p -> p
           | Error e -> failwith e
         in
-        span_m m Obs.Trace.Channel_crypto (fun () ->
-            Hw.Cycles.advance m.clock
-              (decrypt_cycles_per_byte * Bytes.length plaintext));
+        charged_span m Obs.Trace.Channel_crypto
+          (decrypt_cycles_per_byte * Bytes.length plaintext);
         (match Erebor.Sandbox.load_client_data mgr sb plaintext with
         | Ok _ -> ()
         | Error e -> failwith e);
@@ -754,9 +777,8 @@ let run m spec =
         let raw = Erebor.Sandbox.take_output mgr sb in
         match s.channel with
         | Some server ->
-            span_m m Obs.Trace.Channel_crypto (fun () ->
-                Hw.Cycles.advance m.clock
-                  (decrypt_cycles_per_byte * Bytes.length raw));
+            charged_span m Obs.Trace.Channel_crypto
+              (decrypt_cycles_per_byte * Bytes.length raw);
             let sealed =
               Erebor.Channel.Server.seal_response server ~bucket:spec.output_bucket raw
             in

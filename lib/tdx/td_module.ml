@@ -13,6 +13,7 @@ type t = {
   mutable vmcalls : int;
   mutable tdreports : int;
   mutable map_gpas : int;
+  async_save : Hw.Cpu.save_area; (* GPRs across an asynchronous exit *)
 }
 
 let create ~mem ~clock ~hw_key =
@@ -27,6 +28,7 @@ let create ~mem ~clock ~hw_key =
     vmcalls = 0;
     tdreports = 0;
     map_gpas = 0;
+    async_save = Hw.Cpu.save_area ();
   }
 
 let sept t = t.sept
@@ -53,12 +55,10 @@ let do_tdcall t cpu leaf =
       | None -> Error_leaf "no VMM attached"
       | Some handler -> (
           (* The TDX module protects guest context across the synchronous
-             exit: the host handler runs against scrubbed registers. *)
-          let saved = Hw.Cpu.snapshot_regs cpu in
-          Hw.Cpu.scrub_regs cpu;
-          let result = handler v in
-          Hw.Cpu.restore_regs cpu saved;
-          match result with
+             exit: the host handler runs against scrubbed registers, and
+             the guest's come back from the core's save area (restored on
+             the exception path too). *)
+          match Hw.Cpu.masked cpu cpu.Hw.Cpu.exit_save handler v with
           | V_int v -> Ok_int v
           | V_bytes b -> Ok_bytes b
           | V_unit -> Ok_unit
@@ -96,11 +96,7 @@ let tdcall t cpu leaf =
   | Ghci.Tdreport _ | Ghci.Map_gpa _ | Ghci.Rtmr_extend _ -> ());
   result
 
-let with_async_exit t cpu f =
-  ignore t;
-  let saved = Hw.Cpu.snapshot_regs cpu in
-  Hw.Cpu.scrub_regs cpu;
-  Fun.protect ~finally:(fun () -> Hw.Cpu.restore_regs cpu saved) f
+let with_async_exit t cpu f = Hw.Cpu.masked cpu t.async_save f ()
 
 let tdcall_count t = t.tdcalls
 let vmcall_count t = t.vmcalls

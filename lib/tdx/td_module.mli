@@ -41,7 +41,9 @@ val tdcall : t -> Hw.Cpu.t -> Ghci.leaf -> tdcall_result
 val with_async_exit : t -> Hw.Cpu.t -> (unit -> 'a) -> 'a
 (** Model an asynchronous exit: save the guest's registers, scrub them so
     the host-side action [f] cannot observe guest state, run [f], then
-    restore. The scrub is observable by [f] through the CPU. *)
+    restore (on an exception too). The scrub is observable by [f] through
+    the CPU. The registers wait in the module's own save area, so the
+    masking allocates nothing; asynchronous exits do not nest (asserted). *)
 
 (** {2 Counters} *)
 

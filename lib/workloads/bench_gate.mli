@@ -165,7 +165,9 @@ val gates :
 (** Every gate entry, in report order: [anchors] (vs the baseline at
     [baseline]; Fig. 9 rows too unless [smoke]), [law] ({!transparent}
     over all {!sinks}, plus [law/emit-zero-alloc]: 10k mixed emissions on
-    a fresh erebor machine's emitter allocate nothing), [journal]
+    a fresh erebor machine's emitter allocate nothing, and
+    [drbg/zero-alloc]: 100k mixed warm [Crypto.Drbg] draws allocate
+    nothing), [journal]
     (replay, zero-alloc record path, self-diff and seeded-regression
     diff, [--from-journal] rates),
     [agg] (quantile accuracy, merge/jobs invariance, spike attribution,

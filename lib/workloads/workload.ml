@@ -34,15 +34,23 @@ let set_scale f =
   scale := f
 
 (* Fractional event accumulator: emits whole events as the fraction
-   accumulates across steps. *)
-let accumulator rate_per_step =
-  let acc = ref 0.0 in
-  fun emit ->
-    acc := !acc +. rate_per_step;
-    while !acc >= 1.0 do
-      acc := !acc -. 1.0;
-      emit ()
-    done
+   accumulates across steps. An all-float record is stored flat, so the
+   running fraction is updated in place instead of boxing a float per
+   step, and [due] returns the count so the step loop needs no per-step
+   emit closure. The [+. rate] / [-. 1.0] sequence is the one the emitted
+   counts were calibrated against; keep it. *)
+type accumulator = { rate : float; mutable frac : float }
+
+let accumulator rate = { rate; frac = 0.0 }
+
+let due a =
+  a.frac <- a.frac +. a.rate;
+  let n = ref 0 in
+  while a.frac >= 1.0 do
+    a.frac <- a.frac -. 1.0;
+    incr n
+  done;
+  !n
 
 let to_spec p ~input ~real_work =
   let confined_bytes = p.nominal_confined_mb * mb / mem_scale in
@@ -59,14 +67,12 @@ let to_spec p ~input ~real_work =
     let services = accumulator (per_step p.service_per_sec) in
     let step_cycles = cycles_per_second / steps_per_second in
     for _ = 1 to steps do
-      pf (fun () -> ops.Sim.Machine.cold_fault ());
-      hostio (fun () -> ops.Sim.Machine.host_io ~bytes:p.hostio_bytes);
-      churn (fun () -> ops.Sim.Machine.pte_churn ~n:1);
-      services (fun () -> ops.Sim.Machine.service ());
-      let sync_ops = ref 0 in
-      sync (fun () -> incr sync_ops);
+      for _ = 1 to due pf do ops.Sim.Machine.cold_fault () done;
+      for _ = 1 to due hostio do ops.Sim.Machine.host_io ~bytes:p.hostio_bytes done;
+      for _ = 1 to due churn do ops.Sim.Machine.pte_churn ~n:1 done;
+      for _ = 1 to due services do ops.Sim.Machine.service () done;
       (* All [threads] workers run flat out for one step of wall-clock. *)
-      ops.Sim.Machine.parallel ~total:(step_cycles * p.threads) ~sync_ops:!sync_ops
+      ops.Sim.Machine.parallel ~total:(step_cycles * p.threads) ~sync_ops:(due sync)
     done
   in
   {

@@ -465,6 +465,122 @@ let test_drbg_reseed () =
   Alcotest.(check bool) "reseed diverges" false
     (Bytes.equal (Drbg.bytes a 32) (Drbg.bytes b 32))
 
+(* The generator as it stood before it kept its keyed state: each refill
+   rebuilds the ChaCha20 input from the key and a nonce holding the block
+   index (8 little-endian bytes, then 4 zero bytes), under ChaCha counter 0.
+   Written plainly, byte by byte; the property below pins [Drbg] to it. *)
+module Ref_drbg = struct
+  type t = { mutable key : bytes; mutable counter : int; pool : bytes; mutable off : int }
+
+  let create ~seed =
+    { key = Sha256.digest_string seed; counter = 0; pool = Bytes.create 64; off = 64 }
+
+  let refill t =
+    let nonce = Bytes.make Chacha20.nonce_size '\000' in
+    for i = 0 to 7 do
+      Bytes.set nonce i (Char.chr ((t.counter lsr (8 * i)) land 0xff))
+    done;
+    t.counter <- t.counter + 1;
+    Chacha20.block_into ~key:t.key ~nonce ~counter:0l t.pool;
+    t.off <- 0
+
+  let byte t =
+    if t.off >= 64 then refill t;
+    t.off <- t.off + 1;
+    Char.code (Bytes.get t.pool (t.off - 1))
+
+  let bytes t n = Bytes.init n (fun _ -> Char.chr (byte t))
+
+  (* Eight bytes big-endian, shifted right once. *)
+  let int64 t =
+    let v = ref 0L in
+    for _ = 1 to 8 do
+      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (byte t))
+    done;
+    Int64.shift_right_logical !v 1
+
+  let float t = Int64.to_float (int64 t) /. 9.223372036854775808e18
+
+  let rec int t bound =
+    let b = Int64.of_int bound in
+    let v = int64 t in
+    if v >= Int64.mul (Int64.div Int64.max_int b) b then int t bound
+    else Int64.to_int (Int64.rem v b)
+
+  let reseed t entropy =
+    let ctx = Sha256.init () in
+    Sha256.feed ctx t.key;
+    Sha256.feed_string ctx entropy;
+    t.key <- Sha256.digest ctx;
+    t.off <- 64
+end
+
+type drbg_op = Bytes of int | Float | Int of int | Int64 | Reseed of string
+
+let pp_drbg_op = function
+  | Bytes n -> Printf.sprintf "bytes %d" n
+  | Float -> "float"
+  | Int b -> Printf.sprintf "int %d" b
+  | Int64 -> "int64"
+  | Reseed e -> Printf.sprintf "reseed %S" e
+
+let prop_drbg_matches_reference =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun n -> Bytes n) (0 -- 150));
+          (4, return Float);
+          (4, map (fun b -> Int b) (oneof [ 1 -- 10; 1 -- 1_000_000; return max_int ]));
+          (3, return Int64);
+          (1, map (fun e -> Reseed e) (string_size (0 -- 12)));
+        ])
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (seed, ops) ->
+        Printf.sprintf "seed %S: %s" seed (String.concat "; " (List.map pp_drbg_op ops)))
+      QCheck.Gen.(pair (string_size (0 -- 20)) (list_size (0 -- 300) op))
+  in
+  QCheck.Test.make ~name:"drbg stream = per-refill reference" ~count:200 arb
+    (fun (seed, ops) ->
+      let d = Drbg.create ~seed and r = Ref_drbg.create ~seed in
+      List.for_all
+        (function
+          | Bytes n -> Bytes.equal (Drbg.bytes d n) (Ref_drbg.bytes r n)
+          | Float -> Int64.equal (Int64.bits_of_float (Drbg.float d))
+                       (Int64.bits_of_float (Ref_drbg.float r))
+          | Int b -> Drbg.int d b = Ref_drbg.int r b
+          | Int64 -> Int64.equal (Drbg.int64 d) (Ref_drbg.int64 r)
+          | Reseed e ->
+              Drbg.reseed d e;
+              Ref_drbg.reseed r e;
+              true)
+        ops)
+
+(* A warm draw allocates nothing: the keyed state is reused across
+   refills, and [float]/[int64] inline so their results stay unboxed. The
+   probe subtracts [Gc.minor_words]' own result box. *)
+let test_drbg_zero_alloc () =
+  let d = Drbg.create ~seed:"zero alloc" in
+  ignore (Drbg.bytes d 200);
+  let facc = ref 0.0 and iacc = ref 0 and lacc = ref 0L in
+  let probe =
+    let a = Gc.minor_words () in
+    Gc.minor_words () -. a
+  in
+  let m0 = Gc.minor_words () in
+  for i = 1 to 100_000 do
+    match i mod 3 with
+    | 0 -> facc := !facc +. Drbg.float d
+    | 1 -> iacc := !iacc + Drbg.int d (1 + (i land 1023))
+    | _ -> lacc := Int64.logxor !lacc (Drbg.int64 d)
+  done;
+  let words = Gc.minor_words () -. m0 -. probe in
+  Alcotest.(check (float 0.0)) "minor words over 100k draws" 0.0 words;
+  Alcotest.(check bool) "draws were consumed" true
+    (!facc > 0.0 && !iacc > 0 && not (Int64.equal !lacc 0L))
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -538,5 +654,7 @@ let () =
           Alcotest.test_case "int bounds" `Quick test_drbg_int_bounds;
           Alcotest.test_case "float range" `Quick test_drbg_float_range;
           Alcotest.test_case "reseed" `Quick test_drbg_reseed;
+          Alcotest.test_case "warm draws allocate nothing" `Quick test_drbg_zero_alloc;
+          qt prop_drbg_matches_reference;
         ] );
     ]

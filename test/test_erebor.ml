@@ -532,6 +532,30 @@ let test_sandbox_interrupt_masks_state () =
   Alcotest.(check int64) "OS saw masked regs" 0L !seen;
   Alcotest.(check int64) "sandbox state restored" 0x5ec2e7L st.cpu.Hw.Cpu.regs.(2)
 
+(* The #INT wrapper masks state through the manager's own save slot: with
+   a prebuilt handler, wrapping a tick allocates nothing. *)
+let test_sandbox_interrupt_zero_alloc () =
+  let st = make_stack () in
+  let mgr = make_manager st in
+  let sb, _ = make_sandbox st mgr "sb" in
+  ignore (Result.get_ok (Erebor.Sandbox.load_client_data mgr sb (Bytes.of_string "x")));
+  let masked = ref true in
+  let handler () = if not (Int64.equal st.cpu.Hw.Cpu.regs.(2) 0L) then masked := false in
+  st.cpu.Hw.Cpu.regs.(2) <- 0x5ec2e7L;
+  Erebor.Sandbox.handle_interrupt mgr sb handler;
+  let probe =
+    let a = Gc.minor_words () in
+    Gc.minor_words () -. a
+  in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Erebor.Sandbox.handle_interrupt mgr sb handler
+  done;
+  let words = Gc.minor_words () -. w0 -. probe in
+  Alcotest.(check (float 0.0)) "zero minor words" 0.0 words;
+  Alcotest.(check bool) "OS always saw masked regs" true !masked;
+  Alcotest.(check int64) "sandbox state restored" 0x5ec2e7L st.cpu.Hw.Cpu.regs.(2)
+
 let test_sandbox_uintr_disabled () =
   let st = make_stack () in
   let mgr = make_manager st in
@@ -860,6 +884,122 @@ let test_hostile_length_words () =
   Alcotest.(check bytes) "in-range length still decodes" (Bytes.make 8 '\000')
     (Result.get_ok (Erebor.Channel.unpad (with_len 16 ~off:0 8)))
 
+(* Totality of the channel's wire decoders on mutated real traffic. The
+   seeds are bytes a live session produces: the sealed request and the
+   report inside the server hello (both off the wire), the ERTC1 header the
+   client seals, and a padded response payload. Mutations flip bits,
+   truncate, extend, and plant le64 words near 0, [max_int] and [min_int]
+   at the offsets where the formats keep one. Every decoder must answer
+   [Ok]/[Some] or [Error]/[None], never raise; when it accepts, re-encoding
+   what it returned must give the input back (for [unpad], everything up
+   to the end of the payload: the padding bytes are ignored). *)
+let wire_seeds =
+  lazy
+    (let st = make_stack () in
+     let client, _, wire = handshake st in
+     let server_hello = List.nth (Erebor.Channel.Wire.snoop wire) 1 in
+     let report = Bytes.sub server_hello 192 (Bytes.length server_hello - 192) in
+     let cx = { Obs.Request.trace_id = 7; span_id = 1; sampled = true } in
+     let payload = Bytes.of_string "ERTC1-adjacent request" in
+     [|
+       Erebor.Channel.Client.seal_request ~ctx:cx client payload;
+       Erebor.Channel.encode_ctx cx payload;
+       Erebor.Channel.pad_to_bucket ~bucket:64 payload;
+       report;
+     |])
+
+type wire_mutation =
+  | Flip of int * int  (* position, xor mask *)
+  | Truncate of int
+  | Extend of string
+  | Len_word of int * int64  (* offset, value *)
+
+let pp_wire_mutation = function
+  | Flip (i, m) -> Printf.sprintf "flip %d ^ 0x%02x" i m
+  | Truncate n -> Printf.sprintf "truncate to %d" n
+  | Extend e -> Printf.sprintf "extend by %S" e
+  | Len_word (off, v) -> Printf.sprintf "le64 at %d := %Ld" off v
+
+let apply_wire_mutation b = function
+  | Flip (i, m) ->
+      let b = Bytes.copy b in
+      if Bytes.length b > 0 then begin
+        let i = i mod Bytes.length b in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor m))
+      end;
+      b
+  | Truncate n -> Bytes.sub b 0 (min n (Bytes.length b))
+  | Extend e -> Bytes.cat b (Bytes.of_string e)
+  | Len_word (off, v) ->
+      let b = Bytes.copy b in
+      if off + 8 <= Bytes.length b then Bytes.set_int64_le b off v;
+      b
+
+let gen_wire_mutation =
+  let open QCheck.Gen in
+  let small = int_bound 96 in
+  let word =
+    oneof
+      [
+        map Int64.of_int small;
+        map (fun k -> Int64.sub Int64.max_int (Int64.of_int k)) small;
+        map (fun k -> Int64.of_int (max_int - k)) small;
+        map (fun k -> Int64.add Int64.min_int (Int64.of_int k)) small;
+        map (fun k -> Int64.of_int (min_int + k)) small;
+      ]
+  in
+  frequency
+    [
+      (4, map2 (fun i m -> Flip (i, m)) (int_bound 400) (int_range 1 255));
+      (2, map (fun n -> Truncate n) (int_bound 320));
+      (2, map (fun e -> Extend e) (string_size (int_bound 16)));
+      (4, map2 (fun off v -> Len_word (off, v)) (oneofl [ 0; 5; 13; 44 ]) word);
+    ]
+
+let decoders_total b =
+  let fail name e =
+    QCheck.Test.fail_reportf "%s raised %s on %S" name (Printexc.to_string e)
+      (Bytes.to_string b)
+  in
+  let check name ok = if not ok then QCheck.Test.fail_reportf "%s: re-encoding differs" name in
+  (match Erebor.Channel.unpad b with
+  | Ok p ->
+      let again = Erebor.Channel.pad_to_bucket ~bucket:(Bytes.length b) p in
+      let n = 8 + Bytes.length p in
+      check "unpad"
+        (Bytes.length again = Bytes.length b
+        && Bytes.equal (Bytes.sub again 0 n) (Bytes.sub b 0 n))
+  | Error _ -> ()
+  | exception e -> fail "unpad" e);
+  (match Erebor.Channel.decode_sealed b with
+  | Ok s -> check "decode_sealed" (Bytes.equal (Erebor.Channel.encode_sealed s) b)
+  | Error _ -> ()
+  | exception e -> fail "decode_sealed" e);
+  (match Erebor.Channel.decode_ctx b with
+  | Some (cx, rest) -> check "decode_ctx" (Bytes.equal (Erebor.Channel.encode_ctx cx rest) b)
+  | None -> ()
+  | exception e -> fail "decode_ctx" e);
+  (match Erebor.Channel.deserialize_report b with
+  | Ok r -> check "deserialize_report" (Bytes.equal (Erebor.Channel.serialize_report r) b)
+  | Error _ -> ()
+  | exception e -> fail "deserialize_report" e);
+  true
+
+let prop_wire_decoders_total =
+  let arb =
+    QCheck.make
+      ~print:(fun (seed, ms) ->
+        Printf.sprintf "seed %d: %s" seed
+          (String.concat "; " (List.map pp_wire_mutation ms)))
+      QCheck.Gen.(pair (int_bound 3) (list_size (int_range 1 4) gen_wire_mutation))
+  in
+  QCheck.Test.make ~name:"wire decoders total on mutated traffic" ~count:2000 arb
+    (fun (seed, ms) ->
+      let b = (Lazy.force wire_seeds).(seed) in
+      (* The unmutated seed must decode as itself too. *)
+      ignore (decoders_total b);
+      decoders_total (List.fold_left apply_wire_mutation b ms))
+
 let () =
   Alcotest.run "erebor"
     [
@@ -914,6 +1054,8 @@ let () =
           Alcotest.test_case "#VE kill" `Quick test_sandbox_ve_kill;
           Alcotest.test_case "cpuid cached" `Quick test_sandbox_cpuid_cached;
           Alcotest.test_case "interrupt masking" `Quick test_sandbox_interrupt_masks_state;
+          Alcotest.test_case "interrupt masking allocates nothing" `Quick
+            test_sandbox_interrupt_zero_alloc;
           Alcotest.test_case "uintr disabled" `Quick test_sandbox_uintr_disabled;
           Alcotest.test_case "usercopy veto" `Quick test_usercopy_veto_on_sealed_sandbox;
           Alcotest.test_case "smap blocks kernel" `Quick test_kernel_smap_blocks_sandbox_read;
@@ -931,5 +1073,6 @@ let () =
           Alcotest.test_case "pad/unpad" `Quick test_pad_unpad_roundtrip;
           Alcotest.test_case "hostile length words" `Quick
             test_hostile_length_words;
+          QCheck_alcotest.to_alcotest prop_wire_decoders_total;
         ] );
     ]

@@ -728,6 +728,32 @@ let test_cpu_hot_path_no_alloc () =
     (Printf.sprintf "hot path allocates (%.0f words)" allocated)
     true (allocated < 256.0)
 
+(* A TLB miss walks and fills without allocating: the walk travels packed
+   in one int, and a CR3 load leaves the cached access-check context alone
+   (it does not read CR3). Every round reloads CR3, which flushes the TLB,
+   so each access below misses and fills. *)
+let test_cpu_tlb_fill_no_alloc () =
+  let cpu, _mem, map, root = make_cpu () in
+  map 0x70_0000 340 Pte.default_flags;
+  map 0x71_0000 341 Pte.default_flags;
+  Cpu.write_u8 cpu 0x70_0000 7;
+  ignore (Cpu.read_u8 cpu 0x71_0000);
+  let fills () = Obs.Emitter.count cpu.Cpu.obs Obs.Trace.Tlb_fill in
+  let fills0 = fills () in
+  let probe =
+    let a = Gc.minor_words () in
+    Gc.minor_words () -. a
+  in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Cpu.write_cr3 cpu ~root_pfn:root;
+    ignore (Cpu.read_u8 cpu 0x70_0000);
+    Cpu.write_u8 cpu 0x71_0008 5
+  done;
+  let words = Gc.minor_words () -. w0 -. probe in
+  Alcotest.(check int) "every access filled" 2000 (fills () - fills0);
+  Alcotest.(check (float 0.0)) "zero minor words" 0.0 words
+
 let test_cpu_scrub_regs () =
   let cpu, _mem, _map, _ = make_cpu () in
   cpu.Cpu.regs.(3) <- 42L;
@@ -1286,6 +1312,7 @@ let () =
           Alcotest.test_case "tlb behaviour" `Quick test_cpu_tlb_behaviour;
           Alcotest.test_case "tlb staleness semantics" `Quick test_cpu_tlb_staleness_semantics;
           Alcotest.test_case "hot path allocation-free" `Quick test_cpu_hot_path_no_alloc;
+          Alcotest.test_case "tlb fill allocation-free" `Quick test_cpu_tlb_fill_no_alloc;
           Alcotest.test_case "scrub regs" `Quick test_cpu_scrub_regs;
         ] );
       ( "cet",

@@ -365,6 +365,27 @@ let test_syscall_counters_and_cost () =
   Alcotest.(check int) "getpid costs one round trip" Hw.Cycles.Cost.syscall_roundtrip
     (Hw.Cycles.now k.Kernel.clock - t0)
 
+(* A warm getpid allocates nothing: the result is the task's interned
+   [Rint tid] and the dispatch span is emitted inline. *)
+let test_getpid_zero_alloc () =
+  let k, _, _ = make_kernel () in
+  let task = Kernel.create_task k ~name:"p" ~kind:Kernel.Task.Normal in
+  ignore (Kernel.syscall k task Kernel.Syscall.Getpid);
+  let probe =
+    let a = Gc.minor_words () in
+    Gc.minor_words () -. a
+  in
+  let pid = ref (-1) in
+  let m0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    match Kernel.syscall k task Kernel.Syscall.Getpid with
+    | Kernel.Syscall.Rint p -> pid := p
+    | _ -> Alcotest.fail "getpid failed"
+  done;
+  let words = Gc.minor_words () -. m0 -. probe in
+  Alcotest.(check (float 0.0)) "minor words over 1000 getpids" 0.0 words;
+  Alcotest.(check int) "returns the tid" task.Kernel.Task.tid !pid
+
 let test_cpuid_ve_path () =
   let k, _, host = make_kernel () in
   let task = Kernel.create_task k ~name:"v" ~kind:Kernel.Task.Normal in
@@ -392,6 +413,42 @@ let test_timer_and_sched () =
   done;
   Alcotest.(check bool) "back to a" true (Kernel.Sched.current k.Kernel.sched = Some a);
   Alcotest.(check int) "live tasks" 1 (Kernel.live_task_count k)
+
+(* A timer tick builds nothing: its span is emitted inline and the
+   scheduler is handed [context_switch] itself with the kernel as its
+   argument. A tick that rotates reuses the off-CPU task's register save
+   area instead of snapshotting into a fresh array. *)
+let test_timer_tick_zero_alloc () =
+  let k, cpu, _ = make_kernel () in
+  let a = Kernel.create_task k ~name:"a" ~kind:Kernel.Task.Normal in
+  for _ = 1 to 8 do
+    Kernel.timer_interrupt k
+  done;
+  let probe =
+    let x = Gc.minor_words () in
+    Gc.minor_words () -. x
+  in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Kernel.timer_interrupt k
+  done;
+  let words = Gc.minor_words () -. w0 -. probe in
+  Alcotest.(check (float 0.0)) "1000 ticks, one task: zero minor words" 0.0 words;
+  let b = Kernel.create_task k ~name:"b" ~kind:Kernel.Task.Normal in
+  for _ = 1 to 8 do
+    Kernel.timer_interrupt k
+  done;
+  let saved_a = a.Kernel.Task.saved_regs and saved_b = b.Kernel.Task.saved_regs in
+  Alcotest.(check bool) "both tasks were switched out" true
+    (Option.is_some saved_a && Option.is_some saved_b);
+  cpu.Hw.Cpu.regs.(4) <- 0x7a5L;
+  for _ = 1 to 40 do
+    Kernel.timer_interrupt k
+  done;
+  let same x y = match (x, y) with Some p, Some q -> p == q | _ -> false in
+  Alcotest.(check bool) "save areas reused" true
+    (same saved_a a.Kernel.Task.saved_regs && same saved_b b.Kernel.Task.saved_regs);
+  Alcotest.(check int64) "registers follow the task" 0x7a5L cpu.Hw.Cpu.regs.(4)
 
 let test_exit_syscall () =
   let k, _, _ = make_kernel () in
@@ -508,8 +565,10 @@ let () =
           Alcotest.test_case "brk/mmap" `Quick test_syscall_brk_mmap;
           Alcotest.test_case "futex" `Quick test_syscall_futex;
           Alcotest.test_case "counters and cost" `Quick test_syscall_counters_and_cost;
+          Alcotest.test_case "getpid allocates nothing" `Quick test_getpid_zero_alloc;
           Alcotest.test_case "cpuid #VE" `Quick test_cpuid_ve_path;
           Alcotest.test_case "timer/sched" `Quick test_timer_and_sched;
+          Alcotest.test_case "timer tick allocates nothing" `Quick test_timer_tick_zero_alloc;
           Alcotest.test_case "exit" `Quick test_exit_syscall;
         ] );
       ( "fs",

@@ -167,6 +167,58 @@ let test_tdcall_vmcall_scrubs () =
   Alcotest.(check int64) "host saw scrubbed regs" 0L !observed_regs;
   Alcotest.(check int64) "guest regs restored" 0x5EC12E7L cpu.Hw.Cpu.regs.(0)
 
+(* A synchronous VMCALL saves the guest's registers into the core's own
+   save area: the only allocation left per exit is the host's vmcall-log
+   cons cell (3 words). The handler still runs against scrubbed registers
+   and the guest gets all sixteen back. *)
+let test_tdcall_vmcall_alloc () =
+  let _, _, cpu, td = make_td () in
+  let host = Vmm.Host.create () in
+  let scrubbed = ref true in
+  Tdx.Td_module.set_vmm td (fun v ->
+      for i = 0 to Hw.Cpu.nregs - 1 do
+        if not (Int64.equal cpu.Hw.Cpu.regs.(i) 0L) then scrubbed := false
+      done;
+      Vmm.Host.handler host v);
+  let guest = Array.init Hw.Cpu.nregs (fun i -> Int64.of_int (0x1000 + i)) in
+  Array.blit guest 0 cpu.Hw.Cpu.regs 0 Hw.Cpu.nregs;
+  let hlt = Tdx.Ghci.Vmcall Tdx.Ghci.Hlt in
+  ignore (Tdx.Td_module.tdcall td cpu hlt);
+  let probe =
+    let a = Gc.minor_words () in
+    Gc.minor_words () -. a
+  in
+  let n = 1000 in
+  let m0 = Gc.minor_words () in
+  for _ = 1 to n do
+    match Tdx.Td_module.tdcall td cpu hlt with
+    | Tdx.Td_module.Ok_unit -> ()
+    | _ -> Alcotest.fail "vmcall failed"
+  done;
+  let words = (Gc.minor_words () -. m0 -. probe) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per VMCALL, at most the log's cons cell" words)
+    true (words <= 3.0);
+  Alcotest.(check bool) "host saw scrubbed regs" true !scrubbed;
+  Alcotest.(check (array int64)) "guest regs restored" guest cpu.Hw.Cpu.regs;
+  Alcotest.(check int) "every exit logged" (n + 1) (List.length (Vmm.Host.vmcall_log host))
+
+(* Synchronous exits do not nest: a handler that re-enters the TDX module
+   trips the save area's assertion, and the outer exit still hands the
+   guest its registers back on the way out. *)
+let test_tdcall_vmcall_no_nesting () =
+  let _, _, cpu, td = make_td () in
+  let host = Vmm.Host.create () in
+  Tdx.Td_module.set_vmm td (fun v ->
+      ignore (Tdx.Td_module.tdcall td cpu (Tdx.Ghci.Vmcall Tdx.Ghci.Hlt));
+      Vmm.Host.handler host v);
+  cpu.Hw.Cpu.regs.(3) <- 0xC0FFEEL;
+  (match Tdx.Td_module.tdcall td cpu (Tdx.Ghci.Vmcall Tdx.Ghci.Hlt) with
+  | _ -> Alcotest.fail "nested synchronous exit accepted"
+  | exception Assert_failure _ -> ());
+  Alcotest.(check int64) "guest regs restored" 0xC0FFEEL cpu.Hw.Cpu.regs.(3);
+  Alcotest.(check bool) "save area released" false cpu.Hw.Cpu.exit_save.Hw.Cpu.busy
+
 let test_tdcall_map_gpa () =
   let _, _, cpu, td = make_td () in
   (match Tdx.Td_module.tdcall td cpu (Tdx.Ghci.Map_gpa { pfn = 10; shared = true }) with
@@ -196,7 +248,15 @@ let test_async_exit_scrub () =
   let seen = ref (-1L) in
   Tdx.Td_module.with_async_exit td cpu (fun () -> seen := cpu.Hw.Cpu.regs.(5));
   Alcotest.(check int64) "host sees zeros" 0L !seen;
-  Alcotest.(check int64) "restored after resume" 777L cpu.Hw.Cpu.regs.(5)
+  Alcotest.(check int64) "restored after resume" 777L cpu.Hw.Cpu.regs.(5);
+  (* A host action that raises still hands the guest its registers back and
+     frees the module's save area for the next exit. *)
+  (match Tdx.Td_module.with_async_exit td cpu (fun () -> failwith "host crash") with
+  | () -> Alcotest.fail "exception swallowed"
+  | exception Failure _ -> ());
+  Alcotest.(check int64) "restored after a raise" 777L cpu.Hw.Cpu.regs.(5);
+  Tdx.Td_module.with_async_exit td cpu (fun () -> seen := cpu.Hw.Cpu.regs.(5));
+  Alcotest.(check int64) "area free again" 0L !seen
 
 (* ------------------------------------------------------------------ *)
 (* Vmm devices                                                         *)
@@ -275,6 +335,8 @@ let () =
           Alcotest.test_case "tdcall privileged" `Quick test_tdcall_privileged;
           Alcotest.test_case "report cost" `Quick test_tdcall_report_cost;
           Alcotest.test_case "vmcall scrubs context" `Quick test_tdcall_vmcall_scrubs;
+          Alcotest.test_case "vmcall saves in place" `Quick test_tdcall_vmcall_alloc;
+          Alcotest.test_case "vmcall exits do not nest" `Quick test_tdcall_vmcall_no_nesting;
           Alcotest.test_case "map_gpa" `Quick test_tdcall_map_gpa;
           Alcotest.test_case "measure finalization" `Quick test_measure_initial_finalizes;
           Alcotest.test_case "async exit scrub" `Quick test_async_exit_scrub;
