@@ -626,6 +626,87 @@ let print_icode () =
     (cold /. warm) hits misses
 
 (* ------------------------------------------------------------------ *)
+(* The allocation ledger                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The [bench all] targets in run order: the ledger's rows. *)
+let targets =
+  [
+    ("table3", print_table3);
+    ("table4", print_table4);
+    ("fig8", print_fig8);
+    ("fig9", print_fig9);
+    ("table6", print_table6);
+    ("fig10", print_fig10);
+    ("memshare", print_memshare);
+    ("ablations", print_ablations);
+    ("tables-qual", print_tables_qual);
+    ("emchist", print_emchist);
+  ]
+
+(* One target's run. A full major cycle first empties the minor heap and
+   restarts the major GC's pacing, so a target's promotions depend less on
+   what ran before it (they still move by a few percent; the ledger does
+   not judge them). [Gc.minor_words] and the major and promoted counts of
+   [Gc.counters] are this domain's exact counts ([Gc.quick_stat] only
+   advances at collections, and [Gc.counters]' minor count undercounts the
+   live minor heap); in a serial run no other domain allocates. *)
+let run_target (target, f) =
+  Gc.full_major ();
+  let minor0 = Gc.minor_words () in
+  let _, promoted0, major0 = Gc.counters () in
+  let t0 = Unix.gettimeofday () in
+  f ();
+  let wall_s = Unix.gettimeofday () -. t0 in
+  let _, promoted1, major1 = Gc.counters () in
+  let minor1 = Gc.minor_words () in
+  {
+    Workloads.Bench_gate.target;
+    wall_s;
+    minor_words = minor1 -. minor0;
+    major_words = major1 -. major0;
+    promoted_words = promoted1 -. promoted0;
+  }
+
+(* Runs [f] with stdout sent to /dev/null. *)
+let muted f =
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  Unix.dup2 null Unix.stdout;
+  Unix.close null;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved)
+    f
+
+(* The ledger section of the gate: the targets run serially with their
+   output muted, before any other section, so each starts from the process
+   state it has under [bench all] and its words match the serial suite's
+   exactly. Smoke mode runs only the anchor tables. *)
+let ledger_gate ~baseline ~smoke =
+  let module G = Workloads.Bench_gate in
+  let run =
+    if smoke then List.filter (fun (n, _) -> n = "table3" || n = "table4") targets
+    else targets
+  in
+  let jobs = !jobs_arg in
+  jobs_arg := Some 1;
+  let costs =
+    Fun.protect
+      ~finally:(fun () -> jobs_arg := jobs)
+      (fun () -> muted (fun () -> List.map run_target run))
+  in
+  match In_channel.with_open_bin baseline In_channel.input_all with
+  | exception Sys_error e -> [ G.chk "ledger" false e ]
+  | text -> (
+      match G.Json.parse text with
+      | Error e -> [ G.chk "ledger" false ("baseline JSON: " ^ e) ]
+      | Ok json -> G.ledger_checks ~profile:Build_profile.name json costs)
+
+(* ------------------------------------------------------------------ *)
 (* Regression gate against the committed BENCH_sim.json                *)
 (* ------------------------------------------------------------------ *)
 
@@ -656,7 +737,7 @@ let run_check ~baseline ~full ~from_journal () =
              (if full then " (full scale)" else ""));
         List.concat_map
           (fun (name, gate) -> section name (gate ~smoke:(not full)))
-          (G.gates ~baseline ~jobs:!jobs_arg)
+          (("ledger", ledger_gate ~baseline) :: G.gates ~baseline ~jobs:!jobs_arg)
   in
   match G.failures verdict with
   | [] -> Printf.printf "PASS: %d checks\n" (List.length verdict)
@@ -668,6 +749,22 @@ let run_check ~baseline ~full ~from_journal () =
         (if full then " --full" else "")
         (match from_journal with Some j -> " --from-journal " ^ j | None -> "")
         baseline;
+      (* A ledger target's words are reproduced by the serial suite run,
+         which records them in BENCH_sim.new.json. *)
+      List.iter
+        (fun target ->
+          Printf.printf
+            "repro: dune exec bench/main.exe -- all --jobs 1  # %s: \
+             targets[name=%s] in BENCH_sim.new.json\n"
+            target target)
+        (List.sort_uniq compare
+           (List.filter_map
+              (fun (c : G.check) ->
+                match String.split_on_char '/' c.G.name with
+                | [ "ledger"; rest ] when rest <> "profile" ->
+                    Some (List.hd (String.split_on_char '.' rest))
+                | _ -> None)
+              fails));
       exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -701,11 +798,11 @@ let peak_rss_kb () =
 let effective_jobs () =
   match !jobs_arg with Some j -> j | None -> Sim.Runner.default_jobs ()
 
-let write_bench_json ~path ~timings ~total_wall_s =
+let write_bench_json ~path ~costs ~serial ~total_wall_s =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
-  add "  \"schema\": \"erebor-bench-sim/1\",\n";
+  add "  \"schema\": \"%s\",\n" Workloads.Bench_gate.schema;
   add "  \"profile\": \"%s\",\n" Build_profile.name;
   add "  \"jobs\": %d,\n" (effective_jobs ());
   add "  \"scale\": %.6f,\n" !scale_arg;
@@ -717,15 +814,20 @@ let write_bench_json ~path ~timings ~total_wall_s =
   add "  \"gc\": { \"minor_words\": %.0f, \"major_words\": %.0f, \"major_collections\": %d },\n"
     gc.Gc.minor_words gc.Gc.major_words gc.Gc.major_collections;
   add "  \"targets\": [\n";
+  (* Per-target words only when the run is serial: with a domain pool,
+     other domains allocate on a target's behalf. *)
   List.iteri
-    (fun i (name, wall, words) ->
-      add "    { \"name\": \"%s\", \"wall_s\": %.6f%s }%s\n" (Obs.Audit.escape_json name) wall
-        (match words with
-        | Some (minor, major) ->
-            Printf.sprintf ", \"minor_words\": %.0f, \"major_words\": %.0f" minor major
-        | None -> "")
-        (if i = List.length timings - 1 then "" else ","))
-    timings;
+    (fun i (c : Workloads.Bench_gate.target_cost) ->
+      add "    { \"name\": \"%s\", \"wall_s\": %.6f%s }%s\n"
+        (Obs.Audit.escape_json c.target) c.wall_s
+        (if serial then
+           Printf.sprintf
+             ", \"minor_words\": %.0f, \"major_words\": %.0f, \
+              \"promoted_words\": %.0f"
+             c.minor_words c.major_words c.promoted_words
+         else "")
+        (if i = List.length costs - 1 then "" else ","))
+    costs;
   add "  ],\n";
   (* Calibration anchors: the simulated-cycle numbers of Tables 3 and 4.
      These must not move under perf work — byte-stable across runs. *)
@@ -772,42 +874,14 @@ let write_bench_json ~path ~timings ~total_wall_s =
 (* ------------------------------------------------------------------ *)
 
 let all () =
-  (* Per-target words only when the run is serial: with a domain pool,
-     other domains allocate on a target's behalf. *)
   let serial = effective_jobs () = 1 in
-  let timings = ref [] in
-  let timed name f =
-    let g0 = Gc.quick_stat () in
-    let t0 = Unix.gettimeofday () in
-    f ();
-    let wall = Unix.gettimeofday () -. t0 in
-    let words =
-      if serial then
-        let g1 = Gc.quick_stat () in
-        Some
-          ( g1.Gc.minor_words -. g0.Gc.minor_words,
-            g1.Gc.major_words -. g0.Gc.major_words )
-      else None
-    in
-    timings := (name, wall, words) :: !timings
-  in
   let t_start = Unix.gettimeofday () in
-  timed "table3" print_table3;
-  timed "table4" print_table4;
-  timed "fig8" print_fig8;
-  timed "fig9" print_fig9;
-  timed "table6" print_table6;
-  timed "fig10" print_fig10;
-  timed "memshare" print_memshare;
-  timed "ablations" print_ablations;
-  timed "tables-qual" print_tables_qual;
-  timed "emchist" print_emchist;
+  let costs = List.map run_target targets in
   let total_wall_s = Unix.gettimeofday () -. t_start in
   (* The committed BENCH_sim.json is the gate's baseline and never changes
      under a measurement run; re-baselining is an explicit
      [mv BENCH_sim.new.json BENCH_sim.json]. *)
-  write_bench_json ~path:"BENCH_sim.new.json" ~timings:(List.rev !timings)
-    ~total_wall_s
+  write_bench_json ~path:"BENCH_sim.new.json" ~costs ~serial ~total_wall_s
 
 (* Shared flags; each target lists only the ones it reads, so an unknown
    flag fails with the usage of exactly that target. *)

@@ -72,6 +72,7 @@ let backend t = t.backend
 
 let entry_point t = t.code_base
 let code_bytes t = Bytes.copy t.code
+let retires t = t.gate_retires
 
 let endbr_at t addr = addr = t.code_base
 

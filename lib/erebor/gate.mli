@@ -25,6 +25,10 @@ val code_bytes : t -> bytes
 (** The assembled gate code (one endbr64 at offset 0, none elsewhere) —
     measured into MRTD by stage-one boot. *)
 
+val retires : t -> int
+(** The instructions {!code_bytes} retired when [create] ran it through
+    {!Hw.Icode}: the count every EMC round trip checks. *)
+
 val endbr_at : t -> int -> bool
 (** The IBT predicate for monitor code: true only at {!entry_point}. *)
 

@@ -15,40 +15,71 @@ type frame_class =
   | Confined of { owner : int }
   | Common of common
 
+(* The empty leaves every directory slot starts on (Hw.Frame_table). *)
+let empty_classes = Hw.Frame_table.empty_leaf Free
+let empty_mapped = Hw.Frame_table.empty_leaf false
+
 type t = {
   mem : Hw.Phys_mem.t;
   cpu : Hw.Cpu.t;
   backend : Isolation.t;
-  (* Per-frame state as flat arrays indexed by pfn: [class_of] sits on the
-     write_pte hot path (several probes per EMC), where a hashed lookup per
-     probe is measurable across the millions of MMU EMCs in an evaluation
-     run. Out-of-range pfns (a hostile PTE pointing past RAM) read as
+  (* Per-frame state as two-level frame tables indexed by pfn, with leaves
+     allocated on the first non-default store: [class_of] sits on the
+     write_pte hot path (several probes per EMC), so it is one directory
+     load and one leaf load, with no hashing and a monomorphic element
+     type. Out-of-range pfns (a hostile PTE pointing past RAM) read as
      [Free], exactly like a never-classified frame. *)
-  classes : frame_class array;
-  confined_mapped : Bytes.t;               (* confined pfns with a live mapping *)
+  frames : int;
+  mutable classes : frame_class array array;
+  mutable confined_mapped : bool array array; (* confined pfns with a live mapping *)
   commons : (string, common) Hashtbl.t;
   mutable kernel_root : int option;
   mutable denied : int;
 }
 
 let create ~mem ~cpu ~backend =
+  let frames = Hw.Phys_mem.frames mem in
   {
     mem;
     cpu;
     backend;
-    classes = Array.make (Hw.Phys_mem.frames mem) Free;
-    confined_mapped = Bytes.make (Hw.Phys_mem.frames mem) '\000';
+    frames;
+    classes = Hw.Frame_table.empty_dir;
+    confined_mapped = Hw.Frame_table.empty_dir;
     commons = Hashtbl.create 8;
     kernel_root = None;
     denied = 0;
   }
 
-let in_range t pfn = pfn >= 0 && pfn < Array.length t.classes
-let class_of t pfn = if in_range t pfn then Array.unsafe_get t.classes pfn else Free
-let set_class t pfn cls = if in_range t pfn then Array.unsafe_set t.classes pfn cls
+let in_range t pfn = Hw.Frame_table.in_range ~frames:t.frames pfn
+
+let[@inline] class_of t pfn =
+  Array.unsafe_get
+    (Hw.Frame_table.leaf t.classes ~empty:empty_classes pfn)
+    (Hw.Frame_table.leaf_index pfn)
+
+(* A class is a pointer, so its store pays the write barrier either way:
+   the generic store costs no more. The bit below stores straight into an
+   existing leaf. *)
+let set_class t pfn cls =
+  if in_range t pfn then begin
+    let dir = Hw.Frame_table.set t.classes ~frames:t.frames ~empty:empty_classes pfn cls in
+    if dir != t.classes then t.classes <- dir
+  end
+
 let clear_class t pfn = set_class t pfn Free
+
 let mark_confined_mapped t pfn v =
-  if in_range t pfn then Bytes.unsafe_set t.confined_mapped pfn (if v then '\001' else '\000')
+  if in_range t pfn then begin
+    let leaf = Hw.Frame_table.leaf t.confined_mapped ~empty:empty_mapped pfn in
+    if leaf != empty_mapped then Array.unsafe_set leaf (Hw.Frame_table.leaf_index pfn) v
+    else begin
+      let dir =
+        Hw.Frame_table.set t.confined_mapped ~frames:t.frames ~empty:empty_mapped pfn v
+      in
+      if dir != t.confined_mapped then t.confined_mapped <- dir
+    end
+  end
 
 let set_kernel_root t pfn = t.kernel_root <- Some pfn
 
@@ -112,7 +143,9 @@ let classify t ~pfn cls =
       if same_class (class_of t pfn) cls then Ok () else Error "frame already classified")
 
 let is_confined_mapped t ~pfn =
-  in_range t pfn && Bytes.unsafe_get t.confined_mapped pfn = '\001'
+  Array.unsafe_get
+    (Hw.Frame_table.leaf t.confined_mapped ~empty:empty_mapped pfn)
+    (Hw.Frame_table.leaf_index pfn)
 
 let declassify t ~pfn =
   (match class_of t pfn with
@@ -124,7 +157,9 @@ let declassify t ~pfn =
 let denied_count t = t.denied
 
 let ptp_count t =
-  Array.fold_left (fun acc c -> match c with Ptp _ -> acc + 1 | _ -> acc) 0 t.classes
+  Hw.Frame_table.fold
+    (fun acc c -> match c with Ptp _ -> acc + 1 | _ -> acc)
+    0 t.classes ~empty:empty_classes
 
 (* Every policy denial, whatever the path, funnels through here: one stat
    bump and one [Mmu_deny] event, so security tests can assert exact denial

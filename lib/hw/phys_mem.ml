@@ -7,40 +7,51 @@ let page_shift = 12
    holds a bytes of length [page_size]. *)
 let unbacked = Bytes.create 0
 
+(* The empty leaf every directory slot starts on (Frame_table): 512
+   [unbacked] slots, never written. *)
+let empty = Frame_table.empty_leaf unbacked
+
 type t = {
   frames : int;
-  pages : bytes array; (* pfn -> backing page, [unbacked] until first write *)
+  mutable pages : bytes array array;
+      (* Frame_table directory: pfn -> backing page, [unbacked] until the
+         frame's first write *)
   mutable backed : int;
 }
 
 let create ~frames =
   if frames <= 0 then invalid_arg "Phys_mem.create: frames must be positive";
-  { frames; pages = Array.make frames unbacked; backed = 0 }
+  { frames; pages = Frame_table.empty_dir; backed = 0 }
 
 let frames t = t.frames
 let size_bytes t = t.frames * page_size
 let pfn_of_addr addr = addr lsr page_shift
 let addr_of_pfn pfn = pfn lsl page_shift
 let page_offset addr = addr land (page_size - 1)
-let valid_pfn t pfn = pfn >= 0 && pfn < t.frames
+let valid_pfn t pfn = Frame_table.in_range ~frames:t.frames pfn
 
 let check_addr t addr =
   if addr < 0 || pfn_of_addr addr >= t.frames then
     invalid_arg (Printf.sprintf "Phys_mem: address 0x%x out of range" addr)
 
+(* The page behind a pfn: one directory load, one leaf load. *)
+let[@inline] page t pfn =
+  Array.unsafe_get (Frame_table.leaf t.pages ~empty pfn) (Frame_table.leaf_index pfn)
+
 let backing t pfn =
-  let b = Array.unsafe_get t.pages pfn in
+  let b = page t pfn in
   if Bytes.length b <> 0 then b
   else begin
     let b = Bytes.make page_size '\000' in
-    Array.unsafe_set t.pages pfn b;
+    let dir = Frame_table.set t.pages ~frames:t.frames ~empty pfn b in
+    if dir != t.pages then t.pages <- dir;
     t.backed <- t.backed + 1;
     b
   end
 
 let read_u8 t addr =
   check_addr t addr;
-  let b = Array.unsafe_get t.pages (pfn_of_addr addr) in
+  let b = page t (pfn_of_addr addr) in
   if Bytes.length b = 0 then 0 else Char.code (Bytes.unsafe_get b (page_offset addr))
 
 let write_u8 t addr v =
@@ -60,7 +71,7 @@ let[@inline] read_u64 t addr =
   check_addr t addr;
   if page_offset addr > page_size - 8 then
     invalid_arg "Phys_mem.read_u64: crosses page boundary";
-  let b = Array.unsafe_get t.pages (pfn_of_addr addr) in
+  let b = page t (pfn_of_addr addr) in
   if Bytes.length b = 0 then 0L
   else
     let v = get_int64u b (page_offset addr) in
@@ -84,7 +95,7 @@ let blit_to t addr dst ~off ~len =
     check_addr t a;
     let poff = page_offset a in
     let chunk = min (page_size - poff) (len - !copied) in
-    let b = Array.unsafe_get t.pages (pfn_of_addr a) in
+    let b = page t (pfn_of_addr a) in
     if Bytes.length b = 0 then Bytes.fill dst (off + !copied) chunk '\000'
     else Bytes.blit b poff dst (off + !copied) chunk;
     copied := !copied + chunk
@@ -115,10 +126,10 @@ let copy t ~src ~dst ~len =
         (min (page_size - page_offset sa) (page_size - page_offset da))
         (len - !copied)
     in
-    let sb = Array.unsafe_get t.pages (pfn_of_addr sa) in
+    let sb = page t (pfn_of_addr sa) in
     if Bytes.length sb = 0 then begin
       (* Zero source: only materialize the destination if it already is. *)
-      let db = Array.unsafe_get t.pages (pfn_of_addr da) in
+      let db = page t (pfn_of_addr da) in
       if Bytes.length db <> 0 then Bytes.fill db (page_offset da) chunk '\000'
     end
     else Bytes.blit sb (page_offset sa) (backing t (pfn_of_addr da)) (page_offset da) chunk;
@@ -135,8 +146,8 @@ let write_bytes t addr data = blit_from t addr data ~off:0 ~len:(Bytes.length da
 
 let zero_page t pfn =
   if not (valid_pfn t pfn) then invalid_arg "Phys_mem.zero_page: bad pfn";
-  let b = Array.unsafe_get t.pages pfn in
+  let b = page t pfn in
   if Bytes.length b <> 0 then Bytes.fill b 0 page_size '\000'
 
-let page_is_backed t pfn = Bytes.length (Array.get t.pages pfn) <> 0
+let page_is_backed t pfn = Bytes.length (page t pfn) <> 0
 let backed_count t = t.backed

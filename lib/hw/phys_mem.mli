@@ -1,10 +1,13 @@
-(** Simulated guest-physical memory: a flat array of 4 KiB frames with
-    lazily-allocated backing bytes, so a multi-GiB guest costs host memory
-    only for frames that are actually touched (plus one word of frame index
-    per frame). Reads of never-written frames observe zeros, like
-    freshly-assigned RAM. Frame lookup is a single array access — O(1) with
-    no hashing — and bulk transfers blit page-by-page with no intermediate
-    allocation. *)
+(** Simulated guest-physical memory: 4 KiB frames with lazily-allocated
+    backing bytes, so a multi-GiB guest costs host memory only for frames
+    that are actually touched. The frame index is a two-level
+    {!Frame_table}: a directory of one slot per 512 frames, whose leaves of
+    512 page pointers are allocated on the first write into their run, so
+    assembling a machine costs in proportion to the frames it writes, not
+    to its RAM. Reads of never-written frames observe zeros, like
+    freshly-assigned RAM. Frame lookup is one directory load and one leaf
+    load — O(1) with no hashing — and bulk transfers blit page-by-page with
+    no intermediate allocation. *)
 
 val page_size : int  (** 4096. *)
 val page_shift : int (** 12. *)
@@ -58,7 +61,8 @@ val zero_page : t -> int -> unit
 (** [zero_page t pfn] clears a frame (sandbox teardown scrubbing). *)
 
 val page_is_backed : t -> int -> bool
-(** Whether the frame has materialized backing bytes (i.e. was written). *)
+(** Whether the frame has materialized backing bytes (i.e. was written).
+    [false] for any pfn outside {!valid_pfn}. *)
 
 val backed_count : t -> int
 (** Number of materialized frames — the simulator's own footprint metric. *)

@@ -1,7 +1,12 @@
 (* TME-MK engine model: per-frame key tags, one active tenant key. *)
 
+(* Key tags live in a Frame_table directory; a run of frames no one tagged
+   shares the all-zero empty leaf. *)
+let empty = Frame_table.empty_leaf 0
+
 type t = {
-  tags : int array;
+  frames : int;
+  mutable tags : int array array;
   mutable active : int;
   mutable keyed_fills : int;
   mutable faults : int;
@@ -11,18 +16,28 @@ type decision = Plain | Keyed | Wrong_key of int * int | Inactive_key of int * i
 
 let create ~frames =
   if frames <= 0 then invalid_arg "Tme.create: frames must be positive";
-  { tags = Array.make frames 0; active = 0; keyed_fills = 0; faults = 0 }
+  { frames; tags = Frame_table.empty_dir; active = 0; keyed_fills = 0;
+    faults = 0 }
 
-let tag_of t ~pfn = if pfn >= 0 && pfn < Array.length t.tags then t.tags.(pfn) else 0
+let tag_of t ~pfn =
+  Array.unsafe_get (Frame_table.leaf t.tags ~empty pfn) (Frame_table.leaf_index pfn)
+
+let store t pfn keyid =
+  let leaf = Frame_table.leaf t.tags ~empty pfn in
+  if leaf != empty then Array.unsafe_set leaf (Frame_table.leaf_index pfn) keyid
+  else begin
+    let dir = Frame_table.set t.tags ~frames:t.frames ~empty pfn keyid in
+    if dir != t.tags then t.tags <- dir
+  end
 
 let tag t ~pfn keyid =
   if keyid < 0 || keyid >= 1 lsl Pte.keyid_bits then
     invalid_arg "Tme.tag: keyid out of range";
-  if pfn < 0 || pfn >= Array.length t.tags then invalid_arg "Tme.tag: pfn out of range";
-  t.tags.(pfn) <- keyid
+  if not (Frame_table.in_range ~frames:t.frames pfn) then
+    invalid_arg "Tme.tag: pfn out of range";
+  store t pfn keyid
 
-let untag t ~pfn =
-  if pfn >= 0 && pfn < Array.length t.tags then t.tags.(pfn) <- 0
+let untag t ~pfn = if Frame_table.in_range ~frames:t.frames pfn then store t pfn 0
 
 let set_active t keyid =
   if keyid < 0 || keyid >= 1 lsl Pte.keyid_bits then

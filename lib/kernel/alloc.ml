@@ -1,24 +1,39 @@
+(* The used map holds one byte per index and grows (doubling, from one
+   page's worth) to cover the highest index ever taken; an index past its
+   end is free. Next-fit hands indices out in order, so a region costs
+   host memory in proportion to how far allocation has reached into it,
+   not to its size, and a probe stays one load. *)
 type t = {
   first_pfn : int;
   frames : int;
-  bitmap : Bytes.t;          (* one byte per frame: 0 free, 1 used *)
+  mutable bitmap : Bytes.t;  (* index -> 0 free, 1 used *)
   mutable cursor : int;      (* next-fit start index *)
   mutable used : int;
 }
 
 let create ~first_pfn ~frames =
   if frames <= 0 then invalid_arg "Alloc.create: frames must be positive";
-  { first_pfn; frames; bitmap = Bytes.make frames '\000'; cursor = 0; used = 0 }
+  { first_pfn; frames; bitmap = Bytes.empty; cursor = 0; used = 0 }
 
 let first_pfn t = t.first_pfn
 let total t = t.frames
 let used t = t.used
 let available t = t.frames - t.used
 
-let taken t i = Bytes.get t.bitmap i <> '\000'
+let[@inline] taken t i = i < Bytes.length t.bitmap && Bytes.unsafe_get t.bitmap i <> '\000'
+
+let grow t i =
+  let len = Bytes.length t.bitmap in
+  let b = Bytes.make (min t.frames (max (i + 1) (max 4096 (2 * len)))) '\000' in
+  Bytes.blit t.bitmap 0 b 0 len;
+  t.bitmap <- b
+
+let[@inline] mark t i v =
+  if i >= Bytes.length t.bitmap then grow t i;
+  Bytes.unsafe_set t.bitmap i (if v then '\001' else '\000')
 
 let take t i =
-  Bytes.set t.bitmap i '\001';
+  mark t i true;
   t.used <- t.used + 1
 
 let alloc t =
@@ -72,7 +87,7 @@ let index_of t pfn =
 let free t pfn =
   let i = index_of t pfn in
   if not (taken t i) then invalid_arg "Alloc.free: double free";
-  Bytes.set t.bitmap i '\000';
+  mark t i false;
   t.used <- t.used - 1
 
 let is_allocated t pfn = taken t (index_of t pfn)

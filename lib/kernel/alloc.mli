@@ -1,6 +1,7 @@
-(** Physical-frame allocator over a pfn range: a bitmap with a next-fit
-    cursor, plus contiguous allocation for the CMA-style reserved region the
-    LibOS draws sandbox confined memory from (§7). *)
+(** Physical-frame allocator over a pfn range: a byte map, grown to the
+    highest index handed out, with a next-fit cursor, plus contiguous
+    allocation for the CMA-style reserved region the LibOS draws sandbox
+    confined memory from (§7). *)
 
 type t
 

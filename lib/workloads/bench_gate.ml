@@ -181,7 +181,6 @@ module Json = struct
     | exception Error msg -> Result.Error msg
 
   let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
-  let mem_of key j = Option.bind j (member key)
   let to_float = function Some (Num f) -> Some f | _ -> None
   let to_int j = Option.map int_of_float (to_float j)
   let to_str = function Some (Str s) -> Some s | _ -> None
@@ -340,22 +339,19 @@ let fig9_checks ~baseline ~jobs =
           ])
     (Json.to_arr (Json.member "fig9" baseline))
 
-let check_json ?(fig9 = false) ?jobs ?(wall_tolerance = 1.5)
-    ?(gc_tolerance = 0.5) baseline =
+(* The run-record schema. v2 added the allocation ledger: the build
+   profile and, per [bench all] target, its serial minor and major words. *)
+let schema = "erebor-bench-sim/2"
+
+let check_json ?(fig9 = false) ?jobs ?(wall_tolerance = 1.5) baseline =
   let cpu0 = Sys.time () in
-  let minor0 = Gc.minor_words () in
-  let major0 = (Gc.quick_stat ()).Gc.major_words in
   let schema =
     match Json.to_str (Json.member "schema" baseline) with
-    | Some "erebor-bench-sim/1" ->
-        chk ~old_value:"erebor-bench-sim/1" ~new_value:"erebor-bench-sim/1"
-          "schema" true "erebor-bench-sim/1"
+    | Some s when s = schema -> chk ~old_value:s ~new_value:schema "schema" true schema
     | Some other ->
-        chk ~old_value:other ~new_value:"erebor-bench-sim/1" "schema" false
+        chk ~old_value:other ~new_value:schema "schema" false
           ("unknown schema " ^ other)
-    | None ->
-        chk ~new_value:"erebor-bench-sim/1" "schema" false
-          "missing schema field"
+    | None -> chk ~new_value:schema "schema" false "missing schema field"
   in
   let table3 = Eval.table3 () and table4 = Eval.table4 () in
   let t3 =
@@ -429,47 +425,25 @@ let check_json ?(fig9 = false) ?jobs ?(wall_tolerance = 1.5)
     @ pinned "table4" (t4_cycles table4) (t4_cycles (Eval.table4 ~backend:pks ()))
   in
   let cpu = Sys.time () -. cpu0 in
-  let minor = Gc.minor_words () -. minor0 in
-  let major = (Gc.quick_stat ()).Gc.major_words -. major0 in
   (* The Fig. 9 rows run after the budget window closes: they cost a large
-     share of a whole suite, while the budgets bound anchor regeneration. *)
+     share of a whole suite, while the budget bounds anchor regeneration.
+     Host allocation is the ledger's (see below); CPU time is bounded only
+     here. *)
   let f9 = if fig9 then fig9_checks ~baseline ~jobs else [] in
   let wall =
     match Json.to_float (Json.member "total_wall_s" baseline) with
-    | None -> [ chk "wall" true "no baseline wall time" ]
+    | None -> chk "wall" true "no baseline wall time"
     | Some base ->
         let budget = wall_tolerance *. base in
-        [
-          chk
-            ~old_value:(Printf.sprintf "budget %.3fs" budget)
-            ~new_value:(Printf.sprintf "%.3fs cpu" cpu)
-            "wall" (cpu <= budget)
-            (Printf.sprintf
-               "regeneration %.3fs cpu, budget %.3fs (%.1fx baseline suite)"
-               cpu budget wall_tolerance);
-        ]
+        chk
+          ~old_value:(Printf.sprintf "budget %.3fs" budget)
+          ~new_value:(Printf.sprintf "%.3fs cpu" cpu)
+          "wall" (cpu <= budget)
+          (Printf.sprintf
+             "regeneration %.3fs cpu, budget %.3fs (%.1fx baseline suite)" cpu
+             budget wall_tolerance)
   in
-  (* Minor AND major words are bounded against the committed full-suite
-     totals: the anchor regeneration allocates a small fraction of either,
-     so a pass leaves generous slack while still catching an accidental
-     order-of-magnitude allocation regression on the hot paths. *)
-  let gc_bound label words =
-    match Json.to_float (Json.mem_of (label ^ "_words") (Json.member "gc" baseline)) with
-    | None -> [ chk ("gc-" ^ label) true "no baseline GC stats" ]
-    | Some base ->
-        let budget = gc_tolerance *. base in
-        [
-          chk
-            ~old_value:(Printf.sprintf "budget %.0f words" budget)
-            ~new_value:(Printf.sprintf "%.0f %s words" words label)
-            ("gc-" ^ label) (words <= budget)
-            (Printf.sprintf
-               "regeneration %.0f %s words, budget %.0f (%.1fx baseline suite)"
-               words label budget gc_tolerance);
-        ]
-  in
-  (schema :: t3) @ t4 @ backend_pin @ f9 @ wall
-  @ gc_bound "minor" minor @ gc_bound "major" major
+  (schema :: t3) @ t4 @ backend_pin @ f9 @ [ wall ]
 
 let parse_baseline json =
   Result.map_error (fun e -> "baseline JSON: " ^ e) (Json.parse json)
@@ -479,15 +453,94 @@ let read_baseline path =
   | json -> parse_baseline json
   | exception Sys_error e -> Result.Error e
 
-let check_string ?fig9 ?jobs ?wall_tolerance ?gc_tolerance json =
-  Result.map
-    (check_json ?fig9 ?jobs ?wall_tolerance ?gc_tolerance)
-    (parse_baseline json)
+let check_string ?fig9 ?jobs ?wall_tolerance json =
+  Result.map (check_json ?fig9 ?jobs ?wall_tolerance) (parse_baseline json)
 
-let check_file ?fig9 ?jobs ?wall_tolerance ?gc_tolerance ~path () =
-  Result.map
-    (check_json ?fig9 ?jobs ?wall_tolerance ?gc_tolerance)
-    (read_baseline path)
+let check_file ?fig9 ?jobs ?wall_tolerance ~path () =
+  Result.map (check_json ?fig9 ?jobs ?wall_tolerance) (read_baseline path)
+
+(* ------------------------------------------------------------------ *)
+(* The allocation ledger                                               *)
+(* ------------------------------------------------------------------ *)
+
+type target_cost = {
+  target : string;
+  wall_s : float;
+  minor_words : float;
+  major_words : float;
+  promoted_words : float;
+}
+
+let ledger_tolerance = 0.02
+
+(* One check per (target, counter). Both directions fail: a rise is a
+   regression, a drop means the committed ledger no longer describes the
+   build and must be re-baselined in the same change. *)
+let ledger_word_check (c : target_cost) field ~base words =
+  let name = Printf.sprintf "ledger/%s.%s" c.target field in
+  match base with
+  | None -> chk ~new_value:(Printf.sprintf "%.0f" words) name false "missing in baseline"
+  | Some base ->
+      let old_value = Printf.sprintf "%.0f" base
+      and new_value = Printf.sprintf "%.0f" words in
+      let slack = ledger_tolerance *. base in
+      let moved =
+        if base = 0.0 then if words = 0.0 then "+0.00%" else "from 0"
+        else Printf.sprintf "%+.2f%%" (100.0 *. ((words -. base) /. base))
+      in
+      if words > base +. slack then
+        chk ~old_value ~new_value name false
+          (Printf.sprintf "rose %s (tolerance %.0f%%): an allocation regression"
+             moved (100.0 *. ledger_tolerance))
+      else if words < base -. slack then
+        chk ~old_value ~new_value name false
+          (Printf.sprintf
+             "fell %s (tolerance %.0f%%): re-baseline with bench all --jobs 1 \
+              and mv BENCH_sim.new.json BENCH_sim.json"
+             moved (100.0 *. ledger_tolerance))
+      else
+        chk ~old_value ~new_value name true
+          (Printf.sprintf "%s words (baseline %s, %s), %.3fs wall" new_value
+             old_value moved c.wall_s)
+
+let ledger_checks ~profile baseline costs =
+  let profile_check =
+    match Json.to_str (Json.member "profile" baseline) with
+    | Some p when p = profile ->
+        chk ~old_value:p ~new_value:profile "ledger/profile" true
+          ("words recorded under " ^ p)
+    | Some p ->
+        chk ~old_value:p ~new_value:profile "ledger/profile" false
+          (Printf.sprintf "words recorded under %s, this build is %s" p profile)
+    | None -> chk ~new_value:profile "ledger/profile" false "missing in baseline"
+  in
+  let rows = Json.to_arr (Json.member "targets" baseline) in
+  profile_check
+  :: List.concat_map
+       (fun (c : target_cost) ->
+         match
+           List.find_opt
+             (fun row -> Json.to_str (Json.member "name" row) = Some c.target)
+             rows
+         with
+         | None -> [ chk ("ledger/" ^ c.target) false "target missing in baseline" ]
+         | Some row ->
+             let num field = Json.to_float (Json.member field row) in
+             (* Promotion depends on where minor collections fall, which
+                moves with the heap state a target starts from; words
+                allocated straight into the major heap do not. *)
+             let direct =
+               match (num "major_words", num "promoted_words") with
+               | Some major, Some promoted -> Some (major -. promoted)
+               | _ -> None
+             in
+             [
+               ledger_word_check c "minor_words" ~base:(num "minor_words")
+                 c.minor_words;
+               ledger_word_check c "direct_major_words" ~base:direct
+                 (c.major_words -. c.promoted_words);
+             ])
+       costs
 
 (* Anchor verification against a flight recording: the journal's Run-span
    slice must reproduce the baseline's Fig. 9 rate row for the (workload,
@@ -599,7 +652,7 @@ let check_journal_file ~journal ~path () =
    it) without the committed file. *)
 let render_anchors ?instrument () =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"erebor-bench-sim/1\",\n  \"table3\": [\n";
+  Printf.bprintf buf "{\n  \"schema\": \"%s\",\n  \"table3\": [\n" schema;
   let t3 = Eval.table3 ?instrument () in
   List.iteri
     (fun i (r : Eval.transition_row) ->

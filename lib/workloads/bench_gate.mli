@@ -3,9 +3,12 @@
     The anchor block regenerates the calibrated anchors from the current
     build and diffs them against a committed [BENCH_sim.json] baseline:
     Table 3 transition cycles and Table 4 privop cycles must match
-    {e exactly} (they are deterministic functions of simulator mechanics),
-    while wall time and GC pressure are only bounded within a generous
-    tolerance so the gate never flakes on a slow CI host. With
+    {e exactly} (they are deterministic functions of simulator mechanics).
+    Host allocation is gated separately by the allocation ledger
+    ({!ledger_checks}): serial words per [bench all] target, which are as
+    deterministic as the anchors, against the baseline's recorded words.
+    CPU time is only bounded within a generous tolerance ([wall]), so the
+    gate never flakes on a slow CI host. With
     [~fig9:true] the Fig. 9 overhead/rate columns are also compared at
     their reported precision (%.4f / %.2f).
 
@@ -66,35 +69,23 @@ val pp_mismatch_table : Format.formatter -> verdict -> unit
     (baseline value vs regenerated value), so one run shows the complete
     set of drifted anchors. Prints nothing when the verdict passes. *)
 
-val check_json :
-  ?fig9:bool ->
-  ?jobs:int ->
-  ?wall_tolerance:float ->
-  ?gc_tolerance:float ->
-  Json.t ->
-  verdict
+val schema : string
+(** ["erebor-bench-sim/2"]: the run-record schema [bench all] writes and
+    the gate requires of its baseline. *)
+
+val check_json : ?fig9:bool -> ?jobs:int -> ?wall_tolerance:float -> Json.t -> verdict
 (** Run the gate against an already-parsed baseline. [wall_tolerance]
-    (default 1.5) bounds the regeneration CPU time at that multiple of the
-    baseline's [total_wall_s]; [gc_tolerance] (default 0.5) bounds minor
-    and major allocation at that multiple of the baseline suite's
-    [gc.minor_words] / [gc.major_words]. The budgets cover (a fraction of)
-    a full suite while the gate regenerates only anchors, so they catch
-    order-of-magnitude regressions without noise. *)
+    (default 1.5) bounds the anchor regeneration's CPU time at that
+    multiple of the baseline's [total_wall_s] (check [wall]). *)
 
 val check_string :
-  ?fig9:bool ->
-  ?jobs:int ->
-  ?wall_tolerance:float ->
-  ?gc_tolerance:float ->
-  string ->
-  (verdict, string) result
+  ?fig9:bool -> ?jobs:int -> ?wall_tolerance:float -> string -> (verdict, string) result
 (** Parse [json] and run the gate; [Error] on malformed JSON. *)
 
 val check_file :
   ?fig9:bool ->
   ?jobs:int ->
   ?wall_tolerance:float ->
-  ?gc_tolerance:float ->
   path:string ->
   unit ->
   (verdict, string) result
@@ -113,6 +104,32 @@ val check_journal_file :
   journal:string -> path:string -> unit -> (verdict, string) result
 (** [check_journal] against the baseline JSON at [path] — the engine behind
     [bench check --from-journal FILE]. *)
+
+(** {2 The allocation ledger} *)
+
+type target_cost = {
+  target : string;  (** A [bench all] target name, as in the baseline. *)
+  wall_s : float;   (** Printed next to the words, never judged. *)
+  minor_words : float;
+  major_words : float;  (** Including [promoted_words], as in [Gc.stat]. *)
+  promoted_words : float;
+}
+(** One target's serial run, on the only domain allocating. *)
+
+val ledger_tolerance : float
+(** 0.02: the relative move either way that fails a target. *)
+
+val ledger_checks : profile:string -> Json.t -> target_cost list -> verdict
+(** [ledger_checks ~profile baseline costs]: [ledger/profile] (the baseline
+    was recorded under the build profile [profile]) and, per cost,
+    [ledger/TARGET.minor_words] and [ledger/TARGET.direct_major_words]
+    ([major_words - promoted_words]) against the baseline's [targets] row.
+    Both counts are exact functions of the code a target runs. Promoted
+    words are recorded but not judged: they move by a few percent with the
+    heap state a target starts from. A count more than {!ledger_tolerance}
+    above its baseline fails as a regression; one more than that below
+    fails with a re-baseline message, so the committed ledger cannot go
+    stale. *)
 
 val render_anchors : ?instrument:(Obs.Emitter.t -> unit) -> unit -> string
 (** A minimal baseline document (schema + exact Table 3 / Table 4 anchors)

@@ -719,6 +719,200 @@ let prop_guard_fuzz =
            (fun pfn -> Erebor.Mmu_guard.class_of guard pfn = Erebor.Mmu_guard.Monitor)
            (List.init 32 (fun i -> i)))
 
+(* The guard's per-frame tables against flat arrays: one class and one
+   mapped bit per frame, updated by the rules of [classify], [declassify],
+   [register_root] and the leaf store, on a machine whose frame count is
+   not a multiple of the 512-frame leaf. Frames 2-5 hold a fixed
+   four-level tree owned by sandbox 1; random ops target every other
+   frame, the edges of the leaves and RAM, and hostile pfns. *)
+module G = Erebor.Mmu_guard
+
+type guard_op =
+  | Classify of int * int  (* pfn, class choice *)
+  | Declassify of int
+  | Register_root of int
+  | Map of int * int  (* leaf slot, target pfn *)
+  | Unmap of int
+
+let guard_frames = 1300
+let chain = [ 2; 3; 4; 5 ]
+
+let prop_guard_tables_flat_model =
+  let gen_pfn =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, oneofl [ -1; 0; 1; 6; 511; 512; 513; 1023; 1024; guard_frames - 1;
+                       guard_frames; guard_frames + 1; max_int; min_int ]);
+          (2, int_range 6 (guard_frames - 1));
+        ])
+  in
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map2 (fun p c -> Classify (p, c)) gen_pfn (int_bound 4));
+          (2, map (fun p -> Declassify p) gen_pfn);
+          (1, map (fun p -> Register_root p) gen_pfn);
+          (4, map2 (fun slot p -> Map (slot, p)) (int_bound 7) gen_pfn);
+          (1, map (fun slot -> Unmap slot) (int_bound 7));
+        ])
+  in
+  QCheck.Test.make ~name:"guard frame tables agree with flat arrays" ~count:300
+    QCheck.(make Gen.(list_size (int_range 1 40) gen_op))
+    (fun ops ->
+      let mem = Hw.Phys_mem.create ~frames:guard_frames in
+      let cpu =
+        Hw.Cpu.create ~id:0 ~mem ~clock:(Hw.Cycles.clock ()) ~timer_period:1_000_000 ()
+      in
+      let backend = Erebor.Isolation.create Erebor.Isolation.Pks ~cpu in
+      let g = G.create ~mem ~cpu ~backend in
+      let common = G.common g ~instance:"model" in
+      let classes = Array.make guard_frames G.Free in
+      let mapped = Array.make guard_frames false in
+      let slots = Array.make 8 None in
+      let in_range p = p >= 0 && p < guard_frames in
+      let model_class p = if in_range p then classes.(p) else G.Free in
+      let set p c = if in_range p then classes.(p) <- c in
+      (* The tree: root 2 (sandbox 1), then one interior store per level. *)
+      ignore (G.register_root g ~root_pfn:2);
+      G.register_sandbox_root g ~root_pfn:2 ~sandbox:1;
+      List.iter
+        (fun (parent, child) ->
+          ignore
+            (G.write_pte g ~trusted:true ~pte_addr:(Hw.Phys_mem.addr_of_pfn parent)
+               (Hw.Pte.make ~pfn:child Hw.Pte.default_flags)))
+        [ (2, 3); (3, 4); (4, 5) ];
+      set 2 (G.Ptp { level = 0; root = 2; sandbox = 1 });
+      List.iteri (fun i p -> set p (G.Ptp { level = i + 1; root = 2; sandbox = -1 })) [ 3; 4; 5 ];
+      let choose = function
+        | 0 -> G.Monitor
+        | 1 -> G.Kernel_text
+        | 2 -> G.Confined { owner = 1 }
+        | 3 -> G.Confined { owner = 2 }
+        | _ -> G.Common common
+      in
+      let same a b = match (a, b) with G.Common x, G.Common y -> x == y | _ -> a = b in
+      let agree what a b = if a <> b then QCheck.Test.fail_reportf "%s disagrees" what in
+      List.iter
+        (function
+          | Classify (p, _) | Declassify p | Register_root p when List.mem p chain -> ()
+          | Classify (p, c) ->
+              let cls = choose c in
+              let expect =
+                match model_class p with
+                | G.Free ->
+                    set p cls;
+                    true
+                | G.Ptp _ | G.Monitor -> false
+                | cur -> same cur cls
+              in
+              agree "classify" (Result.is_ok (G.classify g ~pfn:p cls)) expect
+          | Declassify p ->
+              G.declassify g ~pfn:p;
+              set p G.Free;
+              if in_range p then mapped.(p) <- false
+          | Register_root p ->
+              let expect =
+                match model_class p with
+                | G.Free ->
+                    set p (G.Ptp { level = 0; root = p; sandbox = -1 });
+                    true
+                | G.Ptp { level = 0; _ } -> true
+                | _ -> false
+              in
+              agree "register_root" (Result.is_ok (G.register_root g ~root_pfn:p)) expect
+          | Map (slot, p) ->
+              (* A PTE cannot name a negative or 2^40-sized pfn; past-RAM
+                 targets stand in for them. *)
+              let p = if p < 0 || p >= 1 lsl 40 then guard_frames + 1 else p in
+              let pte = Hw.Pte.make ~pfn:p { Hw.Pte.default_flags with user = true } in
+              let target = Hw.Pte.pfn pte in
+              (* The old leaf's frame loses its mapping before the new
+                 store is judged, as the guard releases it. *)
+              (match slots.(slot) with
+              | Some old -> (
+                  match model_class old with G.Confined _ -> mapped.(old) <- false | _ -> ())
+              | None -> ());
+              let expect =
+                match model_class target with
+                | G.Confined { owner = 1 } when not mapped.(target) ->
+                    mapped.(target) <- true;
+                    true
+                | G.Confined _ | G.Monitor | G.Free -> false
+                | G.Ptp _ | G.Kernel_text | G.Common _ -> true
+              in
+              if expect then slots.(slot) <- Some target;
+              agree "leaf store"
+                (Result.is_ok
+                   (G.write_pte g ~trusted:false
+                      ~pte_addr:(Hw.Phys_mem.addr_of_pfn 5 + (8 * slot)) pte))
+                expect
+          | Unmap slot ->
+              (match slots.(slot) with
+              | Some old -> (
+                  match model_class old with G.Confined _ -> mapped.(old) <- false | _ -> ())
+              | None -> ());
+              slots.(slot) <- None;
+              agree "leaf clear"
+                (Result.is_ok
+                   (G.write_pte g ~trusted:false
+                      ~pte_addr:(Hw.Phys_mem.addr_of_pfn 5 + (8 * slot)) 0L))
+                true)
+        ops;
+      let probes = List.init guard_frames Fun.id @ [ -1; guard_frames; guard_frames + 1; max_int; min_int ] in
+      List.iter
+        (fun p ->
+          if not (same (G.class_of g p) (model_class p)) then
+            QCheck.Test.fail_reportf "class_of %d disagrees" p;
+          agree (Printf.sprintf "is_confined_mapped %d" p) (G.is_confined_mapped g ~pfn:p)
+            (in_range p && mapped.(p)))
+        probes;
+      agree "ptp_count" (G.ptp_count g)
+        (Array.fold_left (fun n c -> match c with G.Ptp _ -> n + 1 | _ -> n) 0 classes);
+      true)
+
+(* The Fig. 5 listing has no data-dependent branch, so it retires the
+   count [Gate.create] took whatever the interpreter's registers, scratch
+   memory and call stack hold when it starts. A random program run first
+   leaves arbitrary values in all three (calls push return slots); a
+   listing whose path depended on any of them would retire another count
+   on some of these states. *)
+let prop_gate_retires_constant =
+  let reg = QCheck.Gen.map (fun i -> Option.get (Hw.Isa.reg_of_code i)) (QCheck.Gen.int_bound 7) in
+  let gen_instr =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun r v -> Hw.Isa.Mov_imm (r, v)) reg (int_bound (Hw.Isa.imm_range - 1)));
+          (2, map2 (fun a b -> Hw.Isa.Add (a, b)) reg reg);
+          (3, map2 (fun a b -> Hw.Isa.Store (a, b)) reg reg);
+          (1, map2 (fun a b -> Hw.Isa.Load (a, b)) reg reg);
+          (1, map (fun k -> Hw.Isa.Call k) (int_range 1 3));
+          (1, map (fun k -> Hw.Isa.Jmp k) (int_range 1 3));
+        ])
+  in
+  let cpu =
+    Hw.Cpu.create ~id:0 ~mem:(Hw.Phys_mem.create ~frames:16) ~clock:(Hw.Cycles.clock ())
+      ~timer_period:1_000_000 ()
+  in
+  let gate =
+    Erebor.Gate.create ~cpu ~code_base:0x1000
+      ~backend:(Erebor.Isolation.create Erebor.Isolation.Pks ~cpu) ()
+  in
+  let listing = Result.get_ok (Hw.Icode.of_bytes (Erebor.Gate.code_bytes gate)) in
+  QCheck.Test.make ~name:"gate listing retires a constant count" ~count:500
+    QCheck.(make Gen.(list_size (int_range 1 40) gen_instr))
+    (fun setup ->
+      let st = Hw.Icode.make_state () in
+      let prog = Result.get_ok (Hw.Icode.decode (Hw.Isa.assemble setup)) in
+      ignore (Hw.Icode.run prog st ~entry:0 ~fuel:256);
+      let retired = Hw.Icode.run listing st ~entry:0 ~fuel:64 in
+      if retired <> Erebor.Gate.retires gate then
+        QCheck.Test.fail_reportf "listing retired %d, create took %d" retired
+          (Erebor.Gate.retires gate);
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Secure channel (C5)                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -1023,6 +1217,7 @@ let () =
           Alcotest.test_case "exception safety" `Quick test_gate_pkrs_restored_on_exception;
           Alcotest.test_case "interrupt gate" `Quick test_gate_interrupt_revokes;
           Alcotest.test_case "emc cost" `Quick test_gate_emc_cost;
+          QCheck_alcotest.to_alcotest prop_gate_retires_constant;
         ] );
       ( "mmu/privops (C2-C4)",
         [
@@ -1061,6 +1256,7 @@ let () =
           Alcotest.test_case "smap blocks kernel" `Quick test_kernel_smap_blocks_sandbox_read;
           Alcotest.test_case "terminate scrubs" `Quick test_sandbox_terminate_scrubs;
           QCheck_alcotest.to_alcotest prop_guard_fuzz;
+          QCheck_alcotest.to_alcotest prop_guard_tables_flat_model;
         ] );
       ( "channel (C5)",
         [

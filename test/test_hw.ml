@@ -1266,6 +1266,260 @@ let test_cycles_clock () =
 
 let qt = QCheck_alcotest.to_alcotest
 
+(* ------------------------------------------------------------------ *)
+(* Frame tables against the flat arrays they replaced                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The flat reference: [Phys_mem] as it was with one slot per frame, the
+   same loops and the same bounds rules, so every partial effect of a
+   transfer that runs out of range matches too. The one intended
+   difference is [page_is_backed], which raised on a pfn outside
+   [valid_pfn] and now reads [false]. *)
+module Flat_mem = struct
+  type t = { frames : int; pages : bytes array; mutable backed : int }
+
+  let create frames = { frames; pages = Array.make frames Bytes.empty; backed = 0 }
+
+  let check t addr =
+    if addr < 0 || addr lsr 12 >= t.frames then invalid_arg "Flat_mem: out of range"
+
+  let backing t pfn =
+    let b = t.pages.(pfn) in
+    if Bytes.length b <> 0 then b
+    else begin
+      let b = Bytes.make 4096 '\000' in
+      t.pages.(pfn) <- b;
+      t.backed <- t.backed + 1;
+      b
+    end
+
+  let read_u64 t addr =
+    check t addr;
+    if addr land 4095 > 4088 then invalid_arg "Flat_mem: crosses page";
+    let b = t.pages.(addr lsr 12) in
+    if Bytes.length b = 0 then 0L else Bytes.get_int64_le b (addr land 4095)
+
+  let write_u64 t addr v =
+    check t addr;
+    if addr land 4095 > 4088 then invalid_arg "Flat_mem: crosses page";
+    Bytes.set_int64_le (backing t (addr lsr 12)) (addr land 4095) v
+
+  let blit_to t addr dst ~off ~len =
+    if len < 0 || off < 0 || off + len > Bytes.length dst then invalid_arg "Flat_mem: slice";
+    let copied = ref 0 in
+    while !copied < len do
+      let a = addr + !copied in
+      check t a;
+      let poff = a land 4095 in
+      let chunk = min (4096 - poff) (len - !copied) in
+      let b = t.pages.(a lsr 12) in
+      if Bytes.length b = 0 then Bytes.fill dst (off + !copied) chunk '\000'
+      else Bytes.blit b poff dst (off + !copied) chunk;
+      copied := !copied + chunk
+    done
+
+  let blit_from t addr src ~off ~len =
+    if len < 0 || off < 0 || off + len > Bytes.length src then invalid_arg "Flat_mem: slice";
+    let copied = ref 0 in
+    while !copied < len do
+      let a = addr + !copied in
+      check t a;
+      let poff = a land 4095 in
+      let chunk = min (4096 - poff) (len - !copied) in
+      Bytes.blit src (off + !copied) (backing t (a lsr 12)) poff chunk;
+      copied := !copied + chunk
+    done
+
+  let copy t ~src ~dst ~len =
+    if len < 0 then invalid_arg "Flat_mem: negative length";
+    let copied = ref 0 in
+    while !copied < len do
+      let sa = src + !copied and da = dst + !copied in
+      check t sa;
+      check t da;
+      let chunk = min (min (4096 - (sa land 4095)) (4096 - (da land 4095))) (len - !copied) in
+      let sb = t.pages.(sa lsr 12) in
+      (if Bytes.length sb = 0 then begin
+         let db = t.pages.(da lsr 12) in
+         if Bytes.length db <> 0 then Bytes.fill db (da land 4095) chunk '\000'
+       end
+       else Bytes.blit sb (sa land 4095) (backing t (da lsr 12)) (da land 4095) chunk);
+      copied := !copied + chunk
+    done
+
+  let zero_page t pfn =
+    if pfn < 0 || pfn >= t.frames then invalid_arg "Flat_mem: bad pfn";
+    let b = t.pages.(pfn) in
+    if Bytes.length b <> 0 then Bytes.fill b 0 4096 '\000'
+
+  let page_is_backed t pfn = pfn >= 0 && pfn < t.frames && Bytes.length t.pages.(pfn) <> 0
+end
+
+(* Not a multiple of 512: the last leaf is partly past the end of RAM. *)
+let model_frames = 1300
+
+(* The pfns where the two-level rule could go wrong: both ends of a leaf,
+   both ends of RAM, just past it, and the hostile extremes. *)
+let edge_pfns =
+  [ -1; 0; 1; 511; 512; 513; 1023; 1024; model_frames - 1; model_frames;
+    model_frames + 1; max_int; min_int ]
+
+let gen_pfn =
+  QCheck.Gen.(
+    frequency [ (3, oneofl edge_pfns); (2, int_range 0 (model_frames - 1)) ])
+
+let gen_addr =
+  QCheck.Gen.(
+    map2
+      (fun pfn off -> (pfn lsl 12) + off)
+      gen_pfn
+      (frequency [ (2, oneofl [ 0; 8; 4088; 4092; 4095 ]); (1, map (fun w -> 8 * w) (int_bound 511)) ]))
+
+type mem_op =
+  | Write_u64 of int * int64
+  | Read_u64 of int
+  | Blit_from of int * int
+  | Blit_to of int * int
+  | Copy of int * int * int
+  | Zero_page of int
+  | Page_is_backed of int
+
+let gen_mem_op =
+  let open QCheck.Gen in
+  let len = frequency [ (2, int_bound 64); (1, int_range 4000 9000) ] in
+  frequency
+    [
+      (4, map2 (fun a v -> Write_u64 (a, v)) gen_addr (map Int64.of_int int));
+      (3, map (fun a -> Read_u64 a) gen_addr);
+      (2, map2 (fun a n -> Blit_from (a, n)) gen_addr len);
+      (2, map2 (fun a n -> Blit_to (a, n)) gen_addr len);
+      (2, map3 (fun s d n -> Copy (s, d, n)) gen_addr gen_addr len);
+      (1, map (fun p -> Zero_page p) gen_pfn);
+      (2, map (fun p -> Page_is_backed p) gen_pfn);
+    ]
+
+let show_mem_op = function
+  | Write_u64 (a, v) -> Printf.sprintf "write_u64 0x%x %Ld" a v
+  | Read_u64 a -> Printf.sprintf "read_u64 0x%x" a
+  | Blit_from (a, n) -> Printf.sprintf "blit_from 0x%x %d" a n
+  | Blit_to (a, n) -> Printf.sprintf "blit_to 0x%x %d" a n
+  | Copy (s, d, n) -> Printf.sprintf "copy 0x%x -> 0x%x %d" s d n
+  | Zero_page p -> Printf.sprintf "zero_page %d" p
+  | Page_is_backed p -> Printf.sprintf "page_is_backed %d" p
+
+(* An operation's observable outcome: its result, or the fact that it
+   raised [Invalid_argument]. Any other exception escapes and fails. *)
+let outcome f = match f () with v -> Ok v | exception Invalid_argument _ -> Error ()
+
+let prop_phys_mem_flat_model =
+  QCheck.Test.make ~name:"phys_mem frame table agrees with the flat array" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
+       QCheck.Gen.(list_size (int_range 1 30) gen_mem_op))
+    (fun ops ->
+      let mem = Phys_mem.create ~frames:model_frames in
+      let flat = Flat_mem.create model_frames in
+      let pattern n = Bytes.init n (fun i -> Char.chr ((i * 31 + n) land 0xff)) in
+      let agree name a b =
+        if a <> b then QCheck.Test.fail_reportf "%s: frame table and flat array disagree" name
+      in
+      List.iter
+        (fun op ->
+          let name = show_mem_op op in
+          match op with
+          | Write_u64 (a, v) ->
+              agree name
+                (outcome (fun () -> Phys_mem.write_u64 mem a v))
+                (outcome (fun () -> Flat_mem.write_u64 flat a v))
+          | Read_u64 a ->
+              agree name
+                (outcome (fun () -> Phys_mem.read_u64 mem a))
+                (outcome (fun () -> Flat_mem.read_u64 flat a))
+          | Blit_from (a, n) ->
+              let src = pattern n in
+              agree name
+                (outcome (fun () -> Phys_mem.blit_from mem a src ~off:0 ~len:n))
+                (outcome (fun () -> Flat_mem.blit_from flat a src ~off:0 ~len:n))
+          | Blit_to (a, n) ->
+              let d1 = Bytes.make n 'x' and d2 = Bytes.make n 'x' in
+              agree name
+                (outcome (fun () -> Phys_mem.blit_to mem a d1 ~off:0 ~len:n))
+                (outcome (fun () -> Flat_mem.blit_to flat a d2 ~off:0 ~len:n));
+              agree (name ^ " (bytes)") d1 d2
+          | Copy (s, d, n) ->
+              agree name
+                (outcome (fun () -> Phys_mem.copy mem ~src:s ~dst:d ~len:n))
+                (outcome (fun () -> Flat_mem.copy flat ~src:s ~dst:d ~len:n))
+          | Zero_page p ->
+              agree name
+                (outcome (fun () -> Phys_mem.zero_page mem p))
+                (outcome (fun () -> Flat_mem.zero_page flat p))
+          | Page_is_backed p ->
+              agree name
+                (outcome (fun () -> Phys_mem.page_is_backed mem p))
+                (Ok (Flat_mem.page_is_backed flat p)))
+        ops;
+      agree "backed_count" (Phys_mem.backed_count mem) flat.Flat_mem.backed;
+      for pfn = 0 to model_frames - 1 do
+        agree (Printf.sprintf "page_is_backed %d" pfn)
+          (Phys_mem.page_is_backed mem pfn) (Flat_mem.page_is_backed flat pfn);
+        if Flat_mem.page_is_backed flat pfn then
+          agree (Printf.sprintf "contents of %d" pfn)
+            (Phys_mem.read_bytes mem (pfn lsl 12) 4096)
+            flat.Flat_mem.pages.(pfn)
+      done;
+      true)
+
+(* TME-MK key tags against a flat array: [tag] raises outside the frames
+   (or for a keyid past the PTE field), [untag] and [tag_of] read
+   out-of-range frames as untagged. *)
+let prop_tme_flat_model =
+  QCheck.Test.make ~name:"tme tag table agrees with the flat array" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          list_size (int_range 1 40)
+            (pair (int_bound 2) (pair gen_pfn (oneofl [ 0; 1; 5; (1 lsl Pte.keyid_bits) - 1; 1 lsl Pte.keyid_bits ])))))
+    (fun ops ->
+      let tme = Tme.create ~frames:model_frames in
+      let flat = Array.make model_frames 0 in
+      let in_range pfn = pfn >= 0 && pfn < model_frames in
+      let ok =
+        List.for_all
+          (fun (kind, (pfn, keyid)) ->
+            match kind with
+            | 0 ->
+                let expect =
+                  if keyid < 0 || keyid >= 1 lsl Pte.keyid_bits || not (in_range pfn) then
+                    Error ()
+                  else begin
+                    flat.(pfn) <- keyid;
+                    Ok ()
+                  end
+                in
+                outcome (fun () -> Tme.tag tme ~pfn keyid) = expect
+            | 1 ->
+                if in_range pfn then flat.(pfn) <- 0;
+                outcome (fun () -> Tme.untag tme ~pfn) = Ok ()
+            | _ -> Tme.tag_of tme ~pfn = if in_range pfn then flat.(pfn) else 0)
+          ops
+      in
+      ok && List.for_all (fun pfn -> Tme.tag_of tme ~pfn = flat.(pfn))
+              (List.init model_frames Fun.id))
+
+(* A hostile or out-of-range pfn is simply not backed: no frame there was
+   ever written. (The flat version raised [Invalid_argument "index out of
+   bounds"] from its array access.) *)
+let test_page_is_backed_out_of_range () =
+  let mem = Phys_mem.create ~frames:model_frames in
+  Phys_mem.write_u64 mem ((model_frames - 1) lsl 12) 1L;
+  List.iter
+    (fun pfn ->
+      Alcotest.(check bool) (Printf.sprintf "pfn %d" pfn) false (Phys_mem.page_is_backed mem pfn))
+    [ -1; min_int; model_frames; model_frames + 1; 1 lsl 40; max_int ];
+  Alcotest.(check bool) "last frame backed" true
+    (Phys_mem.page_is_backed mem (model_frames - 1))
+
 let () =
   Alcotest.run "hw"
     [
@@ -1276,6 +1530,10 @@ let () =
           Alcotest.test_case "bounds" `Quick test_phys_mem_bounds;
           Alcotest.test_case "zero page" `Quick test_phys_mem_zero;
           Alcotest.test_case "blit windows" `Quick test_phys_mem_blit;
+          Alcotest.test_case "page_is_backed out of range" `Quick
+            test_page_is_backed_out_of_range;
+          qt prop_phys_mem_flat_model;
+          qt prop_tme_flat_model;
         ] );
       ( "pte",
         [ Alcotest.test_case "roundtrip" `Quick test_pte_roundtrip; qt prop_pte_flags ] );

@@ -241,6 +241,34 @@ let test_parallel_matches_sequential () =
         (String.equal s_trace p_trace))
     settings
 
+(* ------------------------------------------------------------------ *)
+(* Assembly cost                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Major words one [Machine.create] allocates, read exactly from this
+   domain's counters (promotions included). A first machine is built and
+   dropped before measuring, so one-off module state is not counted. *)
+let assembly_major_words ?frames () =
+  let create () = Sim.Machine.create ?frames ~setting:Sim.Config.Erebor_full () in
+  ignore (Sys.opaque_identity (create ()));
+  Gc.full_major ();
+  let _, _, before = Gc.counters () in
+  ignore (Sys.opaque_identity (create ()));
+  let _, _, after = Gc.counters () in
+  after -. before
+
+(* Per-frame state (backing pages, guard classes, frame allocators) is
+   paid for by the frames a machine touches, not by its RAM: the default
+   1 GiB machine stays far under the 600k+ words of one flat slot per
+   frame, and four times the RAM costs almost nothing more. *)
+let test_assembly_cost_independent_of_ram () =
+  let base = assembly_major_words () in
+  let big = assembly_major_words ~frames:(4 * 262144) () in
+  if base > 150_000.0 then
+    Alcotest.failf "Machine.create allocates %.0f major words (bound 150000)" base;
+  if big > 1.05 *. base then
+    Alcotest.failf "4x the frames: %.0f major words vs %.0f (bound +5%%)" big base
+
 let () =
   Alcotest.run "sim"
     [
@@ -256,6 +284,8 @@ let () =
           Alcotest.test_case "cold faults sustain" `Quick test_cold_fault_sustains_pf;
           Alcotest.test_case "init overhead" `Quick test_init_overhead_positive_under_emc;
           Alcotest.test_case "common shared" `Quick test_common_shared_across_runs;
+          Alcotest.test_case "assembly cost independent of RAM" `Quick
+            test_assembly_cost_independent_of_ram;
         ] );
       ("stats", [ Alcotest.test_case "diff/rates" `Quick test_stats_diff ]);
       ( "runner",

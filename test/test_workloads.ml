@@ -407,7 +407,7 @@ let test_bench_gate_pass () =
         + 1 (* backend/default *)
         + List.length (Workloads.Eval.table3 ()) (* backend/table3-pks/* *)
         + List.length (Workloads.Eval.table4 ()) (* backend/table4-pks/* *)
-        + 3 (* wall + gc-minor + gc-major, vacuous without baseline fields *))
+        + 1 (* wall, vacuous without a baseline wall time *))
         (List.length verdict)
 
 let replace_first ~sub ~by s =
@@ -438,7 +438,7 @@ let test_bench_gate_seeded_failure () =
       | fs -> Alcotest.failf "expected exactly 1 failure, got %d" (List.length fs));
       (* Dropping a row entirely trips the coverage check instead. *)
       let missing_row =
-        match Workloads.Bench_gate.check_string "{\"schema\": \"erebor-bench-sim/1\", \"table3\": [], \"table4\": []}" with
+        match Workloads.Bench_gate.check_string "{\"schema\": \"erebor-bench-sim/2\", \"table3\": [], \"table4\": []}" with
         | Ok v -> v
         | Error e -> Alcotest.failf "gate errored: %s" e
       in
