@@ -575,9 +575,8 @@ let print_attrib () =
 
 let print_icode () =
   header "Decoded-instruction cache: threaded dispatch vs per-step Isa.decode";
-  (* The workload is the monitor's own gate listing — the exact sequence
-     every EMC round trip retires — so the speedup shown here is the one
-     that makes per-EMC gate execution affordable. *)
+  (* The workload is the monitor's own gate listing, the sequence
+     [Gate.create] runs once as its self-check. *)
   let cpu =
     Hw.Cpu.create ~id:0
       ~mem:(Hw.Phys_mem.create ~frames:16)
@@ -705,6 +704,35 @@ let ledger_gate ~baseline ~smoke =
       match G.Json.parse text with
       | Error e -> [ G.chk "ledger" false ("baseline JSON: " ^ e) ]
       | Ok json -> G.ledger_checks ~profile:Build_profile.name json costs)
+
+(* [ledger-diff A B]: two [bench all --jobs 1] records through the gate's
+   own ledger rule, B judged against A. Exits 1 if a row fails, like
+   [check]; the last line counts the word counts that moved at all. *)
+let run_ledger_diff p =
+  let module G = Workloads.Bench_gate in
+  let read path =
+    match In_channel.with_open_bin path In_channel.input_all with
+    | exception Sys_error e -> C.fail p e
+    | text -> (
+        match G.Json.parse text with
+        | Ok json -> json
+        | Error e -> C.fail p (path ^ ": " ^ e))
+  in
+  match C.pos p with
+  | [ a; b ] ->
+      let v = G.ledger_diff (read a) (read b) in
+      Format.printf "%a" G.pp_verdict v;
+      Format.printf "%a" G.pp_mismatch_table v;
+      let moved =
+        List.filter
+          (fun (c : G.check) -> c.name <> "ledger/profile" && c.old_value <> c.new_value)
+          v
+      in
+      Printf.printf "ledger: %d of %d checks moved, %d failed\n" (List.length moved)
+        (List.length v)
+        (List.length (G.failures v));
+      if not (G.pass v) then exit 1
+  | _ -> C.fail p "two records expected: A.json B.json"
 
 (* ------------------------------------------------------------------ *)
 (* Regression gate against the committed BENCH_sim.json                *)
@@ -987,6 +1015,9 @@ let () =
         (fun p ->
           run_check ~baseline:(baseline_of p) ~full:(C.has p full_flag)
             ~from_journal:(C.str p from_journal_flag) ());
+      C.cmd ~name:"ledger-diff"
+        ~doc:"Judge record B's allocation ledger against record A's (A.json B.json)"
+        run_ledger_diff;
       target "bechamel" "Wall-clock microbenchmarks of the simulator"
         (fun _ -> run_bechamel ());
     ]

@@ -22,9 +22,7 @@ type t = {
   cpu : Hw.Cpu.t;
   code_base : int;
   code : bytes;
-  icode : Hw.Icode.program;     (* [code], decoded once at create *)
-  istate : Hw.Icode.state;
-  gate_retires : int;           (* instructions one round trip retires *)
+  gate_retires : int;           (* instructions the listing retired at create *)
   backend : Isolation.t;
   granted : int;                (* the backend's constant grant, read once *)
   shadow : Hw.Cet.shadow_stack;
@@ -36,18 +34,20 @@ type t = {
 
 let create ~cpu ~code_base ~backend () =
   let code = Hw.Isa.assemble gate_listing in
-  (* Decode the gate listing once into the instruction cache ([of_bytes]
-     is content-keyed, so every gate in a multi-machine sweep shares one
-     decoded program). Each EMC round trip then *executes* the Fig. 5
-     entry/exit sequence through it — affordable only because the warm
-     path is a jump-table walk over preallocated ints. *)
+  (* Self-check, once: the measured listing must decode and retire every
+     instruction through the instruction cache ([of_bytes] is content-keyed,
+     so every gate in a multi-machine sweep shares one decoded program).
+     The listing has no data-dependent branch, so the count cannot differ
+     on a later run; the integrity that matters is that of the bytes in
+     monitor memory, which [Monitor.gate_intact] compares. *)
   let icode =
     match Hw.Icode.of_bytes code with
     | Ok p -> p
     | Error off -> Fmt.failwith "Gate.create: undecodable listing at +%d" off
   in
-  let istate = Hw.Icode.make_state () in
-  let gate_retires = Hw.Icode.run icode istate ~entry:0 ~fuel:64 in
+  let gate_retires =
+    Hw.Icode.run icode (Hw.Icode.make_state ()) ~entry:0 ~fuel:64
+  in
   if gate_retires <> List.length gate_listing then
     Fmt.failwith "Gate.create: listing retires %d of %d instructions"
       gate_retires
@@ -56,8 +56,6 @@ let create ~cpu ~code_base ~backend () =
     cpu;
     code_base;
     code;
-    icode;
-    istate;
     gate_retires;
     backend;
     granted = Isolation.granted_value backend;
@@ -74,6 +72,15 @@ let entry_point t = t.code_base
 let code_bytes t = Bytes.copy t.code
 let retires t = t.gate_retires
 
+(* Byte-for-byte comparison in place: no staging copy, no clock charge,
+   and no closure (the loop takes its operands as arguments). *)
+let rec bytes_match code mem paddr i =
+  i >= Bytes.length code
+  || Hw.Phys_mem.read_u8 mem (paddr + i) = Char.code (Bytes.get code i)
+     && bytes_match code mem paddr (i + 1)
+
+let matches t mem ~paddr = bytes_match t.code mem paddr 0
+
 let endbr_at t addr = addr = t.code_base
 
 (* Read/grant/revoke the privilege state the backend uses. The saved value
@@ -87,40 +94,27 @@ let revoked_value t = Isolation.revoked_value t.backend
 let gate_span_begin = Obs.Trace.span_begin Obs.Trace.Emc_gate
 let gate_span_end = Obs.Trace.span_end Obs.Trace.Emc_gate
 
-(* Each round trip retires the gate's entry/exit instruction sequence
-   through the warm decoded program: simulated fetch/execute only — no
-   clock movement (the emc_roundtrip charge already models the gate's
-   latency) and no allocation. A short retire means the code executing at
-   the gate no longer matches the measured listing. *)
-let retire_gate t =
-  if Hw.Icode.run t.icode t.istate ~entry:0 ~fuel:64 <> t.gate_retires then
-    Hw.Fault.raise_fault
-      (Hw.Fault.Control_protection "gate: entry sequence diverged")
-
-let enter t ~target f =
-  if t.depth > 0 then f () (* already in monitor context *)
+(* One EMC round trip through the entry gate with a one-argument service
+   body: the body receives its operand directly instead of closing over
+   it, so the hottest privops (write_pte above all) cross the gate without
+   building a per-call closure, and [enter] is this bracket behind its IBT
+   check. The exit sequence is written out in both arms (here and in
+   [call2]) rather than shared through a [finish] closure: the closure
+   would capture [caller_grant] and [t0] and put one heap block on every
+   EMC round trip. *)
+let call1 t f a =
+  if t.depth > 0 then f a (* already in monitor context *)
   else begin
-    (* Inline IBT check (Hw.Cet.check_branch without the closure/result
-       allocations): the gate entry is the only valid endbr64 target. *)
-    (if Hw.Msr.s_cet_bits t.cpu.Hw.Cpu.msr land 4 <> 0 && target <> t.code_base
-     then
-       Hw.Fault.raise_fault
-         (Hw.Fault.Control_protection
-            (Printf.sprintf "indirect branch to 0x%x: no endbr64" target)));
     let t0 = Hw.Cycles.now t.cpu.Hw.Cpu.clock in
     (* The gate span covers the whole round trip; service-body spans nest
        inside it, so attribution splits gate overhead from service work. *)
     Obs.Emitter.emit t.cpu.Hw.Cpu.obs gate_span_begin ~ts:t0 ~arg:0;
     Hw.Cycles.advance t.cpu.Hw.Cpu.clock Hw.Cycles.Cost.emc_roundtrip;
     t.emc_count <- t.emc_count + 1;
-    retire_gate t;
     let caller_grant = read_grant t in
     load_grant t t.granted;
     t.depth <- 1;
-    (* The exit sequence is written out in both arms rather than shared
-       through a [finish] closure: the closure would capture [caller_grant]
-       and [t0] and put one heap block on every EMC round trip. *)
-    match f () with
+    match f a with
     | v ->
         t.depth <- 0;
         load_grant t caller_grant;
@@ -141,44 +135,6 @@ let enter t ~target f =
         raise e
   end
 
-let call t f = enter t ~target:t.code_base f
-
-(* Arity-specialized gate entries: the service body receives its operands
-   directly instead of closing over them, so the hottest privops (write_pte
-   above all) cross the gate without building a per-call closure. The
-   target is the entry gate itself, so the IBT check in [enter] would never
-   fire and is elided; everything else mirrors [enter] exactly, with both
-   exit arms written out for the same no-allocation reason. *)
-let call1 t f a =
-  if t.depth > 0 then f a
-  else begin
-    let t0 = Hw.Cycles.now t.cpu.Hw.Cpu.clock in
-    Obs.Emitter.emit t.cpu.Hw.Cpu.obs gate_span_begin ~ts:t0 ~arg:0;
-    Hw.Cycles.advance t.cpu.Hw.Cpu.clock Hw.Cycles.Cost.emc_roundtrip;
-    t.emc_count <- t.emc_count + 1;
-    retire_gate t;
-    let caller_grant = read_grant t in
-    load_grant t t.granted;
-    t.depth <- 1;
-    match f a with
-    | v ->
-        t.depth <- 0;
-        load_grant t caller_grant;
-        let now = Hw.Cycles.now t.cpu.Hw.Cpu.clock in
-        Obs.Emitter.emit t.cpu.Hw.Cpu.obs gate_span_end ~ts:now ~arg:0;
-        Obs.Emitter.emit t.cpu.Hw.Cpu.obs Obs.Trace.Emc_entry ~ts:t0
-          ~arg:(now - t0);
-        v
-    | exception e ->
-        t.depth <- 0;
-        load_grant t caller_grant;
-        let now = Hw.Cycles.now t.cpu.Hw.Cpu.clock in
-        Obs.Emitter.emit t.cpu.Hw.Cpu.obs gate_span_end ~ts:now ~arg:0;
-        Obs.Emitter.emit t.cpu.Hw.Cpu.obs Obs.Trace.Emc_entry ~ts:t0
-          ~arg:(now - t0);
-        raise e
-  end
-
 let call2 t f a b =
   if t.depth > 0 then f a b
   else begin
@@ -186,7 +142,6 @@ let call2 t f a b =
     Obs.Emitter.emit t.cpu.Hw.Cpu.obs gate_span_begin ~ts:t0 ~arg:0;
     Hw.Cycles.advance t.cpu.Hw.Cpu.clock Hw.Cycles.Cost.emc_roundtrip;
     t.emc_count <- t.emc_count + 1;
-    retire_gate t;
     let caller_grant = read_grant t in
     load_grant t t.granted;
     t.depth <- 1;
@@ -208,6 +163,21 @@ let call2 t f a b =
           ~arg:(now - t0);
         raise e
   end
+
+let enter t ~target f =
+  if t.depth > 0 then f () (* already in monitor context *)
+  else begin
+    (* Inline IBT check (Hw.Cet.check_branch without the closure/result
+       allocations): the gate entry is the only valid endbr64 target. *)
+    if Hw.Msr.s_cet_bits t.cpu.Hw.Cpu.msr land 4 <> 0 && target <> t.code_base
+    then
+      Hw.Fault.raise_fault
+        (Hw.Fault.Control_protection
+           (Printf.sprintf "indirect branch to 0x%x: no endbr64" target));
+    call1 t f ()
+  end
+
+let call t f = enter t ~target:t.code_base f
 
 let interrupt_during_emc t f =
   if t.depth = 0 then f ()

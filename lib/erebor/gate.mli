@@ -15,19 +15,28 @@
 type t
 
 val create : cpu:Hw.Cpu.t -> code_base:int -> backend:Isolation.t -> unit -> t
-(** Lay the monitor's gate code at [code_base]; the single endbr64 sits at
-    the entry gate, offset 0. [backend] supplies the grant protocol. *)
+(** Assemble the monitor's gate code for [code_base]; the single endbr64
+    sits at the entry gate, offset 0. [backend] supplies the grant
+    protocol. The listing is run once through {!Hw.Icode} as a self-check
+    (it must decode and retire every instruction; [Failure] otherwise); no
+    EMC round trip runs it again. {!Monitor.install} writes the bytes into
+    the monitor frame behind [code_base]. *)
 
 val backend : t -> Isolation.t
 
 val entry_point : t -> int
 val code_bytes : t -> bytes
-(** The assembled gate code (one endbr64 at offset 0, none elsewhere) —
-    measured into MRTD by stage-one boot. *)
+(** A copy of the assembled gate code (one endbr64 at offset 0, none
+    elsewhere) — measured into MRTD by stage-one boot and written into
+    monitor memory at the same time. *)
+
+val matches : t -> Hw.Phys_mem.t -> paddr:int -> bool
+(** Whether the bytes at [paddr] equal {!code_bytes}. Compares in place:
+    no allocation and no virtual cycles. *)
 
 val retires : t -> int
 (** The instructions {!code_bytes} retired when [create] ran it through
-    {!Hw.Icode}: the count every EMC round trip checks. *)
+    {!Hw.Icode}: the listing's full length, or [create] would have failed. *)
 
 val endbr_at : t -> int -> bool
 (** The IBT predicate for monitor code: true only at {!entry_point}. *)

@@ -52,13 +52,22 @@ let emc_stats t =
 let emc_total t = Gate.emc_count t.gate
 let cpuid_cache_hits t = t.cache_hits
 
+(* The gate code lives in monitor frame 1 (physical 0x1000), reached
+   through the direct map like the rest of the monitor image. *)
+let gate_paddr = 0x1000
+
+let gate_intact t = Gate.matches t.gate t.mem ~paddr:gate_paddr
+
 let install ?(backend = Isolation.Pks) ~cpu ~mem ~td ~firmware ~monitor_frames
     ~device_shared_frames () =
   let backend = Isolation.create backend ~cpu in
-  let gate = Gate.create ~cpu ~code_base:(Kernel.Layout.direct_map 0x1000) ~backend () in
+  let gate =
+    Gate.create ~cpu ~code_base:(Kernel.Layout.direct_map gate_paddr) ~backend ()
+  in
+  let gate_code = Gate.code_bytes gate in
   (* Stage one: only the firmware and the monitor binary are measured. *)
   Tdx.Td_module.measure_initial td firmware;
-  Tdx.Td_module.measure_initial td (Gate.code_bytes gate);
+  Tdx.Td_module.measure_initial td gate_code;
   let t =
     {
       cpu;
@@ -86,6 +95,12 @@ let install ?(backend = Isolation.Pks) ~cpu ~mem ~td ~firmware ~monitor_frames
     | Ok () -> ()
     | Error e -> failwith ("Monitor.install: " ^ e)
   done;
+  (* The measured listing goes where the monitor lives, so what MRTD
+     attests is what sits behind the entry point. *)
+  if gate_paddr + Bytes.length gate_code > Hw.Phys_mem.addr_of_pfn monitor_frames
+  then failwith "Monitor.install: gate code outside monitor memory";
+  Hw.Phys_mem.write_bytes mem gate_paddr gate_code;
+  if not (gate_intact t) then failwith "Monitor.install: gate code not in place";
   (* Enable the hardware features the backend rests on: PKS programs CR4
      plus the normal-mode PKRS, WP nothing extra (CR0.WP is pinned below),
      TME-MK attaches its key engine to the walker. *)
@@ -475,6 +490,11 @@ let boot_kernel t ~kernel_image ~reserved_frames ~cma_frames =
       end
 
 let tdreport t ~report_data =
+  (* A report vouches for the measured gate, so a gate whose bytes in
+     monitor memory no longer match it is refused before anything is
+     minted. *)
+  if not (gate_intact t) then
+    fail t ~category:"attest" "tdreport: gate code differs from the measured listing";
   match
     Gate.call t.gate (fun () ->
         spanned t Obs.Trace.Svc_ghci (fun () ->

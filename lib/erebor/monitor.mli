@@ -24,7 +24,9 @@ val install :
   unit ->
   t
 (** Stage-one boot: measure the firmware and the monitor binary into MRTD,
-    claim the bottom [monitor_frames] frames as monitor memory, designate
+    claim the bottom [monitor_frames] frames as monitor memory, write the
+    measured gate code into monitor frame 1 (physical 0x1000, behind
+    {!Gate.entry_point}) and check it with {!gate_intact}, designate
     the next [device_shared_frames] as the only region convertible to CVM
     shared memory, and enable the protection hardware: CET (IBT) plus
     whatever the chosen {!Isolation} backend rests on — PKS with the
@@ -53,7 +55,13 @@ val privops : t -> Kernel.Privops.t
 (** {2 Monitor-internal privileged services} *)
 
 val tdreport : t -> report_data:bytes -> Tdx.Attest.report
-(** Only the monitor can mint attestation digests (C5). *)
+(** Only the monitor can mint attestation digests (C5). Raises
+    [Policy_violation], minting nothing, if {!gate_intact} is false. *)
+
+val gate_intact : t -> bool
+(** Whether the gate code in monitor memory still equals the listing
+    measured into MRTD at {!install}. Compares in place: no allocation and
+    no virtual cycles. *)
 
 val allow_shared_pfn : t -> int -> bool
 (** Whether GHCI policy permits converting a frame to shared. *)

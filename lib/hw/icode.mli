@@ -3,14 +3,14 @@
     {!Isa.decode} re-materializes a constructor (plus the [option] box and
     operand payloads) on every call, which is fine for one-shot scans but
     far too expensive — in both time and minor-heap churn — for code that
-    *executes*: the monitor gate retires its Fig. 5 entry/exit sequence on
-    every EMC round trip. This module decodes a code blob exactly once into
-    a flat [int array] (one packed word per instruction slot) and runs it
-    with a jump-table dispatch loop over the dense tags. A warm program
-    executes with zero allocation, and identical byte strings share one
-    decoded program through a content-keyed cache, so the 25 machines of a
-    Fig. 9 sweep decode the kernel image and gate listing once between
-    them.
+    *executes*, such as the monitor gate's Fig. 5 entry/exit sequence,
+    which [Erebor.Gate.create] runs once as a self-check. This module
+    decodes a code blob exactly once into a flat [int array] (one packed
+    word per instruction slot) and runs it with a jump-table dispatch loop
+    over the dense tags. A warm program executes with zero allocation, and
+    identical byte strings share one decoded program through a
+    content-keyed cache, so the 25 machines of a Fig. 9 sweep decode the
+    gate listing once between them.
 
     Execution is a *retirement* model, not a second semantics domain: it
     walks the program (registers, scratch memory, call stack, direct

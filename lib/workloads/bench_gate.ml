@@ -542,6 +542,41 @@ let ledger_checks ~profile baseline costs =
              ])
        costs
 
+(* The serial per-target words a [bench all --jobs 1] record carries,
+   judged by the same rule against another record: the ledger half of an
+   A/B between two builds. *)
+let ledger_diff a b =
+  let num row field = Json.to_float (Json.member field row) in
+  let costs =
+    List.filter_map
+      (fun row ->
+        match
+          ( Json.to_str (Json.member "name" row),
+            num row "minor_words",
+            num row "major_words",
+            num row "promoted_words" )
+        with
+        | Some target, Some minor_words, Some major_words, Some promoted_words ->
+            Some
+              {
+                target;
+                wall_s = Option.value (num row "wall_s") ~default:0.0;
+                minor_words;
+                major_words;
+                promoted_words;
+              }
+        | _ -> None)
+      (Json.to_arr (Json.member "targets" b))
+  in
+  match (costs, Json.to_str (Json.member "profile" b)) with
+  | [], _ | _, None ->
+      [
+        chk "ledger" false
+          "second record has no per-target minor, major and promoted words \
+           (bench all --jobs 1 under schema erebor-bench-sim/2 writes them)";
+      ]
+  | costs, Some profile -> ledger_checks ~profile a costs
+
 (* Anchor verification against a flight recording: the journal's Run-span
    slice must reproduce the baseline's Fig. 9 rate row for the (workload,
    setting) pair named in its header. The rates are recomputed exactly the

@@ -131,6 +131,15 @@ val ledger_checks : profile:string -> Json.t -> target_cost list -> verdict
     fails with a re-baseline message, so the committed ledger cannot go
     stale. *)
 
+val ledger_diff : Json.t -> Json.t -> verdict
+(** [ledger_diff a b]: {!ledger_checks} with record [a] as the baseline and
+    the serial per-target words of record [b] (both written by
+    [bench all --jobs 1]) as the costs, under [b]'s profile — the verdict
+    [b]'s build would get if [a]'s ledger were the committed one. A [b]
+    without per-target minor, major and promoted words (schema
+    [erebor-bench-sim/2]) or without a profile yields one failing
+    [ledger] check. *)
+
 val render_anchors : ?instrument:(Obs.Emitter.t -> unit) -> unit -> string
 (** A minimal baseline document (schema + exact Table 3 / Table 4 anchors)
     regenerated from the current build. Tests use this to construct a

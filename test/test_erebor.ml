@@ -28,6 +28,31 @@ type stack = {
   kern : Kernel.t;
 }
 
+(* Every monitor a security-claim case installs, so [claim] can check at
+   the end of the case that no step of it changed the gate code. *)
+let installed = ref []
+
+let install_monitor ?backend ~cpu ~mem ~td () =
+  let monitor =
+    Erebor.Monitor.install ?backend ~cpu ~mem ~td ~firmware ~monitor_frames:32
+      ~device_shared_frames:32 ()
+  in
+  installed := monitor :: !installed;
+  monitor
+
+let assert_gate_intact monitor =
+  Alcotest.(check bool) "gate code equals the measured listing" true
+    (Erebor.Monitor.gate_intact monitor)
+
+(* A C1–C8 case: whatever the case does as the adversary, the gate bytes in
+   every monitor it installed still match the measurement afterwards. *)
+let claim name f =
+  Alcotest.test_case name `Quick (fun () ->
+      installed := [];
+      f ();
+      List.iter assert_gate_intact !installed;
+      installed := [])
+
 let make_stack ?backend ?(frames = 16384) ?(cma_frames = 4096) () =
   let mem = Hw.Phys_mem.create ~frames in
   let clock = Hw.Cycles.clock () in
@@ -35,10 +60,7 @@ let make_stack ?backend ?(frames = 16384) ?(cma_frames = 4096) () =
   let td = Tdx.Td_module.create ~mem ~clock ~hw_key in
   let host = Vmm.Host.create () in
   Tdx.Td_module.set_vmm td (Vmm.Host.handler host);
-  let monitor =
-    Erebor.Monitor.install ?backend ~cpu ~mem ~td ~firmware ~monitor_frames:32
-      ~device_shared_frames:32 ()
-  in
+  let monitor = install_monitor ?backend ~cpu ~mem ~td () in
   match
     Erebor.Monitor.boot_kernel monitor ~kernel_image:benign_kernel_image
       ~reserved_frames:128 ~cma_frames
@@ -125,10 +147,7 @@ let test_boot_rejects_sensitive () =
       let clock = Hw.Cycles.clock () in
       let cpu = Hw.Cpu.create ~id:0 ~mem ~clock ~timer_period:200_000 () in
       let td = Tdx.Td_module.create ~mem ~clock ~hw_key in
-      let monitor =
-        Erebor.Monitor.install ~cpu ~mem ~td ~firmware ~monitor_frames:32
-          ~device_shared_frames:32 ()
-      in
+      let monitor = install_monitor ~cpu ~mem ~td () in
       match
         Erebor.Monitor.boot_kernel monitor ~kernel_image:image ~reserved_frames:128
           ~cma_frames:1024
@@ -222,6 +241,108 @@ let test_gate_emc_cost () =
   Erebor.Gate.call gate (fun () -> ());
   Alcotest.(check int) "empty EMC costs 1224" Hw.Cycles.Cost.emc_roundtrip
     (Hw.Cycles.now st.kern.Kernel.clock - t0)
+
+(* Warm round trips through each gate entry allocate nothing under every
+   backend: the service bodies are static and the operands cross as
+   arguments, so any word counted here is the gate's own. *)
+let test_gate_round_trips_zero_alloc backend () =
+  let st = make_stack ~backend () in
+  let gate = Erebor.Monitor.gate st.monitor in
+  let trips () =
+    for i = 1 to 10_000 do
+      Erebor.Gate.call gate ignore;
+      ignore (Erebor.Gate.call1 gate succ i);
+      ignore (Erebor.Gate.call2 gate ( + ) i 1)
+    done
+  in
+  trips ();
+  let emcs = Erebor.Gate.emc_count gate in
+  let probe =
+    let a = Gc.minor_words () in
+    Gc.minor_words () -. a
+  in
+  let w0 = Gc.minor_words () in
+  trips ();
+  let words = Gc.minor_words () -. w0 -. probe in
+  Alcotest.(check (float 0.0)) "zero minor words" 0.0 words;
+  Alcotest.(check int) "30k EMCs" (emcs + 30_000) (Erebor.Gate.emc_count gate)
+
+(* ------------------------------------------------------------------ *)
+(* Gate integrity: the measured listing is the code in monitor memory   *)
+(* ------------------------------------------------------------------ *)
+
+let gate_code_in_memory st =
+  let gate = Erebor.Monitor.gate st.monitor in
+  Hw.Phys_mem.read_bytes st.mem 0x1000 (Bytes.length (Erebor.Gate.code_bytes gate))
+
+let test_gate_bytes_installed backend () =
+  let st = make_stack ~backend () in
+  let gate = Erebor.Monitor.gate st.monitor in
+  Alcotest.(check int) "entry point is the direct-map view of 0x1000"
+    (Kernel.Layout.direct_map 0x1000) (Erebor.Gate.entry_point gate);
+  Alcotest.(check bytes) "bytes at 0x1000 are the measured listing"
+    (Erebor.Gate.code_bytes gate) (gate_code_in_memory st);
+  assert_gate_intact st.monitor;
+  let probe =
+    let a = Gc.minor_words () in
+    Gc.minor_words () -. a
+  in
+  let clock = st.kern.Kernel.clock in
+  let t0 = Hw.Cycles.now clock in
+  let w0 = Gc.minor_words () in
+  let intact = Erebor.Monitor.gate_intact st.monitor in
+  let words = Gc.minor_words () -. w0 -. probe in
+  Alcotest.(check bool) "intact" true intact;
+  Alcotest.(check (float 0.0)) "check allocates nothing" 0.0 words;
+  Alcotest.(check int) "check charges no cycles" t0 (Hw.Cycles.now clock)
+
+(* The kernel's two ways at the gate frame: a PTE that maps pfn 1
+   user-writable, and a store through the direct map. Both are refused and
+   the bytes stay as measured. *)
+let test_gate_frame_unwritable backend () =
+  let st = make_stack ~backend () in
+  let before = gate_code_in_memory st in
+  expect_violation "map the gate frame user-writable" (fun () ->
+      st.kern.Kernel.privops.Kernel.Privops.write_pte
+        ~pte_addr:(Hw.Phys_mem.addr_of_pfn st.kern.Kernel.kernel_root + (8 * 100))
+        (Hw.Pte.make ~pfn:1 { Hw.Pte.default_flags with user = true; writable = true }));
+  Alcotest.(check bytes) "unchanged after the mapping attempt" before
+    (gate_code_in_memory st);
+  let entry = Erebor.Gate.entry_point (Erebor.Monitor.gate st.monitor) in
+  expect_fault "store through the direct map" (fun () -> Hw.Cpu.write_u8 st.cpu entry 0xCC)
+    (fun _ -> true);
+  expect_fault "wide store through the direct map"
+    (fun () -> Hw.Cpu.write_u64 st.cpu (entry + 8) 0L)
+    (fun _ -> true);
+  Alcotest.(check bytes) "unchanged after the stores" before (gate_code_in_memory st);
+  assert_gate_intact st.monitor;
+  ignore (Erebor.Monitor.tdreport st.monitor ~report_data:Bytes.empty)
+
+(* Corruption that bypasses every check (a raw physical store, as a
+   hardware fault or a monitor bug would make) is caught where it matters:
+   no report is minted over a gate that differs from its measurement. *)
+let test_corrupted_gate_not_attested () =
+  let st = make_stack () in
+  let audit = Obs.Audit.create ~key:hw_key in
+  Obs.Emitter.set_audit st.cpu.Hw.Cpu.obs (Some audit);
+  ignore (Erebor.Monitor.tdreport st.monitor ~report_data:Bytes.empty);
+  Hw.Phys_mem.write_u8 st.mem (0x1000 + 5)
+    (Hw.Phys_mem.read_u8 st.mem (0x1000 + 5) lxor 0x01);
+  Alcotest.(check bool) "corruption seen" false (Erebor.Monitor.gate_intact st.monitor);
+  let t0 = Hw.Cycles.now st.kern.Kernel.clock in
+  let emcs = Erebor.Monitor.emc_total st.monitor in
+  expect_violation "tdreport over a corrupted gate" (fun () ->
+      Erebor.Monitor.tdreport st.monitor ~report_data:Bytes.empty);
+  Alcotest.(check int) "refused before the gate" emcs (Erebor.Monitor.emc_total st.monitor);
+  Alcotest.(check int) "refusal charges no cycles" t0 (Hw.Cycles.now st.kern.Kernel.clock);
+  let attest verdict =
+    List.length
+      (List.filter
+         (fun r -> r.Obs.Audit.category = "attest" && r.Obs.Audit.verdict = verdict)
+         (Obs.Audit.records audit))
+  in
+  Alcotest.(check int) "one report minted" 1 (attest Obs.Audit.Info);
+  Alcotest.(check int) "refusal audited" 1 (attest Obs.Audit.Deny)
 
 (* ------------------------------------------------------------------ *)
 (* C2/C3/C4: MMU + CR/MSR protection                                    *)
@@ -1204,70 +1325,88 @@ let () =
         ] );
       ( "boot (C1)",
         [
-          Alcotest.test_case "accepts benign" `Quick test_boot_accepts_benign;
-          Alcotest.test_case "rejects sensitive" `Quick test_boot_rejects_sensitive;
-          Alcotest.test_case "data not scanned" `Quick test_boot_data_section_not_scanned;
-          Alcotest.test_case "deterministic measurement" `Quick test_boot_measurement_deterministic;
-          Alcotest.test_case "dynamic code" `Quick test_dynamic_code_verification;
+          claim "accepts benign" test_boot_accepts_benign;
+          claim "rejects sensitive" test_boot_rejects_sensitive;
+          claim "data not scanned" test_boot_data_section_not_scanned;
+          claim "deterministic measurement" test_boot_measurement_deterministic;
+          claim "dynamic code" test_dynamic_code_verification;
         ] );
       ( "gates (C4)",
         [
-          Alcotest.test_case "rogue entry #CP" `Quick test_gate_rogue_entry;
-          Alcotest.test_case "pkrs switching" `Quick test_gate_pkrs_switching;
-          Alcotest.test_case "exception safety" `Quick test_gate_pkrs_restored_on_exception;
-          Alcotest.test_case "interrupt gate" `Quick test_gate_interrupt_revokes;
-          Alcotest.test_case "emc cost" `Quick test_gate_emc_cost;
+          claim "rogue entry #CP" test_gate_rogue_entry;
+          claim "pkrs switching" test_gate_pkrs_switching;
+          claim "exception safety" test_gate_pkrs_restored_on_exception;
+          claim "interrupt gate" test_gate_interrupt_revokes;
+          claim "emc cost" test_gate_emc_cost;
           QCheck_alcotest.to_alcotest prop_gate_retires_constant;
+          claim "round trips allocate nothing (pks)"
+            (test_gate_round_trips_zero_alloc Erebor.Isolation.Pks);
+          claim "round trips allocate nothing (wp)"
+            (test_gate_round_trips_zero_alloc Erebor.Isolation.Write_protect);
+          claim "round trips allocate nothing (tmemk)"
+            (test_gate_round_trips_zero_alloc Erebor.Isolation.Tme_mk);
+        ] );
+      ( "gate integrity",
+        [
+          claim "bytes installed (pks)" (test_gate_bytes_installed Erebor.Isolation.Pks);
+          claim "bytes installed (wp)" (test_gate_bytes_installed Erebor.Isolation.Write_protect);
+          claim "bytes installed (tmemk)" (test_gate_bytes_installed Erebor.Isolation.Tme_mk);
+          claim "frame unwritable (pks)" (test_gate_frame_unwritable Erebor.Isolation.Pks);
+          claim "frame unwritable (wp)"
+            (test_gate_frame_unwritable Erebor.Isolation.Write_protect);
+          claim "frame unwritable (tmemk)" (test_gate_frame_unwritable Erebor.Isolation.Tme_mk);
+          Alcotest.test_case "corrupted gate not attested" `Quick
+            test_corrupted_gate_not_attested;
         ] );
       ( "mmu/privops (C2-C4)",
         [
-          Alcotest.test_case "ptp write-protected" `Quick test_kernel_cannot_write_ptp;
-          Alcotest.test_case "monitor unmappable" `Quick test_kernel_cannot_map_monitor_memory;
-          Alcotest.test_case "stray pte store" `Quick test_kernel_cannot_store_outside_ptp;
-          Alcotest.test_case "protections pinned" `Quick test_kernel_cannot_disable_protections;
-          Alcotest.test_case "lstar interposed" `Quick test_kernel_lstar_interposed;
-          Alcotest.test_case "ghci policy" `Quick test_ghci_policy;
-          Alcotest.test_case "erebor privop costs" `Quick test_erebor_privop_costs;
-          Alcotest.test_case "misaligned pte store (pks)" `Quick
+          claim "ptp write-protected" test_kernel_cannot_write_ptp;
+          claim "monitor unmappable" test_kernel_cannot_map_monitor_memory;
+          claim "stray pte store" test_kernel_cannot_store_outside_ptp;
+          claim "protections pinned" test_kernel_cannot_disable_protections;
+          claim "lstar interposed" test_kernel_lstar_interposed;
+          claim "ghci policy" test_ghci_policy;
+          claim "erebor privop costs" test_erebor_privop_costs;
+          claim "misaligned pte store (pks)"
             (test_misaligned_pte_store_denied Erebor.Isolation.Pks);
-          Alcotest.test_case "misaligned pte store (wp)" `Quick
+          claim "misaligned pte store (wp)"
             (test_misaligned_pte_store_denied Erebor.Isolation.Write_protect);
-          Alcotest.test_case "misaligned pte store (tmemk)" `Quick
+          claim "misaligned pte store (tmemk)"
             (test_misaligned_pte_store_denied Erebor.Isolation.Tme_mk);
         ] );
       ( "sandbox (C6-C8)",
         [
-          Alcotest.test_case "confined basics" `Quick test_sandbox_confined_basics;
-          Alcotest.test_case "single mapping" `Quick test_confined_single_mapping;
-          Alcotest.test_case "downgrade flushes tlb" `Quick test_mmu_guard_downgrade_flushes_tlb;
-          Alcotest.test_case "undeclared memory refused" `Quick test_sandbox_anon_mapping_refused;
-          Alcotest.test_case "common sharing" `Quick test_common_sharing;
-          Alcotest.test_case "common sealed" `Quick test_common_sealed_after_data;
-          Alcotest.test_case "common size mismatch" `Quick test_common_size_mismatch_refused;
-          Alcotest.test_case "syscall kill" `Quick test_sandbox_kills_on_syscall_after_data;
-          Alcotest.test_case "channel ioctl" `Quick test_sandbox_channel_ioctl;
-          Alcotest.test_case "#VE kill" `Quick test_sandbox_ve_kill;
-          Alcotest.test_case "cpuid cached" `Quick test_sandbox_cpuid_cached;
-          Alcotest.test_case "interrupt masking" `Quick test_sandbox_interrupt_masks_state;
-          Alcotest.test_case "interrupt masking allocates nothing" `Quick
+          claim "confined basics" test_sandbox_confined_basics;
+          claim "single mapping" test_confined_single_mapping;
+          claim "downgrade flushes tlb" test_mmu_guard_downgrade_flushes_tlb;
+          claim "undeclared memory refused" test_sandbox_anon_mapping_refused;
+          claim "common sharing" test_common_sharing;
+          claim "common sealed" test_common_sealed_after_data;
+          claim "common size mismatch" test_common_size_mismatch_refused;
+          claim "syscall kill" test_sandbox_kills_on_syscall_after_data;
+          claim "channel ioctl" test_sandbox_channel_ioctl;
+          claim "#VE kill" test_sandbox_ve_kill;
+          claim "cpuid cached" test_sandbox_cpuid_cached;
+          claim "interrupt masking" test_sandbox_interrupt_masks_state;
+          claim "interrupt masking allocates nothing"
             test_sandbox_interrupt_zero_alloc;
-          Alcotest.test_case "uintr disabled" `Quick test_sandbox_uintr_disabled;
-          Alcotest.test_case "usercopy veto" `Quick test_usercopy_veto_on_sealed_sandbox;
-          Alcotest.test_case "smap blocks kernel" `Quick test_kernel_smap_blocks_sandbox_read;
-          Alcotest.test_case "terminate scrubs" `Quick test_sandbox_terminate_scrubs;
+          claim "uintr disabled" test_sandbox_uintr_disabled;
+          claim "usercopy veto" test_usercopy_veto_on_sealed_sandbox;
+          claim "smap blocks kernel" test_kernel_smap_blocks_sandbox_read;
+          claim "terminate scrubs" test_sandbox_terminate_scrubs;
           QCheck_alcotest.to_alcotest prop_guard_fuzz;
           QCheck_alcotest.to_alcotest prop_guard_tables_flat_model;
         ] );
       ( "channel (C5)",
         [
-          Alcotest.test_case "end to end" `Quick test_channel_end_to_end;
-          Alcotest.test_case "wrong mrtd" `Quick test_channel_rejects_wrong_mrtd;
-          Alcotest.test_case "impersonation" `Quick test_channel_rejects_impersonation;
-          Alcotest.test_case "replay binding" `Quick test_channel_replay_binding;
-          Alcotest.test_case "padding" `Quick test_channel_padding_hides_size;
-          Alcotest.test_case "tamper" `Quick test_channel_tamper_rejected;
-          Alcotest.test_case "pad/unpad" `Quick test_pad_unpad_roundtrip;
-          Alcotest.test_case "hostile length words" `Quick
+          claim "end to end" test_channel_end_to_end;
+          claim "wrong mrtd" test_channel_rejects_wrong_mrtd;
+          claim "impersonation" test_channel_rejects_impersonation;
+          claim "replay binding" test_channel_replay_binding;
+          claim "padding" test_channel_padding_hides_size;
+          claim "tamper" test_channel_tamper_rejected;
+          claim "pad/unpad" test_pad_unpad_roundtrip;
+          claim "hostile length words"
             test_hostile_length_words;
           QCheck_alcotest.to_alcotest prop_wire_decoders_total;
         ] );

@@ -445,6 +445,40 @@ let test_bench_gate_seeded_failure () =
       Alcotest.(check bool) "empty anchor tables fail coverage" false
         (Workloads.Bench_gate.pass missing_row)
 
+(* [ledger_diff] applies the ledger rule between two records: a record
+   against itself passes with every count unmoved, 3% more minor words on
+   one target fails that row only, and a record without per-target words
+   (a parallel run) fails outright. *)
+let test_bench_gate_ledger_diff () =
+  let module G = Workloads.Bench_gate in
+  let record minor =
+    Printf.sprintf
+      "{\"schema\": \"erebor-bench-sim/2\", \"profile\": \"release\", \
+       \"targets\": [{\"name\": \"table3\", \"wall_s\": 0.1, \
+       \"minor_words\": %d, \"major_words\": 700, \"promoted_words\": 200}, \
+       {\"name\": \"fig9\", \"wall_s\": 1.0, \"minor_words\": 5000, \
+       \"major_words\": 900, \"promoted_words\": 100}]}"
+      minor
+  in
+  let parse s =
+    match G.Json.parse s with Ok j -> j | Error e -> Alcotest.failf "json: %s" e
+  in
+  let base = parse (record 1000) in
+  let same = G.ledger_diff base base in
+  Alcotest.(check bool) "self passes" true (G.pass same);
+  Alcotest.(check int) "profile + 2 rows per target" 5 (List.length same);
+  Alcotest.(check bool) "nothing moved" true
+    (List.for_all (fun (c : G.check) -> c.old_value = c.new_value) same);
+  (match G.failures (G.ledger_diff base (parse (record 1030))) with
+  | [ f ] ->
+      Alcotest.(check string) "the moved row" "ledger/table3.minor_words" f.name
+  | fs -> Alcotest.failf "expected exactly 1 failure, got %d" (List.length fs));
+  let parallel =
+    parse "{\"profile\": \"release\", \"targets\": [{\"name\": \"fig9\", \"wall_s\": 1.0}]}"
+  in
+  Alcotest.(check bool) "no serial words fails" false
+    (G.pass (G.ledger_diff base parallel))
+
 (* A sink that is NOT transparent must fail the law. This one stretches
    simulated time: when a workload's Run span opens it rescales every
    workload's duration, so the instrumented machine's clock runs further
@@ -532,5 +566,7 @@ let () =
             test_bench_gate_seeded_failure;
           Alcotest.test_case "clock-advancing sink fails the law" `Quick
             test_bench_gate_law_catches_clock_sink;
+          Alcotest.test_case "ledger diff between records" `Quick
+            test_bench_gate_ledger_diff;
         ] );
     ]
