@@ -14,12 +14,11 @@
      bench/main.exe table3|table4|fig8|fig9|table6|fig10|memshare|tables-qual
      bench/main.exe density         # per-backend overhead + 1->256 tenants/CVM
                                     # (--backend / --tenants narrow the matrix)
-     bench/main.exe slo             # live SLO telemetry: seeded stall report
      bench/main.exe attrib          # per-domain/per-phase cycle attribution
      bench/main.exe icode           # decoded-instruction cache microbenchmark
      bench/main.exe check           # THE gate (@ci): anchors vs BENCH_sim.json,
-                                    # sink-transparency law, journal, agg,
-                                    # density must-deny, SLO, attribution
+                                    # sink-transparency law, journal,
+                                    # density must-deny, attribution
                                     # (--full: full scale and every Fig. 9 row;
                                     #  --from-journal FILE: verify a recording)
      bench/main.exe bechamel        # wall-clock microbenchmarks
@@ -320,46 +319,6 @@ let print_density () =
     total_violations
 
 (* ------------------------------------------------------------------ *)
-(* Live SLO telemetry: seeded degradation + clean-workload silence      *)
-(* ------------------------------------------------------------------ *)
-
-let print_slo () =
-  header "Live SLO telemetry: seeded mid-run stall, per-tenant attribution";
-  let backend = Option.value !backend_arg ~default:Erebor.Isolation.Pks in
-  let tenants = Option.value !tenants_arg ~default:4 in
-  let r = Workloads.Slo_bench.run ~backend ~tenants () in
-  Printf.printf "%-10s %-8s %6s %7s %-10s %-10s %s\n" "Tenant" "Seeded"
-    "Reqs" "Alert" "Worst" "Final" "Transitions";
-  List.iter
-    (fun (o : Workloads.Slo_bench.tenant_outcome) ->
-      Printf.printf "%-10s %-8s %6d %7s %-10s %-10s %s\n" o.tname
-        (if o.stalled then "STALL" else "-")
-        o.served
-        (if o.alert_fired then "FIRED" else "-")
-        (Obs.Health.state_name o.worst_state)
-        (Obs.Health.state_name o.final_state)
-        (String.concat " -> "
-           (List.map
-              (fun (_, st) -> Obs.Health.state_name st)
-              o.health_transitions))
-    )
-    r.Workloads.Slo_bench.outcomes;
-  Printf.printf
-    "(%d evaluation ticks; %d alert + %d health transition events; %d audit \
-     records, chain %s)\n"
-    r.Workloads.Slo_bench.evals r.Workloads.Slo_bench.alert_events
-    r.Workloads.Slo_bench.health_events r.Workloads.Slo_bench.audit_records
-    (if r.Workloads.Slo_bench.audit_intact then "intact" else "BROKEN");
-  header "Clean Fig. 9 workloads: SLOs must stay silent";
-  List.iter
-    (fun (program, fired) ->
-      Printf.printf "%-10s %s\n" program
-        (if fired = [] then "silent" else "FIRED " ^ String.concat "," fired))
-    (Workloads.Slo_bench.clean_fig9 ?jobs:!jobs_arg ());
-  List.iter (Printf.printf "attribution failure: %s\n")
-    r.Workloads.Slo_bench.failures
-
-(* ------------------------------------------------------------------ *)
 (* Qualitative tables (1, 2, 7)                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -437,8 +396,7 @@ let bechamel_tests () =
       (Staged.stage (fun () -> ignore (Workloads.Eval.memshare ~max_sandboxes:2 ())))
   in
   (* Telemetry record paths, 1000 records per run: the live log2
-     histogram sink vs the mergeable quantile sketch vs the full fleet
-     record (sketch + per-tenant sketch + heavy-hitter + exemplar). *)
+     histogram sink vs the relative-error quantile sketch. *)
   let hist_obs = Obs.Emitter.create () in
   let _hist = Obs.Histogram.attach hist_obs (Obs.Histogram.create ()) in
   let hist_test =
@@ -457,16 +415,6 @@ let bechamel_tests () =
              Obs.Sketch.record sketch (i land 0xFFFF)
            done))
   in
-  let part = Obs.Agg.part ~machine:"bech" () in
-  let tn = Obs.Agg.tenant part "tenant-0" in
-  let agg_test =
-    Test.make ~name:"obs-agg-record-1k"
-      (Staged.stage (fun () ->
-           for i = 1 to 1000 do
-             Obs.Agg.record part tn Obs.Trace.Req_end
-               ~latency:(i land 0xFFFF) ~trace_id:i ~offset:(i * 64) ~ts:i
-           done))
-  in
   (* The bus layer alone: 1000 emissions on a fresh erebor machine's
      emitter. *)
   let bare_obs = Workloads.Bench_gate.bare_emitter () in
@@ -480,7 +428,7 @@ let bechamel_tests () =
   in
   Test.make_grouped ~name:"erebor-eval"
     [ table3_test; table4_test; fig8_test; fig9_test; table6_test; fig10_test;
-      memshare_test; hist_test; sketch_test; agg_test; emit_test ]
+      memshare_test; hist_test; sketch_test; emit_test ]
 
 let run_bechamel () =
   let open Bechamel in
@@ -996,10 +944,6 @@ let () =
         ~flags:(exp_flags @ [ backend_flag; tenants_flag ])
         "Per-backend overhead + sandboxes-per-CVM scaling" (fun _ ->
           print_density ());
-      target "slo"
-        ~flags:(exp_flags @ [ backend_flag; tenants_flag ])
-        "Live SLO telemetry: seeded degradation + clean-run silence" (fun _ ->
-          print_slo ());
       target "ablations" "Design-choice ablations (DESIGN.md)" (fun _ ->
           print_ablations ());
       target "tables-qual" "Qualitative tables (1, 2, 7)" (fun _ ->

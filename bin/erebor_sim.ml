@@ -90,13 +90,6 @@ let audit_flag =
      audit log and write it (JSONL) on exit — normal or abnormal. Check it \
      offline with audit verify."
 
-let dash_flag =
-  C.flag ~docv:"FILE" [ "--dash" ]
-    "Live monitoring: attach a sliding-window sink, machine-level SLO \
-     burn-rate alerts and a health watchdog; repaint an ASCII dashboard to \
-     stderr every 50 virtual ms and write a JSON telemetry snapshot to FILE \
-     on exit — normal or abnormal."
-
 let record_flag =
   C.flag ~docv:"FILE" [ "--record" ]
     "Flight recorder: journal every trace event (boot included) to a \
@@ -108,12 +101,9 @@ let run_body p =
   let trace = C.str p trace_flag in
   let debug = C.has p debug_flag in
   let audit_file = C.str p audit_flag in
-  let dash_file = C.str p dash_flag in
   let record = C.str p record_flag in
-  if
-    trace = None && (not debug) && audit_file = None && dash_file = None
-    && record = None
-  then print_run name setting (Sim.Machine.run_fresh ~setting (spec_fn ()))
+  if trace = None && (not debug) && audit_file = None && record = None then
+    print_run name setting (Sim.Machine.run_fresh ~setting (spec_fn ()))
   else begin
     let obs = Obs.Emitter.create () in
     (* The journal writer attaches before anything else so boot events land
@@ -148,61 +138,7 @@ let run_body p =
           Obs.Emitter.set_audit obs (Some chain);
           Some chain
     in
-    (* Live telemetry: a sliding window over the machine's event stream
-       (attached pre-boot via [~window]), machine-level SLOs with generous
-       ceilings — a healthy run must stay silent — and a health watchdog
-       fed by the same emitter. The dashboard repaints on a virtual-time
-       cadence and the final snapshot is written by an emitter finalizer,
-       so abnormal exits still leave a complete, parseable file. *)
-    let window =
-      match dash_file with
-      | None -> None
-      | Some _ -> Some (Obs.Window.create ~width:10_500_000 ~buckets:120 ())
-    in
-    let dash =
-      match (dash_file, window) with
-      | Some _, Some window ->
-          let slo =
-            Obs.Slo.create ~emit:obs ~window
-              ~objectives:Workloads.Slo_bench.clean_objectives ()
-          in
-          (* A [run] session spans the whole body, so a per-request deadline
-             is meaningless here — the watchdogs that matter for a single
-             machine are the EMC stall (1 virtual second of in-flight
-             silence) and denial spikes. *)
-          let health =
-            Obs.Health.create ~emit:obs
-              ~rules:
-                {
-                  Obs.Health.default_rules with
-                  Obs.Health.stall_cycles = 2_100_000_000;
-                  deadline_cycles = max_int / 2;
-                }
-              ()
-          in
-          Some (slo, health, window)
-      | _ -> None
-    in
-    let m = Sim.Machine.create ~obs ?window ~setting () in
-    (match (dash_file, dash) with
-    | Some path, Some (slo, health, window) ->
-        let subject =
-          Obs.Health.register health ~name
-            ~now:(Hw.Cycles.now (Sim.Machine.clock m))
-        in
-        Obs.Health.watch health subject obs;
-        let d =
-          Obs.Dash.attach obs
-            (Obs.Dash.create ~label:name ~out:stderr ~slo ~health
-               ~refresh_cycles:105_000_000 ~window ())
-        in
-        Obs.Emitter.add_finalizer obs (fun ~now ->
-            let oc = open_out path in
-            output_string oc (Obs.Dash.snapshot_json d ~now);
-            close_out oc;
-            Printf.printf "dash     : %d refreshes, snapshot -> %s\n"
-              (Obs.Dash.refreshes d) path)
-    | _ -> ());
+    let m = Sim.Machine.create ~obs ~setting () in
     let dump_ring reason =
       match ring with
       | None -> ()
@@ -265,7 +201,7 @@ let run_cmd =
     ~doc:"Run one workload under one setting and print its results"
     ~flags:
       [ workload_flag; setting_flag; trace_flag; debug_flag; audit_flag;
-        dash_flag; record_flag ]
+        record_flag ]
     run_body
 
 (* ------------------------------------------------------------------ *)
@@ -575,7 +511,7 @@ let audit_cmd =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* journal query | critical | diff | export | topk                     *)
+(* journal query | critical | diff | export                           *)
 (* ------------------------------------------------------------------ *)
 
 let journal_file p =
@@ -775,112 +711,10 @@ let export_cmd =
               close_out oc;
               Printf.printf "flame    : collapsed stacks -> %s\n" out)
 
-let key_flag =
-  C.flag ~docv:"BY" [ "--key" ]
-    "Heavy-hitter key: machine-kind (default), kind, machine."
-
-let capacity_flag =
-  C.flag ~docv:"N" [ "--capacity" ]
-    "Space-saving table capacity (default 64)."
-
-let offset_flag =
-  C.flag ~docv:"BYTES" [ "--offset" ]
-    "Resolve a frame offset (as carried by a fleet p99 exemplar) instead: \
-     list the events recorded in the SEGM frame at this byte offset."
-
-let topk_cmd =
-  C.cmd ~name:"topk"
-    ~doc:
-      "Offline heavy hitters over a journal (space-saving, with guaranteed \
-       count bounds); --offset resolves an exemplar's frame"
-    ~flags:[ key_flag; capacity_flag; top_flag; offset_flag ]
-    (fun p ->
-      let path = journal_file p in
-      match C.str p offset_flag with
-      | Some _ -> (
-          (* The exemplar-resolution path: a fleet p99 exemplar carries the
-             byte offset of the SEGM frame its request was recorded into;
-             this lists exactly that frame's events. *)
-          let off = C.int_of p ~min:0 ~default:0 offset_flag in
-          match
-            Obs.Journal.fold ~path ~init:[]
-              (fun acc (e : Obs.Journal.event) ->
-                if e.off = off then e :: acc else acc)
-          with
-          | Error e ->
-              Printf.eprintf "journal topk: %s\n" e;
-              exit 1
-          | Ok (acc, info) ->
-              print_info info;
-              let evs = List.rev acc in
-              Printf.printf "frame at offset %d: %d event(s)\n" off
-                (List.length evs);
-              List.iter
-                (fun (e : Obs.Journal.event) ->
-                  Printf.printf "  %-10s %-14s ts %-14d arg %d\n"
-                    (List.assoc e.stream info.Obs.Journal.machines)
-                    (Obs.Trace.name e.kind) e.ts e.arg)
-                evs;
-              if evs = [] then begin
-                Printf.eprintf
-                  "journal topk: no events at offset %d (not a SEGM frame \
-                   of this journal?)\n"
-                  off;
-                exit 1
-              end)
-      | None -> (
-          let capacity = C.int_of p ~min:1 ~default:64 capacity_flag in
-          let top = C.int_of p ~min:1 ~default:10 top_flag in
-          let mode =
-            match C.str p key_flag with
-            | None | Some "machine-kind" -> `Machine_kind
-            | Some "kind" -> `Kind
-            | Some "machine" -> `Machine
-            | Some g ->
-                C.fail p
-                  (Printf.sprintf
-                     "unknown key %S (expected machine-kind, kind or machine)"
-                     g)
-          in
-          (* One replay through a space-saving table; each stream builds
-             its key strings (one per kind) when it is defined. *)
-          let tk = Obs.Topk.create ~capacity () in
-          let stream ~machine =
-            let keys =
-              Array.init Obs.Trace.n_kinds (fun i ->
-                  let k = Obs.Trace.name (Obs.Trace.kind_of_index i) in
-                  match mode with
-                  | `Machine_kind -> machine ^ "/" ^ k
-                  | `Kind -> k
-                  | `Machine -> machine)
-            in
-            let em = Obs.Emitter.create () in
-            Obs.Emitter.attach em (fun kind ~ts:_ ~arg:_ ->
-                Obs.Topk.observe tk ~key:keys.(Obs.Trace.index kind) ~weight:1);
-            em
-          in
-          match Obs.Journal.replay ~path stream with
-          | Error e ->
-              Printf.eprintf "journal topk: %s\n" e;
-              exit 1
-          | Ok info ->
-              print_info info;
-              let s = Obs.Topk.seal tk in
-              Printf.printf
-                "heavy hitters: %d key(s) tracked, capacity %d, absent \
-                 keys <= %d\n"
-                (Obs.Topk.n_keys s) capacity (Obs.Topk.floor_total s);
-              List.iter
-                (fun (r : Obs.Topk.ranked) ->
-                  Printf.printf "  %10d  %-28s true in [%d, %d]\n"
-                    r.Obs.Topk.rcount r.Obs.Topk.rkey r.Obs.Topk.lower
-                    r.Obs.Topk.upper)
-                (Obs.Topk.top ~n:top s)))
-
 let journal_cmd =
   C.group ~name:"journal"
     ~doc:"Analyze flight-recorder journals written by run --record"
-    [ query_cmd; critical_cmd; diff_cmd; export_cmd; topk_cmd ]
+    [ query_cmd; critical_cmd; diff_cmd; export_cmd ]
 
 (* ------------------------------------------------------------------ *)
 (* Entry                                                               *)

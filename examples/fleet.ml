@@ -5,14 +5,12 @@
    Every client request mints a trace context at the channel client; the
    context travels inside the sealed request header, so the collector can
    assemble a cross-machine causal tree (client segment + fleet segment)
-   per request. Every completed request is also recorded into a fleet
-   aggregator part (mergeable quantile sketch + per-tenant heavy hitters +
-   tail exemplars), and the run finishes with the fleet telemetry panel.
-   With --audit FILE the monitor's security decisions are written as a
-   hash-chained log that `erebor_sim audit verify` checks; with
-   --record FILE the fleet machine's event stream is journaled and each
-   exemplar carries the journal frame offset of its request, resolvable
-   offline with `erebor_sim journal topk FILE --offset N`.
+   per request, and the run finishes with the request latency panel
+   (p50/p95/p99 over every request the collector saw). With --audit FILE
+   the monitor's security decisions are written as a hash-chained log that
+   `erebor_sim audit verify` checks; with --record FILE the fleet
+   machine's event stream is journaled for the `erebor_sim journal`
+   subcommands.
 
    Run with:  dune exec examples/fleet.exe -- [--audit FILE] [--trace FILE]
                                               [--record FILE]
@@ -48,8 +46,8 @@ let trace_flag =
 
 let record_flag =
   C.flag ~docv:"FILE" [ "--record" ]
-    "Journal the fleet machine's event stream (flight recorder); fleet \
-     exemplars then carry resolvable journal frame offsets."
+    "Journal the fleet machine's event stream (flight recorder) for the \
+     erebor_sim journal subcommands."
 
 let main p =
   print_endline "Multi-tenant fleet: warm pool + shared model + mitigations";
@@ -74,16 +72,11 @@ let main p =
           Obs.Journal.Writer.create ~meta:[ ("example", "fleet") ] ~path ()
         in
         Obs.Journal.Writer.attach ~machine:"fleet" w obs_fleet;
-        Some w
+        Some (w, path)
   in
   let requests = Obs.Request.create () in
   Obs.Request.attach requests ~machine:"fleet" obs_fleet;
   Obs.Request.attach requests ~machine:"client" obs_client;
-  (* The fleet aggregator part: per-tenant latency sketches, (tenant x
-     kind) heavy hitters, tail exemplars. In a real fleet one part lives
-     on every machine and the sealed parts merge order-invariantly. *)
-  let part = Obs.Agg.part ~machine:"fleet" () in
-  ignore (Obs.Agg.attach obs_fleet part);
   (match audit_file with
   | Some _ ->
       Obs.Emitter.set_audit obs_fleet
@@ -134,17 +127,6 @@ let main p =
        handshake, sealed request, fleet-side service, sealed response. *)
     let cx = Obs.Request.mint requests in
     last_trace := cx.Obs.Request.trace_id;
-    (* Each client maps to one of the pool's tenants; the aggregator keys
-       heavy hitters by (tenant x kind). Read the journal frame offset
-       BEFORE serving: the request's own events may seal the open frame. *)
-    let tn =
-      Obs.Agg.tenant part (Printf.sprintf "tenant-%d" (((i - 1) mod 4) + 1))
-    in
-    let frame_off =
-      match journal with
-      | Some w -> Obs.Journal.Writer.offset w
-      | None -> -1
-    in
     let t_start = now () in
     Obs.Emitter.emit obs_client Obs.Trace.Req_begin ~ts:t_start
       ~arg:(Obs.Request.pack cx ~root:true);
@@ -199,8 +181,6 @@ let main p =
     Obs.Emitter.emit obs_client Obs.Trace.Req_end ~ts:t_end
       ~arg:(Obs.Request.pack cx ~root:true);
     let measured = t_end - t_start in
-    Obs.Agg.record part tn Obs.Trace.Req_end ~latency:measured
-      ~trace_id:cx.Obs.Request.trace_id ~offset:frame_off ~ts:t_end;
     (* The collector's root segment must account for exactly the cycles we
        measured end to end — the tree is causal, not decorative. *)
     (match Obs.Request.root_cycles requests ~trace_id:cx.Obs.Request.trace_id with
@@ -231,13 +211,8 @@ let main p =
         stalls stall_cycles flushes
   | None -> ());
 
-  (* One request's cross-machine causal tree, plus the fleet-wide latency
-     distribution the collector kept for every request. *)
-  Printf.printf "\n[fleet] served %d requests, latency p50=%d p95=%d cycles\n"
-    (Obs.Request.completed requests)
-    (Obs.Request.latency_percentile requests ~p:0.50)
-    (Obs.Request.latency_percentile requests ~p:0.95);
-  Printf.printf "[fleet] causal tree of request %d (cross-machine):\n" !last_trace;
+  (* One request's cross-machine causal tree. *)
+  Printf.printf "\n[fleet] causal tree of request %d (cross-machine):\n" !last_trace;
   Format.printf "%a@?" Obs.Request.pp_tree (requests, !last_trace);
   (match trace_file with
   | Some path ->
@@ -258,19 +233,22 @@ let main p =
         (Obs.Audit.length chain) path
   | _ -> ());
 
-  (* The fleet telemetry panel: seal this machine's part and render it. In
-     a deployment, every machine's sealed part would be merged here first
-     (byte-identical for any merge order). *)
-  let snap = Obs.Agg.seal part in
-  print_newline ();
-  print_string (Obs.Agg.render snap);
-  (match (record_file, Obs.Agg.exemplar_for snap ~p:0.99) with
-  | Some path, Some e when e.Obs.Exemplar.i_offset >= 0 ->
-      Printf.printf
-        "[fleet] resolve the p99 exemplar offline:\n\
-        \         erebor_sim journal topk %s --offset %d\n"
-        path e.Obs.Exemplar.i_offset
-  | _ -> ());
+  (match journal with
+  | Some (w, path) ->
+      Printf.printf "[fleet] journal: %d events in %d segments -> %s\n"
+        (Obs.Journal.Writer.events w)
+        (Obs.Journal.Writer.segments w)
+        path
+  | None -> ());
+
+  (* The closing panel: the end-to-end latency distribution the collector
+     kept for every request. *)
+  Printf.printf
+    "\n[fleet] served %d requests, latency p50=%d p95=%d p99=%d cycles\n"
+    (Obs.Request.completed requests)
+    (Obs.Request.latency_percentile requests ~p:0.50)
+    (Obs.Request.latency_percentile requests ~p:0.95)
+    (Obs.Request.latency_percentile requests ~p:0.99);
   if !mismatches > 0 then begin
     Printf.eprintf "[fleet] %d request(s) with unaccounted cycles\n" !mismatches;
     exit 1

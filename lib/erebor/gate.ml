@@ -25,9 +25,8 @@ type t = {
   gate_retires : int;           (* instructions the listing retired at create *)
   backend : Isolation.t;
   granted : int;                (* the backend's constant grant, read once *)
-  shadow : Hw.Cet.shadow_stack;
   mutable depth : int;          (* nested monitor-context calls *)
-  mutable saved_grants : int list; (* secure-stack slots for the #INT gate *)
+  mutable saved_grants : int list; (* the per-core secure stack *)
   mutable emc_count : int;
   mutable interrupted : int;
 }
@@ -59,7 +58,6 @@ let create ~cpu ~code_base ~backend () =
     gate_retires;
     backend;
     granted = Isolation.granted_value backend;
-    shadow = Hw.Cet.create_stack ~base:(code_base + 0x10000);
     depth = 0;
     saved_grants = [];
     emc_count = 0;
@@ -179,31 +177,33 @@ let enter t ~target f =
 
 let call t f = enter t ~target:t.code_base f
 
+(* Pop the grant the #INT gate pushed and load it back. Top level, so both
+   arms of [interrupt_during_emc] call it without building a closure. *)
+let restore_saved_grant t =
+  match t.saved_grants with
+  | saved :: rest ->
+      t.saved_grants <- rest;
+      load_grant t saved
+  | [] -> assert false
+
 let interrupt_during_emc t f =
   if t.depth = 0 then f ()
   else begin
     t.interrupted <- t.interrupted + 1;
-    (* #INT gate: stash the granted privilege on the secure stack, revoke,
-       run the OS handler, restore on return. *)
-    let granted = read_grant t in
-    t.saved_grants <- granted :: t.saved_grants;
+    (* #INT gate: push the granted privilege on the secure stack, revoke,
+       run the OS handler, restore on return or raise. *)
+    t.saved_grants <- read_grant t :: t.saved_grants;
     load_grant t (revoked_value t);
-    let finish () =
-      match t.saved_grants with
-      | saved :: rest ->
-          t.saved_grants <- rest;
-          load_grant t saved
-      | [] -> assert false
-    in
     match f () with
     | v ->
-        finish ();
+        restore_saved_grant t;
         v
     | exception e ->
-        finish ();
+        restore_saved_grant t;
         raise e
   end
 
 let in_emc t = t.depth > 0
+let secure_stack_depth t = List.length t.saved_grants
 let emc_count t = t.emc_count
 let interrupted_count t = t.interrupted

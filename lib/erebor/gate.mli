@@ -6,11 +6,12 @@
     else into monitor code raises #CP. The gate grants the core monitor
     memory permissions through its {!Isolation} backend's grant protocol —
     a grant-all IA32_PKRS under PKS, a CR0.WP clear under the WP and TME-MK
-    backends — switches to a per-core secure stack (modelled by the CET
-    shadow stack token), runs the requested service, then revokes
-    permissions and returns. Interrupts arriving mid-EMC are wrapped by the
-    #INT gate, which stashes the granted value on the secure stack and
-    revokes it before the OS handler runs. *)
+    backends — switches to a per-core secure stack, runs the requested
+    service, then revokes permissions and returns. The stack switch is
+    charged in the EMC round-trip cycles; the secure stack's contents are
+    the gate's saved grants. Interrupts arriving mid-EMC are wrapped by the
+    #INT gate, which pushes the granted value on that stack and revokes it
+    before the OS handler runs. *)
 
 type t
 
@@ -63,10 +64,17 @@ val call2 : t -> ('a -> 'b -> 'c) -> 'a -> 'b -> 'c
     protocol, events, nesting) are identical to {!call}. *)
 
 val interrupt_during_emc : t -> (unit -> 'a) -> 'a
-(** The #INT gate (Fig. 5c right): if an interrupt preempts an EMC, revoke
-    monitor permissions around the OS handler and restore afterwards. When
-    no EMC is active, just runs the handler. *)
+(** The #INT gate (Fig. 5c right): if an interrupt preempts an EMC, push
+    the granted value on the secure stack, revoke monitor permissions
+    around the OS handler, then pop and restore it — also when the handler
+    raises, before the exception propagates. When no EMC is active, just
+    runs the handler. *)
 
 val in_emc : t -> bool
+
+val secure_stack_depth : t -> int
+(** Grants currently saved on the secure stack: one per interrupt handler
+    running inside an EMC, 0 otherwise. *)
+
 val emc_count : t -> int
 val interrupted_count : t -> int

@@ -261,7 +261,6 @@ module Writer = struct
 
   let events t = t.events
   let segments t = t.segments
-  let closed t = t.closed
 
   (* The file offset of the frame that will hold the open segment — i.e.
      the frame offset the next recorded event ends up in, matching the

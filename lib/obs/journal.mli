@@ -62,14 +62,11 @@ module Writer : sig
   val segments : t -> int
   (** Sealed segments written so far. *)
 
-  val closed : t -> bool
-
   val offset : t -> int
   (** The file offset of the frame that will hold the open segment — the
       [event.off] a reader will report for the next recorded event. Read
       it {e before} recording: the record itself may cross the seal
-      threshold and flush that very frame. Used by {!Exemplar} capture to
-      make a tail request resolvable offline. *)
+      threshold and flush that very frame. *)
 
   val close : t -> now:int -> unit
   (** Seal the partial segment, write the END frame and close the file.

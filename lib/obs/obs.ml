@@ -12,17 +12,11 @@ module Metrics = Metrics
 module Audit = Audit
 module Request = Request
 module Window = Window
-module Slo = Slo
-module Health = Health
-module Dash = Dash
 module Journal = Journal
 module Query = Query
 module Critical = Critical
 module Diff = Diff
 module Sketch = Sketch
-module Topk = Topk
-module Exemplar = Exemplar
-module Agg = Agg
 
 let with_span emitter ~now phase f =
   Emitter.emit emitter (Trace.span_begin phase) ~ts:(now ()) ~arg:0;

@@ -1,20 +1,15 @@
 (** The unified observability subsystem: a typed, allocation-light event bus
     ({!Emitter}) over the {!Trace} taxonomy, with pluggable sinks — counters
     ({!Counter}), a bounded post-mortem ring ({!Ring}), latency histograms
-    ({!Histogram}), a Chrome-trace/JSONL recorder ({!Chrome}), a
-    cycle-attribution profiler ({!Attrib}) with flamegraph ({!Flame}) and
-    Prometheus/JSON ({!Metrics}) exporters, a request-scoped causal-trace
-    collector ({!Request}), a tamper-evident hash-chained audit log
-    ({!Audit}), and live SLO telemetry — virtual-clock sliding windows
-    ({!Window}), error-budget burn-rate alerts ({!Slo}), per-sandbox health
-    watchdogs ({!Health}) and an ASCII dashboard driver ({!Dash}) — plus an
-    offline flight-recorder stack: a crash-safe binary journal ({!Journal})
-    whose {!Journal.replay} feeds recorded streams back through live sinks,
-    with query ({!Query}), critical-path ({!Critical}) and run-diff
-    ({!Diff}) engines built on it — and fleet telemetry: mergeable
-    relative-error quantile sketches ({!Sketch}), heavy-hitter summaries
-    ({!Topk}), tail-latency exemplars ({!Exemplar}) and the
-    order-invariant fleet aggregator ({!Agg}).
+    ({!Histogram}), virtual-clock sliding windows ({!Window}), relative-error
+    quantile sketches ({!Sketch}), a Chrome-trace/JSONL recorder
+    ({!Chrome}), a cycle-attribution profiler ({!Attrib}) with flamegraph
+    ({!Flame}) and Prometheus/JSON ({!Metrics}) exporters, a request-scoped
+    causal-trace collector ({!Request}) and a tamper-evident hash-chained
+    audit log ({!Audit}) — plus an offline flight-recorder stack: a
+    crash-safe binary journal ({!Journal}) whose {!Journal.replay} feeds
+    recorded streams back through live sinks, with query ({!Query}),
+    critical-path ({!Critical}) and run-diff ({!Diff}) engines built on it.
 
     Emission never advances the virtual clock: observability is free in
     simulated time, so calibrated results are identical with or without
@@ -33,17 +28,11 @@ module Metrics = Metrics
 module Audit = Audit
 module Request = Request
 module Window = Window
-module Slo = Slo
-module Health = Health
-module Dash = Dash
 module Journal = Journal
 module Query = Query
 module Critical = Critical
 module Diff = Diff
 module Sketch = Sketch
-module Topk = Topk
-module Exemplar = Exemplar
-module Agg = Agg
 
 val with_span : Emitter.t -> now:(unit -> int) -> Trace.phase -> (unit -> 'a) -> 'a
 (** [with_span emitter ~now phase f] emits [Span_begin phase], runs [f], and

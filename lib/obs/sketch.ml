@@ -1,4 +1,4 @@
-(* Mergeable relative-error quantile sketch (DDSketch-style) at a fixed
+(* Relative-error quantile sketch (DDSketch-style) at a fixed
    accuracy of alpha = 1%.
 
    Values v >= 1 land in log-gamma bucket i = ceil (ln v / ln gamma) with
@@ -11,9 +11,8 @@
    The bucket array statically covers the full int range (~2150 buckets),
    so the record path never resizes and no bucket is ever folded into
    another. The state is therefore bucket-wise addition over the multiset
-   of recorded values: it never depends on record or merge order, {!merge}
-   is exactly associative and commutative, and two sketches over the same
-   multiset are structurally equal. *)
+   of recorded values: it never depends on record order, and two sketches
+   over the same multiset are structurally equal. *)
 
 type t = {
   buckets : int array; (* length max_index + 1, allocated once *)
@@ -106,17 +105,6 @@ let quantile t ~p =
     end
   end
 
-let merge ~into src =
-  if into == src then invalid_arg "Sketch.merge: cannot merge into itself";
-  into.count <- into.count + src.count;
-  into.zeros <- into.zeros + src.zeros;
-  if src.min_v < into.min_v then into.min_v <- src.min_v;
-  if src.max_v > into.max_v then into.max_v <- src.max_v;
-  if src.hi > into.hi then into.hi <- src.hi;
-  for i = 0 to src.hi do
-    into.buckets.(i) <- into.buckets.(i) + src.buckets.(i)
-  done
-
 (* {2 Per-kind family, attachable as an emitter sink} *)
 
 module Family = struct
@@ -132,9 +120,4 @@ module Family = struct
     f
 
   let get f kind = f.sketches.(Trace.index kind)
-
-  let merge ~into src =
-    Array.iteri
-      (fun i s -> merge ~into:into.sketches.(i) s)
-      src.sketches
 end

@@ -1,20 +1,16 @@
-(** Mergeable relative-error quantile sketch (DDSketch-style log-gamma
+(** Relative-error quantile sketch (DDSketch-style log-gamma
     buckets) at a fixed accuracy of {!alpha} = 1%.
 
     Values land in buckets [i = ceil (ln v / ln gamma)] with
     [gamma = (1+alpha)/(1-alpha)], so every quantile estimate is within a
     relative error of [alpha] of some value actually recorded (plus at
     most 1 absolute from integer rounding; values below [1 / 2 alpha]
-    occupy one bucket per integer and are exact). Unlike
-    {!Histogram}'s factor-of-two log2 buckets, sketches from different
-    machines {!merge} with no accuracy loss, which is what makes fleet
-    p50/p95/p99 well-defined.
+    occupy one bucket per integer and are exact). {!Histogram}'s log2
+    buckets, by contrast, are only good to a factor of two.
 
     Determinism contract: the sketch state is a pure function of the
-    multiset of recorded values — record order, merge order and merge
-    grouping never change it — so any two aggregation schedules over the
-    same values leave structurally equal ([=]) sketches. {!merge} is
-    exactly associative and commutative. *)
+    multiset of recorded values — record order never changes it — so two
+    sketches over the same values are structurally equal ([=]). *)
 
 type t
 
@@ -48,12 +44,6 @@ val quantile : t -> p:float -> int
     for non-negative streams (latencies); negative values share the zero
     bucket and are pinned only by the min clamp. *)
 
-val merge : into:t -> t -> unit
-(** Fold [src] into [into] (the source is left untouched). Exactly
-    associative and commutative: any merge tree over the same sketches
-    leaves [into] in the same state. Raises [Invalid_argument] on
-    self-merge. *)
-
 (** Per-kind sketch family attachable as an emitter sink, mirroring
     {!Histogram.attach}: every event's argument is recorded into its
     kind's sketch. *)
@@ -64,7 +54,4 @@ module Family : sig
   val create : unit -> t
   val attach : Emitter.t -> t -> t
   val get : t -> Trace.kind -> sketch
-
-  val merge : into:t -> t -> unit
-  (** Kind-wise {!Sketch.merge}. *)
 end

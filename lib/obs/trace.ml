@@ -146,8 +146,10 @@ type kind =
   | Sandbox_exit         (* arg = sandbox id *)
   | Req_begin            (* arg = packed request ctx, see {!Request} *)
   | Req_end              (* arg = packed request ctx, see {!Request} *)
-  | Slo_alert            (* arg = objective index lsl 1 lor fired *)
-  | Health_transition    (* arg = subject id lsl 2 lor state index *)
+  | Slo_alert            (* arg = objective index lsl 1 lor fired; no emitter,
+                            kept as wire index 26 *)
+  | Health_transition    (* arg = subject id lsl 2 lor state index; no
+                            emitter, kept as wire index 27 *)
   | Span_begin of phase
   | Span_end of phase
 

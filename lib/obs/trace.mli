@@ -89,10 +89,12 @@ type kind =
                              ([Request.pack]). *)
   | Req_end              (** Request window closes; arg = packed trace ctx. *)
   | Slo_alert            (** SLO burn-rate alert transition; arg =
-                             [objective index lsl 1 lor fired] (see {!Slo}). *)
+                             [objective index lsl 1 lor fired]. No in-tree
+                             emitter: kept because it is wire index 26 of
+                             the journal format and of {!all}. *)
   | Health_transition    (** Health state change; arg =
-                             [subject id lsl 2 lor state index] (see
-                             {!Health}). *)
+                             [subject id lsl 2 lor state index]. No in-tree
+                             emitter: kept as wire index 27. *)
   | Span_begin of phase
   | Span_end of phase
 

@@ -49,12 +49,12 @@ type t = {
       (* Request-trace collector watching this machine's emitter; the
          attested-channel path mints one trace context per session. *)
   window : Obs.Window.t option;
-      (* Optional sliding-window sink, attached before boot so live SLO /
-         health telemetry sees the event stream from the first cycle. *)
+      (* Optional sliding-window sink, attached before boot so it sees the
+         event stream from the first cycle. *)
   sketches : Obs.Sketch.Family.t option;
       (* Optional per-kind quantile-sketch family, attached before boot;
-         unlike the log2 histogram its state merges across machines with
-         bounded relative error, which is what fleet aggregation reads. *)
+         unlike the log2 histogram its quantiles carry a 1% relative-error
+         bound. *)
 }
 
 let setting t = t.setting

@@ -24,10 +24,8 @@ val create :
     (stream name ["sim"]) before any other sink, so the journal holds the
     complete event stream from machine assembly onward; the emitter's
     finalizer seals and closes it. [?window] attaches a sliding-window sink
-    before boot, so live SLO/health telemetry covers the full event stream.
-    [?sketches] attaches a per-kind mergeable quantile-sketch family before
-    boot — the per-machine state fleet aggregation ({!Obs.Agg}) merges with
-    bounded relative error.
+    before boot, so its buckets cover the full event stream. [?sketches]
+    attaches a per-kind relative-error quantile-sketch family before boot.
     [?backend] picks the monitor's isolation backend (default [Pks], the
     calibrated configuration); it only matters for settings with a monitor.
     [?collect_request_spans] (default false) makes the machine's request

@@ -19,9 +19,9 @@
     [backend/table3-pks/*], [backend/table4-pks/*]).
 
     {!gates} lists every other contract as a named entry: the
-    sink-transparency law ({!transparent}), the flight recorder, fleet
-    telemetry, isolation must-deny probes, live-SLO attribution and cycle
-    attribution. [bench check] evaluates the whole list. *)
+    sink-transparency law ({!transparent}), the flight recorder, isolation
+    must-deny probes and cycle attribution. [bench check] evaluates the
+    whole list. *)
 
 (** Dependency-free JSON subset used to read the baseline. *)
 module Json : sig
@@ -155,15 +155,15 @@ val zero_alloc : string -> per:string -> n:int -> (int -> unit) -> check
     they allocate exactly 0 minor words; the boxing cost of
     [Gc.minor_words] itself is calibrated out. Warm [f]'s state up first:
     the check is about the steady state. [per] names one call in the
-    report ("event", "record"). *)
+    report ("event", "draw"). *)
 
 val sinks : (string * (Obs.Emitter.t -> unit)) list
 (** Every passive sink lib/obs offers, by name, each attaching a fresh
     instance to the emitter it is given: counter, ring, attrib, chrome,
-    histogram, live (window + SLO + health watchdog + dashboard), journal
-    (an unlinked temp file), sketches, agg (an aggregator part), audit
-    (a chain on the emitter's audit rail) and routed (a callback
-    subscribed to a kind subset through [Emitter.attach ~kinds]). *)
+    histogram, window (a sliding-window sink), journal (an unlinked temp
+    file), sketches, audit (a chain on the emitter's audit rail) and
+    routed (a callback subscribed to a kind subset through
+    [Emitter.attach ~kinds]). *)
 
 val emit_mix : Obs.Trace.kind array
 (** Every kind but the request markers (which open a collector window by
@@ -193,11 +193,7 @@ val gates :
     over all {!sinks}, plus [law/emit-zero-alloc]: 10k mixed emissions on
     a fresh erebor machine's emitter allocate nothing, and
     [drbg/zero-alloc]: 100k mixed warm [Crypto.Drbg] draws allocate
-    nothing), [journal]
-    (replay, zero-alloc record path, self-diff and seeded-regression
-    diff, [--from-journal] rates),
-    [agg] (quantile accuracy, merge/jobs invariance, spike attribution,
-    zero-alloc record path), [density] (must-deny probes), [slo]
-    (seeded-stall attribution, clean runs silent) and [attrib] (cycle
-    conservation). [smoke] picks the quick cut @ci runs; [smoke:false]
-    is full scale. [jobs] is the domain-pool width for machine fan-out. *)
+    nothing), [journal] (replay, zero-alloc record path, self-diff and
+    seeded-regression diff, [--from-journal] rates), [density] (must-deny
+    probes) and [attrib] (cycle conservation). [smoke] picks the quick
+    cut @ci runs; [smoke:false] is full scale. [jobs] is the domain-pool width for machine fan-out. *)

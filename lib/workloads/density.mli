@@ -67,25 +67,3 @@ val scaling :
     with one {!Obs.Request} root window per request. [tenant_counts]
     defaults to powers of two 1→256 (smoke: [[1; 2; 4]], the cut
     [bench check] runs). *)
-
-(** {2 Tenant skeleton}
-
-    The provisioning and per-request path every multi-tenant driver
-    shares ({!Slo_bench} serves its tenants through it too). *)
-
-type tenant = {
-  sb : Erebor.Sandbox.t;
-  base : int;         (** Confined heap base. *)
-  common_base : int;  (** Where the shared common instance is mapped. *)
-}
-
-val provision : Erebor.Sandbox.manager -> int -> tenant
-(** [provision mgr i] creates and seals tenant [i] (named
-    ["tenant-<i+1>"]): 16 pinned confined pages, the shared 64-page common
-    instance attached, and 256 bytes of its own client data loaded. *)
-
-val serve : Sim.Machine.t -> tenant -> round:int -> index:int -> unit
-(** One request of the monitored skeleton of §6: CR3 switch into the
-    tenant, four confined touches and one common touch (demand-faulted on
-    first use) picked by [round] and [index], the input and output channel
-    ioctls, and a timer tick. *)

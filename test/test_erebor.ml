@@ -219,20 +219,56 @@ let test_gate_pkrs_restored_on_exception () =
   Alcotest.(check int64) "revoked after exception" Erebor.Policy.normal_mode_pkrs
     (Hw.Msr.read st.cpu.Hw.Cpu.msr Hw.Msr.ia32_pkrs)
 
-let test_gate_interrupt_revokes () =
-  let st = make_stack () in
+(* An IPI lands mid-EMC: the #INT gate must revoke the backend's grant
+   around the OS handler and restore it afterwards — also when the handler
+   raises, in which case the secure stack is popped and the exception still
+   reaches the interrupted service. *)
+let test_gate_interrupt_revokes backend () =
+  let st = make_stack ~backend () in
   let gate = Erebor.Monitor.gate st.monitor in
+  let iso = Erebor.Gate.backend gate in
+  let grant () = Erebor.Isolation.read_grant iso in
+  let granted = Erebor.Isolation.granted_value iso
+  and revoked = Erebor.Isolation.revoked_value iso in
   let msr = st.cpu.Hw.Cpu.msr in
-  let during_irq = ref (-1L) and after_irq = ref (-1L) in
+  let pkrs () = Hw.Msr.read msr Hw.Msr.ia32_pkrs in
+  let during_irq = ref (-1) and after_irq = ref (-1) in
+  let pkrs_during = ref (-1L) and pkrs_after = ref (-1L) in
   Erebor.Gate.call gate (fun () ->
-      (* An IPI lands mid-EMC: the #INT gate must revoke the granted
-         permissions around the OS handler. *)
       Erebor.Gate.interrupt_during_emc gate (fun () ->
-          during_irq := Hw.Msr.read msr Hw.Msr.ia32_pkrs);
-      after_irq := Hw.Msr.read msr Hw.Msr.ia32_pkrs);
-  Alcotest.(check int64) "revoked during irq" Erebor.Policy.normal_mode_pkrs !during_irq;
-  Alcotest.(check int64) "restored after irq" Erebor.Policy.monitor_mode_pkrs !after_irq;
-  Alcotest.(check int) "interrupt counted" 1 (Erebor.Gate.interrupted_count gate)
+          during_irq := grant ();
+          pkrs_during := pkrs ();
+          Alcotest.(check int) "grant saved on the secure stack" 1
+            (Erebor.Gate.secure_stack_depth gate));
+      after_irq := grant ();
+      pkrs_after := pkrs ());
+  Alcotest.(check int) "revoked during irq" revoked !during_irq;
+  Alcotest.(check int) "restored after irq" granted !after_irq;
+  if backend = Erebor.Isolation.Pks then begin
+    Alcotest.(check int64) "PKRS revoked during irq"
+      Erebor.Policy.normal_mode_pkrs !pkrs_during;
+    Alcotest.(check int64) "PKRS restored after irq"
+      Erebor.Policy.monitor_mode_pkrs !pkrs_after
+  end;
+  Alcotest.(check int) "secure stack empty" 0
+    (Erebor.Gate.secure_stack_depth gate);
+  let during_raise = ref (-1) and after_raise = ref (-1) in
+  let reraised = ref false and depth_after = ref (-1) in
+  Erebor.Gate.call gate (fun () ->
+      (try
+         Erebor.Gate.interrupt_during_emc gate (fun () ->
+             during_raise := grant ();
+             raise Exit)
+       with Exit -> reraised := true);
+      after_raise := grant ();
+      depth_after := Erebor.Gate.secure_stack_depth gate);
+  Alcotest.(check bool) "handler's exception re-raised" true !reraised;
+  Alcotest.(check int) "revoked while the handler raised" revoked !during_raise;
+  Alcotest.(check int) "restored after the handler raised" granted !after_raise;
+  Alcotest.(check int) "secure stack emptied after the raise" 0 !depth_after;
+  Alcotest.(check int) "caller's grant back after the EMC" revoked (grant ());
+  Alcotest.(check int) "interrupts counted" 2
+    (Erebor.Gate.interrupted_count gate)
 
 let test_gate_emc_cost () =
   let st = make_stack () in
@@ -1336,7 +1372,11 @@ let () =
           claim "rogue entry #CP" test_gate_rogue_entry;
           claim "pkrs switching" test_gate_pkrs_switching;
           claim "exception safety" test_gate_pkrs_restored_on_exception;
-          claim "interrupt gate" test_gate_interrupt_revokes;
+          claim "interrupt gate" (test_gate_interrupt_revokes Erebor.Isolation.Pks);
+          claim "interrupt gate (wp)"
+            (test_gate_interrupt_revokes Erebor.Isolation.Write_protect);
+          claim "interrupt gate (tmemk)"
+            (test_gate_interrupt_revokes Erebor.Isolation.Tme_mk);
           claim "emc cost" test_gate_emc_cost;
           QCheck_alcotest.to_alcotest prop_gate_retires_constant;
           claim "round trips allocate nothing (pks)"

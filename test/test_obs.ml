@@ -1401,224 +1401,7 @@ let test_window_record_allocation_free () =
     true (delta <= 32.0)
 
 (* ------------------------------------------------------------------ *)
-(* SLO burn-rate alerts                                                *)
-(* ------------------------------------------------------------------ *)
-
-let slo_latency_objective () =
-  Obs.Slo.objective ~name:"lat"
-    ~condition:
-      (Obs.Slo.Latency_above { kind = Obs.Trace.Req_end; threshold = 1000 })
-    ~budget:0.01 ()
-
-let test_slo_fire_and_clear () =
-  let obs = Obs.Emitter.create () in
-  let counter = Obs.Counter.attach obs (Obs.Counter.create ()) in
-  let w =
-    Obs.Window.create ~hist_kinds:[ Obs.Trace.Req_end ] ~width:100 ~buckets:64
-      ()
-  in
-  let slo =
-    Obs.Slo.create ~emit:obs ~fast_windows:5 ~slow_windows:30 ~window:w
-      ~objectives:[ slo_latency_objective () ] ()
-  in
-  (* Healthy traffic: 20 fast requests, one per 50 cycles. *)
-  for i = 1 to 20 do
-    Obs.Window.record w Obs.Trace.Req_end ~ts:(i * 50) ~arg:10
-  done;
-  Obs.Slo.evaluate slo ~now:1000;
-  Alcotest.(check int) "clean traffic: nothing firing" 0
-    (List.length (Obs.Slo.firing slo));
-  (* Burst of slow requests: both the fast and the slow window burn far
-     past 10x the 1% budget. *)
-  for i = 1 to 5 do
-    Obs.Window.record w Obs.Trace.Req_end ~ts:(1000 + (i * 10)) ~arg:5000
-  done;
-  Obs.Slo.evaluate slo ~now:1050;
-  Alcotest.(check int) "burst fires the alert" 1
-    (List.length (Obs.Slo.firing slo));
-  Alcotest.(check bool) "fired_ever" true (Obs.Slo.fired_ever slo ~name:"lat");
-  (* Recovery traffic pushes the bad samples out of the fast window, but
-     the slow window still burns: hysteresis keeps the alert up. *)
-  for i = 0 to 10 do
-    Obs.Window.record w Obs.Trace.Req_end ~ts:(1100 + (i * 50)) ~arg:10
-  done;
-  Obs.Slo.evaluate slo ~now:1600;
-  Alcotest.(check int) "slow burn holds the alert up" 1
-    (List.length (Obs.Slo.firing slo));
-  (* Once both burns drop below clear_burn, it still takes clear_evals
-     consecutive evaluations to clear. *)
-  Obs.Slo.evaluate slo ~now:20_000;
-  Obs.Slo.evaluate slo ~now:20_100;
-  Alcotest.(check int) "two clean evals: still firing" 1
-    (List.length (Obs.Slo.firing slo));
-  Obs.Slo.evaluate slo ~now:20_200;
-  Alcotest.(check int) "third clean eval clears" 0
-    (List.length (Obs.Slo.firing slo));
-  Alcotest.(check int) "evals counted" 6 (Obs.Slo.evals slo);
-  (match Obs.Slo.transitions slo with
-  | [ (1050, _, true); (20_200, _, false) ] -> ()
-  | ts -> Alcotest.failf "unexpected transitions (%d)" (List.length ts));
-  Alcotest.(check int) "one Slo_alert event per transition" 2
-    (Obs.Counter.count counter Obs.Trace.Slo_alert);
-  (* Construction guards. *)
-  (match
-     Obs.Slo.objective ~name:"bad"
-       ~condition:(Obs.Slo.Ratio { bad = Obs.Trace.Mmu_deny; total = Obs.Trace.Emc_entry })
-       ~budget:0.0 ()
-   with
-  | _ -> Alcotest.fail "zero budget must be rejected"
-  | exception Invalid_argument _ -> ());
-  match
-    Obs.Slo.create ~fast_windows:8 ~slow_windows:4 ~window:w ~objectives:[] ()
-  with
-  | _ -> Alcotest.fail "fast > slow must be rejected"
-  | exception Invalid_argument _ -> ()
-
-(* A burst old enough to have left the fast window must not fire, however
-   hard the slow window burns: firing needs BOTH windows over threshold. *)
-let test_slo_needs_both_windows () =
-  let w =
-    Obs.Window.create ~hist_kinds:[ Obs.Trace.Req_end ] ~width:100 ~buckets:64
-      ()
-  in
-  let slo =
-    Obs.Slo.create ~fast_windows:5 ~slow_windows:30 ~window:w
-      ~objectives:[ slo_latency_objective () ] ()
-  in
-  for i = 1 to 5 do
-    Obs.Window.record w Obs.Trace.Req_end ~ts:(i * 10) ~arg:5000
-  done;
-  for i = 0 to 8 do
-    Obs.Window.record w Obs.Trace.Req_end ~ts:(600 + (i * 50)) ~arg:10
-  done;
-  Obs.Slo.evaluate slo ~now:1050;
-  match Obs.Slo.statuses slo with
-  | [ s ] ->
-      Alcotest.(check bool) "slow window burns" true
-        (s.Obs.Slo.slow_burn >= 10.0);
-      Alcotest.(check bool) "fast window is clean" true
-        (s.Obs.Slo.fast_burn < 1.0);
-      Alcotest.(check bool) "no fire on slow burn alone" false
-        s.Obs.Slo.firing
-  | ss -> Alcotest.failf "expected 1 status, got %d" (List.length ss)
-
-(* ------------------------------------------------------------------ *)
-(* Health watchdogs                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let tight_rules =
-  {
-    Obs.Health.stall_cycles = 1000;
-    deadline_cycles = 5000;
-    denial_spike = 3;
-    degrade_after = 2;
-    unhealthy_after = 2;
-    recover_after = 2;
-  }
-
-let test_health_stall_ladder () =
-  let obs = Obs.Emitter.create () in
-  let counter = Obs.Counter.attach obs (Obs.Counter.create ()) in
-  let ring = Obs.Ring.attach obs (Obs.Ring.create ~capacity:32) in
-  let chain = Obs.Audit.create ~key:audit_test_key in
-  Obs.Emitter.set_audit obs (Some chain);
-  let h = Obs.Health.create ~emit:obs ~rules:tight_rules () in
-  let s = Obs.Health.register h ~name:"t0" ~now:0 in
-  Alcotest.(check string) "initially healthy" "healthy"
-    (Obs.Health.state_name (Obs.Health.state s));
-  (* A request goes in flight and the subject falls silent: the EMC-stall
-     watchdog scores it bad once [stall_cycles] pass without a call. *)
-  Obs.Health.begin_request s ~now:0;
-  Obs.Health.note_emc s ~now:0;
-  Obs.Health.check h ~now:500;
-  Alcotest.(check string) "under the stall threshold" "healthy"
-    (Obs.Health.state_name (Obs.Health.state s));
-  Obs.Health.check h ~now:1600;
-  Alcotest.(check string) "one bad check is not enough" "healthy"
-    (Obs.Health.state_name (Obs.Health.state s));
-  Obs.Health.check h ~now:1700;
-  Alcotest.(check string) "degrade_after bad checks demote" "degraded"
-    (Obs.Health.state_name (Obs.Health.state s));
-  Obs.Health.check h ~now:1800;
-  Obs.Health.check h ~now:1900;
-  Alcotest.(check string) "unhealthy_after more demote again" "unhealthy"
-    (Obs.Health.state_name (Obs.Health.state s));
-  (* The request completes inside its deadline: clean checks walk the
-     subject back up one level per recover_after streak. *)
-  Obs.Health.note_emc s ~now:2000;
-  Obs.Health.end_request h s ~now:2000 ~latency:2000;
-  Obs.Health.check h ~now:2100;
-  Obs.Health.check h ~now:2200;
-  Alcotest.(check string) "recovery steps one level" "degraded"
-    (Obs.Health.state_name (Obs.Health.state s));
-  Obs.Health.check h ~now:2300;
-  Obs.Health.check h ~now:2400;
-  Alcotest.(check string) "full recovery" "healthy"
-    (Obs.Health.state_name (Obs.Health.state s));
-  (match Obs.Health.transitions_of h s with
-  | [ (1700, Obs.Health.Degraded); (1900, Obs.Health.Unhealthy);
-      (2200, Obs.Health.Degraded); (2400, Obs.Health.Healthy) ] -> ()
-  | ts -> Alcotest.failf "unexpected transition list (%d)" (List.length ts));
-  Alcotest.(check int) "one event per transition" 4
-    (Obs.Counter.count counter Obs.Trace.Health_transition);
-  (* Events pack (id lsl 2 lor state index); subject 0 -> bare indices. *)
-  Alcotest.(check (list int)) "packed state indices"
-    [ 1; 2; 1; 0 ]
-    (List.filter_map
-       (fun e ->
-         if e.Obs.Trace.kind = Obs.Trace.Health_transition then
-           Some e.Obs.Trace.arg
-         else None)
-       (Obs.Ring.to_list ring));
-  (* Transitions land on the audit rail and the chain verifies offline. *)
-  Obs.Emitter.finalize obs ~now:2400;
-  Alcotest.(check bool) "audit rail carries health records" true
-    (contains ~sub:"health" (Obs.Audit.to_string chain));
-  match
-    Obs.Audit.verify_string ~key:audit_test_key (Obs.Audit.to_string chain)
-  with
-  | Ok n ->
-      Alcotest.(check bool) "all transitions on the chain" true (n >= 4)
-  | Error e -> Alcotest.failf "health audit chain rejected: %s" e
-
-let test_health_overrun_and_spike () =
-  let h = Obs.Health.create ~rules:tight_rules () in
-  let s = Obs.Health.register h ~name:"t1" ~now:0 in
-  (* Two consecutive completed-request deadline overruns demote. *)
-  Obs.Health.begin_request s ~now:0;
-  Obs.Health.note_emc s ~now:5900;
-  Obs.Health.end_request h s ~now:6000 ~latency:6000;
-  Obs.Health.check h ~now:6100;
-  Obs.Health.begin_request s ~now:6100;
-  Obs.Health.note_emc s ~now:12_400;
-  Obs.Health.end_request h s ~now:12_500 ~latency:6400;
-  Obs.Health.check h ~now:12_600;
-  Alcotest.(check string) "overruns demote" "degraded"
-    (Obs.Health.state_name (Obs.Health.state s));
-  Alcotest.(check int) "overruns counted" 2 (Obs.Health.total_overruns s);
-  Alcotest.(check int) "requests counted" 2 (Obs.Health.requests s);
-  Obs.Health.check h ~now:12_700;
-  Obs.Health.check h ~now:12_800;
-  Alcotest.(check string) "recovered" "healthy"
-    (Obs.Health.state_name (Obs.Health.state s));
-  (* A denial spike (>= denial_spike since the last check) scores bad;
-     a sub-threshold trickle does not. *)
-  for _ = 1 to 3 do Obs.Health.note_denial s done;
-  Obs.Health.check h ~now:13_000;
-  for _ = 1 to 3 do Obs.Health.note_denial s done;
-  Obs.Health.check h ~now:13_100;
-  Alcotest.(check string) "denial spikes demote" "degraded"
-    (Obs.Health.state_name (Obs.Health.state s));
-  Obs.Health.note_denial s;
-  Obs.Health.note_denial s;
-  Obs.Health.check h ~now:13_200;
-  Obs.Health.check h ~now:13_300;
-  Alcotest.(check string) "trickle under the spike recovers" "healthy"
-    (Obs.Health.state_name (Obs.Health.state s));
-  Alcotest.(check int) "denials counted" 8 (Obs.Health.total_denials s)
-
-(* ------------------------------------------------------------------ *)
-(* Live telemetry end to end: clock identity, anchors, kill-mid-run    *)
+(* The sink-transparency law                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* The sink-transparency law, stated once: whatever subset of lib/obs's
@@ -1651,63 +1434,6 @@ let prop_sink_law =
     (fun mask ->
       law_run (fun obs -> List.iter (fun (_, attach) -> attach obs) (subset mask))
       = Lazy.force bare)
-
-(* Kill-mid-run coverage for the dashboard snapshot: the emitter finalizer
-   must leave a complete, parseable snapshot even when the body raises. *)
-let test_dash_snapshot_abnormal_exit () =
-  let obs = Obs.Emitter.create () in
-  let window = Obs.Window.create ~width:100_000 ~buckets:64 () in
-  let slo =
-    Obs.Slo.create ~emit:obs ~window ~objectives:Workloads.Slo_bench.clean_objectives ()
-  in
-  let health = Obs.Health.create ~emit:obs () in
-  let m =
-    Sim.Machine.create ~frames:32768 ~cma_frames:4096 ~obs ~window
-      ~setting:Sim.Config.Erebor_full ()
-  in
-  let subject =
-    Obs.Health.register health ~name:"obs-test"
-      ~now:(Hw.Cycles.now (Sim.Machine.clock m))
-  in
-  Obs.Health.watch health subject obs;
-  let dash =
-    Obs.Dash.create ~label:"abnormal" ~slo ~health ~refresh_cycles:100_000
-      ~window ()
-  in
-  ignore (Obs.Dash.attach obs dash);
-  let snapshot = ref "" in
-  Obs.Emitter.add_finalizer obs (fun ~now ->
-      snapshot := Obs.Dash.snapshot_json dash ~now);
-  let boom (ops : Sim.Machine.ops) =
-    ops.Sim.Machine.compute 10_000_000;
-    raise Exit
-  in
-  (match Sim.Machine.run m (small_spec ~body:boom ()) with
-  | _ -> Alcotest.fail "expected the body to raise"
-  | exception Exit -> ());
-  let now = Hw.Cycles.now (Sim.Machine.clock m) in
-  Obs.Emitter.finalize obs ~now;
-  Alcotest.(check bool) "dash refreshed before the kill" true
-    (Obs.Dash.refreshes dash > 0);
-  Alcotest.(check bool) "finalizer wrote a snapshot" true (!snapshot <> "");
-  let module J = Workloads.Bench_gate.Json in
-  match J.parse !snapshot with
-  | Error e -> Alcotest.failf "snapshot does not parse: %s" e
-  | Ok doc ->
-      let str field =
-        match J.member field doc with
-        | Some (J.Str s) -> s
-        | _ -> Alcotest.failf "snapshot missing %S" field
-      in
-      Alcotest.(check string) "schema" "erebor-dash/1" (str "schema");
-      Alcotest.(check string) "label" "abnormal" (str "label");
-      List.iter
-        (fun field ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s section present" field)
-            true
-            (J.member field doc <> None))
-        [ "ts"; "window"; "slo"; "health"; "refreshes" ]
 
 (* ------------------------------------------------------------------ *)
 (* Journal: flight-recorder round trips, corruption, offline engines   *)
@@ -2051,7 +1777,7 @@ let test_journal_diff () =
   rm_journal path_b
 
 (* ------------------------------------------------------------------ *)
-(* Fleet telemetry: sketches, heavy hitters, exemplars, aggregator     *)
+(* Quantile sketches: accuracy against the exact oracle               *)
 (* ------------------------------------------------------------------ *)
 
 (* The exact order statistic [quantile] targets: rank ceil(p * n),
@@ -2147,213 +1873,6 @@ let test_sketch_histogram_crosscheck () =
         [ -0.5; 0.0; 0.25; 0.50; 0.95; 0.99; 1.0; 1.5 ])
     streams
 
-(* qcheck: merging per-chunk sketches — in any order or grouping — leaves
-   structurally equal state, equal to recording the whole stream into one
-   sketch. *)
-let prop_sketch_merge_canonical =
-  QCheck.Test.make ~name:"sketch merge assoc/comm: canonical state" ~count:60
-    QCheck.(
-      list_of_size
-        Gen.(0 -- 6)
-        (list_of_size Gen.(0 -- 60) (int_bound (1 lsl 30))))
-    (fun chunks ->
-      let parts = List.map sketch_of chunks in
-      let merged l =
-        let acc = Obs.Sketch.create () in
-        List.iter (fun s -> Obs.Sketch.merge ~into:acc s) l;
-        acc
-      in
-      let reference = sketch_of (List.concat chunks) in
-      let halves l =
-        let rec go i acc = function
-          | rest when i = 0 -> (List.rev acc, rest)
-          | [] -> (List.rev acc, [])
-          | x :: xs -> go (i - 1) (x :: acc) xs
-        in
-        go (List.length l / 2) [] l
-      in
-      let a, b = halves parts in
-      merged parts = reference
-      && merged (List.rev parts) = reference
-      && merged [ merged a; merged b ] = reference)
-
-(* qcheck: space-saving guarantees. For any stream and a deliberately
-   tiny table: tracked keys obey lower <= exact <= upper, untracked keys
-   have exact <= floor_total, and merged summaries are equal for any
-   merge order. *)
-let prop_topk_bounds =
-  QCheck.Test.make ~name:"topk error bounds + merge invariance" ~count:80
-    QCheck.(list_of_size Gen.(0 -- 240) (int_bound 11))
-    (fun ids ->
-      (* Skew the alphabet so some keys genuinely dominate. *)
-      let keys = List.map (fun i -> Printf.sprintf "k%d" (i * i / 24)) ids in
-      let exact = Hashtbl.create 16 in
-      List.iter
-        (fun k ->
-          Hashtbl.replace exact k
-            (1 + try Hashtbl.find exact k with Not_found -> 0))
-        keys;
-      let exact_count k = try Hashtbl.find exact k with Not_found -> 0 in
-      (* Three machines see interleaved thirds of the stream. *)
-      let parts = Array.init 3 (fun _ -> Obs.Topk.create ~capacity:4 ()) in
-      List.iteri
-        (fun i k -> Obs.Topk.observe parts.(i mod 3) ~key:k ~weight:1)
-        keys;
-      let sums = Array.to_list (Array.map Obs.Topk.seal parts) in
-      let merged =
-        List.fold_left Obs.Topk.merge_summaries Obs.Topk.empty_summary sums
-      in
-      let merged_rev =
-        List.fold_left Obs.Topk.merge_summaries Obs.Topk.empty_summary
-          (List.rev sums)
-      in
-      let bounds_ok =
-        List.for_all
-          (fun (r : Obs.Topk.ranked) ->
-            let e = exact_count r.Obs.Topk.rkey in
-            r.Obs.Topk.lower <= e && e <= r.Obs.Topk.upper)
-          (Obs.Topk.top merged)
-      in
-      let tracked =
-        List.map (fun (r : Obs.Topk.ranked) -> r.Obs.Topk.rkey)
-          (Obs.Topk.top merged)
-      in
-      let absent_ok =
-        Hashtbl.fold
-          (fun k c ok ->
-            ok && (List.mem k tracked || c <= Obs.Topk.floor_total merged))
-          exact true
-      in
-      bounds_ok && absent_ok && merged = merged_rev)
-
-let test_exemplar_reservoir () =
-  let mk l =
-    let t = Obs.Exemplar.create () in
-    List.iter
-      (fun (lat, id, m, off, ts) ->
-        Obs.Exemplar.record t ~latency:lat ~trace_id:id ~machine:m ~offset:off
-          ~ts)
-      l;
-    t
-  in
-  let a = mk [ (100, 1, "m0", 10, 5); (900, 2, "m0", 20, 6) ] in
-  let b = mk [ (1000, 3, "m1", 30, 7); (80, 4, "m1", 40, 8) ] in
-  (* 900 and 1000 share band 10; the slower one wins any merge order. *)
-  let m1 = Obs.Exemplar.create () in
-  Obs.Exemplar.merge ~into:m1 a;
-  Obs.Exemplar.merge ~into:m1 b;
-  let m2 = Obs.Exemplar.create () in
-  Obs.Exemplar.merge ~into:m2 b;
-  Obs.Exemplar.merge ~into:m2 a;
-  Alcotest.(check bool) "merge order invariant" true (m1 = m2);
-  (match Obs.Exemplar.best m1 ~band:(Obs.Exemplar.band_of 1000) with
-  | Some e ->
-      Alcotest.(check int) "slowest wins the band" 3 e.Obs.Exemplar.i_trace_id;
-      Alcotest.(check string) "machine travels" "m1" e.Obs.Exemplar.i_machine
-  | None -> Alcotest.fail "band empty after merge");
-  (* for_value falls back to the nearest occupied band. *)
-  match Obs.Exemplar.for_value m1 500 with
-  | Some e -> Alcotest.(check int) "nearest band below" 100 e.Obs.Exemplar.i_latency
-  | None -> Alcotest.fail "for_value found nothing"
-
-(* A seeded tail spike in one tenant must be attributable from the merged
-   snapshot alone: Topk ranks it first and the p99 exemplar carries the
-   spike's trace id — for every merge order. *)
-let test_agg_spike_attribution () =
-  let mk_part m = Obs.Agg.part ~machine:m () in
-  let parts = [| mk_part "m0"; mk_part "m1"; mk_part "m2" |] in
-  let rand = lcg 1357924680 in
-  for i = 0 to 899 do
-    let p = parts.(i mod 3) in
-    let alice = Obs.Agg.tenant p "alice" in
-    Obs.Agg.record p alice Obs.Trace.Req_end ~latency:(500 + rand 200)
-      ~trace_id:i ~offset:(-1) ~ts:i
-  done;
-  (* bob's tail spikes: 40 of 2400 requests (> 1% of the 3300-request
-     fleet) at 9M cycles, so the fleet p99 lands in the spike band. The
-     seeded request i = 0 wins the exemplar tie-break (equal latency,
-     lowest trace id) and carries a journal offset. *)
-  for i = 0 to 2399 do
-    let p = parts.(i mod 3) in
-    let bob = Obs.Agg.tenant p "bob" in
-    let spiked = i mod 60 = 0 in
-    Obs.Agg.record p bob Obs.Trace.Req_end
-      ~latency:(if spiked then 9_000_000 else 600 + rand 200)
-      ~trace_id:(10_000 + i)
-      ~offset:(if i = 0 then 4242 else -1)
-      ~ts:(1000 + i)
-  done;
-  let sealed = Array.to_list (Array.map Obs.Agg.seal parts) in
-  let snap = Obs.Agg.merge_all sealed in
-  let perm = Obs.Agg.merge_all (List.rev sealed) in
-  Alcotest.(check bool) "merge order invariant" true (snap = perm);
-  Alcotest.(check string) "render deterministic" (Obs.Agg.render snap)
-    (Obs.Agg.render perm);
-  (match Obs.Agg.top ~n:1 snap with
-  | [ r ] ->
-      Alcotest.(check string) "spiked tenant ranks first" "bob/req.end"
-        r.Obs.Topk.rkey
-  | _ -> Alcotest.fail "no heavy hitter");
-  (match Obs.Agg.exemplar_for snap ~p:0.99 with
-  | Some e ->
-      Alcotest.(check int) "p99 exemplar is the spike" 10_000
-        e.Obs.Exemplar.i_trace_id;
-      Alcotest.(check int) "journal offset travels" 4242
-        e.Obs.Exemplar.i_offset;
-      Alcotest.(check string) "machine travels" "m0" e.Obs.Exemplar.i_machine
-  | None -> Alcotest.fail "no p99 exemplar");
-  Alcotest.(check (list string)) "machines sorted" [ "m0"; "m1"; "m2" ]
-    (Obs.Agg.machines snap);
-  Alcotest.(check int) "request total" 3300 (Obs.Agg.requests snap);
-  let panel = Obs.Agg.render snap in
-  Alcotest.(check bool) "panel lists tenants" true
-    (contains ~sub:"alice" panel && contains ~sub:"bob" panel);
-  Alcotest.(check bool) "panel shows exemplar offset" true
-    (contains ~sub:"offset 4242" panel)
-
-(* Structural equality is not vacuous: one extra request, or one exemplar
-   carrying a different journal offset, makes two sealed snapshots
-   unequal. *)
-let test_agg_equality_discriminates () =
-  let sealed ?(extra = false) ~offset () =
-    let p = Obs.Agg.part ~machine:"m0" () in
-    let ten = Obs.Agg.tenant p "alice" in
-    for i = 1 to 100 do
-      Obs.Agg.record p ten Obs.Trace.Req_end ~latency:(i * 13) ~trace_id:i
-        ~offset:(if i = 100 then offset else -1) ~ts:i
-    done;
-    if extra then
-      Obs.Agg.record p ten Obs.Trace.Req_end ~latency:7 ~trace_id:101
-        ~offset:(-1) ~ts:101;
-    Obs.Agg.seal p
-  in
-  let base = sealed ~offset:64 () in
-  Alcotest.(check bool) "same recording, equal" true (base = sealed ~offset:64 ());
-  Alcotest.(check bool) "one more request, unequal" false
-    (base = sealed ~extra:true ~offset:64 ());
-  Alcotest.(check bool) "other exemplar offset, unequal" false
-    (base = sealed ~offset:128 ())
-
-(* The whole fleet record path — sketch + topk hit + exemplar challenge —
-   in steady state allocates nothing. *)
-let test_fleet_record_allocation_free () =
-  let p = Obs.Agg.part ~machine:"m0" () in
-  let ten = Obs.Agg.tenant p "alice" in
-  let spin () =
-    for i = 1 to 10_000 do
-      Obs.Agg.record p ten Obs.Trace.Req_end
-        ~latency:(1 + (i land 4095))
-        ~trace_id:i ~offset:(i * 64) ~ts:i
-    done
-  in
-  spin ();
-  let before = Gc.minor_words () in
-  spin ();
-  let delta = Gc.minor_words () -. before in
-  Alcotest.(check bool)
-    (Printf.sprintf "fleet record allocates nothing (%.0f words)" delta)
-    true (delta <= 32.0)
-
 (* escape_label / escape_json round-trips. *)
 let unescape_label s =
   let buf = Buffer.create (String.length s) in
@@ -2415,7 +1934,7 @@ let test_journal_frame_offsets () =
   rm_journal path
 
 (* Every kind has its own wire name: span begin/end twins and the syscall
-   phase vs the Syscall kind used to share one, which merged query/topk
+   phase vs the Syscall kind used to share one, which merged query
    rows and duplicated OpenMetrics series. *)
 let test_trace_names_injective () =
   let names = List.map Obs.Trace.name Obs.Trace.all in
@@ -2729,25 +2248,9 @@ let () =
           Alcotest.test_case "record path is allocation-free" `Quick
             test_window_record_allocation_free;
         ] );
-      ( "slo",
-        [
-          Alcotest.test_case "multi-window fire + hysteretic clear" `Quick
-            test_slo_fire_and_clear;
-          Alcotest.test_case "slow burn alone never fires" `Quick
-            test_slo_needs_both_windows;
-        ] );
-      ( "health",
-        [
-          Alcotest.test_case "stall ladder + recovery" `Quick
-            test_health_stall_ladder;
-          Alcotest.test_case "overrun + denial-spike watchdogs" `Quick
-            test_health_overrun_and_spike;
-        ] );
       ( "live",
         [
           QCheck_alcotest.to_alcotest prop_sink_law;
-          Alcotest.test_case "abnormal exit snapshots the dash" `Quick
-            test_dash_snapshot_abnormal_exit;
         ] );
       ( "journal",
         [
@@ -2780,19 +2283,6 @@ let () =
             test_sketch_accuracy_adversarial;
           Alcotest.test_case "histogram cross-check" `Quick
             test_sketch_histogram_crosscheck;
-          QCheck_alcotest.to_alcotest prop_sketch_merge_canonical;
-        ] );
-      ( "topk", [ QCheck_alcotest.to_alcotest prop_topk_bounds ] );
-      ( "fleet-agg",
-        [
-          Alcotest.test_case "exemplar reservoir" `Quick
-            test_exemplar_reservoir;
-          Alcotest.test_case "seeded spike attributable end-to-end" `Quick
-            test_agg_spike_attribution;
-          Alcotest.test_case "sealed equality discriminates" `Quick
-            test_agg_equality_discriminates;
-          Alcotest.test_case "record path is allocation-free" `Quick
-            test_fleet_record_allocation_free;
         ] );
       ( "openmetrics",
         [
