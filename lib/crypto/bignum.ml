@@ -280,8 +280,6 @@ module Mont = struct
       modulus;
     }
 
-  let modulus ctx = ctx.modulus
-
   (* Fused CIOS Montgomery product: dst <- a*b*R^{-1} mod m. Inputs are fixed
      k-limb arrays representing values < m; [t] is caller-provided scratch of
      k+1 limbs. The reduction step for limb i folds the a_i*b multiply, the

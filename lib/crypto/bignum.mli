@@ -35,8 +35,6 @@ val mul : t -> t -> t
 val bit_length : t -> int
 (** Position of the highest set bit; 0 for zero. *)
 
-val test_bit : t -> int -> bool
-
 val mod_ : t -> t -> t
 (** [mod_ a m] is [a mod m], computed by shift-and-subtract; adequate for the
     occasional reduction outside the Montgomery fast path. *)
@@ -58,8 +56,6 @@ module Mont : sig
 
   val create : t -> ctx
   (** Raises [Invalid_argument] if the modulus is even or < 3. *)
-
-  val modulus : ctx -> t
 
   val modpow : ctx -> t -> t -> t
   (** [modpow ctx base exp] is [base ^ exp mod modulus], by left-to-right

@@ -7,10 +7,7 @@ type keypair = {
 }
 
 val group_prime : Bignum.t
-(** The 1536-bit safe prime from RFC 3526 group 5. *)
-
-val generator : Bignum.t
-(** g = 2. *)
+(** The 1536-bit safe prime from RFC 3526 group 5; the generator is 2. *)
 
 val generate : Drbg.t -> keypair
 (** Fresh keypair from 256 bits of DRBG output. *)

@@ -19,5 +19,3 @@ let expand ~prk ~info ~len =
     incr counter
   done;
   Bytes.sub (Buffer.to_bytes out) 0 len
-
-let derive ~secret ~salt ~info ~len = expand ~prk:(extract ~salt ~ikm:secret) ~info ~len

@@ -8,6 +8,3 @@ val extract : salt:bytes -> ikm:bytes -> bytes
 val expand : prk:bytes -> info:string -> len:int -> bytes
 (** [expand ~prk ~info ~len] derives [len] bytes of output keying material.
     Raises [Invalid_argument] if [len] exceeds [255 * 32]. *)
-
-val derive : secret:bytes -> salt:bytes -> info:string -> len:int -> bytes
-(** Extract-then-expand in one step. *)

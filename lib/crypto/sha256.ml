@@ -92,13 +92,11 @@ let compress ctx b off =
   in
   round 0 st.(0) st.(1) st.(2) st.(3) st.(4) st.(5) st.(6) st.(7)
 
-let feed ctx ?(off = 0) ?len b =
+let feed ctx b =
   if ctx.finalized then invalid_arg "Sha256.feed: context already finalized";
-  let len = match len with Some l -> l | None -> Bytes.length b - off in
-  if off < 0 || len < 0 || off + len > Bytes.length b then
-    invalid_arg "Sha256.feed: slice out of range";
+  let len = Bytes.length b in
   ctx.total <- ctx.total + len;
-  let pos = ref off and remaining = ref len in
+  let pos = ref 0 and remaining = ref len in
   (* Fill any partial block first. *)
   if ctx.buf_len > 0 then begin
     let need = block_size - ctx.buf_len in

@@ -11,9 +11,8 @@ type ctx
 val init : unit -> ctx
 (** Fresh context with the FIPS initial state. *)
 
-val feed : ctx -> ?off:int -> ?len:int -> bytes -> unit
-(** [feed ctx b] absorbs [len] bytes of [b] starting at [off] (defaulting to
-    the whole buffer). Raises [Invalid_argument] on out-of-range slices. *)
+val feed : ctx -> bytes -> unit
+(** [feed ctx b] absorbs all of [b]. *)
 
 val feed_string : ctx -> string -> unit
 (** [feed_string ctx s] absorbs all of [s]. *)

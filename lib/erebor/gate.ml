@@ -79,8 +79,6 @@ let rec bytes_match code mem paddr i =
 
 let matches t mem ~paddr = bytes_match t.code mem paddr 0
 
-let endbr_at t addr = addr = t.code_base
-
 (* Read/grant/revoke the privilege state the backend uses. The saved value
    is opaque to callers: a PKRS image or a CR0.WP bit. Grants travel as
    unboxed ints — [enter] runs once per EMC and must not allocate, and the
@@ -165,9 +163,11 @@ let call2 t f a b =
 let enter t ~target f =
   if t.depth > 0 then f () (* already in monitor context *)
   else begin
-    (* Inline IBT check (Hw.Cet.check_branch without the closure/result
-       allocations): the gate entry is the only valid endbr64 target. *)
-    if Hw.Msr.s_cet_bits t.cpu.Hw.Cpu.msr land 4 <> 0 && target <> t.code_base
+    (* The gate entry is the only valid endbr64 target. *)
+    if
+      Hw.Cet.ibt_blocks
+        ~s_cet:(Hw.Msr.s_cet_bits t.cpu.Hw.Cpu.msr)
+        ~endbr:(target = t.code_base)
     then
       Hw.Fault.raise_fault
         (Hw.Fault.Control_protection
@@ -203,7 +203,6 @@ let interrupt_during_emc t f =
         raise e
   end
 
-let in_emc t = t.depth > 0
 let secure_stack_depth t = List.length t.saved_grants
 let emc_count t = t.emc_count
 let interrupted_count t = t.interrupted

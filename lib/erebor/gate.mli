@@ -3,7 +3,9 @@
 
     Entry is guarded by CET forward CFI — the monitor's code image carries
     exactly one endbr64, at the entry gate — so an indirect branch anywhere
-    else into monitor code raises #CP. The gate grants the core monitor
+    else into monitor code raises #CP ({!Hw.Cet.ibt_blocks}, the one IBT
+    rule). Returns are not modelled: there is no shadow stack to check
+    them against. The gate grants the core monitor
     memory permissions through its {!Isolation} backend's grant protocol —
     a grant-all IA32_PKRS under PKS, a CR0.WP clear under the WP and TME-MK
     backends — switches to a per-core secure stack, runs the requested
@@ -39,14 +41,12 @@ val retires : t -> int
 (** The instructions {!code_bytes} retired when [create] ran it through
     {!Hw.Icode}: the listing's full length, or [create] would have failed. *)
 
-val endbr_at : t -> int -> bool
-(** The IBT predicate for monitor code: true only at {!entry_point}. *)
-
 val enter : t -> target:int -> (unit -> 'a) -> 'a
 (** Perform one EMC whose indirect-branch target is [target].
 
-    Raises [Fault.Fault (Control_protection _)] if [target] is not the entry
-    gate while IBT is on. On the legitimate path: pays the EMC round-trip
+    Raises [Fault.Fault (Control_protection _)] if {!Hw.Cet.ibt_blocks}
+    the branch: [target] is not the entry gate while IBT is on. On the
+    legitimate path: pays the EMC round-trip
     cost, loads the backend's granted value, runs the service, restores the
     caller's grant (even on exception). Nested calls from monitor context
     reuse the already-granted privilege and pay nothing. *)
@@ -69,8 +69,6 @@ val interrupt_during_emc : t -> (unit -> 'a) -> 'a
     around the OS handler, then pop and restore it — also when the handler
     raises, before the exception propagates. When no EMC is active, just
     runs the handler. *)
-
-val in_emc : t -> bool
 
 val secure_stack_depth : t -> int
 (** Grants currently saved on the secure stack: one per interrupt handler

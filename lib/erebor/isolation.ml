@@ -15,8 +15,6 @@ let kind_of_name = function
   | "tmemk" | "tme-mk" -> Ok Tme_mk
   | s -> Error (Printf.sprintf "unknown isolation backend %S (expected pks|wp|tmemk)" s)
 
-let all_kinds = [ Pks; Write_protect; Tme_mk ]
-
 (* Tenant key ids are monitor-assigned from the sandbox id; keyid 0 is the
    shared key, so owners fold into 1..2^keyid_bits-1. *)
 let keyid_of_owner owner =
@@ -150,7 +148,6 @@ let create kind ~cpu =
   | Tme_mk -> B ((module Tme_backend), Tme_backend.create ~cpu)
 
 let kind (B ((module M), _)) = M.kind
-let name t = kind_name (kind t)
 let install (B ((module M), st)) = M.install st
 let read_grant (B ((module M), st)) = M.read_grant st
 let load_grant (B ((module M), st)) v = M.load_grant st v

@@ -30,7 +30,6 @@ val kind_name : kind -> string
 (** ["pks"], ["wp"], ["tmemk"] — the [--backend] spelling. *)
 
 val kind_of_name : string -> (kind, string) result
-val all_kinds : kind list
 
 val keyid_of_owner : int -> int
 (** The TME-MK key id for sandbox [owner]: nonzero, folded into the
@@ -86,7 +85,6 @@ val create : kind -> cpu:Hw.Cpu.t -> t
 (** Instantiate (but do not yet {!install}) a backend for this core. *)
 
 val kind : t -> kind
-val name : t -> string
 val install : t -> unit
 val read_grant : t -> int
 val load_grant : t -> int -> unit

@@ -21,7 +21,6 @@ type t = {
   policy : policy;
   mutable window_start : int;   (* beginning of the current 1 s window *)
   mutable window_exits : int;
-  mutable exits : int;
   mutable stalls : int;
   mutable stall_cycles : int;
   mutable flushes : int;
@@ -36,7 +35,6 @@ let create ~clock ~cpu policy =
     policy;
     window_start = Hw.Cycles.now clock;
     window_exits = 0;
-    exits = 0;
     stalls = 0;
     stall_cycles = 0;
     flushes = 0;
@@ -52,7 +50,6 @@ let roll_window t =
   end
 
 let on_sandbox_exit t =
-  t.exits <- t.exits + 1;
   if t.policy.flush_on_exit then begin
     t.flushes <- t.flushes + 1;
     Hw.Cpu.flush_tlb t.cpu;
@@ -87,7 +84,6 @@ let release_output t =
         Hw.Cycles.advance t.clock (quantum - rem)
       end
 
-let exits_seen t = t.exits
 let stalls t = t.stalls
 let stall_cycles t = t.stall_cycles
 let flushes t = t.flushes

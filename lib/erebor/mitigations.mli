@@ -35,7 +35,6 @@ val release_output : t -> unit
 
 (** {2 Observability} *)
 
-val exits_seen : t -> int
 val stalls : t -> int
 val stall_cycles : t -> int
 val flushes : t -> int

@@ -342,21 +342,6 @@ let seal_common t ~instance =
     c.mappings;
   !rewritten
 
-let protect_direct_map_inplace t ~pfn ~key ~writable =
-  match t.kernel_root with
-  | None -> false
-  | Some root -> (
-      let vaddr = Kernel.Layout.direct_map (Hw.Phys_mem.addr_of_pfn pfn) in
-      match Hw.Page_table.leaf_addr t.mem ~root_pfn:root vaddr with
-      | None -> false
-      | Some pte_addr ->
-          let pte = Hw.Phys_mem.read_u64 t.mem pte_addr in
-          if not (Hw.Pte.present pte) then false
-          else begin
-            do_store t pte_addr (Hw.Pte.set_writable (Hw.Pte.set_pkey pte key) writable);
-            true
-          end)
-
 
 (* ------------------------------------------------------------------ *)
 (* Huge pages: forced splitting (§7)                                   *)

@@ -116,9 +116,5 @@ val protect_page_splitting :
     page first when necessary — the exact operation the paper says forced
     splitting exists for. *)
 
-val protect_direct_map_inplace : t -> pfn:int -> key:int -> writable:bool -> bool
-(** If the kernel direct map already has a leaf for [pfn], retag it with
-    [key]/[writable]; returns whether a leaf existed. *)
-
 val denied_count : t -> int
 val ptp_count : t -> int

@@ -510,8 +510,6 @@ let tdreport t ~report_data =
       failwith "tdreport: unexpected result"
   | Tdx.Td_module.Error_leaf e -> failwith ("tdreport: " ^ e)
 
-let allow_shared_pfn t pfn = pfn >= t.shared_first && pfn < t.shared_first + t.shared_frames
-
 let cpuid t ~leaf =
   match Hashtbl.find_opt t.cpuid_cache leaf with
   | Some v ->

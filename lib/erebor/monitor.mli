@@ -3,8 +3,8 @@
     Installed into the CVM *before* the kernel (stage-one verified boot), it
     owns every sensitive interface: the MMU (through {!Mmu_guard}), CR/MSR/
     IDT state, and the GHCI. The deprivileged kernel reaches these only via
-    the EMC privops table returned by {!privops}, each call passing through
-    the CET-guarded {!Gate}. *)
+    the EMC privops table the kernel boots over at {!install}, each call
+    passing through the CET-guarded {!Gate}. *)
 
 exception Policy_violation of string
 (** Raised when the kernel requests a sensitive operation the monitor's
@@ -49,9 +49,6 @@ val boot_kernel :
     register its master root, classify kernel text, and write-protect the
     monitor's and PTPs' direct-map views. *)
 
-val privops : t -> Kernel.Privops.t
-(** The instrumented-kernel operation table. Every call is an EMC. *)
-
 (** {2 Monitor-internal privileged services} *)
 
 val tdreport : t -> report_data:bytes -> Tdx.Attest.report
@@ -62,9 +59,6 @@ val gate_intact : t -> bool
 (** Whether the gate code in monitor memory still equals the listing
     measured into MRTD at {!install}. Compares in place: no allocation and
     no virtual cycles. *)
-
-val allow_shared_pfn : t -> int -> bool
-(** Whether GHCI policy permits converting a frame to shared. *)
 
 val cpuid : t -> leaf:int -> int64
 (** Sandbox cpuid emulation: first use per leaf queries the host via

@@ -46,7 +46,6 @@ type manager = {
 
 let id sb = sb.id
 let name sb = sb.sb_name
-let policy sb = sb.policy
 let phase sb = sb.phase
 let main_task sb = sb.main_task
 let threads sb = sb.threads
@@ -355,8 +354,6 @@ let load_client_data mgr sb data =
           Ok start
         end
 
-let append_output _mgr sb data = Buffer.add_bytes sb.output data
-
 let take_output mgr sb =
   (* Quantized release hides processing-time variation (§11). *)
   (match mgr.mitigations with Some m -> Mitigations.release_output m | None -> ());
@@ -400,7 +397,7 @@ let handle_syscall mgr sb call =
               end
               else begin
                 emit mgr Obs.Trace.Channel_send ~arg:(Bytes.length arg);
-                append_output mgr sb arg;
+                Buffer.add_bytes sb.output arg;
                 Kernel.Syscall.Rok
               end
           | _ ->
@@ -461,13 +458,6 @@ let terminate mgr sb =
   Buffer.clear sb.output;
   Kernel.exit_task mgr.kern sb.main_task ~code:0;
   List.iter (fun th -> Kernel.exit_task mgr.kern th ~code:0) sb.threads
-
-let find_by_task mgr task =
-  match Kernel.Task.sandbox_id task with
-  | None -> None
-  | Some sid -> Int_table.find_opt mgr.sandboxes sid
-
-let find_by_id mgr sid = Int_table.find_opt mgr.sandboxes sid
 
 let sandboxes mgr =
   List.sort

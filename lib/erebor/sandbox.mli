@@ -25,7 +25,6 @@ val channel_fd : t -> int
 (** The reserved ioctl descriptor for monitor-shepherded I/O (§6.3). *)
 
 val confined_bytes : t -> int
-val policy : t -> Policy.tenant
 
 val exit_stats : t -> int * int * int
 (** (page faults, timer interrupts, #VE-style kill attempts) observed for
@@ -76,9 +75,6 @@ val read_sandbox_bytes : manager -> t -> addr:int -> len:int -> bytes
 
 val write_sandbox_bytes : manager -> t -> addr:int -> bytes -> unit
 
-val append_output : manager -> t -> bytes -> unit
-(** Collect result bytes the sandbox hands to the monitor via ioctl. *)
-
 val take_output : manager -> t -> bytes
 
 (** {2 Exit interposition (§6.2, Fig. 7)} *)
@@ -110,9 +106,6 @@ val timer_tick : manager -> t -> unit
 
 val terminate : manager -> t -> unit
 (** Scrub: zero every confined frame, unmap and free them, drop outputs. *)
-
-val find_by_task : manager -> Kernel.Task.t -> t option
-val find_by_id : manager -> int -> t option
 
 val sandboxes : manager -> t list
 (** Every sandbox the manager has created (including terminated ones),

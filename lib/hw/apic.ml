@@ -9,8 +9,6 @@ let create clock ~period =
   if period <= 0 then invalid_arg "Apic.create: period must be positive";
   { clock; period; deadline = Cycles.now clock + period; fired = 0 }
 
-let period t = t.period
-
 let set_period t p =
   if p <= 0 then invalid_arg "Apic.set_period: period must be positive";
   t.period <- p;

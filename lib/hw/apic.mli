@@ -8,7 +8,6 @@ type t
 val create : Cycles.clock -> period:int -> t
 (** [period] in cycles; the paper's guest uses a 250 Hz-ish tick. *)
 
-val period : t -> int
 val set_period : t -> int -> unit
 
 val pending : t -> bool

@@ -1,65 +1,3 @@
-let ibt_enabled s_cet = not (Int64.equal (Int64.logand s_cet Msr.s_cet_ibt_bit) 0L)
-let sst_enabled s_cet = not (Int64.equal (Int64.logand s_cet Msr.s_cet_shstk_bit) 0L)
+let ibt_bit = Int64.to_int Msr.s_cet_ibt_bit
 
-let check_branch ~s_cet ~endbr_at ~target =
-  if ibt_enabled s_cet && not (endbr_at target) then
-    Error (Fault.Control_protection (Printf.sprintf "indirect branch to 0x%x: no endbr64" target))
-  else Ok ()
-
-type shadow_stack = {
-  base : int;
-  mutable frames : int list;
-  mutable busy : bool; (* token held by some core *)
-}
-
-let create_stack ~base = { base; frames = []; busy = false }
-let stack_base s = s.base
-
-type t = { mutable active : shadow_stack option }
-
-let create () = { active = None }
-
-let activate t stack =
-  if stack.busy then
-    Error (Fault.Control_protection (Printf.sprintf "shadow stack 0x%x token busy" stack.base))
-  else begin
-    (match t.active with Some prev -> prev.busy <- false | None -> ());
-    stack.busy <- true;
-    t.active <- Some stack;
-    Ok ()
-  end
-
-let deactivate t =
-  match t.active with
-  | None -> ()
-  | Some s ->
-      s.busy <- false;
-      t.active <- None
-
-let current t = t.active
-
-let on_call ~s_cet t ~ret_addr =
-  if sst_enabled s_cet then
-    match t.active with
-    | Some stack -> stack.frames <- ret_addr :: stack.frames
-    | None -> ()
-
-let on_ret ~s_cet t ~ret_addr =
-  if not (sst_enabled s_cet) then Ok ()
-  else
-    match t.active with
-    | None -> Ok ()
-    | Some stack -> (
-        match stack.frames with
-        | [] -> Error (Fault.Control_protection "shadow stack underflow")
-        | saved :: rest ->
-            if saved = ret_addr then begin
-              stack.frames <- rest;
-              Ok ()
-            end
-            else
-              Error
-                (Fault.Control_protection
-                   (Printf.sprintf "return address 0x%x != shadow copy 0x%x" ret_addr saved)))
-
-let depth s = List.length s.frames
+let[@inline] ibt_blocks ~s_cet ~endbr = s_cet land ibt_bit <> 0 && not endbr

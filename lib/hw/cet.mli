@@ -1,47 +1,11 @@
-(** Control-flow Enforcement Technology (§2.2): forward-edge indirect-branch
-    tracking (IBT) and backward-edge shadow stacks (SST). Erebor's EMC gates
-    depend on IBT to force every monitor entry through the single endbr64 at
-    the gate start, and on SST to keep returns from being redirected into
-    monitor code. *)
+(** Control-flow Enforcement Technology (§2.2), forward edge: indirect-branch
+    tracking (IBT). Erebor's EMC gates depend on IBT to force every monitor
+    entry through the single endbr64 at the gate start. Returns are not
+    modelled, so the shadow-stack (SST) half of CET has no engine here; the
+    boot still sets S_CET's SST bit as the paper's does. *)
 
-(** {2 Indirect-branch tracking} *)
-
-val check_branch :
-  s_cet:int64 -> endbr_at:(int -> bool) -> target:int -> (unit, Fault.t) result
-(** [check_branch ~s_cet ~endbr_at ~target] models an indirect [call]/[jmp]:
-    when IBT is enabled in [s_cet] and [target] does not start with endbr64,
-    the result is a #CP fault. *)
-
-(** {2 Shadow stacks} *)
-
-type shadow_stack
-(** A kernel shadow stack region with its unique activation token
-    (per-logical-core exclusivity, §2.2). *)
-
-val create_stack : base:int -> shadow_stack
-(** [base] is the stack's address, used only for identification. *)
-
-val stack_base : shadow_stack -> int
-
-type t
-(** Per-core shadow-stack engine. *)
-
-val create : unit -> t
-
-val activate : t -> shadow_stack -> (unit, Fault.t) result
-(** Claim a stack's token for this core. #CP if the token is already held by
-    another core. *)
-
-val deactivate : t -> unit
-(** Release the current stack (e.g. before a context switch). *)
-
-val current : t -> shadow_stack option
-
-val on_call : s_cet:int64 -> t -> ret_addr:int -> unit
-(** Push the return address when SST is enabled and a stack is active. *)
-
-val on_ret : s_cet:int64 -> t -> ret_addr:int -> (unit, Fault.t) result
-(** Verify the return address against the shadow copy; #CP on mismatch or
-    underflow. A no-op when SST is disabled. *)
-
-val depth : shadow_stack -> int
+val ibt_blocks : s_cet:int -> endbr:bool -> bool
+(** [ibt_blocks ~s_cet ~endbr] models an indirect [call]/[jmp]: true (a
+    #CP) when IBT ({!Msr.s_cet_ibt_bit}) is on in the S_CET bits [s_cet]
+    and the target does not start with endbr64 ([endbr] false).
+    Allocation-free. *)

@@ -17,7 +17,6 @@ type t = {
   msr : Msr.t;
   mutable ac : bool;
   tlb : Tlb.t;
-  cet : Cet.t;
   mutable idt : Idt.t;
   apic : Apic.t;
   obs : Obs.Emitter.t;
@@ -62,7 +61,6 @@ let create ?obs ~id ~mem ~clock ~timer_period () =
     msr;
     ac = false;
     tlb = Tlb.create ();
-    cet = Cet.create ();
     idt = Idt.create ();
     apic = Apic.create clock ~period:timer_period;
     obs = (match obs with Some e -> e | None -> Obs.Emitter.create ());
@@ -287,8 +285,6 @@ let read_bytes t vaddr len =
   out
 
 let write_bytes t vaddr data = write_from t vaddr data ~off:0 ~len:(Bytes.length data)
-
-let exec_check t vaddr = ignore (translate t ~kind:Fault.Execute vaddr)
 
 let require_supervisor t what =
   if t.mode = User then

@@ -1,5 +1,5 @@
 (** A simulated logical core: privilege mode, GPRs, control registers, MSR
-    file, EFLAGS.AC, TLB, CET engine and the current IDT. All memory accesses
+    file, EFLAGS.AC, TLB and the current IDT. All memory accesses
     go through {!translate}, which walks the page tables living in simulated
     physical memory and applies {!Access.check}; faults surface as
     [Fault.Fault] exceptions, to be caught by whichever layer plays the fault
@@ -24,7 +24,6 @@ type t = {
   msr : Msr.t;
   mutable ac : bool;        (** EFLAGS.AC — stac/clac. *)
   tlb : Tlb.t;
-  cet : Cet.t;
   mutable idt : Idt.t;
   apic : Apic.t;
   obs : Obs.Emitter.t;
@@ -38,8 +37,8 @@ type t = {
           raise [Page_fault] with [pkey_violation] set and append a
           ["tme"]-category deny to the audit chain. *)
   mutable actx : Access.ctx;
-      (** Cached access-check context; use {!access_ctx}, which revalidates
-          it against the mode/AC/CR/MSR state before returning it. *)
+      (** Cached access-check context, revalidated against the
+          mode/AC/CR/MSR state before each use. *)
   mutable actx_mode : mode;
   mutable actx_ac : bool;
   mutable actx_cr_gen : int;
@@ -65,10 +64,6 @@ val emit : t -> Obs.Trace.kind -> arg:int -> unit
 (** Emit on the core's bus, stamped with the current virtual cycle. Never
     advances the clock. *)
 
-val access_ctx : t -> Access.ctx
-(** The live access-check context (mode, CR bits, AC, PKRS). Cached: only
-    rebuilt when mode, EFLAGS.AC, a CR or an MSR actually changed. *)
-
 (** {2 Address translation and memory access} *)
 
 val translate : t -> kind:Fault.access_kind -> int -> int
@@ -89,9 +84,6 @@ val read_into : t -> int -> bytes -> off:int -> len:int -> unit
     [read_bytes] is this plus the result buffer. *)
 
 val write_from : t -> int -> bytes -> off:int -> len:int -> unit
-
-val exec_check : t -> int -> unit
-(** Instruction-fetch permission check for the page at the given address. *)
 
 (** {2 Privileged register state (raise #GP from user mode)} *)
 

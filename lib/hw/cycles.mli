@@ -77,9 +77,6 @@ val now : clock -> int
 val advance : clock -> int -> unit
 (** [advance c n] moves time forward by [n >= 0] cycles. *)
 
-val ghz : float
-(** Nominal core frequency used to render cycle counts as seconds (2.1 GHz,
-    the paper's Xeon 8570). *)
-
 val to_seconds : int -> float
-(** Cycles to seconds at [ghz]. *)
+(** Cycles to seconds at the nominal core frequency, 2.1 GHz (the paper's
+    Xeon 8570). *)

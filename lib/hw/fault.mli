@@ -15,7 +15,7 @@ type t =
       (** #GP — e.g. a privileged instruction from user mode. *)
   | Page_fault of page_fault_info  (** #PF *)
   | Control_protection of string
-      (** #CP — CET violation (missing endbr64, shadow-stack mismatch). *)
+      (** #CP — CET violation (an indirect branch to a missing endbr64). *)
   | Virtualization_exception of int
       (** #VE with the TDX exit reason that triggered it. *)
   | Invalid_opcode of string       (** #UD *)
@@ -27,5 +27,4 @@ val raise_fault : t -> 'a
 val vector : t -> int
 (** x86 exception vector: #GP 13, #PF 14, #VE 20, #CP 21, #UD 6. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

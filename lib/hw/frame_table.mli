@@ -4,12 +4,14 @@
     bits).
 
     A table is two-level. The directory holds one slot per run of
-    {!leaf_size} frames, indexed by [pfn lsr 9]. A slot starts out
+    512 frames, indexed by [pfn lsr 9]. A leaf (or directory) of 512 words
+    is above the minor heap's largest block, so leaves go straight to the
+    major heap and add no minor words. A slot starts out
     pointing at one shared, read-only {e empty leaf} that holds the table's
     default value in every entry, and gets its own leaf on the first store
     of a non-default value into its run. The directory itself starts empty;
-    the first such store gives it {!leaf_size} slots (1 GiB of frames), and
-    it doubles from there, capped at [ceil (frames / leaf_size)], to cover
+    the first such store gives it 512 slots (1 GiB of frames), and
+    it doubles from there, capped at [ceil (frames / 512)], to cover
     the highest run stored into. A table therefore costs host memory in proportion to the
     frames written, not to the size of RAM.
 
@@ -26,22 +28,17 @@
 
     Out of range means outside [\[0, frames)], tested by {!in_range} against
     [frames] itself, not against the directory's span: when [frames] is not
-    a multiple of {!leaf_size}, the tail of the last leaf is not
+    a multiple of 512, the tail of the last leaf is not
     addressable. Owners test {!in_range} before every store and decide what
     an out-of-range store does (ignore or raise). No store lands outside
     [frames], so an out-of-range read that the directory does cover sees
     the default too. *)
 
-val leaf_size : int
-(** 512. A leaf (or directory) of 512 words is above the minor heap's
-    largest block, so leaves go straight to the major heap and add no
-    minor words. *)
-
 val in_range : frames:int -> int -> bool
 (** [in_range ~frames pfn] is [0 <= pfn < frames]. *)
 
 val leaf_index : int -> int
-(** [pfn land (leaf_size - 1)]. *)
+(** [pfn land 511]. *)
 
 val leaf : 'a array array -> empty:'a array -> int -> 'a array
 (** The leaf holding [pfn]'s entry, at {!leaf_index}: [empty] when the
@@ -49,7 +46,7 @@ val leaf : 'a array array -> empty:'a array -> int -> 'a array
     cover). A store may go straight into any leaf but [empty]. *)
 
 val empty_leaf : 'a -> 'a array
-(** A fresh leaf of [leaf_size] copies of the default. Make one per table
+(** A fresh leaf of 512 copies of the default. Make one per table
     type, once, and never write to it: the default is its first entry. *)
 
 val empty_dir : 'a array array

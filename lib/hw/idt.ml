@@ -1,13 +1,7 @@
 let vectors = 256
 
-let vec_ud = 6
-let vec_gp = 13
 let vec_pf = 14
-let vec_ve = 20
-let vec_cp = 21
 let vec_timer = 32
-let vec_ipi = 33
-let vec_device = 34
 
 type entry = { present : bool; handler : int }
 
@@ -26,10 +20,6 @@ let set t v ~handler =
 let clear t v =
   check_vector v;
   t.(v) <- absent
-
-let get t v =
-  check_vector v;
-  t.(v)
 
 let copy t = Array.copy t
 

@@ -3,18 +3,10 @@
     a table (lidt) is a sensitive instruction (Table 2) — under Erebor only
     the monitor does it, which is how exits get interposed (§6.2). *)
 
-val vectors : int (** 256. *)
+(** Standard vectors used by the simulation (of 256). *)
 
-(** Standard vectors used by the simulation. *)
-
-val vec_ud : int      (** 6 *)
-val vec_gp : int      (** 13 *)
 val vec_pf : int      (** 14 *)
-val vec_ve : int      (** 20 *)
-val vec_cp : int      (** 21 *)
 val vec_timer : int   (** 32 — APIC timer. *)
-val vec_ipi : int     (** 33 — inter-processor interrupt. *)
-val vec_device : int  (** 34 — external device. *)
 
 type entry = { present : bool; handler : int }
 
@@ -25,7 +17,6 @@ val create : unit -> t
 
 val set : t -> int -> handler:int -> unit
 val clear : t -> int -> unit
-val get : t -> int -> entry
 val copy : t -> t
 
 val deliver : t -> int -> int

@@ -111,4 +111,3 @@ let parse b =
 
 let executable_sections t = List.filter (fun s -> s.executable) t.sections
 let find_section t name = List.find_opt (fun s -> s.name = name) t.sections
-let total_size t = List.fold_left (fun acc s -> acc + Bytes.length s.data) 0 t.sections

@@ -16,11 +16,8 @@ type t = {
   sections : section list;
 }
 
-val magic : string
-(** "EREB1". *)
-
 val serialize : t -> bytes
-(** Flat wire encoding (magic, entry, section table, payloads). *)
+(** Flat wire encoding (magic "EREB1", entry, section table, payloads). *)
 
 val parse : bytes -> (t, string) result
 (** Strict parser: rejects bad magic, truncated tables, overlapping or
@@ -29,6 +26,3 @@ val parse : bytes -> (t, string) result
 val executable_sections : t -> section list
 
 val find_section : t -> string -> section option
-
-val total_size : t -> int
-(** Sum of section payload sizes. *)

@@ -45,12 +45,6 @@ let op_tdcall = 0xc5
 
 let sensitive_opcode b = b >= 0xc0 && b <= 0xc7
 
-let is_sensitive = function
-  | Mov_cr _ | Wrmsr | Stac | Lidt | Tdcall -> true
-  | Nop | Endbr | Mov_imm _ | Load _ | Store _ | Add _ | Jmp _ | Call _ | Ret
-  | Syscall | Iret | Cpuid | Clac | Senduipi _ ->
-      false
-
 let reg_code = function
   | R0 -> 0 | R1 -> 1 | R2 -> 2 | R3 -> 3 | R4 -> 4 | R5 -> 5 | R6 -> 6 | R7 -> 7
 

@@ -53,10 +53,6 @@ val op_stac : int
 val op_lidt : int
 val op_tdcall : int
 
-val is_sensitive : instr -> bool
-val sensitive_opcode : int -> bool
-(** Whether a raw byte is in the sensitive opcode range. *)
-
 val encode : instr -> bytes
 val assemble : instr list -> bytes
 val decode : bytes -> int -> instr option

@@ -42,8 +42,3 @@ let write_pkrs_bits t v =
   t.gen <- t.gen + 1
 
 let gen t = t.gen
-
-let snapshot t =
-  let base = List.of_seq (Hashtbl.to_seq t.table) in
-  let base = if t.s_cet <> 0 then (ia32_s_cet, Int64.of_int t.s_cet) :: base else base in
-  if t.pkrs <> 0 then (ia32_pkrs, Int64.of_int t.pkrs) :: base else base

@@ -38,6 +38,3 @@ val gen : t -> int
 (** Mutation counter: any MSR write bumps it. {!Cpu} compares it to decide
     whether its cached access-check context (which folds in IA32_PKRS) is
     still valid. *)
-
-val snapshot : t -> (int * int64) list
-(** Non-zero MSRs, for context save and tests. *)

@@ -14,8 +14,6 @@ let[@inline] index vaddr level = (vaddr lsr (12 + (9 * level))) land 0x1ff
 
 let split vaddr = (index vaddr 3, index vaddr 2, index vaddr 1, index vaddr 0)
 
-let page_base vaddr = vaddr land lnot (Phys_mem.page_size - 1)
-
 type writer = pte_addr:int -> Pte.t -> unit
 
 let[@inline] entry_addr table_pfn vaddr level =

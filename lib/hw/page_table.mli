@@ -23,9 +23,6 @@ type walk_result = {
 val split : int -> int * int * int * int
 (** [split vaddr] is the four 9-bit indices (PML4, PDPT, PD, PT). *)
 
-val page_base : int -> int
-(** Round a virtual address down to its page. *)
-
 val walk : Phys_mem.t -> root_pfn:int -> int -> walk_result option
 (** [walk mem ~root_pfn vaddr] follows the tree; [None] if any level is
     non-present. *)

@@ -24,7 +24,6 @@ let create ~frames =
   { frames; pages = Frame_table.empty_dir; backed = 0 }
 
 let frames t = t.frames
-let size_bytes t = t.frames * page_size
 let pfn_of_addr addr = addr lsr page_shift
 let addr_of_pfn pfn = pfn lsl page_shift
 let page_offset addr = addr land (page_size - 1)

@@ -18,13 +18,10 @@ val create : frames:int -> t
 (** A physical address space of [frames] 4 KiB frames. *)
 
 val frames : t -> int
-val size_bytes : t -> int
 
 val pfn_of_addr : int -> int
 val addr_of_pfn : int -> int
 val page_offset : int -> int
-
-val valid_pfn : t -> int -> bool
 
 val read_u8 : t -> int -> int
 (** [read_u8 t paddr]. Raises [Invalid_argument] for out-of-range addresses. *)
@@ -62,7 +59,7 @@ val zero_page : t -> int -> unit
 
 val page_is_backed : t -> int -> bool
 (** Whether the frame has materialized backing bytes (i.e. was written).
-    [false] for any pfn outside {!valid_pfn}. *)
+    [false] for any pfn outside [0, frames). *)
 
 val backed_count : t -> int
 (** Number of materialized frames — the simulator's own footprint metric. *)

@@ -17,9 +17,6 @@ val encode : rights array -> int64
 
 val decode : int64 -> rights array
 
-val rights_of : pkrs:int64 -> key:int -> rights
-(** Rights for one key; [key] must be 0–15. *)
-
 val set_key : pkrs:int64 -> key:int -> rights -> int64
 (** Functional update of one key's rights. *)
 

@@ -68,10 +68,8 @@ let with_pfn t pfn' =
     (Int64.logand t (Int64.lognot pfn_mask))
     (Int64.shift_left (Int64.of_int pfn') pfn_shift)
 
-let[@inline] set_present t v = set_bit t bit_present v
 let[@inline] set_writable t v = set_bit t bit_writable v
 let[@inline] set_user t v = set_bit t bit_user v
-let[@inline] set_nx t v = set_bit t bit_nx v
 let[@inline] set_dirty t v = set_bit t bit_dirty v
 let[@inline] set_accessed t v = set_bit t bit_accessed v
 
@@ -98,12 +96,3 @@ let set_pkey t k =
     (Int64.logand t (Int64.lognot (Int64.shift_left 0xfL pkey_shift)))
     (Int64.shift_left (Int64.of_int k) pkey_shift)
 
-let pp fmt t =
-  if not (present t) then Fmt.string fmt "<not-present>"
-  else
-    Fmt.pf fmt "pfn=%#x%s%s%s%s key=%d" (pfn t)
-      (if writable t then " W" else " RO")
-      (if user t then " U" else " S")
-      (if nx t then " NX" else "")
-      (if dirty t then " D" else "")
-      (pkey t)

@@ -42,10 +42,8 @@ val huge : t -> bool
 val set_huge : t -> bool -> t
 
 val with_pfn : t -> int -> t
-val set_present : t -> bool -> t
 val set_writable : t -> bool -> t
 val set_user : t -> bool -> t
-val set_nx : t -> bool -> t
 val keyid_bits : int
 (** Width of the keyid field (10 → ids 0–1023). *)
 
@@ -61,5 +59,3 @@ val set_keyid : t -> int -> t
 val set_pkey : t -> int -> t
 val set_dirty : t -> bool -> t
 val set_accessed : t -> bool -> t
-
-val pp : Format.formatter -> t -> unit

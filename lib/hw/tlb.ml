@@ -20,7 +20,6 @@ type t = {
   gens : int array;
   mutable gen : int;
   mutable epoch : int;
-  mutable hits : int;
   mutable misses : int;
 }
 
@@ -33,7 +32,6 @@ let create () =
     gens = Array.make slots (-1);
     gen = 0;
     epoch = 0;
-    hits = 0;
     misses = 0;
   }
 
@@ -49,15 +47,12 @@ let packed_writable e = e land 2 <> 0
 let packed_nx e = e land 4 <> 0
 let packed_pkey e = (e lsr 4) land 0xf
 let packed_page_base e = e land lnot (Phys_mem.page_size - 1)
-let packed_pfn e = e lsr Phys_mem.page_shift
 
-(* [find t vpn] is the packed entry, or -1 on miss. Counts hits/misses. *)
+(* [find t vpn] is the packed entry, or -1 on miss. Counts misses. *)
 let find t vp =
   let i = vp land mask in
-  if Array.unsafe_get t.tags i = vp && Array.unsafe_get t.gens i = t.gen then begin
-    t.hits <- t.hits + 1;
+  if Array.unsafe_get t.tags i = vp && Array.unsafe_get t.gens i = t.gen then
     Array.unsafe_get t.entries i
-  end
   else begin
     t.misses <- t.misses + 1;
     -1
@@ -82,12 +77,4 @@ let flush_all t =
   t.epoch <- t.epoch + 1
 
 let epoch t = t.epoch
-let hits t = t.hits
 let misses t = t.misses
-
-let entries t =
-  let n = ref 0 in
-  for i = 0 to slots - 1 do
-    if t.tags.(i) >= 0 && t.gens.(i) = t.gen then incr n
-  done;
-  !n

@@ -20,11 +20,10 @@ val packed_writable : int -> bool
 val packed_nx : int -> bool
 val packed_pkey : int -> int
 val packed_page_base : int -> int
-val packed_pfn : int -> int
 
 val find : t -> int -> int
 (** [find t vpn] is the packed entry for that virtual page number, or [-1]
-    on a miss. Counts hits/misses. Allocation-free. *)
+    on a miss. Counts misses. Allocation-free. *)
 
 val insert : t -> int -> int -> unit
 (** [insert t vaddr packed]. Direct-mapped: may evict a conflicting page. *)
@@ -40,6 +39,4 @@ val epoch : t -> int
     only valid while the epoch it was taken under is current — this backs
     {!Cpu}'s last-translation memo. *)
 
-val hits : t -> int
 val misses : t -> int
-val entries : t -> int

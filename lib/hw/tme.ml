@@ -44,8 +44,6 @@ let set_active t keyid =
     invalid_arg "Tme.set_active: keyid out of range";
   t.active <- keyid
 
-let active t = t.active
-
 (* The fill-time key check. A mapping whose PTE keyid disagrees with the
    frame's tag decrypts with the wrong key — modelled as an integrity fault
    rather than silent ciphertext. A correctly-tagged tenant frame still

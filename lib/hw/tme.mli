@@ -36,7 +36,6 @@ val tag_of : t -> pfn:int -> int
 val set_active : t -> int -> unit
 (** Program the tenant key context (0 = none); switched on sandbox entry. *)
 
-val active : t -> int
 val check : t -> pfn:int -> pte_keyid:int -> decision
 val keyed_fills : t -> int
 val faults : t -> int

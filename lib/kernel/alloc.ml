@@ -15,8 +15,6 @@ let create ~first_pfn ~frames =
   if frames <= 0 then invalid_arg "Alloc.create: frames must be positive";
   { first_pfn; frames; bitmap = Bytes.empty; cursor = 0; used = 0 }
 
-let first_pfn t = t.first_pfn
-let total t = t.frames
 let used t = t.used
 let available t = t.frames - t.used
 

@@ -7,8 +7,6 @@ type t
 
 val create : first_pfn:int -> frames:int -> t
 
-val first_pfn : t -> int
-val total : t -> int
 val used : t -> int
 val available : t -> int
 

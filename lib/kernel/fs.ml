@@ -32,8 +32,6 @@ let remove t path =
   end
   else false
 
-let list t = List.sort compare (List.of_seq (Seq.map fst (Hashtbl.to_seq t.files)))
-
 let file_size t path = Option.map (fun r -> Bytes.length !r) (Hashtbl.find_opt t.files path)
 
 let register_special t path ~read ~write = Hashtbl.replace t.specials path { read; write }

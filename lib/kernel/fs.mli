@@ -17,8 +17,6 @@ val append_file : t -> string -> bytes -> unit
 val read_file : t -> string -> bytes option
 val exists : t -> string -> bool
 val remove : t -> string -> bool
-val list : t -> string list
-(** All regular paths, sorted. *)
 
 val file_size : t -> string -> int option
 

@@ -173,8 +173,6 @@ let clone_thread t parent ~name =
   Sched.enqueue t.sched task;
   task
 
-let find_task t tid = Hashtbl.find_opt t.tasks tid
-
 let live_task_count t =
   Hashtbl.fold (fun _ task acc -> if task.Task.state <> Task.Dead then acc + 1 else acc) t.tasks 0
 

@@ -141,5 +141,4 @@ val poke_text : t -> vaddr:int -> code:bytes -> (unit, string) result
 
 (** {2 Introspection} *)
 
-val find_task : t -> int -> Task.t option
 val live_task_count : t -> int

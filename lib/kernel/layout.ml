@@ -5,13 +5,7 @@ let kernel_text_base = 0x2000_0000_0000
 
 let direct_map paddr = direct_map_base + paddr
 
-let phys_of_direct_map vaddr =
-  if vaddr < direct_map_base || vaddr >= kernel_text_base then
-    invalid_arg "Layout.phys_of_direct_map: not a direct-map address";
-  vaddr - direct_map_base
-
 let is_user_addr addr = addr >= user_base && addr < user_top
-let is_direct_map_addr addr = addr >= direct_map_base && addr < kernel_text_base
 
 let page_align_up v = (v + Hw.Phys_mem.page_size - 1) land lnot (Hw.Phys_mem.page_size - 1)
 let page_align_down v = v land lnot (Hw.Phys_mem.page_size - 1)

@@ -15,11 +15,7 @@ val kernel_text_base : int
 val direct_map : int -> int
 (** Kernel virtual address of a physical address. *)
 
-val phys_of_direct_map : int -> int
-(** Inverse of {!direct_map}; raises [Invalid_argument] outside the map. *)
-
 val is_user_addr : int -> bool
-val is_direct_map_addr : int -> bool
 
 val page_align_up : int -> int
 val page_align_down : int -> int

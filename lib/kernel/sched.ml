@@ -19,12 +19,6 @@ let enqueue t task =
 
 let current t = t.current
 
-let runnable_count t =
-  let queued =
-    Queue.fold (fun acc task -> if task.Task.state = Task.Runnable then acc + 1 else acc) 0 t.queue
-  in
-  queued + match t.current with Some { Task.state = Task.Runnable; _ } -> 1 | _ -> 0
-
 let rec next_runnable t =
   match Queue.take_opt t.queue with
   | None -> None

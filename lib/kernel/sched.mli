@@ -13,8 +13,6 @@ val create : ?on_switch:(Task.t -> unit) -> quantum_ticks:int -> unit -> t
 val enqueue : t -> Task.t -> unit
 val current : t -> Task.t option
 
-val runnable_count : t -> int
-
 val on_timer :
   t -> switch:('k -> prev:Task.t option -> next:Task.t -> unit) -> 'k -> bool
 (** [on_timer t ~switch k] accounts one tick; when the quantum expires and

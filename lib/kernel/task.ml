@@ -35,9 +35,6 @@ let make ~tid ~name ~kind ~root_pfn =
     next_fd = 3; (* 0,1,2 conventionally reserved *)
   }
 
-let is_sandboxed t = match t.kind with Sandboxed _ -> true | Normal -> false
-let sandbox_id t = match t.kind with Sandboxed id -> Some id | Normal -> None
-
 let alloc_fd t path =
   let fd = t.next_fd in
   t.next_fd <- fd + 1;

@@ -28,9 +28,6 @@ type t = {
 
 val make : tid:int -> name:string -> kind:kind -> root_pfn:int -> t
 
-val is_sandboxed : t -> bool
-val sandbox_id : t -> int option
-
 val alloc_fd : t -> string -> int
 val path_of_fd : t -> int -> string option
 val close_fd : t -> int -> bool

@@ -2,8 +2,6 @@ type prot = { read : bool; write : bool; exec : bool }
 
 let prot_rw = { read = true; write = true; exec = false }
 let prot_r = { read = true; write = false; exec = false }
-let prot_rx = { read = true; write = false; exec = true }
-let prot_rwx = { read = true; write = true; exec = true }
 
 type kind = Anon | Stack | File of string | Confined | Common
 
@@ -34,7 +32,6 @@ let rec find t addr =
   | r :: rest -> if addr >= r.start && addr < region_end r then Some r else find rest addr
 
 let iter = List.iter
-let to_list t = t
 let count = List.length
 
 let total_bytes t kind =

@@ -6,8 +6,6 @@ type prot = { read : bool; write : bool; exec : bool }
 
 val prot_rw : prot
 val prot_r : prot
-val prot_rx : prot
-val prot_rwx : prot
 
 type kind =
   | Anon                  (** Demand-zero heap / mmap memory. *)
@@ -33,7 +31,6 @@ val find : t -> int -> region option
 (** Region containing an address. *)
 
 val iter : (region -> unit) -> t -> unit
-val to_list : t -> region list
 val count : t -> int
 
 val total_bytes : t -> kind -> int

@@ -44,5 +44,3 @@ let free t addr =
       t.free_list <- coalesce blocks
 
 let used_bytes t = t.used
-let free_bytes t = t.len - t.used
-let block_count t = Hashtbl.length t.allocated

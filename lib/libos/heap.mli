@@ -16,6 +16,4 @@ val free : t -> int -> unit
     doubly-freed addresses. Adjacent free blocks coalesce. *)
 
 val used_bytes : t -> int
-val free_bytes : t -> int
-val block_count : t -> int
 (** Live allocations. *)

@@ -14,7 +14,6 @@ type t = {
   mutable services : int;
 }
 
-let sandbox t = t.sb
 let fs t = t.lfs
 let heap t = t.lheap
 let heap_base t = t.heap_base
@@ -78,7 +77,6 @@ let write_file t path data =
   Memfs.write_file t.lfs path data
 
 let store t ~addr data = Erebor.Sandbox.write_sandbox_bytes t.mgr t.sb ~addr data
-let load t ~addr ~len = Erebor.Sandbox.read_sandbox_bytes t.mgr t.sb ~addr ~len
 
 let with_lock t f = Spinlock.with_lock t.lock f
 

@@ -22,7 +22,6 @@ val boot :
     happens now, never after sealing), mount the in-memory FS and preload
     files into it. *)
 
-val sandbox : t -> Erebor.Sandbox.t
 val fs : t -> Memfs.t
 val heap : t -> Heap.t
 val heap_base : t -> int
@@ -40,8 +39,6 @@ val read_file : t -> string -> (bytes, string) result
 val write_file : t -> string -> bytes -> (unit, string) result
 val store : t -> addr:int -> bytes -> unit
 (** Raw write into sandbox memory (program stores). *)
-
-val load : t -> addr:int -> len:int -> bytes
 
 val with_lock : t -> (unit -> 'a) -> 'a
 (** Internal spinlock synchronization — no futex, no exit. *)

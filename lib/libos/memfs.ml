@@ -54,4 +54,3 @@ let remove t path =
   else false
 
 let list t = List.sort compare (List.of_seq (Seq.map fst (Hashtbl.to_seq t.files)))
-let total_bytes t = Hashtbl.fold (fun _ f acc -> acc + f.len) t.files 0

@@ -21,5 +21,3 @@ val file_size : t -> string -> int option
 val exists : t -> string -> bool
 val remove : t -> string -> bool
 val list : t -> string list
-val total_bytes : t -> int
-(** Heap bytes consumed by file payloads. *)

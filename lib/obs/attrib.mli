@@ -19,8 +19,6 @@ type t
 val create : unit -> t
 val attach : Emitter.t -> t -> t
 
-val sink : t -> Emitter.sink
-
 val close : t -> now:int -> unit
 (** Charge the cycles between the last span boundary and [now] to the
     current innermost context. Call once, when the clock stops moving. *)

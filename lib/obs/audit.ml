@@ -290,7 +290,3 @@ let verify_string ~key s =
       lines;
     match !err with Some m -> Error m | None -> Ok (n_lines - 1)
   end
-
-let pp_record fmt r =
-  Fmt.pf fmt "#%d @%d [%s] %s: %s" r.seq r.ts (verdict_name r.verdict)
-    r.category r.detail

@@ -12,8 +12,6 @@
 
 type verdict = Allow | Deny | Kill | Info
 
-val verdict_name : verdict -> string
-
 type record = {
   seq : int;
   ts : int;            (** Virtual cycles at the decision point. *)
@@ -61,4 +59,3 @@ val verify_string : key:bytes -> string -> (int, string) result
     [Error msg] pinpoints the first failure (malformed line, sequence gap,
     MAC mismatch, missing/inconsistent close record). *)
 
-val pp_record : Format.formatter -> record -> unit

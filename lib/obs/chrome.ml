@@ -121,5 +121,3 @@ let to_jsonl t =
         e.Trace.arg;
       Buffer.add_char buf '\n');
   Buffer.contents buf
-
-let clear t = t.len <- 0

@@ -23,5 +23,3 @@ val to_chrome_json : t -> string
     closed with synthetic ["E"] events at the last recorded timestamp. *)
 
 val to_jsonl : t -> string
-
-val clear : t -> unit

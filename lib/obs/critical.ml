@@ -128,12 +128,7 @@ let analyze ?(top = 10) ~path () =
         List.map (fun r -> r.total) reqs |> List.sort Stdlib.compare
         |> Array.of_list
       in
-      let pct p =
-        if n = 0 then 0
-        else
-          let i = int_of_float (ceil (p *. float_of_int n)) - 1 in
-          latencies.(Stdlib.max 0 (Stdlib.min (n - 1) i))
-      in
+      let pct p = Histogram.nearest_rank latencies ~p in
       let totals = Array.make Trace.n_phases 0 in
       List.iter
         (fun r ->

@@ -6,7 +6,10 @@
 
 let frame p = Trace.domain_name (Trace.phase_domain p) ^ ":" ^ Trace.phase_name p
 
-let collapsed ?(root = "erebor") attrib =
+(* The label of the tree's root context. *)
+let root = "erebor"
+
+let collapsed attrib =
   let buf = Buffer.create 1024 in
   let rec go prefix (v : Attrib.view) =
     let label =
@@ -25,7 +28,7 @@ let collapsed ?(root = "erebor") attrib =
   go root (Attrib.view attrib);
   Buffer.contents buf
 
-let tree ?(root = "erebor") attrib =
+let tree attrib =
   let v = Attrib.view attrib in
   let grand = max 1 v.Attrib.vtotal in
   let buf = Buffer.create 1024 in

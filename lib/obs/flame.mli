@@ -1,14 +1,11 @@
 (** Flamegraph export for the {!Attrib} context tree. *)
 
-val frame : Trace.phase -> string
-(** The frame label for a phase: ["domain:phase"], e.g. ["monitor:svc.mmu"]. *)
-
-val collapsed : ?root:string -> Attrib.t -> string
-(** Brendan-Gregg collapsed-stack format: one ["root;frame;... self\n"]
+val collapsed : Attrib.t -> string
+(** Brendan-Gregg collapsed-stack format: one ["erebor;frame;... self\n"]
     line per context with nonzero self-cycles (root line included when it
     holds unattributed cycles), deterministic order, counts summing to
     {!Attrib.total}. Feed to [flamegraph.pl], speedscope or inferno. *)
 
-val tree : ?root:string -> Attrib.t -> string
+val tree : Attrib.t -> string
 (** Indented ASCII tree: per context, subtree total cycles and share of the
     grand total (plus self-cycles where they differ). *)

@@ -3,8 +3,8 @@
    bucket 1 is {1}, bucket 2 is {2,3}, bucket 3 is {4..7}, ... Useful for
    kinds whose arg is a latency (EMC round trips, tdcalls). The one
    single-distribution type ([dist]) and rank-interpolation walk
-   ([row_percentile]) here also back {!Query} cells, {!Request} latency and
-   {!Window}'s merged view, so every log2 percentile agrees. *)
+   ([row_percentile]) here also back {!Query} cells and {!Window}'s merged
+   view, so every log2 percentile agrees. *)
 
 let n_buckets = 63
 
@@ -54,6 +54,13 @@ let row_percentile row ~n ~vmin ~vmax ~p =
       go 0 0
     end
   end
+
+let nearest_rank sorted ~p =
+  match Array.length sorted with
+  | 0 -> 0
+  | n ->
+      let i = int_of_float (ceil (p *. float_of_int n)) - 1 in
+      sorted.(max 0 (min (n - 1) i))
 
 type dist = {
   mutable count : int;

@@ -6,7 +6,8 @@
     A {!dist} is one such distribution on its own; the per-kind sink is an
     array of them. {!row_percentile} is the single rank-interpolation walk
     every log2 percentile in the library goes through ({!Query} cells,
-    {!Request} latency, {!Window}'s merged view). *)
+    {!Window}'s merged view); {!nearest_rank} is the exact rule over a
+    sorted sample. *)
 
 type t
 
@@ -20,12 +21,16 @@ val bucket_of : int -> int
 (** The bucket index a value lands in (number of significant bits). *)
 
 val bucket_lo : int -> int
-val bucket_hi : int -> int
-(** Inclusive value range covered by a bucket index. *)
+(** Smallest value a bucket index covers. *)
 
 val row_percentile : int array -> n:int -> vmin:int -> vmax:int -> p:float -> int
 (** Percentile over one bucket row ([n_buckets] counts summing to [n], with
     observed extrema [vmin]/[vmax]); semantics as {!percentile}. *)
+
+val nearest_rank : int array -> p:float -> int
+(** [nearest_rank sorted ~p] is the exact nearest-rank percentile of an
+    ascending sample: the element at rank [ceil (p * n)], clamped to
+    [[1, n]]; [p] is a fraction. 0 for an empty sample. *)
 
 (** {2 One distribution} *)
 
@@ -42,7 +47,6 @@ val observe : dist -> int -> unit
 val dist_min : dist -> int
 (** Smallest observed value; 0 for an empty distribution. *)
 
-val dist_mean : dist -> float
 val dist_percentile : dist -> p:float -> int
 
 (** {2 Per-kind sink} *)
@@ -53,8 +57,6 @@ val max_value : t -> Trace.kind -> int
 
 val min_value : t -> Trace.kind -> int
 (** Smallest observed value; 0 for an empty distribution. *)
-
-val mean : t -> Trace.kind -> float
 
 val buckets : t -> Trace.kind -> (int * int * int) list
 (** Non-empty buckets as [(lo, hi, count)], ascending. *)

@@ -75,7 +75,6 @@ module Writer = struct
     mutable seg_events : int;
     mutable events : int;
     mutable segments : int;
-    mutable bytes_out : int; (* bytes flushed: next frame's file offset *)
     mutable closed : bool;
   }
 
@@ -113,7 +112,6 @@ module Writer = struct
     u32le t.hdr 4 crc;
     output t.oc t.hdr 0 8;
     List.iter (fun (b, o, l) -> output t.oc b o l) pieces;
-    t.bytes_out <- t.bytes_out + 12 + len;
     flush t.oc
 
   let seal t =
@@ -162,7 +160,6 @@ module Writer = struct
         seg_events = 0;
         events = 0;
         segments = 0;
-        bytes_out = String.length magic;
         closed = false;
       }
     in
@@ -261,12 +258,6 @@ module Writer = struct
 
   let events t = t.events
   let segments t = t.segments
-
-  (* The file offset of the frame that will hold the open segment — i.e.
-     the frame offset the next recorded event ends up in, matching the
-     reader's [event.off]. (Read it before recording: the record itself
-     may cross the seal threshold and flush that very frame.) *)
-  let offset t = t.bytes_out
 end
 
 (* ------------------------------------------------------------------ *)
@@ -278,7 +269,6 @@ type event = {
   kind : Trace.kind;
   ts : int;
   arg : int;
-  off : int; (* byte offset of the containing SEGM frame *)
 }
 
 type info = {
@@ -343,7 +333,7 @@ type decode_state = {
   mutable d_segments : int;
 }
 
-let decode_segment st c ~off ~on_stream acc f =
+let decode_segment st c ~on_stream acc f =
   let base_ts = cuvarint c in
   let declared = cuvarint c in
   st.d_last_ts <- base_ts;
@@ -375,7 +365,7 @@ let decode_segment st c ~off ~on_stream acc f =
       incr n;
       acc :=
         f !acc
-          { stream = st.d_stream; kind = Trace.kind_of_index op; ts; arg; off }
+          { stream = st.d_stream; kind = Trace.kind_of_index op; ts; arg }
     end
   done;
   if !n <> declared then
@@ -466,7 +456,7 @@ let decode ?(strict = false) ~on_stream ~path ~init f =
                     else if !frame_no = 0 then
                       corrupt "%s: first frame must be HEAD" what
                     else if tag = tag_segm then
-                      acc := decode_segment st c ~off:offset ~on_stream !acc f
+                      acc := decode_segment st c ~on_stream !acc f
                     else begin
                       let segs = cuvarint c in
                       let evs = cuvarint c in

@@ -3,7 +3,7 @@
     A journal persists a machine's complete {!Trace} event stream so runs
     can be analyzed (queried, critical-pathed, diffed, re-exported) after
     the process that produced them is gone. The offline engines ({!Query},
-    {!Critical}, {!Diff}, the CLI's export and heavy-hitter commands) are
+    {!Critical}, {!Diff}, the CLI's export command) are
     all {!replay}s: one decode pass that re-emits each stream into an
     emitter carrying the same live sinks a running machine would use.
 
@@ -62,12 +62,6 @@ module Writer : sig
   val segments : t -> int
   (** Sealed segments written so far. *)
 
-  val offset : t -> int
-  (** The file offset of the frame that will hold the open segment — the
-      [event.off] a reader will report for the next recorded event. Read
-      it {e before} recording: the record itself may cross the seal
-      threshold and flush that very frame. *)
-
   val close : t -> now:int -> unit
   (** Seal the partial segment, write the END frame and close the file.
       Idempotent. [now] is recorded as the journal's final timestamp. *)
@@ -78,8 +72,6 @@ type event = {
   kind : Trace.kind;
   ts : int;
   arg : int;
-  off : int;            (** Byte offset of the containing SEGM frame —
-                            matches {!Writer.offset} at record time. *)
 }
 
 type info = {

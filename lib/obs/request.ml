@@ -9,10 +9,10 @@
    sharing a trace id form the request's cross-machine causal tree, with the
    client-side segment (root bit set) as the root.
 
-   Head-based sampling: the decision is taken once at [mint] and travels in
-   the context, so every hop agrees. Unsampled requests still feed the
-   latency histogram (the root window is always timed); only span
-   collection is skipped. Collection never advances the virtual clock. *)
+   Every request is collected: [mint] sets the context's sampled bit, and
+   every closed window is kept as a segment, so the latency percentiles are
+   exact over the root segments. Collection never advances the virtual
+   clock. *)
 
 type ctx = { trace_id : int; span_id : int; sampled : bool }
 
@@ -51,30 +51,25 @@ type bseg = {
   bmachine : string;
   btrace : int;
   broot : bool;
-  bsampled : bool;
   bseg_t0 : int;
   mutable btop : bspan list;  (* reversed top-level spans *)
   mutable bstack : bspan list; (* open spans, innermost first *)
 }
 
 type t = {
-  sample_every : int;
   collect_spans : bool;
   mutable next_id : int;
   mutable completed : int;
   by_trace : (int, segment list ref) Hashtbl.t; (* reversed arrival order *)
-  latency : Histogram.dist; (* root-window cycles *)
 }
 
-let create ?(sample_every = 1) ?(collect_spans = true) () =
-  if sample_every < 1 then invalid_arg "Request.create: sample_every < 1";
-  { sample_every; collect_spans; next_id = 0; completed = 0;
-    by_trace = Hashtbl.create 64; latency = Histogram.dist () }
+let create ?(collect_spans = true) () =
+  { collect_spans; next_id = 0; completed = 0; by_trace = Hashtbl.create 64 }
 
 let mint t =
   let id = t.next_id in
   t.next_id <- id + 1;
-  { trace_id = id; span_id = 1; sampled = id mod t.sample_every = 0 }
+  { trace_id = id; span_id = 1; sampled = true }
 
 let rec freeze_span b =
   { phase = b.bphase; t0 = b.bt0; t1 = b.bt1;
@@ -113,7 +108,6 @@ let attach t ~machine emitter =
                 bmachine = machine;
                 btrace = cx.trace_id;
                 broot = root;
-                bsampled = cx.sampled;
                 bseg_t0 = ts;
                 btop = [];
                 bstack = [];
@@ -128,18 +122,14 @@ let attach t ~machine emitter =
             if cx.trace_id = seg.btrace && root = seg.broot then begin
               (* Close any still-open spans at the window end. *)
               List.iter (fun b -> if b.bt1 < ts then b.bt1 <- ts) seg.bstack;
-              if seg.bsampled then
-                add_segment t (freeze_seg seg ~t1:ts) ~trace_id:seg.btrace;
-              if seg.broot then begin
-                t.completed <- t.completed + 1;
-                Histogram.observe t.latency (ts - seg.bseg_t0)
-              end;
+              add_segment t (freeze_seg seg ~t1:ts) ~trace_id:seg.btrace;
+              if seg.broot then t.completed <- t.completed + 1;
               current := None
             end
-        | Trace.Span_begin p when seg.bsampled && t.collect_spans ->
+        | Trace.Span_begin p when t.collect_spans ->
             let b = { bphase = p; bt0 = ts; bt1 = ts; bkids = [] } in
             seg.bstack <- b :: seg.bstack
-        | Trace.Span_end _ when seg.bsampled && t.collect_spans -> (
+        | Trace.Span_end _ when t.collect_spans -> (
             match seg.bstack with
             | [] -> () (* stray end from a span opened before the window *)
             | b :: rest ->
@@ -181,9 +171,18 @@ let root_cycles t ~trace_id =
   | None -> None
   | Some s -> Some (s.seg_t1 - s.seg_t0)
 
-let latency_count t = t.latency.Histogram.count
-let latency_percentile t ~p = Histogram.dist_percentile t.latency ~p
-let latency_mean t = Histogram.dist_mean t.latency
+let latency_percentile t ~p =
+  let cycles =
+    Hashtbl.fold
+      (fun _ cell acc ->
+        List.fold_left
+          (fun acc s -> if s.root then (s.seg_t1 - s.seg_t0) :: acc else acc)
+          acc !cell)
+      t.by_trace []
+    |> Array.of_list
+  in
+  Array.sort Stdlib.compare cycles;
+  Histogram.nearest_rank cycles ~p
 
 (* --- Exports ----------------------------------------------------------- *)
 
@@ -227,10 +226,8 @@ let trace_json buf t trace_id =
 let to_json t =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf
-    {|{"requests":%d,"sampled":%d,"latency":{"count":%d,"mean":%.1f,"p50":%d,"p95":%d,"p99":%d},"traces":[|}
+    {|{"requests":%d,"latency":{"p50":%d,"p95":%d,"p99":%d},"traces":[|}
     t.completed
-    (Hashtbl.length t.by_trace)
-    (latency_count t) (latency_mean t)
     (latency_percentile t ~p:0.50)
     (latency_percentile t ~p:0.95)
     (latency_percentile t ~p:0.99);

@@ -9,15 +9,14 @@
     request's cross-machine causal tree (the client-side segment, root bit
     set, is the root).
 
-    Sampling is head-based: decided once at {!mint}, carried in the
-    context, so all hops agree. Unsampled requests still feed the latency
-    histogram; only span collection is skipped. Collection never advances
-    the virtual clock. *)
+    Every request is collected: {!mint} sets the sampled bit, and every
+    closed window is kept as a segment, so {!latency_percentile} is exact
+    over the root segments. Collection never advances the virtual clock. *)
 
 type ctx = {
   trace_id : int;   (** Collector-scoped, monotonically increasing. *)
   span_id : int;    (** Parent span id; [1] for a freshly minted root. *)
-  sampled : bool;   (** Head-based sampling decision. *)
+  sampled : bool;   (** Carried on the wire; {!mint} always sets it. *)
 }
 
 val pack : ctx -> root:bool -> int
@@ -39,17 +38,15 @@ type segment = {
 
 type t
 
-val create : ?sample_every:int -> ?collect_spans:bool -> unit -> t
-(** Collector sampling 1 in [sample_every] requests (default 1 = all).
-    [collect_spans] (default true) controls whether sampled windows also
-    record their full nested span tree; with it off the collector still
-    tracks segments (window bounds, {!root_cycles}) and the latency
-    histogram, but skips the per-span builders entirely — the right mode
-    for high-volume measurement runs where only end-to-end windows are
-    read back. *)
+val create : ?collect_spans:bool -> unit -> t
+(** [collect_spans] (default true) controls whether windows also record
+    their full nested span tree; with it off the collector still tracks
+    segments (window bounds, {!root_cycles}), but skips the per-span
+    builders entirely — the right mode for high-volume measurement runs
+    where only end-to-end windows are read back. *)
 
 val mint : t -> ctx
-(** Fresh trace context; the sampling bit follows the collector policy. *)
+(** Fresh trace context. *)
 
 val attach : t -> machine:string -> Emitter.t -> unit
 (** Start collecting request windows from [emitter], labelling segments
@@ -58,21 +55,20 @@ val attach : t -> machine:string -> Emitter.t -> unit
     when [collect_spans] is set, so other events never reach it. *)
 
 val completed : t -> int
-(** Root windows closed (sampled or not). *)
+(** Root windows closed. *)
 
 val sampled_traces : t -> int list
 (** Trace ids with at least one collected segment, ascending. *)
 
 val tree : t -> trace_id:int -> segment list
-(** The request's segments, root first; [] for an unknown/unsampled id. *)
+(** The request's segments, root first; [] for an unknown id. *)
 
 val root_cycles : t -> trace_id:int -> int option
 (** End-to-end cycles of the root segment, when collected. *)
 
-val latency_count : t -> int
-val latency_mean : t -> float
 val latency_percentile : t -> p:float -> int
-(** Root-window latency distribution over all completed requests. *)
+(** Nearest-rank percentile ({!Histogram.nearest_rank}) of the root-segment
+    cycles over all completed requests; 0 before any. *)
 
 val to_json : t -> string
 (** All collected request trees plus the latency summary. *)

@@ -47,10 +47,6 @@ let create () =
     max_v = min_int;
   }
 
-let count t = t.count
-let min_value t = if t.count = 0 then 0 else t.min_v
-let max_value t = if t.count = 0 then 0 else t.max_v
-
 let index_of v =
   if v <= 1 then 0
   else
@@ -108,8 +104,6 @@ let quantile t ~p =
 (* {2 Per-kind family, attachable as an emitter sink} *)
 
 module Family = struct
-  type sketch = t
-
   type nonrec t = { sketches : t array (* kind index -> sketch *) }
 
   let create () = { sketches = Array.init Trace.n_kinds (fun _ -> create ()) }
@@ -118,6 +112,4 @@ module Family = struct
   let attach emitter f =
     Emitter.attach emitter (sink f);
     f
-
-  let get f kind = f.sketches.(Trace.index kind)
 end

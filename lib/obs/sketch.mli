@@ -25,18 +25,10 @@ val record : t -> int -> unit
 (** Record one value. Allocation-free. Values [<= 0] are counted in a
     dedicated zero bucket. *)
 
-val count : t -> int
-
-val min_value : t -> int
-(** Smallest recorded value; 0 for an empty sketch. *)
-
-val max_value : t -> int
-(** Largest recorded value; 0 for an empty sketch. *)
-
 val quantile : t -> p:float -> int
 (** Quantile estimate with {!Histogram.percentile}'s edge semantics:
     empty sketch returns 0 at every [p]; [p] is clamped to [[0, 1]];
-    [p <= 0.0] returns {!min_value}; [p >= 1.0] returns {!max_value}; a
+    [p <= 0.0] returns the smallest value recorded; [p >= 1.0] the largest; a
     single-sample sketch returns that sample at every [p]. In between,
     the estimate is within relative error [alpha] (+1 for integer
     rounding) of the exact rank-[ceil (p * n)] order statistic, and is
@@ -48,10 +40,8 @@ val quantile : t -> p:float -> int
     {!Histogram.attach}: every event's argument is recorded into its
     kind's sketch. *)
 module Family : sig
-  type sketch = t
   type t
 
   val create : unit -> t
   val attach : Emitter.t -> t -> t
-  val get : t -> Trace.kind -> sketch
 end

@@ -15,8 +15,6 @@ type domain = User | Kernel | Monitor | Host
 let n_domains = 4
 let all_domains = [ User; Kernel; Monitor; Host ]
 
-let domain_index = function User -> 0 | Kernel -> 1 | Monitor -> 2 | Host -> 3
-
 let domain_name = function
   | User -> "user"
   | Kernel -> "kernel"
@@ -264,8 +262,6 @@ let all =
 
 let kinds_arr = Array.of_list all
 let kind_of_index i = kinds_arr.(i)
-
-let pp_kind fmt k = Fmt.string fmt (name k)
 
 let pp_event fmt e =
   Fmt.pf fmt "%d %s %d" e.ts (name e.kind) e.arg

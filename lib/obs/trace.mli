@@ -22,8 +22,6 @@ type domain = User | Kernel | Monitor | Host
 
 val n_domains : int
 val all_domains : domain list
-val domain_index : domain -> int
-(** Dense, stable index in [0, n_domains). *)
 
 val domain_name : domain -> string
 
@@ -132,5 +130,4 @@ val all_phases : phase list
 val all : kind list
 (** Every kind, in {!index} order. *)
 
-val pp_kind : Format.formatter -> kind -> unit
 val pp_event : Format.formatter -> event -> unit

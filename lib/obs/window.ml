@@ -1,7 +1,7 @@
 (* Time-bucketed sliding-window sink, keyed to the VIRTUAL clock. A fixed
    ring of [nbuckets] buckets, each [width] virtual cycles wide, holds
-   per-kind event counts and arg sums; a configurable subset of kinds also
-   keeps a per-bucket log2 histogram (and min/max) so percentiles over the
+   per-kind event counts and arg sums; the latency kinds ([hist_kinds])
+   also keep a per-bucket log2 histogram (and min/max) so percentiles over the
    last N windows come from a merge-on-read walk. The ring rotates when an
    event's timestamp crosses the current bucket's end — i.e. rotation is
    driven by the virtual clock the events already carry, never by wall
@@ -20,7 +20,6 @@ type t = {
   sums : int array;       (* [slot * n_kinds + kind] -> arg sum *)
   totals : int array;     (* lifetime per-kind event count *)
   hist_slot : int array;  (* kind -> histogram slot, or -1 if untracked *)
-  hist_kinds : Trace.kind array;
   n_hist : int;
   hist : int array;       (* [(slot * n_hist + h) * Histogram.n_buckets + b] *)
   hist_min : int array;   (* [slot * n_hist + h]; max_int when empty *)
@@ -28,16 +27,11 @@ type t = {
   scratch : int array;    (* merge-on-read histogram row *)
 }
 
-let default_hist_kinds =
-  [ Trace.Emc_entry; Trace.Req_end; Trace.Tdcall; Trace.Vmcall ]
+let hist_kinds = [| Trace.Emc_entry; Trace.Req_end; Trace.Tdcall; Trace.Vmcall |]
 
-(* Virtual clock rate for per-second rates, mirroring [Hw.Cycles.ghz]. *)
-let ghz = 2.1
-
-let create ?(hist_kinds = default_hist_kinds) ~width ~buckets () =
+let create ~width ~buckets () =
   if width <= 0 then invalid_arg "Window.create: width must be positive";
   if buckets <= 0 then invalid_arg "Window.create: buckets must be positive";
-  let hist_kinds = Array.of_list hist_kinds in
   let n_hist = Array.length hist_kinds in
   let hist_slot = Array.make Trace.n_kinds (-1) in
   Array.iteri (fun h k -> hist_slot.(Trace.index k) <- h) hist_kinds;
@@ -50,17 +44,12 @@ let create ?(hist_kinds = default_hist_kinds) ~width ~buckets () =
     sums = Array.make (buckets * Trace.n_kinds) 0;
     totals = Array.make Trace.n_kinds 0;
     hist_slot;
-    hist_kinds;
     n_hist;
     hist = Array.make (buckets * n_hist * Histogram.n_buckets) 0;
     hist_min = Array.make (buckets * n_hist) max_int;
     hist_max = Array.make (buckets * n_hist) 0;
     scratch = Array.make Histogram.n_buckets 0;
   }
-
-let width t = t.width
-let buckets t = t.nbuckets
-let hist_tracked t kind = t.hist_slot.(Trace.index kind) >= 0
 
 let clear_slot t s =
   Array.fill t.counts (s * Trace.n_kinds) Trace.n_kinds 0;
@@ -140,25 +129,6 @@ let arg_sum t ?windows kind =
 
 let total_count t kind = t.totals.(Trace.index kind)
 
-(* The virtual span the last [windows] buckets cover: full closed buckets
-   plus the elapsed part of the current one ([now] defaults to the current
-   bucket's end, which keeps the result deterministic without a clock). *)
-let span_cycles t ?windows ?now () =
-  let n =
-    match windows with None -> t.nbuckets | Some n -> max 1 (min n t.nbuckets)
-  in
-  let in_cur =
-    match now with
-    | None -> t.width
-    | Some now -> min t.width (max 1 (now - t.cur_start))
-  in
-  ((n - 1) * t.width) + in_cur
-
-let rate t ?windows ?now kind =
-  let cycles = span_cycles t ?windows ?now () in
-  float_of_int (count t ?windows kind)
-  /. (float_of_int cycles /. (ghz *. 1e9))
-
 (* Merge-on-read percentile over the last N windows: the slots' bucket rows
    merge into [scratch], then {!Histogram.row_percentile} walks it with the
    merged span's observed [min, max]. *)
@@ -211,31 +181,3 @@ let over t ?windows kind ~threshold =
       done;
       !acc)
     0
-
-let to_json t ?now () =
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf
-    "{\"width_cycles\":%d,\"buckets\":%d,\"span_cycles\":%d,\"kinds\":["
-    t.width t.nbuckets
-    (span_cycles t ?now ());
-  let first = ref true in
-  List.iter
-    (fun kind ->
-      let c = count t kind in
-      if c > 0 then begin
-        if !first then first := false else Buffer.add_char buf ',';
-        Printf.bprintf buf
-          "{\"kind\":\"%s\",\"count\":%d,\"arg_sum\":%d,\"rate_per_s\":%.2f,\"total\":%d"
-          (Trace.name kind) c (arg_sum t kind)
-          (rate t ?now kind)
-          (total_count t kind);
-        if hist_tracked t kind then
-          Printf.bprintf buf ",\"p50\":%d,\"p95\":%d,\"p99\":%d"
-            (percentile t kind ~p:0.50)
-            (percentile t kind ~p:0.95)
-            (percentile t kind ~p:0.99);
-        Buffer.add_char buf '}'
-      end)
-    Trace.all;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf

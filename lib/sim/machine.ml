@@ -48,30 +48,20 @@ type t = {
   requests : Obs.Request.t;
       (* Request-trace collector watching this machine's emitter; the
          attested-channel path mints one trace context per session. *)
-  window : Obs.Window.t option;
-      (* Optional sliding-window sink, attached before boot so it sees the
-         event stream from the first cycle. *)
-  sketches : Obs.Sketch.Family.t option;
-      (* Optional per-kind quantile-sketch family, attached before boot;
-         unlike the log2 histogram its quantiles carry a 1% relative-error
-         bound. *)
 }
 
-let setting t = t.setting
 let kern t = t.kern
 let manager t = t.mgr
 let clock t = t.clock
 let obs t = t.cpu.Hw.Cpu.obs
 let counters t = t.counters
 let requests t = t.requests
-let window t = t.window
-let sketches t = t.sketches
 
 let page_size = Hw.Phys_mem.page_size
 
 let create ?obs ?journal ?window ?sketches ?(backend = Erebor.Isolation.Pks)
     ?(frames = 262144) ?(cma_frames = 65536) ?(reserved_frames = 256)
-    ?(collect_request_spans = false) ~setting () =
+    ~setting () =
   let mem = Hw.Phys_mem.create ~frames in
   let clock = Hw.Cycles.clock () in
   let obs = match obs with Some e -> e | None -> Obs.Emitter.create () in
@@ -90,7 +80,7 @@ let create ?obs ?journal ?window ?sketches ?(backend = Erebor.Isolation.Pks)
   (match sketches with
   | Some f -> ignore (Obs.Sketch.Family.attach obs f)
   | None -> ());
-  let requests = Obs.Request.create ~collect_spans:collect_request_spans () in
+  let requests = Obs.Request.create ~collect_spans:false () in
   Obs.Request.attach requests ~machine:"sim" obs;
   Obs.with_span obs ~now:(fun () -> Hw.Cycles.now clock) Obs.Trace.Boot
   @@ fun () ->
@@ -161,7 +151,7 @@ let create ?obs ?journal ?window ?sketches ?(backend = Erebor.Isolation.Pks)
   {
     setting; mem; clock; cpu; td; host; kern; monitor; mgr; proxy; proxy_buf;
     proxy_fd; scratch_slots; copy_scratch = Bytes.create page_size; counters;
-    requests; window; sketches;
+    requests;
   }
 
 (* Every field below is a per-kind count from the machine's counter view;
@@ -821,8 +811,3 @@ let run m spec =
 let run_fresh ?backend ?frames ?cma_frames ~setting spec =
   let m = create ?backend ?frames ?cma_frames ~setting () in
   run m spec
-
-let sandbox_rows t =
-  match t.mgr with
-  | None -> []
-  | Some mgr -> List.map Stats.sandbox_row_of (Erebor.Sandbox.exit_stats_all mgr)

@@ -16,8 +16,7 @@ val create :
   ?sketches:Obs.Sketch.Family.t ->
   ?backend:Erebor.Isolation.kind ->
   ?frames:int -> ?cma_frames:int -> ?reserved_frames:int ->
-  ?collect_request_spans:bool -> setting:Config.setting ->
-  unit -> t
+  setting:Config.setting -> unit -> t
 (** [?obs] supplies the machine's event emitter — attach sinks (recorders,
     histograms) to it before [create] to observe boot as well. A fresh
     emitter is made otherwise. [?journal] attaches a flight-recorder writer
@@ -27,13 +26,8 @@ val create :
     before boot, so its buckets cover the full event stream. [?sketches]
     attaches a per-kind relative-error quantile-sketch family before boot.
     [?backend] picks the monitor's isolation backend (default [Pks], the
-    calibrated configuration); it only matters for settings with a monitor.
-    [?collect_request_spans] (default false) makes the machine's request
-    collector retain full causal span trees for sampled requests; the
-    default tracks only window bounds and latency, which is what the
-    bench/density paths read. *)
+    calibrated configuration); it only matters for settings with a monitor. *)
 
-val setting : t -> Config.setting
 val kern : t -> Kernel.t
 val manager : t -> Erebor.Sandbox.manager option
 val clock : t -> Hw.Cycles.clock
@@ -47,21 +41,11 @@ val counters : t -> Obs.Counter.t
 val requests : t -> Obs.Request.t
 (** The request-trace collector watching this machine's emitter. Under
     [Erebor_full], every sandboxed session mints one trace context at the
-    channel client; the collector always tracks request windows and latency,
-    and additionally assembles causal span trees when the machine was
-    created with [~collect_request_spans:true]. *)
-
-val window : t -> Obs.Window.t option
-(** The sliding-window sink the machine was created with, if any. *)
-
-val sketches : t -> Obs.Sketch.Family.t option
-(** The quantile-sketch family the machine was created with, if any. *)
+    channel client; the collector tracks request windows (bounds and
+    latency) but not their span trees — attach a span-collecting
+    {!Obs.Request} collector to the [?obs] emitter for those. *)
 
 val snapshot : t -> Stats.snapshot
-
-val sandbox_rows : t -> Stats.sandbox_row list
-(** Per-sandbox exit rows ([] when the setting has no sandbox manager) —
-    keeps Table 6's exit attribution meaningful with N > 1 tenants. *)
 
 (** {2 Workload interface} *)
 

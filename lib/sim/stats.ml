@@ -66,7 +66,6 @@ let per_second s count = if s.seconds <= 0.0 then 0.0 else count /. s.seconds
 let pf_rate s = per_second s (float_of_int s.page_faults)
 let timer_rate s = per_second s (float_of_int s.timer_irqs)
 let ve_rate s = per_second s (float_of_int s.ve_exits)
-let exit_rate s = pf_rate s +. timer_rate s +. ve_rate s
 let emc_rate s = per_second s (float_of_int s.emc_total)
 
 let pp fmt s =

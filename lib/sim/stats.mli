@@ -40,14 +40,9 @@ val sandbox_row_of : int * string * (int * int * int) -> sandbox_row
 
 val pp_sandbox_row : Format.formatter -> sandbox_row -> unit
 
-val per_second : snapshot -> float -> float
-(** [per_second s count] — rate of [count] events over the snapshot span. *)
-
 val pf_rate : snapshot -> float
 val timer_rate : snapshot -> float
 val ve_rate : snapshot -> float
-val exit_rate : snapshot -> float
-(** PF + timer + #VE combined (Table 6 "Total"). *)
 
 val emc_rate : snapshot -> float
 

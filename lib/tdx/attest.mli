@@ -8,9 +8,6 @@
     body. The trust structure is identical: only the TDX module can produce
     a valid MAC, and the report binds measurements to caller data. *)
 
-val report_data_size : int (** 64. *)
-val rtmr_count : int       (** 4. *)
-
 type report = {
   mrtd : bytes;                (** 32-byte build measurement. *)
   rtmrs : bytes array;         (** 4 × 32-byte runtime registers. *)

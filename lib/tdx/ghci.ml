@@ -11,17 +11,3 @@ type leaf =
   | Tdreport of { report_data : bytes }
   | Map_gpa of { pfn : int; shared : bool }
   | Rtmr_extend of { index : int; data : bytes }
-
-let pp_vmcall fmt = function
-  | Cpuid n -> Fmt.pf fmt "cpuid(%d)" n
-  | Hlt -> Fmt.string fmt "hlt"
-  | Io_read { port; len } -> Fmt.pf fmt "io_read(port=%d, len=%d)" port len
-  | Io_write { port; data } -> Fmt.pf fmt "io_write(port=%d, %d bytes)" port (Bytes.length data)
-  | Mmio_read { gpa; len } -> Fmt.pf fmt "mmio_read(0x%x, %d)" gpa len
-  | Mmio_write { gpa; data } -> Fmt.pf fmt "mmio_write(0x%x, %d bytes)" gpa (Bytes.length data)
-
-let pp_leaf fmt = function
-  | Vmcall v -> Fmt.pf fmt "vmcall:%a" pp_vmcall v
-  | Tdreport _ -> Fmt.string fmt "tdreport"
-  | Map_gpa { pfn; shared } -> Fmt.pf fmt "map_gpa(pfn=%d, %s)" pfn (if shared then "shared" else "private")
-  | Rtmr_extend { index; _ } -> Fmt.pf fmt "rtmr_extend(%d)" index

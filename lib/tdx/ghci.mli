@@ -20,6 +20,3 @@ type leaf =
       (** TDG.VP.MAP_GPA wrapper — convert a frame private<->shared. *)
   | Rtmr_extend of { index : int; data : bytes }
       (** TDG.MR.RTMR.EXTEND — extend a runtime measurement register. *)
-
-val pp_vmcall : Format.formatter -> vmcall -> unit
-val pp_leaf : Format.formatter -> leaf -> unit

@@ -9,10 +9,7 @@ type t = {
   clock : Hw.Cycles.clock;
   mutable vmm : vmm_handler option;
   mutable finalized : bool;
-  mutable tdcalls : int;
-  mutable vmcalls : int;
   mutable tdreports : int;
-  mutable map_gpas : int;
   async_save : Hw.Cpu.save_area; (* GPRs across an asynchronous exit *)
 }
 
@@ -24,15 +21,11 @@ let create ~mem ~clock ~hw_key =
     clock;
     vmm = None;
     finalized = false;
-    tdcalls = 0;
-    vmcalls = 0;
     tdreports = 0;
-    map_gpas = 0;
     async_save = Hw.Cpu.save_area ();
   }
 
 let sept t = t.sept
-let measurements t = t.measurements
 let set_vmm t h = t.vmm <- Some h
 
 let measure_initial t data =
@@ -49,7 +42,6 @@ type tdcall_result =
 let do_tdcall t cpu leaf =
   match leaf with
   | Ghci.Vmcall v -> (
-      t.vmcalls <- t.vmcalls + 1;
       Hw.Cycles.advance t.clock Hw.Cycles.Cost.tdcall_roundtrip;
       match t.vmm with
       | None -> Error_leaf "no VMM attached"
@@ -68,7 +60,6 @@ let do_tdcall t cpu leaf =
       Hw.Cycles.advance t.clock Hw.Cycles.Cost.tdreport_native;
       Ok_report (Attest.generate t.measurements ~hw_key:t.hw_key ~report_data)
   | Ghci.Map_gpa { pfn; shared } ->
-      t.map_gpas <- t.map_gpas + 1;
       Hw.Cycles.advance t.clock Hw.Cycles.Cost.tdcall_roundtrip;
       if pfn < 0 || pfn >= Sept.frames t.sept then Error_leaf "map_gpa: pfn out of range"
       else begin
@@ -86,7 +77,6 @@ let tdcall t cpu leaf =
   if cpu.Hw.Cpu.mode = Hw.Cpu.User then
     Hw.Fault.raise_fault (Hw.Fault.General_protection "tdcall from user mode");
   t.finalized <- true;
-  t.tdcalls <- t.tdcalls + 1;
   let t0 = Hw.Cycles.now t.clock in
   let result = do_tdcall t cpu leaf in
   let spent = Hw.Cycles.now t.clock - t0 in
@@ -98,7 +88,4 @@ let tdcall t cpu leaf =
 
 let with_async_exit t cpu f = Hw.Cpu.masked cpu t.async_save f ()
 
-let tdcall_count t = t.tdcalls
-let vmcall_count t = t.vmcalls
 let tdreport_count t = t.tdreports
-let map_gpa_count t = t.map_gpas

@@ -18,7 +18,6 @@ val create :
 (** A fresh TD covering all of [mem]; every frame starts private. *)
 
 val sept : t -> Sept.t
-val measurements : t -> Attest.measurements
 val set_vmm : t -> vmm_handler -> unit
 
 val measure_initial : t -> bytes -> unit
@@ -47,7 +46,4 @@ val with_async_exit : t -> Hw.Cpu.t -> (unit -> 'a) -> 'a
 
 (** {2 Counters} *)
 
-val tdcall_count : t -> int
-val vmcall_count : t -> int
 val tdreport_count : t -> int
-val map_gpa_count : t -> int

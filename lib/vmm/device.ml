@@ -1,13 +1,10 @@
 type t = {
-  name : string;
   mem : Hw.Phys_mem.t;
   sept : Tdx.Sept.t;
   mutable blocked : int;
 }
 
-let create ~name ~mem ~sept = { name; mem; sept; blocked = 0 }
-
-let name t = t.name
+let create ~mem ~sept = { mem; sept; blocked = 0 }
 
 let frames_of_range gpa len =
   let first = Hw.Phys_mem.pfn_of_addr gpa in

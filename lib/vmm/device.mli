@@ -5,9 +5,7 @@
 
 type t
 
-val create : name:string -> mem:Hw.Phys_mem.t -> sept:Tdx.Sept.t -> t
-
-val name : t -> string
+val create : mem:Hw.Phys_mem.t -> sept:Tdx.Sept.t -> t
 
 val dma_read : t -> gpa:int -> len:int -> (bytes, string) result
 (** Fails if any touched frame is private (or out of range). *)

@@ -39,8 +39,6 @@ let inject_external_interrupt t ~vector = Queue.add vector t.interrupts
 let pending_interrupt t = Queue.peek_opt t.interrupts
 let take_interrupt t = Queue.take_opt t.interrupts
 
-let observed t = List.rev t.observed
-
 let observed_contains t needle =
   let contains hay =
     let h = Bytes.to_string hay in

@@ -26,12 +26,9 @@ val take_interrupt : t -> int option
 
 (** {2 Attacker's notebook} *)
 
-val observed : t -> bytes list
-(** Every byte string the guest handed to the host (I/O writes, MMIO
-    writes), newest last. *)
-
 val observed_contains : t -> string -> bool
-(** Substring search over everything observed — used by leakage tests. *)
+(** Substring search over every byte string the guest handed to the host
+    (I/O writes, MMIO writes) — used by leakage tests. *)
 
 val vmcall_log : t -> Tdx.Ghci.vmcall list
 (** All vmcalls handled, newest last. *)

@@ -343,7 +343,11 @@ let fig9_checks ~baseline ~jobs =
    profile and, per [bench all] target, its serial minor and major words. *)
 let schema = "erebor-bench-sim/2"
 
-let check_json ?(fig9 = false) ?jobs ?(wall_tolerance = 1.5) baseline =
+(* Anchor regeneration may take this multiple of the baseline suite's CPU
+   time (check [wall]). *)
+let wall_tolerance = 1.5
+
+let check_json ?(fig9 = false) ?jobs baseline =
   let cpu0 = Sys.time () in
   let schema =
     match Json.to_str (Json.member "schema" baseline) with
@@ -453,11 +457,10 @@ let read_baseline path =
   | json -> parse_baseline json
   | exception Sys_error e -> Result.Error e
 
-let check_string ?fig9 ?jobs ?wall_tolerance json =
-  Result.map (check_json ?fig9 ?jobs ?wall_tolerance) (parse_baseline json)
+let check_string json = Result.map check_json (parse_baseline json)
 
-let check_file ?fig9 ?jobs ?wall_tolerance ~path () =
-  Result.map (check_json ?fig9 ?jobs ?wall_tolerance) (read_baseline path)
+let check_file ?fig9 ?jobs ~path () =
+  Result.map (check_json ?fig9 ?jobs) (read_baseline path)
 
 (* ------------------------------------------------------------------ *)
 (* The allocation ledger                                               *)
@@ -711,7 +714,10 @@ let render_anchors ?instrument () =
 (* Shared check helpers                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* [Gc.minor_words] boxes its own result, so two back-to-back calls differ
+(* [zero_alloc name ~per ~n f] runs [f 0] .. [f (n - 1)] and passes iff
+   they allocate exactly 0 minor words; warm [f]'s state up first, the
+   check is about the steady state. [per] names one call in the report.
+   [Gc.minor_words] boxes its own result, so two back-to-back calls differ
    by a small constant; calibrate it out so the check can demand an exact
    zero. *)
 let zero_alloc name ~per ~n f =

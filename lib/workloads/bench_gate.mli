@@ -7,7 +7,8 @@
     Host allocation is gated separately by the allocation ledger
     ({!ledger_checks}): serial words per [bench all] target, which are as
     deterministic as the anchors, against the baseline's recorded words.
-    CPU time is only bounded within a generous tolerance ([wall]), so the
+    CPU time is only bounded within a generous tolerance (check [wall]:
+    anchor regeneration within 1.5x the baseline's [total_wall_s]), so the
     gate never flakes on a slow CI host. With
     [~fig9:true] the Fig. 9 overhead/rate columns are also compared at
     their reported precision (%.4f / %.2f).
@@ -73,37 +74,20 @@ val schema : string
 (** ["erebor-bench-sim/2"]: the run-record schema [bench all] writes and
     the gate requires of its baseline. *)
 
-val check_json : ?fig9:bool -> ?jobs:int -> ?wall_tolerance:float -> Json.t -> verdict
-(** Run the gate against an already-parsed baseline. [wall_tolerance]
-    (default 1.5) bounds the anchor regeneration's CPU time at that
-    multiple of the baseline's [total_wall_s] (check [wall]). *)
-
-val check_string :
-  ?fig9:bool -> ?jobs:int -> ?wall_tolerance:float -> string -> (verdict, string) result
-(** Parse [json] and run the gate; [Error] on malformed JSON. *)
-
-val check_file :
-  ?fig9:bool ->
-  ?jobs:int ->
-  ?wall_tolerance:float ->
-  path:string ->
-  unit ->
-  (verdict, string) result
-
-val check_journal : journal:string -> Json.t -> verdict
-(** Verify a flight recording ({!Obs.Journal}) written by
-    [erebor-sim run --record] against an already-parsed baseline: the
-    journal must be finalized, contain a complete Run span for the
-    (workload, setting) named in its header, and the exit rates recomputed
-    from the Run-span slice must match the baseline's Fig. 9 row for that
-    pair at the reported %.2f precision. The rate math reproduces
-    [Sim.Stats.diff] exactly, so an undisturbed recording matches to the
-    last digit. *)
+val check_string : string -> (verdict, string) result
+(** Parse [json] and run the anchor gate against it (no Fig. 9 rows);
+    [Error] on malformed JSON. *)
 
 val check_journal_file :
   journal:string -> path:string -> unit -> (verdict, string) result
-(** [check_journal] against the baseline JSON at [path] — the engine behind
-    [bench check --from-journal FILE]. *)
+(** Verify a flight recording ({!Obs.Journal}) written by
+    [erebor-sim run --record] against the baseline JSON at [path] — the
+    engine behind [bench check --from-journal FILE]: the journal must be
+    finalized, contain a complete Run span for the (workload, setting)
+    named in its header, and the exit rates recomputed from the Run-span
+    slice must match the baseline's Fig. 9 row for that pair at the
+    reported %.2f precision. The rate math reproduces [Sim.Stats.diff]
+    exactly, so an undisturbed recording matches to the last digit. *)
 
 (** {2 The allocation ledger} *)
 
@@ -116,9 +100,6 @@ type target_cost = {
 }
 (** One target's serial run, on the only domain allocating. *)
 
-val ledger_tolerance : float
-(** 0.02: the relative move either way that fails a target. *)
-
 val ledger_checks : profile:string -> Json.t -> target_cost list -> verdict
 (** [ledger_checks ~profile baseline costs]: [ledger/profile] (the baseline
     was recorded under the build profile [profile]) and, per cost,
@@ -126,8 +107,8 @@ val ledger_checks : profile:string -> Json.t -> target_cost list -> verdict
     ([major_words - promoted_words]) against the baseline's [targets] row.
     Both counts are exact functions of the code a target runs. Promoted
     words are recorded but not judged: they move by a few percent with the
-    heap state a target starts from. A count more than {!ledger_tolerance}
-    above its baseline fails as a regression; one more than that below
+    heap state a target starts from. A count more than 2% above its
+    baseline fails as a regression; one more than that below
     fails with a re-baseline message, so the committed ledger cannot go
     stale. *)
 
@@ -149,13 +130,6 @@ val render_anchors : ?instrument:(Obs.Emitter.t -> unit) -> unit -> string
     attached (observability never advances the virtual clock). *)
 
 (** {2 Shared contracts} *)
-
-val zero_alloc : string -> per:string -> n:int -> (int -> unit) -> check
-(** [zero_alloc name ~per ~n f] runs [f 0] .. [f (n - 1)] and passes iff
-    they allocate exactly 0 minor words; the boxing cost of
-    [Gc.minor_words] itself is calibrated out. Warm [f]'s state up first:
-    the check is about the steady state. [per] names one call in the
-    report ("event", "draw"). *)
 
 val sinks : (string * (Obs.Emitter.t -> unit)) list
 (** Every passive sink lib/obs offers, by name, each attaching a fresh

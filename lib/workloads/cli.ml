@@ -1,34 +1,7 @@
-(* Command-line parsing for the binaries, bench drivers and examples.
-
-   The first three functions are the original minimal scanners the examples
-   link against. Below them is the declarative subcommand framework the real
-   drivers (bin/erebor_sim, bench/main) parse with: flags carry their own
-   usage text, so an unknown flag can print the usage of exactly the
-   subcommand it occurred under. *)
-
-let flag_arg ?(argv = Sys.argv) name =
-  let r = ref None in
-  Array.iteri
-    (fun i a ->
-      if a = name && i + 1 < Array.length argv then r := Some argv.(i + 1))
-    argv;
-  !r
-
-let has_flag ?(argv = Sys.argv) name = Array.exists (fun a -> a = name) argv
-
-let int_arg ?(argv = Sys.argv) ?(min = 1) ~default name =
-  match flag_arg ~argv name with
-  | None -> default
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n >= min -> n
-      | _ ->
-          Printf.eprintf "%s: integer >= %d expected, got %S\n" name min s;
-          exit 2)
-
-(* ------------------------------------------------------------------ *)
-(* Subcommand framework                                                *)
-(* ------------------------------------------------------------------ *)
+(* Command-line parsing for the binaries, bench drivers and examples: a
+   declarative subcommand framework. Flags carry their own usage text, so
+   an unknown flag can print the usage of exactly the subcommand it
+   occurred under. *)
 
 type flag = { names : string list; docv : string option; doc : string }
 
@@ -174,8 +147,8 @@ let rec dispatch ~ctx ~doc subs args =
       | Some (Group g) ->
           dispatch ~ctx:(ctx ^ " " ^ g.name) ~doc:g.doc g.subs rest)
 
-let run ?(argv = Sys.argv) ?default ~prog ~doc cmds =
-  let args = Array.to_list argv |> List.tl in
+let run ?default ~prog ~doc cmds =
+  let args = Array.to_list Sys.argv |> List.tl in
   match (args, default) with
   | [], Some d -> dispatch ~ctx:prog ~doc cmds [ d ]
   | (a :: _), Some d

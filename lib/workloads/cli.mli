@@ -1,28 +1,8 @@
 (** Command-line parsing for the binaries, bench drivers and examples — no
-    cmdliner.
-
-    Two layers:
-
-    - the original minimal argv scanners ({!flag_arg}, {!has_flag},
-      {!int_arg}) the examples use: [--flag VALUE] pairs and bare [--flag]
-      switches anywhere on the line, last occurrence wins;
-    - a declarative subcommand framework ({!cmd}, {!group}, {!run}) for the
-      real drivers: named flags with docstrings, positional arguments,
-      generated per-subcommand usage, and unknown-flag diagnostics that
-      print the usage of the subcommand they occurred under (exit 2). *)
-
-val flag_arg : ?argv:string array -> string -> string option
-(** The value following the last occurrence of [name], if any. *)
-
-val has_flag : ?argv:string array -> string -> bool
-(** Whether the bare switch [name] appears at all. *)
-
-val int_arg : ?argv:string array -> ?min:int -> default:int -> string -> int
-(** Integer value of [name], or [default] when absent. Prints a diagnostic
-    and exits with status 2 when the value is not an integer [>= min]
-    (default [min = 1]). *)
-
-(** {2 Subcommand framework} *)
+    cmdliner: a declarative subcommand framework ({!cmd}, {!group},
+    {!run}) with named flags and docstrings, positional arguments,
+    generated per-subcommand usage, and unknown-flag diagnostics that print
+    the usage of the subcommand they occurred under (exit 2). *)
 
 type flag
 (** A named option: one or more spellings, an optional value placeholder
@@ -63,10 +43,8 @@ val group : name:string -> doc:string -> cmd list -> cmd
 (** A subcommand with nested subcommands ([audit verify], [journal query]).
     Groups nest arbitrarily; flags attach to leaves. *)
 
-val run :
-  ?argv:string array -> ?default:string -> prog:string -> doc:string ->
-  cmd list -> unit
-(** Dispatch [argv] over the command tree: the first non-flag word selects
+val run : ?default:string -> prog:string -> doc:string -> cmd list -> unit
+(** Dispatch [Sys.argv] over the command tree: the first non-flag word selects
     the subcommand (recursively for groups), the rest is parsed against its
     flag list. [-h]/[--help] at any level prints the relevant usage and
     exits 0; an unknown subcommand or flag prints a diagnostic plus the

@@ -104,13 +104,6 @@ let confined_pages_per_tenant = 16
 let common_pages = 64
 let common_instance = "density-corpus"
 
-let percentile sorted ~p =
-  match Array.length sorted with
-  | 0 -> 0
-  | n ->
-      let idx = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
-      sorted.(max 0 (min (n - 1) idx))
-
 (* The adversarial probe: every attack goes through the monitored PTE path
    a compromised kernel would use; a denial raises [Policy_violation]. The
    return value counts attempts that were NOT denied. *)
@@ -283,7 +276,9 @@ let serve m t ~round ~index =
   | _ -> failwith "density: output emit failed");
   Erebor.Sandbox.timer_tick mgr t.sb
 
-let scale_point ~backend ~tenants ~requests_per_tenant =
+let requests_per_tenant = 8
+
+let scale_point ~backend ~tenants =
   let m =
     Sim.Machine.create ~backend ~frames:65536 ~cma_frames:16384
       ~setting:Sim.Config.Erebor_full ()
@@ -337,8 +332,8 @@ let scale_point ~backend ~tenants ~requests_per_tenant =
           tenant_id = Erebor.Sandbox.id sb;
           tenant_name = Erebor.Sandbox.name sb;
           treqs = Array.length sorted;
-          t_p50 = percentile sorted ~p:50.0;
-          t_p99 = percentile sorted ~p:99.0;
+          t_p50 = Obs.Histogram.nearest_rank sorted ~p:0.50;
+          t_p99 = Obs.Histogram.nearest_rank sorted ~p:0.99;
         })
       (Array.to_list tenant_setup)
   in
@@ -373,7 +368,7 @@ let full_counts = [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ]
 let smoke_counts = [ 1; 2; 4 ]
 
 let scaling ?jobs ?(smoke = false) ?(backends = default_backends)
-    ?tenant_counts ?(requests_per_tenant = 8) () =
+    ?tenant_counts () =
   let counts =
     match tenant_counts with
     | Some c -> c
@@ -384,7 +379,7 @@ let scaling ?jobs ?(smoke = false) ?(backends = default_backends)
   in
   let rows =
     Sim.Runner.map_list ?jobs
-      (fun (backend, tenants) -> scale_point ~backend ~tenants ~requests_per_tenant)
+      (fun (backend, tenants) -> scale_point ~backend ~tenants)
       tasks
   in
   (* Interference is relative to the same backend's least-dense point. *)

@@ -58,12 +58,11 @@ type scale_row = {
 
 val scaling :
   ?jobs:int -> ?smoke:bool -> ?backends:Erebor.Isolation.kind list ->
-  ?tenant_counts:int list -> ?requests_per_tenant:int ->
-  unit -> scale_row list
+  ?tenant_counts:int list -> unit -> scale_row list
 (** One fresh machine per (backend, tenant-count): N sandboxes share one
-    common instance, each is sealed with its own client data, then
-    round-robin request traffic is driven through the monitored paths
-    (CR3 switch, confined/common touches, channel ioctls, timer ticks)
+    common instance, each is sealed with its own client data, then 8
+    rounds of round-robin request traffic are driven through the monitored
+    paths (CR3 switch, confined/common touches, channel ioctls, timer ticks)
     with one {!Obs.Request} root window per request. [tenant_counts]
     defaults to powers of two 1→256 (smoke: [[1; 2; 4]], the cut
     [bench check] runs). *)

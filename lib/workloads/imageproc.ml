@@ -67,6 +67,7 @@ module Image = struct
     !count
 end
 
+(* Full pipeline: synthesize, edge-detect, binarize, count segments. *)
 let segment_count ~rng ~width ~height ~blobs =
   Image.segments
     (Image.threshold (Image.sobel (Image.synthetic ~rng ~width ~height ~blobs)) ~level:100)

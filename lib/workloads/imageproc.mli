@@ -19,8 +19,5 @@ module Image : sig
   (** Connected components (4-neighbour) of the non-zero pixels. *)
 end
 
-val segment_count : rng:Crypto.Drbg.t -> width:int -> height:int -> blobs:int -> int
-(** Full pipeline: synthesize, edge-detect, binarize, count segments. *)
-
 val profile : Workload.profile
 val spec : unit -> Sim.Machine.spec

@@ -15,7 +15,6 @@ module Model : sig
   val contexts : t -> int
 end
 
-val default_corpus : string
 val default_model : Model.t
 
 val profile : Workload.profile

@@ -1,6 +1,6 @@
 let mem_scale = 16
 let time_scale = 8
-let cycles_per_second = 2_100_000_000
+let cycles_per_second = 2_100_000_000 (* the nominal core frequency *)
 let steps_per_second = 100
 
 type profile = {

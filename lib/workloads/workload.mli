@@ -11,9 +11,6 @@
 val mem_scale : int   (** 16. *)
 val time_scale : int  (** 8. *)
 
-val cycles_per_second : int
-(** 2.1e9 — the nominal core frequency. *)
-
 val set_scale : float -> unit
 (** Multiply every profile's simulated duration by this factor (default 1.0;
     the bench harness's [--scale]). Overheads are scale-free; this only

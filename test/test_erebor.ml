@@ -191,8 +191,10 @@ let test_dynamic_code_verification () =
 (* Gates (C4)                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let test_gate_rogue_entry () =
-  let st = make_stack () in
+(* IBT guards the gate under every isolation backend: a jump past the
+   entry's endbr64 raises #CP, the entry itself runs. *)
+let test_gate_rogue_entry backend () =
+  let st = make_stack ~backend () in
   let gate = Erebor.Monitor.gate st.monitor in
   expect_fault "mid-gate jump" (fun () ->
       Erebor.Gate.enter gate ~target:(Erebor.Gate.entry_point gate + 4) (fun () -> ()))
@@ -1369,7 +1371,11 @@ let () =
         ] );
       ( "gates (C4)",
         [
-          claim "rogue entry #CP" test_gate_rogue_entry;
+          claim "rogue entry #CP" (test_gate_rogue_entry Erebor.Isolation.Pks);
+          claim "rogue entry #CP (wp)"
+            (test_gate_rogue_entry Erebor.Isolation.Write_protect);
+          claim "rogue entry #CP (tmemk)"
+            (test_gate_rogue_entry Erebor.Isolation.Tme_mk);
           claim "pkrs switching" test_gate_pkrs_switching;
           claim "exception safety" test_gate_pkrs_restored_on_exception;
           claim "interrupt gate" (test_gate_interrupt_revokes Erebor.Isolation.Pks);

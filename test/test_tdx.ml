@@ -264,7 +264,7 @@ let test_async_exit_scrub () =
 
 let test_device_dma_policy () =
   let mem, _, cpu, td = make_td () in
-  let dev = Vmm.Device.create ~name:"virtio-blk" ~mem ~sept:(Tdx.Td_module.sept td) in
+  let dev = Vmm.Device.create ~mem ~sept:(Tdx.Td_module.sept td) in
   Hw.Phys_mem.write_bytes mem (Hw.Phys_mem.addr_of_pfn 20) (Bytes.of_string "private!");
   (* Private frame: blocked. *)
   (match Vmm.Device.dma_read dev ~gpa:(Hw.Phys_mem.addr_of_pfn 20) ~len:8 with
