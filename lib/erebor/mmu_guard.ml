@@ -186,11 +186,17 @@ let do_store t pte_addr pte =
   Hw.Phys_mem.write_u64 t.mem pte_addr pte;
   Hw.Cpu.flush_tlb t.cpu
 
-(* Leaf policy (§6.1): decide/transform a level-3 entry. The untrusted PTE
-   is screened by the isolation backend first (TME-MK rejects forged key
-   ids — only the monitor stamps them), then dispatched on the target
-   frame's class. *)
-let check_leaf t ~root pte =
+(* An accepted store: the entry lands, and the answer is the constant
+   [Ok ()], so accepting allocates nothing. *)
+let accept t pte_addr pte =
+  do_store t pte_addr pte;
+  Ok ()
+
+(* Leaf policy (§6.1): decide/transform a level-3 entry and, when it is
+   accepted, store the transformed entry. The untrusted PTE is screened by
+   the isolation backend first (TME-MK rejects forged key ids — only the
+   monitor stamps them), then dispatched on the target frame's class. *)
+let check_leaf t ~root ~pte_addr pte =
   match Isolation.validate_untrusted t.backend pte with
   | Error _ as e -> e
   | Ok () -> (
@@ -201,12 +207,12 @@ let check_leaf t ~root pte =
       | Ptp _ ->
           (* PTPs are only visible read-only, supervisor, PTP-keyed (the kernel
              may read page tables but never write them). *)
-          Ok
+          accept t pte_addr
             (Hw.Pte.set_pkey
                (Hw.Pte.set_user (Hw.Pte.set_writable pte false) false)
                Policy.key_ptp)
       | Kernel_text ->
-          Ok
+          accept t pte_addr
             (Hw.Pte.set_pkey
                (Hw.Pte.set_user (Hw.Pte.set_writable pte false) false)
                Policy.key_kernel_text)
@@ -216,23 +222,25 @@ let check_leaf t ~root pte =
               Error "confined frame already mapped (single-mapping rule)"
             else begin
               mark_confined_mapped t target true;
-              Ok (Isolation.seal_confined_leaf t.backend ~owner pte)
+              accept t pte_addr (Isolation.seal_confined_leaf t.backend ~owner pte)
             end
           else if sandbox >= 0 then Error "confined frame belongs to another sandbox"
           else Error "confined frame cannot map outside its sandbox")
       | Common c ->
-          if c.sealed then
+          if c.sealed && sandbox < 0 && Hw.Pte.writable pte then
+            (* A writable mapping of a sealed instance requested from
+               outside any sandbox is an attack. *)
+            Error "sealed common frame cannot be mapped writable outside a sandbox"
+          else begin
+            record_common_mapping c pte_addr;
             (* Sandbox mappings of a sealed instance silently downgrade to
-               read-only (demand paging continues after seal); a writable
-               mapping requested from outside any sandbox is an attack. *)
-            if sandbox < 0 && Hw.Pte.writable pte then
-              Error "sealed common frame cannot be mapped writable outside a sandbox"
-            else Ok (Hw.Pte.set_writable pte false)
-          else Ok pte
+               read-only (demand paging continues after seal). *)
+            accept t pte_addr (if c.sealed then Hw.Pte.set_writable pte false else pte)
+          end
       | Free ->
           if sandbox >= 0 && Hw.Pte.user pte then
             Error "sandbox user mappings must target declared confined/common frames"
-          else Ok pte)
+          else accept t pte_addr pte)
 
 (* A PTE slot is 8-byte aligned. Any other address would read and write
    across two neighbouring entries (or, at page offset 4092, across two
@@ -259,10 +267,7 @@ let write_pte t ~trusted ~pte_addr pte =
             if base land 0x1ff <> 0 then deny_incr t "huge leaf frame not 2MiB-aligned"
             else if not (all_free 0) then
               deny_incr t "huge leaf covers classified frames"
-            else begin
-              do_store t pte_addr pte;
-              Ok ()
-            end
+            else accept t pte_addr pte
           end
         end
         else if level < 3 then begin
@@ -275,12 +280,10 @@ let write_pte t ~trusted ~pte_addr pte =
             match class_of t child with
             | Free ->
                 set_class t child (Ptp { level = level + 1; root; sandbox = -1 });
-                do_store t pte_addr pte;
-                Ok ()
+                accept t pte_addr pte
             | Ptp { level = l; _ } when l = level + 1 ->
                 (* Sharing an existing subtree (kernel half of a new task). *)
-                do_store t pte_addr pte;
-                Ok ()
+                accept t pte_addr pte
             | Ptp _ -> deny_incr t "child frame already a PTP at another level"
             | Monitor -> deny_incr t "monitor frame cannot become a page-table page"
             | Kernel_text | Confined _ | Common _ ->
@@ -293,32 +296,22 @@ let write_pte t ~trusted ~pte_addr pte =
                | Ptp { level = l; _ } when l = level + 1 ->
                    clear_class t (Hw.Pte.pfn old)
                | _ -> ());
-            do_store t pte_addr pte;
-            Ok ()
+            accept t pte_addr pte
           end
         end
         else begin
           (* Leaf entry. *)
           release_old_leaf t pte_addr;
-          if not (Hw.Pte.present pte) then begin
-            do_store t pte_addr pte;
-            Ok ()
-          end
+          if not (Hw.Pte.present pte) then accept t pte_addr pte
           else if trusted then begin
             (match class_of t (Hw.Pte.pfn pte) with
             | Common c -> record_common_mapping c pte_addr
             | _ -> ());
-            do_store t pte_addr pte;
-            Ok ()
+            accept t pte_addr pte
           end
           else
-            match check_leaf t ~root pte with
-            | Ok pte' ->
-                (match class_of t (Hw.Pte.pfn pte') with
-                | Common c -> record_common_mapping c pte_addr
-                | _ -> ());
-                do_store t pte_addr pte';
-                Ok ()
+            match check_leaf t ~root ~pte_addr pte with
+            | Ok () as ok -> ok
             | Error e -> deny_incr t e
         end
     | Free | Monitor | Kernel_text | Confined _ | Common _ ->
@@ -374,8 +367,7 @@ let split_huge_leaf t ~pte_addr ~alloc_ptp =
             Hw.Pte.make ~pfn:pt
               { Hw.Pte.default_flags with user = Hw.Pte.user old }
           in
-          do_store t pte_addr interior;
-          Ok ()
+          accept t pte_addr interior
         end
     | Ptp _ -> Error "split: entry is not at the page-directory level"
     | Free | Monitor | Kernel_text | Confined _ | Common _ ->
@@ -388,11 +380,10 @@ let protect_page_splitting t ~root_pfn ~vaddr ~key ~writable ~alloc_ptp =
       let retag () =
         match Hw.Page_table.walk t.mem ~root_pfn vaddr with
         | Some w' when not w'.Hw.Page_table.huge ->
-            do_store t w'.Hw.Page_table.pte_addr
+            accept t w'.Hw.Page_table.pte_addr
               (Hw.Pte.set_writable
                  (Hw.Pte.set_pkey w'.Hw.Page_table.pte key)
-                 writable);
-            Ok ()
+                 writable)
         | Some _ -> Error "protect: still huge after split"
         | None -> Error "protect: mapping vanished"
       in

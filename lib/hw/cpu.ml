@@ -182,7 +182,7 @@ let tlb_fill t ~kind vaddr =
     | Some tme -> tme_check t tme ~kind vaddr ~pfn ~pte);
     let updated = Pte.set_accessed pte true in
     let updated = if kind = Fault.Write then Pte.set_dirty updated true else updated in
-    if not (Int64.equal updated pte) then Phys_mem.write_u64 t.mem pte_addr updated;
+    if updated <> pte then Phys_mem.write_u64 t.mem pte_addr updated;
     let packed =
       Tlb.pack ~pfn ~user:(Page_table.packed_user w)
         ~writable:(Page_table.packed_writable w) ~nx:(Page_table.packed_nx w)
@@ -248,8 +248,8 @@ let translate t ~kind vaddr =
 
 let read_u8 t vaddr = Phys_mem.read_u8 t.mem (translate t ~kind:Fault.Read vaddr)
 let write_u8 t vaddr v = Phys_mem.write_u8 t.mem (translate t ~kind:Fault.Write vaddr) v
-let read_u64 t vaddr = Phys_mem.read_u64 t.mem (translate t ~kind:Fault.Read vaddr)
-let write_u64 t vaddr v = Phys_mem.write_u64 t.mem (translate t ~kind:Fault.Write vaddr) v
+let read_u64 t vaddr = Phys_mem.read_raw_u64 t.mem (translate t ~kind:Fault.Read vaddr)
+let write_u64 t vaddr v = Phys_mem.write_raw_u64 t.mem (translate t ~kind:Fault.Write vaddr) v
 
 (* Bulk accesses: one translation and one direct blit per touched page —
    no intermediate buffers. *)

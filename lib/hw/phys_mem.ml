@@ -60,28 +60,42 @@ let write_u8 t addr v =
 (* The two checks below keep every access inside one backed page, so the
    64-bit load and store use the unchecked bytes primitives: no second
    bounds check, and the value stays unboxed wherever the call is inlined.
-   A stored zero reads back as the static [0L], so probing an empty PTE
-   slot allocates nothing even where it is not. *)
+   The page-table pair converts at this boundary ([Pte.of_raw],
+   [Pte.to_raw]), so an entry is an immediate int on either side of it. *)
 external get_int64u : bytes -> int -> int64 = "%caml_bytes_get64u"
 external set_int64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 external bswap64 : int64 -> int64 = "%bswap_int64"
 
-let[@inline] read_u64 t addr =
+let[@inline] check_u64 t addr ~op =
   check_addr t addr;
   if page_offset addr > page_size - 8 then
-    invalid_arg "Phys_mem.read_u64: crosses page boundary";
-  let b = page t (pfn_of_addr addr) in
-  if Bytes.length b = 0 then 0L
-  else
-    let v = get_int64u b (page_offset addr) in
-    if Int64.equal v 0L then 0L else if Sys.big_endian then bswap64 v else v
+    invalid_arg ("Phys_mem." ^ op ^ ": crosses page boundary")
 
-let[@inline] write_u64 t addr v =
-  check_addr t addr;
-  if page_offset addr > page_size - 8 then
-    invalid_arg "Phys_mem.write_u64: crosses page boundary";
+let[@inline] load b addr =
+  let v = get_int64u b (page_offset addr) in
+  if Sys.big_endian then bswap64 v else v
+
+let[@inline] store t addr v =
   set_int64u (backing t (pfn_of_addr addr)) (page_offset addr)
     (if Sys.big_endian then bswap64 v else v)
+
+let[@inline] read_u64 t addr =
+  check_u64 t addr ~op:"read_u64";
+  let b = page t (pfn_of_addr addr) in
+  if Bytes.length b = 0 then Pte.empty else Pte.of_raw (load b addr)
+
+let[@inline] write_u64 t addr pte =
+  check_u64 t addr ~op:"write_u64";
+  store t addr (Pte.to_raw pte)
+
+let read_raw_u64 t addr =
+  check_u64 t addr ~op:"read_raw_u64";
+  let b = page t (pfn_of_addr addr) in
+  if Bytes.length b = 0 then 0L else load b addr
+
+let write_raw_u64 t addr v =
+  check_u64 t addr ~op:"write_raw_u64";
+  store t addr v
 
 (* Bulk transfers: one blit per touched frame, no intermediate buffers. *)
 

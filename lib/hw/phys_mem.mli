@@ -28,11 +28,19 @@ val read_u8 : t -> int -> int
 
 val write_u8 : t -> int -> int -> unit
 
-val read_u64 : t -> int -> int64
-(** Little-endian; must not cross a page boundary (8-byte aligned callers
-    never do). *)
+val read_u64 : t -> int -> Pte.t
+(** The page-table entry stored at [paddr]: the little-endian word there
+    through {!Pte.of_raw}. Must not cross a page boundary (8-byte aligned
+    callers never do). Allocates nothing where inlined. *)
 
-val write_u64 : t -> int -> int64 -> unit
+val write_u64 : t -> int -> Pte.t -> unit
+(** Store an entry as {!Pte.to_raw} of it; same rules as {!read_u64}. *)
+
+val read_raw_u64 : t -> int -> int64
+(** The little-endian 64-bit word at [paddr], unconverted: data, not page
+    tables ({!Cpu.read_u64}). Same bounds rules as {!read_u64}. *)
+
+val write_raw_u64 : t -> int -> int64 -> unit
 
 val blit_to : t -> int -> bytes -> off:int -> len:int -> unit
 (** [blit_to t paddr dst ~off ~len] copies physical memory into [dst] at

@@ -1,10 +1,21 @@
 (** Page-table-entry encoding, following the x86-64 layout: P/RW/US low
-    flags, accessed/dirty, a 36-bit frame number at bit 12, protection key at
-    bits 59–62 and NX at bit 63. Huge pages are deliberately unsupported —
-    the paper's prototype disables them to keep PKS permission management at
-    4 KiB granularity (§7). *)
+    flags, accessed/dirty, a 36-bit frame number at bit 12, a TME-MK key id
+    at bits 48–57, protection key at bits 59–62 and NX at bit 63, plus the
+    PS bit for 2 MiB leaves ({!huge}).
 
-type t = int64
+    In registers an entry is an immediate OCaml [int], so handing one
+    across a closure (every {!Page_table.writer}, the kernel's privop
+    table, the monitor's gate) allocates nothing. An [int] has 63 bits, so
+    NX sits at bit 58 in registers and moves to bit 63 only in the stored
+    word ({!of_raw}, {!to_raw}; {!Phys_mem.read_u64} and
+    {!Phys_mem.write_u64} apply them). Every other bit keeps its raw
+    position. Raw bit 58 is one of the bits x86 leaves to software (52–58;
+    here 48–57 carry the key id): a stored word with it set loads as the
+    same entry without it, so it never reaches the walker, the TLB or the
+    monitor's policy, and a store derived from a load (the walker's
+    accessed/dirty update) writes it back clear. *)
+
+type t = int
 
 val empty : t
 
@@ -59,3 +70,11 @@ val set_keyid : t -> int -> t
 val set_pkey : t -> int -> t
 val set_dirty : t -> bool -> t
 val set_accessed : t -> bool -> t
+
+val of_raw : int64 -> t
+(** The entry a stored 64-bit word encodes: raw bit 63 becomes {!nx}, raw
+    bit 58 is ignored. Branch-free. *)
+
+val to_raw : t -> int64
+(** The 64-bit word that stores [t]: [of_raw (to_raw t) = t] for every
+    [t], and [to_raw (of_raw w) = w] for every [w] with bit 58 clear. *)

@@ -105,12 +105,12 @@ val ledger_checks : profile:string -> Json.t -> target_cost list -> verdict
     was recorded under the build profile [profile]) and, per cost,
     [ledger/TARGET.minor_words] and [ledger/TARGET.direct_major_words]
     ([major_words - promoted_words]) against the baseline's [targets] row.
-    Both counts are exact functions of the code a target runs. Promoted
-    words are recorded but not judged: they move by a few percent with the
-    heap state a target starts from. A count more than 2% above its
-    baseline fails as a regression; one more than that below
-    fails with a re-baseline message, so the committed ledger cannot go
-    stale. *)
+    Both counts are exact functions of the code a target runs, and both
+    are judged exactly: a count above its baseline fails as a regression,
+    one below fails with a re-baseline message, so every allocation change
+    shows in the [BENCH_sim.json] diff of the change that makes it.
+    Promoted words are recorded but not judged: they move by a few percent
+    with the heap state a target starts from. *)
 
 val ledger_diff : Json.t -> Json.t -> verdict
 (** [ledger_diff a b]: {!ledger_checks} with record [a] as the baseline and

@@ -789,13 +789,13 @@ let test_misaligned_pte_store_denied backend () =
   let neighbour = slot + 8 in
   let page_end = (slot land lnot 4095) + 4092 in
   let image () =
-    List.map (Hw.Phys_mem.read_u64 st.mem) [ slot; neighbour; page_end - 4; page_end + 4 ]
+    List.map (Hw.Phys_mem.read_raw_u64 st.mem) [ slot; neighbour; page_end - 4; page_end + 4 ]
   in
   let before = image () in
   let denied_before = Erebor.Mmu_guard.denied_count guard in
   (* Bits 32-63 forge a user mapping of monitor frame 5; bit 0 is clear. *)
   let forged = Hw.Pte.make ~pfn:5 { Hw.Pte.default_flags with user = true } in
-  let v = Int64.shift_left forged 32 in
+  let v = forged lsl 32 in
   let write_pte = st.kern.Kernel.privops.Kernel.Privops.write_pte in
   expect_violation "store at slot + 4" (fun () -> write_pte ~pte_addr:(slot + 4) v);
   expect_violation "store at page offset 4092" (fun () -> write_pte ~pte_addr:page_end v);
@@ -1016,7 +1016,7 @@ let prop_guard_tables_flat_model =
               agree "leaf clear"
                 (Result.is_ok
                    (G.write_pte g ~trusted:false
-                      ~pte_addr:(Hw.Phys_mem.addr_of_pfn 5 + (8 * slot)) 0L))
+                      ~pte_addr:(Hw.Phys_mem.addr_of_pfn 5 + (8 * slot)) Hw.Pte.empty))
                 true)
         ops;
       let probes = List.init guard_frames Fun.id @ [ -1; guard_frames; guard_frames + 1; max_int; min_int ] in

@@ -205,7 +205,7 @@ let test_huge_map_translate () =
   (* And the CPU reads/writes through it. *)
   Hw.Cpu.write_u64 cpu (vaddr + (5 * 4096) + 16) 77L;
   Alcotest.(check int64) "cpu access via huge page" 77L
-    (Hw.Phys_mem.read_u64 mem (Hw.Phys_mem.addr_of_pfn 1029 + 16));
+    (Hw.Phys_mem.read_raw_u64 mem (Hw.Phys_mem.addr_of_pfn 1029 + 16));
   Alcotest.check_raises "unaligned vaddr"
     (Invalid_argument "Page_table.map_huge: vaddr must be 2MiB-aligned") (fun () ->
       Hw.Page_table.map_huge mem ~write_pte ~alloc_ptp ~root_pfn:root ~vaddr:0x1000
@@ -385,7 +385,7 @@ let test_wp_protects_ptps () =
   (* Inside the gate, the monitor context may write (WP is cleared). *)
   let gate = Erebor.Monitor.gate st.monitor in
   Erebor.Gate.call gate (fun () ->
-      let before = Hw.Phys_mem.read_u64 st.mem (Hw.Phys_mem.addr_of_pfn st.kern.Kernel.kernel_root + 8 * 300) in
+      let before = Hw.Phys_mem.read_raw_u64 st.mem (Hw.Phys_mem.addr_of_pfn st.kern.Kernel.kernel_root + 8 * 300) in
       Hw.Cpu.write_u64 st.cpu (va + (8 * 300)) before);
   (* And WP is re-asserted afterwards. *)
   Alcotest.(check bool) "WP restored after EMC" true (Hw.Cr.wp st.cpu.Hw.Cpu.cr)
@@ -651,7 +651,7 @@ let test_teardown_leaves_siblings backend () =
   let secret = Bytes.of_string "SIBLING-SECRET" in
   Erebor.Sandbox.write_sandbox_bytes st.mgr b ~addr:base_b secret;
   let pfn_a = tenant_pfn st a base_a and pfn_b = tenant_pfn st b base_b in
-  Hw.Phys_mem.write_u64 st.mem (Hw.Phys_mem.addr_of_pfn pfn_a) 0xDEADL;
+  Hw.Phys_mem.write_raw_u64 st.mem (Hw.Phys_mem.addr_of_pfn pfn_a) 0xDEADL;
   (if backend = Erebor.Isolation.Tme_mk then
      let tme = Option.get st.cpu.Hw.Cpu.tme in
      Alcotest.(check int) "b's frame tagged with b's key"
@@ -664,7 +664,7 @@ let test_teardown_leaves_siblings backend () =
   Alcotest.(check bool) "a's frame declassified" true
     (Erebor.Mmu_guard.class_of guard pfn_a = Erebor.Mmu_guard.Free);
   Alcotest.(check int64) "a's frame scrubbed" 0L
-    (Hw.Phys_mem.read_u64 st.mem (Hw.Phys_mem.addr_of_pfn pfn_a));
+    (Hw.Phys_mem.read_raw_u64 st.mem (Hw.Phys_mem.addr_of_pfn pfn_a));
   Alcotest.(check bool) "no stale translation for a" true
     (Hw.Page_table.walk st.mem ~root_pfn:a_root base_a = None);
   (if backend = Erebor.Isolation.Tme_mk then

@@ -26,8 +26,8 @@ let test_phys_mem_rw () =
   Alcotest.(check int) "read back" 0xAB (Phys_mem.read_u8 mem 0x1234);
   Alcotest.(check bool) "backed after write" true (Phys_mem.page_is_backed mem 1);
   Alcotest.(check int) "one backed frame" 1 (Phys_mem.backed_count mem);
-  Phys_mem.write_u64 mem 0x2000 0x1122334455667788L;
-  Alcotest.(check int64) "u64 roundtrip" 0x1122334455667788L (Phys_mem.read_u64 mem 0x2000)
+  Phys_mem.write_raw_u64 mem 0x2000 0x1122334455667788L;
+  Alcotest.(check int64) "u64 roundtrip" 0x1122334455667788L (Phys_mem.read_raw_u64 mem 0x2000)
 
 let test_phys_mem_cross_page () =
   let mem = Phys_mem.create ~frames:4 in
@@ -99,6 +99,41 @@ let prop_pte_flags =
       let flags = { Pte.present; writable; user; nx; pkey; accessed = false; dirty } in
       let pte = Pte.make ~pfn flags in
       Pte.flags pte = { flags with accessed = false } && Pte.pfn pte = pfn)
+
+(* The stored word and the register form: raw bit 63 is NX, raw bit 58 is
+   dropped on load, and every other bit keeps its place. *)
+let bit58 = Int64.shift_left 1L 58
+
+let prop_pte_raw_roundtrip =
+  QCheck.Test.make ~name:"pte raw word roundtrip" ~count:1000 QCheck.int64 (fun w ->
+      let w' = Int64.logand w (Int64.lognot bit58) in
+      Pte.to_raw (Pte.of_raw w') = w'
+      && Pte.of_raw w = Pte.of_raw w'
+      && Pte.of_raw (Pte.to_raw (Int64.to_int w)) = Int64.to_int w)
+
+let test_pte_raw_nx () =
+  let nx_only = Pte.of_raw Int64.min_int in
+  Alcotest.(check bool) "raw bit 63 is nx" true (Pte.nx nx_only);
+  Alcotest.(check bool) "and nothing else" true
+    (Pte.flags nx_only
+     = { Pte.present = false; writable = false; user = false; nx = true; pkey = 0;
+         accessed = false; dirty = false }
+    && Pte.pfn nx_only = 0 && Pte.keyid nx_only = 0 && not (Pte.huge nx_only));
+  Alcotest.(check bool) "bit 58 alone is not nx" false (Pte.nx (Pte.of_raw bit58));
+  Alcotest.(check int) "bit 58 alone loads empty" Pte.empty (Pte.of_raw bit58);
+  let pte = Pte.make ~pfn:0x1234 { Pte.default_flags with nx = true; pkey = 15 } in
+  let w = Pte.to_raw pte in
+  Alcotest.(check int64) "nx stores at bit 63" Int64.min_int (Int64.logand w Int64.min_int);
+  Alcotest.(check int64) "bit 58 stores clear" 0L (Int64.logand w bit58);
+  Alcotest.(check int64) "pkey stores at 59-62" 0xfL
+    (Int64.logand (Int64.shift_right_logical w 59) 0xfL);
+  let mem = Phys_mem.create ~frames:4 in
+  Phys_mem.write_raw_u64 mem 0x1008 (Int64.logor 0x5001L Int64.min_int);
+  let e = Phys_mem.read_u64 mem 0x1008 in
+  Alcotest.(check bool) "loaded nx" true (Pte.nx e);
+  Alcotest.(check int) "loaded pfn" 5 (Pte.pfn e);
+  Phys_mem.write_u64 mem 0x1010 pte;
+  Alcotest.(check int64) "stored word" w (Phys_mem.read_raw_u64 mem 0x1010)
 
 (* ------------------------------------------------------------------ *)
 (* Pks                                                                 *)
@@ -348,7 +383,9 @@ end
    at indices 0, 1, 2 and 511 with an empty slot, a non-present entry with
    junk bits, a pointer to a fresh table, a leaf, a huge entry (honoured
    only at the PD level), or a pointer past the end of memory. Every entry
-   draws its own user/writable/nx bits. *)
+   draws its own user/writable/nx bits. Slots are written as raw 64-bit
+   words, so the junk reaches memory with every bit it drew (bits 58 and
+   63 included) and only the walkers' loads decode it. *)
 let pt_frames = 512
 let pt_indices = [| 0; 1; 2; 511 |]
 
@@ -371,19 +408,20 @@ let random_tree seed =
         let slot = Phys_mem.addr_of_pfn table + (8 * idx) in
         let v =
           match Random.State.int rng 10 with
-          | 0 | 1 -> Pte.empty
+          | 0 | 1 -> 0L
           | 2 -> Int64.logand (Random.State.bits64 rng) (Int64.lognot 1L)
-          | 3 -> Pte.set_huge (entry (512 * Random.State.int rng 8)) true
-          | 4 -> entry (pt_frames + Random.State.int rng 64)
-          | _ when level = 0 -> entry (Random.State.int rng 4096)
+          | 3 -> Pte.to_raw (Pte.set_huge (entry (512 * Random.State.int rng 8)) true)
+          | 4 -> Pte.to_raw (entry (pt_frames + Random.State.int rng 64))
+          | _ when level = 0 -> Pte.to_raw (entry (Random.State.int rng 4096))
           | _ ->
               let child = fresh () in
               fill child (level - 1);
               (* A PS bit above the PD level must be walked through. *)
-              if Random.State.int rng 8 = 0 then Pte.set_huge (entry child) true
-              else entry child
+              Pte.to_raw
+                (if Random.State.int rng 8 = 0 then Pte.set_huge (entry child) true
+                 else entry child)
         in
-        Phys_mem.write_u64 mem slot v)
+        Phys_mem.write_raw_u64 mem slot v)
       pt_indices
   in
   let root = fresh () in
@@ -477,10 +515,10 @@ let prop_pt_matches_reference =
 (* The probe side of the paging path allocates nothing: a walk that stops
    at a non-present slot, and [read_u64] -> [Pte.present]/[Pte.pfn]
    decodes of both an empty slot and a present entry in a backed table
-   page. The present read holds only because the build inlines across
-   modules (the release profile in dune-workspace): compiled with
-   [-opaque], as under [--profile dev], each present read boxes its
-   [int64] and this test fails. *)
+   page. It holds because the build inlines across modules (the release
+   profile in dune-workspace): compiled with [-opaque], as under
+   [--profile dev], every read of a backed slot boxes the stored [int64]
+   on its way into [Pte.of_raw], and this test fails. *)
 let test_pt_probe_no_alloc () =
   let mem, alloc_ptp, write_pte = make_env () in
   let root = alloc_ptp () in
@@ -603,6 +641,24 @@ let make_cpu ?(frames = 2048) () =
     Page_table.map mem ~write_pte ~alloc_ptp ~root_pfn:root ~vaddr (Pte.make ~pfn flags)
   in
   (cpu, mem, map, root)
+
+(* Raw bit 58 is ignored on load: a leaf stored with it set walks and
+   translates exactly like the same leaf without it. The walker's
+   accessed-bit update stores the entry back, and with it bit 58 clear. *)
+let test_pt_raw_bit58_ignored () =
+  let cpu, mem, map, root = make_cpu () in
+  let vaddr = 0x40_0000 in
+  map vaddr 200 { Pte.default_flags with pkey = 3 };
+  let slot = Option.get (Page_table.leaf_addr mem ~root_pfn:root vaddr) in
+  let clean = Phys_mem.read_raw_u64 mem slot in
+  let before = Page_table.walk mem ~root_pfn:root vaddr in
+  Phys_mem.write_raw_u64 mem slot (Int64.logor clean bit58);
+  Alcotest.(check bool) "same walk" true (Page_table.walk mem ~root_pfn:root vaddr = before);
+  Alcotest.(check int) "same translation" ((200 lsl 12) + 8)
+    (Cpu.translate cpu ~kind:Fault.Read (vaddr + 8));
+  Alcotest.(check int64) "A/D update stores it clear"
+    (Pte.to_raw (Pte.set_accessed (Pte.of_raw clean) true))
+    (Phys_mem.read_raw_u64 mem slot)
 
 let test_cpu_translate_rw () =
   let cpu, _mem, map, _ = make_cpu () in
@@ -1393,11 +1449,11 @@ let prop_phys_mem_flat_model =
           match op with
           | Write_u64 (a, v) ->
               agree name
-                (outcome (fun () -> Phys_mem.write_u64 mem a v))
+                (outcome (fun () -> Phys_mem.write_raw_u64 mem a v))
                 (outcome (fun () -> Flat_mem.write_u64 flat a v))
           | Read_u64 a ->
               agree name
-                (outcome (fun () -> Phys_mem.read_u64 mem a))
+                (outcome (fun () -> Phys_mem.read_raw_u64 mem a))
                 (outcome (fun () -> Flat_mem.read_u64 flat a))
           | Blit_from (a, n) ->
               let src = pattern n in
@@ -1476,7 +1532,7 @@ let prop_tme_flat_model =
    bounds"] from its array access.) *)
 let test_page_is_backed_out_of_range () =
   let mem = Phys_mem.create ~frames:model_frames in
-  Phys_mem.write_u64 mem ((model_frames - 1) lsl 12) 1L;
+  Phys_mem.write_raw_u64 mem ((model_frames - 1) lsl 12) 1L;
   List.iter
     (fun pfn ->
       Alcotest.(check bool) (Printf.sprintf "pfn %d" pfn) false (Phys_mem.page_is_backed mem pfn))
@@ -1500,7 +1556,12 @@ let () =
           qt prop_tme_flat_model;
         ] );
       ( "pte",
-        [ Alcotest.test_case "roundtrip" `Quick test_pte_roundtrip; qt prop_pte_flags ] );
+        [
+          Alcotest.test_case "roundtrip" `Quick test_pte_roundtrip;
+          qt prop_pte_flags;
+          qt prop_pte_raw_roundtrip;
+          Alcotest.test_case "raw bit 63 is nx" `Quick test_pte_raw_nx;
+        ] );
       ( "pks",
         [
           Alcotest.test_case "encode/decode" `Quick test_pks_encode_decode;
@@ -1516,6 +1577,7 @@ let () =
           qt prop_pt_model;
           qt prop_pt_matches_reference;
           Alcotest.test_case "probes allocation-free" `Quick test_pt_probe_no_alloc;
+          Alcotest.test_case "raw bit 58 ignored" `Quick test_pt_raw_bit58_ignored;
         ] );
       ( "access",
         [

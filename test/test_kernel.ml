@@ -200,14 +200,14 @@ let test_clone_shares_fork_copies () =
   let child_pfn = Option.get (Kernel.resolve_pfn k child ~addr) in
   Alcotest.(check bool) "copied frame" true (parent_pfn <> child_pfn);
   Alcotest.(check int64) "copied content" 0xAAL
-    (Hw.Phys_mem.read_u64 k.Kernel.mem (Hw.Phys_mem.addr_of_pfn child_pfn));
+    (Hw.Phys_mem.read_raw_u64 k.Kernel.mem (Hw.Phys_mem.addr_of_pfn child_pfn));
   (* Writes diverge after fork. *)
   enter_task k child;
   cpu.Hw.Cpu.mode <- Hw.Cpu.User;
   Hw.Cpu.write_u64 cpu addr 0xBBL;
   cpu.Hw.Cpu.mode <- Hw.Cpu.Supervisor;
   Alcotest.(check int64) "parent unchanged" 0xAAL
-    (Hw.Phys_mem.read_u64 k.Kernel.mem (Hw.Phys_mem.addr_of_pfn parent_pfn))
+    (Hw.Phys_mem.read_raw_u64 k.Kernel.mem (Hw.Phys_mem.addr_of_pfn parent_pfn))
 
 let test_munmap_frees () =
   let k, _, _ = make_kernel () in

@@ -447,8 +447,9 @@ let test_bench_gate_seeded_failure () =
 
 (* [ledger_diff] applies the ledger rule between two records: a record
    against itself passes with every count unmoved, 3% more minor words on
-   one target fails that row only, and a record without per-target words
-   (a parallel run) fails outright. *)
+   one target fails that row only, so does a single word more or less (the
+   rule is exact), and a record without per-target words (a parallel run)
+   fails outright. *)
 let test_bench_gate_ledger_diff () =
   let module G = Workloads.Bench_gate in
   let record minor =
@@ -473,6 +474,15 @@ let test_bench_gate_ledger_diff () =
   | [ f ] ->
       Alcotest.(check string) "the moved row" "ledger/table3.minor_words" f.name
   | fs -> Alcotest.failf "expected exactly 1 failure, got %d" (List.length fs));
+  List.iter
+    (fun minor ->
+      match G.failures (G.ledger_diff base (parse (record minor))) with
+      | [ f ] ->
+          Alcotest.(check string)
+            (Printf.sprintf "%d words: the moved row" minor)
+            "ledger/table3.minor_words" f.name
+      | fs -> Alcotest.failf "%d words: expected 1 failure, got %d" minor (List.length fs))
+    [ 999; 1001 ];
   let parallel =
     parse "{\"profile\": \"release\", \"targets\": [{\"name\": \"fig9\", \"wall_s\": 1.0}]}"
   in
