@@ -2,18 +2,17 @@
    warm-start pool of sandboxes sharing one model instance, side-channel
    mitigations armed, serving a stream of clients over the attested channel.
 
-   Every client request mints a trace context at the channel client; the
-   context travels inside the sealed request header, so the collector can
-   assemble a cross-machine causal tree (client segment + fleet segment)
-   per request, and the run finishes with the request latency panel
-   (p50/p95/p99 over every request the collector saw). With --audit FILE
-   the monitor's security decisions are written as a hash-chained log that
+   Each client session is timed on the virtual clock from handshake to
+   opened response, and the run finishes with the latency panel
+   (p50/p95/p99 over every session). With --audit FILE the monitor's
+   security decisions are written as a hash-chained log that
    `erebor_sim audit verify` checks; with --record FILE the fleet
-   machine's event stream is journaled for the `erebor_sim journal`
-   subcommands.
+   machine's event stream, session markers included, is journaled for the
+   `erebor_sim journal` subcommands, and the example replays it: the
+   critical-path analysis must find one window per session whose total is
+   exactly the measured cycles, or the example exits 1.
 
-   Run with:  dune exec examples/fleet.exe -- [--audit FILE] [--trace FILE]
-                                              [--record FILE]
+   Run with:  dune exec examples/fleet.exe -- [--audit FILE] [--record FILE]
 *)
 
 module C = Workloads.Cli
@@ -39,11 +38,6 @@ let audit_flag =
     "Record every monitor security decision in a hash-chained audit log \
      and write it (JSONL) on exit; check offline with audit verify."
 
-let trace_flag =
-  C.flag ~docv:"FILE" [ "--trace" ]
-    "Write the last request's cross-machine causal tree as a Chrome-trace \
-     JSON file."
-
 let record_flag =
   C.flag ~docv:"FILE" [ "--record" ]
     "Journal the fleet machine's event stream (flight recorder) for the \
@@ -52,17 +46,14 @@ let record_flag =
 let main p =
   print_endline "Multi-tenant fleet: warm pool + shared model + mitigations";
   let audit_file = C.str p audit_flag in
-  let trace_file = C.str p trace_flag in
   let record_file = C.str p record_flag in
   let mem = Hw.Phys_mem.create ~frames:131072 in
   let clock = Hw.Cycles.clock () in
   let now () = Hw.Cycles.now clock in
 
-  (* Two emitters: the fleet machine's (carried by its CPU, where the
-     monitor audits and emits spans) and one standing in for the remote
-     client machine. A single collector watches both. *)
+  (* The fleet machine's emitter, carried by its CPU: the monitor audits
+     and emits spans on it, and the session markers ride it too. *)
   let obs_fleet = Obs.Emitter.create () in
-  let obs_client = Obs.Emitter.create () in
   (* The journal writer attaches first so it records boot too. *)
   let journal =
     match record_file with
@@ -74,9 +65,6 @@ let main p =
         Obs.Journal.Writer.attach ~machine:"fleet" w obs_fleet;
         Some (w, path)
   in
-  let requests = Obs.Request.create () in
-  Obs.Request.attach requests ~machine:"fleet" obs_fleet;
-  Obs.Request.attach requests ~machine:"client" obs_client;
   (match audit_file with
   | Some _ ->
       Obs.Emitter.set_audit obs_fleet
@@ -120,18 +108,13 @@ let main p =
 
   (* One shared model instance across the whole fleet. *)
   let model_bytes = 2048 * 4096 in
-  let mismatches = ref 0 in
-  let last_trace = ref 0 in
+  let measured = ref [] in
   let serve i prompt =
-    (* The request window opens at the client: the minted context covers
-       handshake, sealed request, fleet-side service, sealed response. *)
-    let cx = Obs.Request.mint requests in
-    last_trace := cx.Obs.Request.trace_id;
+    (* Session [i]'s window opens at the client and covers handshake,
+       sealed request, fleet-side service and opened response. *)
     let t_start = now () in
-    Obs.Emitter.emit obs_client Obs.Trace.Req_begin ~ts:t_start
-      ~arg:(Obs.Request.pack cx ~root:true);
+    Obs.Emitter.emit obs_fleet Obs.Trace.Req_begin ~ts:t_start ~arg:i;
     let client, server =
-      Obs.with_span obs_client ~now Obs.Trace.Attest @@ fun () ->
       let rng_c = Crypto.Drbg.create ~seed:(Printf.sprintf "client:%d" i) in
       let rng_s = Crypto.Drbg.create ~seed:(Printf.sprintf "monitor:%d" i) in
       let client =
@@ -145,12 +128,7 @@ let main p =
       Result.get_ok (Erebor.Channel.Client.finish client ~server_hello);
       (client, server)
     in
-    let sealed =
-      Obs.with_span obs_client ~now Obs.Trace.Channel_crypto @@ fun () ->
-      Erebor.Channel.Client.seal_request ~ctx:cx client (Bytes.of_string prompt)
-    in
-    (* Fleet side: opening the request emits Req_begin there, so the
-       sandbox service lands inside the fleet segment of this trace. *)
+    let sealed = Erebor.Channel.Client.seal_request client (Bytes.of_string prompt) in
     let plaintext = Result.get_ok (Erebor.Channel.Server.open_request server sealed) in
     let entry = Result.get_ok (Sim.Pool.acquire pool) in
     let sb = entry.Sim.Pool.sb and libos = entry.Sim.Pool.libos in
@@ -173,29 +151,13 @@ let main p =
     let answer = Erebor.Sandbox.take_output mgr sb in
     Erebor.Sandbox.terminate mgr sb;
     let response = Erebor.Channel.Server.seal_response server ~bucket:256 answer in
-    let answer =
-      Obs.with_span obs_client ~now Obs.Trace.Channel_crypto @@ fun () ->
-      Result.get_ok (Erebor.Channel.Client.open_response client response)
-    in
+    let answer = Result.get_ok (Erebor.Channel.Client.open_response client response) in
     let t_end = now () in
-    Obs.Emitter.emit obs_client Obs.Trace.Req_end ~ts:t_end
-      ~arg:(Obs.Request.pack cx ~root:true);
-    let measured = t_end - t_start in
-    (* The collector's root segment must account for exactly the cycles we
-       measured end to end — the tree is causal, not decorative. *)
-    (match Obs.Request.root_cycles requests ~trace_id:cx.Obs.Request.trace_id with
-    | Some c when c = measured -> ()
-    | Some c ->
-        Printf.eprintf "[client %d] trace %d root %d cycles <> measured %d\n" i
-          cx.Obs.Request.trace_id c measured;
-        incr mismatches
-    | None ->
-        Printf.eprintf "[client %d] trace %d: no root segment collected\n" i
-          cx.Obs.Request.trace_id;
-        incr mismatches);
+    Obs.Emitter.emit obs_fleet Obs.Trace.Req_end ~ts:t_end ~arg:i;
+    measured := (i, t_end - t_start) :: !measured;
     Printf.printf "[client %d] %-32s  (time-to-answer %.2f ms, warm=%b)\n" i
       (Bytes.to_string answer)
-      (1000.0 *. Hw.Cycles.to_seconds measured)
+      (1000.0 *. Hw.Cycles.to_seconds (t_end - t_start))
       (Sim.Pool.cold_boots pool = 0 || i <= 4)
   in
   List.iteri (fun i prompt -> serve (i + 1) prompt)
@@ -211,17 +173,6 @@ let main p =
         stalls stall_cycles flushes
   | None -> ());
 
-  (* One request's cross-machine causal tree. *)
-  Printf.printf "\n[fleet] causal tree of request %d (cross-machine):\n" !last_trace;
-  Format.printf "%a@?" Obs.Request.pp_tree (requests, !last_trace);
-  (match trace_file with
-  | Some path ->
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc
-            (Obs.Request.to_chrome_json requests ~trace_id:!last_trace));
-      Printf.printf "[fleet] chrome trace of request %d -> %s\n" !last_trace path
-  | None -> ());
-
   (* Flush sinks and close the audit chain (mandatory close record); the
      emitter finalizer also seals and closes the journal, if any. *)
   Obs.Emitter.finalize obs_fleet ~now:(now ());
@@ -233,26 +184,56 @@ let main p =
         (Obs.Audit.length chain) path
   | _ -> ());
 
-  (match journal with
-  | Some (w, path) ->
-      Printf.printf "[fleet] journal: %d events in %d segments -> %s\n"
-        (Obs.Journal.Writer.events w)
-        (Obs.Journal.Writer.segments w)
-        path
-  | None -> ());
+  (* Replay the journal: the critical-path analysis must find exactly one
+     window per session, each accounting for exactly the cycles measured
+     end to end — the markers are causal, not decorative. *)
+  let sessions = List.length !measured in
+  let accounted =
+    match journal with
+    | None -> true
+    | Some (w, path) -> (
+        Printf.printf "[fleet] journal: %d events in %d segments -> %s\n"
+          (Obs.Journal.Writer.events w)
+          (Obs.Journal.Writer.segments w)
+          path;
+        match Obs.Critical.analyze ~top:sessions ~path () with
+        | Error e ->
+            Printf.eprintf "[fleet] journal replay failed: %s\n" e;
+            false
+        | Ok (rep, _) ->
+            Printf.printf
+              "[fleet] journal critical path: %d session windows, service %d / \
+               queueing %d cycles\n"
+              rep.Obs.Critical.n rep.Obs.Critical.total_service
+              rep.Obs.Critical.total_queueing;
+            let windows =
+              List.map
+                (fun (r : Obs.Critical.request) -> (r.Obs.Critical.id, r.Obs.Critical.total))
+                rep.Obs.Critical.requests
+            in
+            let show l =
+              String.concat " " (List.map (fun (i, c) -> Printf.sprintf "%d:%d" i c) l)
+            in
+            let ok =
+              rep.Obs.Critical.n = sessions
+              && List.sort compare windows = List.sort compare !measured
+            in
+            if not ok then
+              Printf.eprintf "[fleet] session windows [%s] <> measured [%s]\n"
+                (show (List.sort compare windows))
+                (show (List.sort compare !measured));
+            ok)
+  in
 
-  (* The closing panel: the end-to-end latency distribution the collector
-     kept for every request. *)
+  (* The closing panel: the end-to-end latency distribution over every
+     session, measured on the virtual clock. *)
+  let latencies = Array.of_list (List.map snd !measured) in
+  Array.sort compare latencies;
+  let pct p = Obs.Histogram.nearest_rank latencies ~p in
   Printf.printf
     "\n[fleet] served %d requests, latency p50=%d p95=%d p99=%d cycles\n"
-    (Obs.Request.completed requests)
-    (Obs.Request.latency_percentile requests ~p:0.50)
-    (Obs.Request.latency_percentile requests ~p:0.95)
-    (Obs.Request.latency_percentile requests ~p:0.99);
-  if !mismatches > 0 then begin
-    Printf.eprintf "[fleet] %d request(s) with unaccounted cycles\n" !mismatches;
-    exit 1
-  end
+    sessions (pct 0.50) (pct 0.95) (pct 0.99);
+  if not accounted then exit 1
 
 let () =
   C.run ~prog:"fleet" ~default:"run"
@@ -260,6 +241,6 @@ let () =
     [
       C.cmd ~name:"run"
         ~doc:"Serve five clients from a warm sandbox pool (the default)"
-        ~flags:[ audit_flag; trace_flag; record_flag ]
+        ~flags:[ audit_flag; record_flag ]
         main;
     ]

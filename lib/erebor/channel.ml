@@ -22,8 +22,8 @@ let le64 n =
 (* A le64 word as a non-negative int, or -1 when it needs more than 62
    bits. Folding all eight bytes into a 63-bit int would silently drop bit
    63, so a length word with that bit set would decode as a small length
-   that re-encodes to different bytes. Every field read here (lengths,
-   trace and span ids) is non-negative when well formed. *)
+   that re-encodes to different bytes. Every field read here is a length,
+   non-negative when well formed. *)
 let read_le64 b off =
   if Char.code (Bytes.get b (off + 7)) land 0xc0 <> 0 then -1
   else begin
@@ -65,38 +65,6 @@ let decode_sealed b =
     if len < 0 || len <> Bytes.length b - 52 then Error "decode_sealed: bad length"
     else Ok { Crypto.Aead.nonce; ciphertext = Bytes.sub b 52 len; tag }
   end
-
-(* Trace-context header, carried *inside* the seal so the untrusted proxy
-   learns nothing from it: magic "ERTC1", then le64 trace id, le64 parent
-   span id, and a flags byte (bit 0 = sampled). The server strips it before
-   handing the plaintext to the monitor, so payload-length-based cycle
-   charges are identical with tracing on or off. *)
-let ctx_magic = "ERTC1"
-let ctx_header_len = String.length ctx_magic + 8 + 8 + 1
-
-let encode_ctx (cx : Obs.Request.ctx) data =
-  let h = Bytes.create ctx_header_len in
-  Bytes.blit_string ctx_magic 0 h 0 5;
-  Bytes.blit (le64 cx.Obs.Request.trace_id) 0 h 5 8;
-  Bytes.blit (le64 cx.Obs.Request.span_id) 0 h 13 8;
-  Bytes.set h 21 (if cx.Obs.Request.sampled then '\001' else '\000');
-  Bytes.cat h data
-
-(* Only canonical headers decode: ids that fit a non-negative int and a
-   flags byte of 0 or 1, so a decoded header re-encodes to the same bytes. *)
-let decode_ctx data =
-  if
-    Bytes.length data >= ctx_header_len
-    && Bytes.sub_string data 0 (String.length ctx_magic) = ctx_magic
-  then
-    let trace_id = read_le64 data 5 and span_id = read_le64 data 13 in
-    match Bytes.get data 21 with
-    | ('\000' | '\001') as flags when trace_id >= 0 && span_id >= 0 ->
-        Some
-          ( { Obs.Request.trace_id; span_id; sampled = flags = '\001' },
-            Bytes.sub data ctx_header_len (Bytes.length data - ctx_header_len) )
-    | _ -> None
-  else None
 
 let serialize_report (r : Tdx.Attest.report) =
   Bytes.concat Bytes.empty
@@ -183,9 +151,8 @@ module Client = struct
           end
     end
 
-  let seal_request ?ctx t data =
+  let seal_request t data =
     if not t.established then invalid_arg "Client.seal_request: no session";
-    let data = match ctx with None -> data | Some cx -> encode_ctx cx data in
     encode_sealed
       (Crypto.Aead.seal ~key:t.c2s ~nonce:(fresh_nonce t.rng) ~ad:(Bytes.of_string "c2s") data)
 
@@ -210,12 +177,7 @@ module Server = struct
            wire-payload size in bytes. *)
     obs : Obs.Emitter.t;
     now : unit -> int;
-    mutable last_ctx : Obs.Request.ctx option;
-        (* Trace context of the request being served, set by [open_request]
-           and cleared when [seal_response] closes the window. *)
   }
-
-  let last_ctx t = t.last_ctx
 
   (* Attribution span markers around the crypto work. The channel's own
      computation is host-real (no virtual cost of its own), but the spans
@@ -259,7 +221,6 @@ module Server = struct
                   emit;
                   obs = Monitor.obs monitor;
                   now = (fun () -> Monitor.now monitor);
-                  last_ctx = None;
                 },
                 hello )
       in
@@ -284,22 +245,12 @@ module Server = struct
           | Some data -> Ok data)
     in
     t.emit crypto_end ~arg:0;
-    match result with
+    (match result with
     | Error e ->
         Obs.Emitter.audit_event t.obs ~ts:(t.now ()) ~category:"channel.request"
-          ~verdict:Obs.Audit.Deny (fun () -> e);
-        result
-    | Ok data -> (
-        (* Strip the trace-context header before the plaintext reaches the
-           monitor: downstream length-proportional cycle charges must not
-           see it. The server-side request window opens here and closes in
-           [seal_response]. *)
-        match decode_ctx data with
-        | None -> result
-        | Some (cx, payload) ->
-            t.last_ctx <- Some cx;
-            t.emit Obs.Trace.Req_begin ~arg:(Obs.Request.pack cx ~root:false);
-            Ok payload)
+          ~verdict:Obs.Audit.Deny (fun () -> e)
+    | Ok _ -> ());
+    result
 
   let seal_response t ~bucket data =
     t.emit crypto_begin ~arg:0;
@@ -310,10 +261,5 @@ module Server = struct
     in
     t.emit crypto_end ~arg:0;
     t.emit Obs.Trace.Channel_send ~arg:(Bytes.length out);
-    (match t.last_ctx with
-    | None -> ()
-    | Some cx ->
-        t.emit Obs.Trace.Req_end ~arg:(Obs.Request.pack cx ~root:false);
-        t.last_ctx <- None);
     out
 end

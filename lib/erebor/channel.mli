@@ -33,22 +33,6 @@ val decode_sealed : bytes -> (Crypto.Aead.sealed, string) result
 (** [Ok] only when the length word is exactly the ciphertext's length, so
     [encode_sealed] of the result gives the input back; never raises. *)
 
-(** {2 Trace-context header}
-
-    A request-tracing context travels *inside* the seal — magic ["ERTC1"],
-    le64 trace id, le64 parent span id, one flags byte (bit 0 = sampled) —
-    so the untrusted proxy learns nothing from it. The server strips the
-    header before handing the plaintext to the monitor, keeping
-    length-proportional cycle charges identical with tracing on or off. *)
-
-val ctx_header_len : int
-val encode_ctx : Obs.Request.ctx -> bytes -> bytes
-(** Ids must be non-negative, as {!Obs.Request.mint} makes them. *)
-
-val decode_ctx : bytes -> (Obs.Request.ctx * bytes) option
-(** [Some] only for a canonical header — non-negative ids, a flags byte
-    of 0 or 1 — so [encode_ctx] of the result gives the input back. *)
-
 module Client : sig
   type t
 
@@ -64,9 +48,8 @@ module Client : sig
   (** Verify the monitor's report (MAC, MRTD, transcript binding) and derive
       the session keys. *)
 
-  val seal_request : ?ctx:Obs.Request.ctx -> t -> bytes -> bytes
-  (** Encrypt client data for the monitor (wire encoding included). With
-      [?ctx], the trace-context header is prepended inside the seal. *)
+  val seal_request : t -> bytes -> bytes
+  (** Encrypt client data for the monitor (wire encoding included). *)
 
   val open_response : t -> bytes -> (bytes, string) result
   (** Decrypt, authenticate and unpad a monitor response. *)
@@ -82,17 +65,13 @@ module Server : sig
       (monitor-exclusive tdcall) and produce the server hello. *)
 
   val open_request : t -> bytes -> (bytes, string) result
-  (** Decrypt and authenticate one request. A trace-context header, when
-      present, is stripped before the plaintext is returned; the server
-      emits [Req_begin] and remembers the context until the response is
-      sealed. Authentication failures are audited. *)
-
-  val last_ctx : t -> Obs.Request.ctx option
-  (** The trace context of the request currently being served, if any. *)
+  (** Decrypt and authenticate one request. Every authenticated byte is
+      returned as sealed: the channel interprets none of the tenant's
+      plaintext. Authentication failures are audited. *)
 
   val seal_response : t -> bucket:int -> bytes -> bytes
   (** Pad to [bucket] and encrypt — fixed-length output against size covert
-      channels. Emits [Req_end] and clears the stored trace context. *)
+      channels. *)
 end
 
 val serialize_report : Tdx.Attest.report -> bytes

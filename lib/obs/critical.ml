@@ -5,8 +5,7 @@
 type blame = { bdomain : Trace.domain; bphase : Trace.phase; bcycles : int }
 
 type request = {
-  trace_id : int;
-  root : bool;
+  id : int;
   rt0 : int;
   rt1 : int;
   total : int;
@@ -33,7 +32,6 @@ type open_span = { phase : Trace.phase; t0 : int; mutable child : int }
 (* An open request window on a stream. *)
 type open_req = {
   ot0 : int;
-  oroot : bool;
   mutable oservice : int;
   oblame : int array; (* per phase index *)
 }
@@ -41,30 +39,21 @@ type open_req = {
 let analyze ?(top = 10) ~path () =
   let completed = ref [] in
   (* Per-stream state lives in the stream's sink closure: its open-span
-     stack and its open request windows (trace_id -> window). *)
+     stack and its open request windows (marker argument -> window). *)
   let stream ~machine:_ =
     let stack = ref [] and open_reqs = ref [] in
     let em = Emitter.create () in
     Emitter.attach em (fun kind ~ts ~arg ->
         match kind with
         | Trace.Req_begin ->
-            let cx, root = Request.unpack arg in
             open_reqs :=
-              ( cx.Request.trace_id,
-                {
-                  ot0 = ts;
-                  oroot = root;
-                  oservice = 0;
-                  oblame = Array.make Trace.n_phases 0;
-                } )
+              (arg, { ot0 = ts; oservice = 0; oblame = Array.make Trace.n_phases 0 })
               :: !open_reqs
         | Trace.Req_end -> (
-            let cx, _ = Request.unpack arg in
-            let trace_id = cx.Request.trace_id in
-            match List.assoc_opt trace_id !open_reqs with
+            match List.assoc_opt arg !open_reqs with
             | None -> ()
             | Some r ->
-                open_reqs := List.remove_assoc trace_id !open_reqs;
+                open_reqs := List.remove_assoc arg !open_reqs;
                 let total = ts - r.ot0 in
                 let service = Stdlib.min r.oservice total in
                 let path =
@@ -83,8 +72,7 @@ let analyze ?(top = 10) ~path () =
                 in
                 completed :=
                   {
-                    trace_id;
-                    root = r.oroot;
+                    id = arg;
                     rt0 = r.ot0;
                     rt1 = ts;
                     total;
@@ -191,10 +179,8 @@ let render rep =
     List.iter
       (fun r ->
         Buffer.add_string b
-          (Printf.sprintf
-             "  trace %d%s: %d cycles (service %d, queueing %d)\n" r.trace_id
-             (if r.root then " (root)" else "")
-             r.total r.service r.queueing);
+          (Printf.sprintf "  session %d: %d cycles (service %d, queueing %d)\n"
+             r.id r.total r.service r.queueing);
         List.iter
           (fun bl ->
             Buffer.add_string b

@@ -1,7 +1,7 @@
 (** Offline critical-path analysis over journaled request windows.
 
-    Replays a journal's [Req_begin]/[Req_end] marker events (the same packed
-    contexts live {!Request} tracing uses) and the span stream between them,
+    Replays a journal's [Req_begin]/[Req_end] marker events, paired by their
+    argument (the session id), and the span stream between them,
     reconstructing each request's window and decomposing its latency into:
 
     - {e service}: cycles covered by top-level spans inside the window —
@@ -20,8 +20,7 @@
 type blame = { bdomain : Trace.domain; bphase : Trace.phase; bcycles : int }
 
 type request = {
-  trace_id : int;
-  root : bool;           (** Root bit of the packed context. *)
+  id : int;              (** The markers' argument: the session id. *)
   rt0 : int;
   rt1 : int;
   total : int;           (** [rt1 - rt0]. *)

@@ -10,7 +10,6 @@ module Attrib = Attrib
 module Flame = Flame
 module Metrics = Metrics
 module Audit = Audit
-module Request = Request
 module Window = Window
 module Journal = Journal
 module Query = Query

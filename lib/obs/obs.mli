@@ -4,12 +4,12 @@
     ({!Histogram}), virtual-clock sliding windows ({!Window}), relative-error
     quantile sketches ({!Sketch}), a Chrome-trace/JSONL recorder
     ({!Chrome}), a cycle-attribution profiler ({!Attrib}) with flamegraph
-    ({!Flame}) and Prometheus/JSON ({!Metrics}) exporters, a request-scoped
-    causal-trace collector ({!Request}) and a tamper-evident hash-chained
-    audit log ({!Audit}) — plus an offline flight-recorder stack: a
-    crash-safe binary journal ({!Journal}) whose {!Journal.replay} feeds
-    recorded streams back through live sinks, with query ({!Query}),
-    critical-path ({!Critical}) and run-diff ({!Diff}) engines built on it.
+    ({!Flame}) and Prometheus/JSON ({!Metrics}) exporters and a
+    tamper-evident hash-chained audit log ({!Audit}) — plus an offline
+    flight-recorder stack: a crash-safe binary journal ({!Journal}) whose
+    {!Journal.replay} feeds recorded streams back through live sinks, with
+    query ({!Query}), critical-path ({!Critical}) and run-diff ({!Diff})
+    engines built on it.
 
     Emission never advances the virtual clock: observability is free in
     simulated time, so calibrated results are identical with or without
@@ -26,7 +26,6 @@ module Attrib = Attrib
 module Flame = Flame
 module Metrics = Metrics
 module Audit = Audit
-module Request = Request
 module Window = Window
 module Journal = Journal
 module Query = Query

@@ -142,8 +142,8 @@ type kind =
   | Sandbox_seal         (* arg = sandbox id *)
   | Sandbox_kill         (* arg = sandbox id *)
   | Sandbox_exit         (* arg = sandbox id *)
-  | Req_begin            (* arg = packed request ctx, see {!Request} *)
-  | Req_end              (* arg = packed request ctx, see {!Request} *)
+  | Req_begin            (* arg = session id *)
+  | Req_end              (* arg = session id *)
   | Slo_alert            (* arg = objective index lsl 1 lor fired; no emitter,
                             kept as wire index 26 *)
   | Health_transition    (* arg = subject id lsl 2 lor state index; no

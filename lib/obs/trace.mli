@@ -83,9 +83,8 @@ type kind =
   | Sandbox_seal         (** arg = sandbox id. *)
   | Sandbox_kill         (** arg = sandbox id. *)
   | Sandbox_exit         (** arg = sandbox id. *)
-  | Req_begin            (** Request window opens; arg = packed trace ctx
-                             ([Request.pack]). *)
-  | Req_end              (** Request window closes; arg = packed trace ctx. *)
+  | Req_begin            (** Session window opens; arg = session id. *)
+  | Req_end              (** Session window closes; arg = session id. *)
   | Slo_alert            (** SLO burn-rate alert transition; arg =
                              [objective index lsl 1 lor fired]. No in-tree
                              emitter: kept because it is wire index 26 of

@@ -45,9 +45,6 @@ type t = {
   counters : Obs.Counter.t;
       (* Machine-wide counter view, based before any component boots:
          {!snapshot} is derived entirely from this event stream. *)
-  requests : Obs.Request.t;
-      (* Request-trace collector watching this machine's emitter; the
-         attested-channel path mints one trace context per session. *)
 }
 
 let kern t = t.kern
@@ -55,7 +52,6 @@ let manager t = t.mgr
 let clock t = t.clock
 let obs t = t.cpu.Hw.Cpu.obs
 let counters t = t.counters
-let requests t = t.requests
 
 let page_size = Hw.Phys_mem.page_size
 
@@ -80,8 +76,6 @@ let create ?obs ?journal ?window ?sketches ?(backend = Erebor.Isolation.Pks)
   (match sketches with
   | Some f -> ignore (Obs.Sketch.Family.attach obs f)
   | None -> ());
-  let requests = Obs.Request.create ~collect_spans:false () in
-  Obs.Request.attach requests ~machine:"sim" obs;
   Obs.with_span obs ~now:(fun () -> Hw.Cycles.now clock) Obs.Trace.Boot
   @@ fun () ->
   let cpu = Hw.Cpu.create ~obs ~id:0 ~mem ~clock ~timer_period () in
@@ -151,7 +145,6 @@ let create ?obs ?journal ?window ?sketches ?(backend = Erebor.Isolation.Pks)
   {
     setting; mem; clock; cpu; td; host; kern; monitor; mgr; proxy; proxy_buf;
     proxy_fd; scratch_slots; copy_scratch = Bytes.create page_size; counters;
-    requests;
   }
 
 (* Every field below is a per-kind count from the machine's counter view;
@@ -236,9 +229,6 @@ type session = {
   common_base : int;    (* 0 when absent *)
   common_pages : int;
   channel : Erebor.Channel.Server.t option;
-  req_ctx : Obs.Request.ctx option;
-      (* Trace context minted at the client end of the channel; the root
-         request window closes when the response is sealed. *)
   io_buf : int;   (* user buffer mapped in [task]'s space (0 in sandboxes) *)
   io_fd : int;
   native_output : Buffer.t;
@@ -628,7 +618,6 @@ let init_native m spec =
     common_base;
     common_pages;
     channel = None;
-    req_ctx = None;
     io_buf;
     io_fd;
     native_output = Buffer.create 256;
@@ -672,15 +661,13 @@ let init_sandboxed m spec =
   in
   (* Install the client data. Full Erebor runs the attested channel; the
      ablations install directly. *)
-  let channel, req_ctx =
+  let channel =
     match m.setting with
     | Config.Erebor_full ->
-        (* The request window opens at the client: everything from the
-           handshake to the sealed response belongs to this trace. *)
-        let cx = Obs.Request.mint m.requests in
+        (* The session window opens at the client: everything from the
+           handshake to the sealed response belongs to it. *)
         Obs.Emitter.emit m.cpu.Hw.Cpu.obs Obs.Trace.Req_begin
-          ~ts:(Hw.Cycles.now m.clock)
-          ~arg:(Obs.Request.pack cx ~root:true);
+          ~ts:(Hw.Cycles.now m.clock) ~arg:(Erebor.Sandbox.id sb);
         Obs.with_span m.cpu.Hw.Cpu.obs
           ~now:(fun () -> Hw.Cycles.now m.clock)
           Obs.Trace.Attest
@@ -701,7 +688,7 @@ let init_sandboxed m spec =
         (match Erebor.Channel.Client.finish client ~server_hello with
         | Ok () -> ()
         | Error e -> failwith e);
-        let sealed = Erebor.Channel.Client.seal_request ~ctx:cx client spec.input in
+        let sealed = Erebor.Channel.Client.seal_request client spec.input in
         let plaintext =
           match Erebor.Channel.Server.open_request server sealed with
           | Ok p -> p
@@ -712,12 +699,12 @@ let init_sandboxed m spec =
         (match Erebor.Sandbox.load_client_data mgr sb plaintext with
         | Ok _ -> ()
         | Error e -> failwith e);
-        (Some server, Some cx)
+        Some server
     | Config.Libos_only | Config.Erebor_mmu | Config.Erebor_exit ->
         (match Erebor.Sandbox.load_client_data mgr sb spec.input with
         | Ok _ -> ()
         | Error e -> failwith e);
-        (None, None)
+        None
     | Config.Native -> assert false
   in
   {
@@ -731,7 +718,6 @@ let init_sandboxed m spec =
     common_base;
     common_pages;
     channel;
-    req_ctx;
     io_buf = 0;
     io_fd = -1;
     native_output = Buffer.create 16;
@@ -772,14 +758,10 @@ let run m spec =
             let sealed =
               Erebor.Channel.Server.seal_response server ~bucket:spec.output_bucket raw
             in
-            (* Close the root request window: the client has its sealed
+            (* Close the session window: the client has its sealed
                response in hand. *)
-            (match s.req_ctx with
-            | Some cx ->
-                Obs.Emitter.emit m.cpu.Hw.Cpu.obs Obs.Trace.Req_end
-                  ~ts:(Hw.Cycles.now m.clock)
-                  ~arg:(Obs.Request.pack cx ~root:true)
-            | None -> ());
+            Obs.Emitter.emit m.cpu.Hw.Cpu.obs Obs.Trace.Req_end
+              ~ts:(Hw.Cycles.now m.clock) ~arg:(Erebor.Sandbox.id sb);
             (raw, Bytes.length sealed)
         | None -> (raw, Bytes.length raw))
     | _ -> (Buffer.to_bytes s.native_output, Buffer.length s.native_output)

@@ -38,13 +38,6 @@ val obs : t -> Obs.Emitter.t
 val counters : t -> Obs.Counter.t
 (** The machine-wide counter view {!snapshot} is derived from. *)
 
-val requests : t -> Obs.Request.t
-(** The request-trace collector watching this machine's emitter. Under
-    [Erebor_full], every sandboxed session mints one trace context at the
-    channel client; the collector tracks request windows (bounds and
-    latency) but not their span trees — attach a span-collecting
-    {!Obs.Request} collector to the [?obs] emitter for those. *)
-
 val snapshot : t -> Stats.snapshot
 
 (** {2 Workload interface} *)
@@ -118,7 +111,10 @@ type run_result = {
 }
 
 val run : t -> spec -> run_result
-(** Execute one client session of [spec] under this machine's setting. *)
+(** Execute one client session of [spec] under this machine's setting.
+    Under [Erebor_full] the session is bracketed by [Req_begin]/[Req_end]
+    on the machine's emitter, from the client's handshake to its sealed
+    response; both carry the sandbox id. *)
 
 val run_fresh :
   ?backend:Erebor.Isolation.kind ->

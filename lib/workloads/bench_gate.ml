@@ -820,10 +820,7 @@ let transparent instrument =
     same "fig9-stats" show_stats bare_stats stats;
   ]
 
-let emit_mix =
-  Obs.Trace.all
-  |> List.filter (fun k -> k <> Obs.Trace.Req_begin && k <> Obs.Trace.Req_end)
-  |> Array.of_list
+let emit_mix = Array.of_list Obs.Trace.all
 
 let bare_emitter () =
   Sim.Machine.obs

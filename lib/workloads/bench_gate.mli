@@ -140,13 +140,11 @@ val sinks : (string * (Obs.Emitter.t -> unit)) list
     [Emitter.attach ~kinds]). *)
 
 val emit_mix : Obs.Trace.kind array
-(** Every kind but the request markers (which open a collector window by
-    design): the mix [law/emit-zero-alloc] and [bench bechamel]'s
-    [obs-emit-bare-1k] row emit. *)
+(** Every kind, {!Obs.Trace.all} order: the mix [law/emit-zero-alloc] and
+    [bench bechamel]'s [obs-emit-bare-1k] row emit. *)
 
 val bare_emitter : unit -> Obs.Emitter.t
-(** A fresh erebor machine's emitter: built-in counts plus the machine's
-    request collector, which {!emit_mix} never reaches. *)
+(** A fresh erebor machine's emitter: built-in counts and no sink. *)
 
 val transparent : (Obs.Emitter.t -> unit) -> check list
 (** The sink-transparency law: with [instrument] applied to every machine's

@@ -11,7 +11,7 @@
      shared common instance, round-robin request traffic through the real
      monitored paths, and an adversarial probe at the end. Everything is
      measured from mechanism — frames from the guard's registry, EMCs from
-     the machine counters, latency from request root windows. *)
+     the machine counters, latency from the virtual clock. *)
 
 let page_size = Hw.Phys_mem.page_size
 
@@ -284,42 +284,27 @@ let scale_point ~backend ~tenants =
       ~setting:Sim.Config.Erebor_full ()
   in
   let mgr = Option.get (Sim.Machine.manager m) in
-  let requests = Sim.Machine.requests m in
   (* Provision and seal every tenant up front — the steady multi-tenant
      state the curve measures. *)
   let tenant_setup = Array.init tenants (provision mgr) in
   let before = Sim.Machine.snapshot m in
-  (* Round-robin request traffic: each request is one root window over the
-     monitored request skeleton. *)
-  let trace_owner = Hashtbl.create 64 in
+  (* Round-robin request traffic; each request is timed on the virtual
+     clock around the monitored request skeleton. *)
+  let clock = Sim.Machine.clock m in
+  let per_tenant = Array.make tenants [] in
   for round = 0 to requests_per_tenant - 1 do
     Array.iteri
       (fun i t ->
         if Erebor.Sandbox.kill_reason t.sb = None then begin
-          let cx = Obs.Request.mint requests in
-          Hashtbl.replace trace_owner cx.Obs.Request.trace_id i;
-          Obs.Emitter.emit (Sim.Machine.obs m) Obs.Trace.Req_begin
-            ~ts:(Hw.Cycles.now (Sim.Machine.clock m))
-            ~arg:(Obs.Request.pack cx ~root:true);
+          let t0 = Hw.Cycles.now clock in
           serve m t ~round ~index:i;
-          Obs.Emitter.emit (Sim.Machine.obs m) Obs.Trace.Req_end
-            ~ts:(Hw.Cycles.now (Sim.Machine.clock m))
-            ~arg:(Obs.Request.pack cx ~root:true)
+          per_tenant.(i) <- (Hw.Cycles.now clock - t0) :: per_tenant.(i)
         end)
       tenant_setup
   done;
   let after = Sim.Machine.snapshot m in
   let d = Sim.Stats.diff ~before ~after in
   let completed = requests_per_tenant * tenants in
-  (* Per-tenant latency: ONE collector watches the machine; grouping the
-     root windows by minting tenant keeps windows from interleaving. *)
-  let per_tenant = Array.make tenants [] in
-  Hashtbl.iter
-    (fun trace_id owner ->
-      match Obs.Request.root_cycles requests ~trace_id with
-      | Some c -> per_tenant.(owner) <- c :: per_tenant.(owner)
-      | None -> ())
-    trace_owner;
   let tenant_rows =
     List.mapi
       (fun i { sb; _ } ->

@@ -6,7 +6,7 @@
     new questions appear: what does each backend cost on the calibrated
     workloads, and how does density scale — memory overhead (confined +
     page-table frames), EMC-rate interference between tenants, and
-    per-tenant tail latency from {!Obs.Request} root windows. Every scaling
+    per-tenant tail latency timed on the virtual clock. Every scaling
     machine also runs an adversarial probe (cross-tenant confined mapping,
     key-id forgery under TME-MK, sealed-common writable mapping); any
     attempt that is {e not} denied counts as an isolation violation. *)
@@ -34,8 +34,8 @@ type tenant_latency = {
   tenant_id : int;
   tenant_name : string;
   treqs : int;       (** Requests completed by this tenant. *)
-  t_p50 : int;       (** Median root-window cycles. *)
-  t_p99 : int;       (** Tail root-window cycles. *)
+  t_p50 : int;       (** Median request cycles. *)
+  t_p99 : int;       (** Tail request cycles. *)
 }
 
 type scale_row = {
@@ -63,6 +63,6 @@ val scaling :
     common instance, each is sealed with its own client data, then 8
     rounds of round-robin request traffic are driven through the monitored
     paths (CR3 switch, confined/common touches, channel ioctls, timer ticks)
-    with one {!Obs.Request} root window per request. [tenant_counts]
+    with each request timed on the virtual clock. [tenant_counts]
     defaults to powers of two 1→256 (smoke: [[1; 2; 4]], the cut
     [bench check] runs). *)

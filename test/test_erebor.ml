@@ -1127,6 +1127,19 @@ let test_channel_end_to_end () =
         Alcotest.fail "plaintext leaked onto the wire")
     (Erebor.Channel.Wire.snoop wire)
 
+(* Tenant bytes that look like any in-band header still reach the monitor
+   whole: the channel hands over every authenticated byte and interprets
+   none of them. *)
+let channel_probe = "ERTC1" ^ String.make 17 '\000' ^ "tenant-secret"
+
+let test_channel_header_shaped_payload () =
+  let st = make_stack () in
+  let client, server, _ = handshake st in
+  let sealed = Erebor.Channel.Client.seal_request client (Bytes.of_string channel_probe) in
+  let got = Result.get_ok (Erebor.Channel.Server.open_request server sealed) in
+  Alcotest.(check int) "every sealed byte arrives" 35 (Bytes.length got);
+  Alcotest.(check string) "payload intact" channel_probe (Bytes.to_string got)
+
 let test_channel_rejects_wrong_mrtd () =
   let st = make_stack () in
   let rng = Crypto.Drbg.create ~seed:"c" in
@@ -1239,24 +1252,25 @@ let test_hostile_length_words () =
 
 (* Totality of the channel's wire decoders on mutated real traffic. The
    seeds are bytes a live session produces: the sealed request and the
-   report inside the server hello (both off the wire), the ERTC1 header the
-   client seals, and a padded response payload. Mutations flip bits,
-   truncate, extend, and plant le64 words near 0, [max_int] and [min_int]
-   at the offsets where the formats keep one. Every decoder must answer
-   [Ok]/[Some] or [Error]/[None], never raise; when it accepts, re-encoding
-   what it returned must give the input back (for [unpad], everything up
-   to the end of the payload: the padding bytes are ignored). *)
+   report inside the server hello (both off the wire), the header-shaped
+   probe payload the client seals, and that probe padded as a response.
+   Mutations flip bits, truncate, extend, and plant le64 words near 0,
+   [max_int] and [min_int] at the offsets where the formats keep one (0,
+   44) and where the probe's header-shaped words sit (5, 13). Every
+   decoder must answer [Ok] or [Error], never raise; when it accepts,
+   re-encoding what it returned must give the input back (for [unpad],
+   everything up to the end of the payload: the padding bytes are
+   ignored). *)
 let wire_seeds =
   lazy
     (let st = make_stack () in
      let client, _, wire = handshake st in
      let server_hello = List.nth (Erebor.Channel.Wire.snoop wire) 1 in
      let report = Bytes.sub server_hello 192 (Bytes.length server_hello - 192) in
-     let cx = { Obs.Request.trace_id = 7; span_id = 1; sampled = true } in
-     let payload = Bytes.of_string "ERTC1-adjacent request" in
+     let payload = Bytes.of_string channel_probe in
      [|
-       Erebor.Channel.Client.seal_request ~ctx:cx client payload;
-       Erebor.Channel.encode_ctx cx payload;
+       Erebor.Channel.Client.seal_request client payload;
+       payload;
        Erebor.Channel.pad_to_bucket ~bucket:64 payload;
        report;
      |])
@@ -1328,10 +1342,6 @@ let decoders_total b =
   | Ok s -> check "decode_sealed" (Bytes.equal (Erebor.Channel.encode_sealed s) b)
   | Error _ -> ()
   | exception e -> fail "decode_sealed" e);
-  (match Erebor.Channel.decode_ctx b with
-  | Some (cx, rest) -> check "decode_ctx" (Bytes.equal (Erebor.Channel.encode_ctx cx rest) b)
-  | None -> ()
-  | exception e -> fail "decode_ctx" e);
   (match Erebor.Channel.deserialize_report b with
   | Ok r -> check "deserialize_report" (Bytes.equal (Erebor.Channel.serialize_report r) b)
   | Error _ -> ()
@@ -1455,5 +1465,7 @@ let () =
           claim "hostile length words"
             test_hostile_length_words;
           QCheck_alcotest.to_alcotest prop_wire_decoders_total;
+          claim "header-shaped payload arrives whole"
+            test_channel_header_shaped_payload;
         ] );
     ]

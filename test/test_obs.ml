@@ -192,9 +192,9 @@ let test_shared_emitter_views () =
     [ 10657619; 66; 4; 1; 2; 167; 153; 8; 0; 0; 1; 1; 1; 0;
       153; 8; 0; 0; 1; 1 ]
     (figures b);
-  Alcotest.(check int) "event totals" 2598
+  Alcotest.(check int) "event totals" 2594
     (Obs.Counter.total (Sim.Machine.counters a));
-  Alcotest.(check int) "second total" 1299
+  Alcotest.(check int) "second total" 1297
     (Obs.Counter.total (Sim.Machine.counters b))
 
 let test_ring_wraparound () =
@@ -971,302 +971,6 @@ let prop_audit_verify_total =
       | Ok _ | Error _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Request-scoped tracing: packing, windows, cross-machine trees       *)
-(* ------------------------------------------------------------------ *)
-
-let test_request_pack_roundtrip () =
-  List.iter
-    (fun (trace_id, sampled, root) ->
-      let cx = { Obs.Request.trace_id; span_id = 7; sampled } in
-      let cx', root' = Obs.Request.unpack (Obs.Request.pack cx ~root) in
-      Alcotest.(check int) "trace id" trace_id cx'.Obs.Request.trace_id;
-      Alcotest.(check bool) "sampled" sampled cx'.Obs.Request.sampled;
-      Alcotest.(check bool) "root bit" root root';
-      Alcotest.(check int) "span id does not travel" 0 cx'.Obs.Request.span_id)
-    [ (1, true, true); (2, false, true); (1000, true, false); (0, false, false) ]
-
-(* One emitter carries both the client-side (root) and the server-side
-   (non-root) markers of the same trace — the in-process Erebor_full shape.
-   The non-root Req_end must NOT close the root window. *)
-let test_request_single_emitter_window () =
-  let obs = Obs.Emitter.create () in
-  let reqs = Obs.Request.create () in
-  Obs.Request.attach reqs ~machine:"sim" obs;
-  let cx = Obs.Request.mint reqs in
-  let arg ~root = Obs.Request.pack cx ~root in
-  Obs.Emitter.emit obs Obs.Trace.Req_begin ~ts:100 ~arg:(arg ~root:true);
-  Obs.Emitter.emit obs (Obs.Trace.span_begin Obs.Trace.Attest) ~ts:110 ~arg:0;
-  Obs.Emitter.emit obs (Obs.Trace.span_end Obs.Trace.Attest) ~ts:130 ~arg:0;
-  (* Server-side end of the same trace: root bit clear, window stays open. *)
-  Obs.Emitter.emit obs Obs.Trace.Req_end ~ts:150 ~arg:(arg ~root:false);
-  Obs.Emitter.emit obs (Obs.Trace.span_begin Obs.Trace.Run) ~ts:160 ~arg:0;
-  Obs.Emitter.emit obs (Obs.Trace.span_end Obs.Trace.Run) ~ts:190 ~arg:0;
-  Obs.Emitter.emit obs Obs.Trace.Req_end ~ts:200 ~arg:(arg ~root:true);
-  Alcotest.(check int) "one request completed" 1 (Obs.Request.completed reqs);
-  Alcotest.(check (option int)) "root cycles span the full window" (Some 100)
-    (Obs.Request.root_cycles reqs ~trace_id:cx.Obs.Request.trace_id);
-  match Obs.Request.tree reqs ~trace_id:cx.Obs.Request.trace_id with
-  | [ seg ] ->
-      Alcotest.(check bool) "root segment" true seg.Obs.Request.root;
-      Alcotest.(check string) "machine label" "sim" seg.Obs.Request.machine;
-      Alcotest.(check int) "both spans collected" 2
-        (List.length seg.Obs.Request.spans)
-  | segs -> Alcotest.failf "expected 1 segment, got %d" (List.length segs)
-
-let test_request_cross_machine_tree () =
-  let obs_client = Obs.Emitter.create () in
-  let obs_fleet = Obs.Emitter.create () in
-  let reqs = Obs.Request.create () in
-  Obs.Request.attach reqs ~machine:"client" obs_client;
-  Obs.Request.attach reqs ~machine:"fleet" obs_fleet;
-  let cx = Obs.Request.mint reqs in
-  Obs.Emitter.emit obs_client Obs.Trace.Req_begin ~ts:100
-    ~arg:(Obs.Request.pack cx ~root:true);
-  Obs.Emitter.emit obs_client (Obs.Trace.span_begin Obs.Trace.Attest) ~ts:105 ~arg:0;
-  Obs.Emitter.emit obs_client (Obs.Trace.span_end Obs.Trace.Attest) ~ts:140 ~arg:0;
-  Obs.Emitter.emit obs_fleet Obs.Trace.Req_begin ~ts:150
-    ~arg:(Obs.Request.pack cx ~root:false);
-  Obs.Emitter.emit obs_fleet (Obs.Trace.span_begin Obs.Trace.Emc_gate) ~ts:200 ~arg:0;
-  Obs.Emitter.emit obs_fleet (Obs.Trace.span_begin Obs.Trace.Svc_mmu) ~ts:210 ~arg:0;
-  Obs.Emitter.emit obs_fleet (Obs.Trace.span_end Obs.Trace.Svc_mmu) ~ts:230 ~arg:0;
-  Obs.Emitter.emit obs_fleet (Obs.Trace.span_end Obs.Trace.Emc_gate) ~ts:240 ~arg:0;
-  Obs.Emitter.emit obs_fleet Obs.Trace.Req_end ~ts:350
-    ~arg:(Obs.Request.pack cx ~root:false);
-  Obs.Emitter.emit obs_client Obs.Trace.Req_end ~ts:400
-    ~arg:(Obs.Request.pack cx ~root:true);
-  let id = cx.Obs.Request.trace_id in
-  Alcotest.(check (option int)) "end-to-end cycles" (Some 300)
-    (Obs.Request.root_cycles reqs ~trace_id:id);
-  (match Obs.Request.tree reqs ~trace_id:id with
-  | [ root; leaf ] ->
-      Alcotest.(check string) "root machine" "client" root.Obs.Request.machine;
-      Alcotest.(check bool) "root first" true root.Obs.Request.root;
-      Alcotest.(check string) "leaf machine" "fleet" leaf.Obs.Request.machine;
-      Alcotest.(check int) "leaf window" 200
-        (leaf.Obs.Request.seg_t1 - leaf.Obs.Request.seg_t0);
-      (* Nesting preserved: gate > svc.mmu. *)
-      (match leaf.Obs.Request.spans with
-      | [ gate ] -> (
-          Alcotest.(check bool) "gate phase" true
-            (gate.Obs.Request.phase = Obs.Trace.Emc_gate);
-          match gate.Obs.Request.children with
-          | [ svc ] ->
-              Alcotest.(check bool) "nested svc.mmu" true
-                (svc.Obs.Request.phase = Obs.Trace.Svc_mmu);
-              Alcotest.(check int) "svc duration" 20
-                (svc.Obs.Request.t1 - svc.Obs.Request.t0)
-          | ks -> Alcotest.failf "expected 1 child, got %d" (List.length ks))
-      | sp -> Alcotest.failf "expected 1 fleet span, got %d" (List.length sp));
-      (* The tree is causal: every segment fits inside the root window. *)
-      Alcotest.(check bool) "leaf inside root" true
-        (leaf.Obs.Request.seg_t0 >= root.Obs.Request.seg_t0
-        && leaf.Obs.Request.seg_t1 <= root.Obs.Request.seg_t1)
-  | segs -> Alcotest.failf "expected 2 segments, got %d" (List.length segs));
-  (* Exports are well-formed JSON. *)
-  let module J = Workloads.Bench_gate.Json in
-  (match J.parse (Obs.Request.to_json reqs) with
-  | Error e -> Alcotest.failf "to_json does not parse: %s" e
-  | Ok _ -> ());
-  match J.parse (Obs.Request.to_chrome_json reqs ~trace_id:id) with
-  | Error e -> Alcotest.failf "to_chrome_json does not parse: %s" e
-  | Ok _ -> ()
-
-(* Every minted request is collected, and the latency percentiles are the
-   exact nearest-rank values over the root segments: with root windows of
-   100, 150 and 3000 cycles, p50 is 150 (a log2-bucketed estimate would
-   interpolate to 192). *)
-let test_request_latency () =
-  let obs = Obs.Emitter.create () in
-  let reqs = Obs.Request.create () in
-  Obs.Request.attach reqs ~machine:"m" obs;
-  let durations = [ 100; 150; 3000 ] in
-  let minted =
-    List.mapi
-      (fun i d ->
-        let cx = Obs.Request.mint reqs in
-        let t0 = 10_000 * (i + 1) in
-        Obs.Emitter.emit obs Obs.Trace.Req_begin ~ts:t0
-          ~arg:(Obs.Request.pack cx ~root:true);
-        Obs.Emitter.emit obs (Obs.Trace.span_begin Obs.Trace.Run) ~ts:t0 ~arg:0;
-        Obs.Emitter.emit obs (Obs.Trace.span_end Obs.Trace.Run) ~ts:(t0 + d) ~arg:0;
-        Obs.Emitter.emit obs Obs.Trace.Req_end ~ts:(t0 + d)
-          ~arg:(Obs.Request.pack cx ~root:true);
-        cx)
-      durations
-  in
-  Alcotest.(check bool) "every mint sampled" true
-    (List.for_all (fun cx -> cx.Obs.Request.sampled) minted);
-  Alcotest.(check int) "all completed" 3 (Obs.Request.completed reqs);
-  Alcotest.(check int) "p50 is the middle window" 150
-    (Obs.Request.latency_percentile reqs ~p:0.5);
-  Alcotest.(check int) "p0 is the shortest" 100
-    (Obs.Request.latency_percentile reqs ~p:0.0);
-  Alcotest.(check int) "p99 is the longest" 3000
-    (Obs.Request.latency_percentile reqs ~p:0.99);
-  Alcotest.(check int) "every trace kept" 3
-    (List.length (Obs.Request.sampled_traces reqs));
-  List.iter
-    (fun cx ->
-      Alcotest.(check int) "one root segment" 1
-        (List.length (Obs.Request.tree reqs ~trace_id:cx.Obs.Request.trace_id)))
-    minted
-
-(* Machine names land in Chrome span names; control characters must not
-   break the JSON. *)
-let test_request_chrome_escaping () =
-  let obs = Obs.Emitter.create () in
-  let reqs = Obs.Request.create () in
-  Obs.Request.attach reqs ~machine:"cli\"ent\n\001" obs;
-  let cx = Obs.Request.mint reqs in
-  Obs.Emitter.emit obs Obs.Trace.Req_begin ~ts:10
-    ~arg:(Obs.Request.pack cx ~root:true);
-  Obs.Emitter.emit obs Obs.Trace.Req_end ~ts:20
-    ~arg:(Obs.Request.pack cx ~root:true);
-  let json = Obs.Request.to_chrome_json reqs ~trace_id:cx.Obs.Request.trace_id in
-  Alcotest.(check bool) "quote escaped" true (contains ~sub:{|cli\"ent|} json);
-  Alcotest.(check bool) "newline escaped" true (contains ~sub:{|\n|} json);
-  Alcotest.(check bool) "control char escaped" true
-    (contains ~sub:{|\u0001|} json);
-  let module J = Workloads.Bench_gate.Json in
-  match J.parse json with
-  | Error e -> Alcotest.failf "escaped chrome JSON does not parse: %s" e
-  | Ok _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Trace-context propagation through the sealed channel                *)
-(* ------------------------------------------------------------------ *)
-
-let ctx_hw_key = Crypto.Sha256.digest_string "obs channel test hw key"
-
-let ctx_kernel_image =
-  {
-    Hw.Image.entry = 0x1000;
-    sections =
-      [
-        { Hw.Image.name = ".text"; vaddr = 0x1000; executable = true;
-          writable = false;
-          data = Hw.Isa.assemble [ Hw.Isa.Endbr; Hw.Isa.Ret ] };
-      ];
-  }
-
-let make_channel_stack () =
-  let mem = Hw.Phys_mem.create ~frames:16384 in
-  let clock = Hw.Cycles.clock () in
-  let obs = Obs.Emitter.create () in
-  let cpu = Hw.Cpu.create ~id:0 ~mem ~clock ~timer_period:200_000 ~obs () in
-  let td = Tdx.Td_module.create ~mem ~clock ~hw_key:ctx_hw_key in
-  let host = Vmm.Host.create () in
-  Tdx.Td_module.set_vmm td (Vmm.Host.handler host);
-  let monitor =
-    Erebor.Monitor.install ~cpu ~mem ~td ~firmware:(Bytes.of_string "OVMF")
-      ~monitor_frames:32 ~device_shared_frames:32 ()
-  in
-  (match
-     Erebor.Monitor.boot_kernel monitor ~kernel_image:ctx_kernel_image
-       ~reserved_frames:128 ~cma_frames:4096
-   with
-  | Ok _ -> ()
-  | Error e -> failwith e);
-  (monitor, obs)
-
-let test_channel_ctx_header () =
-  let cx = { Obs.Request.trace_id = 0xbeef; span_id = 42; sampled = true } in
-  let payload = Bytes.of_string "private payload" in
-  let framed = Erebor.Channel.encode_ctx cx payload in
-  Alcotest.(check int) "header length"
-    (Erebor.Channel.ctx_header_len + Bytes.length payload)
-    (Bytes.length framed);
-  (match Erebor.Channel.decode_ctx framed with
-  | Some (cx', rest) ->
-      Alcotest.(check int) "trace id" 0xbeef cx'.Obs.Request.trace_id;
-      Alcotest.(check int) "span id" 42 cx'.Obs.Request.span_id;
-      Alcotest.(check bool) "sampled" true cx'.Obs.Request.sampled;
-      Alcotest.(check bytes) "payload intact" payload rest
-  | None -> Alcotest.fail "framed header did not decode");
-  (* A payload without the magic passes through undecoded. *)
-  Alcotest.(check bool) "no header -> None" true
-    (Erebor.Channel.decode_ctx payload = None)
-
-let test_channel_ctx_propagation () =
-  let monitor, obs = make_channel_stack () in
-  let counter = Obs.Counter.attach obs (Obs.Counter.create ()) in
-  let reqs = Obs.Request.create () in
-  Obs.Request.attach reqs ~machine:"monitor" obs;
-  let rng_c = Crypto.Drbg.create ~seed:"ctx client" in
-  let rng_s = Crypto.Drbg.create ~seed:"ctx server" in
-  let expected =
-    (Erebor.Monitor.tdreport monitor ~report_data:Bytes.empty).Tdx.Attest.mrtd
-  in
-  let client =
-    Erebor.Channel.Client.create ~rng:rng_c ~hw_key:ctx_hw_key
-      ~expected_mrtd:expected
-  in
-  let hello = Erebor.Channel.Client.hello client in
-  let server, server_hello =
-    Result.get_ok
-      (Erebor.Channel.Server.accept ~monitor ~rng:rng_s ~client_hello:hello)
-  in
-  Result.get_ok (Erebor.Channel.Client.finish client ~server_hello);
-  let cx = Obs.Request.mint reqs in
-  let secret = Bytes.of_string "the plaintext the monitor must see" in
-  let sealed = Erebor.Channel.Client.seal_request ~ctx:cx client secret in
-  let plaintext = Result.get_ok (Erebor.Channel.Server.open_request server sealed) in
-  (* The header is stripped before the plaintext reaches the monitor. *)
-  Alcotest.(check bytes) "header stripped" secret plaintext;
-  (match Erebor.Channel.Server.last_ctx server with
-  | Some cx' ->
-      Alcotest.(check int) "ctx survives the seal" cx.Obs.Request.trace_id
-        cx'.Obs.Request.trace_id
-  | None -> Alcotest.fail "server did not decode the trace context");
-  Alcotest.(check int) "server emitted Req_begin" 1
-    (Obs.Counter.count counter Obs.Trace.Req_begin);
-  let response =
-    Erebor.Channel.Server.seal_response server ~bucket:256 (Bytes.of_string "ok")
-  in
-  Alcotest.(check int) "server emitted Req_end" 1
-    (Obs.Counter.count counter Obs.Trace.Req_end);
-  Alcotest.(check bool) "ctx cleared after response" true
-    (Erebor.Channel.Server.last_ctx server = None);
-  Alcotest.(check bytes) "response opens" (Bytes.of_string "ok")
-    (Result.get_ok (Erebor.Channel.Client.open_response client response));
-  (* Without ?ctx nothing changes on the wire path: no markers, payload
-     returned as sealed. *)
-  let sealed2 = Erebor.Channel.Client.seal_request client secret in
-  let plaintext2 =
-    Result.get_ok (Erebor.Channel.Server.open_request server sealed2)
-  in
-  Alcotest.(check bytes) "no-ctx passthrough" secret plaintext2;
-  Alcotest.(check int) "no extra Req_begin" 1
-    (Obs.Counter.count counter Obs.Trace.Req_begin)
-
-(* Under Erebor_full, the machine mints a context per session and a
-   span-collecting collector attached to its emitter assembles the tree;
-   the root segment accounts for the whole client-observed window. *)
-let test_machine_request_tree () =
-  let obs = Obs.Emitter.create () in
-  let reqs = Obs.Request.create () in
-  Obs.Request.attach reqs ~machine:"sim" obs;
-  let m =
-    Sim.Machine.create ~frames:32768 ~cma_frames:4096 ~obs
-      ~setting:Sim.Config.Erebor_full ()
-  in
-  ignore (Sim.Machine.run m (small_spec ~body:rich_body ()));
-  Alcotest.(check int) "one request per session" 1 (Obs.Request.completed reqs);
-  match Obs.Request.sampled_traces reqs with
-  | [ id ] -> (
-      match Obs.Request.tree reqs ~trace_id:id with
-      | root :: _ ->
-          Alcotest.(check bool) "root segment collected" true
-            root.Obs.Request.root;
-          Alcotest.(check bool) "spans inside the window" true
-            (root.Obs.Request.spans <> []);
-          Alcotest.(check (option int)) "root cycles = window"
-            (Some (root.Obs.Request.seg_t1 - root.Obs.Request.seg_t0))
-            (Obs.Request.root_cycles reqs ~trace_id:id)
-      | [] -> Alcotest.fail "no segments collected")
-  | ids -> Alcotest.failf "expected 1 sampled trace, got %d" (List.length ids)
-
-(* ------------------------------------------------------------------ *)
 (* Abnormal-exit flushing: exports stay well-formed after a raise      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1642,7 +1346,7 @@ let test_journal_snapshot_replay () =
 
      boot [0,100]   req [100,220]   run [100,200]   pf [150,170]  *)
 let scenario_a =
-  let req_arg = (7 lsl 2) lor (1 lsl 1) lor 1 in
+  let req_arg = 7 in
   [
     (0, Obs.Trace.span_begin Obs.Trace.Boot, 0, 0);
     (0, Obs.Trace.span_end Obs.Trace.Boot, 100, 0);
@@ -1712,8 +1416,7 @@ let test_journal_critical () =
   | Ok (rep, _) ->
       Alcotest.(check int) "one request" 1 rep.Obs.Critical.n;
       let r = List.hd rep.Obs.Critical.requests in
-      Alcotest.(check int) "trace id" 7 r.Obs.Critical.trace_id;
-      Alcotest.(check bool) "root" true r.Obs.Critical.root;
+      Alcotest.(check int) "session id" 7 r.Obs.Critical.id;
       Alcotest.(check int) "total latency" 120 r.Obs.Critical.total;
       Alcotest.(check int) "service = run overlap" 100 r.Obs.Critical.service;
       Alcotest.(check int) "queueing = remainder" 20 r.Obs.Critical.queueing;
@@ -1728,6 +1431,63 @@ let test_journal_critical () =
             && b.Obs.Critical.bdomain = Obs.Trace.Kernel
             && b.Obs.Critical.bcycles = 20)
       | p -> Alcotest.failf "expected 2 blame entries, got %d" (List.length p)));
+  rm_journal path
+
+(* Windows pair by the markers' argument, so sessions that overlap on one
+   stream each get their own window, whatever order they close in. *)
+let test_journal_critical_interleaved () =
+  let path = journal_path "interleaved" in
+  write_journal ~path
+    [
+      (0, Obs.Trace.Req_begin, 100, 1);
+      (0, Obs.Trace.Req_begin, 110, 2);
+      (0, Obs.Trace.Req_end, 150, 1);
+      (0, Obs.Trace.Req_end, 200, 2);
+      (0, Obs.Trace.Req_end, 210, 3);
+    ];
+  (match Obs.Critical.analyze ~path () with
+  | Error e -> Alcotest.failf "critical: %s" e
+  | Ok (rep, _) ->
+      Alcotest.(check int) "two windows (an unopened end is ignored)" 2
+        rep.Obs.Critical.n;
+      Alcotest.(check (list (pair int int))) "slowest first, by session"
+        [ (2, 90); (1, 50) ]
+        (List.map
+           (fun (r : Obs.Critical.request) -> (r.Obs.Critical.id, r.Obs.Critical.total))
+           rep.Obs.Critical.requests));
+  rm_journal path
+
+(* Under Erebor_full the machine brackets each sandboxed session with one
+   pair of markers, from the client's handshake to the sealed response, so
+   [journal critical] over a recorded run counts exactly one window. The
+   expected total is read off the session's own events: the handshake's
+   attest span opens it and the response's Channel_send closes it. *)
+let test_journal_critical_one_window_per_session () =
+  let path = journal_path "session" in
+  let obs = Obs.Emitter.create () in
+  let opened = ref (-1) and closed = ref (-1) in
+  Obs.Emitter.attach obs
+    ~kinds:Obs.Trace.[ span_begin Attest; Channel_send ]
+    (fun kind ~ts ~arg:_ ->
+      if kind = Obs.Trace.Channel_send then closed := ts else opened := ts);
+  let w = Obs.Journal.Writer.create ~path () in
+  let m =
+    Sim.Machine.create ~obs ~journal:w ~frames:32768 ~cma_frames:4096
+      ~setting:Sim.Config.Erebor_full ()
+  in
+  ignore (Sim.Machine.run m (small_spec ~body:rich_body ()));
+  Obs.Emitter.finalize obs ~now:(Hw.Cycles.now (Sim.Machine.clock m));
+  (match Obs.Critical.analyze ~path () with
+  | Error e -> Alcotest.failf "critical: %s" e
+  | Ok (rep, _) -> (
+      Alcotest.(check int) "one window per session" 1 rep.Obs.Critical.n;
+      match rep.Obs.Critical.requests with
+      | [ r ] ->
+          Alcotest.(check bool) "window opened and closed" true
+            (!opened >= 0 && !closed > !opened);
+          Alcotest.(check int) "window = client handshake to sealed response"
+            (!closed - !opened) r.Obs.Critical.total
+      | rs -> Alcotest.failf "expected 1 window, got %d" (List.length rs)));
   rm_journal path
 
 let test_journal_diff () =
@@ -2181,28 +1941,6 @@ let () =
             test_audit_bad_unicode_escape;
           QCheck_alcotest.to_alcotest prop_audit_verify_total;
         ] );
-      ( "request",
-        [
-          Alcotest.test_case "ctx pack roundtrip" `Quick
-            test_request_pack_roundtrip;
-          Alcotest.test_case "single-emitter window" `Quick
-            test_request_single_emitter_window;
-          Alcotest.test_case "cross-machine tree" `Quick
-            test_request_cross_machine_tree;
-          Alcotest.test_case "sampling + latency" `Quick
-            test_request_latency;
-          Alcotest.test_case "chrome escaping of machine names" `Quick
-            test_request_chrome_escaping;
-        ] );
-      ( "channel-ctx",
-        [
-          Alcotest.test_case "header encode/decode" `Quick
-            test_channel_ctx_header;
-          Alcotest.test_case "sealed propagation + strip" `Quick
-            test_channel_ctx_propagation;
-          Alcotest.test_case "machine assembles request tree" `Quick
-            test_machine_request_tree;
-        ] );
       ( "finalize",
         [
           Alcotest.test_case "abnormal exit flushes exports" `Quick
@@ -2242,6 +1980,10 @@ let () =
           Alcotest.test_case "query: 257 machines, no aliasing" `Quick
             test_query_many_machines;
           QCheck_alcotest.to_alcotest prop_journal_reader_total;
+          Alcotest.test_case "critical: one window per session" `Quick
+            test_journal_critical_one_window_per_session;
+          Alcotest.test_case "critical: interleaved sessions pair by id" `Quick
+            test_journal_critical_interleaved;
         ] );
       ( "sketch",
         [
