@@ -1,7 +1,8 @@
 (* The benchmark harness: regenerates every table and figure of the paper's
    evaluation (§9) from the simulator, printing paper values alongside for
-   fidelity checks, and registers one Bechamel wall-clock test per
-   table/figure for the simulator's own hot paths.
+   fidelity checks, and gates them (check). The simulator's own host time
+   is measured by perf/ (sh perf/run.sh) and its allocation by the ledger
+   below.
 
    Parsing is the declarative Workloads.Cli subcommand framework (shared
    with bin/erebor_sim): every target is a subcommand carrying its own
@@ -15,13 +16,11 @@
      bench/main.exe density         # per-backend overhead + 1->256 tenants/CVM
                                     # (--backend / --tenants narrow the matrix)
      bench/main.exe attrib          # per-domain/per-phase cycle attribution
-     bench/main.exe icode           # decoded-instruction cache microbenchmark
      bench/main.exe check           # THE gate (@ci): anchors vs BENCH_sim.json,
                                     # sink-transparency law, journal,
                                     # density must-deny, attribution
                                     # (--full: full scale and every Fig. 9 row;
                                     #  --from-journal FILE: verify a recording)
-     bench/main.exe bechamel        # wall-clock microbenchmarks
    Common flags:
      --jobs N         domain-pool width for machine fan-out
                       (default: Domain.recommended_domain_count)
@@ -354,118 +353,6 @@ let print_tables_qual () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock benchmarks of the simulator itself              *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let table3_test =
-    Test.make ~name:"table3-transitions" (Staged.stage (fun () -> ignore (Workloads.Eval.table3 ())))
-  in
-  let table4_test =
-    Test.make ~name:"table4-privops" (Staged.stage (fun () -> ignore (Workloads.Eval.table4 ())))
-  in
-  let fig8_test =
-    let bench = List.hd Workloads.Lmbench.benches in
-    Test.make ~name:"fig8-lmbench-syscall"
-      (Staged.stage (fun () -> ignore (Workloads.Lmbench.run ~setting:Sim.Config.Erebor_full bench)))
-  in
-  let fig9_test =
-    Test.make ~name:"fig9-drugbank-full"
-      (Staged.stage (fun () ->
-           ignore
-             (Sim.Machine.run_fresh ~frames:65536 ~cma_frames:16384
-                ~setting:Sim.Config.Erebor_full (Workloads.Retrieval.spec ()))))
-  in
-  let table6_test =
-    Test.make ~name:"table6-stats-native"
-      (Staged.stage (fun () ->
-           ignore
-             (Sim.Machine.run_fresh ~frames:65536 ~cma_frames:16384
-                ~setting:Sim.Config.Native (Workloads.Retrieval.spec ()))))
-  in
-  let fig10_test =
-    Test.make ~name:"fig10-nginx-64kb"
-      (Staged.stage (fun () ->
-           ignore
-             (Workloads.Netserve.run ~setting:Sim.Config.Erebor_full Workloads.Netserve.Nginx
-                ~file_kb:64 ~requests:2)))
-  in
-  let memshare_test =
-    Test.make ~name:"memshare-2-sandboxes"
-      (Staged.stage (fun () -> ignore (Workloads.Eval.memshare ~max_sandboxes:2 ())))
-  in
-  (* Telemetry record paths, 1000 records per run: the live log2
-     histogram sink vs the relative-error quantile sketch. *)
-  let hist_obs = Obs.Emitter.create () in
-  let _hist = Obs.Histogram.attach hist_obs (Obs.Histogram.create ()) in
-  let hist_test =
-    Test.make ~name:"obs-histogram-record-1k"
-      (Staged.stage (fun () ->
-           for i = 1 to 1000 do
-             Obs.Emitter.emit hist_obs Obs.Trace.Req_end ~ts:i
-               ~arg:(i land 0xFFFF)
-           done))
-  in
-  let sketch = Obs.Sketch.create () in
-  let sketch_test =
-    Test.make ~name:"obs-sketch-record-1k"
-      (Staged.stage (fun () ->
-           for i = 1 to 1000 do
-             Obs.Sketch.record sketch (i land 0xFFFF)
-           done))
-  in
-  (* The bus layer alone: 1000 emissions on a fresh erebor machine's
-     emitter. *)
-  let bare_obs = Workloads.Bench_gate.bare_emitter () in
-  let mix = Workloads.Bench_gate.emit_mix in
-  let emit_test =
-    Test.make ~name:"obs-emit-bare-1k"
-      (Staged.stage (fun () ->
-           for i = 0 to 999 do
-             Obs.Emitter.emit bare_obs mix.(i mod Array.length mix) ~ts:i ~arg:i
-           done))
-  in
-  Test.make_grouped ~name:"erebor-eval"
-    [ table3_test; table4_test; fig8_test; fig9_test; table6_test; fig10_test;
-      memshare_test; hist_test; sketch_test; emit_test ]
-
-let run_bechamel () =
-  let open Bechamel in
-  header "Bechamel: simulator wall-clock and minor allocation per run";
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 1.0) ~kde:None () in
-  let raw =
-    Benchmark.all cfg
-      Toolkit.Instance.[ monotonic_clock; minor_allocated ]
-      (bechamel_tests ())
-  in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let per_run instance =
-    let results = Analyze.all ols instance raw in
-    fun name ->
-      match Hashtbl.find_opt results name with
-      | Some ols -> (
-          match Analyze.OLS.estimates ols with Some (v :: _) -> v | _ -> nan)
-      | None -> nan
-  in
-  let ns = per_run Toolkit.Instance.monotonic_clock in
-  let words = per_run Toolkit.Instance.minor_allocated in
-  let names = List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) raw []) in
-  List.iter
-    (fun name ->
-      (* Sub-millisecond rows (the obs record and emit paths) read in ns. *)
-      let t = ns name in
-      if t < 1e6 then
-        Printf.printf "%-40s %12.0f ns/run %14.0f minor words/run\n" name t
-          (words name)
-      else
-        Printf.printf "%-40s %12.3f ms/run %14.0f minor words/run\n" name
-          (t /. 1e6) (words name))
-    names
-
-(* ------------------------------------------------------------------ *)
 (* EMC latency histogram (observability subsystem)                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -516,61 +403,6 @@ let print_attrib () =
   Printf.printf
     "\n(every row's contexts + (outside) sum exactly to its total — gated by \
      the attrib/* checks of bench check)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Decoded-instruction cache microbenchmark                            *)
-(* ------------------------------------------------------------------ *)
-
-let print_icode () =
-  header "Decoded-instruction cache: threaded dispatch vs per-step Isa.decode";
-  (* The workload is the monitor's own gate listing, the sequence
-     [Gate.create] runs once as its self-check. *)
-  let cpu =
-    Hw.Cpu.create ~id:0
-      ~mem:(Hw.Phys_mem.create ~frames:16)
-      ~clock:(Hw.Cycles.clock ()) ~timer_period:1_000_000 ()
-  in
-  let gate =
-    Erebor.Gate.create ~cpu ~code_base:0x1000
-      ~backend:(Erebor.Isolation.create Erebor.Isolation.Pks ~cpu) ()
-  in
-  let code = Erebor.Gate.code_bytes gate in
-  let prog =
-    match Hw.Icode.of_bytes code with
-    | Ok p -> p
-    | Error off -> failwith (Printf.sprintf "gate listing undecodable at +%d" off)
-  in
-  let st = Hw.Icode.make_state () in
-  let iters = 2_000_000 in
-  let bench label f =
-    (* One warmup pass, then a timed loop with GC deltas. *)
-    ignore (f ());
-    let g0 = Gc.quick_stat () in
-    let t0 = Unix.gettimeofday () in
-    let retired = ref 0 in
-    for _ = 1 to iters do
-      retired := !retired + f ()
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    let g1 = Gc.quick_stat () in
-    Printf.printf
-      "  %-22s %8.1f ns/run  %12.0f instr/s  %6.2f minor words/run\n" label
-      (dt /. float_of_int iters *. 1e9)
-      (float_of_int !retired /. dt)
-      ((g1.Gc.minor_words -. g0.Gc.minor_words) /. float_of_int iters);
-    dt
-  in
-  let warm =
-    bench "decoded (warm cache)" (fun () ->
-        Hw.Icode.run prog st ~entry:0 ~fuel:64)
-  in
-  let cold =
-    bench "per-step Isa.decode" (fun () ->
-        Hw.Icode.run_undecoded code st ~entry:0 ~fuel:64)
-  in
-  let hits, misses = Hw.Icode.cache_stats () in
-  Printf.printf "  speedup: %.1fx  (decode cache: %d hits, %d misses)\n"
-    (cold /. warm) hits misses
 
 (* ------------------------------------------------------------------ *)
 (* The allocation ledger                                               *)
@@ -951,8 +783,6 @@ let () =
       target "emchist" "EMC latency histograms" (fun _ -> print_emchist ());
       target "attrib" "Domain x phase cycle attribution" (fun _ ->
           print_attrib ());
-      target "icode" "Decoded-instruction cache microbenchmark" (fun _ ->
-          print_icode ());
       target "check"
         ~flags:[ jobs_flag; baseline_flag; full_flag; from_journal_flag ]
         "The gate: every bench contract vs the committed BENCH_sim.json"
@@ -962,6 +792,4 @@ let () =
       C.cmd ~name:"ledger-diff"
         ~doc:"Judge record B's allocation ledger against record A's (A.json B.json)"
         run_ledger_diff;
-      target "bechamel" "Wall-clock microbenchmarks of the simulator"
-        (fun _ -> run_bechamel ());
     ]

@@ -48,6 +48,26 @@ let get_setting p =
    same substitution DESIGN.md makes for the attestation hw_key). *)
 let audit_key = Crypto.Sha256.digest_string "erebor-sim audit key"
 
+(* Every output file is opened (or, for the journal, created) before any
+   work, so an unwritable path fails at once, with exit 1, rather than
+   after a whole run or replay. [Sys_error] reads "PATH: REASON". *)
+let cannot_write path e =
+  let prefix = path ^ ": " in
+  let reason =
+    if String.starts_with ~prefix e then
+      String.sub e (String.length prefix) (String.length e - String.length prefix)
+    else e
+  in
+  Printf.eprintf "erebor-sim: cannot write %s: %s\n" path reason;
+  exit 1
+
+(* The file an output flag names, if any, opened now: [(path, channel)]. *)
+let output_file p flag =
+  Option.map
+    (fun path ->
+      (path, try open_out path with Sys_error e -> cannot_write path e))
+    (C.str p flag)
+
 let print_run name setting (r : Sim.Machine.run_result) =
   Printf.printf "workload : %s\n" name;
   Printf.printf "setting  : %s\n" (Sim.Config.name setting);
@@ -73,11 +93,6 @@ let print_run name setting (r : Sim.Machine.run_result) =
 (* run                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let trace_flag =
-  C.flag ~docv:"FILE" [ "--trace" ]
-    "Record every trace event (boot included) and write a Chrome-trace JSON \
-     file loadable in chrome://tracing / Perfetto."
-
 let debug_flag =
   C.flag [ "--debug" ]
     "Keep a ring buffer of the most recent trace events and dump it to \
@@ -98,11 +113,10 @@ let record_flag =
 let run_body p =
   let name, spec_fn = get_workload p in
   let setting = get_setting p in
-  let trace = C.str p trace_flag in
   let debug = C.has p debug_flag in
-  let audit_file = C.str p audit_flag in
   let record = C.str p record_flag in
-  if trace = None && (not debug) && audit_file = None && record = None then
+  let audit_oc = output_file p audit_flag in
+  if (not debug) && Option.is_none audit_oc && Option.is_none record then
     print_run name setting (Sim.Machine.run_fresh ~setting (spec_fn ()))
   else begin
     let obs = Obs.Emitter.create () in
@@ -114,24 +128,22 @@ let run_body p =
       | None -> None
       | Some path ->
           let w =
-            Obs.Journal.Writer.create
-              ~meta:
-                [ ("workload", name); ("setting", Sim.Config.name setting) ]
-              ~path ()
+            try
+              Obs.Journal.Writer.create
+                ~meta:
+                  [ ("workload", name); ("setting", Sim.Config.name setting) ]
+                ~path ()
+            with Sys_error e -> cannot_write path e
           in
           Obs.Journal.Writer.attach ~machine:"sim" w obs;
           Some (w, path)
-    in
-    let recorder =
-      if trace = None then None
-      else Some (Obs.Chrome.attach obs (Obs.Chrome.create ()))
     in
     let ring =
       if debug then Some (Obs.Ring.attach obs (Obs.Ring.create ~capacity:512))
       else None
     in
     let chain =
-      match audit_file with
+      match audit_oc with
       | None -> None
       | Some _ ->
           let chain = Obs.Audit.create ~key:audit_key in
@@ -150,22 +162,11 @@ let run_body p =
             (fun e -> Format.eprintf "  %a@." Obs.Trace.pp_event e)
             (Obs.Ring.to_list ring)
     in
-    let write_trace () =
-      match (trace, recorder) with
-      | Some path, Some recorder ->
-          let oc = open_out path in
-          output_string oc (Obs.Chrome.to_chrome_json recorder);
-          close_out oc;
-          Printf.printf "trace    : %d events -> %s\n"
-            (Obs.Chrome.length recorder) path
-      | _ -> ()
-    in
-    (* Flush every export that has buffered state — the trace file, the
-       finalized audit chain, the sealed journal — on BOTH exit paths, so
-       an abnormal exit never drops a partially-written export. *)
+    (* Flush every export that has buffered state — the finalized audit
+       chain, the sealed journal — on BOTH exit paths, so an abnormal exit
+       never drops a partially-written export. *)
     let flush_exports () =
       Obs.Emitter.finalize obs ~now:(Hw.Cycles.now (Sim.Machine.clock m));
-      write_trace ();
       (match journal with
       | Some (w, path) ->
           Printf.printf "journal  : %d events in %d segments -> %s\n"
@@ -173,9 +174,8 @@ let run_body p =
             (Obs.Journal.Writer.segments w)
             path
       | None -> ());
-      match (audit_file, chain) with
-      | Some path, Some chain ->
-          let oc = open_out path in
+      match (audit_oc, chain) with
+      | Some (path, oc), Some chain ->
           output_string oc (Obs.Audit.to_string chain);
           close_out oc;
           Printf.printf "audit    : %d records (chained, finalized) -> %s\n"
@@ -199,78 +199,23 @@ let run_body p =
 let run_cmd =
   C.cmd ~name:"run"
     ~doc:"Run one workload under one setting and print its results"
-    ~flags:
-      [ workload_flag; setting_flag; trace_flag; debug_flag; audit_flag;
-        record_flag ]
+    ~flags:[ workload_flag; setting_flag; debug_flag; audit_flag; record_flag ]
     run_body
 
 (* ------------------------------------------------------------------ *)
 (* profile                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let flame_flag =
-  C.flag ~docv:"FILE" [ "--flame" ]
-    "Write the cycle-attribution context tree as a collapsed-stack file \
-     (flamegraph.pl / speedscope / inferno input)."
-
-let metrics_flag =
-  C.flag ~docv:"FILE" [ "--metrics" ]
-    "Write counters, latency histograms and cycle attribution as Prometheus \
-     text exposition (or JSON when FILE ends in .json)."
-
 let profile_body p =
   let name, spec_fn = get_workload p in
   let setting = get_setting p in
-  let flame = C.str p flame_flag in
-  let metrics = C.str p metrics_flag in
   let obs = Obs.Emitter.create () in
   let counters = Obs.Counter.attach obs (Obs.Counter.create ()) in
-  let hist = Obs.Histogram.attach obs (Obs.Histogram.create ()) in
   let attrib = Obs.Attrib.attach obs (Obs.Attrib.create ()) in
-  (* The attribution context tree must be closed before export; doing it
-     through the finalizer registry means the exception path below flushes
-     exactly the same way the normal path does. *)
-  Obs.Emitter.add_finalizer obs (fun ~now -> Obs.Attrib.close attrib ~now);
   let m = Sim.Machine.create ~obs ~setting () in
-  let write_exports () =
-    (match flame with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Obs.Flame.collapsed attrib);
-        close_out oc;
-        Printf.printf "flame    : collapsed stacks -> %s\n" path);
-    match metrics with
-    | None -> ()
-    | Some path ->
-        let reg = Obs.Metrics.create () in
-        Obs.Metrics.add reg ~label:name ~counter:counters ~histogram:hist
-          ~attrib ();
-        let rendered =
-          if Filename.check_suffix path ".json" then Obs.Metrics.to_json reg
-          else Obs.Metrics.to_prometheus reg
-        in
-        let oc = open_out path in
-        output_string oc rendered;
-        close_out oc;
-        Printf.printf "metrics  : %s -> %s\n"
-          (if Filename.check_suffix path ".json" then "JSON" else "Prometheus")
-          path
-  in
-  let r =
-    match Sim.Machine.run m (spec_fn ()) with
-    | r -> r
-    | exception e ->
-        (* Abnormal exit: finalize the sinks and write well-formed exports
-           before dying, so a crash never loses the profile. *)
-        Obs.Emitter.finalize obs ~now:(Hw.Cycles.now (Sim.Machine.clock m));
-        write_exports ();
-        Printf.eprintf "profile aborted: %s (exports flushed)\n"
-          (Printexc.to_string e);
-        exit 2
-  in
+  let r = Sim.Machine.run m (spec_fn ()) in
   let total = Hw.Cycles.now (Sim.Machine.clock m) in
-  Obs.Emitter.finalize obs ~now:total;
+  Obs.Attrib.close attrib ~now:total;
   Printf.printf "profile  : %s under %s (%d virtual cycles total)\n" name
     (Sim.Config.name setting) total;
   Printf.printf "  %-16s %10s %14s\n" "kind" "count" "cycles";
@@ -317,7 +262,6 @@ let profile_body p =
     (100.0
     *. float_of_int (Obs.Attrib.unattributed attrib)
     /. float_of_int total);
-  write_exports ();
   match r.Sim.Machine.killed with
   | Some reason -> Printf.printf "KILLED   : %s\n" reason
   | None -> ()
@@ -326,9 +270,8 @@ let profile_cmd =
   C.cmd ~name:"profile"
     ~doc:
       "Run one workload and print per-event-kind counts plus the exact \
-       domain x phase cycle decomposition; optionally export a flamegraph \
-       and Prometheus/JSON metrics"
-    ~flags:[ workload_flag; setting_flag; flame_flag; metrics_flag ]
+       domain x phase cycle decomposition"
+    ~flags:[ workload_flag; setting_flag ]
     profile_body
 
 (* ------------------------------------------------------------------ *)
@@ -337,25 +280,39 @@ let profile_cmd =
 
 let compare_cmd =
   C.cmd ~name:"compare"
-    ~doc:"Run one workload under every setting (Fig. 9 for one program)"
+    ~doc:
+      "Run one workload under every setting: overheads over native, exit \
+       rates, output size (Fig. 9 and Table 6 for one program)"
     ~flags:[ workload_flag ]
     (fun p ->
       let name, spec_fn = get_workload p in
       Printf.printf "%s across all settings:\n" name;
-      let native = ref 0 in
+      Printf.printf "  %-12s %9s %8s %7s %6s %6s %6s %10s %7s  %s\n" "setting"
+        "run" "ovh" "init" "#PF/s" "#T/s" "#VE/s" "EMC" "out" "killed";
+      let runs =
+        List.map
+          (fun setting -> (setting, Sim.Machine.run_fresh ~setting (spec_fn ())))
+          Sim.Config.all
+      in
+      let base = List.assoc Sim.Config.Native runs in
       List.iter
-        (fun setting ->
-          let r = Sim.Machine.run_fresh ~setting (spec_fn ()) in
-          if setting = Sim.Config.Native then native := r.Sim.Machine.run_cycles;
-          Printf.printf "  %-12s %8.2fs  %+6.2f%%  EMC %6.1fk/s\n"
+        (fun (setting, (r : Sim.Machine.run_result)) ->
+          let ovh (f : Sim.Machine.run_result -> int) =
+            100.0 *. ((float_of_int (f r) /. float_of_int (f base)) -. 1.0)
+          in
+          let s = r.Sim.Machine.stats in
+          Printf.printf
+            "  %-12s %8.2fs %+7.2f%% %+6.1f%% %6.0f %6.0f %6.0f %6.1fk/s %6dB  %s\n"
             (Sim.Config.name setting)
             (Hw.Cycles.to_seconds r.Sim.Machine.run_cycles
             *. float_of_int Workloads.Workload.time_scale)
-            (100.0
-            *. ((float_of_int r.Sim.Machine.run_cycles /. float_of_int !native)
-               -. 1.0))
-            (Sim.Stats.emc_rate r.Sim.Machine.stats /. 1000.0))
-        Sim.Config.all)
+            (ovh (fun r -> r.Sim.Machine.run_cycles))
+            (ovh (fun r -> r.Sim.Machine.init_cycles))
+            (Sim.Stats.pf_rate s) (Sim.Stats.timer_rate s) (Sim.Stats.ve_rate s)
+            (Sim.Stats.emc_rate s /. 1000.0)
+            (Bytes.length r.Sim.Machine.output)
+            (Option.value ~default:"-" r.Sim.Machine.killed))
+        runs)
 
 let list_cmd =
   C.cmd ~name:"list" ~doc:"List workloads and settings" (fun _ ->
@@ -671,7 +628,9 @@ let export_cmd =
     ~flags:[ chrome_flag; export_flame_flag ]
     (fun p ->
       let path = journal_file p in
-      if C.str p chrome_flag = None && C.str p export_flame_flag = None then
+      let chrome_out = output_file p chrome_flag in
+      let flame_out = output_file p export_flame_flag in
+      if Option.is_none chrome_out && Option.is_none flame_out then
         C.fail p "nothing to export (pass --chrome and/or --flame)";
       (* One replay: every stream feeds the live Chrome sink (streams merge
          into one timeline, virtual timestamps are shared); the flamegraph
@@ -679,10 +638,10 @@ let export_cmd =
          feeds a dedicated Attrib instance, closed by its finalizer. *)
       let chrome = Obs.Chrome.create () in
       let att = Obs.Attrib.create () in
-      let first = ref (C.str p export_flame_flag <> None) in
+      let first = ref (Option.is_some flame_out) in
       let stream ~machine:_ =
         let em = Obs.Emitter.create () in
-        if C.str p chrome_flag <> None then ignore (Obs.Chrome.attach em chrome);
+        if Option.is_some chrome_out then ignore (Obs.Chrome.attach em chrome);
         if !first then begin
           first := false;
           ignore (Obs.Attrib.attach em att);
@@ -695,21 +654,19 @@ let export_cmd =
           Printf.eprintf "journal export: %s\n" e;
           exit 1
       | Ok _ ->
-          (match C.str p chrome_flag with
-          | None -> ()
-          | Some out ->
-              let oc = open_out out in
+          Option.iter
+            (fun (out, oc) ->
               output_string oc (Obs.Chrome.to_chrome_json chrome);
               close_out oc;
               Printf.printf "chrome   : %d events -> %s\n"
-                (Obs.Chrome.length chrome) out);
-          match C.str p export_flame_flag with
-          | None -> ()
-          | Some out ->
-              let oc = open_out out in
+                (Obs.Chrome.length chrome) out)
+            chrome_out;
+          Option.iter
+            (fun (out, oc) ->
               output_string oc (Obs.Flame.collapsed att);
               close_out oc;
               Printf.printf "flame    : collapsed stacks -> %s\n" out)
+            flame_out)
 
 let journal_cmd =
   C.group ~name:"journal"

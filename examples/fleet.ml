@@ -10,7 +10,8 @@
    machine's event stream, session markers included, is journaled for the
    `erebor_sim journal` subcommands, and the example replays it: the
    critical-path analysis must find one window per session whose total is
-   exactly the measured cycles, or the example exits 1.
+   exactly the measured cycles, and the warm=true lines must number the
+   pool's warm hits, or the example exits 1.
 
    Run with:  dune exec examples/fleet.exe -- [--audit FILE] [--record FILE]
 *)
@@ -109,6 +110,7 @@ let main p =
   (* One shared model instance across the whole fleet. *)
   let model_bytes = 2048 * 4096 in
   let measured = ref [] in
+  let warm_lines = ref 0 in
   let serve i prompt =
     (* Session [i]'s window opens at the client and covers handshake,
        sealed request, fleet-side service and opened response. *)
@@ -130,7 +132,10 @@ let main p =
     in
     let sealed = Erebor.Channel.Client.seal_request client (Bytes.of_string prompt) in
     let plaintext = Result.get_ok (Erebor.Channel.Server.open_request server sealed) in
+    let hits = Sim.Pool.warm_hits pool in
     let entry = Result.get_ok (Sim.Pool.acquire pool) in
+    let warm = Sim.Pool.warm_hits pool > hits in
+    if warm then incr warm_lines;
     let sb = entry.Sim.Pool.sb and libos = entry.Sim.Pool.libos in
     let model_base =
       Result.get_ok (Erebor.Sandbox.attach_common mgr sb ~name:"model" ~size:model_bytes)
@@ -158,7 +163,7 @@ let main p =
     Printf.printf "[client %d] %-32s  (time-to-answer %.2f ms, warm=%b)\n" i
       (Bytes.to_string answer)
       (1000.0 *. Hw.Cycles.to_seconds (t_end - t_start))
-      (Sim.Pool.cold_boots pool = 0 || i <= 4)
+      warm
   in
   List.iteri (fun i prompt -> serve (i + 1) prompt)
     [ "analyze my records"; "translate this"; "classify these logs";
@@ -186,17 +191,22 @@ let main p =
 
   (* Replay the journal: the critical-path analysis must find exactly one
      window per session, each accounting for exactly the cycles measured
-     end to end — the markers are causal, not decorative. *)
+     end to end — the markers are causal, not decorative. The printed warm
+     flags must add up to the pool's own count. *)
   let sessions = List.length !measured in
   let accounted =
     match journal with
     | None -> true
-    | Some (w, path) -> (
+    | Some (w, path) ->
+        let warm_ok = !warm_lines = Sim.Pool.warm_hits pool in
+        if not warm_ok then
+          Printf.eprintf "[fleet] %d warm=true lines <> %d pool warm hits\n"
+            !warm_lines (Sim.Pool.warm_hits pool);
         Printf.printf "[fleet] journal: %d events in %d segments -> %s\n"
           (Obs.Journal.Writer.events w)
           (Obs.Journal.Writer.segments w)
           path;
-        match Obs.Critical.analyze ~top:sessions ~path () with
+        (match Obs.Critical.analyze ~top:sessions ~path () with
         | Error e ->
             Printf.eprintf "[fleet] journal replay failed: %s\n" e;
             false
@@ -223,6 +233,7 @@ let main p =
                 (show (List.sort compare windows))
                 (show (List.sort compare !measured));
             ok)
+        && warm_ok
   in
 
   (* The closing panel: the end-to-end latency distribution over every

@@ -1,7 +1,7 @@
-(* Full-stream recorder + Chrome-trace / JSONL exporters. The recorder keeps
-   every event in growable parallel arrays (events are small and a run emits
-   at most a few hundred thousand), so the same recording backs the golden
-   determinism tests and the --trace export. *)
+(* Full-stream recorder + Chrome-trace exporter. The recorder keeps every
+   event in growable parallel arrays (events are small and a run emits at
+   most a few million), so the same recording backs the golden determinism
+   tests and `journal export --chrome`, which replays a recording into it. *)
 
 type t = {
   mutable kinds : Trace.kind array;
@@ -111,13 +111,4 @@ let to_chrome_json t =
       emit (fun () -> span_json buf 'E' (Trace.phase_name p) !last_ts))
     !open_spans;
   Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
-
-let to_jsonl t =
-  let buf = Buffer.create (t.len * 64) in
-  iter t (fun e ->
-      Printf.bprintf buf {|{"ts":%d,"kind":"%s","arg":%d}|} e.Trace.ts
-        (Audit.escape_json (Trace.name e.Trace.kind))
-        e.Trace.arg;
-      Buffer.add_char buf '\n');
   Buffer.contents buf

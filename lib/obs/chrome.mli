@@ -1,4 +1,4 @@
-(** Full-stream recorder sink with Chrome-trace and JSONL exporters.
+(** Full-stream recorder sink with a Chrome-trace exporter.
 
     Records every event in order. {!to_chrome_json} renders the Chrome
     trace-event JSON object format (loadable in chrome://tracing /
@@ -21,5 +21,3 @@ val to_chrome_json : t -> string
 (** Always a well-formed trace: names are JSON-escaped, an unmatched
     [Span_end] is dropped, and spans still open at end-of-recording are
     closed with synthetic ["E"] events at the last recorded timestamp. *)
-
-val to_jsonl : t -> string

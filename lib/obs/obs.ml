@@ -8,7 +8,6 @@ module Histogram = Histogram
 module Chrome = Chrome
 module Attrib = Attrib
 module Flame = Flame
-module Metrics = Metrics
 module Audit = Audit
 module Window = Window
 module Journal = Journal

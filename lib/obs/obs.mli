@@ -2,14 +2,14 @@
     ({!Emitter}) over the {!Trace} taxonomy, with pluggable sinks — counters
     ({!Counter}), a bounded post-mortem ring ({!Ring}), latency histograms
     ({!Histogram}), virtual-clock sliding windows ({!Window}), relative-error
-    quantile sketches ({!Sketch}), a Chrome-trace/JSONL recorder
-    ({!Chrome}), a cycle-attribution profiler ({!Attrib}) with flamegraph
-    ({!Flame}) and Prometheus/JSON ({!Metrics}) exporters and a
-    tamper-evident hash-chained audit log ({!Audit}) — plus an offline
-    flight-recorder stack: a crash-safe binary journal ({!Journal}) whose
-    {!Journal.replay} feeds recorded streams back through live sinks, with
-    query ({!Query}), critical-path ({!Critical}) and run-diff ({!Diff})
-    engines built on it.
+    quantile sketches ({!Sketch}), a Chrome-trace recorder ({!Chrome}), a
+    cycle-attribution profiler ({!Attrib}) with a flamegraph exporter
+    ({!Flame}) and a tamper-evident hash-chained audit log ({!Audit}) —
+    plus an offline flight-recorder stack: a crash-safe binary journal
+    ({!Journal}) whose {!Journal.replay} feeds recorded streams back
+    through live sinks (the only producer of Chrome-trace and flamegraph
+    files), with query ({!Query}), critical-path ({!Critical}) and
+    run-diff ({!Diff}) engines built on it.
 
     Emission never advances the virtual clock: observability is free in
     simulated time, so calibrated results are identical with or without
@@ -24,7 +24,6 @@ module Histogram = Histogram
 module Chrome = Chrome
 module Attrib = Attrib
 module Flame = Flame
-module Metrics = Metrics
 module Audit = Audit
 module Window = Window
 module Journal = Journal

@@ -820,6 +820,8 @@ let transparent instrument =
     same "fig9-stats" show_stats bare_stats stats;
   ]
 
+(* [law/emit-zero-alloc]: every kind, in [Obs.Trace.all] order, on a fresh
+   erebor machine's emitter (its built-in counts and no sink). *)
 let emit_mix = Array.of_list Obs.Trace.all
 
 let bare_emitter () =

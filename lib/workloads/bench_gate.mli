@@ -139,13 +139,6 @@ val sinks : (string * (Obs.Emitter.t -> unit)) list
     routed (a callback subscribed to a kind subset through
     [Emitter.attach ~kinds]). *)
 
-val emit_mix : Obs.Trace.kind array
-(** Every kind, {!Obs.Trace.all} order: the mix [law/emit-zero-alloc] and
-    [bench bechamel]'s [obs-emit-bare-1k] row emit. *)
-
-val bare_emitter : unit -> Obs.Emitter.t
-(** A fresh erebor machine's emitter: built-in counts and no sink. *)
-
 val transparent : (Obs.Emitter.t -> unit) -> check list
 (** The sink-transparency law: with [instrument] applied to every machine's
     emitter before it boots, the Table 3/4 anchor document must be
