@@ -35,6 +35,7 @@ type t = {
   commons : (string, common) Hashtbl.t;
   mutable kernel_root : int option;
   mutable denied : int;
+  mutable last_ptp : frame_class; (* see [ptp_class] *)
 }
 
 let create ~mem ~cpu ~backend =
@@ -49,6 +50,7 @@ let create ~mem ~cpu ~backend =
     commons = Hashtbl.create 8;
     kernel_root = None;
     denied = 0;
+    last_ptp = Free;
   }
 
 let in_range t pfn = Hw.Frame_table.in_range ~frames:t.frames pfn
@@ -97,6 +99,18 @@ let common_name c = c.instance
    structural equality would walk its mapping list. *)
 let same_class a b =
   match (a, b) with Common x, Common y -> x == y | _ -> a = b
+
+(* The class of a new interior table. Class values are immutable, so the
+   tables one root grows at one level share one: the last one built is
+   kept, and demand paging, which adds leaf tables under one root at a
+   time, builds no class per table. *)
+let ptp_class t ~level ~root =
+  match t.last_ptp with
+  | Ptp { level = l; root = r; sandbox = -1 } when l = level && r = root -> t.last_ptp
+  | _ ->
+      let c = Ptp { level; root; sandbox = -1 } in
+      t.last_ptp <- c;
+      c
 
 let register_root t ~root_pfn =
   match class_of t root_pfn with
@@ -232,10 +246,14 @@ let check_leaf t ~root ~pte_addr pte =
                outside any sandbox is an attack. *)
             Error "sealed common frame cannot be mapped writable outside a sandbox"
           else begin
-            record_common_mapping c pte_addr;
             (* Sandbox mappings of a sealed instance silently downgrade to
                read-only (demand paging continues after seal). *)
-            accept t pte_addr (if c.sealed then Hw.Pte.set_writable pte false else pte)
+            let pte = if c.sealed then Hw.Pte.set_writable pte false else pte in
+            (* Only a writable entry can need revoking at seal time, so a
+               read-only refault (every one after the seal) adds nothing
+               to the list. *)
+            if Hw.Pte.writable pte then record_common_mapping c pte_addr;
+            accept t pte_addr pte
           end
       | Free ->
           if sandbox >= 0 && Hw.Pte.user pte then
@@ -279,7 +297,7 @@ let write_pte t ~trusted ~pte_addr pte =
             let child = Hw.Pte.pfn pte in
             match class_of t child with
             | Free ->
-                set_class t child (Ptp { level = level + 1; root; sandbox = -1 });
+                set_class t child (ptp_class t ~level:(level + 1) ~root);
                 accept t pte_addr pte
             | Ptp { level = l; _ } when l = level + 1 ->
                 (* Sharing an existing subtree (kernel half of a new task). *)

@@ -9,6 +9,10 @@ type emc_stats = {
   ghci : int;
 }
 
+(* Which way a SMAP user copy goes, and whether it lands in a fresh
+   buffer. *)
+type copy = Into_kernel | Fresh | To_user
+
 type t = {
   cpu : Hw.Cpu.t;
   mem : Hw.Phys_mem.t;
@@ -26,6 +30,14 @@ type t = {
   cpuid_cache : (int, int64) Hashtbl.t;
   mutable cache_hits : int;
   mutable usercopy_veto : unit -> string option;
+  (* The user copy in flight: the privop fills these and its service body
+     drains them, so a copy crosses the gate without a per-call closure. A
+     copy never nests: its body makes no privop. *)
+  mutable copy : copy;
+  mutable copy_addr : int;
+  mutable copy_buf : bytes;
+  mutable copy_off : int;
+  mutable copy_len : int;
   counters : Obs.Counter.t;
       (* Monitor-local counter view of the CPU's emitter, based at install:
          the per-kind EMC statistics are *derived* from the event stream,
@@ -86,6 +98,11 @@ let install ?(backend = Isolation.Pks) ~cpu ~mem ~td ~firmware ~monitor_frames
       cpuid_cache = Hashtbl.create 8;
       cache_hits = 0;
       usercopy_veto = (fun () -> None);
+      copy = Into_kernel;
+      copy_addr = 0;
+      copy_buf = Bytes.empty;
+      copy_off = 0;
+      copy_len = 0;
       counters = Obs.Counter.attach cpu.Hw.Cpu.obs (Obs.Counter.create ());
     }
   in
@@ -191,6 +208,50 @@ let serviced1 t ek f a =
    privop whose body is built once crosses it without a per-call
    closure. *)
 let serviced t ek f = serviced1 t ek f ()
+
+(* The four SMAP user copies share one service body, which reads its
+   operands from the monitor's copy slot. It drops the caller's buffer
+   from the slot first, so the slot keeps nothing alive. *)
+let usercopy_body t =
+  let user_addr = t.copy_addr and buf = t.copy_buf in
+  let off = t.copy_off and len = t.copy_len in
+  t.copy_buf <- Bytes.empty;
+  cost t Hw.Cycles.Cost.emc_service_smap;
+  cost t (Hw.Cycles.Cost.usercopy_per_page * max 1 (Kernel.Layout.pages_of_bytes len));
+  (match t.usercopy_veto () with
+  | Some reason ->
+      fail t ~category:(Policy.audit_category Policy.Smap) ("usercopy: " ^ reason)
+  | None -> ());
+  Hw.Cpu.stac t.cpu;
+  match
+    match t.copy with
+    | Into_kernel ->
+        Hw.Cpu.read_into t.cpu user_addr buf ~off ~len;
+        Bytes.empty
+    | Fresh -> Hw.Cpu.read_bytes t.cpu user_addr len
+    | To_user ->
+        Hw.Cpu.write_from t.cpu user_addr buf ~off ~len;
+        Bytes.empty
+  with
+  | v ->
+      Hw.Cpu.clac t.cpu;
+      v
+  | exception e ->
+      Hw.Cpu.clac t.cpu;
+      raise e
+
+let svc_usercopy t = serviced1 t Obs.Trace.Smap usercopy_body t
+
+(* One user copy through the gate. The privop closures pass only their own
+   operands here; the gate and the service body get [t], so nothing is
+   built per call. *)
+let usercopy t copy ~user_addr ~buf ~off ~len =
+  t.copy <- copy;
+  t.copy_addr <- user_addr;
+  t.copy_buf <- buf;
+  t.copy_off <- off;
+  t.copy_len <- len;
+  Gate.call1 t.gate svc_usercopy t
 
 let privops t =
   let g = t.gate in
@@ -357,78 +418,17 @@ let privops t =
                       (Fmt.str "%a" (Fmt.list ~sep:Fmt.comma Scan.pp_violation) violations))));
     copy_from_user =
       (fun ~user_addr ~len ->
-        Gate.call g (fun () ->
-            serviced t Obs.Trace.Smap (fun () ->
-                cost t Hw.Cycles.Cost.emc_service_smap;
-                cost t (Hw.Cycles.Cost.usercopy_per_page * max 1 (Kernel.Layout.pages_of_bytes len));
-                (match t.usercopy_veto () with
-                | Some reason ->
-                    fail t ~category:(cat Policy.Smap) ("usercopy: " ^ reason)
-                | None -> ());
-                Hw.Cpu.stac t.cpu;
-                (match Hw.Cpu.read_bytes t.cpu user_addr len with
-                 | v ->
-                     Hw.Cpu.clac t.cpu;
-                     v
-                 | exception e ->
-                     Hw.Cpu.clac t.cpu;
-                     raise e))));
+        usercopy t Fresh ~user_addr ~buf:Bytes.empty ~off:0 ~len);
     copy_from_user_into =
       (fun ~user_addr ~buf ~off ~len ->
-        Gate.call g (fun () ->
-            serviced t Obs.Trace.Smap (fun () ->
-                cost t Hw.Cycles.Cost.emc_service_smap;
-                cost t (Hw.Cycles.Cost.usercopy_per_page * max 1 (Kernel.Layout.pages_of_bytes len));
-                (match t.usercopy_veto () with
-                | Some reason ->
-                    fail t ~category:(cat Policy.Smap) ("usercopy: " ^ reason)
-                | None -> ());
-                Hw.Cpu.stac t.cpu;
-                (match Hw.Cpu.read_into t.cpu user_addr buf ~off ~len with
-                 | v ->
-                     Hw.Cpu.clac t.cpu;
-                     v
-                 | exception e ->
-                     Hw.Cpu.clac t.cpu;
-                     raise e))));
+        ignore (usercopy t Into_kernel ~user_addr ~buf ~off ~len));
     copy_to_user =
       (fun ~user_addr data ->
-        Gate.call g (fun () ->
-            serviced t Obs.Trace.Smap (fun () ->
-                cost t Hw.Cycles.Cost.emc_service_smap;
-                cost t
-                  (Hw.Cycles.Cost.usercopy_per_page
-                  * max 1 (Kernel.Layout.pages_of_bytes (Bytes.length data)));
-                (match t.usercopy_veto () with
-                | Some reason ->
-                    fail t ~category:(cat Policy.Smap) ("usercopy: " ^ reason)
-                | None -> ());
-                Hw.Cpu.stac t.cpu;
-                (match Hw.Cpu.write_bytes t.cpu user_addr data with
-                 | v ->
-                     Hw.Cpu.clac t.cpu;
-                     v
-                 | exception e ->
-                     Hw.Cpu.clac t.cpu;
-                     raise e))));
+        ignore
+          (usercopy t To_user ~user_addr ~buf:data ~off:0 ~len:(Bytes.length data)));
     copy_to_user_from =
       (fun ~user_addr ~buf ~off ~len ->
-        Gate.call g (fun () ->
-            serviced t Obs.Trace.Smap (fun () ->
-                cost t Hw.Cycles.Cost.emc_service_smap;
-                cost t (Hw.Cycles.Cost.usercopy_per_page * max 1 (Kernel.Layout.pages_of_bytes len));
-                (match t.usercopy_veto () with
-                | Some reason ->
-                    fail t ~category:(cat Policy.Smap) ("usercopy: " ^ reason)
-                | None -> ());
-                Hw.Cpu.stac t.cpu;
-                (match Hw.Cpu.write_from t.cpu user_addr buf ~off ~len with
-                 | v ->
-                     Hw.Cpu.clac t.cpu;
-                     v
-                 | exception e ->
-                     Hw.Cpu.clac t.cpu;
-                     raise e))));
+        ignore (usercopy t To_user ~user_addr ~buf ~off ~len));
   }
 
 let boot_kernel t ~kernel_image ~reserved_frames ~cma_frames =

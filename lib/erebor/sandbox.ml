@@ -4,6 +4,9 @@ type confined_region = { start : int; len : int; base_pfn : int }
 
 type common_instance = {
   shared : Mmu_guard.common; (* the guard's record for the instance name *)
+  cls : Mmu_guard.frame_class;
+      (* [Common shared], built once: classifying a fresh frame builds
+         nothing *)
   size : int;
   frames : int array; (* page index -> pfn, -1 until first faulted in *)
   mutable populated : int; (* frames currently >= 0 *)
@@ -90,15 +93,15 @@ let instance_frame mgr inst index =
   let pfn = inst.frames.(index) in
   if pfn >= 0 then pfn
   else
-    match Kernel.Alloc.alloc mgr.kern.Kernel.frame_alloc with
-    | None -> -1
-    | Some pfn ->
-        (match Mmu_guard.classify (guard mgr) ~pfn (Mmu_guard.Common inst.shared) with
-        | Ok () -> ()
-        | Error e -> failwith ("frame_source: " ^ e));
-        inst.frames.(index) <- pfn;
-        inst.populated <- inst.populated + 1;
-        pfn
+    let pfn = Kernel.Alloc.alloc_pfn mgr.kern.Kernel.frame_alloc in
+    if pfn >= 0 then begin
+      (match Mmu_guard.classify (guard mgr) ~pfn inst.cls with
+      | Ok () -> ()
+      | Error e -> failwith ("frame_source: " ^ e));
+      inst.frames.(index) <- pfn;
+      inst.populated <- inst.populated + 1
+    end;
+    pfn
 
 let rec common_frame mgr commons ~region_start ~index =
   match commons with
@@ -250,8 +253,9 @@ let attach_common mgr sb ~name ~size =
           (* The frame table is sized once, here: a later attach must name
              the same size, so every fault indexes inside it. *)
           let pages = max 0 (Kernel.Layout.page_align_up size / page_size) in
+          let shared = Mmu_guard.common (guard mgr) ~instance:name in
           let inst =
-            { shared = Mmu_guard.common (guard mgr) ~instance:name; size;
+            { shared; cls = Mmu_guard.Common shared; size;
               frames = Array.make pages (-1); populated = 0 }
           in
           Hashtbl.replace mgr.commons name inst;

@@ -4,14 +4,16 @@
     is mechanically enforced. *)
 
 type ctx = {
-  user_mode : bool;   (** CPL = 3. *)
-  wp : bool;          (** CR0.WP. *)
-  smep : bool;        (** CR4.SMEP. *)
-  smap : bool;        (** CR4.SMAP. *)
-  pks : bool;         (** CR4.PKS. *)
-  ac : bool;          (** EFLAGS.AC (set by stac, cleared by clac). *)
-  pkrs : int64;       (** IA32_PKRS. *)
+  mutable user_mode : bool;   (** CPL = 3. *)
+  mutable wp : bool;          (** CR0.WP. *)
+  mutable smep : bool;        (** CR4.SMEP. *)
+  mutable smap : bool;        (** CR4.SMAP. *)
+  mutable pks : bool;         (** CR4.PKS. *)
+  mutable ac : bool;          (** EFLAGS.AC (set by stac, cleared by clac). *)
+  mutable pkrs : int;         (** IA32_PKRS, as {!Msr.pkrs_bits} holds it. *)
 }
+(** Mutable so {!Cpu} can refresh its one cached context in place when an
+    input changes, instead of building a new one. *)
 
 type translation = {
   user : bool;        (** U/S ANDed across the walk. *)

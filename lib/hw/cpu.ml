@@ -23,10 +23,11 @@ type t = {
   (* TME-MK key engine; None (the default, and the PKS backend) skips the
      key check entirely so the fill path is unchanged. *)
   mutable tme : Tme.t option;
-  (* Cached access-check context: rebuilt only when one of its inputs
-     changed (mode, EFLAGS.AC, any CR write, any MSR write), so the TLB-hit
-     path does one record read instead of one record build per access. *)
-  mutable actx : Access.ctx;
+  (* Cached access-check context: refreshed in place only when one of its
+     inputs changed (mode, EFLAGS.AC, any CR write, any MSR write), so the
+     TLB-hit path does one record read, and a refresh (every stac/clac
+     around a user copy) builds nothing. *)
+  actx : Access.ctx;
   mutable actx_mode : mode;
   mutable actx_ac : bool;
   mutable actx_cr_gen : int;
@@ -73,7 +74,7 @@ let create ?obs ~id ~mem ~clock ~timer_period () =
         smap = false;
         pks = false;
         ac = false;
-        pkrs = 0L;
+        pkrs = 0;
       };
     actx_mode = Supervisor;
     actx_ac = false;
@@ -95,17 +96,15 @@ let clear_memo t =
   t.memo_w_vpn <- -1;
   t.memo_x_vpn <- -1
 
-let rebuild_ctx t =
-  t.actx <-
-    {
-      Access.user_mode = t.mode = User;
-      wp = Cr.wp t.cr;
-      smep = Cr.smep t.cr;
-      smap = Cr.smap t.cr;
-      pks = Cr.pks t.cr;
-      ac = t.ac;
-      pkrs = Msr.read t.msr Msr.ia32_pkrs;
-    };
+let refresh_ctx t =
+  let c = t.actx in
+  c.Access.user_mode <- t.mode = User;
+  c.Access.wp <- Cr.wp t.cr;
+  c.Access.smep <- Cr.smep t.cr;
+  c.Access.smap <- Cr.smap t.cr;
+  c.Access.pks <- Cr.pks t.cr;
+  c.Access.ac <- t.ac;
+  c.Access.pkrs <- Msr.pkrs_bits t.msr;
   t.actx_mode <- t.mode;
   t.actx_ac <- t.ac;
   t.actx_cr_gen <- Cr.gen t.cr;
@@ -118,7 +117,7 @@ let access_ctx t =
       (t.actx_mode == t.mode && t.actx_ac = t.ac
       && t.actx_cr_gen = Cr.gen t.cr
       && t.actx_msr_gen = Msr.gen t.msr)
-  then rebuild_ctx t;
+  then refresh_ctx t;
   t.actx
 
 let not_present_fault t ~kind vaddr =

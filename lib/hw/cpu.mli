@@ -36,9 +36,9 @@ type t = {
           fill path byte-identical to a machine without TME. Violations
           raise [Page_fault] with [pkey_violation] set and append a
           ["tme"]-category deny to the audit chain. *)
-  mutable actx : Access.ctx;
+  actx : Access.ctx;
       (** Cached access-check context, revalidated against the
-          mode/AC/CR/MSR state before each use. *)
+          mode/AC/CR/MSR state before each use and refreshed in place. *)
   mutable actx_mode : mode;
   mutable actx_ac : bool;
   mutable actx_cr_gen : int;

@@ -90,15 +90,21 @@ let[@inline] child mem addr =
   let e = Phys_mem.read_u64 mem addr in
   if Pte.present e then Pte.pfn e else -1
 
-let leaf_addr mem ~root_pfn vaddr =
+(* The leaf slot's address, or -1 when an interior level is missing: what
+   [unmap] and [update] probe with, so neither builds an option. *)
+let leaf_slot mem ~root_pfn vaddr =
   let l3 = child mem (entry_addr root_pfn vaddr 3) in
-  if l3 < 0 then None
+  if l3 < 0 then -1
   else
     let l2 = child mem (entry_addr l3 vaddr 2) in
-    if l2 < 0 then None
+    if l2 < 0 then -1
     else
       let l1 = child mem (entry_addr l2 vaddr 1) in
-      if l1 < 0 then None else Some (entry_addr l1 vaddr 0)
+      if l1 < 0 then -1 else entry_addr l1 vaddr 0
+
+let leaf_addr mem ~root_pfn vaddr =
+  let slot = leaf_slot mem ~root_pfn vaddr in
+  if slot < 0 then None else Some slot
 
 let intermediate_flags = { Pte.default_flags with user = true }
 
@@ -134,17 +140,16 @@ let map_huge mem ~write_pte ~alloc_ptp ~root_pfn ~vaddr pte =
   write_pte ~pte_addr:(entry_addr l2 vaddr 1) (Pte.set_huge pte true)
 
 let unmap mem ~write_pte ~root_pfn ~vaddr =
-  match leaf_addr mem ~root_pfn vaddr with
-  | None -> ()
-  | Some pte_addr -> write_pte ~pte_addr Pte.empty
+  let pte_addr = leaf_slot mem ~root_pfn vaddr in
+  if pte_addr >= 0 then write_pte ~pte_addr Pte.empty
 
 let update mem ~write_pte ~root_pfn ~vaddr f =
-  match leaf_addr mem ~root_pfn vaddr with
-  | None -> false
-  | Some pte_addr ->
-      let pte = Phys_mem.read_u64 mem pte_addr in
-      if not (Pte.present pte) then false
-      else begin
-        write_pte ~pte_addr (f pte);
-        true
-      end
+  let pte_addr = leaf_slot mem ~root_pfn vaddr in
+  if pte_addr < 0 then false
+  else
+    let pte = Phys_mem.read_u64 mem pte_addr in
+    if not (Pte.present pte) then false
+    else begin
+      write_pte ~pte_addr (f pte);
+      true
+    end

@@ -22,15 +22,16 @@ let decode pkrs =
   Array.init 16 (fun key ->
       rights_of_bits (Int64.to_int (Int64.logand (Int64.shift_right_logical pkrs (2 * key)) 3L)))
 
-let rights_of ~pkrs ~key =
-  if key < 0 || key > 15 then invalid_arg "Pks.rights_of: key out of range";
-  rights_of_bits (Int64.to_int (Int64.logand (Int64.shift_right_logical pkrs (2 * key)) 3L))
-
 let set_key ~pkrs ~key rights =
   if key < 0 || key > 15 then invalid_arg "Pks.set_key: key out of range";
   let cleared = Int64.logand pkrs (Int64.lognot (Int64.shift_left 3L (2 * key))) in
   Int64.logor cleared (Int64.shift_left (Int64.of_int (bits_of rights)) (2 * key))
 
-let permits ~pkrs ~key ~write =
-  let r = rights_of ~pkrs ~key in
-  if r.access_disable then false else (not write) || not r.write_disable
+(* Straight off the key's two bits, no [rights] record: the access check
+   asks this on every supervisor data access under CR4.PKS. *)
+let permits_bits ~pkrs ~key ~write =
+  if key < 0 || key > 15 then invalid_arg "Pks.permits: key out of range";
+  let b = pkrs lsr (2 * key) in
+  b land 1 = 0 && ((not write) || b land 2 = 0)
+
+let permits ~pkrs ~key ~write = permits_bits ~pkrs:(Int64.to_int pkrs) ~key ~write

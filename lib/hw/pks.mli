@@ -22,3 +22,7 @@ val set_key : pkrs:int64 -> key:int -> rights -> int64
 
 val permits : pkrs:int64 -> key:int -> write:bool -> bool
 (** Whether a supervisor data access is allowed under [pkrs]. *)
+
+val permits_bits : pkrs:int -> key:int -> write:bool -> bool
+(** {!permits} over the register's bits as an [int] (what {!Msr.pkrs_bits}
+    holds); allocates nothing. *)

@@ -34,23 +34,25 @@ let take t i =
   mark t i true;
   t.used <- t.used + 1
 
-let alloc t =
-  if t.used >= t.frames then None
+(* Next-fit from [i], wrapping once round the region: the frame, or -1.
+   Toplevel and over ints, so a fault's allocation builds nothing. *)
+let rec scan t i remaining =
+  if remaining = 0 then -1
   else begin
-    let rec scan i remaining =
-      if remaining = 0 then None
-      else begin
-        let i = if i >= t.frames then 0 else i in
-        if taken t i then scan (i + 1) (remaining - 1)
-        else begin
-          take t i;
-          t.cursor <- i + 1;
-          Some (t.first_pfn + i)
-        end
-      end
-    in
-    scan t.cursor t.frames
+    let i = if i >= t.frames then 0 else i in
+    if taken t i then scan t (i + 1) (remaining - 1)
+    else begin
+      take t i;
+      t.cursor <- i + 1;
+      t.first_pfn + i
+    end
   end
+
+let alloc_pfn t = if t.used >= t.frames then -1 else scan t t.cursor t.frames
+
+let alloc t =
+  let pfn = alloc_pfn t in
+  if pfn < 0 then None else Some pfn
 
 let alloc_zeroed t mem =
   match alloc t with

@@ -13,6 +13,10 @@ val available : t -> int
 val alloc : t -> int option
 (** One free frame, or [None] when exhausted. *)
 
+val alloc_pfn : t -> int
+(** {!alloc} as a bare pfn, [-1] when exhausted: the demand-fault path's
+    form, which allocates nothing. *)
+
 val alloc_zeroed : t -> Hw.Phys_mem.t -> int option
 (** Allocate and scrub (page-table pages must start zeroed). *)
 

@@ -63,15 +63,15 @@ let span1 t phase f a =
 let span t phase f = span1 t phase f ()
 
 (* Demand-populate the kernel direct map for one frame. Intermediate levels
-   below the shared boot-time PDPT are shared by every address space. *)
+   below the shared boot-time PDPT are shared by every address space. The
+   probe and the leaf's flags build nothing. *)
+let direct_map_flags = { Hw.Pte.default_flags with nx = true }
+
 let ensure_direct_map t ~pfn =
   let vaddr = Layout.direct_map (Hw.Phys_mem.addr_of_pfn pfn) in
-  match Hw.Page_table.walk t.mem ~root_pfn:t.kernel_root vaddr with
-  | Some _ -> ()
-  | None ->
-      Hw.Page_table.map t.mem ~write_pte:t.privops.Privops.write_pte ~alloc_ptp:t.alloc_ptp
-        ~root_pfn:t.kernel_root ~vaddr
-        (Hw.Pte.make ~pfn { Hw.Pte.default_flags with nx = true })
+  if Hw.Page_table.walk_packed t.mem ~root_pfn:t.kernel_root vaddr < 0 then
+    Hw.Page_table.map t.mem ~write_pte:t.privops.Privops.write_pte ~alloc_ptp:t.alloc_ptp
+      ~root_pfn:t.kernel_root ~vaddr (Hw.Pte.make ~pfn direct_map_flags)
 
 (* Eagerly allocate the PML4-slot subtrees shared between all address
    spaces, so later direct-map fills are visible through every root. *)
@@ -92,9 +92,10 @@ let boot ~mem ~cpu ~td ~privops ~reserved_frames ~cma_frames =
   let general = frames - reserved_frames - cma_frames in
   let frame_alloc = Alloc.create ~first_pfn:reserved_frames ~frames:general in
   let alloc_ptp () =
-    match Alloc.alloc_zeroed frame_alloc mem with
-    | Some pfn -> pfn
-    | None -> failwith "Kernel: out of frames for page tables"
+    let pfn = Alloc.alloc_pfn frame_alloc in
+    if pfn < 0 then failwith "Kernel: out of frames for page tables";
+    Hw.Phys_mem.zero_page mem pfn;
+    pfn
   in
   let t =
     {
@@ -198,11 +199,7 @@ let fault_frame t task region ~page =
   let provided =
     match t.frame_source with Some f -> f task region ~addr:page | None -> -1
   in
-  if provided >= 0 then provided
-  else
-    match Alloc.alloc (allocator_for t region.Vma.kind) with
-    | Some pfn -> pfn
-    | None -> -1
+  if provided >= 0 then provided else Alloc.alloc_pfn (allocator_for t region.Vma.kind)
 
 (* Leaf flags of a demand fault, indexed by user*4 + writable*2 + nx, so
    building a fault's PTE allocates no flags record. *)
@@ -232,12 +229,12 @@ let fault_in t task ~addr ~kind =
   cost t Hw.Cycles.Cost.page_fault_base;
   t.stats.page_faults <- t.stats.page_faults + 1;
   emit t Obs.Trace.Page_fault ~arg:addr;
-  match Vma.find task.Task.vmas addr with
-  | None ->
+  match Vma.find_exn task.Task.vmas addr with
+  | exception Not_found ->
       t.stats.segfaults <- t.stats.segfaults + 1;
       emit t Obs.Trace.Segfault ~arg:addr;
       Error (Printf.sprintf "segfault: no mapping at 0x%x" addr)
-  | Some region ->
+  | region ->
       let allowed =
         match kind with
         | Hw.Fault.Read -> region.Vma.prot.Vma.read

@@ -1,6 +1,12 @@
+(* The run queue is a ring of the tasks' [Some] cells, each built once when
+   its task is queued: a rotation moves the incoming task's cell into
+   [current] and the outgoing one's back into the ring, so a tick that
+   switches builds nothing. *)
 type t = {
   quantum_ticks : int;
-  queue : Task.t Queue.t;
+  mutable ring : Task.t option array;
+  mutable head : int;  (* the oldest entry *)
+  mutable size : int;
   mutable current : Task.t option;
   mutable ticks_left : int;
   mutable switches : int;
@@ -9,36 +15,56 @@ type t = {
 
 let create ?(on_switch = fun _ -> ()) ~quantum_ticks () =
   if quantum_ticks <= 0 then invalid_arg "Sched.create: quantum must be positive";
-  { quantum_ticks; queue = Queue.create (); current = None; ticks_left = quantum_ticks;
-    switches = 0; on_switch }
+  { quantum_ticks; ring = [||]; head = 0; size = 0; current = None;
+    ticks_left = quantum_ticks; switches = 0; on_switch }
+
+(* Append a cell, doubling the ring (oldest entry first) when it is full. *)
+let push t cell =
+  let cap = Array.length t.ring in
+  if t.size = cap then begin
+    let ring = Array.make (max 4 (2 * cap)) None in
+    for i = 0 to t.size - 1 do
+      ring.(i) <- t.ring.((t.head + i) mod cap)
+    done;
+    t.ring <- ring;
+    t.head <- 0
+  end;
+  t.ring.((t.head + t.size) mod Array.length t.ring) <- cell;
+  t.size <- t.size + 1
+
+let pop t =
+  let cell = t.ring.(t.head) in
+  t.ring.(t.head) <- None;
+  t.head <- (t.head + 1) mod Array.length t.ring;
+  t.size <- t.size - 1;
+  cell
 
 let enqueue t task =
   match t.current with
   | None -> t.current <- Some task
-  | Some _ -> Queue.add task t.queue
+  | Some _ -> push t (Some task)
 
 let current t = t.current
 
+(* The next runnable task's cell, or [None]. Dead tasks are dropped;
+   blocked ones stay parked until [wake] queues them again. *)
 let rec next_runnable t =
-  match Queue.take_opt t.queue with
-  | None -> None
-  | Some task -> (
-      match task.Task.state with
-      | Task.Runnable -> Some task
-      | Task.Dead -> next_runnable t
-      | Task.Blocked ->
-          (* Blocked tasks stay parked; callers re-enqueue via [wake]. *)
-          next_runnable t)
+  if t.size = 0 then None
+  else
+    let cell = pop t in
+    match cell with
+    | Some { Task.state = Task.Runnable; _ } -> cell
+    | Some _ | None -> next_runnable t
 
 let rotate t ~switch k =
   match next_runnable t with
   | None -> false
-  | Some next ->
+  | Some next as cell ->
       let prev = t.current in
       (match prev with
-      | Some p when p.Task.state = Task.Runnable -> Queue.add p t.queue
+      | Some p when p.Task.state = Task.Runnable -> push t prev
       | _ -> ());
-      t.current <- Some next;
+      t.current <- cell;
       t.ticks_left <- t.quantum_ticks;
       t.switches <- t.switches + 1;
       switch k ~prev ~next;
@@ -64,14 +90,15 @@ let block_current t =
 let wake t task =
   if task.Task.state = Task.Blocked then begin
     task.Task.state <- Task.Runnable;
-    Queue.add task t.queue
+    push t (Some task)
   end
 
 let remove_dead t =
-  let keep = Queue.create () in
-  Queue.iter (fun task -> if task.Task.state <> Task.Dead then Queue.add task keep) t.queue;
-  Queue.clear t.queue;
-  Queue.transfer keep t.queue;
+  for _ = 1 to t.size do
+    match pop t with
+    | Some { Task.state = Task.Dead; _ } -> ()
+    | cell -> push t cell
+  done;
   match t.current with
   | Some { Task.state = Task.Dead; _ } -> t.current <- next_runnable t
   | _ -> ()

@@ -26,10 +26,12 @@ let add t r =
 
 let remove t ~start = List.filter (fun r -> r.start <> start) t
 
-let rec find t addr =
+let rec find_exn t addr =
   match t with
-  | [] -> None
-  | r :: rest -> if addr >= r.start && addr < region_end r then Some r else find rest addr
+  | [] -> raise Not_found
+  | r :: rest -> if addr >= r.start && addr < region_end r then r else find_exn rest addr
+
+let find t addr = match find_exn t addr with r -> Some r | exception Not_found -> None
 
 let iter = List.iter
 let count = List.length

@@ -30,6 +30,10 @@ val remove : t -> start:int -> t
 val find : t -> int -> region option
 (** Region containing an address. *)
 
+val find_exn : t -> int -> region
+(** {!find} without the option: raises [Not_found] when no region holds the
+    address. The fault path's form, which allocates nothing. *)
+
 val iter : (region -> unit) -> t -> unit
 val count : t -> int
 

@@ -502,7 +502,10 @@ let read ?strict ~path () =
   | Ok (rev, info) -> Ok (List.rev rev, info)
 
 (* One replay target: the emitter the consumer built for a stream and the
-   stream's last timestamp, which its finalizer closes at. *)
+   stream's last timestamp. A complete journal's END frame carries the
+   writer's close time, which the live run may have taken later than its
+   last event, so the stream closes at whichever is later; a truncated one
+   closes at its last event. *)
 type target = { emitter : Emitter.t; mutable last : int }
 
 let replay ~path make =
@@ -519,6 +522,8 @@ let replay ~path make =
       if e.ts > t.last then t.last <- e.ts)
   |> Result.map (fun ((), info) ->
          List.iter
-           (fun t -> Emitter.finalize t.emitter ~now:t.last)
+           (fun t ->
+             let now = if info.complete then max t.last info.last_ts else t.last in
+             Emitter.finalize t.emitter ~now)
            (List.rev !order);
          info)

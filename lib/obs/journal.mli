@@ -108,6 +108,7 @@ val replay :
     into the emitter returned for that stream. The function is called once
     per stream, when the stream is first defined, so the machine name is
     known before its first event. On success each stream's emitter is then
-    finalized ({!Emitter.finalize}) at that stream's last timestamp, in
-    stream-definition order — the same close a live run performs. Errors
-    as {!fold}. *)
+    finalized ({!Emitter.finalize}), in stream-definition order, at the
+    close a live run performed: the END frame's [last_ts] when that is
+    later than the stream's last event (a complete journal), else the
+    stream's last timestamp. Errors as {!fold}. *)

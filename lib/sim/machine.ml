@@ -365,9 +365,8 @@ let touch s base pages ~page ~kind =
   let m = s.machine in
   if pages > 0 then begin
     let addr = base + (page mod pages * page_size) in
-    (match Kernel.resolve_pfn m.kern s.task ~addr with
-    | Some _ -> ()
-    | None -> fault_on s s.task addr kind);
+    if Hw.Page_table.walk_packed m.mem ~root_pfn:s.task.Kernel.Task.root_pfn addr < 0
+    then fault_on s s.task addr kind;
     advance s 4
   end
 

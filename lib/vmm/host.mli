@@ -30,5 +30,5 @@ val observed_contains : t -> string -> bool
 (** Substring search over every byte string the guest handed to the host
     (I/O writes, MMIO writes) — used by leakage tests. *)
 
-val vmcall_log : t -> Tdx.Ghci.vmcall list
-(** All vmcalls handled, newest last. *)
+val vmcall_count : t -> int
+(** How many vmcalls the host has handled. *)

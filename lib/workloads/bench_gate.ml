@@ -835,11 +835,14 @@ let emit_zero_alloc () =
   zero_alloc "law/emit-zero-alloc" ~per:"event" ~n:10_000 (fun i ->
       Obs.Emitter.emit obs emit_mix.(i mod n) ~ts:i ~arg:i)
 
-(* The kernel's hottest privileged crossing, warm: re-store a live user
-   leaf the way [pte_churn] does, natively and through the monitor under
-   each isolation backend. An entry is an immediate int on both sides of
-   the privop closure, and an accepted leaf answers the constant [Ok ()],
-   so a crossing allocates nothing. *)
+(* The kernel's hottest privileged crossings, warm, natively and through
+   the monitor under each isolation backend: re-storing a live user leaf
+   the way [pte_churn] does ([law/privops-zero-alloc/<label>]; an entry is
+   an immediate int on both sides of the privop closure, and an accepted
+   leaf answers the constant [Ok ()]), a SMAP user copy ([.../usercopy];
+   its operands travel in the monitor's copy slot and the access context
+   is refreshed in place around stac/clac) and a VMCALL through the tdcall
+   privop ([.../tdcall]; the host counts exits instead of logging them). *)
 let privops_zero_alloc () =
   List.map
     (fun (label, setting, backend) ->
@@ -861,11 +864,73 @@ let privops_zero_alloc () =
       let write_pte = kern.Kernel.privops.Kernel.Privops.write_pte in
       let restore _ = write_pte ~pte_addr:slot (Hw.Phys_mem.read_u64 kern.Kernel.mem slot) in
       for i = 1 to 16 do restore i done;
-      zero_alloc ("law/privops-zero-alloc/" ^ label) ~per:"crossing" ~n:10_000 restore)
+      let pte = zero_alloc ("law/privops-zero-alloc/" ^ label) ~per:"crossing" ~n:10_000 restore in
+      (* The SMAP user copies the read/write syscalls and the host-I/O proxy
+         make, alternating direction, on the page the leaf maps. *)
+      let ops = kern.Kernel.privops in
+      let buf = Bytes.make 64 'u' in
+      ops.Kernel.Privops.write_cr3 ~root_pfn:task.Kernel.Task.root_pfn;
+      let copy i =
+        if i land 1 = 0 then
+          ops.Kernel.Privops.copy_from_user_into ~user_addr:addr ~buf ~off:0 ~len:64
+        else ops.Kernel.Privops.copy_to_user_from ~user_addr:addr ~buf ~off:0 ~len:64
+      in
+      for i = 1 to 16 do copy i done;
+      let usercopy =
+        zero_alloc ("law/privops-zero-alloc/" ^ label ^ "/usercopy") ~per:"crossing"
+          ~n:10_000 copy
+      in
+      (* The host I/O kick: a VMCALL through the tdcall privop. *)
+      let hlt = Tdx.Ghci.Vmcall Tdx.Ghci.Hlt in
+      let kick _ = ignore (ops.Kernel.Privops.tdcall hlt) in
+      for i = 1 to 16 do kick i done;
+      let tdcall =
+        zero_alloc ("law/privops-zero-alloc/" ^ label ^ "/tdcall") ~per:"crossing"
+          ~n:2_000 kick
+      in
+      [ pte; usercopy; tdcall ])
     (("native", Sim.Config.Native, None)
     :: List.map
          (fun k -> (Erebor.Isolation.kind_name k, Sim.Config.Erebor_full, Some k))
          Erebor.Isolation.[ Pks; Write_protect; Tme_mk ])
+  |> List.concat
+
+(* [law/step-zero-alloc/<setting>/<op>]: every op a Fig. 9 session step
+   repeats, on a drugbank session under each setting, with the sizes
+   [Workload.to_spec] gives them: [parallel] is one 10 ms step of every
+   thread (five timer ticks at drugbank's 500 Hz) with its 90 sync ops.
+   64 warm-up calls per op rotate the scheduler through every task and
+   fault the region's first pages in before the 500 measured ones. *)
+let step_zero_alloc () =
+  List.concat_map
+    (fun setting ->
+      let spec = (List.assoc "drugbank" Eval.all_programs) () in
+      let step_cycles = 21_000_000 * spec.Sim.Machine.threads in
+      let found = ref [] in
+      let body (ops : Sim.Machine.ops) =
+        let steps =
+          [
+            ("parallel", fun _ -> ops.Sim.Machine.parallel ~total:step_cycles ~sync_ops:90);
+            ("host_io", fun _ -> ops.Sim.Machine.host_io ~bytes:2048);
+            ("cold_fault", fun _ -> ops.Sim.Machine.cold_fault ());
+            ("pte_churn", fun _ -> ops.Sim.Machine.pte_churn ~n:1);
+            ("sync_op", fun i -> ops.Sim.Machine.sync_op ~contended:(i land 1 = 0));
+            ("service", fun _ -> ops.Sim.Machine.service ());
+          ]
+        in
+        List.iter
+          (fun (op, f) ->
+            for i = 1 to 64 do f i done;
+            found :=
+              zero_alloc
+                (Printf.sprintf "law/step-zero-alloc/%s/%s" (Sim.Config.name setting) op)
+                ~per:"call" ~n:500 f
+              :: !found)
+          steps
+      in
+      ignore (Sim.Machine.run_fresh ~setting { spec with Sim.Machine.body });
+      List.rev !found)
+    Sim.Config.all
 
 (* Every Fig. 9 synchronisation op draws one contention coin: the DRBG
    keeps its keyed ChaCha20 state across refills and its draws inline
@@ -1072,7 +1137,7 @@ let gates ~baseline ~jobs =
       fun ~smoke:_ ->
         transparent (fun obs -> List.iter (fun (_, attach) -> attach obs) sinks)
         @ [ emit_zero_alloc (); drbg_zero_alloc () ]
-        @ privops_zero_alloc () );
+        @ privops_zero_alloc () @ step_zero_alloc () );
     ("journal", journal_checks ~baseline);
     ("density", density_checks ~jobs);
     ("attrib", attrib_checks ~jobs);

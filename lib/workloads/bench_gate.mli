@@ -156,9 +156,12 @@ val gates :
 (** Every gate entry, in report order: [anchors] (vs the baseline at
     [baseline]; Fig. 9 rows too unless [smoke]), [law] ({!transparent}
     over all {!sinks}, plus [law/emit-zero-alloc]: 10k mixed emissions on
-    a fresh erebor machine's emitter allocate nothing, and
+    a fresh erebor machine's emitter allocate nothing,
     [drbg/zero-alloc]: 100k mixed warm [Crypto.Drbg] draws allocate
-    nothing), [journal] (replay, zero-alloc record path, self-diff and
+    nothing, [law/privops-zero-alloc/*]: warm PTE stores, user copies and
+    tdcalls natively and under each isolation backend allocate nothing,
+    and [law/step-zero-alloc/<setting>/<op>]: each op a Fig. 9 session
+    step repeats allocates nothing once warm, in every setting), [journal] (replay, zero-alloc record path, self-diff and
     seeded-regression diff, [--from-journal] rates), [density] (must-deny
     probes) and [attrib] (cycle conservation). [smoke] picks the quick
     cut @ci runs; [smoke:false] is full scale. [jobs] is the domain-pool width for machine fan-out. *)

@@ -564,7 +564,7 @@ let test_pt_probe_no_alloc () =
 
 let base_ctx =
   { Access.user_mode = false; wp = true; smep = true; smap = true; pks = true;
-    ac = false; pkrs = 0L }
+    ac = false; pkrs = 0 }
 
 let user_page = { Access.user = true; writable = true; nx = false; pkey = 0 }
 let kernel_page = { Access.user = false; writable = true; nx = false; pkey = 0 }
@@ -606,8 +606,8 @@ let test_access_wp () =
 
 let test_access_pks () =
   let protected_page = { kernel_page with Access.pkey = 3 } in
-  let pkrs_block = Pks.set_key ~pkrs:0L ~key:3 Pks.no_access in
-  let pkrs_ro = Pks.set_key ~pkrs:0L ~key:3 Pks.read_only in
+  let pkrs_block = Int64.to_int (Pks.set_key ~pkrs:0L ~key:3 Pks.no_access) in
+  let pkrs_ro = Int64.to_int (Pks.set_key ~pkrs:0L ~key:3 Pks.read_only) in
   check_denied "AD blocks read" { base_ctx with Access.pkrs = pkrs_block } Fault.Read
     protected_page is_pkey_pf;
   check_denied "WD blocks write" { base_ctx with Access.pkrs = pkrs_ro } Fault.Write
@@ -808,6 +808,78 @@ let test_cpu_tlb_fill_no_alloc () =
   done;
   let words = Gc.minor_words () -. w0 -. probe in
   Alcotest.(check int) "every access filled" 2000 (fills () - fills0);
+  Alcotest.(check (float 0.0)) "zero minor words" 0.0 words
+
+(* The cached access context is refreshed in place, so every change to one
+   of its inputs must reach the very next translate, from allow to deny and
+   back: the privilege mode, EFLAGS.AC under SMAP, a CR4.SMAP or CR4.PKS
+   write and a PKRS write. Each check re-reads a page the previous one
+   left in the translation memo. *)
+let test_cpu_ctx_never_stale () =
+  let cpu, _mem, map, _ = make_cpu () in
+  Cpu.set_cr_bit cpu ~reg:`Cr4 Cr.cr4_smap true;
+  Cpu.set_cr_bit cpu ~reg:`Cr0 Cr.cr0_wp true;
+  let upage = 0x1000 and kpage = 0x20_0000 in
+  map upage 300 { Pte.default_flags with user = true };
+  map kpage 301 { Pte.default_flags with pkey = 5 };
+  let sees name allowed va =
+    let got =
+      match Cpu.read_u8 cpu va with _ -> true | exception Fault.Fault _ -> false
+    in
+    Alcotest.(check bool) name allowed got
+  in
+  sees "supervisor reads a kernel page" true kpage;
+  cpu.Cpu.mode <- Cpu.User;
+  sees "user mode: kernel page denied" false kpage;
+  sees "user mode: user page allowed" true upage;
+  cpu.Cpu.mode <- Cpu.Supervisor;
+  sees "supervisor: SMAP denies the user page" false upage;
+  sees "supervisor: kernel page allowed again" true kpage;
+  Cpu.stac cpu;
+  sees "stac: user page allowed" true upage;
+  Cpu.clac cpu;
+  sees "clac: user page denied" false upage;
+  Cpu.set_cr_bit cpu ~reg:`Cr4 Cr.cr4_smap false;
+  sees "CR4.SMAP cleared: user page allowed" true upage;
+  Cpu.set_cr_bit cpu ~reg:`Cr4 Cr.cr4_smap true;
+  sees "CR4.SMAP set: user page denied" false upage;
+  Cpu.write_msr cpu Msr.ia32_pkrs (Pks.set_key ~pkrs:0L ~key:5 Pks.no_access);
+  sees "PKS off: key 5 not checked" true kpage;
+  Cpu.set_cr_bit cpu ~reg:`Cr4 Cr.cr4_pks true;
+  sees "CR4.PKS set: key 5 denied" false kpage;
+  Cpu.set_cr_bit cpu ~reg:`Cr4 Cr.cr4_pks false;
+  sees "CR4.PKS cleared: key 5 allowed" true kpage;
+  Cpu.set_cr_bit cpu ~reg:`Cr4 Cr.cr4_pks true;
+  sees "CR4.PKS set again: key 5 denied" false kpage;
+  Cpu.write_msr cpu Msr.ia32_pkrs 0L;
+  sees "PKRS opens key 5" true kpage;
+  Cpu.write_msr cpu Msr.ia32_pkrs (Pks.set_key ~pkrs:0L ~key:5 Pks.no_access);
+  sees "PKRS closes key 5" false kpage
+
+(* A user copy toggles AC twice: the context refresh behind each toggle
+   writes the cached record in place, so a warm translate right after one
+   allocates nothing. *)
+let test_cpu_ac_toggle_no_alloc () =
+  let cpu, _mem, map, _ = make_cpu () in
+  Cpu.set_cr_bit cpu ~reg:`Cr4 Cr.cr4_smap true;
+  map 0x1000 300 { Pte.default_flags with user = true };
+  map 0x20_0000 301 Pte.default_flags;
+  Cpu.stac cpu;
+  ignore (Cpu.translate cpu ~kind:Fault.Read 0x1000);
+  Cpu.clac cpu;
+  ignore (Cpu.translate cpu ~kind:Fault.Read 0x20_0000);
+  let probe =
+    let a = Gc.minor_words () in
+    Gc.minor_words () -. a
+  in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Cpu.stac cpu;
+    ignore (Cpu.translate cpu ~kind:Fault.Read 0x1000);
+    Cpu.clac cpu;
+    ignore (Cpu.translate cpu ~kind:Fault.Read 0x20_0000)
+  done;
+  let words = Gc.minor_words () -. w0 -. probe in
   Alcotest.(check (float 0.0)) "zero minor words" 0.0 words
 
 let test_cpu_scrub_regs () =
@@ -1598,6 +1670,10 @@ let () =
           Alcotest.test_case "hot path allocation-free" `Quick test_cpu_hot_path_no_alloc;
           Alcotest.test_case "tlb fill allocation-free" `Quick test_cpu_tlb_fill_no_alloc;
           Alcotest.test_case "scrub regs" `Quick test_cpu_scrub_regs;
+          Alcotest.test_case "access context never stale" `Quick
+            test_cpu_ctx_never_stale;
+          Alcotest.test_case "ac toggle allocation-free" `Quick
+            test_cpu_ac_toggle_no_alloc;
         ] );
       ( "cet",
         [

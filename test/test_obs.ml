@@ -1280,8 +1280,9 @@ let test_journal_snapshot_replay () =
 (* Journal replay is the only producer of Chrome-trace and flamegraph
    files, so it must reproduce them byte for byte: a live Chrome recorder
    and a live Attrib on the recorded emitter against fresh sinks fed by
-   [Journal.replay], wired the way `journal export` wires them. *)
-let test_journal_replay_reproduces_exports () =
+   [Journal.replay], wired the way `journal export` wires them. The live
+   emitter is finalized [tail] cycles after the machine's last event. *)
+let replay_exports ~tail =
   let path = journal_path "exports" in
   let obs = Obs.Emitter.create () in
   let w = Obs.Journal.Writer.create ~path () in
@@ -1294,7 +1295,7 @@ let test_journal_replay_reproduces_exports () =
       ~setting:Sim.Config.Erebor_full ()
   in
   ignore (Sim.Machine.run m (small_spec ~body:rich_body ()));
-  Obs.Emitter.finalize obs ~now:(Hw.Cycles.now (Sim.Machine.clock m));
+  Obs.Emitter.finalize obs ~now:(Hw.Cycles.now (Sim.Machine.clock m) + tail);
   let rchrome = Obs.Chrome.create () and ratt = Obs.Attrib.create () in
   let stream ~machine:_ =
     let em = Obs.Emitter.create () in
@@ -1307,6 +1308,11 @@ let test_journal_replay_reproduces_exports () =
   | Ok info ->
       Alcotest.(check bool) "journal finalized" true info.Obs.Journal.complete
   | Error e -> Alcotest.failf "replay: %s" e);
+  rm_journal path;
+  (chrome, att, rchrome, ratt)
+
+let test_journal_replay_reproduces_exports () =
+  let chrome, att, rchrome, ratt = replay_exports ~tail:0 in
   Alcotest.(check bool) "spans recorded" true (Obs.Attrib.breakdown att <> []);
   Alcotest.(check int) "same event count" (Obs.Chrome.length chrome)
     (Obs.Chrome.length rchrome);
@@ -1314,8 +1320,14 @@ let test_journal_replay_reproduces_exports () =
     (Obs.Chrome.to_chrome_json chrome)
     (Obs.Chrome.to_chrome_json rchrome);
   Alcotest.(check string) "collapsed stacks byte-equal"
-    (Obs.Flame.collapsed att) (Obs.Flame.collapsed ratt);
-  rm_journal path
+    (Obs.Flame.collapsed att) (Obs.Flame.collapsed ratt)
+
+(* A live close later than the last event charges the tail to the root;
+   the replay closes at the END frame's time, so it charges the same. *)
+let test_journal_replay_close_time () =
+  let _, att, _, ratt = replay_exports ~tail:1_000 in
+  Alcotest.(check string) "collapsed stacks byte-equal"
+    (Obs.Flame.collapsed att) (Obs.Flame.collapsed ratt)
 
 (* A small hand-built single-stream scenario shared by the three offline
    engines: boot span, then one request whose window covers a Run span
@@ -1939,6 +1951,8 @@ let () =
             test_journal_critical_interleaved;
           Alcotest.test_case "replay reproduces chrome + flame exports" `Quick
             test_journal_replay_reproduces_exports;
+          Alcotest.test_case "replay closes at the live close time" `Quick
+            test_journal_replay_close_time;
         ] );
       ( "sketch",
         [

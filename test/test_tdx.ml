@@ -201,7 +201,7 @@ let test_tdcall_vmcall_alloc () =
     true (words <= 3.0);
   Alcotest.(check bool) "host saw scrubbed regs" true !scrubbed;
   Alcotest.(check (array int64)) "guest regs restored" guest cpu.Hw.Cpu.regs;
-  Alcotest.(check int) "every exit logged" (n + 1) (List.length (Vmm.Host.vmcall_log host))
+  Alcotest.(check int) "every exit logged" (n + 1) (Vmm.Host.vmcall_count host)
 
 (* Synchronous exits do not nest: a handler that re-enters the TDX module
    trips the save area's assertion, and the outer exit still hands the
@@ -298,7 +298,7 @@ let test_host_cpuid_and_log () =
   ignore (Vmm.Host.handler host (Tdx.Ghci.Io_write { port = 80; data = Bytes.of_string "leaked-bytes" }));
   Alcotest.(check bool) "observed" true (Vmm.Host.observed_contains host "leaked-bytes");
   Alcotest.(check bool) "not observed" false (Vmm.Host.observed_contains host "absent");
-  Alcotest.(check int) "vmcall log" 3 (List.length (Vmm.Host.vmcall_log host))
+  Alcotest.(check int) "vmcall log" 3 (Vmm.Host.vmcall_count host)
 
 let test_host_interrupt_queue () =
   let host = Vmm.Host.create () in
