@@ -14,15 +14,22 @@
 #
 # 1. Each side's tree is exported with `git archive` into _perf/ab/<tree>/
 #    and built there once (later calls reuse the build).
-# 2. Allocation ledger: `bench all --jobs 1` in each checkout, then
+# 2. Code layout: where a few hot units' code starts in each side's
+#    perf/main.exe, as an offset past caml_startup's. A unit whose code
+#    moved can move a time row with no change to its own code, so each
+#    move is flagged with its distance mod 64 (the cache-line phase).
+#    Offsets are relative because a change linked ahead of caml_startup
+#    shifts every unit by the same page-sized step without moving any of
+#    them against each other.
+# 3. Allocation ledger: `bench all --jobs 1` in each checkout, then
 #    `bench/main.exe ledger-diff` of this checkout judges B's per-target
 #    words against A's with the rule `bench check --full` applies to the
 #    committed ledger. The ledger is exact, so one run per side settles
 #    it. Both records need schema erebor-bench-sim/2 (per-target words).
-# 3. Per workload, N alternating pairs of `sh perf/run.sh --workload W
+# 4. Per workload, N alternating pairs of `sh perf/run.sh --workload W
 #    --seed i --trace 0`: pair i uses seed i for both sides, A first on odd
 #    pairs and B first on even ones.
-# 4. Per workload, one table row per end-to-end metric: the median over
+# 5. Per workload, one table row per end-to-end metric: the median over
 #    the N runs of each side, the delta, B's wins (strictly lower; every
 #    end-to-end metric is lower-is-better), A's quartile distance, and
 #    `perf/main.exe compare`'s verdict on the two medians with the spread
@@ -103,6 +110,37 @@ fi
 echo "A = $rev_a (tree $tree_a)"
 echo "B = $rev_b (tree $tree_b)"
 echo "workloads" $workloads", $pairs pairs each"
+echo
+
+# -- Code layout ------------------------------------------------------------
+
+layout_units="camlSim__Machine camlErebor__Monitor camlHw__Cpu camlCrypto__Bignum camlCrypto__Chacha20"
+
+# Bytes from caml_startup's code to unit $2's in tree $1's perf/main.exe;
+# empty when the unit is not linked.
+code_offset() {
+  nm "$out/$1/_build/default/perf/main.exe" | awk -v u="$2" '
+    $3 == "caml_startup.code_begin" { base = $1 }
+    $3 == u ".code_begin" { at = $1 }
+    END { if (base != "" && at != "") print base, at }
+  ' | { read -r base at && echo $((0x$at - 0x$base)); } || true
+}
+
+echo "code layout (perf/main.exe, bytes past caml_startup.code_begin)"
+printf "%-22s %10s %10s  %s\n" unit A B move
+for u in $layout_units; do
+  a=$(code_offset "$tree_a" "$u")
+  b=$(code_offset "$tree_b" "$u")
+  if [ -z "$a" ] || [ -z "$b" ]; then
+    move="not linked on one side"
+  elif [ "$a" -eq "$b" ]; then
+    move=-
+  else
+    d=$((b - a))
+    move="MOVED $d bytes, $(((d % 64 + 64) % 64)) mod 64"
+  fi
+  printf "%-22s %10s %10s  %s\n" "$u" "${a:--}" "${b:--}" "$move"
+done
 echo
 
 # -- Allocation ledger ------------------------------------------------------

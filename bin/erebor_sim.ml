@@ -328,39 +328,24 @@ let selfcheck_cmd =
     (fun _ ->
       (* An operator-facing rendition of §8's security analysis: build a
          fresh stack, throw the attack battery, report per-claim verdicts. *)
-      let hw_key = Crypto.Sha256.digest_string "selfcheck key" in
-      let mem = Hw.Phys_mem.create ~frames:32768 in
-      let clock = Hw.Cycles.clock () in
-      let cpu = Hw.Cpu.create ~id:0 ~mem ~clock ~timer_period:2_000_000 () in
-      let td = Tdx.Td_module.create ~mem ~clock ~hw_key in
-      let host = Vmm.Host.create () in
-      Tdx.Td_module.set_vmm td (Vmm.Host.handler host);
-      let monitor =
-        Erebor.Monitor.install ~cpu ~mem ~td ~firmware:(Bytes.of_string "OVMF")
-          ~monitor_frames:32 ~device_shared_frames:32 ()
+      let obs = Obs.Emitter.create () in
+      Obs.Emitter.set_audit obs (Some (Obs.Audit.create ~key:audit_key));
+      let attrib = Obs.Attrib.attach obs (Obs.Attrib.create ()) in
+      let st =
+        Sim.Machine.create ~obs ~frames:32768 ~cma_frames:8192
+          ~setting:Sim.Config.Erebor_full ()
       in
-      let benign =
-        { Hw.Image.entry = 0x1000;
-          sections =
-            [ { Hw.Image.name = ".text"; vaddr = 0x1000; executable = true;
-                writable = false;
-                data = Hw.Isa.assemble [ Hw.Isa.Endbr; Hw.Isa.Ret ] } ] }
-      in
-      let kern =
-        match
-          Erebor.Monitor.boot_kernel monitor ~kernel_image:benign
-            ~reserved_frames:128 ~cma_frames:8192
-        with
-        | Ok k -> k
-        | Error e -> failwith e
-      in
-      let mgr = Erebor.Sandbox.create_manager ~monitor ~kern in
-      let failures = ref 0 in
+      let monitor = Option.get (Sim.Machine.monitor st) in
+      let mgr = Option.get (Sim.Machine.manager st) in
+      let kern = Sim.Machine.kern st and cpu = Sim.Machine.cpu st in
+      let failures = ref 0 and violations = ref 0 in
       let claim name expect_blocked f =
         let blocked =
           match f () with
           | _ -> false
-          | exception Erebor.Monitor.Policy_violation _ -> true
+          | exception Erebor.Monitor.Policy_violation _ ->
+              incr violations;
+              true
           | exception Hw.Fault.Fault _ -> true
         in
         let ok = blocked = expect_blocked in
@@ -369,8 +354,8 @@ let selfcheck_cmd =
       in
       print_endline "C1: verified boot";
       let evil =
-        { benign with
-          Hw.Image.sections =
+        { Hw.Image.entry = 0x1000;
+          sections =
             [ { Hw.Image.name = ".text"; vaddr = 0x1000; executable = true;
                 writable = false; data = Hw.Isa.assemble [ Hw.Isa.Wrmsr ] } ] }
       in
@@ -378,8 +363,9 @@ let selfcheck_cmd =
          Erebor.Monitor.boot_kernel monitor ~kernel_image:evil
            ~reserved_frames:128 ~cma_frames:64
        with
-      | Error _ -> print_endline "  [PASS] kernel with sensitive instructions refused"
-      | Ok _ ->
+      | Error e when String.starts_with ~prefix:"kernel image rejected" e ->
+          print_endline "  [PASS] kernel with sensitive instructions refused"
+      | Error _ | Ok _ ->
           incr failures;
           print_endline "  [FAIL] kernel with sensitive instructions booted");
       print_endline "C2-C4: privileged-mode enforcement";
@@ -429,6 +415,13 @@ let selfcheck_cmd =
       | _ ->
           incr failures;
           print_endline "  [FAIL] post-data syscall allowed");
+      (* After the battery, the monitor must still keep every invariant;
+         a broken one is a failure of its own. *)
+      List.iter
+        (fun v ->
+          incr failures;
+          Fmt.pr "  [FAIL] invariant: %a@." Erebor.Invariant.pp_violation v)
+        (Erebor.Invariant.check ~audit_key ~violations:!violations ~attrib monitor);
       Printf.printf "\nself-check %s (%d failure(s))\n"
         (if !failures = 0 then "PASSED" else "FAILED")
         !failures;

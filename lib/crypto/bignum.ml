@@ -23,8 +23,6 @@ let of_int n =
   let rec limbs n = if n = 0 then [] else (n land mask) :: limbs (n lsr bits) in
   Array.of_list (limbs n)
 
-let is_zero a = Array.length a = 0
-
 let compare a b =
   let la = Array.length a and lb = Array.length b in
   if la <> lb then Stdlib.compare la lb
@@ -32,8 +30,6 @@ let compare a b =
     let rec go i = if i < 0 then 0 else if a.(i) <> b.(i) then Stdlib.compare a.(i) b.(i) else go (i - 1) in
     go (la - 1)
   end
-
-let equal a b = compare a b = 0
 
 let add a b =
   let la = Array.length a and lb = Array.length b in
@@ -101,84 +97,6 @@ let test_bit a i =
 let double_mod a m =
   let d = add a a in
   if compare d m >= 0 then sub d m else d
-
-let mod_ a m =
-  if is_zero m then invalid_arg "Bignum.mod_: zero modulus";
-  if compare a m < 0 then a
-  else begin
-    (* Binary long division: fold the bits of [a] into a running remainder. *)
-    let r = ref zero in
-    for i = bit_length a - 1 downto 0 do
-      r := double_mod !r m;
-      if test_bit a i then begin
-        let r' = add !r one in
-        r := if compare r' m >= 0 then sub r' m else r'
-      end
-    done;
-    !r
-  end
-
-let divmod a b =
-  if is_zero b then invalid_arg "Bignum.divmod: zero divisor";
-  if compare a b < 0 then (zero, a)
-  else begin
-    (* Binary long division, accumulating quotient bits. *)
-    let n = bit_length a in
-    let q = Array.make ((n / bits) + 1) 0 in
-    let r = ref zero in
-    for i = n - 1 downto 0 do
-      r := add !r !r;
-      if test_bit a i then r := add !r one;
-      if compare !r b >= 0 then begin
-        r := sub !r b;
-        q.(i / bits) <- q.(i / bits) lor (1 lsl (i mod bits))
-      end
-    done;
-    (normalize q, !r)
-  end
-
-let is_even a = not (test_bit a 0)
-
-let shift_right_one a =
-  let n = Array.length a in
-  if n = 0 then zero
-  else begin
-    let out = Array.make n 0 in
-    for i = 0 to n - 1 do
-      let low_of_next = if i + 1 < n then (a.(i + 1) land 1) lsl (bits - 1) else 0 in
-      out.(i) <- (a.(i) lsr 1) lor low_of_next
-    done;
-    normalize out
-  end
-
-(* Iterative extended Euclid. Coefficients of [a] are tracked as
-   (negative?, magnitude) pairs over naturals: t_i * a = r_i (mod m). *)
-let invmod a m =
-  if is_zero m then None
-  else begin
-    let a = mod_ a m in
-    if is_zero a then None
-    else begin
-      let rec go r0 r1 (s0, t0) (s1, t1) =
-        if is_zero r1 then
-          if equal r0 one then
-            let v = mod_ t0 m in
-            Some (if s0 && not (is_zero v) then sub m v else v)
-          else None
-        else begin
-          let q, rem = divmod r0 r1 in
-          let qt = mul q t1 in
-          let s2, t2 =
-            if s0 = s1 then
-              if compare t0 qt >= 0 then (s0, sub t0 qt) else (not s0, sub qt t0)
-            else (s0, add t0 qt)
-          in
-          go r1 rem (s1, t1) (s2, t2)
-        end
-      in
-      go m a (false, zero) (false, one)
-    end
-  end
 
 let of_hex s =
   let acc = ref zero in

@@ -22,8 +22,6 @@ val to_bytes : ?len:int -> t -> bytes
     [Invalid_argument] if the value does not fit in [len] bytes. *)
 
 val compare : t -> t -> int
-val equal : t -> t -> bool
-val is_zero : t -> bool
 
 val add : t -> t -> t
 
@@ -34,21 +32,6 @@ val mul : t -> t -> t
 
 val bit_length : t -> int
 (** Position of the highest set bit; 0 for zero. *)
-
-val mod_ : t -> t -> t
-(** [mod_ a m] is [a mod m], computed by shift-and-subtract; adequate for the
-    occasional reduction outside the Montgomery fast path. *)
-
-val divmod : t -> t -> t * t
-(** [divmod a b] is (quotient, remainder); binary long division. Raises
-    [Invalid_argument] on a zero divisor. *)
-
-val invmod : t -> t -> t option
-(** [invmod a m] is the inverse of [a] modulo [m], when gcd(a, m) = 1. *)
-
-val is_even : t -> bool
-
-val shift_right_one : t -> t
 
 module Mont : sig
   type ctx

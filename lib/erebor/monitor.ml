@@ -46,6 +46,10 @@ type t = {
 
 let gate t = t.gate
 let guard t = t.guard
+let cpu t = t.cpu
+let mem t = t.mem
+let td t = t.td
+let monitor_frames t = t.monitor_frames
 let backend t = t.backend
 let kernel t = t.kernel
 let obs t = t.cpu.Hw.Cpu.obs
@@ -449,7 +453,15 @@ let boot_kernel t ~kernel_image ~reserved_frames ~cma_frames =
       audit t ~category:"scan" Obs.Audit.Allow (fun () ->
           Printf.sprintf "kernel image accepted: %d sections"
             (List.length kernel_image.Hw.Image.sections));
-      if reserved_frames < t.monitor_first + t.monitor_frames + t.shared_frames then
+      if Option.is_some t.kernel then begin
+        (* A second kernel would reuse the live one's root frames and
+           replace it under every sandbox; the refusal comes after the scan
+           so a planted instruction is still reported as the scanner's. *)
+        let msg = "boot_kernel: a kernel is already booted" in
+        audit t ~category:"boot" Obs.Audit.Deny (fun () -> msg);
+        Error msg
+      end
+      else if reserved_frames < t.monitor_first + t.monitor_frames + t.shared_frames then
         Error "reserved_frames too small for monitor + device region"
       else begin
         (* Load the verified image into monitor-reserved memory and extend a

@@ -36,6 +36,13 @@ val install :
 
 val gate : t -> Gate.t
 val guard : t -> Mmu_guard.t
+val cpu : t -> Hw.Cpu.t
+val mem : t -> Hw.Phys_mem.t
+val td : t -> Tdx.Td_module.t
+
+val monitor_frames : t -> int
+(** Monitor memory is frames [0, monitor_frames). *)
+
 val backend : t -> Isolation.t
 (** The isolation backend instantiated at {!install}. *)
 
@@ -47,7 +54,9 @@ val boot_kernel :
 (** Stage-two boot: byte-scan the image's executable sections (§5.1); on
     success, load the image, boot the kernel over the EMC privops table,
     register its master root, classify kernel text, and write-protect the
-    monitor's and PTPs' direct-map views. *)
+    monitor's and PTPs' direct-map views. A monitor boots one kernel: a
+    second image that passes the scan is refused with [Error], audited as
+    a ["boot"] Deny, and the live kernel stays. *)
 
 (** {2 Monitor-internal privileged services} *)
 

@@ -164,6 +164,24 @@ let to_string t =
     (records t);
   Buffer.contents buf
 
+(* The chain as it stands, re-walked under [key]: each record's MAC is
+   recomputed as [verify_string] does, without asking a live chain for
+   the close record it has not written yet. *)
+let verify_chain ~key t =
+  let rec go chain = function
+    | [] -> Ok (length t)
+    | r :: rest ->
+        let mac =
+          Crypto.Hmac.mac_string ~key
+            (Bytes.to_string chain
+            ^ body ~seq:r.seq ~ts:r.ts ~category:r.category ~verdict:r.verdict
+                ~detail:r.detail)
+        in
+        if Crypto.Sha256.hex mac = r.mac then go mac rest
+        else Error (Printf.sprintf "record %d: MAC mismatch" r.seq)
+  in
+  go (Crypto.Hmac.mac_string ~key chain_label) (records t)
+
 (* --- Offline verifier ------------------------------------------------- *)
 
 (* Minimal field extraction for the exact JSONL shape [record_line] writes.

@@ -53,6 +53,11 @@ val escape_json : string -> string
 (** JSON string-body escaping (quote, backslash, control characters): the
     library's one escaper, used by every JSON exporter. *)
 
+val verify_chain : key:bytes -> t -> (int, string) result
+(** [verify_chain ~key t] re-walks a live chain's MACs under [key], as
+    {!verify_string} does, but does not ask for the close record. [Ok n] is
+    {!length}; [Error msg] names the first record whose MAC fails. *)
+
 val verify_string : key:bytes -> string -> (int, string) result
 (** [verify_string ~key s] re-walks the chain over a {!to_string} rendering.
     [Ok n] is the number of decision records in an intact, finalized chain;

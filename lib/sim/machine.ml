@@ -49,7 +49,12 @@ type t = {
 
 let kern t = t.kern
 let manager t = t.mgr
+let monitor t = t.monitor
 let clock t = t.clock
+let cpu t = t.cpu
+let mem t = t.mem
+let td t = t.td
+let host t = t.host
 let obs t = t.cpu.Hw.Cpu.obs
 let counters t = t.counters
 

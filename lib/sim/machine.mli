@@ -28,9 +28,21 @@ val create :
     [?backend] picks the monitor's isolation backend (default [Pks], the
     calibrated configuration); it only matters for settings with a monitor. *)
 
+val hw_key : bytes
+(** The platform's fused key: the TDX module MACs reports with it, and a
+    channel client checks them with it (the stand-in for quote-verification
+    collateral). Every machine shares it. *)
+
 val kern : t -> Kernel.t
 val manager : t -> Erebor.Sandbox.manager option
+val monitor : t -> Erebor.Monitor.t option
+(** [None] under [Native], the one setting without a monitor. *)
+
 val clock : t -> Hw.Cycles.clock
+val cpu : t -> Hw.Cpu.t
+val mem : t -> Hw.Phys_mem.t
+val td : t -> Tdx.Td_module.t
+val host : t -> Vmm.Host.t
 
 val obs : t -> Obs.Emitter.t
 (** The machine's event emitter (the one carried by its CPU). *)

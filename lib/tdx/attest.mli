@@ -38,9 +38,6 @@ val generate : measurements -> hw_key:bytes -> report_data:bytes -> report
 val verify : hw_key:bytes -> report -> bool
 (** Check the MAC (the verifier side of quote verification). *)
 
-val serialize_body : report -> bytes
-(** The MACed byte string, exposed for tests. *)
-
 val fingerprint : report -> string
 (** Short log-friendly identity (["mrtd=<8 hex> mac=<8 hex>"]) for audit
     records and debug output. *)

@@ -1,74 +1,51 @@
 (* Security-claim tests (C1–C8, §8 of the paper) plus unit tests for the
    Erebor monitor, MMU guard, gates, sandboxes and the secure channel. *)
 
-let hw_key = Crypto.Sha256.digest_string "fused hardware key"
-let firmware = Bytes.of_string "OVMF-firmware-blob"
+module M = Sim.Machine
 
-let benign_kernel_image =
+(* A one-section kernel image, for the scanner's cases. *)
+let text_image ?(extra = []) instrs =
   {
     Hw.Image.entry = 0x1000;
     sections =
-      [
-        { Hw.Image.name = ".text"; vaddr = 0x1000; executable = true; writable = false;
-          data =
-            Hw.Isa.assemble
-              [ Hw.Isa.Endbr; Hw.Isa.Mov_imm (Hw.Isa.R0, 1); Hw.Isa.Call 2;
-                Hw.Isa.Syscall; Hw.Isa.Cpuid; Hw.Isa.Clac; Hw.Isa.Ret ] };
-        { Hw.Image.name = ".data"; vaddr = 0x8000; executable = false; writable = true;
-          data = Bytes.make 64 'd' };
-      ];
+      { Hw.Image.name = ".text"; vaddr = 0x1000; executable = true; writable = false;
+        data = Hw.Isa.assemble instrs }
+      :: extra;
   }
 
-type stack = {
-  mem : Hw.Phys_mem.t;
-  cpu : Hw.Cpu.t;
-  td : Tdx.Td_module.t;
-  host : Vmm.Host.t;
-  monitor : Erebor.Monitor.t;
-  kern : Kernel.t;
-}
+(* Every machine a security-claim case builds, each with a cycle
+   attribution sink attached before boot, so [claim] can check the
+   monitor's invariants on all of them at the end of the case. *)
+let built = ref []
 
-(* Every monitor a security-claim case installs, so [claim] can check at
-   the end of the case that no step of it changed the gate code. *)
-let installed = ref []
-
-let install_monitor ?backend ~cpu ~mem ~td () =
-  let monitor =
-    Erebor.Monitor.install ?backend ~cpu ~mem ~td ~firmware ~monitor_frames:32
-      ~device_shared_frames:32 ()
+let machine ?backend () =
+  let obs = Obs.Emitter.create () in
+  let attrib = Obs.Attrib.attach obs (Obs.Attrib.create ()) in
+  let st =
+    M.create ~obs ?backend ~frames:16384 ~cma_frames:4096
+      ~setting:Sim.Config.Erebor_full ()
   in
-  installed := monitor :: !installed;
-  monitor
+  built := (st, attrib) :: !built;
+  st
 
-let assert_gate_intact monitor =
-  Alcotest.(check bool) "gate code equals the measured listing" true
-    (Erebor.Monitor.gate_intact monitor)
+let monitor st = Option.get (M.monitor st)
+let manager st = Option.get (M.manager st)
 
-(* A C1–C8 case: whatever the case does as the adversary, the gate bytes in
-   every monitor it installed still match the measurement afterwards. *)
+let pp_violations = Fmt.(list ~sep:semi Erebor.Invariant.pp_violation)
+
+(* A C1–C8 case: whatever the case does as the adversary, every machine it
+   built still keeps every monitor invariant afterwards. *)
 let claim name f =
   Alcotest.test_case name `Quick (fun () ->
-      installed := [];
+      built := [];
       f ();
-      List.iter assert_gate_intact !installed;
-      installed := [])
-
-let make_stack ?backend ?(frames = 16384) ?(cma_frames = 4096) () =
-  let mem = Hw.Phys_mem.create ~frames in
-  let clock = Hw.Cycles.clock () in
-  let cpu = Hw.Cpu.create ~id:0 ~mem ~clock ~timer_period:200_000 () in
-  let td = Tdx.Td_module.create ~mem ~clock ~hw_key in
-  let host = Vmm.Host.create () in
-  Tdx.Td_module.set_vmm td (Vmm.Host.handler host);
-  let monitor = install_monitor ?backend ~cpu ~mem ~td () in
-  match
-    Erebor.Monitor.boot_kernel monitor ~kernel_image:benign_kernel_image
-      ~reserved_frames:128 ~cma_frames
-  with
-  | Ok kern -> { mem; cpu; td; host; monitor; kern }
-  | Error e -> failwith e
-
-let make_manager st = Erebor.Sandbox.create_manager ~monitor:st.monitor ~kern:st.kern
+      List.iter
+        (fun (st, attrib) ->
+          match Erebor.Invariant.check ~audit_key:M.hw_key ~attrib (monitor st) with
+          | [] -> ()
+          | vs -> Alcotest.failf "invariants broken: %a" pp_violations vs)
+        !built;
+      built := [])
 
 let expect_violation name f =
   match f () with
@@ -120,62 +97,69 @@ let test_policy_inventory () =
 (* ------------------------------------------------------------------ *)
 
 let test_boot_accepts_benign () =
-  let st = make_stack () in
-  Alcotest.(check bool) "kernel booted" true (Erebor.Monitor.kernel st.monitor <> None);
-  Alcotest.(check bool) "pks enabled" true (Hw.Cr.pks st.cpu.Hw.Cpu.cr);
-  Alcotest.(check bool) "cet enabled" true (Hw.Cr.cet st.cpu.Hw.Cpu.cr);
+  let st = machine () in
+  Alcotest.(check bool) "kernel booted" true (Erebor.Monitor.kernel (monitor st) <> None);
+  Alcotest.(check bool) "pks enabled" true (Hw.Cr.pks (M.cpu st).Hw.Cpu.cr);
+  Alcotest.(check bool) "cet enabled" true (Hw.Cr.cet (M.cpu st).Hw.Cpu.cr);
   Alcotest.(check int64) "normal pkrs loaded" Erebor.Policy.normal_mode_pkrs
-    (Hw.Msr.read st.cpu.Hw.Cpu.msr Hw.Msr.ia32_pkrs)
+    (Hw.Msr.read (M.cpu st).Hw.Cpu.msr Hw.Msr.ia32_pkrs)
 
 let test_boot_rejects_sensitive () =
   (* Plant each sensitive instruction in .text; every variant must be
-     refused (C1). *)
+     refused by the scanner (C1), before the monitor looks at anything
+     else. *)
+  let m = monitor (machine ()) in
   List.iter
     (fun instr ->
-      let image =
-        {
-          benign_kernel_image with
-          Hw.Image.sections =
-            [
-              { Hw.Image.name = ".text"; vaddr = 0x1000; executable = true;
-                writable = false;
-                data = Hw.Isa.assemble [ Hw.Isa.Endbr; instr; Hw.Isa.Ret ] };
-            ];
-        }
-      in
-      let mem = Hw.Phys_mem.create ~frames:16384 in
-      let clock = Hw.Cycles.clock () in
-      let cpu = Hw.Cpu.create ~id:0 ~mem ~clock ~timer_period:200_000 () in
-      let td = Tdx.Td_module.create ~mem ~clock ~hw_key in
-      let monitor = install_monitor ~cpu ~mem ~td () in
       match
-        Erebor.Monitor.boot_kernel monitor ~kernel_image:image ~reserved_frames:128
-          ~cma_frames:1024
+        Erebor.Monitor.boot_kernel m
+          ~kernel_image:(text_image [ Hw.Isa.Endbr; instr; Hw.Isa.Ret ])
+          ~reserved_frames:128 ~cma_frames:1024
       with
-      | Error _ -> ()
+      | Error e when String.starts_with ~prefix:"kernel image rejected" e -> ()
+      | Error e -> Alcotest.failf "%a refused, but not by the scan: %s" Hw.Isa.pp_instr instr e
       | Ok _ -> Alcotest.failf "booted a kernel containing %a" Hw.Isa.pp_instr instr)
     [ Hw.Isa.Mov_cr (3, Hw.Isa.R0); Hw.Isa.Wrmsr; Hw.Isa.Stac; Hw.Isa.Lidt; Hw.Isa.Tdcall ]
+
+(* A monitor boots one kernel. A second image that passes the scan would
+   reuse the live kernel's root frames and replace it under every sandbox;
+   it is refused and audited, and the live kernel stays. *)
+let test_boot_second_kernel_refused () =
+  let st = machine () in
+  let audit = Obs.Audit.create ~key:M.hw_key in
+  Obs.Emitter.set_audit (M.obs st) (Some audit);
+  let live = M.kern st in
+  (match
+     Erebor.Monitor.boot_kernel (monitor st) ~kernel_image:(text_image [ Hw.Isa.Endbr; Hw.Isa.Ret ])
+       ~reserved_frames:256 ~cma_frames:1024
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a second kernel booted");
+  Alcotest.(check bool) "live kernel kept" true
+    (Option.get (Erebor.Monitor.kernel (monitor st)) == live);
+  Alcotest.(check int) "refusal audited" 1
+    (List.length
+       (List.filter
+          (fun r -> r.Obs.Audit.category = "boot" && r.Obs.Audit.verdict = Obs.Audit.Deny)
+          (Obs.Audit.records audit)))
 
 let test_boot_data_section_not_scanned () =
   (* Non-executable sections may contain arbitrary bytes. *)
   let image =
-    {
-      benign_kernel_image with
-      Hw.Image.sections =
-        benign_kernel_image.Hw.Image.sections
-        @ [
-            { Hw.Image.name = ".rodata"; vaddr = 0x20000; executable = false;
-              writable = false; data = Bytes.make 16 '\xc5' (* tdcall bytes *) };
-          ];
-    }
+    text_image [ Hw.Isa.Endbr; Hw.Isa.Ret ]
+      ~extra:
+        [
+          { Hw.Image.name = ".rodata"; vaddr = 0x20000; executable = false;
+            writable = false; data = Bytes.make 16 '\xc5' (* tdcall bytes *) };
+        ]
   in
   Alcotest.(check bool) "data bytes tolerated" true
     (Erebor.Scan.verify_image image = Ok ())
 
 let test_boot_measurement_deterministic () =
-  let a = make_stack () and b = make_stack () in
-  let ra = Erebor.Monitor.tdreport a.monitor ~report_data:Bytes.empty in
-  let rb = Erebor.Monitor.tdreport b.monitor ~report_data:Bytes.empty in
+  let a = machine () and b = machine () in
+  let ra = Erebor.Monitor.tdreport (monitor a) ~report_data:Bytes.empty in
+  let rb = Erebor.Monitor.tdreport (monitor b) ~report_data:Bytes.empty in
   Alcotest.(check bytes) "same boot, same MRTD" ra.Tdx.Attest.mrtd rb.Tdx.Attest.mrtd
 
 let test_dynamic_code_verification () =
@@ -194,8 +178,8 @@ let test_dynamic_code_verification () =
 (* IBT guards the gate under every isolation backend: a jump past the
    entry's endbr64 raises #CP, the entry itself runs. *)
 let test_gate_rogue_entry backend () =
-  let st = make_stack ~backend () in
-  let gate = Erebor.Monitor.gate st.monitor in
+  let st = machine ~backend () in
+  let gate = Erebor.Monitor.gate (monitor st) in
   expect_fault "mid-gate jump" (fun () ->
       Erebor.Gate.enter gate ~target:(Erebor.Gate.entry_point gate + 4) (fun () -> ()))
     is_cp;
@@ -204,9 +188,9 @@ let test_gate_rogue_entry backend () =
     (Erebor.Gate.enter gate ~target:(Erebor.Gate.entry_point gate) (fun () -> 42))
 
 let test_gate_pkrs_switching () =
-  let st = make_stack () in
-  let gate = Erebor.Monitor.gate st.monitor in
-  let msr = st.cpu.Hw.Cpu.msr in
+  let st = machine () in
+  let gate = Erebor.Monitor.gate (monitor st) in
+  let msr = (M.cpu st).Hw.Cpu.msr in
   let inside = ref (-1L) in
   Erebor.Gate.call gate (fun () -> inside := Hw.Msr.read msr Hw.Msr.ia32_pkrs);
   Alcotest.(check int64) "granted inside" Erebor.Policy.monitor_mode_pkrs !inside;
@@ -214,25 +198,25 @@ let test_gate_pkrs_switching () =
     (Hw.Msr.read msr Hw.Msr.ia32_pkrs)
 
 let test_gate_pkrs_restored_on_exception () =
-  let st = make_stack () in
-  let gate = Erebor.Monitor.gate st.monitor in
+  let st = machine () in
+  let gate = Erebor.Monitor.gate (monitor st) in
   (try Erebor.Gate.call gate (fun () -> failwith "service blew up")
    with Failure _ -> ());
   Alcotest.(check int64) "revoked after exception" Erebor.Policy.normal_mode_pkrs
-    (Hw.Msr.read st.cpu.Hw.Cpu.msr Hw.Msr.ia32_pkrs)
+    (Hw.Msr.read (M.cpu st).Hw.Cpu.msr Hw.Msr.ia32_pkrs)
 
 (* An IPI lands mid-EMC: the #INT gate must revoke the backend's grant
    around the OS handler and restore it afterwards — also when the handler
    raises, in which case the secure stack is popped and the exception still
    reaches the interrupted service. *)
 let test_gate_interrupt_revokes backend () =
-  let st = make_stack ~backend () in
-  let gate = Erebor.Monitor.gate st.monitor in
+  let st = machine ~backend () in
+  let gate = Erebor.Monitor.gate (monitor st) in
   let iso = Erebor.Gate.backend gate in
   let grant () = Erebor.Isolation.read_grant iso in
   let granted = Erebor.Isolation.granted_value iso
   and revoked = Erebor.Isolation.revoked_value iso in
-  let msr = st.cpu.Hw.Cpu.msr in
+  let msr = (M.cpu st).Hw.Cpu.msr in
   let pkrs () = Hw.Msr.read msr Hw.Msr.ia32_pkrs in
   let during_irq = ref (-1) and after_irq = ref (-1) in
   let pkrs_during = ref (-1L) and pkrs_after = ref (-1L) in
@@ -273,19 +257,20 @@ let test_gate_interrupt_revokes backend () =
     (Erebor.Gate.interrupted_count gate)
 
 let test_gate_emc_cost () =
-  let st = make_stack () in
-  let gate = Erebor.Monitor.gate st.monitor in
-  let t0 = Hw.Cycles.now st.kern.Kernel.clock in
+  let st = machine () in
+  let kern = M.kern st in
+  let gate = Erebor.Monitor.gate (monitor st) in
+  let t0 = Hw.Cycles.now kern.Kernel.clock in
   Erebor.Gate.call gate (fun () -> ());
   Alcotest.(check int) "empty EMC costs 1224" Hw.Cycles.Cost.emc_roundtrip
-    (Hw.Cycles.now st.kern.Kernel.clock - t0)
+    (Hw.Cycles.now kern.Kernel.clock - t0)
 
 (* Warm round trips through each gate entry allocate nothing under every
    backend: the service bodies are static and the operands cross as
    arguments, so any word counted here is the gate's own. *)
 let test_gate_round_trips_zero_alloc backend () =
-  let st = make_stack ~backend () in
-  let gate = Erebor.Monitor.gate st.monitor in
+  let st = machine ~backend () in
+  let gate = Erebor.Monitor.gate (monitor st) in
   let trips () =
     for i = 1 to 10_000 do
       Erebor.Gate.call gate ignore;
@@ -310,25 +295,24 @@ let test_gate_round_trips_zero_alloc backend () =
 (* ------------------------------------------------------------------ *)
 
 let gate_code_in_memory st =
-  let gate = Erebor.Monitor.gate st.monitor in
-  Hw.Phys_mem.read_bytes st.mem 0x1000 (Bytes.length (Erebor.Gate.code_bytes gate))
+  let gate = Erebor.Monitor.gate (monitor st) in
+  Hw.Phys_mem.read_bytes (M.mem st) 0x1000 (Bytes.length (Erebor.Gate.code_bytes gate))
 
 let test_gate_bytes_installed backend () =
-  let st = make_stack ~backend () in
-  let gate = Erebor.Monitor.gate st.monitor in
+  let st = machine ~backend () in
+  let gate = Erebor.Monitor.gate (monitor st) in
   Alcotest.(check int) "entry point is the direct-map view of 0x1000"
     (Kernel.Layout.direct_map 0x1000) (Erebor.Gate.entry_point gate);
   Alcotest.(check bytes) "bytes at 0x1000 are the measured listing"
     (Erebor.Gate.code_bytes gate) (gate_code_in_memory st);
-  assert_gate_intact st.monitor;
   let probe =
     let a = Gc.minor_words () in
     Gc.minor_words () -. a
   in
-  let clock = st.kern.Kernel.clock in
+  let clock = (M.kern st).Kernel.clock in
   let t0 = Hw.Cycles.now clock in
   let w0 = Gc.minor_words () in
-  let intact = Erebor.Monitor.gate_intact st.monitor in
+  let intact = Erebor.Monitor.gate_intact (monitor st) in
   let words = Gc.minor_words () -. w0 -. probe in
   Alcotest.(check bool) "intact" true intact;
   Alcotest.(check (float 0.0)) "check allocates nothing" 0.0 words;
@@ -338,41 +322,42 @@ let test_gate_bytes_installed backend () =
    user-writable, and a store through the direct map. Both are refused and
    the bytes stay as measured. *)
 let test_gate_frame_unwritable backend () =
-  let st = make_stack ~backend () in
+  let st = machine ~backend () in
+  let kern = M.kern st in
   let before = gate_code_in_memory st in
   expect_violation "map the gate frame user-writable" (fun () ->
-      st.kern.Kernel.privops.Kernel.Privops.write_pte
-        ~pte_addr:(Hw.Phys_mem.addr_of_pfn st.kern.Kernel.kernel_root + (8 * 100))
+      kern.Kernel.privops.Kernel.Privops.write_pte
+        ~pte_addr:(Hw.Phys_mem.addr_of_pfn kern.Kernel.kernel_root + (8 * 100))
         (Hw.Pte.make ~pfn:1 { Hw.Pte.default_flags with user = true; writable = true }));
   Alcotest.(check bytes) "unchanged after the mapping attempt" before
     (gate_code_in_memory st);
-  let entry = Erebor.Gate.entry_point (Erebor.Monitor.gate st.monitor) in
-  expect_fault "store through the direct map" (fun () -> Hw.Cpu.write_u8 st.cpu entry 0xCC)
+  let entry = Erebor.Gate.entry_point (Erebor.Monitor.gate (monitor st)) in
+  expect_fault "store through the direct map" (fun () -> Hw.Cpu.write_u8 (M.cpu st) entry 0xCC)
     (fun _ -> true);
   expect_fault "wide store through the direct map"
-    (fun () -> Hw.Cpu.write_u64 st.cpu (entry + 8) 0L)
+    (fun () -> Hw.Cpu.write_u64 (M.cpu st) (entry + 8) 0L)
     (fun _ -> true);
   Alcotest.(check bytes) "unchanged after the stores" before (gate_code_in_memory st);
-  assert_gate_intact st.monitor;
-  ignore (Erebor.Monitor.tdreport st.monitor ~report_data:Bytes.empty)
+  ignore (Erebor.Monitor.tdreport (monitor st) ~report_data:Bytes.empty)
 
 (* Corruption that bypasses every check (a raw physical store, as a
    hardware fault or a monitor bug would make) is caught where it matters:
    no report is minted over a gate that differs from its measurement. *)
 let test_corrupted_gate_not_attested () =
-  let st = make_stack () in
-  let audit = Obs.Audit.create ~key:hw_key in
-  Obs.Emitter.set_audit st.cpu.Hw.Cpu.obs (Some audit);
-  ignore (Erebor.Monitor.tdreport st.monitor ~report_data:Bytes.empty);
-  Hw.Phys_mem.write_u8 st.mem (0x1000 + 5)
-    (Hw.Phys_mem.read_u8 st.mem (0x1000 + 5) lxor 0x01);
-  Alcotest.(check bool) "corruption seen" false (Erebor.Monitor.gate_intact st.monitor);
-  let t0 = Hw.Cycles.now st.kern.Kernel.clock in
-  let emcs = Erebor.Monitor.emc_total st.monitor in
+  let st = machine () in
+  let kern = M.kern st in
+  let mem = M.mem st in
+  let audit = Obs.Audit.create ~key:M.hw_key in
+  Obs.Emitter.set_audit (M.cpu st).Hw.Cpu.obs (Some audit);
+  ignore (Erebor.Monitor.tdreport (monitor st) ~report_data:Bytes.empty);
+  Hw.Phys_mem.write_u8 mem (0x1000 + 5)
+    (Hw.Phys_mem.read_u8 mem (0x1000 + 5) lxor 0x01);
+  let t0 = Hw.Cycles.now kern.Kernel.clock in
+  let emcs = Erebor.Monitor.emc_total (monitor st) in
   expect_violation "tdreport over a corrupted gate" (fun () ->
-      Erebor.Monitor.tdreport st.monitor ~report_data:Bytes.empty);
-  Alcotest.(check int) "refused before the gate" emcs (Erebor.Monitor.emc_total st.monitor);
-  Alcotest.(check int) "refusal charges no cycles" t0 (Hw.Cycles.now st.kern.Kernel.clock);
+      Erebor.Monitor.tdreport (monitor st) ~report_data:Bytes.empty);
+  Alcotest.(check int) "refused before the gate" emcs (Erebor.Monitor.emc_total (monitor st));
+  Alcotest.(check int) "refusal charges no cycles" t0 (Hw.Cycles.now kern.Kernel.clock);
   let attest verdict =
     List.length
       (List.filter
@@ -387,30 +372,31 @@ let test_corrupted_gate_not_attested () =
 (* ------------------------------------------------------------------ *)
 
 let test_kernel_cannot_write_ptp () =
-  let st = make_stack () in
+  let st = machine () in
+  let kern = M.kern st in
   (* Map a PTP (the kernel master root) into the direct map; the guard
      retags it read-only with the PTP key. *)
-  Kernel.ensure_direct_map st.kern ~pfn:st.kern.Kernel.kernel_root;
-  let va = Kernel.Layout.direct_map (Hw.Phys_mem.addr_of_pfn st.kern.Kernel.kernel_root) in
+  Kernel.ensure_direct_map kern ~pfn:kern.Kernel.kernel_root;
+  let va = Kernel.Layout.direct_map (Hw.Phys_mem.addr_of_pfn kern.Kernel.kernel_root) in
   (* Reading page tables is fine... *)
-  ignore (Hw.Cpu.read_u64 st.cpu va);
+  ignore (Hw.Cpu.read_u64 (M.cpu st) va);
   (* ...but a direct store from normal mode trips PKS (C2). *)
-  expect_fault "direct PTP write" (fun () -> Hw.Cpu.write_u64 st.cpu va 0xBADL) is_pkey_pf
+  expect_fault "direct PTP write" (fun () -> Hw.Cpu.write_u64 (M.cpu st) va 0xBADL) is_pkey_pf
 
 let test_kernel_cannot_map_monitor_memory () =
-  let st = make_stack () in
+  let st = machine () in
   expect_violation "mapping monitor memory" (fun () ->
-      Kernel.ensure_direct_map st.kern ~pfn:1 (* monitor frame *))
+      Kernel.ensure_direct_map (M.kern st) ~pfn:1 (* monitor frame *))
 
 let test_kernel_cannot_store_outside_ptp () =
-  let st = make_stack () in
+  let st = machine () in
   expect_violation "stray pte store" (fun () ->
-      st.kern.Kernel.privops.Kernel.Privops.write_pte
+      (M.kern st).Kernel.privops.Kernel.Privops.write_pte
         ~pte_addr:(Hw.Phys_mem.addr_of_pfn 9000) (Hw.Pte.make ~pfn:5 Hw.Pte.default_flags))
 
 let test_kernel_cannot_disable_protections () =
-  let st = make_stack () in
-  let ops = st.kern.Kernel.privops in
+  let st = machine () in
+  let ops = (M.kern st).Kernel.privops in
   expect_violation "clear smap" (fun () ->
       ops.Kernel.Privops.set_cr_bit ~reg:`Cr4 Hw.Cr.cr4_smap false);
   expect_violation "clear smep" (fun () ->
@@ -425,16 +411,16 @@ let test_kernel_cannot_disable_protections () =
       ops.Kernel.Privops.write_msr Hw.Msr.ia32_s_cet 0L)
 
 let test_kernel_lstar_interposed () =
-  let st = make_stack () in
-  st.kern.Kernel.privops.Kernel.Privops.write_msr Hw.Msr.ia32_lstar 0xdeadL;
-  let actual = Hw.Msr.read st.cpu.Hw.Cpu.msr Hw.Msr.ia32_lstar in
+  let st = machine () in
+  (M.kern st).Kernel.privops.Kernel.Privops.write_msr Hw.Msr.ia32_lstar 0xdeadL;
+  let actual = Hw.Msr.read (M.cpu st).Hw.Cpu.msr Hw.Msr.ia32_lstar in
   Alcotest.(check int64) "syscall entry points at the monitor"
-    (Int64.of_int (Erebor.Gate.entry_point (Erebor.Monitor.gate st.monitor)))
+    (Int64.of_int (Erebor.Gate.entry_point (Erebor.Monitor.gate (monitor st))))
     actual
 
 let test_ghci_policy () =
-  let st = make_stack () in
-  let ops = st.kern.Kernel.privops in
+  let st = machine () in
+  let ops = (M.kern st).Kernel.privops in
   (* Attestation is monitor-exclusive (C5). *)
   expect_violation "kernel tdreport" (fun () ->
       ops.Kernel.Privops.tdcall (Tdx.Ghci.Tdreport { report_data = Bytes.empty }));
@@ -445,13 +431,14 @@ let test_ghci_policy () =
   (match ops.Kernel.Privops.tdcall (Tdx.Ghci.Map_gpa { pfn = 40; shared = true }) with
   | Tdx.Td_module.Ok_unit -> ()
   | _ -> Alcotest.fail "legitimate share failed");
-  Alcotest.(check bool) "sept updated" true (Tdx.Sept.is_shared (Tdx.Td_module.sept st.td) 40)
+  Alcotest.(check bool) "sept updated" true (Tdx.Sept.is_shared (Tdx.Td_module.sept (M.td st)) 40)
 
 let test_erebor_privop_costs () =
   (* Table 4, Erebor column. *)
-  let st = make_stack () in
-  let ops = st.kern.Kernel.privops in
-  let clock = st.kern.Kernel.clock in
+  let st = machine () in
+  let kern = M.kern st in
+  let ops = kern.Kernel.privops in
+  let clock = kern.Kernel.clock in
   let measure f =
     let t0 = Hw.Cycles.now clock in
     f ();
@@ -462,7 +449,7 @@ let test_erebor_privop_costs () =
     1345
     (measure (fun () ->
          ops.Kernel.Privops.write_pte
-           ~pte_addr:(Hw.Phys_mem.addr_of_pfn st.kern.Kernel.kernel_root + (8 * 100))
+           ~pte_addr:(Hw.Phys_mem.addr_of_pfn kern.Kernel.kernel_root + (8 * 100))
            Hw.Pte.empty));
   Alcotest.(check int) "CR = 1593" 1593
     (measure (fun () -> ops.Kernel.Privops.set_cr_bit ~reg:`Cr4 Hw.Cr.cr4_smap true));
@@ -471,7 +458,7 @@ let test_erebor_privop_costs () =
   Alcotest.(check int) "IDT = 1369" 1369
     (measure (fun () -> ops.Kernel.Privops.lidt (Hw.Idt.create ())));
   Alcotest.(check int) "GHCI tdreport = 128081" 128081
-    (measure (fun () -> ignore (Erebor.Monitor.tdreport st.monitor ~report_data:Bytes.empty)))
+    (measure (fun () -> ignore (Erebor.Monitor.tdreport (monitor st) ~report_data:Bytes.empty)))
 
 (* ------------------------------------------------------------------ *)
 (* Sandboxes (C6, C7, C8)                                              *)
@@ -484,16 +471,17 @@ let make_sandbox ?(budget = 64 * 4096) ?(confined = 16 * 4096) st mgr name =
   (sb, base)
 
 let test_sandbox_confined_basics () =
-  let st = make_stack () in
-  let mgr = make_manager st in
+  let st = machine () in
+  let kern = M.kern st in
+  let mgr = manager st in
   let sb, base = make_sandbox st mgr "sb1" in
   Alcotest.(check int) "confined accounted" (16 * 4096) (Erebor.Sandbox.confined_bytes sb);
   (* Pinned: every page resolved, frames from CMA, classified confined. *)
   let task = Erebor.Sandbox.main_task sb in
   for i = 0 to 15 do
-    let pfn = Option.get (Kernel.resolve_pfn st.kern task ~addr:(base + (i * 4096))) in
-    Alcotest.(check bool) "from CMA" true (Kernel.Alloc.is_allocated st.kern.Kernel.cma pfn);
-    (match Erebor.Mmu_guard.class_of (Erebor.Monitor.guard st.monitor) pfn with
+    let pfn = Option.get (Kernel.resolve_pfn kern task ~addr:(base + (i * 4096))) in
+    Alcotest.(check bool) "from CMA" true (Kernel.Alloc.is_allocated kern.Kernel.cma pfn);
+    (match Erebor.Mmu_guard.class_of (Erebor.Monitor.guard (monitor st)) pfn with
     | Erebor.Mmu_guard.Confined { owner } -> Alcotest.(check int) "owner" 1 owner
     | _ -> Alcotest.fail "frame not classified confined")
   done;
@@ -503,34 +491,36 @@ let test_sandbox_confined_basics () =
   | Ok _ -> Alcotest.fail "budget exceeded silently"
 
 let test_confined_single_mapping () =
-  let st = make_stack () in
-  let mgr = make_manager st in
+  let st = machine () in
+  let kern = M.kern st in
+  let mem = M.mem st in
+  let mgr = manager st in
   let sb, base = make_sandbox st mgr "victim" in
   let task = Erebor.Sandbox.main_task sb in
-  let confined_pfn = Option.get (Kernel.resolve_pfn st.kern task ~addr:base) in
+  let confined_pfn = Option.get (Kernel.resolve_pfn kern task ~addr:base) in
   (* A normal task (the attacker's process) maps a page... *)
-  let attacker = Kernel.create_task st.kern ~name:"attacker" ~kind:Kernel.Task.Normal in
-  let a_addr = Result.get_ok (Kernel.mmap st.kern attacker ~len:4096 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon) in
-  (match Kernel.handle_page_fault st.kern attacker ~addr:a_addr ~kind:Hw.Fault.Write with
+  let attacker = Kernel.create_task kern ~name:"attacker" ~kind:Kernel.Task.Normal in
+  let a_addr = Result.get_ok (Kernel.mmap kern attacker ~len:4096 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon) in
+  (match Kernel.handle_page_fault kern attacker ~addr:a_addr ~kind:Hw.Fault.Write with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   (* ...then the malicious kernel tries to re-point its leaf PTE at the
      victim's confined frame (double-mapping attack, C6). *)
   let leaf_addr =
     Option.get
-      (Hw.Page_table.leaf_addr st.mem ~root_pfn:attacker.Kernel.Task.root_pfn a_addr)
+      (Hw.Page_table.leaf_addr mem ~root_pfn:attacker.Kernel.Task.root_pfn a_addr)
   in
   expect_violation "double map confined frame" (fun () ->
-      st.kern.Kernel.privops.Kernel.Privops.write_pte ~pte_addr:leaf_addr
+      kern.Kernel.privops.Kernel.Privops.write_pte ~pte_addr:leaf_addr
         (Hw.Pte.make ~pfn:confined_pfn { Hw.Pte.default_flags with user = true }));
   (* Even within the owning sandbox a second mapping is refused. *)
   let sb_leaf2 =
     (* leaf slot for an unmapped page in the sandbox's own space *)
     let addr2 = base + (15 * 4096) in
-    Option.get (Hw.Page_table.leaf_addr st.mem ~root_pfn:task.Kernel.Task.root_pfn addr2)
+    Option.get (Hw.Page_table.leaf_addr mem ~root_pfn:task.Kernel.Task.root_pfn addr2)
   in
   expect_violation "second mapping in-sandbox" (fun () ->
-      st.kern.Kernel.privops.Kernel.Privops.write_pte ~pte_addr:sb_leaf2
+      kern.Kernel.privops.Kernel.Privops.write_pte ~pte_addr:sb_leaf2
         (Hw.Pte.make ~pfn:confined_pfn { Hw.Pte.default_flags with user = true }))
 
 let test_mmu_guard_downgrade_flushes_tlb () =
@@ -538,43 +528,47 @@ let test_mmu_guard_downgrade_flushes_tlb () =
      flush the TLB, so a downgrade takes effect on the very next access —
      no window where a cached writable translation outlives the policy
      decision. *)
-  let st = make_stack () in
-  let mgr = make_manager st in
+  let st = machine () in
+  let kern = M.kern st in
+  let mem = M.mem st in
+  let mgr = manager st in
   let sb, base = make_sandbox st mgr "sb" in
   let task = Erebor.Sandbox.main_task sb in
-  st.kern.Kernel.privops.Kernel.Privops.write_cr3 ~root_pfn:task.Kernel.Task.root_pfn;
+  kern.Kernel.privops.Kernel.Privops.write_cr3 ~root_pfn:task.Kernel.Task.root_pfn;
   (* Warm the TLB with a successful user write to a confined page. *)
-  st.cpu.Hw.Cpu.mode <- Hw.Cpu.User;
-  Hw.Cpu.write_u8 st.cpu base 7;
-  st.cpu.Hw.Cpu.mode <- Hw.Cpu.Supervisor;
+  (M.cpu st).Hw.Cpu.mode <- Hw.Cpu.User;
+  Hw.Cpu.write_u8 (M.cpu st) base 7;
+  (M.cpu st).Hw.Cpu.mode <- Hw.Cpu.Supervisor;
   (* Kernel downgrades the leaf to read-only through the monitored table. *)
   let pte_addr =
-    Option.get (Hw.Page_table.leaf_addr st.mem ~root_pfn:task.Kernel.Task.root_pfn base)
+    Option.get (Hw.Page_table.leaf_addr mem ~root_pfn:task.Kernel.Task.root_pfn base)
   in
-  let ro = Hw.Pte.set_writable (Hw.Phys_mem.read_u64 st.mem pte_addr) false in
-  st.kern.Kernel.privops.Kernel.Privops.write_pte ~pte_addr ro;
-  st.cpu.Hw.Cpu.mode <- Hw.Cpu.User;
-  (match Hw.Cpu.read_u8 st.cpu base with
+  let ro = Hw.Pte.set_writable (Hw.Phys_mem.read_u64 mem pte_addr) false in
+  kern.Kernel.privops.Kernel.Privops.write_pte ~pte_addr ro;
+  (M.cpu st).Hw.Cpu.mode <- Hw.Cpu.User;
+  (match Hw.Cpu.read_u8 (M.cpu st) base with
   | v -> Alcotest.(check int) "still readable" 7 v
   | exception Hw.Fault.Fault _ -> Alcotest.fail "downgraded page unreadable");
-  expect_fault "write after guard downgrade" (fun () -> Hw.Cpu.write_u8 st.cpu base 8)
+  expect_fault "write after guard downgrade" (fun () -> Hw.Cpu.write_u8 (M.cpu st) base 8)
     (function Hw.Fault.Page_fault _ -> true | _ -> false);
-  st.cpu.Hw.Cpu.mode <- Hw.Cpu.Supervisor
+  (M.cpu st).Hw.Cpu.mode <- Hw.Cpu.Supervisor
 
 let test_sandbox_anon_mapping_refused () =
   (* All sandbox memory must be declared: an undeclared anonymous fault is
      refused by the MMU guard. *)
-  let st = make_stack () in
-  let mgr = make_manager st in
+  let st = machine () in
+  let kern = M.kern st in
+  let mgr = manager st in
   let sb, _ = make_sandbox st mgr "sb" in
   let task = Erebor.Sandbox.main_task sb in
-  let addr = Result.get_ok (Kernel.mmap st.kern task ~len:4096 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon) in
+  let addr = Result.get_ok (Kernel.mmap kern task ~len:4096 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon) in
   expect_violation "undeclared sandbox memory" (fun () ->
-      ignore (Kernel.handle_page_fault st.kern task ~addr ~kind:Hw.Fault.Write))
+      ignore (Kernel.handle_page_fault kern task ~addr ~kind:Hw.Fault.Write))
 
 let test_common_sharing () =
-  let st = make_stack () in
-  let mgr = make_manager st in
+  let st = machine () in
+  let kern = M.kern st in
+  let mgr = manager st in
   let sb1, _ = make_sandbox st mgr "sb1" in
   let sb2, _ = make_sandbox st mgr "sb2" in
   let size = 8 * 4096 in
@@ -582,47 +576,48 @@ let test_common_sharing () =
   let a2 = Result.get_ok (Erebor.Sandbox.attach_common mgr sb2 ~name:"model" ~size) in
   (* sb1 initializes the shared instance (pre-seal writes allowed). *)
   let t1 = Erebor.Sandbox.main_task sb1 and t2 = Erebor.Sandbox.main_task sb2 in
-  (match Kernel.populate st.kern t1 ~start:a1 ~len:size with Ok () -> () | Error e -> Alcotest.fail e);
+  (match Kernel.populate kern t1 ~start:a1 ~len:size with Ok () -> () | Error e -> Alcotest.fail e);
   Erebor.Sandbox.write_sandbox_bytes mgr sb1 ~addr:a1 (Bytes.of_string "weights!");
-  (match Kernel.populate st.kern t2 ~start:a2 ~len:size with Ok () -> () | Error e -> Alcotest.fail e);
+  (match Kernel.populate kern t2 ~start:a2 ~len:size with Ok () -> () | Error e -> Alcotest.fail e);
   (* Same backing frames: sb2 reads sb1's initialization. *)
   Alcotest.(check string) "shared content" "weights!"
     (Bytes.to_string (Erebor.Sandbox.read_sandbox_bytes mgr sb2 ~addr:a2 ~len:8));
   Alcotest.(check int) "one set of frames" 8
     (Erebor.Sandbox.common_instance_frames mgr ~name:"model");
-  let p1 = Option.get (Kernel.resolve_pfn st.kern t1 ~addr:a1) in
-  let p2 = Option.get (Kernel.resolve_pfn st.kern t2 ~addr:a2) in
+  let p1 = Option.get (Kernel.resolve_pfn kern t1 ~addr:a1) in
+  let p2 = Option.get (Kernel.resolve_pfn kern t2 ~addr:a2) in
   Alcotest.(check int) "same pfn" p1 p2
 
 let test_common_sealed_after_data () =
-  let st = make_stack () in
-  let mgr = make_manager st in
+  let st = machine () in
+  let kern = M.kern st in
+  let mgr = manager st in
   let sb, _base = make_sandbox st mgr "sb" in
   let task = Erebor.Sandbox.main_task sb in
   let size = 4 * 4096 in
   let caddr = Result.get_ok (Erebor.Sandbox.attach_common mgr sb ~name:"db" ~size) in
-  (match Kernel.populate st.kern task ~start:caddr ~len:size with Ok () -> () | Error e -> Alcotest.fail e);
+  (match Kernel.populate kern task ~start:caddr ~len:size with Ok () -> () | Error e -> Alcotest.fail e);
   (* Writable before data... *)
-  st.kern.Kernel.privops.Kernel.Privops.write_cr3 ~root_pfn:task.Kernel.Task.root_pfn;
-  st.cpu.Hw.Cpu.mode <- Hw.Cpu.User;
-  Hw.Cpu.write_u8 st.cpu caddr 7;
-  st.cpu.Hw.Cpu.mode <- Hw.Cpu.Supervisor;
+  kern.Kernel.privops.Kernel.Privops.write_cr3 ~root_pfn:task.Kernel.Task.root_pfn;
+  (M.cpu st).Hw.Cpu.mode <- Hw.Cpu.User;
+  Hw.Cpu.write_u8 (M.cpu st) caddr 7;
+  (M.cpu st).Hw.Cpu.mode <- Hw.Cpu.Supervisor;
   (* ...read-only once client data is loaded (C7 / §6.1). *)
   (match Erebor.Sandbox.load_client_data mgr sb (Bytes.of_string "secret") with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  st.cpu.Hw.Cpu.mode <- Hw.Cpu.User;
-  (match Hw.Cpu.read_u8 st.cpu caddr with
+  (M.cpu st).Hw.Cpu.mode <- Hw.Cpu.User;
+  (match Hw.Cpu.read_u8 (M.cpu st) caddr with
   | v -> Alcotest.(check int) "still readable" 7 v
   | exception Hw.Fault.Fault _ -> Alcotest.fail "sealed common unreadable");
-  expect_fault "write sealed common" (fun () -> Hw.Cpu.write_u8 st.cpu caddr 8) (function
+  expect_fault "write sealed common" (fun () -> Hw.Cpu.write_u8 (M.cpu st) caddr 8) (function
     | Hw.Fault.Page_fault _ -> true
     | _ -> false);
-  st.cpu.Hw.Cpu.mode <- Hw.Cpu.Supervisor
+  (M.cpu st).Hw.Cpu.mode <- Hw.Cpu.Supervisor
 
 let test_sandbox_kills_on_syscall_after_data () =
-  let st = make_stack () in
-  let mgr = make_manager st in
+  let st = machine () in
+  let mgr = manager st in
   let sb, _ = make_sandbox st mgr "sb" in
   ignore (Result.get_ok (Erebor.Sandbox.load_client_data mgr sb (Bytes.of_string "hush")));
   (match Erebor.Sandbox.handle_syscall mgr sb (Kernel.Syscall.Open { path = "/etc/passwd" }) with
@@ -632,11 +627,11 @@ let test_sandbox_kills_on_syscall_after_data () =
   Alcotest.(check bool) "task dead" true
     ((Erebor.Sandbox.main_task sb).Kernel.Task.state = Kernel.Task.Dead);
   (* The attempted leak never reached the kernel fs. *)
-  Alcotest.(check bool) "no file created" false (Kernel.Fs.exists st.kern.Kernel.fs "/etc/passwd")
+  Alcotest.(check bool) "no file created" false (Kernel.Fs.exists (M.kern st).Kernel.fs "/etc/passwd")
 
 let test_sandbox_channel_ioctl () =
-  let st = make_stack () in
-  let mgr = make_manager st in
+  let st = machine () in
+  let mgr = manager st in
   let sb, _ = make_sandbox st mgr "sb" in
   ignore (Result.get_ok (Erebor.Sandbox.load_client_data mgr sb (Bytes.of_string "input-42")));
   let fd = Erebor.Sandbox.channel_fd sb in
@@ -658,8 +653,8 @@ let test_sandbox_channel_ioctl () =
   Alcotest.(check bool) "still alive" true (Erebor.Sandbox.kill_reason sb = None)
 
 let test_sandbox_ve_kill () =
-  let st = make_stack () in
-  let mgr = make_manager st in
+  let st = machine () in
+  let mgr = manager st in
   let sb, _ = make_sandbox st mgr "sb" in
   ignore (Result.get_ok (Erebor.Sandbox.load_client_data mgr sb (Bytes.of_string "x")));
   (match Erebor.Sandbox.handle_ve mgr sb ~reason:48 with
@@ -668,39 +663,39 @@ let test_sandbox_ve_kill () =
   Alcotest.(check bool) "killed" true (Erebor.Sandbox.kill_reason sb <> None)
 
 let test_sandbox_cpuid_cached () =
-  let st = make_stack () in
-  let mgr = make_manager st in
+  let st = machine () in
+  let mgr = manager st in
   let sb, _ = make_sandbox st mgr "sb" in
   ignore (Result.get_ok (Erebor.Sandbox.load_client_data mgr sb (Bytes.of_string "x")));
-  let vm0 = Vmm.Host.vmcall_count st.host in
+  let vm0 = Vmm.Host.vmcall_count (M.host st) in
   let v1 = Erebor.Sandbox.cpuid mgr sb ~leaf:1 in
   let v2 = Erebor.Sandbox.cpuid mgr sb ~leaf:1 in
   Alcotest.(check int64) "stable value" v1 v2;
-  Alcotest.(check int) "only one host exit" (vm0 + 1) (Vmm.Host.vmcall_count st.host);
-  Alcotest.(check int) "cache hit recorded" 1 (Erebor.Monitor.cpuid_cache_hits st.monitor);
+  Alcotest.(check int) "only one host exit" (vm0 + 1) (Vmm.Host.vmcall_count (M.host st));
+  Alcotest.(check int) "cache hit recorded" 1 (Erebor.Monitor.cpuid_cache_hits (monitor st));
   Alcotest.(check bool) "not killed by cpuid" true (Erebor.Sandbox.kill_reason sb = None)
 
 let test_sandbox_interrupt_masks_state () =
-  let st = make_stack () in
-  let mgr = make_manager st in
+  let st = machine () in
+  let mgr = manager st in
   let sb, _ = make_sandbox st mgr "sb" in
   ignore (Result.get_ok (Erebor.Sandbox.load_client_data mgr sb (Bytes.of_string "x")));
-  st.cpu.Hw.Cpu.regs.(2) <- 0x5ec2e7L;
+  (M.cpu st).Hw.Cpu.regs.(2) <- 0x5ec2e7L;
   let seen = ref (-1L) in
-  Erebor.Sandbox.handle_interrupt mgr sb (fun () -> seen := st.cpu.Hw.Cpu.regs.(2));
+  Erebor.Sandbox.handle_interrupt mgr sb (fun () -> seen := (M.cpu st).Hw.Cpu.regs.(2));
   Alcotest.(check int64) "OS saw masked regs" 0L !seen;
-  Alcotest.(check int64) "sandbox state restored" 0x5ec2e7L st.cpu.Hw.Cpu.regs.(2)
+  Alcotest.(check int64) "sandbox state restored" 0x5ec2e7L (M.cpu st).Hw.Cpu.regs.(2)
 
 (* The #INT wrapper masks state through the manager's own save slot: with
    a prebuilt handler, wrapping a tick allocates nothing. *)
 let test_sandbox_interrupt_zero_alloc () =
-  let st = make_stack () in
-  let mgr = make_manager st in
+  let st = machine () in
+  let mgr = manager st in
   let sb, _ = make_sandbox st mgr "sb" in
   ignore (Result.get_ok (Erebor.Sandbox.load_client_data mgr sb (Bytes.of_string "x")));
   let masked = ref true in
-  let handler () = if not (Int64.equal st.cpu.Hw.Cpu.regs.(2) 0L) then masked := false in
-  st.cpu.Hw.Cpu.regs.(2) <- 0x5ec2e7L;
+  let handler () = if not (Int64.equal (M.cpu st).Hw.Cpu.regs.(2) 0L) then masked := false in
+  (M.cpu st).Hw.Cpu.regs.(2) <- 0x5ec2e7L;
   Erebor.Sandbox.handle_interrupt mgr sb handler;
   let probe =
     let a = Gc.minor_words () in
@@ -713,90 +708,95 @@ let test_sandbox_interrupt_zero_alloc () =
   let words = Gc.minor_words () -. w0 -. probe in
   Alcotest.(check (float 0.0)) "zero minor words" 0.0 words;
   Alcotest.(check bool) "OS always saw masked regs" true !masked;
-  Alcotest.(check int64) "sandbox state restored" 0x5ec2e7L st.cpu.Hw.Cpu.regs.(2)
+  Alcotest.(check int64) "sandbox state restored" 0x5ec2e7L (M.cpu st).Hw.Cpu.regs.(2)
 
 let test_sandbox_uintr_disabled () =
-  let st = make_stack () in
-  let mgr = make_manager st in
+  let st = machine () in
+  let mgr = manager st in
   let sb, _ = make_sandbox st mgr "sb" in
   (* Give the sandbox a valid target table, as if it prepared an AV3 leak. *)
-  Hw.Msr.write st.cpu.Hw.Cpu.msr Hw.Msr.ia32_uintr_tt Hw.Msr.uintr_tt_valid_bit;
+  Hw.Msr.write (M.cpu st).Hw.Cpu.msr Hw.Msr.ia32_uintr_tt Hw.Msr.uintr_tt_valid_bit;
   ignore (Result.get_ok (Erebor.Sandbox.load_client_data mgr sb (Bytes.of_string "x")));
-  match Hw.Uintr.senduipi ~msr:st.cpu.Hw.Cpu.msr ~slot:1 with
+  match Hw.Uintr.senduipi ~msr:(M.cpu st).Hw.Cpu.msr ~slot:1 with
   | Hw.Uintr.Faulted (Hw.Fault.General_protection _) -> ()
   | _ -> Alcotest.fail "senduipi after data load succeeded"
 
 let test_usercopy_veto_on_sealed_sandbox () =
-  let st = make_stack () in
-  let mgr = make_manager st in
+  let st = machine () in
+  let kern = M.kern st in
+  let mgr = manager st in
   let sb, base = make_sandbox st mgr "sb" in
   ignore (Result.get_ok (Erebor.Sandbox.load_client_data mgr sb (Bytes.of_string "secret")));
   (* Kernel runs in the sandbox's address space (e.g. at an interrupt) and
      tries a user copy to exfiltrate confined memory (AV1). *)
-  st.kern.Kernel.privops.Kernel.Privops.write_cr3
+  kern.Kernel.privops.Kernel.Privops.write_cr3
     ~root_pfn:(Erebor.Sandbox.main_task sb).Kernel.Task.root_pfn;
   expect_violation "usercopy from sealed sandbox" (fun () ->
-      ignore (st.kern.Kernel.privops.Kernel.Privops.copy_from_user ~user_addr:base ~len:6))
+      ignore (kern.Kernel.privops.Kernel.Privops.copy_from_user ~user_addr:base ~len:6))
 
 let test_kernel_smap_blocks_sandbox_read () =
-  let st = make_stack () in
-  let mgr = make_manager st in
+  let st = machine () in
+  let mgr = manager st in
   let sb, base = make_sandbox st mgr "sb" in
   ignore (Result.get_ok (Erebor.Sandbox.load_client_data mgr sb (Bytes.of_string "secret")));
-  st.kern.Kernel.privops.Kernel.Privops.write_cr3
+  (M.kern st).Kernel.privops.Kernel.Privops.write_cr3
     ~root_pfn:(Erebor.Sandbox.main_task sb).Kernel.Task.root_pfn;
   (* Direct kernel-mode access to sandbox user pages trips SMAP (C6). *)
-  expect_fault "kernel touches sandbox page" (fun () -> Hw.Cpu.read_u8 st.cpu base) (function
+  expect_fault "kernel touches sandbox page" (fun () -> Hw.Cpu.read_u8 (M.cpu st) base) (function
     | Hw.Fault.Page_fault { user = false; _ } -> true
     | _ -> false)
 
 let test_sandbox_terminate_scrubs () =
-  let st = make_stack () in
-  let mgr = make_manager st in
+  let st = machine () in
+  let kern = M.kern st in
+  let mem = M.mem st in
+  let mgr = manager st in
   let sb, base = make_sandbox st mgr "sb" in
   let task = Erebor.Sandbox.main_task sb in
-  let pfn = Option.get (Kernel.resolve_pfn st.kern task ~addr:base) in
+  let pfn = Option.get (Kernel.resolve_pfn kern task ~addr:base) in
   ignore (Result.get_ok (Erebor.Sandbox.load_client_data mgr sb (Bytes.of_string "TOPSECRET")));
   Alcotest.(check string) "data present" "TOPSECRET"
-    (Bytes.to_string (Hw.Phys_mem.read_bytes st.mem (Hw.Phys_mem.addr_of_pfn pfn) 9));
+    (Bytes.to_string (Hw.Phys_mem.read_bytes mem (Hw.Phys_mem.addr_of_pfn pfn) 9));
   Erebor.Sandbox.terminate mgr sb;
   Alcotest.(check bytes) "frame zeroed" (Bytes.make 9 '\000')
-    (Hw.Phys_mem.read_bytes st.mem (Hw.Phys_mem.addr_of_pfn pfn) 9);
+    (Hw.Phys_mem.read_bytes mem (Hw.Phys_mem.addr_of_pfn pfn) 9);
   Alcotest.(check bool) "frame declassified" true
-    (Erebor.Mmu_guard.class_of (Erebor.Monitor.guard st.monitor) pfn = Erebor.Mmu_guard.Free);
+    (Erebor.Mmu_guard.class_of (Erebor.Monitor.guard (monitor st)) pfn = Erebor.Mmu_guard.Free);
   Alcotest.(check bool) "frame freed" false
-    (Kernel.Alloc.is_allocated st.kern.Kernel.cma pfn)
+    (Kernel.Alloc.is_allocated kern.Kernel.cma pfn)
 
 (* A PTE store must name an 8-byte slot. At [slot + 4] a store whose bit 0
    is clear looks like a non-present leaf, yet its high half lands in the
    next entry; at page offset 4092 it would straddle two pages. Both are
    refused as policy denials before anything is read or written. *)
 let test_misaligned_pte_store_denied backend () =
-  let st = make_stack ~backend () in
-  let audit = Obs.Audit.create ~key:hw_key in
-  Obs.Emitter.set_audit st.cpu.Hw.Cpu.obs (Some audit);
-  let denies = Obs.Counter.attach st.cpu.Hw.Cpu.obs (Obs.Counter.create ()) in
-  let guard = Erebor.Monitor.guard st.monitor in
-  let atk = Kernel.create_task st.kern ~name:"atk" ~kind:Kernel.Task.Normal in
+  let st = machine ~backend () in
+  let kern = M.kern st in
+  let mem = M.mem st in
+  let audit = Obs.Audit.create ~key:M.hw_key in
+  Obs.Emitter.set_audit (M.cpu st).Hw.Cpu.obs (Some audit);
+  let denies = Obs.Counter.attach (M.cpu st).Hw.Cpu.obs (Obs.Counter.create ()) in
+  let guard = Erebor.Monitor.guard (monitor st) in
+  let atk = Kernel.create_task kern ~name:"atk" ~kind:Kernel.Task.Normal in
   let addr =
     Result.get_ok
-      (Kernel.mmap st.kern atk ~len:4096 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon)
+      (Kernel.mmap kern atk ~len:4096 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon)
   in
-  Result.get_ok (Kernel.handle_page_fault st.kern atk ~addr ~kind:Hw.Fault.Write);
+  Result.get_ok (Kernel.handle_page_fault kern atk ~addr ~kind:Hw.Fault.Write);
   let slot =
-    Option.get (Hw.Page_table.leaf_addr st.mem ~root_pfn:atk.Kernel.Task.root_pfn addr)
+    Option.get (Hw.Page_table.leaf_addr mem ~root_pfn:atk.Kernel.Task.root_pfn addr)
   in
   let neighbour = slot + 8 in
   let page_end = (slot land lnot 4095) + 4092 in
   let image () =
-    List.map (Hw.Phys_mem.read_raw_u64 st.mem) [ slot; neighbour; page_end - 4; page_end + 4 ]
+    List.map (Hw.Phys_mem.read_raw_u64 mem) [ slot; neighbour; page_end - 4; page_end + 4 ]
   in
   let before = image () in
   let denied_before = Erebor.Mmu_guard.denied_count guard in
   (* Bits 32-63 forge a user mapping of monitor frame 5; bit 0 is clear. *)
   let forged = Hw.Pte.make ~pfn:5 { Hw.Pte.default_flags with user = true } in
   let v = forged lsl 32 in
-  let write_pte = st.kern.Kernel.privops.Kernel.Privops.write_pte in
+  let write_pte = kern.Kernel.privops.Kernel.Privops.write_pte in
   expect_violation "store at slot + 4" (fun () -> write_pte ~pte_addr:(slot + 4) v);
   expect_violation "store at page offset 4092" (fun () -> write_pte ~pte_addr:page_end v);
   Alcotest.(check (list int64)) "entries unchanged" before (image ());
@@ -822,10 +822,10 @@ let test_misaligned_pte_store_denied backend () =
 (* Re-attaching an instance with another size is a refusal like the
    others: an [Error] and an audited Deny, with no region mapped. *)
 let test_common_size_mismatch_refused () =
-  let st = make_stack () in
-  let audit = Obs.Audit.create ~key:hw_key in
-  Obs.Emitter.set_audit st.cpu.Hw.Cpu.obs (Some audit);
-  let mgr = make_manager st in
+  let st = machine () in
+  let audit = Obs.Audit.create ~key:M.hw_key in
+  Obs.Emitter.set_audit (M.cpu st).Hw.Cpu.obs (Some audit);
+  let mgr = manager st in
   let sb1, _ = make_sandbox st mgr "sb1" in
   let sb2, _ = make_sandbox st mgr "sb2" in
   let size = 8 * 4096 in
@@ -846,37 +846,204 @@ let test_common_size_mismatch_refused () =
   Alcotest.(check int) "no region mapped" regions_before (regions ());
   (* The right size still attaches, to the same instance. *)
   let a2 = Result.get_ok (Erebor.Sandbox.attach_common mgr sb2 ~name:"model" ~size) in
-  (match Kernel.populate st.kern task2 ~start:a2 ~len:size with
+  (match Kernel.populate (M.kern st) task2 ~start:a2 ~len:size with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   Alcotest.(check int) "one set of frames" 8
     (Erebor.Sandbox.common_instance_frames mgr ~name:"model")
 
+(* ------------------------------------------------------------------ *)
+(* The invariant checker itself                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Each case provokes one violation from the adversary's side (the host,
+   a raw physical store, a load behind the monitor, a forged log) on a
+   fresh machine, and the checker must report exactly that one. *)
+let only ?violations st name expected =
+  let attrib = List.assq st !built in
+  built := [];
+  match Erebor.Invariant.check ~audit_key:M.hw_key ?violations ~attrib (monitor st) with
+  | [ v ] when expected v -> ()
+  | vs -> Alcotest.failf "%s: checker reported [%a]" name pp_violations vs
+
+(* A leaf slot of a fresh normal task's one mapped page. *)
+let attacker_leaf st =
+  let kern = M.kern st in
+  let atk = Kernel.create_task kern ~name:"atk" ~kind:Kernel.Task.Normal in
+  let addr =
+    Result.get_ok
+      (Kernel.mmap kern atk ~len:4096 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon)
+  in
+  Result.get_ok (Kernel.handle_page_fault kern atk ~addr ~kind:Hw.Fault.Write);
+  (atk, Option.get (Hw.Page_table.leaf_addr (M.mem st) ~root_pfn:atk.Kernel.Task.root_pfn addr))
+
+let stray_store st =
+  expect_violation "stray pte store" (fun () ->
+      (M.kern st).Kernel.privops.Kernel.Privops.write_pte
+        ~pte_addr:(Hw.Phys_mem.addr_of_pfn 9000) (Hw.Pte.make ~pfn:5 Hw.Pte.default_flags))
+
+let test_inv_host_shared () =
+  let st = machine () in
+  Tdx.Sept.convert (Tdx.Td_module.sept (M.td st)) 5 Tdx.Sept.Shared;
+  only st "monitor frame shared" (function
+    | Erebor.Invariant.Host_shared 5 -> true
+    | _ -> false)
+
+let test_inv_user_mapped () =
+  let st = machine () in
+  let atk, leaf = attacker_leaf st in
+  Hw.Phys_mem.write_u64 (M.mem st) leaf
+    (Hw.Pte.make ~pfn:5 { Hw.Pte.default_flags with user = true });
+  only st "monitor frame mapped to user" (function
+    | Erebor.Invariant.User_mapped { pfn = 5; root } -> root = atk.Kernel.Task.root_pfn
+    | _ -> false)
+
+let test_inv_confined_mapped () =
+  let st = machine () in
+  let mgr = manager st in
+  let sb, base = make_sandbox st mgr "victim" in
+  let pfn =
+    Option.get (Kernel.resolve_pfn (M.kern st) (Erebor.Sandbox.main_task sb) ~addr:base)
+  in
+  let atk, leaf = attacker_leaf st in
+  Hw.Phys_mem.write_u64 (M.mem st) leaf
+    (Hw.Pte.make ~pfn { Hw.Pte.default_flags with user = true });
+  only st "confined frame mapped outside its sandbox" (function
+    | Erebor.Invariant.User_mapped { pfn = p; root } -> p = pfn && root = atk.Kernel.Task.root_pfn
+    | _ -> false)
+
+let test_inv_monitor_class () =
+  let st = machine () in
+  Erebor.Mmu_guard.declassify (Erebor.Monitor.guard (monitor st)) ~pfn:7;
+  only st "monitor frame declassified" (function
+    | Erebor.Invariant.Monitor_class 7 -> true
+    | _ -> false)
+
+let test_inv_grant_open () =
+  let st = machine () in
+  Hw.Msr.write (M.cpu st).Hw.Cpu.msr Hw.Msr.ia32_pkrs 0L;
+  only st "pkrs loaded behind the monitor" (function
+    | Erebor.Invariant.Grant_open -> true
+    | _ -> false)
+
+let test_inv_key_tag () =
+  let st = machine () in
+  let mem = M.mem st in
+  let kern = M.kern st in
+  let root = kern.Kernel.kernel_root in
+  Kernel.ensure_direct_map kern ~pfn:root;
+  let view =
+    Option.get
+      (Hw.Page_table.leaf_addr mem ~root_pfn:root
+         (Kernel.Layout.direct_map (Hw.Phys_mem.addr_of_pfn root)))
+  in
+  Hw.Phys_mem.write_u64 mem view (Hw.Pte.make ~pfn:root Hw.Pte.default_flags);
+  only st "page-table view retagged writable" (function
+    | Erebor.Invariant.Key_tag p -> p = root
+    | _ -> false)
+
+(* Under TME-MK the host clears a tenant frame's key tag. *)
+let test_inv_tme_key_tag () =
+  let st = machine ~backend:Erebor.Isolation.Tme_mk () in
+  let sb, base = make_sandbox st (manager st) "victim" in
+  let pfn =
+    Option.get (Kernel.resolve_pfn (M.kern st) (Erebor.Sandbox.main_task sb) ~addr:base)
+  in
+  Hw.Tme.untag (Option.get (M.cpu st).Hw.Cpu.tme) ~pfn;
+  only st "tenant key tag cleared" (function
+    | Erebor.Invariant.Key_tag p -> p = pfn
+    | _ -> false)
+
+let test_inv_gate_modified () =
+  let st = machine () in
+  let mem = M.mem st in
+  Hw.Phys_mem.write_u8 mem (0x1000 + 5)
+    (Hw.Phys_mem.read_u8 mem (0x1000 + 5) lxor 0x01);
+  only st "gate byte flipped" (function
+    | Erebor.Invariant.Gate_modified -> true
+    | _ -> false)
+
+(* The kernel swaps in a chain that copies every record but rewrites one
+   denial's detail; it cannot MAC it under the platform key. *)
+let test_inv_audit_broken () =
+  let st = machine () in
+  let audit = Obs.Audit.create ~key:M.hw_key in
+  Obs.Emitter.set_audit (M.obs st) (Some audit);
+  stray_store st;
+  let forged = Obs.Audit.create ~key:(Crypto.Sha256.digest_string "guessed key") in
+  List.iter
+    (fun r ->
+      Obs.Audit.append forged ~ts:r.Obs.Audit.ts ~category:r.Obs.Audit.category
+        ~verdict:r.Obs.Audit.verdict
+        ~detail:(if r.Obs.Audit.seq = 0 then "nothing happened" else r.Obs.Audit.detail))
+    (Obs.Audit.records audit);
+  Obs.Emitter.set_audit (M.obs st) (Some forged);
+  only st "tampered record" (function
+    | Erebor.Invariant.Audit_broken _ -> true
+    | _ -> false)
+
+(* The log is detached around a refused store and put back. *)
+let test_inv_unaudited_denial () =
+  let st = machine () in
+  let audit = Obs.Audit.create ~key:M.hw_key in
+  Obs.Emitter.set_audit (M.obs st) (Some audit);
+  Obs.Emitter.set_audit (M.obs st) None;
+  stray_store st;
+  Obs.Emitter.set_audit (M.obs st) (Some audit);
+  only st "denial off the log" (function
+    | Erebor.Invariant.Unaudited { category = "mmu"; expected = 1; records = 0 } -> true
+    | _ -> false)
+
+let test_inv_unaudited_violation () =
+  let st = machine () in
+  let audit = Obs.Audit.create ~key:M.hw_key in
+  Obs.Emitter.set_audit (M.obs st) None;
+  expect_violation "clear smap" (fun () ->
+      (M.kern st).Kernel.privops.Kernel.Privops.set_cr_bit ~reg:`Cr4 Hw.Cr.cr4_smap false);
+  Obs.Emitter.set_audit (M.obs st) (Some audit);
+  only ~violations:1 st "violation off the log" (function
+    | Erebor.Invariant.Unaudited { category = "policy"; expected = 1; records = 0 } -> true
+    | _ -> false)
+
+(* A span end stamped before its begin charges its context a negative
+   span. *)
+let test_inv_attribution_leak () =
+  let st = machine () in
+  let obs = M.obs st and now = Hw.Cycles.now (M.clock st) in
+  Obs.Emitter.emit obs (Obs.Trace.span_begin Obs.Trace.Run) ~ts:now ~arg:0;
+  Obs.Emitter.emit obs (Obs.Trace.span_end Obs.Trace.Run) ~ts:(now - 1000) ~arg:0;
+  only st "backdated span end" (function
+    | Erebor.Invariant.Attribution_leak { attributed; elapsed } ->
+        attributed = elapsed + 1000 && elapsed = now
+    | _ -> false)
+
 (* Fuzz the EMC MMU interface: random stores must either be applied under
-   policy or rejected — and the monitor's own memory must stay intact and
-   unmappable throughout. *)
+   policy or rejected, and the monitor's invariants must hold throughout:
+   every rejection audited, monitor memory still the monitor's and
+   unmappable. *)
 let prop_guard_fuzz =
   QCheck.Test.make ~name:"random EMC stores never break the registry" ~count:15
     QCheck.(list_of_size (QCheck.Gen.int_range 1 40)
               (tup3 (int_bound 16383) (int_bound 16383) bool))
     (fun stores ->
-      let st = make_stack () in
-      let guard = Erebor.Monitor.guard st.monitor in
-      let denied_before = Erebor.Mmu_guard.denied_count guard in
+      let st =
+        M.create ~frames:16384 ~cma_frames:4096 ~setting:Sim.Config.Erebor_full ()
+      in
+      Obs.Emitter.set_audit (M.obs st) (Some (Obs.Audit.create ~key:M.hw_key));
       let errors = ref 0 in
       List.iter
         (fun (slot_pfn, target_pfn, user) ->
           let pte_addr = Hw.Phys_mem.addr_of_pfn slot_pfn + 8 * (target_pfn land 0x1ff) in
           let pte = Hw.Pte.make ~pfn:target_pfn { Hw.Pte.default_flags with user } in
-          match st.kern.Kernel.privops.Kernel.Privops.write_pte ~pte_addr pte with
+          match (M.kern st).Kernel.privops.Kernel.Privops.write_pte ~pte_addr pte with
           | () -> ()
           | exception Erebor.Monitor.Policy_violation _ -> incr errors)
         stores;
-      (* Every rejection was counted; monitor frames never reclassified. *)
-      Erebor.Mmu_guard.denied_count guard - denied_before = !errors
-      && List.for_all
-           (fun pfn -> Erebor.Mmu_guard.class_of guard pfn = Erebor.Mmu_guard.Monitor)
-           (List.init 32 (fun i -> i)))
+      match
+        Erebor.Invariant.check ~audit_key:M.hw_key ~violations:!errors (monitor st)
+      with
+      | [] -> true
+      | vs -> QCheck.Test.fail_reportf "invariants broken: %a" pp_violations vs)
 
 (* The guard's per-frame tables against flat arrays: one class and one
    mapped bit per frame, updated by the rules of [classify], [declassify],
@@ -1080,13 +1247,13 @@ let handshake st =
   let rng_c = Crypto.Drbg.create ~seed:"client rng" in
   let rng_s = Crypto.Drbg.create ~seed:"server rng" in
   let expected =
-    (Erebor.Monitor.tdreport st.monitor ~report_data:Bytes.empty).Tdx.Attest.mrtd
+    (Erebor.Monitor.tdreport (monitor st) ~report_data:Bytes.empty).Tdx.Attest.mrtd
   in
-  let client = Erebor.Channel.Client.create ~rng:rng_c ~hw_key ~expected_mrtd:expected in
+  let client = Erebor.Channel.Client.create ~rng:rng_c ~hw_key:M.hw_key ~expected_mrtd:expected in
   let wire = Erebor.Channel.Wire.create () in
   Erebor.Channel.Wire.send wire (Erebor.Channel.Client.hello client);
   let hello = Option.get (Erebor.Channel.Wire.recv wire) in
-  match Erebor.Channel.Server.accept ~monitor:st.monitor ~rng:rng_s ~client_hello:hello with
+  match Erebor.Channel.Server.accept ~monitor:(monitor st) ~rng:rng_s ~client_hello:hello with
   | Error e -> failwith e
   | Ok (server, server_hello) ->
       Erebor.Channel.Wire.send wire server_hello;
@@ -1103,7 +1270,7 @@ let contains_substring hay needle =
   n = 0 || go 0
 
 let test_channel_end_to_end () =
-  let st = make_stack () in
+  let st = machine () in
   let client, server, wire = handshake st in
   let secret = "patient record 12345" in
   let request = Erebor.Channel.Client.seal_request client (Bytes.of_string secret) in
@@ -1133,7 +1300,7 @@ let test_channel_end_to_end () =
 let channel_probe = "ERTC1" ^ String.make 17 '\000' ^ "tenant-secret"
 
 let test_channel_header_shaped_payload () =
-  let st = make_stack () in
+  let st = machine () in
   let client, server, _ = handshake st in
   let sealed = Erebor.Channel.Client.seal_request client (Bytes.of_string channel_probe) in
   let got = Result.get_ok (Erebor.Channel.Server.open_request server sealed) in
@@ -1141,14 +1308,14 @@ let test_channel_header_shaped_payload () =
   Alcotest.(check string) "payload intact" channel_probe (Bytes.to_string got)
 
 let test_channel_rejects_wrong_mrtd () =
-  let st = make_stack () in
+  let st = machine () in
   let rng = Crypto.Drbg.create ~seed:"c" in
   let client =
-    Erebor.Channel.Client.create ~rng ~hw_key
+    Erebor.Channel.Client.create ~rng ~hw_key:M.hw_key
       ~expected_mrtd:(Crypto.Sha256.digest_string "some other monitor")
   in
   let hello = Erebor.Channel.Client.hello client in
-  match Erebor.Channel.Server.accept ~monitor:st.monitor ~rng ~client_hello:hello with
+  match Erebor.Channel.Server.accept ~monitor:(monitor st) ~rng ~client_hello:hello with
   | Error e -> Alcotest.fail e
   | Ok (_, server_hello) -> (
       match Erebor.Channel.Client.finish client ~server_hello with
@@ -1158,12 +1325,12 @@ let test_channel_rejects_wrong_mrtd () =
 let test_channel_rejects_impersonation () =
   (* An attacker (the untrusted OS) cannot mint a valid report: it has no
      access to the tdcall (sensitive) and no hardware key (C5). *)
-  let st = make_stack () in
+  let st = machine () in
   let rng = Crypto.Drbg.create ~seed:"attacker" in
   let real =
-    (Erebor.Monitor.tdreport st.monitor ~report_data:Bytes.empty).Tdx.Attest.mrtd
+    (Erebor.Monitor.tdreport (monitor st) ~report_data:Bytes.empty).Tdx.Attest.mrtd
   in
-  let client = Erebor.Channel.Client.create ~rng ~hw_key ~expected_mrtd:real in
+  let client = Erebor.Channel.Client.create ~rng ~hw_key:M.hw_key ~expected_mrtd:real in
   ignore (Erebor.Channel.Client.hello client);
   (* Forge: correct-looking report, attacker-chosen MAC key. *)
   let atk_kp = Crypto.Dh.generate rng in
@@ -1182,27 +1349,27 @@ let test_channel_rejects_impersonation () =
 let test_channel_replay_binding () =
   (* A report minted for one handshake cannot authenticate another: the
      report_data binds the DH transcript. *)
-  let st = make_stack () in
+  let st = machine () in
   let _, _, _ = handshake st in
   let rng = Crypto.Drbg.create ~seed:"second client" in
   let expected =
-    (Erebor.Monitor.tdreport st.monitor ~report_data:Bytes.empty).Tdx.Attest.mrtd
+    (Erebor.Monitor.tdreport (monitor st) ~report_data:Bytes.empty).Tdx.Attest.mrtd
   in
-  let client2 = Erebor.Channel.Client.create ~rng ~hw_key ~expected_mrtd:expected in
+  let client2 = Erebor.Channel.Client.create ~rng ~hw_key:M.hw_key ~expected_mrtd:expected in
   ignore (Erebor.Channel.Client.hello client2);
   (* Replay: server hello from a *different* handshake (fresh keys, report
      bound to other transcript). *)
   let other_rng = Crypto.Drbg.create ~seed:"other" in
   let other_kp = Crypto.Dh.generate other_rng in
   let other_pub = Crypto.Dh.public_bytes other_kp in
-  let stale_report = Erebor.Monitor.tdreport st.monitor ~report_data:(Bytes.of_string "stale") in
+  let stale_report = Erebor.Monitor.tdreport (monitor st) ~report_data:(Bytes.of_string "stale") in
   let replayed = Bytes.cat other_pub (Erebor.Channel.serialize_report stale_report) in
   match Erebor.Channel.Client.finish client2 ~server_hello:replayed with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "client accepted a replayed report"
 
 let test_channel_padding_hides_size () =
-  let st = make_stack () in
+  let st = machine () in
   let _, server, _ = handshake st in
   let r1 = Erebor.Channel.Server.seal_response server ~bucket:1024 (Bytes.of_string "no") in
   let r2 =
@@ -1211,7 +1378,7 @@ let test_channel_padding_hides_size () =
   Alcotest.(check int) "equal wire sizes" (Bytes.length r1) (Bytes.length r2)
 
 let test_channel_tamper_rejected () =
-  let st = make_stack () in
+  let st = machine () in
   let client, server, _ = handshake st in
   let request = Erebor.Channel.Client.seal_request client (Bytes.of_string "data") in
   Bytes.set request (Bytes.length request - 1)
@@ -1263,7 +1430,7 @@ let test_hostile_length_words () =
    ignored). *)
 let wire_seeds =
   lazy
-    (let st = make_stack () in
+    (let st = machine () in
      let client, _, wire = handshake st in
      let server_hello = List.nth (Erebor.Channel.Wire.snoop wire) 1 in
      let report = Bytes.sub server_hello 192 (Bytes.length server_hello - 192) in
@@ -1375,6 +1542,7 @@ let () =
         [
           claim "accepts benign" test_boot_accepts_benign;
           claim "rejects sensitive" test_boot_rejects_sensitive;
+          claim "second kernel refused" test_boot_second_kernel_refused;
           claim "data not scanned" test_boot_data_section_not_scanned;
           claim "deterministic measurement" test_boot_measurement_deterministic;
           claim "dynamic code" test_dynamic_code_verification;
@@ -1413,6 +1581,21 @@ let () =
           claim "frame unwritable (tmemk)" (test_gate_frame_unwritable Erebor.Isolation.Tme_mk);
           Alcotest.test_case "corrupted gate not attested" `Quick
             test_corrupted_gate_not_attested;
+        ] );
+      ( "invariant checker",
+        [
+          Alcotest.test_case "host-shared frame" `Quick test_inv_host_shared;
+          Alcotest.test_case "user-mapped frame" `Quick test_inv_user_mapped;
+          Alcotest.test_case "confined frame mapped outside" `Quick test_inv_confined_mapped;
+          Alcotest.test_case "monitor frame class" `Quick test_inv_monitor_class;
+          Alcotest.test_case "grant open" `Quick test_inv_grant_open;
+          Alcotest.test_case "key tag" `Quick test_inv_key_tag;
+          Alcotest.test_case "key tag (tmemk)" `Quick test_inv_tme_key_tag;
+          Alcotest.test_case "gate tamper" `Quick test_inv_gate_modified;
+          Alcotest.test_case "audit chain broken" `Quick test_inv_audit_broken;
+          Alcotest.test_case "unaudited denial" `Quick test_inv_unaudited_denial;
+          Alcotest.test_case "unaudited violation" `Quick test_inv_unaudited_violation;
+          Alcotest.test_case "attribution leak" `Quick test_inv_attribution_leak;
         ] );
       ( "mmu/privops (C2-C4)",
         [

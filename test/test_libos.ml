@@ -1,35 +1,6 @@
 (* Tests for the Gramine-like LibOS running inside Erebor sandboxes. *)
 
-let hw_key = Crypto.Sha256.digest_string "fused hardware key"
-
-let kernel_image =
-  {
-    Hw.Image.entry = 0x1000;
-    sections =
-      [
-        { Hw.Image.name = ".text"; vaddr = 0x1000; executable = true; writable = false;
-          data = Hw.Isa.assemble [ Hw.Isa.Endbr; Hw.Isa.Ret ] };
-      ];
-  }
-
-let make_env () =
-  let mem = Hw.Phys_mem.create ~frames:32768 in
-  let clock = Hw.Cycles.clock () in
-  let cpu = Hw.Cpu.create ~id:0 ~mem ~clock ~timer_period:200_000 () in
-  let td = Tdx.Td_module.create ~mem ~clock ~hw_key in
-  let host = Vmm.Host.create () in
-  Tdx.Td_module.set_vmm td (Vmm.Host.handler host);
-  let monitor =
-    Erebor.Monitor.install ~cpu ~mem ~td ~firmware:(Bytes.of_string "fw")
-      ~monitor_frames:32 ~device_shared_frames:32 ()
-  in
-  let kern =
-    Result.get_ok
-      (Erebor.Monitor.boot_kernel monitor ~kernel_image ~reserved_frames:128
-         ~cma_frames:8192)
-  in
-  let mgr = Erebor.Sandbox.create_manager ~monitor ~kern in
-  (mgr, kern)
+module M = Sim.Machine
 
 let make_libos ?(heap_bytes = 64 * 4096) ?(threads = 4) ?(preload = []) mgr =
   let sb =
@@ -105,7 +76,8 @@ let test_spinlock () =
 (* ------------------------------------------------------------------ *)
 
 let test_libos_boot_preload () =
-  let mgr, kern = make_env () in
+  let st = M.create ~frames:32768 ~cma_frames:8192 ~setting:Sim.Config.Erebor_full () in
+  let mgr = Option.get (M.manager st) and kern = M.kern st in
   let sb, libos =
     make_libos mgr ~preload:[ ("/lib/libc.so", Bytes.of_string "libc bytes");
                               ("/app/config", Bytes.of_string "cfg") ]
@@ -120,7 +92,8 @@ let test_libos_boot_preload () =
   ignore kern
 
 let test_memfs_contents_in_confined_memory () =
-  let mgr, kern = make_env () in
+  let st = M.create ~frames:32768 ~cma_frames:8192 ~setting:Sim.Config.Erebor_full () in
+  let mgr = Option.get (M.manager st) and kern = M.kern st in
   let sb, libos = make_libos mgr in
   (match Libos.write_file libos "/tmp/scratch" (Bytes.of_string "CONFINED-DATA") with
   | Ok () -> ()
@@ -133,7 +106,8 @@ let test_memfs_contents_in_confined_memory () =
     (Kernel.Alloc.is_allocated kern.Kernel.cma pfn)
 
 let test_memfs_lifecycle () =
-  let mgr, _ = make_env () in
+  let st = M.create ~frames:32768 ~cma_frames:8192 ~setting:Sim.Config.Erebor_full () in
+  let mgr = Option.get (M.manager st) in
   let _, libos = make_libos mgr in
   let fs = Libos.fs libos in
   (match Libos.Memfs.write_file fs "/a" (Bytes.of_string "one") with Ok () -> () | Error e -> Alcotest.fail e);
@@ -153,7 +127,8 @@ let test_memfs_lifecycle () =
   Alcotest.(check (option int)) "empty size" (Some 0) (Libos.Memfs.file_size fs "/empty")
 
 let test_memfs_heap_exhaustion () =
-  let mgr, _ = make_env () in
+  let st = M.create ~frames:32768 ~cma_frames:8192 ~setting:Sim.Config.Erebor_full () in
+  let mgr = Option.get (M.manager st) in
   let _, libos = make_libos mgr ~heap_bytes:(4 * 4096) in
   match Libos.write_file libos "/big" (Bytes.make (5 * 4096) 'x') with
   | Error _ -> ()
@@ -164,7 +139,8 @@ let test_memfs_heap_exhaustion () =
 (* ------------------------------------------------------------------ *)
 
 let test_io_channel_after_seal () =
-  let mgr, _ = make_env () in
+  let st = M.create ~frames:32768 ~cma_frames:8192 ~setting:Sim.Config.Erebor_full () in
+  let mgr = Option.get (M.manager st) in
   let sb, libos = make_libos mgr in
   ignore (Result.get_ok (Erebor.Sandbox.load_client_data mgr sb (Bytes.of_string "prompt: hi")));
   (match Libos.recv_input libos with
@@ -178,7 +154,8 @@ let test_io_channel_after_seal () =
   Alcotest.(check bool) "sandbox alive" true (Erebor.Sandbox.kill_reason sb = None)
 
 let test_services_stay_inside_after_seal () =
-  let mgr, kern = make_env () in
+  let st = M.create ~frames:32768 ~cma_frames:8192 ~setting:Sim.Config.Erebor_full () in
+  let mgr = Option.get (M.manager st) and kern = M.kern st in
   let sb, libos = make_libos mgr in
   ignore (Result.get_ok (Erebor.Sandbox.load_client_data mgr sb (Bytes.of_string "data")));
   let syscalls_before = kern.Kernel.stats.Kernel.syscalls in
@@ -194,7 +171,8 @@ let test_services_stay_inside_after_seal () =
   Alcotest.(check bool) "not killed" true (Erebor.Sandbox.kill_reason sb = None)
 
 let test_parallel_compute_scaling () =
-  let mgr, kern = make_env () in
+  let st = M.create ~frames:32768 ~cma_frames:8192 ~setting:Sim.Config.Erebor_full () in
+  let mgr = Option.get (M.manager st) and kern = M.kern st in
   let _, libos = make_libos mgr ~threads:8 in
   let t0 = Hw.Cycles.now kern.Kernel.clock in
   Libos.parallel_compute libos ~total_cycles:8_000_000 ~sync_ops:0;
@@ -204,7 +182,8 @@ let test_parallel_compute_scaling () =
   Alcotest.(check bool) "sync adds cost" true (Hw.Cycles.now kern.Kernel.clock - t1 > 0)
 
 let test_service_cost_accounting () =
-  let mgr, kern = make_env () in
+  let st = M.create ~frames:32768 ~cma_frames:8192 ~setting:Sim.Config.Erebor_full () in
+  let mgr = Option.get (M.manager st) and kern = M.kern st in
   let _, libos = make_libos mgr in
   let n0 = Libos.service_calls libos in
   let t0 = Hw.Cycles.now kern.Kernel.clock in
@@ -218,7 +197,8 @@ let test_service_cost_accounting () =
 (* ------------------------------------------------------------------ *)
 
 let make_posix () =
-  let mgr, kern = make_env () in
+  let st = M.create ~frames:32768 ~cma_frames:8192 ~setting:Sim.Config.Erebor_full () in
+  let mgr = Option.get (M.manager st) and kern = M.kern st in
   let sb, libos = make_libos mgr in
   ignore sb;
   ignore kern;

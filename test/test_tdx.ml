@@ -77,60 +77,6 @@ let test_attest_rtmr () =
       Tdx.Attest.extend_rtmr m ~index:4 Bytes.empty)
 
 (* ------------------------------------------------------------------ *)
-(* Quoting layer                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let hwk = Crypto.Sha256.digest_string "hwkey"
-
-let make_report () =
-  let m = Tdx.Attest.create_measurements () in
-  Tdx.Attest.extend_mrtd m (Bytes.of_string "monitor");
-  Tdx.Attest.generate m ~hw_key:hwk ~report_data:(Bytes.of_string "nonce")
-
-let test_quote_roundtrip () =
-  let rng = Crypto.Drbg.create ~seed:"qe" in
-  let qe = Tdx.Quote.create_service rng ~hw_key:hwk in
-  let report = make_report () in
-  let q = Result.get_ok (Tdx.Quote.quote qe report) in
-  Alcotest.(check bool) "verifies with pinned key" true
-    (Tdx.Quote.verify (Tdx.Quote.attestation_key qe) q);
-  (* Wire roundtrip. *)
-  (match Tdx.Quote.deserialize (Tdx.Quote.serialize q) with
-  | Ok q' ->
-      Alcotest.(check bool) "survives serialization" true
-        (Tdx.Quote.verify (Tdx.Quote.attestation_key qe) q')
-  | Error e -> Alcotest.fail e);
-  (match Tdx.Quote.deserialize (Bytes.of_string "junk") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "junk deserialized")
-
-let test_quote_rejects_forged_report () =
-  let rng = Crypto.Drbg.create ~seed:"qe2" in
-  let qe = Tdx.Quote.create_service rng ~hw_key:hwk in
-  (* A report MACed under a guessed key never gets quoted. *)
-  let m = Tdx.Attest.create_measurements () in
-  let forged =
-    Tdx.Attest.generate m ~hw_key:(Crypto.Sha256.digest_string "guess") ~report_data:Bytes.empty
-  in
-  match Tdx.Quote.quote qe forged with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "forged report quoted"
-
-let test_quote_rejects_tampered_body () =
-  let rng = Crypto.Drbg.create ~seed:"qe3" in
-  let qe = Tdx.Quote.create_service rng ~hw_key:hwk in
-  let q = Result.get_ok (Tdx.Quote.quote qe (make_report ())) in
-  let tampered =
-    { q with Tdx.Quote.body = { q.Tdx.Quote.body with Tdx.Attest.mrtd = Bytes.make 32 'X' } }
-  in
-  Alcotest.(check bool) "tampered body rejected" false
-    (Tdx.Quote.verify (Tdx.Quote.attestation_key qe) tampered);
-  (* A different QE's key does not verify this quote. *)
-  let other = Tdx.Quote.create_service (Crypto.Drbg.create ~seed:"other") ~hw_key:hwk in
-  Alcotest.(check bool) "wrong collateral rejected" false
-    (Tdx.Quote.verify (Tdx.Quote.attestation_key other) q)
-
-(* ------------------------------------------------------------------ *)
 (* Td_module                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -323,12 +269,6 @@ let () =
           Alcotest.test_case "measurement chain" `Quick test_attest_measurement_chain;
           Alcotest.test_case "report verify" `Quick test_attest_report_verify;
           Alcotest.test_case "rtmr" `Quick test_attest_rtmr;
-        ] );
-      ( "quote",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_quote_roundtrip;
-          Alcotest.test_case "forged report" `Quick test_quote_rejects_forged_report;
-          Alcotest.test_case "tampered/wrong key" `Quick test_quote_rejects_tampered_body;
         ] );
       ( "td_module",
         [
