@@ -228,9 +228,7 @@ let main p =
   in
   let attacker = Kernel.create_task kern ~name:"adversary" ~kind:Kernel.Task.Normal in
   let a_addr =
-    Result.get_ok
-      (Kernel.mmap kern attacker ~len:page ~prot:Kernel.Vma.prot_rw
-         ~kind:Kernel.Vma.Anon)
+    Kernel.mmap kern attacker ~len:page ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon
   in
   Result.get_ok (Kernel.handle_page_fault kern attacker ~addr:a_addr ~kind:Hw.Fault.Write);
   let leaf_addr =

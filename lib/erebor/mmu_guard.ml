@@ -33,9 +33,10 @@ type t = {
   mutable classes : frame_class array array;
   mutable confined_mapped : bool array array; (* confined pfns with a live mapping *)
   commons : (string, common) Hashtbl.t;
-  mutable kernel_root : int option;
+  mutable kernel_root : int; (* -1 until the kernel boots *)
   mutable denied : int;
   mutable last_ptp : frame_class; (* see [ptp_class] *)
+  mutable kernel_ptps : frame_class array; (* by level, see [ptp_class] *)
 }
 
 let create ~mem ~cpu ~backend =
@@ -48,9 +49,10 @@ let create ~mem ~cpu ~backend =
     classes = Hw.Frame_table.empty_dir;
     confined_mapped = Hw.Frame_table.empty_dir;
     commons = Hashtbl.create 8;
-    kernel_root = None;
+    kernel_root = -1;
     denied = 0;
     last_ptp = Free;
+    kernel_ptps = [||];
   }
 
 let in_range t pfn = Hw.Frame_table.in_range ~frames:t.frames pfn
@@ -83,7 +85,9 @@ let mark_confined_mapped t pfn v =
     end
   end
 
-let set_kernel_root t pfn = t.kernel_root <- Some pfn
+let set_kernel_root t pfn =
+  t.kernel_root <- pfn;
+  t.kernel_ptps <- Array.init 4 (fun level -> Ptp { level; root = pfn; sandbox = -1 })
 
 let common t ~instance =
   match Hashtbl.find_opt t.commons instance with
@@ -103,14 +107,18 @@ let same_class a b =
 (* The class of a new interior table. Class values are immutable, so the
    tables one root grows at one level share one: the last one built is
    kept, and demand paging, which adds leaf tables under one root at a
-   time, builds no class per table. *)
+   time, builds no class per table. The kernel's tree grows its direct map
+   between the stores of user address spaces (a fork copies into fresh
+   frames), so its classes are built once, when its root is set. *)
 let ptp_class t ~level ~root =
-  match t.last_ptp with
-  | Ptp { level = l; root = r; sandbox = -1 } when l = level && r = root -> t.last_ptp
-  | _ ->
-      let c = Ptp { level; root; sandbox = -1 } in
-      t.last_ptp <- c;
-      c
+  if root = t.kernel_root then t.kernel_ptps.(level)
+  else
+    match t.last_ptp with
+    | Ptp { level = l; root = r; sandbox = -1 } when l = level && r = root -> t.last_ptp
+    | _ ->
+        let c = Ptp { level; root; sandbox = -1 } in
+        t.last_ptp <- c;
+        c
 
 let register_root t ~root_pfn =
   match class_of t root_pfn with

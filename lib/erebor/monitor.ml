@@ -522,12 +522,14 @@ let tdreport t ~report_data =
       failwith "tdreport: unexpected result"
   | Tdx.Td_module.Error_leaf e -> failwith ("tdreport: " ^ e)
 
+(* A cache hit builds nothing: the lookup raises instead of answering an
+   option, and the cached value is returned as it is. *)
 let cpuid t ~leaf =
-  match Hashtbl.find_opt t.cpuid_cache leaf with
-  | Some v ->
+  match Hashtbl.find t.cpuid_cache leaf with
+  | v ->
       t.cache_hits <- t.cache_hits + 1;
       v
-  | None -> (
+  | exception Not_found -> (
       match
         Gate.call t.gate (fun () ->
             Tdx.Td_module.tdcall t.td t.cpu (Tdx.Ghci.Vmcall (Tdx.Ghci.Cpuid leaf)))

@@ -224,17 +224,18 @@ let declare_confined mgr sb ~len =
         match classify_all () with
         | Error e -> Error e
         | Ok () -> (
-            match
+            let start =
               Kernel.mmap mgr.kern sb.main_task ~len ~prot:Kernel.Vma.prot_rw
                 ~kind:Kernel.Vma.Confined
-            with
-            | Error e -> Error e
-            | Ok start -> (
-                sb.confined <- sb.confined @ [ { start; len; base_pfn } ];
-                (* Pin: pre-fault every page now (init-time cost). *)
-                match Kernel.populate mgr.kern sb.main_task ~start ~len with
-                | Ok () -> Ok start
-                | Error e -> Error e)))
+            in
+            if start < 0 then Error "mmap: address space exhausted"
+            else begin
+              sb.confined <- sb.confined @ [ { start; len; base_pfn } ];
+              (* Pin: pre-fault every page now (init-time cost). *)
+              match Kernel.populate mgr.kern sb.main_task ~start ~len with
+              | Ok () -> Ok start
+              | Error e -> Error e
+            end))
   end
 
 let attach_common mgr sb ~name ~size =
@@ -268,14 +269,15 @@ let attach_common mgr sb ~name ~size =
       Error "common instance size mismatch"
     end
     else
-      match
+      let start =
         Kernel.mmap mgr.kern sb.main_task ~len:(Kernel.Layout.page_align_up size)
           ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Common
-      with
-      | Error e -> Error e
-      | Ok start ->
-          sb.commons <- sb.commons @ [ (start, inst) ];
-          Ok start
+      in
+      if start < 0 then Error "mmap: address space exhausted"
+      else begin
+        sb.commons <- sb.commons @ [ (start, inst) ];
+        Ok start
+      end
 
 let common_instance_frames mgr ~name =
   match Hashtbl.find_opt mgr.commons name with

@@ -38,10 +38,13 @@ let register_special t path ~read ~write = Hashtbl.replace t.specials path { rea
 
 let is_special t path = Hashtbl.mem t.specials path
 
-let read_path t path =
-  match Hashtbl.find_opt t.specials path with
-  | Some s -> Some (s.read ())
-  | None -> read_file t path
+(* Specials first; a regular file hands back its stored bytes themselves.
+   Writers replace a file's bytes rather than mutate them, so the view
+   stays what it was when taken. *)
+let view t path =
+  match Hashtbl.find t.specials path with
+  | s -> s.read ()
+  | exception Not_found -> !(Hashtbl.find t.files path)
 
 let write_path t path data =
   match Hashtbl.find_opt t.specials path with
@@ -53,8 +56,8 @@ let write_path t path data =
       true
 
 let write_special_view t path buf ~len =
-  match Hashtbl.find_opt t.specials path with
-  | Some s ->
+  match Hashtbl.find t.specials path with
+  | s ->
       s.write buf ~len;
       true
-  | None -> false
+  | exception Not_found -> false

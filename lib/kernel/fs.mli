@@ -30,8 +30,10 @@ val register_special :
 
 val is_special : t -> string -> bool
 
-val read_path : t -> string -> bytes option
-(** Regular or special. *)
+val view : t -> string -> bytes
+(** The contents of a regular or special node, not copied: treat them as
+    read-only (a regular file's view keeps its contents at the time of the
+    call). Raises [Not_found] when [path] is neither. *)
 
 val write_path : t -> string -> bytes -> bool
 (** Write through a special handler, or create/overwrite a regular file.

@@ -159,36 +159,38 @@ let create_task t ~name ~kind =
   in
   t.privops.Privops.declare_root ~root_pfn:root;
   copy_kernel_half t root;
-  let task = Task.make ~tid:t.next_tid ~name ~kind ~root_pfn:root in
+  let task = Task.make ~tid:t.next_tid ~name ~kind ~root_pfn:root ~vmas:(Vma.create ()) in
   t.next_tid <- t.next_tid + 1;
   Hashtbl.replace t.tasks task.Task.tid task;
   Sched.enqueue t.sched task;
   task
 
+(* The thread shares the page tables but starts from a snapshot of the
+   parent's VMAs: a later mmap or munmap in one is not seen by the other. *)
 let clone_thread t parent ~name =
-  let task = Task.make ~tid:t.next_tid ~name ~kind:parent.Task.kind ~root_pfn:parent.Task.root_pfn in
-  task.Task.vmas <- parent.Task.vmas;
+  let task =
+    Task.make ~tid:t.next_tid ~name ~kind:parent.Task.kind ~root_pfn:parent.Task.root_pfn
+      ~vmas:(Vma.copy parent.Task.vmas)
+  in
   task.Task.brk <- parent.Task.brk;
   t.next_tid <- t.next_tid + 1;
   Hashtbl.replace t.tasks task.Task.tid task;
   Sched.enqueue t.sched task;
   task
 
-let live_task_count t =
-  Hashtbl.fold (fun _ task acc -> if task.Task.state <> Task.Dead then acc + 1 else acc) t.tasks 0
+(* [exit_task] drops a task from [tasks], so every entry is live. *)
+let live_task_count t = Hashtbl.length t.tasks
 
+(* The gap search and the insertion build nothing: a mapping costs only its
+   region record. A start [find_gap] returns is page-aligned and free, so
+   the insertion cannot fail. *)
 let mmap _t task ~len ~prot ~kind =
   let len = Layout.page_align_up len in
-  if len <= 0 then Error "mmap: empty length"
+  if len <= 0 then -1
   else
-    match Vma.find_gap task.Task.vmas ~hint:0x1000_0000 ~len ~limit:Layout.user_top with
-    | None -> Error "mmap: address space exhausted"
-    | Some start -> (
-        match Vma.add task.Task.vmas { Vma.start; len; prot; kind } with
-        | Ok vmas ->
-            task.Task.vmas <- vmas;
-            Ok start
-        | Error e -> Error e)
+    let start = Vma.find_gap task.Task.vmas ~hint:0x1000_0000 ~len ~limit:Layout.user_top in
+    if start >= 0 then ignore (Vma.add task.Task.vmas { Vma.start; len; prot; kind });
+    start
 
 let allocator_for t kind =
   match kind with Vma.Confined -> t.cma | Vma.Anon | Vma.Stack | Vma.File _ | Vma.Common -> t.frame_alloc
@@ -287,30 +289,29 @@ let populate_batched t task ~first ~last =
       flush ();
       Ok ()
     end
-    else
-      match Hw.Page_table.walk t.mem ~root_pfn:task.Task.root_pfn page with
-      | Some _ -> go (page + Hw.Phys_mem.page_size)
-      | None -> (
-          cost t Hw.Cycles.Cost.page_fault_base;
-          t.stats.page_faults <- t.stats.page_faults + 1;
-          emit t Obs.Trace.Page_fault ~arg:page;
-          match Vma.find task.Task.vmas page with
-          | None -> Error (Printf.sprintf "segfault: no mapping at 0x%x" page)
-          | Some region ->
-              let pfn = fault_frame t task region ~page in
-              if pfn < 0 then Error "out of memory"
-              else begin
-                direct_map_fault_frame t region ~pfn;
-                let slot =
-                  Hw.Page_table.prepare_leaf t.mem
-                    ~write_pte:t.privops.Privops.write_pte ~alloc_ptp:t.alloc_ptp
-                    ~root_pfn:task.Task.root_pfn ~vaddr:page
-                in
-                batch := (slot, fault_pte region ~page ~pfn) :: !batch;
-                incr count;
-                if !count >= 64 then flush ();
-                go (page + Hw.Phys_mem.page_size)
-              end)
+    else if Hw.Page_table.walk_packed t.mem ~root_pfn:task.Task.root_pfn page >= 0 then
+      go (page + Hw.Phys_mem.page_size)
+    else begin
+      cost t Hw.Cycles.Cost.page_fault_base;
+      t.stats.page_faults <- t.stats.page_faults + 1;
+      emit t Obs.Trace.Page_fault ~arg:page;
+      match Vma.find_exn task.Task.vmas page with
+      | exception Not_found -> Error (Printf.sprintf "segfault: no mapping at 0x%x" page)
+      | region ->
+          let pfn = fault_frame t task region ~page in
+          if pfn < 0 then Error "out of memory"
+          else begin
+            direct_map_fault_frame t region ~pfn;
+            let slot =
+              Hw.Page_table.prepare_leaf t.mem ~write_pte:t.privops.Privops.write_pte
+                ~alloc_ptp:t.alloc_ptp ~root_pfn:task.Task.root_pfn ~vaddr:page
+            in
+            batch := (slot, fault_pte region ~page ~pfn) :: !batch;
+            incr count;
+            if !count >= 64 then flush ();
+            go (page + Hw.Phys_mem.page_size)
+          end
+    end
   in
   go first
 
@@ -322,13 +323,12 @@ let populate t task ~start ~len =
   else begin
     let rec go page =
       if page >= last then Ok ()
+      else if Hw.Page_table.walk_packed t.mem ~root_pfn:task.Task.root_pfn page >= 0 then
+        go (page + Hw.Phys_mem.page_size)
       else
-        match Hw.Page_table.walk t.mem ~root_pfn:task.Task.root_pfn page with
-        | Some _ -> go (page + Hw.Phys_mem.page_size)
-        | None -> (
-            match handle_page_fault t task ~addr:page ~kind:Hw.Fault.Write with
-            | Ok () -> go (page + Hw.Phys_mem.page_size)
-            | Error e -> Error e)
+        match handle_page_fault t task ~addr:page ~kind:Hw.Fault.Write with
+        | Ok () -> go (page + Hw.Phys_mem.page_size)
+        | Error e -> Error e
     in
     go first
   end
@@ -390,62 +390,75 @@ let resolve_pfn t task ~addr =
   | Some w -> Some w.Hw.Page_table.pfn
   | None -> None
 
+(* The leaf entry mapping [page], or [Hw.Pte.empty] when [page] is
+   unmapped: a probe through [Hw.Page_table.walk_packed] that builds no
+   walk record. *)
+let present_leaf t ~root_pfn page =
+  let w = Hw.Page_table.walk_packed t.mem ~root_pfn page in
+  if w < 0 then Hw.Pte.empty else Hw.Phys_mem.read_u64 t.mem (Hw.Page_table.packed_pte_addr w)
+
+(* Eager copy of one region's present pages (no COW in this kernel); a
+   page costs a frame, a copy and a leaf store, and builds nothing. *)
+let fork_region t ~parent ~child region =
+  let allocator = allocator_for t region.Vma.kind in
+  let page = ref region.Vma.start in
+  while !page < Vma.region_end region do
+    let pte = present_leaf t ~root_pfn:parent.Task.root_pfn !page in
+    if Hw.Pte.present pte then begin
+      let pfn = Alloc.alloc_pfn allocator in
+      if pfn < 0 then failwith "fork: out of memory";
+      ensure_direct_map t ~pfn;
+      Hw.Phys_mem.copy t.mem ~src:(Hw.Phys_mem.addr_of_pfn (Hw.Pte.pfn pte))
+        ~dst:(Hw.Phys_mem.addr_of_pfn pfn) ~len:Hw.Phys_mem.page_size;
+      cost t Hw.Cycles.Cost.page_fault_base;
+      t.stats.page_faults <- t.stats.page_faults + 1;
+      emit t Obs.Trace.Page_fault ~arg:!page;
+      Hw.Page_table.map t.mem ~write_pte:t.privops.Privops.write_pte
+        ~alloc_ptp:t.alloc_ptp ~root_pfn:child.Task.root_pfn ~vaddr:!page
+        (Hw.Pte.with_pfn pte pfn)
+    end;
+    page := !page + Hw.Phys_mem.page_size
+  done
+
 let fork_process t parent ~name =
   let child = create_task t ~name ~kind:parent.Task.kind in
   child.Task.brk <- parent.Task.brk;
   Vma.iter
     (fun region ->
       (match Vma.add child.Task.vmas region with
-      | Ok vmas -> child.Task.vmas <- vmas
+      | Ok () -> ()
       | Error e -> failwith ("fork: " ^ e));
-      (* Eager copy of all present pages (no COW in this kernel). *)
-      let page = ref region.Vma.start in
-      while !page < Vma.region_end region do
-        (match Hw.Page_table.walk t.mem ~root_pfn:parent.Task.root_pfn !page with
-        | None -> ()
-        | Some w -> (
-            match Alloc.alloc (allocator_for t region.Vma.kind) with
-            | None -> failwith "fork: out of memory"
-            | Some pfn ->
-                ensure_direct_map t ~pfn;
-                let src = Hw.Phys_mem.addr_of_pfn (Hw.Pte.pfn w.Hw.Page_table.pte) in
-                Hw.Phys_mem.copy t.mem ~src ~dst:(Hw.Phys_mem.addr_of_pfn pfn)
-                  ~len:Hw.Phys_mem.page_size;
-                cost t Hw.Cycles.Cost.page_fault_base;
-                t.stats.page_faults <- t.stats.page_faults + 1;
-                emit t Obs.Trace.Page_fault ~arg:!page;
-                Hw.Page_table.map t.mem ~write_pte:t.privops.Privops.write_pte
-                  ~alloc_ptp:t.alloc_ptp ~root_pfn:child.Task.root_pfn ~vaddr:!page
-                  (Hw.Pte.with_pfn w.Hw.Page_table.pte pfn)));
-        page := !page + Hw.Phys_mem.page_size
-      done)
+      fork_region t ~parent ~child region)
     parent.Task.vmas;
   child
 
+(* Unmap and free one region's present pages. Common frames back a shared
+   instance other address spaces may still map: only the mapping goes
+   away, never the frame. *)
+let unmap_region t task region =
+  let page = ref region.Vma.start in
+  while !page < Vma.region_end region do
+    let pte = present_leaf t ~root_pfn:task.Task.root_pfn !page in
+    if Hw.Pte.present pte then begin
+      Hw.Page_table.unmap t.mem ~write_pte:t.privops.Privops.write_pte
+        ~root_pfn:task.Task.root_pfn ~vaddr:!page;
+      match region.Vma.kind with
+      | Vma.Common -> ()
+      | Vma.Anon | Vma.Stack | Vma.File _ | Vma.Confined ->
+          let allocator = allocator_for t region.Vma.kind and pfn = Hw.Pte.pfn pte in
+          (try if Alloc.is_allocated allocator pfn then Alloc.free allocator pfn
+           with Invalid_argument _ -> ( (* frame owned elsewhere *) ))
+    end;
+    page := !page + Hw.Phys_mem.page_size
+  done
+
 let munmap t task ~addr =
-  match Vma.find task.Task.vmas addr with
-  | None -> Error "munmap: no region"
-  | Some region when region.Vma.start <> addr -> Error "munmap: not region start"
-  | Some region ->
-      let page = ref region.Vma.start in
-      while !page < Vma.region_end region do
-        (match Hw.Page_table.walk t.mem ~root_pfn:task.Task.root_pfn !page with
-        | None -> ()
-        | Some w ->
-            let pfn = Hw.Pte.pfn w.Hw.Page_table.pte in
-            Hw.Page_table.unmap t.mem ~write_pte:t.privops.Privops.write_pte
-              ~root_pfn:task.Task.root_pfn ~vaddr:!page;
-            (* Common frames back a shared instance other address spaces may
-               still map: only the mapping goes away, never the frame. *)
-            (match region.Vma.kind with
-            | Vma.Common -> ()
-            | Vma.Anon | Vma.Stack | Vma.File _ | Vma.Confined ->
-                let allocator = allocator_for t region.Vma.kind in
-                (try if Alloc.is_allocated allocator pfn then Alloc.free allocator pfn
-                 with Invalid_argument _ -> ( (* frame owned elsewhere *) ))));
-        page := !page + Hw.Phys_mem.page_size
-      done;
-      task.Task.vmas <- Vma.remove task.Task.vmas ~start:addr;
+  match Vma.find_exn task.Task.vmas addr with
+  | exception Not_found -> Error "munmap: no region"
+  | region when region.Vma.start <> addr -> Error "munmap: not region start"
+  | region ->
+      unmap_region t task region;
+      Vma.remove task.Task.vmas ~start:addr;
       Ok ()
 
 (* The timer tick and the context switch run on every scheduler quantum, so
@@ -490,18 +503,37 @@ let note_ve_exit t =
   t.stats.ve_exits <- t.stats.ve_exits + 1;
   emit t Obs.Trace.Ve_exit ~arg:0
 
-let cpuid t _task ~leaf =
-  span t Obs.Trace.Ve_handler @@ fun () ->
+(* The vmcall of each basic cpuid leaf is built once; a leaf outside the
+   table builds its own. *)
+let cpuid_requests = Array.init 32 (fun leaf -> Tdx.Ghci.Vmcall (Tdx.Ghci.Cpuid leaf))
+
+let cpuid_request leaf =
+  if leaf >= 0 && leaf < Array.length cpuid_requests then cpuid_requests.(leaf)
+  else Tdx.Ghci.Vmcall (Tdx.Ghci.Cpuid leaf)
+
+let cpuid_body t leaf =
   cost t Hw.Cycles.Cost.ve_handling;
   t.stats.ve_exits <- t.stats.ve_exits + 1;
   emit t Obs.Trace.Ve_exit ~arg:leaf;
-  match t.privops.Privops.tdcall (Tdx.Ghci.Vmcall (Tdx.Ghci.Cpuid leaf)) with
+  match t.privops.Privops.tdcall (cpuid_request leaf) with
   | Tdx.Td_module.Ok_int v -> v
   | Tdx.Td_module.Ok_bytes _ | Tdx.Td_module.Ok_report _ | Tdx.Td_module.Ok_unit -> 0L
   | Tdx.Td_module.Error_leaf e -> failwith ("cpuid: " ^ e)
 
+(* [span t Ve_handler] written out: a cpuid builds no closure. *)
+let cpuid t _task ~leaf =
+  emit t (Obs.Trace.span_begin Obs.Trace.Ve_handler) ~arg:0;
+  match cpuid_body t leaf with
+  | v ->
+      emit t (Obs.Trace.span_end Obs.Trace.Ve_handler) ~arg:0;
+      v
+  | exception e ->
+      emit t (Obs.Trace.span_end Obs.Trace.Ve_handler) ~arg:0;
+      raise e
+
 let exit_task t task ~code =
   Task.kill task ~exit_code:code;
+  Hashtbl.remove t.tasks task.Task.tid;
   Sched.remove_dead t.sched
 
 let brk _t task ~new_brk =
@@ -516,67 +548,89 @@ let brk _t task ~new_brk =
     end
     else
       match Vma.add task.Task.vmas { Vma.start; len; prot = Vma.prot_rw; kind = Vma.Anon } with
-      | Ok vmas ->
-          task.Task.vmas <- vmas;
+      | Ok () ->
           task.Task.brk <- new_brk;
           Ok new_brk
       | Error e -> Error e
   end
 
+(* read(2)/write(2) on a user buffer: the byte count, or a negative errno.
+   The fd lookup and the node lookup raise instead of building options, a
+   read copies straight from the node's view and a special's write lands
+   in the reusable scratch, so a call builds nothing. *)
+let ebadf = -9
+let enoent = -2
+
+let read_user t task ~fd ~user_buf ~len =
+  match Task.path_of_fd task fd with
+  | exception Not_found -> ebadf
+  | path -> (
+      match Fs.view t.fs path with
+      | exception Not_found -> enoent
+      | data ->
+          let n = min len (Bytes.length data) in
+          t.privops.Privops.copy_to_user_from ~user_addr:user_buf ~buf:data ~off:0 ~len:n;
+          n)
+
+let write_user t task ~fd ~user_buf ~len =
+  match Task.path_of_fd task fd with
+  | exception Not_found -> ebadf
+  | path ->
+      if Fs.is_special t.fs path then begin
+        (* Specials get a (buffer, len) view of a reusable scratch: same
+           user-copy costs and checks, no per-call buffer. *)
+        if Bytes.length t.io_scratch < len then t.io_scratch <- Bytes.create len;
+        t.privops.Privops.copy_from_user_into ~user_addr:user_buf ~buf:t.io_scratch ~off:0
+          ~len;
+        ignore (Fs.write_special_view t.fs path t.io_scratch ~len);
+        len
+      end
+      else begin
+        let data = t.privops.Privops.copy_from_user ~user_addr:user_buf ~len in
+        Fs.append_file t.fs path data;
+        Bytes.length data
+      end
+
+let rw_error ~write n =
+  (if write then "write" else "read") ^ if n = ebadf then ": bad fd" else ": no such file"
+
+let rw_result ~write n = if n >= 0 then Syscall.Rint n else Syscall.Rerr (rw_error ~write n)
+
+(* Every syscall's entry: the round trip, the count and the event. *)
+let enter t code =
+  cost t Hw.Cycles.Cost.syscall_roundtrip;
+  t.stats.syscalls <- t.stats.syscalls + 1;
+  emit t Obs.Trace.Syscall ~arg:code
+
 (* The dispatch body, bracketed by [syscall] below. Split out so the hot
    entry point can emit the span boundaries inline instead of building a
    closure per call. *)
 let syscall_body t task call =
-  cost t Hw.Cycles.Cost.syscall_roundtrip;
-  t.stats.syscalls <- t.stats.syscalls + 1;
-  emit t Obs.Trace.Syscall ~arg:(Syscall.code call);
+  enter t (Syscall.code call);
   match call with
   | Syscall.Open { path } ->
       if not (Fs.exists t.fs path) then Fs.write_file t.fs path Bytes.empty;
       Syscall.Rint (Task.alloc_fd task path)
   | Syscall.Close { fd } ->
       if Task.close_fd task fd then Syscall.Rint 0 else Syscall.Rerr "close: bad fd"
-  | Syscall.Read { fd; user_buf; len } -> (
+  | Syscall.Read { fd; user_buf = 0; len } -> (
+      (* Kernel-buffered: the payload itself comes back, read-only. *)
       match Task.path_of_fd task fd with
-      | None -> Syscall.Rerr "read: bad fd"
-      | Some path -> (
-          match Fs.read_path t.fs path with
-          | None -> Syscall.Rerr "read: no such file"
-          | Some data ->
+      | exception Not_found -> Syscall.Rerr "read: bad fd"
+      | path -> (
+          match Fs.view t.fs path with
+          | exception Not_found -> Syscall.Rerr "read: no such file"
+          | data ->
               let n = min len (Bytes.length data) in
-              if user_buf <> 0 then begin
-                (* The payload lands in user memory; returning the count
-                   keeps the steady-state read loop allocation-free. *)
-                t.privops.Privops.copy_to_user_from ~user_addr:user_buf
-                  ~buf:data ~off:0 ~len:n;
-                Syscall.Rint n
-              end
-              else
-                Syscall.Rbytes
-                  (if n = Bytes.length data then data else Bytes.sub data 0 n)))
-  | Syscall.Write { fd; user_buf; len } -> (
-      match Task.path_of_fd task fd with
-      | None -> Syscall.Rerr "write: bad fd"
-      | Some path ->
-          if Fs.is_special t.fs path then begin
-            (* Specials get a (buffer, len) view of a reusable scratch:
-               same user-copy costs and checks, no per-call buffer. *)
-            if Bytes.length t.io_scratch < len then
-              t.io_scratch <- Bytes.create len;
-            t.privops.Privops.copy_from_user_into ~user_addr:user_buf
-              ~buf:t.io_scratch ~off:0 ~len;
-            ignore (Fs.write_special_view t.fs path t.io_scratch ~len);
-            Syscall.Rint len
-          end
-          else begin
-            let data = t.privops.Privops.copy_from_user ~user_addr:user_buf ~len in
-            Fs.append_file t.fs path data;
-            Syscall.Rint (Bytes.length data)
-          end)
-  | Syscall.Mmap { len; prot } -> (
-      match mmap t task ~len ~prot ~kind:Vma.Anon with
-      | Ok addr -> Syscall.Raddr addr
-      | Error e -> Syscall.Rerr e)
+              Syscall.Rbytes (if n = Bytes.length data then data else Bytes.sub data 0 n)))
+  | Syscall.Read { fd; user_buf; len } ->
+      rw_result ~write:false (read_user t task ~fd ~user_buf ~len)
+  | Syscall.Write { fd; user_buf; len } ->
+      rw_result ~write:true (write_user t task ~fd ~user_buf ~len)
+  | Syscall.Mmap { len; prot } ->
+      let addr = mmap t task ~len ~prot ~kind:Vma.Anon in
+      if addr >= 0 then Syscall.Raddr addr
+      else Syscall.Rerr (if len <= 0 then "mmap: empty length" else "mmap: address space exhausted")
   | Syscall.Munmap { addr } -> (
       match munmap t task ~addr with Ok () -> Syscall.Rok | Error e -> Syscall.Rerr e)
   | Syscall.Brk { new_brk } -> (
@@ -596,14 +650,14 @@ let syscall_body t task call =
       Syscall.Rok
   | Syscall.Ioctl { fd; request; arg } -> (
       match Task.path_of_fd task fd with
-      | None -> Syscall.Rerr "ioctl: bad fd"
-      | Some path -> (
+      | exception Not_found -> Syscall.Rerr "ioctl: bad fd"
+      | path -> (
           match request with
           | 1 -> (
               (* INPUT: read the node. *)
-              match Fs.read_path t.fs path with
-              | Some data -> Syscall.Rbytes data
-              | None -> Syscall.Rerr "ioctl: no such node")
+              match Fs.view t.fs path with
+              | data -> Syscall.Rbytes data
+              | exception Not_found -> Syscall.Rerr "ioctl: no such node")
           | 2 ->
               (* OUTPUT: write through the node. *)
               ignore (Fs.write_path t.fs path arg);
@@ -625,6 +679,27 @@ let syscall t task call =
   | r ->
       emit t (Obs.Trace.span_end Obs.Trace.Syscall_dispatch) ~arg:0;
       r
+  | exception e ->
+      emit t (Obs.Trace.span_end Obs.Trace.Syscall_dispatch) ~arg:0;
+      raise e
+
+(* [syscall] for a read or write on a user buffer, with the same entry,
+   events and span, minus the request and result values. *)
+let rw_body t task ~write ~fd ~user_buf ~len =
+  enter t (if write then 1 else 0) (* [Syscall.code] of Write and Read *);
+  let n =
+    if write then write_user t task ~fd ~user_buf ~len
+    else read_user t task ~fd ~user_buf ~len
+  in
+  if n < 0 then failwith (rw_error ~write n);
+  n
+
+let rw t task ~write ~fd ~user_buf ~len =
+  emit t (Obs.Trace.span_begin Obs.Trace.Syscall_dispatch) ~arg:0;
+  match rw_body t task ~write ~fd ~user_buf ~len with
+  | n ->
+      emit t (Obs.Trace.span_end Obs.Trace.Syscall_dispatch) ~arg:0;
+      n
   | exception e ->
       emit t (Obs.Trace.span_end Obs.Trace.Syscall_dispatch) ~arg:0;
       raise e

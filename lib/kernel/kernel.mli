@@ -38,7 +38,7 @@ type t = {
   fs : Fs.t;
   sched : Sched.t;
   kernel_root : int;       (** Master kernel page-table root (PML4 pfn). *)
-  tasks : (int, Task.t) Hashtbl.t;
+  tasks : (int, Task.t) Hashtbl.t;  (** Live tasks by tid. *)
   mutable next_tid : int;
   stats : stats;
   mutable frame_source : (Task.t -> Vma.region -> addr:int -> int) option;
@@ -75,14 +75,17 @@ val create_task : t -> name:string -> kind:Task.kind -> Task.t
     root). Enqueued runnable. *)
 
 val clone_thread : t -> Task.t -> name:string -> Task.t
-(** New task sharing the caller's address space (root and VMAs). *)
+(** New task sharing the caller's page tables, with a snapshot of its VMAs:
+    a later mmap or munmap by either task is not seen by the other. *)
 
 val fork_process : t -> Task.t -> name:string -> Task.t
 (** Full fork: new address space, user VMAs copied, all present user pages
     duplicated (eager copy — the simulated kernel has no COW). *)
 
-val mmap : t -> Task.t -> len:int -> prot:Vma.prot -> kind:Vma.kind -> (int, string) result
-(** Reserve a user region (demand-paged); returns its base address. *)
+val mmap : t -> Task.t -> len:int -> prot:Vma.prot -> kind:Vma.kind -> int
+(** Reserve a user region (demand-paged); returns its base address, or [-1]
+    when [len] is not positive or no gap below {!Layout.user_top} fits it.
+    Builds only the region's record. *)
 
 val munmap : t -> Task.t -> addr:int -> (unit, string) result
 (** Remove the region starting at [addr] and unmap + free its pages. *)
@@ -107,6 +110,13 @@ val ensure_direct_map : t -> pfn:int -> unit
 val syscall : t -> Task.t -> Syscall.call -> Syscall.result
 (** Full syscall path: entry/exit cost, dispatch, user copies via privops. *)
 
+val rw : t -> Task.t -> write:bool -> fd:int -> user_buf:int -> len:int -> int
+(** [syscall] of a [Read] or [Write] on the user buffer [user_buf] (which
+    must be non-zero), with the same cycles, events and span: the byte
+    count. Builds neither the request nor the result, so a warm call on a
+    special node allocates nothing. Raises [Failure] on a bad fd or a
+    missing file. *)
+
 val cpuid : t -> Task.t -> leaf:int -> int64
 (** The #VE path: guest cpuid traps to the TDX module, the guest #VE handler
     re-issues it as a vmcall to the host (Fig. 1). Counts a #VE exit. *)
@@ -120,6 +130,8 @@ val note_ve_exit : t -> unit
     driven by the machine harness). Bumps the stat and emits [Ve_exit]. *)
 
 val exit_task : t -> Task.t -> code:int -> unit
+(** Mark the task dead, take it off the run queue and drop it from
+    [tasks]. Its address space is the caller's to release. *)
 
 val brk : t -> Task.t -> new_brk:int -> (int, string) result
 (** Grow the program break (shrinking is accepted but ignored). *)
@@ -142,3 +154,4 @@ val poke_text : t -> vaddr:int -> code:bytes -> (unit, string) result
 (** {2 Introspection} *)
 
 val live_task_count : t -> int
+(** Tasks created and not yet exited. *)

@@ -9,7 +9,7 @@ type t = {
   kind : kind;
   mutable state : state;
   mutable root_pfn : int;
-  mutable vmas : Vma.t;
+  vmas : Vma.t;
   mutable brk : int;
   mutable saved_regs : int64 array option;
   mutable cpu_cycles : int;
@@ -18,7 +18,7 @@ type t = {
   mutable next_fd : int;
 }
 
-let make ~tid ~name ~kind ~root_pfn =
+let make ~tid ~name ~kind ~root_pfn ~vmas =
   {
     tid;
     pid_result = Syscall.Rint tid;
@@ -26,7 +26,7 @@ let make ~tid ~name ~kind ~root_pfn =
     kind;
     state = Runnable;
     root_pfn;
-    vmas = Vma.empty;
+    vmas;
     brk = Layout.user_base;
     saved_regs = None;
     cpu_cycles = 0;
@@ -41,7 +41,7 @@ let alloc_fd t path =
   Hashtbl.replace t.fds fd path;
   fd
 
-let path_of_fd t fd = Hashtbl.find_opt t.fds fd
+let path_of_fd t fd = Hashtbl.find t.fds fd
 
 let close_fd t fd =
   if Hashtbl.mem t.fds fd then begin

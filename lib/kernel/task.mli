@@ -17,7 +17,7 @@ type t = {
   kind : kind;
   mutable state : state;
   mutable root_pfn : int;          (** PML4 frame of the address space. *)
-  mutable vmas : Vma.t;
+  vmas : Vma.t;                    (** Changed in place by mmap/munmap/brk. *)
   mutable brk : int;               (** Program break for [brk]. *)
   mutable saved_regs : int64 array option;  (** Context saved while off-CPU. *)
   mutable cpu_cycles : int;        (** Accumulated on-CPU time. *)
@@ -26,10 +26,12 @@ type t = {
   mutable next_fd : int;
 }
 
-val make : tid:int -> name:string -> kind:kind -> root_pfn:int -> t
+val make : tid:int -> name:string -> kind:kind -> root_pfn:int -> vmas:Vma.t -> t
 
 val alloc_fd : t -> string -> int
-val path_of_fd : t -> int -> string option
+val path_of_fd : t -> int -> string
+(** Raises [Not_found] for an fd that is not open. *)
+
 val close_fd : t -> int -> bool
 
 val kill : t -> exit_code:int -> unit

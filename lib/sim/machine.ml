@@ -60,6 +60,12 @@ let counters t = t.counters
 
 let page_size = Hw.Phys_mem.page_size
 
+(* A demand-paged read-write anonymous region of [task]'s. *)
+let mmap_anon kern task ~len =
+  let addr = Kernel.mmap kern task ~len ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon in
+  if addr < 0 then failwith (Printf.sprintf "Machine: no room to map %d bytes" len);
+  addr
+
 let create ?obs ?journal ?window ?sketches ?(backend = Erebor.Isolation.Pks)
     ?(frames = 262144) ?(cma_frames = 65536) ?(reserved_frames = 256)
     ~setting () =
@@ -115,19 +121,11 @@ let create ?obs ?journal ?window ?sketches ?(backend = Erebor.Isolation.Pks)
      syscall I/O and a scratch region whose PTEs model packet-buffer
      churn. *)
   let proxy = Kernel.create_task kern ~name:"proxy" ~kind:Kernel.Task.Normal in
-  let proxy_buf =
-    match Kernel.mmap kern proxy ~len:(4 * io_chunk) ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon with
-    | Ok a -> a
-    | Error e -> failwith e
-  in
+  let proxy_buf = mmap_anon kern proxy ~len:(4 * io_chunk) in
   (match Kernel.populate kern proxy ~start:proxy_buf ~len:(4 * io_chunk) with
   | Ok () -> ()
   | Error e -> failwith e);
-  let scratch =
-    match Kernel.mmap kern proxy ~len:(16 * page_size) ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon with
-    | Ok a -> a
-    | Error e -> failwith e
-  in
+  let scratch = mmap_anon kern proxy ~len:(16 * page_size) in
   (match Kernel.populate kern proxy ~start:scratch ~len:(16 * page_size) with
   | Ok () -> ()
   | Error e -> failwith e);
@@ -381,24 +379,18 @@ let task_syscall s call =
 
 (* Kernel file I/O on behalf of the session's task. Native programs and
    background servers own [io_buf] in their address space; a sandbox has no
-   such path (its channel is the ioctl). *)
+   such path (its channel is the ioctl). A chunk goes through [Kernel.rw],
+   so the loop builds no request or result. *)
 let fs_io s ~write ~len =
   if s.io_buf = 0 then invalid_arg "fs_io: not available inside a sandbox";
-  let rec go remaining =
-    if remaining > 0 then begin
-      let chunk = min io_chunk remaining in
-      let call =
-        if write then
-          Kernel.Syscall.Write { fd = s.io_fd; user_buf = s.io_buf; len = chunk }
-        else Kernel.Syscall.Read { fd = s.io_fd; user_buf = s.io_buf; len = chunk }
-      in
-      (match task_syscall s call with
-      | Kernel.Syscall.Rerr e -> failwith ("fs_io: " ^ e)
-      | _ -> ());
-      go (remaining - chunk)
-    end
-  in
-  go len
+  let remaining = ref len in
+  while !remaining > 0 do
+    let chunk = min io_chunk !remaining in
+    interpose_syscall s;
+    ignore
+      (Kernel.rw s.machine.kern s.task ~write ~fd:s.io_fd ~user_buf:s.io_buf ~len:chunk);
+    remaining := !remaining - chunk
+  done
 
 (* A context switch to [root_pfn]: CR3 through the privops table, inside a
    [Scheduler] span. *)
@@ -472,19 +464,17 @@ let mmap_cycle s ~pages =
   let m = s.machine in
   let len = pages * page_size in
   interpose_syscall s;
-  match Kernel.mmap m.kern s.task ~len ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon with
+  let addr = mmap_anon m.kern s.task ~len in
+  charged_span m Obs.Trace.Syscall_dispatch Hw.Cycles.Cost.syscall_roundtrip;
+  for i = 0 to pages - 1 do
+    fault_on s s.task (addr + (i * page_size)) Hw.Fault.Write
+  done;
+  interpose_syscall s;
+  charged_span m Obs.Trace.Syscall_dispatch Hw.Cycles.Cost.syscall_roundtrip;
+  tlb_tax s pages;
+  match Kernel.munmap m.kern s.task ~addr with
+  | Ok () -> ()
   | Error e -> failwith ("mmap_cycle: " ^ e)
-  | Ok addr ->
-      charged_span m Obs.Trace.Syscall_dispatch Hw.Cycles.Cost.syscall_roundtrip;
-      for i = 0 to pages - 1 do
-        fault_on s s.task (addr + (i * page_size)) Hw.Fault.Write
-      done;
-      interpose_syscall s;
-      charged_span m Obs.Trace.Syscall_dispatch Hw.Cycles.Cost.syscall_roundtrip;
-      tlb_tax s pages;
-      (match Kernel.munmap m.kern s.task ~addr with
-      | Ok () -> ()
-      | Error e -> failwith ("mmap_cycle: " ^ e))
 
 let fork_exit s =
   let m = s.machine in
@@ -493,7 +483,8 @@ let fork_exit s =
   let child = Kernel.fork_process m.kern s.task ~name:"forked" in
   interpose_syscall s;
   Kernel.exit_task m.kern child ~code:0;
-  (* Release the child's address space so fork loops don't exhaust RAM. *)
+  (* Release the child's address space so fork loops don't exhaust RAM.
+     [Vma.iter] allows the munmaps to remove regions as it walks. *)
   Kernel.Vma.iter
     (fun region ->
       match Kernel.munmap m.kern child ~addr:region.Kernel.Vma.start with
@@ -580,11 +571,7 @@ let input_region_bytes spec =
 let init_native m spec =
   let task = Kernel.create_task m.kern ~name:spec.name ~kind:Kernel.Task.Normal in
   let conf = Kernel.Layout.page_align_up spec.confined_bytes in
-  let confined_base =
-    match Kernel.mmap m.kern task ~len:conf ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon with
-    | Ok a -> a
-    | Error e -> failwith e
-  in
+  let confined_base = mmap_anon m.kern task ~len:conf in
   (match Kernel.populate m.kern task ~start:confined_base ~len:conf with
   | Ok () -> ()
   | Error e -> failwith e);
@@ -595,18 +582,10 @@ let init_native m spec =
         (* Demand-paged, like the sandbox's common region: pages fault in as
            the program streams through its model/database. *)
         let len = Kernel.Layout.page_align_up bytes in
-        let base =
-          match Kernel.mmap m.kern task ~len ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon with
-          | Ok a -> a
-          | Error e -> failwith e
-        in
+        let base = mmap_anon m.kern task ~len in
         (base, len / page_size)
   in
-  let io_buf =
-    match Kernel.mmap m.kern task ~len:io_chunk ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon with
-    | Ok a -> a
-    | Error e -> failwith e
-  in
+  let io_buf = mmap_anon m.kern task ~len:io_chunk in
   (match Kernel.populate m.kern task ~start:io_buf ~len:io_chunk with
   | Ok () -> ()
   | Error e -> failwith e);

@@ -1,6 +1,11 @@
-type vmcall_result = V_int of int64 | V_bytes of bytes | V_unit | V_error of string
+type tdcall_result =
+  | Ok_int of int64
+  | Ok_bytes of bytes
+  | Ok_report of Attest.report
+  | Ok_unit
+  | Error_leaf of string
 
-type vmm_handler = Ghci.vmcall -> vmcall_result
+type vmm_handler = Ghci.vmcall -> tdcall_result
 
 type t = {
   sept : Sept.t;
@@ -32,13 +37,6 @@ let measure_initial t data =
   if t.finalized then invalid_arg "Td_module.measure_initial: TD build already finalized";
   Attest.extend_mrtd t.measurements data
 
-type tdcall_result =
-  | Ok_int of int64
-  | Ok_bytes of bytes
-  | Ok_report of Attest.report
-  | Ok_unit
-  | Error_leaf of string
-
 let do_tdcall t cpu leaf =
   match leaf with
   | Ghci.Vmcall v -> (
@@ -50,11 +48,7 @@ let do_tdcall t cpu leaf =
              exit: the host handler runs against scrubbed registers, and
              the guest's come back from the core's save area (restored on
              the exception path too). *)
-          match Hw.Cpu.masked cpu cpu.Hw.Cpu.exit_save handler v with
-          | V_int v -> Ok_int v
-          | V_bytes b -> Ok_bytes b
-          | V_unit -> Ok_unit
-          | V_error e -> Error_leaf e))
+          Hw.Cpu.masked cpu cpu.Hw.Cpu.exit_save handler v))
   | Ghci.Tdreport { report_data } ->
       t.tdreports <- t.tdreports + 1;
       Hw.Cycles.advance t.clock Hw.Cycles.Cost.tdreport_native;

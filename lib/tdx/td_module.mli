@@ -2,14 +2,17 @@
     gatekeeper for every tdcall, and the component that saves/scrubs guest
     context at exits so the host never sees guest registers (§2.1). *)
 
-type vmcall_result =
-  | V_int of int64
-  | V_bytes of bytes
-  | V_unit
-  | V_error of string
+type tdcall_result =
+  | Ok_int of int64
+  | Ok_bytes of bytes
+  | Ok_report of Attest.report
+  | Ok_unit
+  | Error_leaf of string
 
-type vmm_handler = Ghci.vmcall -> vmcall_result
-(** Installed by the host VMM. *)
+type vmm_handler = Ghci.vmcall -> tdcall_result
+(** Installed by the host VMM. Its answer to a vmcall is the tdcall's
+    result as it stands, so a host that keeps its answers (cpuid) serves a
+    warm exit without allocating. *)
 
 type t
 
@@ -24,13 +27,6 @@ val measure_initial : t -> bytes -> unit
 (** Extend MRTD with a boot component (firmware, monitor binary). Only legal
     before the first tdcall; raises [Invalid_argument] afterwards, modelling
     TD build finalization. *)
-
-type tdcall_result =
-  | Ok_int of int64
-  | Ok_bytes of bytes
-  | Ok_report of Attest.report
-  | Ok_unit
-  | Error_leaf of string
 
 val tdcall : t -> Hw.Cpu.t -> Ghci.leaf -> tdcall_result
 (** Execute a tdcall from the guest. Raises [Fault.Fault (#GP)] when the CPU

@@ -712,13 +712,10 @@ let render_anchors ?instrument () =
 (* Shared check helpers                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* [zero_alloc name ~per ~n f] runs [f 0] .. [f (n - 1)] and passes iff
-   they allocate exactly 0 minor words; warm [f]'s state up first, the
-   check is about the steady state. [per] names one call in the report.
-   [Gc.minor_words] boxes its own result, so two back-to-back calls differ
-   by a small constant; calibrate it out so the check can demand an exact
-   zero. *)
-let zero_alloc name ~per ~n f =
+(* The minor words [f 0] .. [f (n - 1)] allocate. [Gc.minor_words] boxes
+   its own result, so two back-to-back calls differ by a small constant;
+   calibrate it out so a check can demand an exact zero. *)
+let minor_words ~n f =
   let probe =
     let a = Gc.minor_words () in
     Gc.minor_words () -. a
@@ -727,7 +724,13 @@ let zero_alloc name ~per ~n f =
   for i = 0 to n - 1 do
     f i
   done;
-  let dw = Gc.minor_words () -. m0 -. probe in
+  Gc.minor_words () -. m0 -. probe
+
+(* [zero_alloc name ~per ~n f] runs [f 0] .. [f (n - 1)] and passes iff
+   they allocate exactly 0 minor words; warm [f]'s state up first, the
+   check is about the steady state. [per] names one call in the report. *)
+let zero_alloc name ~per ~n f =
+  let dw = minor_words ~n f in
   chk ~old_value:("0.0 words/" ^ per)
     ~new_value:(Printf.sprintf "%.4f words/%s" (dw /. float_of_int n) per)
     name (dw = 0.0)
@@ -852,9 +855,7 @@ let privops_zero_alloc () =
       let kern = Sim.Machine.kern m in
       let task = Kernel.create_task kern ~name:"churn" ~kind:Kernel.Task.Normal in
       let addr =
-        Result.get_ok
-          (Kernel.mmap kern task ~len:Hw.Phys_mem.page_size ~prot:Kernel.Vma.prot_rw
-             ~kind:Kernel.Vma.Anon)
+        Kernel.mmap kern task ~len:Hw.Phys_mem.page_size ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon
       in
       Result.get_ok (Kernel.handle_page_fault kern task ~addr ~kind:Hw.Fault.Write);
       let slot =
@@ -900,7 +901,10 @@ let privops_zero_alloc () =
    [Workload.to_spec] gives them: [parallel] is one 10 ms step of every
    thread (five timer ticks at drugbank's 500 Hz) with its 90 sync ops.
    64 warm-up calls per op rotate the scheduler through every task and
-   fault the region's first pages in before the 500 measured ones. *)
+   fault the region's first pages in before the 500 measured ones. No
+   Fig. 9 step runs [cpuid], but its row pins the session's #VE path: the
+   kernel's vmcall natively and under erebor-mmu, the monitor's cached
+   answer once the sandbox's exits are interposed. *)
 let step_zero_alloc () =
   List.concat_map
     (fun setting ->
@@ -916,6 +920,7 @@ let step_zero_alloc () =
             ("pte_churn", fun _ -> ops.Sim.Machine.pte_churn ~n:1);
             ("sync_op", fun i -> ops.Sim.Machine.sync_op ~contended:(i land 1 = 0));
             ("service", fun _ -> ops.Sim.Machine.service ());
+            ("cpuid", fun _ -> ops.Sim.Machine.cpuid ());
           ]
         in
         List.iter
@@ -931,6 +936,94 @@ let step_zero_alloc () =
       ignore (Sim.Machine.run_fresh ~setting { spec with Sim.Machine.body });
       List.rev !found)
     Sim.Config.all
+
+(* [law/kernel-zero-alloc/<setting>/<op>]: the kernel paths of the Fig. 8
+   LMBench loops, on an LMBench-shaped normal task natively and under full
+   Erebor. One spec per op: its name, its measured call count (after 16
+   warm-up calls), the words one call may allocate ([None]: not checked),
+   and its body, given the task's populated page count. A [scaled] op's cost grows with
+   that count, so it is also measured on a 64-page task against a 16-page
+   one, and its [<op>/page] row demands 0 words per extra page. The one
+   word budget is [mmap_cycle]'s: a new mapping keeps its 5-word region
+   record. *)
+type kernel_spec = {
+  kop : string;
+  calls : int;
+  per_call : float option;
+  scaled : bool;
+  body : Sim.Machine.ops -> pages:int -> unit;
+}
+
+let kernel_specs =
+  let spec ?(per_call = Some 0.0) ?(scaled = false) kop calls body =
+    { kop; calls; per_call; scaled; body }
+  in
+  Sim.Machine.
+    [
+      spec "read" 500 (fun ops ~pages:_ -> ops.fs_io ~write:false ~len:4096);
+      spec "write" 500 (fun ops ~pages:_ -> ops.fs_io ~write:true ~len:4096);
+      spec "signal" 500 (fun ops ~pages:_ -> ops.signal ());
+      spec "cpuid" 500 (fun ops ~pages:_ -> ops.cpuid ());
+      spec "mmap_cycle" 100 ~per_call:(Some 5.0) ~scaled:true (fun ops ~pages ->
+          ops.mmap_cycle ~pages);
+      spec "fork_exit" 40 ~per_call:None ~scaled:true (fun ops ~pages:_ ->
+          ops.fork_exit ());
+    ]
+
+(* Words per call of every spec ([scaled] ones only when [scaled_only]),
+   on a fresh [pages]-page LMBench task under [setting]. *)
+let kernel_words ~setting ~pages ~scaled_only =
+  let found = ref [] in
+  let body ops =
+    List.iter
+      (fun k ->
+        if k.scaled || not scaled_only then begin
+          for _ = 1 to 16 do k.body ops ~pages done;
+          let w = minor_words ~n:k.calls (fun _ -> k.body ops ~pages) in
+          found := (k.kop, w /. float_of_int k.calls) :: !found
+        end)
+      kernel_specs
+  in
+  let bench =
+    { Lmbench.bench_name = "kernel-zero-alloc"; iterations = 0; prepare_pages = pages;
+      op = ignore }
+  in
+  ignore
+    (Sim.Machine.run_fresh ~frames:32768 ~cma_frames:2048 ~setting
+       { (Lmbench.spec_of bench) with Sim.Machine.body });
+  !found
+
+let kernel_zero_alloc () =
+  List.concat_map
+    (fun setting ->
+      let small = kernel_words ~setting ~pages:16 ~scaled_only:false in
+      let large = kernel_words ~setting ~pages:64 ~scaled_only:true in
+      let row suffix ~per ~limit words =
+        let name =
+          Printf.sprintf "law/kernel-zero-alloc/%s/%s" (Sim.Config.name setting) suffix
+        in
+        chk ~old_value:(Printf.sprintf "<= %.1f words/%s" limit per)
+          ~new_value:(Printf.sprintf "%.4f words/%s" words per)
+          name (words <= limit)
+          (Printf.sprintf "%.4f minor words per warm %s" words per)
+      in
+      List.concat_map
+        (fun k ->
+          let w = List.assoc k.kop small in
+          let call =
+            match k.per_call with
+            | Some limit -> [ row k.kop ~per:"call" ~limit w ]
+            | None -> []
+          in
+          let page =
+            if k.scaled then
+              [ row (k.kop ^ "/page") ~per:"page" ~limit:0.0
+                  ((List.assoc k.kop large -. w) /. 48.0) ]
+            else []
+          in
+          call @ page)
+        kernel_specs)
+    [ Sim.Config.Native; Sim.Config.Erebor_full ]
 
 (* Every Fig. 9 synchronisation op draws one contention coin: the DRBG
    keeps its keyed ChaCha20 state across refills and its draws inline
@@ -1137,7 +1230,7 @@ let gates ~baseline ~jobs =
       fun ~smoke:_ ->
         transparent (fun obs -> List.iter (fun (_, attach) -> attach obs) sinks)
         @ [ emit_zero_alloc (); drbg_zero_alloc () ]
-        @ privops_zero_alloc () @ step_zero_alloc () );
+        @ privops_zero_alloc () @ step_zero_alloc () @ kernel_zero_alloc () );
     ("journal", journal_checks ~baseline);
     ("density", density_checks ~jobs);
     ("attrib", attrib_checks ~jobs);

@@ -120,9 +120,7 @@ let adversarial_probe m mgr backend_kind =
      the victim sandboxes. *)
   let attacker = Kernel.create_task kern ~name:"density-adversary" ~kind:Kernel.Task.Normal in
   let a_addr =
-    Result.get_ok
-      (Kernel.mmap kern attacker ~len:page_size ~prot:Kernel.Vma.prot_rw
-         ~kind:Kernel.Vma.Anon)
+    Kernel.mmap kern attacker ~len:page_size ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon
   in
   (match Kernel.handle_page_fault kern attacker ~addr:a_addr ~kind:Hw.Fault.Write with
   | Ok () -> ()

@@ -14,6 +14,11 @@ val benches : bench list
 (** In Fig. 8 order: null-syscall, read, write, signal, mmap, pagefault,
     fork. *)
 
+val spec_of : bench -> Sim.Machine.spec
+(** The session a bench runs in: a non-sandboxed task with
+    [prepare_pages] populated pages, a 1 kHz timer, and [iterations] calls
+    of [op] as its body. *)
+
 type result = {
   name : string;
   setting : Sim.Config.setting;

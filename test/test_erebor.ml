@@ -500,7 +500,7 @@ let test_confined_single_mapping () =
   let confined_pfn = Option.get (Kernel.resolve_pfn kern task ~addr:base) in
   (* A normal task (the attacker's process) maps a page... *)
   let attacker = Kernel.create_task kern ~name:"attacker" ~kind:Kernel.Task.Normal in
-  let a_addr = Result.get_ok (Kernel.mmap kern attacker ~len:4096 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon) in
+  let a_addr = Kernel.mmap kern attacker ~len:4096 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon in
   (match Kernel.handle_page_fault kern attacker ~addr:a_addr ~kind:Hw.Fault.Write with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
@@ -561,7 +561,7 @@ let test_sandbox_anon_mapping_refused () =
   let mgr = manager st in
   let sb, _ = make_sandbox st mgr "sb" in
   let task = Erebor.Sandbox.main_task sb in
-  let addr = Result.get_ok (Kernel.mmap kern task ~len:4096 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon) in
+  let addr = Kernel.mmap kern task ~len:4096 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon in
   expect_violation "undeclared sandbox memory" (fun () ->
       ignore (Kernel.handle_page_fault kern task ~addr ~kind:Hw.Fault.Write))
 
@@ -779,8 +779,7 @@ let test_misaligned_pte_store_denied backend () =
   let guard = Erebor.Monitor.guard (monitor st) in
   let atk = Kernel.create_task kern ~name:"atk" ~kind:Kernel.Task.Normal in
   let addr =
-    Result.get_ok
-      (Kernel.mmap kern atk ~len:4096 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon)
+    Kernel.mmap kern atk ~len:4096 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon
   in
   Result.get_ok (Kernel.handle_page_fault kern atk ~addr ~kind:Hw.Fault.Write);
   let slot =
@@ -871,8 +870,7 @@ let attacker_leaf st =
   let kern = M.kern st in
   let atk = Kernel.create_task kern ~name:"atk" ~kind:Kernel.Task.Normal in
   let addr =
-    Result.get_ok
-      (Kernel.mmap kern atk ~len:4096 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon)
+    Kernel.mmap kern atk ~len:4096 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon
   in
   Result.get_ok (Kernel.handle_page_fault kern atk ~addr ~kind:Hw.Fault.Write);
   (atk, Option.get (Hw.Page_table.leaf_addr (M.mem st) ~root_pfn:atk.Kernel.Task.root_pfn addr))

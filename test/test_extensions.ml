@@ -456,9 +456,7 @@ let tenant_pfn st sb addr =
 let attacker_slot st =
   let atk = Kernel.create_task (M.kern st) ~name:"atk" ~kind:Kernel.Task.Normal in
   let addr =
-    Result.get_ok
-      (Kernel.mmap (M.kern st) atk ~len:4096 ~prot:Kernel.Vma.prot_rw
-         ~kind:Kernel.Vma.Anon)
+    Kernel.mmap (M.kern st) atk ~len:4096 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon
   in
   Result.get_ok (Kernel.handle_page_fault (M.kern st) atk ~addr ~kind:Hw.Fault.Write);
   let leaf =

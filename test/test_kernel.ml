@@ -71,8 +71,9 @@ let prop_alloc_unique =
 let test_vma_add_find () =
   let r1 = { Kernel.Vma.start = 0x1000; len = 0x3000; prot = Kernel.Vma.prot_rw; kind = Kernel.Vma.Anon } in
   let r2 = { Kernel.Vma.start = 0x10000; len = 0x1000; prot = Kernel.Vma.prot_r; kind = Kernel.Vma.Common } in
-  let t = Result.get_ok (Kernel.Vma.add Kernel.Vma.empty r1) in
-  let t = Result.get_ok (Kernel.Vma.add t r2) in
+  let t = Kernel.Vma.create () in
+  Result.get_ok (Kernel.Vma.add t r1);
+  Result.get_ok (Kernel.Vma.add t r2);
   (match Kernel.Vma.find t 0x2fff with
   | Some r -> Alcotest.(check int) "found r1" 0x1000 r.Kernel.Vma.start
   | None -> Alcotest.fail "missing");
@@ -81,33 +82,215 @@ let test_vma_add_find () =
 
 let test_vma_rejects () =
   let r1 = { Kernel.Vma.start = 0x1000; len = 0x2000; prot = Kernel.Vma.prot_rw; kind = Kernel.Vma.Anon } in
-  let t = Result.get_ok (Kernel.Vma.add Kernel.Vma.empty r1) in
+  let t = Kernel.Vma.create () in
+  Result.get_ok (Kernel.Vma.add t r1);
   (match Kernel.Vma.add t { r1 with Kernel.Vma.start = 0x2000 } with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "overlap accepted");
   (match Kernel.Vma.add t { r1 with Kernel.Vma.start = 0x8001 } with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unaligned accepted");
-  match Kernel.Vma.add t { r1 with Kernel.Vma.start = 0x8000; len = 0 } with
+  (match Kernel.Vma.add t { r1 with Kernel.Vma.start = 0x8000; len = 0 } with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "empty accepted"
+  | Ok _ -> Alcotest.fail "empty accepted");
+  Alcotest.(check int) "refusals leave the set as it was" 1 (Kernel.Vma.count t)
 
 let test_vma_find_gap () =
-  let add t r = Result.get_ok (Kernel.Vma.add t r) in
-  let t =
-    add
-      (add Kernel.Vma.empty
-         { Kernel.Vma.start = 0x10000; len = 0x2000; prot = Kernel.Vma.prot_rw; kind = Kernel.Vma.Anon })
-      { Kernel.Vma.start = 0x14000; len = 0x1000; prot = Kernel.Vma.prot_rw; kind = Kernel.Vma.Anon }
-  in
+  let t = Kernel.Vma.create () in
+  let add r = Result.get_ok (Kernel.Vma.add t r) in
+  add { Kernel.Vma.start = 0x10000; len = 0x2000; prot = Kernel.Vma.prot_rw; kind = Kernel.Vma.Anon };
+  add { Kernel.Vma.start = 0x14000; len = 0x1000; prot = Kernel.Vma.prot_rw; kind = Kernel.Vma.Anon };
   (* A 2-page gap exists at 0x12000. *)
-  Alcotest.(check (option int)) "fits in hole" (Some 0x12000)
+  Alcotest.(check int) "fits in hole" 0x12000
     (Kernel.Vma.find_gap t ~hint:0x10000 ~len:0x2000 ~limit:0x100000);
   (* Requests larger than the hole go after the last region. *)
-  Alcotest.(check (option int)) "after last" (Some 0x15000)
+  Alcotest.(check int) "after last" 0x15000
     (Kernel.Vma.find_gap t ~hint:0x10000 ~len:0x3000 ~limit:0x100000);
-  Alcotest.(check (option int)) "limit respected" None
+  Alcotest.(check int) "limit respected" (-1)
     (Kernel.Vma.find_gap t ~hint:0x10000 ~len:0x3000 ~limit:0x16000)
+
+(* The list-based set [Vma.t] replaced, kept as the model its
+   replacement must match call for call. *)
+module Vma_model = struct
+  open Kernel.Vma
+
+  let add t r =
+    if r.len <= 0 then Error "empty region"
+    else if r.start land 0xfff <> 0 || r.len land 0xfff <> 0 then Error "unaligned region"
+    else if List.exists (fun o -> r.start < region_end o && o.start < region_end r) t then
+      Error "overlapping region"
+    else Ok (List.sort (fun a b -> compare a.start b.start) (r :: t))
+
+  let remove t ~start = List.filter (fun r -> r.start <> start) t
+  let find t addr = List.find_opt (fun r -> addr >= r.start && addr < region_end r) t
+
+  let find_gap t ~hint ~len ~limit =
+    let hint = Kernel.Layout.page_align_up hint in
+    let len = Kernel.Layout.page_align_up len in
+    let candidates =
+      hint :: List.filter_map (fun r -> if region_end r >= hint then Some (region_end r) else None) t
+    in
+    let fits start =
+      start + len <= limit
+      && not (List.exists (fun r -> start < region_end r && r.start < start + len) t)
+    in
+    match List.find_opt fits (List.sort compare candidates) with Some s -> s | None -> -1
+end
+
+type vma_op =
+  | Add of int * int
+  | Remove of int
+  | Find of int
+  | Gap of int * int * int
+
+(* Over 40 pages, so adds collide often. Most bounds are page multiples;
+   some are off by one byte, empty or negative, and gap limits land on
+   exact page boundaries, where a gap fits with nothing to spare. *)
+let vma_op_gen =
+  let open QCheck.Gen in
+  let page = map (fun p -> p * 4096) (int_range 0 40) in
+  let bound =
+    frequency
+      [ (8, page); (1, map (fun p -> p + 1) page); (1, return 0); (1, int_range (-8192) 8192) ]
+  in
+  frequency
+    [
+      (4, map2 (fun s l -> Add (s, l)) bound bound);
+      (2, map (fun s -> Remove s) bound);
+      (2, map (fun a -> Find a) (oneof [ page; map (fun p -> p - 1) page; int_range 0 (41 * 4096) ]));
+      (3, map3 (fun h l lim -> Gap (h, l, lim)) bound bound (map (fun p -> p * 4096) (int_range 0 44)));
+    ]
+
+let pp_vma_op = function
+  | Add (s, l) -> Printf.sprintf "add 0x%x+0x%x" s l
+  | Remove s -> Printf.sprintf "remove 0x%x" s
+  | Find a -> Printf.sprintf "find 0x%x" a
+  | Gap (h, l, lim) -> Printf.sprintf "gap hint=0x%x len=0x%x limit=0x%x" h l lim
+
+let prop_vma_model =
+  QCheck.Test.make ~name:"vma matches the sorted-list model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_vma_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) vma_op_gen))
+    (fun ops ->
+      let t = Kernel.Vma.create () in
+      let kinds = [| Kernel.Vma.Anon; Kernel.Vma.Common; Kernel.Vma.Confined |] in
+      let regions () =
+        let acc = ref [] in
+        Kernel.Vma.iter (fun r -> acc := r :: !acc) t;
+        List.rev !acc
+      in
+      let step model op =
+        let same_find a = Kernel.Vma.find t a = Vma_model.find model a in
+        let model, ok =
+          match op with
+          | Add (start, len) ->
+              let r =
+                { Kernel.Vma.start; len; prot = Kernel.Vma.prot_rw;
+                  kind = kinds.(abs (start / 4096) mod 3) }
+              in
+              (match (Vma_model.add model r, Kernel.Vma.add t r) with
+              | Ok model', Ok () -> (model', true)
+              | Error e, Error e' -> (model, e = e')
+              | _ -> (model, false))
+          | Remove start ->
+              Kernel.Vma.remove t ~start;
+              (Vma_model.remove model ~start, true)
+          | Find a ->
+              (model, same_find a && (match Kernel.Vma.find_exn t a with
+                                       | r -> Some r = Vma_model.find model a
+                                       | exception Not_found -> Vma_model.find model a = None))
+          | Gap (hint, len, limit) ->
+              ( model,
+                Kernel.Vma.find_gap t ~hint ~len ~limit
+                = Vma_model.find_gap model ~hint ~len ~limit )
+        in
+        let bytes k =
+          List.fold_left (fun acc r -> if r.Kernel.Vma.kind = k then acc + r.Kernel.Vma.len else acc) 0 model
+        in
+        ( model,
+          ok
+          && regions () = model
+          && Kernel.Vma.count t = List.length model
+          && Array.for_all (fun k -> Kernel.Vma.total_bytes t k = bytes k) kinds )
+      in
+      let rec go model = function
+        | [] -> true
+        | op :: rest ->
+            let model, ok = step model op in
+            ok && go model rest
+      in
+      go [] ops)
+
+(* A fork copies the VMAs: a mapping the parent makes afterwards is not the
+   child's. *)
+let test_vma_fork_isolated () =
+  let k, _, _ = make_kernel () in
+  let parent = Kernel.create_task k ~name:"parent" ~kind:Kernel.Task.Normal in
+  ignore (Kernel.mmap k parent ~len:0x2000 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon);
+  let child = Kernel.fork_process k parent ~name:"child" in
+  let later = Kernel.mmap k parent ~len:0x1000 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon in
+  Alcotest.(check int) "child keeps one region" 1 (Kernel.Vma.count child.Kernel.Task.vmas);
+  Alcotest.(check bool) "parent's new region not in the child" true
+    (Kernel.Vma.find child.Kernel.Task.vmas later = None);
+  match Kernel.handle_page_fault k child ~addr:later ~kind:Hw.Fault.Write with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "child faulted in the parent's later mapping"
+
+(* [Sim.Machine]'s fork loop: the munmaps remove regions from the very set
+   [Vma.iter] walks, and every region's frames must still come back. *)
+let test_vma_iter_while_unmapping () =
+  let k, _, _ = make_kernel () in
+  let parent = Kernel.create_task k ~name:"parent" ~kind:Kernel.Task.Normal in
+  for _ = 1 to 5 do
+    let addr = Kernel.mmap k parent ~len:0x2000 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon in
+    Result.get_ok (Kernel.populate k parent ~start:addr ~len:0x2000)
+  done;
+  let child = Kernel.fork_process k parent ~name:"child" in
+  let child_pfns = ref [] in
+  Kernel.Vma.iter
+    (fun r ->
+      for i = 0 to (r.Kernel.Vma.len / 4096) - 1 do
+        child_pfns :=
+          Option.get (Kernel.resolve_pfn k child ~addr:(r.Kernel.Vma.start + (i * 4096)))
+          :: !child_pfns
+      done)
+    child.Kernel.Task.vmas;
+  Alcotest.(check int) "ten copied pages" 10 (List.length !child_pfns);
+  Kernel.exit_task k child ~code:0;
+  let visited = ref 0 in
+  Kernel.Vma.iter
+    (fun r ->
+      incr visited;
+      Result.get_ok (Kernel.munmap k child ~addr:r.Kernel.Vma.start))
+    child.Kernel.Task.vmas;
+  Alcotest.(check int) "every region visited once" 5 !visited;
+  Alcotest.(check int) "no region left" 0 (Kernel.Vma.count child.Kernel.Task.vmas);
+  List.iter
+    (fun pfn ->
+      Alcotest.(check bool) "child frame freed" false
+        (Kernel.Alloc.is_allocated k.Kernel.frame_alloc pfn))
+    !child_pfns;
+  Alcotest.(check int) "parent untouched" 5 (Kernel.Vma.count parent.Kernel.Task.vmas)
+
+(* A thread shares the page tables but takes a snapshot of the VMAs: a
+   mapping either side makes later is not the other's. *)
+let test_vma_clone_snapshot () =
+  let k, _, _ = make_kernel () in
+  let parent = Kernel.create_task k ~name:"parent" ~kind:Kernel.Task.Normal in
+  let first = Kernel.mmap k parent ~len:0x1000 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon in
+  let thread = Kernel.clone_thread k parent ~name:"thread" in
+  Alcotest.(check bool) "thread sees the earlier region" true
+    (Kernel.Vma.find thread.Kernel.Task.vmas first <> None);
+  let by_parent = Kernel.mmap k parent ~len:0x1000 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon in
+  let by_thread = Kernel.mmap k thread ~len:0x1000 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon in
+  (* Neither sees the other's new region, so both take the same gap. *)
+  Alcotest.(check int) "same address chosen on both sides" by_parent by_thread;
+  Alcotest.(check int) "parent: two regions" 2 (Kernel.Vma.count parent.Kernel.Task.vmas);
+  Alcotest.(check int) "thread: two regions" 2 (Kernel.Vma.count thread.Kernel.Task.vmas);
+  Result.get_ok (Kernel.munmap k thread ~addr:first);
+  Alcotest.(check bool) "thread's munmap leaves the parent's region" true
+    (Kernel.Vma.find parent.Kernel.Task.vmas first <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Boot                                                                *)
@@ -139,7 +322,7 @@ let test_task_paging () =
   let k, cpu, _ = make_kernel () in
   let task = Kernel.create_task k ~name:"prog" ~kind:Kernel.Task.Normal in
   enter_task k task;
-  let addr = Result.get_ok (Kernel.mmap k task ~len:0x4000 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon) in
+  let addr = Kernel.mmap k task ~len:0x4000 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon in
   (* Demand paging: nothing mapped yet. *)
   Alcotest.(check (option int)) "unmapped before fault" None (Kernel.resolve_pfn k task ~addr);
   let pf0 = k.Kernel.stats.Kernel.page_faults in
@@ -162,7 +345,7 @@ let test_fault_outside_vma_segfaults () =
   | Ok () -> Alcotest.fail "fault outside vma succeeded");
   Alcotest.(check int) "segfault counted" 1 k.Kernel.stats.Kernel.segfaults;
   (* Write fault on a read-only region also segfaults. *)
-  let addr = Result.get_ok (Kernel.mmap k task ~len:0x1000 ~prot:Kernel.Vma.prot_r ~kind:Kernel.Vma.Anon) in
+  let addr = Kernel.mmap k task ~len:0x1000 ~prot:Kernel.Vma.prot_r ~kind:Kernel.Vma.Anon in
   match Kernel.handle_page_fault k task ~addr ~kind:Hw.Fault.Write with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "write fault on ro region succeeded"
@@ -171,7 +354,7 @@ let test_populate_pins () =
   let k, _, _ = make_kernel () in
   let task = Kernel.create_task k ~name:"sb" ~kind:(Kernel.Task.Sandboxed 1) in
   let len = 16 * 4096 in
-  let addr = Result.get_ok (Kernel.mmap k task ~len ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Confined) in
+  let addr = Kernel.mmap k task ~len ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Confined in
   let used0 = Kernel.Alloc.used k.Kernel.cma in
   (match Kernel.populate k task ~start:addr ~len with Ok () -> () | Error e -> Alcotest.fail e);
   Alcotest.(check int) "confined frames from CMA" (used0 + 16) (Kernel.Alloc.used k.Kernel.cma);
@@ -184,7 +367,7 @@ let test_clone_shares_fork_copies () =
   let k, cpu, _ = make_kernel () in
   let parent = Kernel.create_task k ~name:"parent" ~kind:Kernel.Task.Normal in
   enter_task k parent;
-  let addr = Result.get_ok (Kernel.mmap k parent ~len:0x2000 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon) in
+  let addr = Kernel.mmap k parent ~len:0x2000 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon in
   ignore (Kernel.handle_page_fault k parent ~addr ~kind:Hw.Fault.Write);
   cpu.Hw.Cpu.mode <- Hw.Cpu.User;
   Hw.Cpu.write_u64 cpu addr 0xAAL;
@@ -212,7 +395,7 @@ let test_clone_shares_fork_copies () =
 let test_munmap_frees () =
   let k, _, _ = make_kernel () in
   let task = Kernel.create_task k ~name:"m" ~kind:Kernel.Task.Normal in
-  let addr = Result.get_ok (Kernel.mmap k task ~len:0x3000 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon) in
+  let addr = Kernel.mmap k task ~len:0x3000 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon in
   (match Kernel.populate k task ~start:addr ~len:0x3000 with Ok () -> () | Error e -> Alcotest.fail e);
   let used = Kernel.Alloc.used k.Kernel.frame_alloc in
   (match Kernel.munmap k task ~addr with Ok () -> () | Error e -> Alcotest.fail e);
@@ -238,7 +421,7 @@ let expect_user_fault name cpu f =
   | exception Hw.Fault.Fault _ -> cpu.Hw.Cpu.mode <- Hw.Cpu.Supervisor)
 
 let map_user_page k cpu task =
-  let addr = Result.get_ok (Kernel.mmap k task ~len:0x2000 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon) in
+  let addr = Kernel.mmap k task ~len:0x2000 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon in
   (match Kernel.populate k task ~start:addr ~len:0x2000 with Ok () -> () | Error e -> Alcotest.fail e);
   enter_task k task;
   (* Warm the TLB with a successful user write. *)
@@ -293,7 +476,7 @@ let test_munmap_flushes_tlb () =
 (* ------------------------------------------------------------------ *)
 
 let with_user_buffer k task len =
-  let addr = Result.get_ok (Kernel.mmap k task ~len ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon) in
+  let addr = Kernel.mmap k task ~len ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon in
   (match Kernel.populate k task ~start:addr ~len with Ok () -> () | Error e -> failwith e);
   addr
 
@@ -450,6 +633,25 @@ let test_timer_tick_zero_alloc () =
     (same saved_a a.Kernel.Task.saved_regs && same saved_b b.Kernel.Task.saved_regs);
   Alcotest.(check int64) "registers follow the task" 0x7a5L cpu.Hw.Cpu.regs.(4)
 
+(* An exited task leaves the task table: a fork loop (fork, exit, then
+   munmap every child region, as [Sim.Machine]'s [fork_exit] does) keeps it
+   at its size. *)
+let test_fork_exit_drops_tasks () =
+  let k, _, _ = make_kernel ~frames:16384 () in
+  let parent = Kernel.create_task k ~name:"parent" ~kind:Kernel.Task.Normal in
+  let addr = Kernel.mmap k parent ~len:0x1000 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon in
+  Result.get_ok (Kernel.populate k parent ~start:addr ~len:0x1000);
+  let tasks0 = Hashtbl.length k.Kernel.tasks and live0 = Kernel.live_task_count k in
+  for _ = 1 to 1000 do
+    let child = Kernel.fork_process k parent ~name:"forked" in
+    Kernel.exit_task k child ~code:0;
+    Kernel.Vma.iter
+      (fun r -> Result.get_ok (Kernel.munmap k child ~addr:r.Kernel.Vma.start))
+      child.Kernel.Task.vmas
+  done;
+  Alcotest.(check int) "task table size" tasks0 (Hashtbl.length k.Kernel.tasks);
+  Alcotest.(check int) "live tasks" live0 (Kernel.live_task_count k)
+
 let test_exit_syscall () =
   let k, _, _ = make_kernel () in
   let t1 = Kernel.create_task k ~name:"x" ~kind:Kernel.Task.Normal in
@@ -477,8 +679,8 @@ let test_fs_special () =
   Kernel.Fs.register_special fs "/sys/debug/chan"
     ~read:(fun () -> Bytes.of_string "from-monitor")
     ~write:(fun b ~len -> Buffer.add_subbytes sink b 0 len);
-  Alcotest.(check (option string)) "special read" (Some "from-monitor")
-    (Option.map Bytes.to_string (Kernel.Fs.read_path fs "/sys/debug/chan"));
+  Alcotest.(check string) "special read" "from-monitor"
+    (Bytes.to_string (Kernel.Fs.view fs "/sys/debug/chan"));
   ignore (Kernel.Fs.write_path fs "/sys/debug/chan" (Bytes.of_string "to-monitor"));
   Alcotest.(check string) "special write" "to-monitor" (Buffer.contents sink);
   (* The view form delivers only the length-bounded prefix. *)
@@ -542,6 +744,11 @@ let () =
           Alcotest.test_case "add/find" `Quick test_vma_add_find;
           Alcotest.test_case "rejects" `Quick test_vma_rejects;
           Alcotest.test_case "find gap" `Quick test_vma_find_gap;
+          Alcotest.test_case "fork copies, parent's later mmap unseen" `Quick
+            test_vma_fork_isolated;
+          Alcotest.test_case "iter while munmap removes" `Quick test_vma_iter_while_unmapping;
+          Alcotest.test_case "clone takes a snapshot" `Quick test_vma_clone_snapshot;
+          qt prop_vma_model;
         ] );
       ( "boot",
         [
@@ -570,6 +777,8 @@ let () =
           Alcotest.test_case "timer/sched" `Quick test_timer_and_sched;
           Alcotest.test_case "timer tick allocates nothing" `Quick test_timer_tick_zero_alloc;
           Alcotest.test_case "exit" `Quick test_exit_syscall;
+          Alcotest.test_case "fork/exit loop keeps the task table" `Quick
+            test_fork_exit_drops_tasks;
         ] );
       ( "fs",
         [

@@ -236,10 +236,10 @@ let test_host_cpuid_and_log () =
   let host = Vmm.Host.create () in
   Vmm.Host.set_cpuid host ~leaf:7 42L;
   (match Vmm.Host.handler host (Tdx.Ghci.Cpuid 7) with
-  | Tdx.Td_module.V_int 42L -> ()
+  | Tdx.Td_module.Ok_int 42L -> ()
   | _ -> Alcotest.fail "configured cpuid");
   (match Vmm.Host.handler host (Tdx.Ghci.Cpuid 3) with
-  | Tdx.Td_module.V_int _ -> ()
+  | Tdx.Td_module.Ok_int _ -> ()
   | _ -> Alcotest.fail "default cpuid");
   ignore (Vmm.Host.handler host (Tdx.Ghci.Io_write { port = 80; data = Bytes.of_string "leaked-bytes" }));
   Alcotest.(check bool) "observed" true (Vmm.Host.observed_contains host "leaked-bytes");
