@@ -28,6 +28,7 @@
      --baseline PATH  baseline file for check (default BENCH_sim.json)  *)
 
 module C = Workloads.Cli
+module G = Workloads.Bench_check
 
 (* Parsed flags; set once in the driver before any experiment runs. *)
 let jobs_arg : int option ref = ref None
@@ -87,19 +88,13 @@ let print_fig8 () =
 (* Fig. 9 + Table 6                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let fig9_cache : Workloads.Eval.program_row list option ref = ref None
-
-let fig9_rows () =
-  match !fig9_cache with
-  | Some rows -> rows
-  | None ->
-      let rows = Workloads.Eval.fig9 ?jobs:!jobs_arg () in
-      fig9_cache := Some rows;
-      rows
+(* Shared by fig9, table6 and the run record; forced after the flags are
+   read. *)
+let fig9_rows = lazy (Workloads.Eval.fig9 ?jobs:!jobs_arg ())
 
 let print_fig9 () =
   header "Figure 9: runtime overhead of real-world workloads (% over Native)";
-  let rows = fig9_rows () in
+  let rows = Lazy.force fig9_rows in
   Printf.printf "%-10s" "Program";
   List.iter
     (fun s -> Printf.printf " %12s" (Sim.Config.name s))
@@ -133,7 +128,7 @@ let print_fig9 () =
 
 let print_table6 () =
   header "Table 6: program execution statistics under full Erebor";
-  let rows = Workloads.Eval.table6 (fig9_rows ()) in
+  let rows = Workloads.Eval.table6 (Lazy.force fig9_rows) in
   Printf.printf "%-10s %8s %8s %8s %8s %9s %8s %7s %7s %9s\n" "Program" "#PF/s"
     "#Timer/s" "#VE/s" "Total/s" "EMC/s" "Time(s)" "Conf." "Com." "Init.ovh";
   List.iter
@@ -440,7 +435,7 @@ let run_target (target, f) =
   let _, promoted1, major1 = Gc.counters () in
   let minor1 = Gc.minor_words () in
   {
-    Workloads.Bench_gate.target;
+    G.target;
     wall_s;
     minor_words = minor1 -. minor0;
     major_words = major1 -. major0;
@@ -466,7 +461,6 @@ let muted f =
    state it has under [bench all] and its words match the serial suite's
    exactly. Smoke mode runs only the anchor tables. *)
 let ledger_gate ~baseline ~smoke =
-  let module G = Workloads.Bench_gate in
   let run =
     if smoke then List.filter (fun (n, _) -> n = "table3" || n = "table4") targets
     else targets
@@ -478,25 +472,16 @@ let ledger_gate ~baseline ~smoke =
       ~finally:(fun () -> jobs_arg := jobs)
       (fun () -> muted (fun () -> List.map run_target run))
   in
-  match In_channel.with_open_bin baseline In_channel.input_all with
-  | exception Sys_error e -> [ G.chk "ledger" false e ]
-  | text -> (
-      match G.Json.parse text with
-      | Error e -> [ G.chk "ledger" false ("baseline JSON: " ^ e) ]
-      | Ok json -> G.ledger_checks ~profile:Build_profile.name json costs)
+  match G.read_baseline baseline with
+  | Error e -> [ G.chk "ledger" false e ]
+  | Ok json -> G.ledger_checks ~profile:Build_profile.name json costs
 
 (* [ledger-diff A B]: two [bench all --jobs 1] records through the gate's
    own ledger rule, B judged against A. Exits 1 if a row fails, like
    [check]; the last line counts the word counts that moved at all. *)
 let run_ledger_diff p =
-  let module G = Workloads.Bench_gate in
   let read path =
-    match In_channel.with_open_bin path In_channel.input_all with
-    | exception Sys_error e -> C.fail p e
-    | text -> (
-        match G.Json.parse text with
-        | Ok json -> json
-        | Error e -> C.fail p (path ^ ": " ^ e))
+    match G.read_baseline path with Ok json -> json | Error e -> C.fail p e
   in
   match C.pos p with
   | [ a; b ] ->
@@ -522,7 +507,6 @@ let run_ledger_diff p =
    one old/new table of all the failures and the command that reproduces
    the run. *)
 let run_check ~baseline ~full ~from_journal () =
-  let module G = Workloads.Bench_gate in
   let section name v =
     Printf.printf "%s\n" name;
     Format.printf "%a" G.pp_verdict v;
@@ -581,115 +565,42 @@ let run_check ~baseline ~full ~from_journal () =
 
 (* Peak resident set in KiB, from the kernel's high-water mark. *)
 let peak_rss_kb () =
-  try
-    let ic = open_in "/proc/self/status" in
-    let rec scan () =
-      match input_line ic with
-      | line ->
-          if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then begin
-            close_in ic;
-            let digits =
-              String.to_seq line
-              |> Seq.filter (fun c -> c >= '0' && c <= '9')
-              |> String.of_seq
-            in
-            int_of_string_opt digits
-          end
-          else scan ()
-      | exception End_of_file ->
-          close_in ic;
-          None
-    in
-    scan ()
-  with Sys_error _ -> None
-
-let effective_jobs () =
-  match !jobs_arg with Some j -> j | None -> Sim.Runner.default_jobs ()
-
-let write_bench_json ~path ~costs ~serial ~total_wall_s =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n";
-  add "  \"schema\": \"%s\",\n" Workloads.Bench_gate.schema;
-  add "  \"profile\": \"%s\",\n" Build_profile.name;
-  add "  \"jobs\": %d,\n" (effective_jobs ());
-  add "  \"scale\": %.6f,\n" !scale_arg;
-  add "  \"total_wall_s\": %.6f,\n" total_wall_s;
-  (match peak_rss_kb () with
-  | Some kb -> add "  \"peak_rss_kb\": %d,\n" kb
-  | None -> add "  \"peak_rss_kb\": null,\n");
-  let gc = Gc.quick_stat () in
-  add "  \"gc\": { \"minor_words\": %.0f, \"major_words\": %.0f, \"major_collections\": %d },\n"
-    gc.Gc.minor_words gc.Gc.major_words gc.Gc.major_collections;
-  add "  \"targets\": [\n";
-  (* Per-target words only when the run is serial: with a domain pool,
-     other domains allocate on a target's behalf. *)
-  List.iteri
-    (fun i (c : Workloads.Bench_gate.target_cost) ->
-      add "    { \"name\": \"%s\", \"wall_s\": %.6f%s }%s\n"
-        (Obs.Audit.escape_json c.target) c.wall_s
-        (if serial then
-           Printf.sprintf
-             ", \"minor_words\": %.0f, \"major_words\": %.0f, \
-              \"promoted_words\": %.0f"
-             c.minor_words c.major_words c.promoted_words
-         else "")
-        (if i = List.length costs - 1 then "" else ","))
-    costs;
-  add "  ],\n";
-  (* Calibration anchors: the simulated-cycle numbers of Tables 3 and 4.
-     These must not move under perf work — byte-stable across runs. *)
-  add "  \"table3\": [\n";
-  let t3 = Workloads.Eval.table3 () in
-  List.iteri
-    (fun i (r : Workloads.Eval.transition_row) ->
-      add "    { \"transition\": \"%s\", \"cycles\": %d, \"paper_cycles\": %d }%s\n"
-        (Obs.Audit.escape_json r.transition) r.cycles r.paper_cycles
-        (if i = List.length t3 - 1 then "" else ","))
-    t3;
-  add "  ],\n";
-  add "  \"table4\": [\n";
-  let t4 = Workloads.Eval.table4 () in
-  List.iteri
-    (fun i (r : Workloads.Eval.privop_row) ->
-      add
-        "    { \"op\": \"%s\", \"native_cycles\": %d, \"erebor_cycles\": %d }%s\n"
-        (Obs.Audit.escape_json r.op) r.native_cycles r.erebor_cycles
-        (if i = List.length t4 - 1 then "" else ","))
-    t4;
-  add "  ],\n";
-  add "  \"fig9\": [\n";
-  let rows = fig9_rows () in
-  List.iteri
-    (fun i (r : Workloads.Eval.program_row) ->
-      add
-        "    { \"program\": \"%s\", \"setting\": \"%s\", \"overhead_pct\": %.4f, \
-         \"pf_rate\": %.2f, \"timer_rate\": %.2f, \"ve_rate\": %.2f, \"emc_rate\": %.2f }%s\n"
-        (Obs.Audit.escape_json r.program)
-        (Obs.Audit.escape_json (Sim.Config.name r.setting))
-        r.overhead_pct r.pf_rate r.timer_rate r.ve_rate r.emc_rate
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  add "  ]\n";
-  add "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.eprintf "[bench] wrote %s\n%!" path
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+      List.find_map
+        (fun line ->
+          try Scanf.sscanf line "VmHWM: %d kB" Option.some
+          with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+        (String.split_on_char '\n' status)
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let all () =
-  let serial = effective_jobs () = 1 in
   let t_start = Unix.gettimeofday () in
   let costs = List.map run_target targets in
-  let total_wall_s = Unix.gettimeofday () -. t_start in
+  let host =
+    {
+      G.profile = Build_profile.name;
+      jobs = (match !jobs_arg with Some j -> j | None -> Sim.Runner.default_jobs ());
+      scale = !scale_arg;
+      total_wall_s = Unix.gettimeofday () -. t_start;
+      peak_rss_kb = peak_rss_kb ();
+      gc = Gc.quick_stat ();
+      costs;
+    }
+  in
   (* The committed BENCH_sim.json is the gate's baseline and never changes
      under a measurement run; re-baselining is an explicit
      [mv BENCH_sim.new.json BENCH_sim.json]. *)
-  write_bench_json ~path:"BENCH_sim.new.json" ~costs ~serial ~total_wall_s
+  let path = "BENCH_sim.new.json" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        (G.record (Some host) ~table3:(Workloads.Eval.table3 ())
+           ~table4:(Workloads.Eval.table4 ()) ~fig9:(Lazy.force fig9_rows)));
+  Printf.eprintf "[bench] wrote %s\n%!" path
 
 (* Shared flags; each target lists only the ones it reads, so an unknown
    flag fails with the usage of exactly that target. *)

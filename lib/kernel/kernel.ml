@@ -165,12 +165,13 @@ let create_task t ~name ~kind =
   Sched.enqueue t.sched task;
   task
 
-(* The thread shares the page tables but starts from a snapshot of the
-   parent's VMAs: a later mmap or munmap in one is not seen by the other. *)
+(* The thread shares its process's page tables and its VMA set itself: a
+   mapping either side makes is the other's too, so the two never pick the
+   same gap, and a munmap by either removes the region for both. *)
 let clone_thread t parent ~name =
   let task =
     Task.make ~tid:t.next_tid ~name ~kind:parent.Task.kind ~root_pfn:parent.Task.root_pfn
-      ~vmas:(Vma.copy parent.Task.vmas)
+      ~vmas:parent.Task.vmas
   in
   task.Task.brk <- parent.Task.brk;
   t.next_tid <- t.next_tid + 1;

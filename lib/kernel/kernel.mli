@@ -75,8 +75,8 @@ val create_task : t -> name:string -> kind:Task.kind -> Task.t
     root). Enqueued runnable. *)
 
 val clone_thread : t -> Task.t -> name:string -> Task.t
-(** New task sharing the caller's page tables, with a snapshot of its VMAs:
-    a later mmap or munmap by either task is not seen by the other. *)
+(** New task sharing the caller's page tables and its VMA set: a mapping
+    either task makes, or removes, is made or removed for both. *)
 
 val fork_process : t -> Task.t -> name:string -> Task.t
 (** Full fork: new address space, user VMAs copied, all present user pages

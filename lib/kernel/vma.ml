@@ -18,7 +18,6 @@ type t = { mutable regions : region array; mutable n : int }
 let vacant = { start = 0; len = 0; prot = prot_r; kind = Anon }
 
 let create () = { regions = [||]; n = 0 }
-let copy t = { regions = Array.copy t.regions; n = t.n }
 
 let page_aligned v = v land (Hw.Phys_mem.page_size - 1) = 0
 

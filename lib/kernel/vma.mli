@@ -26,10 +26,6 @@ type t
 val create : unit -> t
 (** A fresh, empty set. *)
 
-val copy : t -> t
-(** An independent snapshot: later changes to either set do not show in
-    the other. *)
-
 val add : t -> region -> (unit, string) result
 (** Insert [region]; fails, leaving the set unchanged, on overlap,
     non-page-aligned bounds, or empty length. *)

@@ -273,24 +273,34 @@ let test_vma_iter_while_unmapping () =
     !child_pfns;
   Alcotest.(check int) "parent untouched" 5 (Kernel.Vma.count parent.Kernel.Task.vmas)
 
-(* A thread shares the page tables but takes a snapshot of the VMAs: a
-   mapping either side makes later is not the other's. *)
-let test_vma_clone_snapshot () =
+(* A thread shares the page tables and the VMA set: a mapping either side
+   makes is the other's, so the two never take the same gap, and a
+   thread's munmap removes the region for both. *)
+let test_vma_clone_shares () =
   let k, _, _ = make_kernel () in
   let parent = Kernel.create_task k ~name:"parent" ~kind:Kernel.Task.Normal in
-  let first = Kernel.mmap k parent ~len:0x1000 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon in
+  let mmap task = Kernel.mmap k task ~len:0x1000 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon in
+  let first = mmap parent in
   let thread = Kernel.clone_thread k parent ~name:"thread" in
-  Alcotest.(check bool) "thread sees the earlier region" true
-    (Kernel.Vma.find thread.Kernel.Task.vmas first <> None);
-  let by_parent = Kernel.mmap k parent ~len:0x1000 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon in
-  let by_thread = Kernel.mmap k thread ~len:0x1000 ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Anon in
-  (* Neither sees the other's new region, so both take the same gap. *)
-  Alcotest.(check int) "same address chosen on both sides" by_parent by_thread;
-  Alcotest.(check int) "parent: two regions" 2 (Kernel.Vma.count parent.Kernel.Task.vmas);
-  Alcotest.(check int) "thread: two regions" 2 (Kernel.Vma.count thread.Kernel.Task.vmas);
+  let by_parent = mmap parent in
+  let by_thread = mmap thread in
+  Alcotest.(check bool) "different addresses" true (by_parent <> by_thread);
+  List.iter
+    (fun (who, task) ->
+      List.iter
+        (fun addr ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s sees 0x%x" who addr)
+            true
+            (Kernel.Vma.find task.Kernel.Task.vmas addr <> None))
+        [ first; by_parent; by_thread ];
+      Alcotest.(check int) (who ^ ": three regions") 3 (Kernel.Vma.count task.Kernel.Task.vmas))
+    [ ("parent", parent); ("thread", thread) ];
   Result.get_ok (Kernel.munmap k thread ~addr:first);
-  Alcotest.(check bool) "thread's munmap leaves the parent's region" true
-    (Kernel.Vma.find parent.Kernel.Task.vmas first <> None)
+  Alcotest.(check bool) "thread's munmap removes the parent's region" true
+    (Kernel.Vma.find parent.Kernel.Task.vmas first = None);
+  Alcotest.(check bool) "parent's munmap of it now fails" true
+    (Result.is_error (Kernel.munmap k parent ~addr:first))
 
 (* ------------------------------------------------------------------ *)
 (* Boot                                                                *)
@@ -747,7 +757,7 @@ let () =
           Alcotest.test_case "fork copies, parent's later mmap unseen" `Quick
             test_vma_fork_isolated;
           Alcotest.test_case "iter while munmap removes" `Quick test_vma_iter_while_unmapping;
-          Alcotest.test_case "clone takes a snapshot" `Quick test_vma_clone_snapshot;
+          Alcotest.test_case "clone shares the VMA set" `Quick test_vma_clone_shares;
           qt prop_vma_model;
         ] );
       ( "boot",

@@ -1043,7 +1043,7 @@ let test_window_record_allocation_free () =
    sinks is attached, a run is cycle- and statistics-identical to the bare
    run of the same spec — observability never advances the virtual clock.
    (bench check holds the same law over the Table 3/4 anchors and a
-   Fig. 9 cell through Bench_gate.transparent.) *)
+   Fig. 9 cell through Bench_check.transparent.) *)
 let law_run attach =
   let obs = Obs.Emitter.create () in
   attach obs;
@@ -1058,7 +1058,7 @@ let law_run attach =
     Sim.Machine.snapshot m )
 
 let prop_sink_law =
-  let sinks = Workloads.Bench_gate.sinks in
+  let sinks = Workloads.Bench_check.sinks in
   let subset mask = List.filteri (fun i _ -> mask land (1 lsl i) <> 0) sinks in
   let bare = lazy (law_run ignore) in
   QCheck.Test.make ~name:"any sink subset leaves cycles + stats unchanged"

@@ -374,8 +374,14 @@ let prop_bench_gate_json_arbitrary =
          oneof [ json_soup; map (fun s -> "\"" ^ s ^ "\"") json_soup; string ]))
     json_total
 
+module G = Workloads.Bench_check
+
+(* The anchor document: the run record without its host half. *)
+let anchor_doc ?(fig9 = []) () =
+  G.record None ~table3:(Workloads.Eval.table3 ()) ~table4:(Workloads.Eval.table4 ()) ~fig9
+
 let prop_bench_gate_json_mutated =
-  let doc = lazy (Workloads.Bench_gate.render_anchors ()) in
+  let doc = lazy (anchor_doc ()) in
   QCheck.Test.make ~name:"json parser total on mutated anchor documents"
     ~count:1000
     QCheck.(pair (small_list (pair (int_bound 65535) char)) (int_bound 65535))
@@ -387,15 +393,14 @@ let prop_bench_gate_json_mutated =
 
 let test_bench_gate_pass () =
   (* A baseline regenerated from the current build must pass the gate. *)
-  match Workloads.Bench_gate.check_string (Workloads.Bench_gate.render_anchors ()) with
+  match G.check_string ~fig9:None (anchor_doc ()) with
   | Error e -> Alcotest.failf "gate errored: %s" e
   | Ok verdict ->
       List.iter
-        (fun (c : Workloads.Bench_gate.check) ->
+        (fun (c : G.check) ->
           Alcotest.(check bool) (c.name ^ ": " ^ c.detail) true c.ok)
         verdict;
-      Alcotest.(check bool) "verdict passes" true
-        (Workloads.Bench_gate.pass verdict);
+      Alcotest.(check bool) "verdict passes" true (G.pass verdict);
       (* The gate actually looked at the anchors: one check per table-3 row
          and two per table-4 row, plus coverage and schema, plus the
          backend-pinning block (default-is-pks and one re-derivation per
@@ -423,27 +428,70 @@ let replace_first ~sub ~by s =
 let test_bench_gate_seeded_failure () =
   (* Perturb one anchor: the EMC round trip is 1224 in the rendered
      baseline; a baseline claiming 1225 must fail on exactly that check. *)
-  let anchors = Workloads.Bench_gate.render_anchors () in
+  let anchors = anchor_doc () in
   let seeded = replace_first ~sub:"\"cycles\": 1224" ~by:"\"cycles\": 1225" anchors in
   Alcotest.(check bool) "anchor present and perturbed" true (seeded <> anchors);
-  match Workloads.Bench_gate.check_string seeded with
+  match G.check_string ~fig9:None seeded with
   | Error e -> Alcotest.failf "gate errored: %s" e
   | Ok verdict ->
-      Alcotest.(check bool) "seeded mismatch fails" false
-        (Workloads.Bench_gate.pass verdict);
-      (match Workloads.Bench_gate.failures verdict with
+      Alcotest.(check bool) "seeded mismatch fails" false (G.pass verdict);
+      (match G.failures verdict with
       | [ f ] ->
           Alcotest.(check bool) "failure names the anchor" true
-            (f.Workloads.Bench_gate.name = "table3/EMC.cycles")
+            (f.G.name = "table3/EMC.cycles")
       | fs -> Alcotest.failf "expected exactly 1 failure, got %d" (List.length fs));
       (* Dropping a row entirely trips the coverage check instead. *)
       let missing_row =
-        match Workloads.Bench_gate.check_string "{\"schema\": \"erebor-bench-sim/2\", \"table3\": [], \"table4\": []}" with
+        match G.check_string ~fig9:None "{\"schema\": \"erebor-bench-sim/2\", \"table3\": [], \"table4\": []}" with
         | Ok v -> v
         | Error e -> Alcotest.failf "gate errored: %s" e
       in
       Alcotest.(check bool) "empty anchor tables fail coverage" false
-        (Workloads.Bench_gate.pass missing_row)
+        (G.pass missing_row)
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* Fig. 9 rows go through the Table 3/4 comparator, coverage check
+   included: a baseline that lacks one regenerated row fails
+   [fig9/coverage], which names the row, while the row it has is still
+   compared field by field. *)
+let test_bench_gate_fig9_coverage () =
+  let row program overhead_pct =
+    {
+      Workloads.Eval.program;
+      setting = Sim.Config.Erebor_full;
+      overhead_pct;
+      init_overhead_pct = 0.0;
+      time_seconds = 1.0;
+      pf_rate = 10.0;
+      timer_rate = 250.0;
+      ve_rate = 1.5;
+      emc_rate = 4000.25;
+      confined_mb = 1;
+      common_mb = 0;
+      output_bytes = 0;
+    }
+  in
+  let rows = [ row "drugbank" 6.1234; row "unicorn" 4.5 ] in
+  let verdict baseline_rows =
+    match G.check_string ~fig9:(Some rows) (anchor_doc ~fig9:baseline_rows ()) with
+    | Ok v -> List.filter (fun (c : G.check) -> String.starts_with ~prefix:"fig9/" c.name) v
+    | Error e -> Alcotest.failf "gate errored: %s" e
+  in
+  let whole = verdict rows in
+  Alcotest.(check bool) "every row present passes" true (G.pass whole);
+  Alcotest.(check int) "five fields per row + coverage" 11 (List.length whole);
+  let partial = verdict [ List.hd rows ] in
+  Alcotest.(check int) "the present row is still compared" 6 (List.length partial);
+  match G.failures partial with
+  | [ f ] ->
+      Alcotest.(check string) "coverage fails" "fig9/coverage" f.name;
+      Alcotest.(check bool) ("names the row: " ^ f.detail) true
+        (contains ~sub:"unicorn:erebor" f.detail)
+  | fs -> Alcotest.failf "expected exactly 1 failure, got %d" (List.length fs)
 
 (* [ledger_diff] applies the ledger rule between two records: a record
    against itself passes with every count unmoved, 3% more minor words on
@@ -451,7 +499,6 @@ let test_bench_gate_seeded_failure () =
    rule is exact), and a record without per-target words (a parallel run)
    fails outright. *)
 let test_bench_gate_ledger_diff () =
-  let module G = Workloads.Bench_gate in
   let record minor =
     Printf.sprintf
       "{\"schema\": \"erebor-bench-sim/2\", \"profile\": \"release\", \
@@ -462,7 +509,9 @@ let test_bench_gate_ledger_diff () =
       minor
   in
   let parse s =
-    match G.Json.parse s with Ok j -> j | Error e -> Alcotest.failf "json: %s" e
+    match Workloads.Bench_gate.Json.parse s with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "json: %s" e
   in
   let base = parse (record 1000) in
   let same = G.ledger_diff base base in
@@ -502,13 +551,11 @@ let test_bench_gate_law_catches_clock_sink () =
   let verdict =
     Fun.protect
       ~finally:(fun () -> Workloads.Workload.set_scale 1.0)
-      (fun () -> Workloads.Bench_gate.transparent stretch)
+      (fun () -> G.transparent stretch)
   in
-  Alcotest.(check bool) "law fails" false (Workloads.Bench_gate.pass verdict);
+  Alcotest.(check bool) "law fails" false (G.pass verdict);
   Alcotest.(check bool) "run cycles flagged" true
-    (List.exists
-       (fun (c : Workloads.Bench_gate.check) -> c.name = "law/fig9-run-cycles")
-       (Workloads.Bench_gate.failures verdict))
+    (List.exists (fun (c : G.check) -> c.name = "law/fig9-run-cycles") (G.failures verdict))
 
 let qt = QCheck_alcotest.to_alcotest
 
@@ -574,6 +621,8 @@ let () =
           Alcotest.test_case "current anchors pass" `Quick test_bench_gate_pass;
           Alcotest.test_case "seeded mismatch fails" `Quick
             test_bench_gate_seeded_failure;
+          Alcotest.test_case "fig9 baseline missing a row fails coverage" `Quick
+            test_bench_gate_fig9_coverage;
           Alcotest.test_case "clock-advancing sink fails the law" `Quick
             test_bench_gate_law_catches_clock_sink;
           Alcotest.test_case "ledger diff between records" `Quick
